@@ -42,63 +42,39 @@ if [ "${1:-}" = "quick" ]; then
     # engine-equivalence corpus is likewise trimmed to its Fig. 1 prefix
     # plus the first dynamics scenarios, and the workload replay/cross-
     # engine gate to its first scenario; CI's full mode runs everything.
-    # --workspace: the repo root is itself a package, so a bare
-    # `cargo test` would cover only the root crate's suites and skip the
-    # member-crate gates (sim equivalence corpus, datapath graph tests,
-    # bench determinism tests).
+    # --workspace (also the root manifest's default-members): the member-
+    # crate gates run too (sim equivalence corpus and hot-path budgets,
+    # datapath graph tests, bench determinism tests).
     EMPOWER_EQUIV_TOPOLOGIES=12 EMPOWER_SIM_EQUIV_SCENARIOS=14 \
         EMPOWER_WORKLOAD_SCENARIOS=1 \
         cargo test -q --workspace
-    say "perf gate: simulator hot-path counters vs checked-in budget"
-    # Counter-only in quick mode (EMPOWER_SIM_SKIP_TIMING): wall-clock
-    # batches of an unoptimized debug build prove nothing, but the
-    # deterministic allocation counters gate exactly the same way.
-    PERF_JSON="$(mktemp)"
-    EMPOWER_SIM_SKIP_TIMING=1 cargo run -q -p empower-bench --bin bench_sim -- \
-        --quick --budget crates/bench/perf_budget.json --json "$PERF_JSON" >/dev/null
-    rm -f "$PERF_JSON"
 else
     say "tier-1: release build"
-    # --workspace on both: a bare invocation at the repo root covers only
-    # the root package, skipping the member-crate gates and the bench
-    # binaries the perf gates below execute.
+    # --workspace spelled out on both (it is also the root manifest's
+    # default-members): every member crate's gates run, not only the root
+    # package's integration tests.
     cargo build --release --workspace
     say "tier-1: tests"
     cargo test -q --release --workspace
-    say "perf gate: exploration-tree counters vs checked-in budget"
-    # Deterministic counter gate (DESIGN.md §8): fails when the pinned
-    # seeded workload expands more tree nodes than the budget allows or
-    # the baseline/optimized expansion ratio drops below its floor. No
-    # wall-clock thresholds, so no flakiness.
-    PERF_JSON="$(mktemp)"
-    target/release/bench_routing --quick \
-        --budget crates/bench/perf_budget.json --json "$PERF_JSON" >/dev/null
-    rm -f "$PERF_JSON"
-    say "perf gate: simulator hot-path counters vs checked-in budget"
-    # Full mode: engine equivalence over the whole corpus, the
-    # optimized/reference event-dispatch throughput (informational; only
-    # the deterministic counters gate) and the complete sharded-simulation
-    # scale curve — campus topologies up to 1011 nodes at shard counts
-    # 1/2/4/8 with byte-identical reports asserted per row and the
-    # 1011-node 4-shard row gated twice by the budget: counter speedup
-    # (deterministic) and wall-clock speedup (shard-local views + the
-    # persistent pool must beat the single-threaded engine's elapsed
-    # time). (The quick lane runs the same gate with the 103-node smoke
-    # curve at shards 1 and 4, counters only.)
-    PERF_JSON="$(mktemp)"
-    target/release/bench_sim \
-        --budget crates/bench/perf_budget.json --json "$PERF_JSON" >/dev/null
-    rm -f "$PERF_JSON"
+    say "benchmark: frozen package still builds and runs (smoke)"
+    # benchmark/ is a package of its own that compiles against the crates'
+    # public items; a crate-API or crate-graph change that breaks it must
+    # fail here, not in the benchmark pipeline. --locked is the check that
+    # benchmark/Cargo.lock still matches the crate graph. Writes only to
+    # the git-ignored benchmark/target and benchmark/out.
+    cargo build --release --locked --manifest-path benchmark/Cargo.toml
+    cargo run --release --locked --quiet --manifest-path benchmark/Cargo.toml \
+        -- run --smoke >/dev/null
 fi
 
 if [ "${EMPOWER_MIRI:-}" = "1" ]; then
-    # Optional deep lane: run the one threaded module under miri, so the
-    # static concurrency rules (D007-D010) get a dynamic cross-check.
+    # Optional deep lane: run the one executor under miri, so the static
+    # concurrency rules (D007-D010) get a dynamic cross-check.
     # Requires a nightly toolchain with the miri component; skipped (with
     # a notice) when absent so the lane can be enabled fleet-wide.
     if cargo miri --version >/dev/null 2>&1; then
-        say "miri: bench parallel module (EMPOWER_MIRI=1)"
-        cargo miri test -p empower-bench parallel
+        say "miri: empower-exec (EMPOWER_MIRI=1)"
+        cargo miri test -p empower-exec
     else
         say "miri lane requested but the miri toolchain is absent — skipped"
     fi

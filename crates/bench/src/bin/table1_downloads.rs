@@ -21,7 +21,8 @@
 //! and results/counters merge in grid order, so the table, JSON dump and
 //! manifest are byte-identical for any job count.
 
-use empower_bench::{parallel::run_indexed, BenchArgs};
+use empower_bench::BenchArgs;
+use empower_exec::run_indexed;
 use empower_model::topology::testbed22;
 use empower_model::{CarrierSense, InterferenceModel};
 use empower_telemetry::Telemetry;

@@ -1,9 +1,9 @@
 #![forbid(unsafe_code)]
 //! # empower-bench
 //!
-//! The benchmark harness of the reproduction: one binary per table/figure
-//! of the paper's evaluation (see DESIGN.md §4 for the index) plus Criterion
-//! micro-benchmarks for the computational kernels.
+//! The experiment harness of the reproduction: one binary per table/figure
+//! of the paper's evaluation (see DESIGN.md §4 for the index). Performance
+//! is measured elsewhere: the repo's benchmark lives in `benchmark/`.
 //!
 //! Every binary prints a human-readable table mirroring what the paper
 //! reports and, with `--json <path>`, additionally dumps the raw data for
@@ -27,24 +27,15 @@ pub struct BenchArgs {
     /// Base seed.
     pub seed: u64,
     /// Worker threads for the deterministic parallel sweep runner
-    /// (`parallel::run_indexed`); 1 = serial.
+    /// (`empower_exec::run_indexed`); 1 = serial.
     pub jobs: usize,
-    /// Perf-budget file for regression-gate binaries (`bench_routing`).
-    pub budget: Option<String>,
 }
 
 impl BenchArgs {
     /// Parses `std::env::args()`.
     pub fn parse() -> Self {
-        let mut args = BenchArgs {
-            runs: None,
-            quick: false,
-            json: None,
-            metrics: None,
-            seed: 1,
-            jobs: 1,
-            budget: None,
-        };
+        let mut args =
+            BenchArgs { runs: None, quick: false, json: None, metrics: None, seed: 1, jobs: 1 };
         let mut it = std::env::args().skip(1);
         while let Some(a) = it.next() {
             match a.as_str() {
@@ -66,10 +57,9 @@ impl BenchArgs {
                         .and_then(|v| v.parse().ok())
                         .expect("--jobs needs a positive integer")
                 }
-                "--budget" => args.budget = Some(it.next().expect("--budget needs a path")),
                 other => panic!(
                     "unknown argument {other} \
-                     (try --runs N | --quick | --json F | --metrics F | --seed S | --jobs J | --budget F)"
+                     (try --runs N | --quick | --json F | --metrics F | --seed S | --jobs J)"
                 ),
             }
         }
@@ -182,6 +172,4 @@ mod tests {
         assert!((fraction(&v, |x| x >= 2.0) - 2.0 / 3.0).abs() < 1e-12);
     }
 }
-pub mod harness;
-pub mod parallel;
 pub mod sweep;

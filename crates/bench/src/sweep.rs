@@ -7,6 +7,7 @@
 use empower_baselines::{enumerate_paths, maximize_utility, CapacityRegion, RegionKind};
 use empower_cc::{CcProblem, ProportionalFair, Utility};
 use empower_core::{FluidEval, RunConfig, Scheme};
+use empower_exec::run_indexed;
 use empower_model::rng::SeedableRng;
 use empower_model::rng::StdRng;
 use empower_model::topology::random::{generate, RandomTopologyConfig, TopologyClass};
@@ -166,7 +167,7 @@ pub fn run_one_traced(
 }
 
 /// Runs the sweep `seed = base_seed + index` for `index ∈ 0..count` on
-/// `jobs` worker threads (see [`crate::parallel::run_indexed`]) and returns
+/// `jobs` worker threads (see [`run_indexed`]) and returns
 /// the runs in index order — byte-identical to a serial loop for any `jobs`.
 ///
 /// `Telemetry` is single-threaded by design (`Rc`-based), so each work item
@@ -186,7 +187,7 @@ pub fn run_sweep_parallel(
     tele: &Telemetry,
 ) -> Vec<SweepRun> {
     let enabled = tele.is_enabled();
-    let results = crate::parallel::run_indexed(jobs, count, |i| {
+    let results = run_indexed(jobs, count, |i| {
         let item_tele = if enabled { Telemetry::enabled() } else { Telemetry::disabled() };
         let run =
             run_one_traced(class, base_seed + i as u64, flow_count, schemes, params, &item_tele);
@@ -216,7 +217,7 @@ pub fn run_dynamics_sweep(
     tele: &Telemetry,
 ) -> Result<Vec<empower_dynamics::ScenarioOutcome>, empower_dynamics::ScenarioError> {
     let enabled = tele.is_enabled();
-    let results = crate::parallel::run_indexed(jobs, count, |i| {
+    let results = run_indexed(jobs, count, |i| {
         let item_tele = if enabled { Telemetry::enabled() } else { Telemetry::disabled() };
         let mut item = scenario.clone();
         item.run.seed = base_seed + i as u64;
@@ -244,7 +245,7 @@ pub fn run_fig13_parallel(
     tele: &Telemetry,
 ) -> Vec<empower_testbed::fig13::Fig13Row> {
     let enabled = tele.is_enabled();
-    let results = crate::parallel::run_indexed(jobs, flows.len(), |i| {
+    let results = run_indexed(jobs, flows.len(), |i| {
         let item_tele = if enabled { Telemetry::enabled() } else { Telemetry::disabled() };
         let rows =
             empower_testbed::fig13::run_flows_traced(net, imap, config, &flows[i..=i], &item_tele);
@@ -276,7 +277,7 @@ pub fn run_workload_corpus_parallel(
     empower_dynamics::ScenarioError,
 > {
     let enabled = tele.is_enabled();
-    let results = crate::parallel::run_indexed(jobs, scenarios.len(), |i| {
+    let results = run_indexed(jobs, scenarios.len(), |i| {
         let item_tele = if enabled { Telemetry::enabled() } else { Telemetry::disabled() };
         empower_workload::run_workload_scenario_with::<empower_sim::Simulation>(
             &scenarios[i],

@@ -124,7 +124,7 @@ fn parallel_fig13_rows_match_serial_bytes_and_manifest() {
 #[test]
 fn parallel_workload_corpus_matches_serial_bytes_and_manifest() {
     use empower_bench::sweep::run_workload_corpus_parallel;
-    // Two scenarios keep the gate fast while still exercising the pool.
+    // Two scenarios keep the gate fast while still exercising the executor.
     let scenarios = &empower_workload::workload_corpus()[..2];
     let serial_tele = Telemetry::enabled();
     let serial =

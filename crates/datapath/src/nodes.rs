@@ -1,6 +1,6 @@
 //! The typed forwarding-graph nodes.
 //!
-//! Each stage of the layer-2.5 datapath is a [`Node`](crate::graph::Node):
+//! Each stage of the layer-2.5 datapath is a [`Node`]:
 //! `Decap → RouteChoice → PriceStamp → DelayEq → Reorder → Encap`. A node
 //! owns its stage's state (the token bucket, the reorder buffer, …),
 //! processes one pooled packet at a time, and reacts to control-plane

@@ -2,10 +2,10 @@
 //!
 //! The driver owns the §3.2 control loop the engine itself deliberately
 //! does not have: it polls each flow's
-//! [`RouteMonitor`](empower_core::RouteMonitor) every `run.poll_secs` of
+//! [`RouteMonitor`] every `run.poll_secs` of
 //! virtual time, recomputes routes when the monitor triggers, swaps them
 //! into the running simulation (fresh congestion-controller state, as
-//! [`Simulation::replace_routes`] specifies), and keeps retrying
+//! `Simulation::replace_routes` specifies), and keeps retrying
 //! disconnected flows until the topology lets them back in. Everything it
 //! observes — fault times, detections, reroutes, drop samples — feeds the
 //! [`crate::resilience`] metrics.

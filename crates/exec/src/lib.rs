@@ -1,198 +1,98 @@
 #![forbid(unsafe_code)]
 //! # empower-exec
 //!
-//! A persistent worker pool for the deterministic simulators.
+//! The workspace's one executor: deterministic parallel execution of
+//! index-addressed work.
 //!
-//! The sharded simulator (`empower-sim`) dispatches one job per shard per
-//! run. Spawning fresh threads for every run — the `thread::scope` pattern
-//! of earlier revisions — charges a full thread spawn/join plus cold
-//! allocator state to *every* `execute()`, which benchmarks and the
-//! scenario corpus repeat hundreds of times. [`WorkerPool`] amortizes that:
-//! threads live for the life of the pool, and each thread owns a reusable
-//! **arena** value (scratch buffers, etc.) handed to every job it runs.
+//! The model: a batch is a list of *work items* addressed by index (the
+//! `(seed, query)` pairs of a sweep, the shards of one sharded-simulator
+//! run). A fixed set of `jobs` scoped threads pulls indices from an atomic
+//! cursor, each item is computed independently, and the results are
+//! collected **in index order** — so every aggregate downstream (merged
+//! reports, JSON dumps, manifests, printed tables) is byte-identical to a
+//! serial run. Determinism holds because (a) each item's computation is
+//! itself deterministic and shares no mutable state, and (b) the only
+//! thing scheduling can reorder is *completion*, which the index-ordered
+//! collection erases.
 //!
-//! Determinism rules (enforced repo-wide by `empower-lint`):
-//!
-//! * Batch results are written to **index-addressed slots** and returned in
-//!   submission order — completion order never influences the output
-//!   (no completion-order merges, rule D007).
-//! * Worker threads are stored [`JoinHandle`]s, joined on drop (no detached
-//!   spawns, rule D009).
-//! * A panicking job poisons nothing: the payload is captured and re-thrown
-//!   on the submitting thread once the batch drains, exactly like
-//!   `thread::scope` join semantics.
-//!
-//! The pool itself is infrastructure, not hot-path simulation state, so it
-//! may use `Mutex`/`Condvar` freely (rule D010 scopes the lock ban to the
-//! hot-path crates).
+//! This crate is the workspace's **sanctioned merge idiom**: rule D007
+//! (unordered cross-thread result collection) names [`run_indexed`] in its
+//! diagnostics, resolved through the lint's workspace index rather than by
+//! filename. Anything that wants to fan work out across threads should go
+//! through here instead of hand-rolling channels. The threads are scoped:
+//! they borrow the caller's data, are joined before [`run_indexed`]
+//! returns (nothing detached, rule D009), and a panic in any item
+//! resurfaces on the calling thread.
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// A queued unit of work: runs on a worker thread with that thread's arena.
-type Job<A> = Box<dyn FnOnce(&mut A) + Send + 'static>;
-
-struct Queue<A> {
-    jobs: Mutex<QueueState<A>>,
-    available: Condvar,
+/// Why collecting a result slot failed. Both variants indicate a bug in
+/// the executor itself, never data-dependent behaviour.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SlotError {
+    /// A worker panicked while holding slot `index`'s lock.
+    Poisoned(usize),
+    /// No worker ever stored a result for `index` (cursor logic bug).
+    Unfilled(usize),
 }
 
-struct QueueState<A> {
-    jobs: VecDeque<Job<A>>,
-    shutdown: bool,
-}
-
-struct BatchState<R> {
-    /// One slot per submitted task, filled by task index — never by
-    /// completion order.
-    results: Vec<Option<R>>,
-    remaining: usize,
-    /// First captured panic payload, re-thrown by the submitter.
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
-struct Batch<R> {
-    state: Mutex<BatchState<R>>,
-    done: Condvar,
-}
-
-/// A fixed set of long-lived worker threads, each owning an arena of type
-/// `A`, executing batches of jobs submitted from any thread.
-pub struct WorkerPool<A> {
-    queue: Arc<Queue<A>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // A worker that panicked mid-job has already routed the payload into
-    // its batch; the shared state itself is never left mid-update, so
-    // poisoning carries no information here.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-impl<A: Send + 'static> WorkerPool<A> {
-    /// Spawns `threads` workers (clamped to ≥ 1), each building its arena
-    /// once via `arena`.
-    pub fn new<F>(threads: usize, arena: F) -> Self
-    where
-        F: Fn() -> A + Send + Sync + 'static,
-    {
-        let queue = Arc::new(Queue {
-            jobs: Mutex::new(QueueState { jobs: VecDeque::new(), shutdown: false }),
-            available: Condvar::new(),
-        });
-        let arena = Arc::new(arena);
-        let handles = (0..threads.max(1))
-            .map(|_| {
-                let queue = Arc::clone(&queue);
-                let arena = Arc::clone(&arena);
-                std::thread::spawn(move || {
-                    let mut a = arena();
-                    loop {
-                        let job = {
-                            let mut st = lock(&queue.jobs);
-                            loop {
-                                if let Some(job) = st.jobs.pop_front() {
-                                    break job;
-                                }
-                                if st.shutdown {
-                                    return;
-                                }
-                                st = queue
-                                    .available
-                                    .wait(st)
-                                    .unwrap_or_else(PoisonError::into_inner);
-                            }
-                        };
-                        job(&mut a);
-                    }
-                })
-            })
-            .collect();
-        WorkerPool { queue, handles }
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Runs every task on the pool and returns their results **in
-    /// submission order**, blocking until the whole batch has drained. If
-    /// any task panicked, the first payload is re-thrown here after the
-    /// batch completes (remaining tasks still run; their results are
-    /// discarded with the batch).
-    pub fn run_batch<R, T>(&self, tasks: Vec<T>) -> Vec<R>
-    where
-        R: Send + 'static,
-        T: FnOnce(&mut A) -> R + Send + 'static,
-    {
-        let n = tasks.len();
-        if n == 0 {
-            return Vec::new();
+impl fmt::Display for SlotError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SlotError::Poisoned(i) => write!(f, "result slot {i} poisoned by a worker panic"),
+            SlotError::Unfilled(i) => write!(f, "result slot {i} was never filled by any worker"),
         }
-        let batch = Arc::new(Batch {
-            state: Mutex::new(BatchState {
-                results: (0..n).map(|_| None).collect(),
-                remaining: n,
-                panic: None,
-            }),
-            done: Condvar::new(),
-        });
-        {
-            let mut st = lock(&self.queue.jobs);
-            for (i, task) in tasks.into_iter().enumerate() {
-                let batch = Arc::clone(&batch);
-                st.jobs.push_back(Box::new(move |arena: &mut A| {
-                    let out = catch_unwind(AssertUnwindSafe(|| task(arena)));
-                    let mut bs = lock(&batch.state);
-                    match out {
-                        Ok(r) => bs.results[i] = Some(r),
-                        Err(p) => {
-                            if bs.panic.is_none() {
-                                bs.panic = Some(p);
-                            }
-                        }
-                    }
-                    bs.remaining -= 1;
-                    if bs.remaining == 0 {
-                        drop(bs);
-                        batch.done.notify_all();
-                    }
-                }));
-            }
-        }
-        self.queue.available.notify_all();
-
-        let mut bs = lock(&batch.state);
-        while bs.remaining > 0 {
-            bs = batch.done.wait(bs).unwrap_or_else(PoisonError::into_inner);
-        }
-        if let Some(p) = bs.panic.take() {
-            drop(bs);
-            resume_unwind(p);
-        }
-        bs.results
-            .iter_mut()
-            .map(|slot| {
-                let Some(r) = slot.take() else {
-                    unreachable!("batch drained without panic, every slot is filled")
-                };
-                r
-            })
-            .collect()
     }
 }
 
-impl<A> Drop for WorkerPool<A> {
-    fn drop(&mut self) {
-        lock(&self.queue.jobs).shutdown = true;
-        self.queue.available.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+/// Computes `f(0..count)` on `jobs` worker threads and returns the results
+/// in index order. `jobs <= 1` runs serially on the caller's thread
+/// (identical results, no threads). A panic inside `f` propagates to the
+/// caller once every worker has been joined.
+///
+/// empower-lint: sanction(D007, D008) — the sanctioned cross-thread merge
+/// idiom: the Relaxed work cursor only *distributes* indices (no ordering
+/// is ever derived from its return values beyond "each index exactly
+/// once"), and results land in index-addressed slots, so completion order
+/// cannot reach any observable output.
+pub fn run_indexed<T: Send>(jobs: usize, count: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if jobs <= 1 || count <= 1 {
+        return (0..count).map(f).collect();
+    }
+    let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
+    let cursor = AtomicUsize::new(0);
+    let workers = jobs.min(count);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= count {
+                    break;
+                }
+                let value = f(i);
+                if let Ok(mut slot) = slots[i].lock() {
+                    *slot = Some(value);
+                }
+            });
         }
+    });
+    let collected: Result<Vec<T>, SlotError> = slots
+        .into_iter()
+        .enumerate()
+        .map(|(i, slot)| match slot.into_inner() {
+            Err(_) => Err(SlotError::Poisoned(i)),
+            Ok(None) => Err(SlotError::Unfilled(i)),
+            Ok(Some(value)) => Ok(value),
+        })
+        .collect();
+    match collected {
+        Ok(values) => values,
+        // `thread::scope` re-raises worker panics before collection
+        // begins, and the cursor hands out every index below `count`
+        // exactly once.
+        Err(fault) => unreachable!("run_indexed: {fault}"),
     }
 }
 
@@ -201,68 +101,40 @@ mod tests {
     use super::*;
 
     #[test]
-    fn results_come_back_in_submission_order() {
-        let pool = WorkerPool::new(3, || 0u64);
-        let tasks: Vec<_> = (0..17)
-            .map(|i| {
-                move |arena: &mut u64| {
-                    *arena += 1;
-                    i * 10
-                }
-            })
-            .collect();
-        assert_eq!(pool.run_batch(tasks), (0..17).map(|i| i * 10).collect::<Vec<_>>());
+    fn results_come_back_in_index_order() {
+        let serial = run_indexed(1, 100, |i| i * i);
+        let parallel = run_indexed(4, 100, |i| i * i);
+        assert_eq!(serial, parallel);
+        assert_eq!(parallel[7], 49);
     }
 
     #[test]
-    fn pool_survives_across_batches_and_reuses_arenas() {
-        let pool = WorkerPool::new(2, Vec::<u32>::new);
-        for round in 0..5u32 {
-            let out = pool.run_batch(vec![
-                move |arena: &mut Vec<u32>| {
-                    arena.push(round);
-                    arena.len()
-                };
-                4
-            ]);
-            assert_eq!(out.len(), 4);
-            // Arena lengths only grow: the same per-thread vectors serve
-            // every round.
-            assert!(out.iter().all(|&len| len >= 1));
+    fn more_jobs_than_items_is_fine() {
+        assert_eq!(run_indexed(16, 3, |i| i), vec![0, 1, 2]);
+        assert_eq!(run_indexed(16, 0, |i| i), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn a_panicking_item_resurfaces_on_the_caller() {
+        for jobs in [1, 2] {
+            let caught = std::panic::catch_unwind(|| {
+                run_indexed(jobs, 4, |i| {
+                    assert!(i != 2, "item 2 fails");
+                    i
+                })
+            });
+            assert!(caught.is_err(), "jobs={jobs}: the panic was swallowed");
         }
+        // Nothing outlives the failed batch: the next one runs normally.
+        assert_eq!(run_indexed(2, 3, |i| i + 7), vec![7, 8, 9]);
     }
 
     #[test]
-    fn single_thread_pool_drains_wide_batches() {
-        let pool = WorkerPool::new(1, || ());
-        let out = pool.run_batch((0..64).map(|i| move |_: &mut ()| i).collect::<Vec<_>>());
-        assert_eq!(out, (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn a_panicking_job_resurfaces_on_the_submitter() {
-        let pool = WorkerPool::new(2, || ());
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run_batch(
-                (0..4)
-                    .map(|i| {
-                        move |_: &mut ()| {
-                            assert!(i != 2, "job 2 fails");
-                            i
-                        }
-                    })
-                    .collect::<Vec<_>>(),
-            )
-        }));
-        assert!(caught.is_err());
-        // The pool is still usable afterwards.
-        assert_eq!(pool.run_batch(vec![|_: &mut ()| 7]), vec![7]);
-    }
-
-    #[test]
-    fn empty_batches_are_a_no_op() {
-        let pool = WorkerPool::new(2, || ());
-        let out: Vec<u8> = pool.run_batch(Vec::<fn(&mut ()) -> u8>::new());
-        assert!(out.is_empty());
+    fn slot_errors_name_the_failing_index() {
+        assert_eq!(SlotError::Poisoned(3).to_string(), "result slot 3 poisoned by a worker panic");
+        assert_eq!(
+            SlotError::Unfilled(7).to_string(),
+            "result slot 7 was never filled by any worker"
+        );
     }
 }

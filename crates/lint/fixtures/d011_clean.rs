@@ -1,5 +1,5 @@
-pub fn skip_timing() -> bool {
-    std::env::var_os("EMPOWER_SIM_SKIP_TIMING").is_some()
+pub fn corpus_size() -> Option<String> {
+    std::env::var("EMPOWER_EQUIV_TOPOLOGIES").ok()
 }
 
 pub fn unrelated() -> Option<String> {

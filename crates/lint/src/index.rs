@@ -10,8 +10,8 @@
 //!   file instead of pattern-matching on the bare word;
 //! * **pub items** — every `fn` item with its canonical module path
 //!   (derived from the file's position in the workspace, e.g.
-//!   `crates/bench/src/parallel.rs::run_indexed` →
-//!   `empower_bench::parallel::run_indexed`) and body line span;
+//!   `crates/exec/src/lib.rs::run_indexed` →
+//!   `empower_exec::run_indexed`) and body line span;
 //! * **sanctioned idioms** — items marked in-code with
 //!   `// empower-lint: sanction(D007, D008) — <why>`: the concurrency
 //!   rules exempt the marked item's span and name the item in their
@@ -37,7 +37,7 @@ pub const SANCTIONABLE: [Rule; 4] = [Rule::D007, Rule::D008, Rule::D009, Rule::D
 pub struct PubItem {
     /// The item's own name, e.g. `run_indexed`.
     pub name: String,
-    /// Canonical `::`-joined path, e.g. `empower_bench::parallel::run_indexed`.
+    /// Canonical `::`-joined path, e.g. `empower_exec::run_indexed`.
     pub path: String,
     /// Repo-relative file the item lives in.
     pub file: String,
@@ -57,7 +57,7 @@ pub struct Sanction {
     pub rules: Vec<Rule>,
     /// Repo-relative file of the item.
     pub file: String,
-    /// Canonical path of the item, e.g. `empower_bench::parallel::run_indexed`.
+    /// Canonical path of the item, e.g. `empower_exec::run_indexed`.
     pub item: String,
     /// Inclusive line span the sanction covers: pragma line through the
     /// item's closing brace.
@@ -188,8 +188,8 @@ pub(crate) fn comment_block_end(lexed: &Lexed, line: u32) -> u32 {
     end
 }
 
-/// Canonical module path of a file: `crates/bench/src/parallel.rs` →
-/// `["empower_bench", "parallel"]`. Crate roots (`lib.rs`, `main.rs`,
+/// Canonical module path of a file: `crates/bench/src/sweep.rs` →
+/// `["empower_bench", "sweep"]`. Crate roots (`lib.rs`, `main.rs`,
 /// `src/bin/*.rs`) and `mod.rs` fold into their parent.
 pub(crate) fn module_path(ctx: &FileContext) -> Vec<String> {
     let mut segs = vec![ctx.crate_name.replace('-', "_")];
@@ -435,8 +435,8 @@ mod tests {
     #[test]
     fn module_paths_fold_roots_and_nest() {
         assert_eq!(
-            module_path(&ctx("crates/bench/src/parallel.rs", "empower-bench")),
-            vec!["empower_bench", "parallel"]
+            module_path(&ctx("crates/bench/src/sweep.rs", "empower-bench")),
+            vec!["empower_bench", "sweep"]
         );
         assert_eq!(module_path(&ctx("crates/sim/src/lib.rs", "empower-sim")), vec!["empower_sim"]);
         assert_eq!(
@@ -453,13 +453,13 @@ mod tests {
     fn imports_cover_groups_aliases_and_self() {
         let lexed = lex("use std::sync::{self, Mutex, atomic::{AtomicUsize, Ordering}};\n\
                          use std::sync::mpsc::channel as chan;\n\
-                         use empower_bench::parallel::run_indexed;\n");
+                         use empower_exec::run_indexed;\n");
         let map = collect_imports(&lexed);
         assert_eq!(map["sync"], vec!["std", "sync"]);
         assert_eq!(map["Mutex"], vec!["std", "sync", "Mutex"]);
         assert_eq!(map["Ordering"], vec!["std", "sync", "atomic", "Ordering"]);
         assert_eq!(map["chan"], vec!["std", "sync", "mpsc", "channel"]);
-        assert_eq!(map["run_indexed"], vec!["empower_bench", "parallel", "run_indexed"]);
+        assert_eq!(map["run_indexed"], vec!["empower_exec", "run_indexed"]);
     }
 
     #[test]
@@ -481,13 +481,13 @@ mod tests {
                        n\n\
                    }\n";
         let mut index = WorkspaceIndex::default();
-        let p001 = index.add_file(&ctx("crates/bench/src/parallel.rs", "empower-bench"), src);
+        let p001 = index.add_file(&ctx("crates/exec/src/lib.rs", "empower-exec"), src);
         assert!(p001.is_empty(), "unexpected P001: {p001:?}");
         let s = index.sanctioned_idiom(Rule::D008).expect("sanction recorded");
-        assert_eq!(s.item, "empower_bench::parallel::run_indexed");
+        assert_eq!(s.item, "empower_exec::run_indexed");
         assert_eq!(s.span, (1, 5));
-        assert!(index.sanction_covers("crates/bench/src/parallel.rs", Rule::D008, 4));
-        assert!(!index.sanction_covers("crates/bench/src/parallel.rs", Rule::D007, 4));
+        assert!(index.sanction_covers("crates/exec/src/lib.rs", Rule::D008, 4));
+        assert!(!index.sanction_covers("crates/exec/src/lib.rs", Rule::D007, 4));
         assert!(!index.sanction_covers("crates/other/src/lib.rs", Rule::D008, 4));
     }
 

@@ -21,7 +21,7 @@
 //!   egress links (ACK-clocking couples them) — share an atom. Callers
 //!   pass this closure in [`CouplingSpec::flow_links`].
 //! * **R4 — fault adjacency**: links adjacent to a node with a scheduled
-//!   [`NodeChange`]-style fault share an atom, so the fault's capacity
+//!   `NodeChange`-style fault share an atom, so the fault's capacity
 //!   edits stay within one shard.
 //!
 //! Under these rules no event in one atom can observe state in another,

@@ -7,7 +7,7 @@
 //!   §5.1.
 //! * [`testbed22`](testbed22::testbed22) — the simulated stand-in for the 22-node office testbed
 //!   of §6 (65×40 m floor).
-//! * [`campus`] — seeded hierarchical multi-floor/multi-building campuses
+//! * [`campus()`] — seeded hierarchical multi-floor/multi-building campuses
 //!   (100/500/1000+ nodes) for the sharded-simulation scale experiments.
 
 pub mod campus;

@@ -21,7 +21,7 @@
 //! per-changed-link instead of rebuilt per node, and Yen/Dijkstra run on a
 //! reusable [`KspWorkspace`]. An admissible branch-and-bound bound prunes
 //! subtrees that cannot beat the incumbent (see
-//! [`remaining_total_bound`]); the result is bit-identical to the retained
+//! `remaining_total_bound`); the result is bit-identical to the retained
 //! exhaustive reference ([`best_combination_reference`]) because pruned
 //! subtrees contain no strict improvement and every incumbent's chain is
 //! recorded in per-depth slots as the recursion returns through its

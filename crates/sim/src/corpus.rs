@@ -5,8 +5,7 @@
 //!
 //! The corpus is the contract that makes the zero-allocation rewrite safe:
 //! `crates/sim/tests/equivalence.rs` runs every scenario through both
-//! engines and compares the three renderings byte for byte, and
-//! `bench_sim` re-asserts the same equality before timing anything. Keep
+//! engines and compares the three renderings byte for byte. Keep
 //! the scenarios deterministic — topology construction, flow setup and
 //! fault schedules may depend only on the descriptor fields.
 
@@ -101,12 +100,10 @@ macro_rules! impl_sim_engine {
 
 impl_sim_engine!(crate::engine::Simulation);
 impl_sim_engine!(crate::reference::ReferenceSimulation);
-impl_sim_engine!(crate::sharded::ShardedSimulation);
 
 /// [`crate::sharded::ShardedSimulation`] pinned to `N` shards at the type
 /// level, so determinism gates can sweep shard counts through the generic
-/// corpus runner without touching the process-global `EMPOWER_SIM_SHARDS`
-/// knob (env mutation would race across concurrently running tests).
+/// corpus runner.
 pub struct ShardedN<const N: u32>(pub crate::sharded::ShardedSimulation);
 
 impl<const N: u32> SimEngine for ShardedN<N> {
@@ -312,9 +309,10 @@ pub fn run_scenario<E: SimEngine>(s: &CorpusScenario) -> CorpusOutput {
     CorpusOutput { report: format!("{report:?}"), trace, manifest: m.render() }
 }
 
-/// Runs one scenario with **no** trace and **no** telemetry — the timing
-/// configuration of `bench_sim` — returning the report rendering and the
-/// engine's deterministic work counters.
+/// Runs one scenario with **no** trace and **no** telemetry — the
+/// steady-state configuration the hot-path budgets are stated for —
+/// returning the report rendering and the engine's deterministic work
+/// counters.
 pub fn run_scenario_plain<E: SimEngine>(s: &CorpusScenario) -> (String, SimPerfStats) {
     let mut sim = setup::<E>(s, false);
     drive(&mut sim, s);

@@ -283,7 +283,6 @@ impl Simulation {
     /// `hot_allocs`.
     pub fn perf_stats(&self) -> SimPerfStats {
         let mut p = self.perf;
-        p.slab_hits = self.slab.hits();
         p.slab_grows = self.slab.grows();
         p.hot_allocs = self.slab.grows();
         p
@@ -945,7 +944,6 @@ impl Simulation {
                 }
             }
         }
-        self.perf.bytes_not_allocated += std::mem::size_of_val(self.imap.domain(link)) as u64;
         cands.sort_by(|a, b| {
             self.last_start[a.index()].total_cmp(&self.last_start[b.index()]).then_with(|| a.cmp(b))
         });
@@ -1069,8 +1067,6 @@ impl Simulation {
         let delivered_now = self.flows[f].dp.accept(route, seq, price, &mut events);
         if !events.is_empty() {
             self.etel.reorder_flushes.inc();
-            self.perf.bytes_not_allocated +=
-                (events.len() * std::mem::size_of::<ReorderEvent>()) as u64;
         }
         let mut tcp_acks = std::mem::take(&mut self.scratch_acks);
         tcp_acks.clear();
@@ -1118,10 +1114,6 @@ impl Simulation {
         }
         if let Some(tcp) = self.flows[f].tcp.as_ref() {
             let ack_delay = tcp.ack_delay;
-            if !tcp_acks.is_empty() {
-                self.perf.bytes_not_allocated +=
-                    (tcp_acks.len() * std::mem::size_of::<u32>()) as u64;
-            }
             for &ack in &tcp_acks {
                 self.events.push(
                     self.now + ack_delay,
@@ -1229,7 +1221,6 @@ impl Simulation {
         let mut tcp_nodes = std::mem::take(&mut self.scratch_tcp_nodes);
         tcp_nodes.clear();
         tcp_nodes.resize(self.net.node_count(), false);
-        self.perf.bytes_not_allocated += self.net.node_count() as u64;
         for fl in &self.flows {
             if fl.active && fl.spec.pattern.is_tcp() {
                 tcp_nodes[fl.spec.dst.index()] = true;
@@ -1245,8 +1236,6 @@ impl Simulation {
         for s in &self.price_states {
             s.make_broadcasts_into(&self.net, &mut bcast);
         }
-        self.perf.bytes_not_allocated +=
-            (bcast.len() * std::mem::size_of::<PriceBroadcast>()) as u64;
         let alpha = self.cfg.cc.alpha;
         let delta = self.cfg.delta;
         let delta_tcp = self.cfg.tcp_delta.max(delta);
@@ -1266,8 +1255,6 @@ impl Simulation {
         for s in &self.price_states {
             s.make_broadcasts_into(&self.net, &mut self.broadcasts);
         }
-        self.perf.bytes_not_allocated +=
-            (self.broadcasts.len() * std::mem::size_of::<PriceBroadcast>()) as u64;
         // 4. ACKs and controller steps.
         for f in 0..self.flows.len() {
             if self.flows[f].controller.is_none() {
@@ -1286,8 +1273,6 @@ impl Simulation {
                     let routes = self.flows[f].spec.routes.len();
                     self.scratch_prices.clear();
                     self.scratch_prices.resize(routes, None);
-                    self.perf.bytes_not_allocated +=
-                        (routes * std::mem::size_of::<Option<f64>>()) as u64;
                     let prices = &self.scratch_prices;
                     let Some(controller) = self.flows[f].controller.as_mut() else { continue };
                     controller.on_ack(prices)
@@ -1308,7 +1293,6 @@ impl Simulation {
                     Some(c) => c.rates(),
                     None => &fl.spec.open_loop_rates,
                 };
-                self.perf.bytes_not_allocated += std::mem::size_of_val(rates) as u64;
                 let series = &mut self.stats[f].rate_series;
                 if series.is_empty() {
                     *series = vec![Vec::new(); rates.len()];
@@ -1372,8 +1356,6 @@ impl Simulation {
                 clear_bit(&mut self.busy_words, l);
             }
             let freed_medium = in_flight.is_some();
-            let lost = self.queues[l].len() + usize::from(freed_medium);
-            self.perf.bytes_not_allocated += (lost * std::mem::size_of::<SimPacket>()) as u64;
             while let Some(id) = self.queues[l].pop_front() {
                 self.drop_dead(id);
             }
@@ -1386,8 +1368,6 @@ impl Simulation {
                 let mut cands = std::mem::take(&mut self.scratch_links);
                 cands.clear();
                 cands.extend_from_slice(self.imap.domain(link));
-                self.perf.bytes_not_allocated +=
-                    (cands.len() * std::mem::size_of::<LinkId>()) as u64;
                 for &cand in &cands {
                     self.try_start(cand);
                 }

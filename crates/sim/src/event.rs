@@ -15,7 +15,7 @@ use std::collections::BinaryHeap;
 use empower_model::{LinkId, NodeId};
 
 /// Simulator events. Hot variants are kept small (`u32` indices, `f32`
-/// price — lossless, the wire header stores `f32`) so a [`Scheduled`]
+/// price — lossless, the wire header stores `f32`) so a `Scheduled`
 /// entry stays within one cache line.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {

@@ -29,7 +29,6 @@ pub mod flow;
 mod metrics;
 pub mod packet;
 pub mod perf;
-mod pool;
 pub mod reference;
 pub mod sharded;
 pub mod stats;

@@ -2,9 +2,9 @@
 //!
 //! Both [`crate::Simulation`] (the optimized engine) and
 //! [`crate::ReferenceSimulation`] (the retained pre-optimization engine)
-//! maintain a [`SimPerfStats`], so `bench_sim` can compare work — not
-//! wall-clock — across machines, and `ci.sh` can gate on exact counter
-//! values.
+//! maintain a [`SimPerfStats`], so the equivalence tests can hold the
+//! engines to exact work budgets and the repo's benchmark (`benchmark/`)
+//! can report work — not only wall-clock — across machines.
 
 /// Work counters accumulated while the simulation runs. All counts are
 /// deterministic functions of the scenario (no timing, no sampling).
@@ -23,15 +23,6 @@ pub struct SimPerfStats {
     /// reference/optimized ratio is the headline "allocations removed"
     /// figure.
     pub hot_allocs: u64,
-    /// Packet-slab inserts that reused a freed slot.
-    pub slab_hits: u64,
     /// Packet-slab inserts that grew the slab (allocation-class events).
     pub slab_grows: u64,
-    /// Bytes the reference engine would have allocated at hot sites the
-    /// optimized engine serves from reused storage.
-    pub bytes_not_allocated: u64,
-    /// Per-event `String` allocations the sharded trace merge avoided by
-    /// rendering every canonical sort key into one shared buffer (one
-    /// saved allocation per merged trace event).
-    pub trace_merge_saved_allocs: u64,
 }

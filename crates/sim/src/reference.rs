@@ -8,8 +8,8 @@
 //! [`crate::Simulation`]: the equivalence corpus
 //! (`crates/sim/tests/equivalence.rs`) runs both engines over ≥ 20 seeded
 //! scenarios and requires byte-identical `SimReport`s, traces and
-//! telemetry manifests. It is also the baseline `bench_sim` measures the
-//! optimized engine against, so it carries the same deterministic
+//! telemetry manifests. It is also the baseline the same test measures the
+//! optimized engine's work against, so it carries the same deterministic
 //! [`SimPerfStats`] work counters (instrumented at the allocation sites
 //! the rework removed).
 //!

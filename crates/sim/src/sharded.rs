@@ -3,9 +3,9 @@
 //!
 //! [`ShardedSimulation`] partitions the network's links into *atoms* —
 //! closed groups under the coupling rules R1–R4 of
-//! [`empower_model::shard`] — packs atoms onto up to
-//! `EMPOWER_SIM_SHARDS` shards, and runs one [`Simulation`] per shard on
-//! the persistent worker pool (`crate::pool`, knob `EMPOWER_SIM_POOL`).
+//! [`empower_model::shard`] — packs atoms onto the requested number of
+//! shards, and runs one [`Simulation`] per used shard on
+//! [`empower_exec::run_indexed`] scoped threads (at most one per core).
 //! Because no flow, interference domain, broadcast group or fault ever
 //! crosses an atom boundary, the conservative lookahead is *degenerate*:
 //! shards never exchange events at all, and each shard's execution of its
@@ -20,7 +20,7 @@
 //!   coupling closure known — including replacement routes scheduled for
 //!   later — so the partition can be computed once, correctly.
 //! * **Shard-local views.** Every worker runs on a
-//!   [`ShardView`](empower_model::ShardView): the subgraph of its own
+//!   [`ShardView`]: the subgraph of its own
 //!   *active* atoms (those hosting an owned flow or scheduled fault),
 //!   with dense local ids. No full-network clone, no ghost flows, and
 //!   control-plane ticks iterate local links only. The local→global
@@ -32,7 +32,7 @@
 //!   shard-index order (no completion-order nondeterminism): per-flow
 //!   stats are taken from each flow's owning shard in ascending global
 //!   flow order; counters merge by fixed per-name rules (see
-//!   [`ShardedSimulation::merge_counters`]); traces merge in canonical
+//!   `ShardedSimulation::merge_counters`); traces merge in canonical
 //!   `(time, rendered line)` order — rendered into one shared buffer,
 //!   not one `String` per event — and are truncated to the configured
 //!   cap only *after* the sort, so the bytes cannot depend on the shard
@@ -46,10 +46,12 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use empower_datapath::{IfaceId, IfaceRegistry, SourceRoute};
-use empower_model::shard::{extract_view, plan_shards, CouplingSpec, ShardPlan, ShardView};
+use empower_exec::run_indexed;
+use empower_model::shard::{
+    extract_view, plan_shards, CouplingSpec, ShardPlan, ShardView, ViewScratch,
+};
 use empower_model::{InterferenceMap, LinkId, Network, NodeId, Path};
 use empower_telemetry::{CounterSnapshot, CounterType, Telemetry};
 
@@ -57,7 +59,6 @@ use crate::config::SimConfig;
 use crate::engine::Simulation;
 use crate::flow::FlowSpecSim;
 use crate::perf::SimPerfStats;
-use crate::pool::{run_shard_batch, ShardArena};
 use crate::stats::{FlowStats, SimReport};
 use crate::trace::Trace;
 
@@ -99,21 +100,17 @@ struct Exec {
     shards_used: usize,
 }
 
-/// Reads the shard count from `EMPOWER_SIM_SHARDS` (default 4).
-fn env_shards() -> u32 {
-    std::env::var("EMPOWER_SIM_SHARDS").ok().and_then(|v| v.parse().ok()).unwrap_or(4)
-}
-
-/// The sharded engine. API-compatible with [`Simulation`] (both implement
-/// the corpus `SimEngine` trait); see the module docs for semantics.
+/// The sharded engine. API-compatible with [`Simulation`] (the corpus
+/// `SimEngine` trait drives it through `ShardedN`); see the module docs
+/// for semantics.
 pub struct ShardedSimulation {
     /// The pristine pre-run network. [`ShardedSimulation::network`]
     /// returns this — mid-run capacity mutations live inside the worker
     /// engines (callers needing mutated state inspect reports instead).
-    /// `Arc`: shared read-only with pool workers, which extract their
-    /// views from it without cloning the graph.
-    net: Arc<Network>,
-    imap: Arc<InterferenceMap>,
+    /// Workers borrow it and extract their views without cloning the
+    /// graph.
+    net: Network,
+    imap: InterferenceMap,
     reg: IfaceRegistry,
     cfg: SimConfig,
     shards: u32,
@@ -127,19 +124,13 @@ pub struct ShardedSimulation {
 }
 
 impl ShardedSimulation {
-    /// Creates a sharded simulation with the shard count taken from
-    /// `EMPOWER_SIM_SHARDS` (default 4).
-    pub fn new(net: Network, imap: InterferenceMap, cfg: SimConfig) -> Self {
-        Self::with_shards(net, imap, cfg, env_shards())
-    }
-
     /// Creates a sharded simulation with an explicit shard count.
     pub fn with_shards(net: Network, imap: InterferenceMap, cfg: SimConfig, shards: u32) -> Self {
         let reg = IfaceRegistry::for_network(&net);
         ShardedSimulation {
             reg,
-            net: Arc::new(net),
-            imap: Arc::new(imap),
+            net,
+            imap,
             cfg,
             shards: shards.max(1),
             ops: Vec::new(),
@@ -239,7 +230,7 @@ impl ShardedSimulation {
     /// `events_dispatched` per worker in shard-index order. The maximum
     /// entry is the critical-path work of the parallel run;
     /// `single_threaded_events / max` is the counter-based speedup the
-    /// scale benchmark gates on.
+    /// campus equivalence gate holds to a floor.
     pub fn shard_events_dispatched(&self) -> Vec<u64> {
         self.ensure_executed();
         self.exec.borrow().as_ref().map(|e| e.shard_events.clone()).unwrap_or_default()
@@ -421,33 +412,23 @@ impl ShardedSimulation {
 
         let instrument = self.tele.is_enabled();
         let trace_on = self.trace_cap.is_some();
-        let plan = Arc::new(plan);
-        let active_atom = Arc::new(active_atom);
-
-        let mut jobs = Vec::with_capacity(used.len());
-        for (w, &s) in used.iter().enumerate() {
-            let net = Arc::clone(&self.net);
-            let imap = Arc::clone(&self.imap);
-            let plan = Arc::clone(&plan);
-            let active_atom = Arc::clone(&active_atom);
-            let cfg = self.cfg.clone();
-            let ops = std::mem::take(&mut worker_ops[w]);
-            jobs.push(move |arena: &mut ShardArena| {
-                run_worker(
-                    &net,
-                    &imap,
-                    &plan,
-                    s,
-                    &active_atom,
-                    cfg,
-                    ops,
-                    instrument,
-                    trace_on,
-                    arena,
-                )
-            });
-        }
-        let results: Vec<WorkerOut> = run_shard_batch(jobs);
+        // One job per used shard, at most one thread per core; on a single
+        // core the jobs run in shard order on this thread.
+        let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let (net, imap, cfg) = (&self.net, &self.imap, &self.cfg);
+        let results: Vec<WorkerOut> = run_indexed(jobs, used.len(), |w| {
+            run_worker(
+                net,
+                imap,
+                &plan,
+                used[w],
+                &active_atom,
+                cfg,
+                &worker_ops[w],
+                instrument,
+                trace_on,
+            )
+        });
 
         // Per-flow stats: each worker reports exactly its own flows in
         // ascending global order, so a per-shard cursor walk reassembles
@@ -467,15 +448,13 @@ impl ShardedSimulation {
             self.merge_counters(&results);
         }
 
-        let mut trace_saved = 0u64;
         let trace = self.trace_cap.map(|cap| {
             // Canonical order: (time, rendered line). Equal-time events
             // from independent atoms have no defined order in a single
             // event loop; the canonical sort makes the merged bytes a
             // function of the event *multiset* only. Every line is
             // rendered into ONE shared buffer and keyed by its byte
-            // range — the old per-event `to_string()` was the profile's
-            // top allocation site at campus scale.
+            // range, not into one `String` per event.
             let mut buf = String::new();
             let mut keyed: Vec<(u64, u32, u32, u32, u32)> = Vec::new();
             for (r, (_, _, tr, _)) in results.iter().enumerate() {
@@ -486,7 +465,6 @@ impl ShardedSimulation {
                     keyed.push((e.time().to_bits(), start, buf.len() as u32, r as u32, i as u32));
                 }
             }
-            trace_saved = keyed.len() as u64;
             keyed.sort_by(|a, b| {
                 (a.0, &buf[a.1 as usize..a.2 as usize])
                     .cmp(&(b.0, &buf[b.1 as usize..b.2 as usize]))
@@ -510,12 +488,9 @@ impl ShardedSimulation {
             perf.events_dispatched += p.events_dispatched;
             perf.domain_probes += p.domain_probes;
             perf.hot_allocs += p.hot_allocs;
-            perf.slab_hits += p.slab_hits;
             perf.slab_grows += p.slab_grows;
-            perf.bytes_not_allocated += p.bytes_not_allocated;
             shard_events.push(p.events_dispatched);
         }
-        perf.trace_merge_saved_allocs = trace_saved;
 
         Exec {
             ops_done: self.ops.len(),
@@ -576,7 +551,7 @@ impl ShardedSimulation {
 
 /// One shard's run: extract the view, localize the replay list, drive a
 /// [`Simulation`] over the subnetwork, and return globally-addressed
-/// results. Runs on a pool worker thread; `arena` persists across runs.
+/// results. Runs on an executor thread.
 #[allow(clippy::too_many_arguments)]
 fn run_worker(
     net: &Network,
@@ -584,13 +559,12 @@ fn run_worker(
     plan: &ShardPlan,
     shard: u32,
     active_atom: &[bool],
-    cfg: SimConfig,
-    ops: Vec<WorkerOp>,
+    cfg: &SimConfig,
+    ops: &[WorkerOp],
     instrument: bool,
     trace_on: bool,
-    arena: &mut ShardArena,
 ) -> WorkerOut {
-    let view = extract_view(net, imap, plan, shard, active_atom, &mut arena.view_scratch);
+    let view = extract_view(net, imap, plan, shard, active_atom, &mut ViewScratch::default());
 
     // Localize the whole replay list up front. Owned flows and faults
     // always fit the view by construction (their atoms are active and
@@ -599,17 +573,21 @@ fn run_worker(
     // and is skipped outright.
     let mut local: Vec<WorkerOp> = Vec::with_capacity(ops.len());
     for op in ops {
-        match op {
-            WorkerOp::AddFlow { gid, mut spec } => {
+        match *op {
+            WorkerOp::AddFlow { gid, ref spec } => {
                 let Some(src) = view.local_node(spec.src) else {
                     unreachable!("owned flow's source is outside its shard view")
                 };
                 let Some(dst) = view.local_node(spec.dst) else {
                     unreachable!("owned flow's destination is outside its shard view")
                 };
-                spec.src = src;
-                spec.dst = dst;
-                spec.routes = localize_routes(&view, &spec.routes);
+                let spec = FlowSpecSim {
+                    src,
+                    dst,
+                    routes: localize_routes(&view, &spec.routes),
+                    open_loop_rates: spec.open_loop_rates.clone(),
+                    ..*spec
+                };
                 local.push(WorkerOp::AddFlow { gid, spec });
             }
             WorkerOp::LinkChange { at, link, capacity_mbps } => {
@@ -623,9 +601,8 @@ fn run_worker(
                     local.push(WorkerOp::NodeChange { at, node: n, up });
                 }
             }
-            WorkerOp::ReplaceRoutes { gid, routes } => {
-                local
-                    .push(WorkerOp::ReplaceRoutes { gid, routes: localize_routes(&view, &routes) });
+            WorkerOp::ReplaceRoutes { gid, ref routes } => {
+                local.push(WorkerOp::ReplaceRoutes { gid, routes: localize_routes(&view, routes) });
             }
             WorkerOp::RunUntil { until } => local.push(WorkerOp::RunUntil { until }),
         }
@@ -633,7 +610,7 @@ fn run_worker(
 
     let link_gids: Vec<u32> = view.link_to_global.iter().map(|l| l.0).collect();
     let ShardView { net: vnet, imap: vimap, .. } = view;
-    let mut sim = Simulation::with_global_link_ids(vnet, vimap, cfg, link_gids);
+    let mut sim = Simulation::with_global_link_ids(vnet, vimap, cfg.clone(), link_gids);
     if instrument {
         sim.attach_telemetry(Telemetry::enabled());
     }
@@ -817,38 +794,6 @@ mod tests {
             sharded <= serial + (workers - 1) * 60,
             "sharded dispatched {sharded} events vs serial {serial} (+{workers} workers)"
         );
-    }
-
-    /// `ShardedSimulation::new` honors `EMPOWER_SIM_SHARDS` — and the
-    /// output stays byte-identical to an explicit shard count, because
-    /// the knob may only change *how* the work is split, never the
-    /// result. No other test in this binary constructs via `new`, so
-    /// the env write cannot race a concurrent read.
-    #[test]
-    fn env_knob_sets_default_shard_count() {
-        let (net, imap, specs) = campus_setup();
-        std::env::set_var("EMPOWER_SIM_SHARDS", "2");
-        let mut sim = ShardedSimulation::new(net, imap, SimConfig::default());
-        std::env::remove_var("EMPOWER_SIM_SHARDS");
-        for s in specs {
-            sim.add_flow(s);
-        }
-        sim.run_until(5.0);
-        assert_eq!(format!("{:?}", sim.report(5.0)), run_sharded(2).0);
-        assert_eq!(sim.shards_used(), 2, "EMPOWER_SIM_SHARDS=2 should pin two shards");
-    }
-
-    /// `EMPOWER_SIM_POOL=0` runs shard jobs inline on the caller thread;
-    /// the bytes must match the pooled default exactly (a concurrent
-    /// test observing the knob mid-write would only switch *mode*, never
-    /// output, so the env race here is benign).
-    #[test]
-    fn pool_off_matches_pooled() {
-        let pooled = run_sharded(4);
-        std::env::set_var("EMPOWER_SIM_POOL", "0");
-        let inline = run_sharded(4);
-        std::env::remove_var("EMPOWER_SIM_POOL");
-        assert_eq!(pooled, inline);
     }
 
     #[test]

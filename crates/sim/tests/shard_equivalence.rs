@@ -7,14 +7,17 @@
 //! * versus the single-threaded engine on the full corpus and on a
 //!   generated 1000+-node campus.
 //!
-//! A violation means a scale experiment rerun with a different
-//! `EMPOWER_SIM_SHARDS` (or on a box with a different core count) would
-//! silently change its figures — the exact bug class the deterministic
-//! merge rules exist to rule out.
+//! A violation means a scale experiment rerun with a different shard
+//! count (or on a box with a different core count) would silently change
+//! its figures — the exact bug class the deterministic merge rules exist
+//! to rule out.
 //!
 //! Set `EMPOWER_SIM_EQUIV_SCENARIOS=<n>` to trim the corpus for quick
 //! local iterations; CI runs the full set.
 
+mod common;
+
+use common::scenario_budget;
 use empower_model::rng::{SeedableRng, StdRng};
 use empower_model::topology::campus::{campus, CampusConfig};
 use empower_model::{CarrierSense, InterferenceModel, Path};
@@ -22,12 +25,11 @@ use empower_sim::corpus::{corpus, run_scenario, ShardedN as Sharded};
 use empower_sim::{FlowSpecSim, ShardedSimulation, SimConfig, Simulation, Trace};
 use empower_telemetry::{Json, Manifest, Telemetry};
 
-fn scenario_budget() -> usize {
-    std::env::var("EMPOWER_SIM_EQUIV_SCENARIOS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(usize::MAX)
-}
+/// Floor on the campus gate's 4-shard counter speedup (single-threaded
+/// events ÷ the busiest shard's events): the point below which sharding
+/// stops paying for itself. 3.48 on this gate's 10 flows; 3.96 with one
+/// flow per floor (100 flows, 5 s).
+const MIN_COUNTER_SPEEDUP_4_SHARDS: f64 = 1.8;
 
 /// Re-sorts a JSONL trace into canonical `(time, line)` order, the order
 /// the sharded engine emits natively (see `Trace::canonical_jsonl`).
@@ -83,7 +85,9 @@ fn sharded_engine_matches_single_threaded_on_the_corpus() {
 /// 10 floors × 9 clients), one saturated router→client download per
 /// building, short horizon. Byte-identity across shard counts AND versus
 /// the single-threaded engine — and the plan must actually spread the
-/// load (otherwise this gate would pass vacuously with one worker).
+/// load (otherwise this gate would pass vacuously with one worker): at
+/// 4 shards the busiest worker dispatches well under the single-threaded
+/// engine's event count.
 #[test]
 fn campus_1000_nodes_is_byte_identical_across_shard_counts() {
     let mut rng = StdRng::seed_from_u64(42);
@@ -116,7 +120,8 @@ fn campus_1000_nodes_is_byte_identical_across_shard_counts() {
         let mut m = Manifest::new("campus_gate");
         m.attach_counters(sim.telemetry());
         let trace = sim.take_trace().map(|t| t.canonical_jsonl()).unwrap_or_default();
-        (format!("{:?}", sim.report(2.0)), trace, m.render())
+        let events = sim.perf_stats().events_dispatched;
+        ((format!("{:?}", sim.report(2.0)), trace, m.render()), events)
     };
     let run_sharded = |shards: u32| {
         let mut sim = ShardedSimulation::with_shards(
@@ -134,18 +139,26 @@ fn campus_1000_nodes_is_byte_identical_across_shard_counts() {
         let mut m = Manifest::new("campus_gate");
         m.attach_counters(sim.telemetry());
         let used = sim.shards_used();
+        let busiest = sim.shard_events_dispatched().into_iter().max().unwrap_or(0);
         let trace = sim.take_trace().map(|t| t.to_jsonl()).unwrap_or_default();
-        ((format!("{:?}", sim.report(2.0)), trace, m.render()), used)
+        ((format!("{:?}", sim.report(2.0)), trace, m.render()), used, busiest)
     };
 
-    let single = run_single();
+    let (single, seq_events) = run_single();
     assert!(!single.1.is_empty(), "campus run should produce trace events");
-    let (base, used1) = run_sharded(1);
+    let (base, used1, _) = run_sharded(1);
     assert_eq!(used1, 1);
     assert_eq!(single, base, "shards=1 diverged from the single-threaded engine");
     for shards in [2, 4, 8] {
-        let (out, used) = run_sharded(shards);
+        let (out, used, busiest) = run_sharded(shards);
         assert!(used >= 2, "shards={shards} should spread flows over >1 worker");
         assert_eq!(base, out, "shards={shards} diverged from shards=1");
+        if shards == 4 {
+            let speedup = seq_events as f64 / busiest.max(1) as f64;
+            assert!(
+                speedup >= MIN_COUNTER_SPEEDUP_4_SHARDS,
+                "4-shard counter speedup {speedup:.2} fell below {MIN_COUNTER_SPEEDUP_4_SHARDS}"
+            );
+        }
     }
 }

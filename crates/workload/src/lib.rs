@@ -5,7 +5,7 @@
 //! versioned TOML/JSON documents ([`spec`]) describing clients — open- and
 //! closed-loop sources, request/response exchanges, bulk transfers, IoT
 //! telemetry, elephant/mice mixes, diurnal load curves and session churn —
-//! that compile ([`compile`]) into deterministic seeded flow programs for
+//! that compile ([`compile()`]) into deterministic seeded flow programs for
 //! the packet simulator and run ([`driver`]) on either engine through the
 //! [`empower_sim::corpus::SimEngine`] surface.
 //!

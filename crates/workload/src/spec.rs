@@ -5,7 +5,7 @@
 //! a list of **clients** — composable traffic primitives (open-/closed-loop
 //! sources, request/response exchanges, bulk transfers, IoT telemetry
 //! ticks, elephant/mice mixes, session churn) that the compiler
-//! ([`crate::compile`]) expands into concrete simulator flows. Every
+//! ([`crate::compile()`]) expands into concrete simulator flows. Every
 //! stochastic choice (Poisson gaps, churn arrivals, session lifetimes)
 //! draws from a generator derived from `run.seed`, so the same file replays
 //! byte-identically; see DESIGN.md §11 for the grammar and the determinism

@@ -9,14 +9,23 @@
 use empower_sim::{ReferenceSimulation, Simulation};
 use empower_workload::corpus::{run_workload_scenario, workload_corpus, WorkloadScenario};
 
+fn parse_scenario_count(raw: &str) -> usize {
+    raw.parse()
+        .unwrap_or_else(|_| panic!("EMPOWER_WORKLOAD_SCENARIOS={raw} is not a scenario count"))
+}
+
 fn gated_corpus() -> Vec<WorkloadScenario> {
     let mut c = workload_corpus();
-    if let Ok(n) = std::env::var("EMPOWER_WORKLOAD_SCENARIOS") {
-        if let Ok(n) = n.parse::<usize>() {
-            c.truncate(n.max(1));
-        }
+    if let Some(n) = std::env::var_os("EMPOWER_WORKLOAD_SCENARIOS") {
+        c.truncate(parse_scenario_count(&n.to_string_lossy()).max(1));
     }
     c
+}
+
+#[test]
+#[should_panic(expected = "EMPOWER_WORKLOAD_SCENARIOS=ten is not a scenario count")]
+fn an_unparsable_scenario_count_is_an_error() {
+    parse_scenario_count("ten");
 }
 
 #[test]
