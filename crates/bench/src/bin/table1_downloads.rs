@@ -21,11 +21,10 @@
 //! and results/counters merge in grid order, so the table, JSON dump and
 //! manifest are byte-identical for any job count.
 
+use empower_bench::sweep::fan_out;
 use empower_bench::BenchArgs;
-use empower_exec::run_indexed;
 use empower_model::topology::testbed22;
 use empower_model::{CarrierSense, InterferenceModel};
-use empower_telemetry::Telemetry;
 use empower_testbed::table1::{row_from_samples, run_repetition, Experiment, SCHEMES};
 
 fn main() {
@@ -41,23 +40,11 @@ fn main() {
         // Work item i = (scheme i / reps, repetition i % reps): the same
         // scheme-major order the serial loop runs, so index-ordered merge
         // reproduces it exactly.
-        let enabled = tele.is_enabled();
-        let cells = run_indexed(args.jobs, SCHEMES.len() * reps, |i| {
-            let item_tele = if enabled { Telemetry::enabled() } else { Telemetry::disabled() };
-            let cell = run_repetition(
-                &t.net,
-                &imap,
-                exp,
-                SCHEMES[i / reps],
-                i % reps,
-                args.seed,
-                &item_tele,
-            );
-            (cell, item_tele.snapshot())
+        let cells = fan_out(args.jobs, SCHEMES.len() * reps, &tele, |i, item_tele| {
+            run_repetition(&t.net, &imap, exp, SCHEMES[i / reps], i % reps, args.seed, item_tele)
         });
         let mut samples = vec![(Vec::new(), Vec::new()); SCHEMES.len()];
-        for (i, ((main, conc), snap)) in cells.into_iter().enumerate() {
-            tele.merge_snapshot(&snap);
+        for (i, (main, conc)) in cells.into_iter().enumerate() {
             samples[i / reps].0.extend(main);
             samples[i / reps].1.extend(conc);
         }

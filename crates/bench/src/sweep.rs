@@ -166,15 +166,39 @@ pub fn run_one_traced(
     SweepRun { seed, scheme_rates, scheme_utility, optimal, conservative }
 }
 
-/// Runs the sweep `seed = base_seed + index` for `index ∈ 0..count` on
-/// `jobs` worker threads (see [`run_indexed`]) and returns
-/// the runs in index order — byte-identical to a serial loop for any `jobs`.
+/// The one parallel-sweep idiom: computes `f(i, &item_tele)` for
+/// `i ∈ 0..count` on `jobs` worker threads (see [`run_indexed`]) and
+/// returns the results in index order — byte-identical to a serial loop
+/// for any `jobs`.
 ///
 /// `Telemetry` is single-threaded by design (`Rc`-based), so each work item
-/// records on its own registry inside the worker and only the `Send`-able
-/// [`empower_telemetry::CounterSnapshot`] crosses threads; snapshots merge
-/// into `tele` in index order (monotone counters add, gauges last-write-win),
-/// which reproduces exactly the registry a serial run would build.
+/// records on its own registry inside the worker (a disabled one when `tele`
+/// is) and only the `Send`-able [`empower_telemetry::CounterSnapshot`]
+/// crosses threads; snapshots merge into `tele` in index order (monotone
+/// counters add, gauges last-write-win), which reproduces exactly the
+/// registry a serial run would build.
+pub fn fan_out<T: Send>(
+    jobs: usize,
+    count: usize,
+    tele: &Telemetry,
+    f: impl Fn(usize, &Telemetry) -> T + Sync,
+) -> Vec<T> {
+    let enabled = tele.is_enabled();
+    let results = run_indexed(jobs, count, |i| {
+        let item_tele = if enabled { Telemetry::enabled() } else { Telemetry::disabled() };
+        let item = f(i, &item_tele);
+        (item, item_tele.snapshot())
+    });
+    let mut out = Vec::with_capacity(results.len());
+    for (item, snap) in results {
+        tele.merge_snapshot(&snap);
+        out.push(item);
+    }
+    out
+}
+
+/// Runs the sweep `seed = base_seed + index` for `index ∈ 0..count` through
+/// [`fan_out`] and returns the runs in index order.
 #[allow(clippy::too_many_arguments)]
 pub fn run_sweep_parallel(
     class: TopologyClass,
@@ -186,25 +210,13 @@ pub fn run_sweep_parallel(
     jobs: usize,
     tele: &Telemetry,
 ) -> Vec<SweepRun> {
-    let enabled = tele.is_enabled();
-    let results = run_indexed(jobs, count, |i| {
-        let item_tele = if enabled { Telemetry::enabled() } else { Telemetry::disabled() };
-        let run =
-            run_one_traced(class, base_seed + i as u64, flow_count, schemes, params, &item_tele);
-        (run, item_tele.snapshot())
-    });
-    let mut out = Vec::with_capacity(results.len());
-    for (run, snap) in results {
-        tele.merge_snapshot(&snap);
-        out.push(run);
-    }
-    out
+    fan_out(jobs, count, tele, |i, item_tele| {
+        run_one_traced(class, base_seed + i as u64, flow_count, schemes, params, item_tele)
+    })
 }
 
-/// Runs `scenario` under `count` seeds (`run.seed = base_seed + index`) on
-/// `jobs` worker threads and returns the outcomes in index order —
-/// byte-identical to a serial loop for any `jobs`, with the same per-item
-/// telemetry snapshot/merge discipline as [`run_sweep_parallel`].
+/// Runs `scenario` under `count` seeds (`run.seed = base_seed + index`)
+/// through [`fan_out`] and returns the outcomes in index order.
 ///
 /// # Errors
 /// The first [`empower_dynamics::ScenarioError`] any seed produced (they
@@ -216,24 +228,16 @@ pub fn run_dynamics_sweep(
     jobs: usize,
     tele: &Telemetry,
 ) -> Result<Vec<empower_dynamics::ScenarioOutcome>, empower_dynamics::ScenarioError> {
-    let enabled = tele.is_enabled();
-    let results = run_indexed(jobs, count, |i| {
-        let item_tele = if enabled { Telemetry::enabled() } else { Telemetry::disabled() };
+    let run = |i: usize, item_tele: &Telemetry| {
         let mut item = scenario.clone();
         item.run.seed = base_seed + i as u64;
-        empower_dynamics::run_scenario(&item, &item_tele).map(|out| (out, item_tele.snapshot()))
-    });
-    let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        let (run, snap) = r?;
-        tele.merge_snapshot(&snap);
-        out.push(run);
-    }
-    Ok(out)
+        empower_dynamics::run_scenario(&item, item_tele)
+    };
+    fan_out(jobs, count, tele, run).into_iter().collect()
 }
 
-/// Runs the Fig. 13 testbed flow list on `jobs` worker threads (one work
-/// item per flow — each flow is an independent pair of simulations) and
+/// Runs the Fig. 13 testbed flow list through [`fan_out`] (one work item
+/// per flow — each flow is an independent pair of simulations) and
 /// returns the rows in flow order — byte-identical to
 /// [`empower_testbed::fig13::run_flows_traced`] for any `jobs`.
 pub fn run_fig13_parallel(
@@ -244,26 +248,15 @@ pub fn run_fig13_parallel(
     jobs: usize,
     tele: &Telemetry,
 ) -> Vec<empower_testbed::fig13::Fig13Row> {
-    let enabled = tele.is_enabled();
-    let results = run_indexed(jobs, flows.len(), |i| {
-        let item_tele = if enabled { Telemetry::enabled() } else { Telemetry::disabled() };
-        let rows =
-            empower_testbed::fig13::run_flows_traced(net, imap, config, &flows[i..=i], &item_tele);
-        (rows, item_tele.snapshot())
-    });
-    let mut out = Vec::with_capacity(flows.len());
-    for (rows, snap) in results {
-        tele.merge_snapshot(&snap);
-        out.extend(rows);
-    }
-    out
+    let run = |i: usize, item_tele: &Telemetry| {
+        empower_testbed::fig13::run_flows_traced(net, imap, config, &flows[i..=i], item_tele)
+    };
+    fan_out(jobs, flows.len(), tele, run).into_iter().flatten().collect()
 }
 
-/// Runs a list of workload corpus scenarios on `jobs` worker threads (one
-/// work item per scenario) and returns the structured outputs plus the
-/// byte-comparable renderings, in scenario order — byte-identical to a
-/// serial loop for any `jobs`, with the same per-item telemetry
-/// snapshot/merge discipline as [`run_sweep_parallel`].
+/// Runs a list of workload corpus scenarios through [`fan_out`] (one work
+/// item per scenario) and returns the structured outputs plus the
+/// byte-comparable renderings, in scenario order.
 ///
 /// # Errors
 /// The first [`empower_dynamics::ScenarioError`] any scenario produced.
@@ -276,22 +269,13 @@ pub fn run_workload_corpus_parallel(
     Vec<(empower_workload::WorkloadOutput, empower_workload::WorkloadCorpusOutput)>,
     empower_dynamics::ScenarioError,
 > {
-    let enabled = tele.is_enabled();
-    let results = run_indexed(jobs, scenarios.len(), |i| {
-        let item_tele = if enabled { Telemetry::enabled() } else { Telemetry::disabled() };
+    let run = |i: usize, item_tele: &Telemetry| {
         empower_workload::run_workload_scenario_with::<empower_sim::Simulation>(
             &scenarios[i],
             item_tele.clone(),
         )
-        .map(|out| (out, item_tele.snapshot()))
-    });
-    let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        let (run, snap) = r?;
-        tele.merge_snapshot(&snap);
-        out.push(run);
-    }
-    Ok(out)
+    };
+    fan_out(jobs, scenarios.len(), tele, run).into_iter().collect()
 }
 
 #[cfg(test)]

@@ -266,16 +266,6 @@ impl<U: Utility> MultipathController<U> {
         self.prices.violations
     }
 
-    /// Overrides the step size (used by the adaptive-α heuristic).
-    pub fn set_alpha(&mut self, alpha: f64) {
-        self.config.alpha = alpha;
-    }
-
-    /// Current step size.
-    pub fn alpha(&self) -> f64 {
-        self.config.alpha
-    }
-
     /// Advances one slot; returns the new rates.
     #[allow(clippy::needless_range_loop)] // r indexes four parallel arrays
     pub fn step(&mut self, problem: &CcProblem, imap: &InterferenceMap) -> &[f64] {

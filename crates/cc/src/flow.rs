@@ -64,11 +64,6 @@ impl<U: Utility> FlowController<U> {
         self.alpha.alpha()
     }
 
-    /// The last route prices the controller believes (diagnostics).
-    pub fn believed_prices(&self) -> &[f64] {
-        &self.q
-    }
-
     /// One slot: consume the latest prices (`None` = no update for that
     /// route, keep the previous value) and advance the proximal iteration.
     pub fn on_ack(&mut self, route_prices: &[Option<f64>]) -> FlowRates {

@@ -156,11 +156,6 @@ impl RunConfig {
         self.n_shortest
     }
 
-    /// The attached telemetry handle (disabled by default).
-    pub fn telemetry_handle(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
     /// The legacy parameter struct this config corresponds to.
     pub fn fluid_params(&self) -> FluidEval {
         FluidEval { slots: self.slots, n_shortest: self.n_shortest, delta: self.delta, cc: self.cc }

@@ -507,7 +507,7 @@ fn event_to_json(e: &TimedPerturbation) -> Json {
 
 fn event_from_json(v: &Json, path: String) -> Result<TimedPerturbation, ScenarioError> {
     let at = req_f64(v, "at", &path)?;
-    let both = opt_bool(v, "both", true);
+    let both = opt_bool(v, "both", &path)?.unwrap_or(true);
     let what = match req_str(v, "kind", &path)? {
         "capacity" => Perturbation::Capacity {
             link: req_u64(v, "link", &path)? as u32,
@@ -584,7 +584,7 @@ fn generator_to_json(g: &GeneratorSpec) -> Json {
 }
 
 fn generator_from_json(v: &Json, path: String) -> Result<GeneratorSpec, ScenarioError> {
-    let both = opt_bool(v, "both", true);
+    let both = opt_bool(v, "both", &path)?.unwrap_or(true);
     match req_str(v, "kind", &path)? {
         "markov_onoff" => Ok(GeneratorSpec::MarkovOnOff {
             link: req_u64(v, "link", &path)? as u32,
@@ -684,6 +684,17 @@ mod tests {
         let text = sample().to_toml().replace("\"EMPoWER\"", "\"bogus\"");
         let err = Scenario::parse_str(&text).unwrap_err();
         assert!(err.to_string().contains("scheme"), "{err}");
+        // A mistyped optional is an error at its path, not a silent default.
+        let toml = sample().to_toml();
+        assert_eq!(toml.matches("both = true").count(), 3, "{toml}");
+        let err =
+            Scenario::parse_str(&toml.replacen("both = true", "both = \"yes\"", 1)).unwrap_err();
+        assert_eq!(err.path, "events[0].both", "{err}");
+        let last = toml.rfind("both = true").unwrap();
+        let text =
+            format!("{}both = \"yes\"{}", &toml[..last], &toml[last + "both = true".len()..]);
+        let err = Scenario::parse_str(&text).unwrap_err();
+        assert_eq!(err.path, "generators[0].both", "{err}");
     }
 
     #[test]

@@ -73,11 +73,14 @@ pub fn opt_u64(v: &Json, key: &str, path: &str) -> Result<Option<u64>, ScenarioE
     }
 }
 
-/// Optional boolean field with a default (non-booleans fall back too).
-pub fn opt_bool(v: &Json, key: &str, default: bool) -> bool {
+/// Optional boolean field (present ⇒ must be a boolean).
+pub fn opt_bool(v: &Json, key: &str, path: &str) -> Result<Option<bool>, ScenarioError> {
     match v.get(key) {
-        Some(Json::Bool(b)) => *b,
-        _ => default,
+        None => Ok(None),
+        Some(x) => x.as_bool().map(Some).ok_or_else(|| ScenarioError {
+            path: join(path, key),
+            message: "not a boolean".into(),
+        }),
     }
 }
 
@@ -145,7 +148,11 @@ mod tests {
         assert_eq!(opt_f64(&doc, "absent", "").unwrap(), None);
         assert!(opt_f64(&doc, "rate", "clients[0]").is_err());
         assert_eq!(opt_str(&doc, "rate", "").unwrap(), Some("fast"));
-        assert!(opt_bool(&doc, "absent", true));
+        assert_eq!(opt_bool(&doc, "absent", "").unwrap(), None);
+        let e = opt_bool(&doc, "rate", "events[2]").unwrap_err();
+        assert_eq!(e.path, "events[2].rate");
+        let doc = Json::obj([("both", Json::Bool(false))]);
+        assert_eq!(opt_bool(&doc, "both", "").unwrap(), Some(false));
     }
 
     #[test]

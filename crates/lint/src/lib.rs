@@ -36,9 +36,9 @@
 //! `/// empower-lint: sanction(D007, D008) — <why>` marks the one blessed
 //! implementation of an otherwise-forbidden pattern, which diagnostics
 //! then point at *by resolved path*, never by filename. A pragma without
-//! a reason is itself an error (P001). Grandfathered violations live in a
-//! `--baseline` ratchet file whose counts may only decrease. See
-//! DESIGN.md §7 (determinism rules) and §12 (concurrency rules).
+//! a reason is itself an error (P001). Pragmas are the only way to
+//! tolerate a finding. See DESIGN.md §7 (determinism rules) and §12
+//! (concurrency rules).
 //!
 //! ## Usage
 //!
@@ -46,14 +46,12 @@
 //! cargo run -p empower-lint                       # lint, exit 1 on findings
 //! cargo run -p empower-lint -- --json             # SARIF-style output
 //! cargo run -p empower-lint -- --sarif out.sarif  # text + artifact file
-//! cargo run -p empower-lint -- --baseline crates/lint/baseline.lint
 //! cargo run -p empower-lint -- --env-table        # registry → markdown
 //! ```
 //!
 //! The library surface ([`lint_source`], [`lint_workspace`]) is what the
 //! fixture tests and the binary share.
 
-mod baseline;
 mod env_registry;
 mod index;
 mod lexer;
@@ -61,7 +59,6 @@ mod report;
 mod rules;
 mod walk;
 
-pub use baseline::Baseline;
 pub use env_registry::{parse as parse_env_registry, EnvKnob, EnvRegistry, Reader};
 pub use index::{EnvReadSite, PubItem, Sanction, WorkspaceIndex, SANCTIONABLE};
 pub use lexer::{lex, Lexed, TokKind, Token};

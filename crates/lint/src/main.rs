@@ -2,7 +2,7 @@
 //! `empower-lint` — the workspace determinism & invariant gate.
 //!
 //! ```text
-//! empower-lint [--json] [--sarif PATH] [--baseline PATH] [--env-table] [ROOT]
+//! empower-lint [--json] [--sarif PATH] [--env-table] [ROOT]
 //! ```
 //!
 //! Lints every workspace `.rs` file under `ROOT` (default: the current
@@ -11,10 +11,6 @@
 //! * `--json` — print the SARIF-style document to stdout instead of text;
 //! * `--sarif PATH` — additionally write the SARIF document to `PATH`
 //!   (the CI artifact), keeping text on stdout;
-//! * `--baseline PATH` — apply the ratchet file: grandfathered violations
-//!   within their per-(file, rule) allowance don't fail, and when a
-//!   passing run needs less than the file grants, the file is rewritten
-//!   tighter;
 //! * `--env-table` — print the `EMPOWER_*` knob registry as the markdown
 //!   table EXPERIMENTS.md embeds, then exit.
 //!
@@ -23,13 +19,12 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use empower_lint::{lint_workspace, load_registry, Baseline};
+use empower_lint::{lint_workspace, load_registry};
 
 fn main() -> ExitCode {
     let mut json = false;
     let mut env_table = false;
     let mut sarif_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -40,15 +35,8 @@ fn main() -> ExitCode {
                 Some(p) => sarif_path = Some(PathBuf::from(p)),
                 None => return usage_error("--sarif needs a path"),
             },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return usage_error("--baseline needs a path"),
-            },
             "--help" | "-h" => {
-                println!(
-                    "usage: empower-lint [--json] [--sarif PATH] [--baseline PATH] \
-                     [--env-table] [ROOT]"
-                );
+                println!("usage: empower-lint [--json] [--sarif PATH] [--env-table] [ROOT]");
                 return ExitCode::SUCCESS;
             }
             other if other.starts_with('-') => {
@@ -69,27 +57,10 @@ fn main() -> ExitCode {
         };
     }
 
-    let mut report = match lint_workspace(&root) {
+    let report = match lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => return io_error(&e.to_string()),
     };
-
-    if let Some(path) = &baseline_path {
-        // A missing baseline file means an empty baseline (new gates
-        // start at zero); it is only ever written when it tightens.
-        let text = std::fs::read_to_string(path).unwrap_or_default();
-        let baseline = match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => return io_error(&format!("{}: {e}", path.display())),
-        };
-        let tightened = baseline.apply(&mut report);
-        if report.ok() && tightened != baseline {
-            if let Err(e) = std::fs::write(path, tightened.render()) {
-                return io_error(&format!("{}: cannot rewrite baseline: {e}", path.display()));
-            }
-            eprintln!("empower-lint: baseline tightened: {}", path.display());
-        }
-    }
 
     if let Some(path) = &sarif_path {
         if let Err(e) = std::fs::write(path, report.render_json()) {

@@ -12,9 +12,6 @@ use crate::rules::{Rule, Violation, ALL_RULES};
 pub struct Report {
     /// Violations that fail the gate.
     pub violations: Vec<Violation>,
-    /// Violations absorbed by the `--baseline` ratchet: reported (text
-    /// summary, SARIF `baselineState: "unchanged"`) but not failing.
-    pub baselined: Vec<Violation>,
     pub files_scanned: usize,
 }
 
@@ -39,12 +36,8 @@ impl Report {
         }
         if self.ok() {
             out.push_str(&format!(
-                "empower-lint: clean — {} files, 0 violations{}\n",
-                self.files_scanned,
-                match self.baselined.len() {
-                    0 => String::new(),
-                    n => format!(" ({n} baselined)"),
-                }
+                "empower-lint: clean — {} files, 0 violations\n",
+                self.files_scanned
             ));
         } else {
             let mut parts = Vec::new();
@@ -66,8 +59,7 @@ impl Report {
     }
 
     /// SARIF 2.1.0-style rendering for machine consumption (CI artifacts,
-    /// annotation tooling). Failing violations carry
-    /// `baselineState: "new"`, ratchet-absorbed ones `"unchanged"`.
+    /// annotation tooling).
     pub fn render_json(&self) -> String {
         let rules: Vec<Json> = ALL_RULES
             .iter()
@@ -78,12 +70,7 @@ impl Report {
                 ])
             })
             .collect();
-        let results: Vec<Json> = self
-            .violations
-            .iter()
-            .map(|v| sarif_result(v, "new"))
-            .chain(self.baselined.iter().map(|v| sarif_result(v, "unchanged")))
-            .collect();
+        let results: Vec<Json> = self.violations.iter().map(sarif_result).collect();
         let summary: Vec<(&str, Json)> = ALL_RULES
             .iter()
             .filter(|&&r| self.count(r) > 0)
@@ -102,7 +89,6 @@ impl Report {
                 Json::obj([
                     ("ok", Json::Bool(self.ok())),
                     ("filesScanned", Json::UInt(self.files_scanned as u64)),
-                    ("baselined", Json::UInt(self.baselined.len() as u64)),
                     ("summary", Json::obj(summary)),
                 ]),
             ),
@@ -116,7 +102,7 @@ impl Report {
     }
 }
 
-fn sarif_result(v: &Violation, baseline_state: &str) -> Json {
+fn sarif_result(v: &Violation) -> Json {
     let location = Json::obj([(
         "physicalLocation",
         Json::obj([
@@ -127,7 +113,6 @@ fn sarif_result(v: &Violation, baseline_state: &str) -> Json {
     Json::obj([
         ("ruleId", Json::Str(v.rule.name().to_string())),
         ("level", Json::Str("error".into())),
-        ("baselineState", Json::Str(baseline_state.to_string())),
         ("message", Json::obj([("text", Json::Str(v.message.clone()))])),
         ("locations", Json::Arr(vec![location])),
     ])
@@ -144,12 +129,6 @@ mod tests {
                 file: "crates/x/src/lib.rs".into(),
                 line: 7,
                 message: "`HashMap` in deterministic crate".into(),
-            }],
-            baselined: vec![Violation {
-                rule: Rule::D005,
-                file: "crates/y/src/lib.rs".into(),
-                line: 3,
-                message: "grandfathered unwrap".into(),
             }],
             files_scanned: 3,
         }
@@ -175,11 +154,10 @@ mod tests {
         let txt = report().render_text();
         assert!(txt.contains("crates/x/src/lib.rs:7: D001:"));
         assert!(txt.contains("D001: 1"));
-        assert!(!txt.contains("crates/y"), "baselined violations do not fail the text gate");
     }
 
     #[test]
-    fn sarif_carries_results_rules_and_baseline_states() {
+    fn sarif_carries_results_and_rules() {
         let j = Json::parse(&report().render_json()).expect("valid JSON");
         assert_eq!(j.get("version").and_then(Json::as_str), Some("2.1.0"));
         let run = first_run(&j);
@@ -187,10 +165,8 @@ mod tests {
         assert_eq!(driver.get("name").and_then(Json::as_str), Some("empower-lint"));
 
         let rs = results(run);
-        assert_eq!(rs.len(), 2, "one failing + one baselined result");
+        assert_eq!(rs.len(), 1);
         assert_eq!(rs[0].get("ruleId").and_then(Json::as_str), Some("D001"));
-        assert_eq!(rs[0].get("baselineState").and_then(Json::as_str), Some("new"));
-        assert_eq!(rs[1].get("baselineState").and_then(Json::as_str), Some("unchanged"));
         let line = rs[0]
             .get("locations")
             .and_then(|l| match l {
@@ -206,7 +182,6 @@ mod tests {
         let props = run.get("properties").expect("properties");
         assert_eq!(props.get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(props.get("filesScanned").and_then(Json::as_u64), Some(3));
-        assert_eq!(props.get("baselined").and_then(Json::as_u64), Some(1));
         assert_eq!(
             props.get("summary").and_then(|s| s.get("D001")).and_then(Json::as_u64),
             Some(1)

@@ -26,9 +26,7 @@
 //!
 //! Under these rules no event in one atom can observe state in another,
 //! so shards need no hand-off synchronisation at all (the conservative
-//! lookahead is degenerate: the horizon is infinite). [`ShardPlan::handoff_pairs`]
-//! reports the inter-atom link adjacencies that *would* need hand-off
-//! events if a future PR relaxes R3 to allow cross-shard routes.
+//! lookahead is degenerate: the horizon is infinite).
 //!
 //! Everything here is deterministic: atom ids are assigned by first
 //! sight in ascending link-id order, and packing is first-fit-descending
@@ -73,23 +71,6 @@ impl ShardPlan {
     /// Shard id of a link.
     pub fn shard_of_link(&self, l: LinkId) -> u32 {
         self.shard_of_atom[self.atom_of_link[l.index()] as usize]
-    }
-
-    /// Directed link pairs `(a, b)` with `a.to == b.from` whose atoms
-    /// differ — the places where traffic *could* hand off between atoms
-    /// if flows were allowed to cross them. Sorted by `(a, b)` link id.
-    pub fn handoff_pairs(&self, net: &Network) -> Vec<(LinkId, LinkId)> {
-        let mut pairs = Vec::new();
-        for a in net.links() {
-            let atom_a = self.atom_of_link[a.id.index()];
-            for b in net.out_links(a.to) {
-                if self.atom_of_link[b.id.index()] != atom_a {
-                    pairs.push((a.id, b.id));
-                }
-            }
-        }
-        pairs.sort_unstable();
-        pairs
     }
 }
 
@@ -217,18 +198,6 @@ pub fn plan_shards(
     ShardPlan { atom_of_link, atom_count, shard_of_atom, shards, atom_weight }
 }
 
-/// Reusable scratch for [`extract_view`]: dense global→local index maps
-/// and the kept-link list, so a worker extracting views run after run
-/// never reallocates them.
-#[derive(Debug, Default)]
-pub struct ViewScratch {
-    /// `local_link[g] = local id` or `u32::MAX` (dropped). Valid only
-    /// during one extraction.
-    local_link: Vec<u32>,
-    local_node: Vec<u32>,
-    kept: Vec<LinkId>,
-}
-
 /// A shard-local slice of a network: the subgraph induced by the shard's
 /// *active* atoms, with its own dense [`LinkId`]/[`NodeId`] space and a
 /// projected interference map.
@@ -299,37 +268,33 @@ pub fn extract_view(
     plan: &ShardPlan,
     shard: u32,
     active_atom: &[bool],
-    scratch: &mut ViewScratch,
 ) -> ShardView {
     debug_assert_eq!(plan.atom_of_link.len(), net.link_count());
     debug_assert_eq!(active_atom.len(), plan.atom_count as usize);
-    scratch.local_link.clear();
-    scratch.local_link.resize(net.link_count(), u32::MAX);
-    scratch.local_node.clear();
-    scratch.local_node.resize(net.node_count(), u32::MAX);
-    scratch.kept.clear();
+    // Dense global→local index maps, `u32::MAX` = dropped.
+    let mut local_link = vec![u32::MAX; net.link_count()];
+    let mut local_node = vec![u32::MAX; net.node_count()];
+    let mut kept: Vec<LinkId> = Vec::new();
 
     for l in net.links() {
         let atom = plan.atom_of_link[l.id.index()] as usize;
         if plan.shard_of_atom[atom] == shard && active_atom[atom] {
-            scratch.local_link[l.id.index()] = scratch.kept.len() as u32;
-            scratch.kept.push(l.id);
+            local_link[l.id.index()] = kept.len() as u32;
+            kept.push(l.id);
         }
     }
 
     // Mark endpoint nodes, then number them in ascending global order.
-    for &g in &scratch.kept {
+    for &g in &kept {
         let l = net.link(g);
-        scratch.local_node[l.from.index()] = 0;
-        scratch.local_node[l.to.index()] = 0;
+        local_node[l.from.index()] = 0;
+        local_node[l.to.index()] = 0;
     }
     let mut node_to_global = Vec::new();
-    for i in 0..net.node_count() {
-        if scratch.local_node[i] == 0 {
-            scratch.local_node[i] = node_to_global.len() as u32;
+    for (i, local) in local_node.iter_mut().enumerate() {
+        if *local == 0 {
+            *local = node_to_global.len() as u32;
             node_to_global.push(NodeId(i as u32));
-        } else {
-            scratch.local_node[i] = u32::MAX;
         }
     }
 
@@ -338,11 +303,11 @@ pub fn extract_view(
         let n = net.node(g);
         b.add_labeled_node(n.pos, n.mediums.clone(), n.panel, n.label.clone());
     }
-    for &g in &scratch.kept {
+    for &g in &kept {
         let l = net.link(g);
         b.add_link(
-            NodeId(scratch.local_node[l.from.index()]),
-            NodeId(scratch.local_node[l.to.index()]),
+            NodeId(local_node[l.from.index()]),
+            NodeId(local_node[l.to.index()]),
             l.medium,
             l.capacity_mbps,
         );
@@ -350,8 +315,8 @@ pub fn extract_view(
 
     ShardView {
         net: b.build(),
-        imap: imap.restrict(&scratch.kept, &scratch.local_link),
-        link_to_global: scratch.kept.clone(),
+        imap: imap.restrict(&kept, &local_link),
+        link_to_global: kept,
         node_to_global,
     }
 }
@@ -450,26 +415,6 @@ mod tests {
             let (_, _, a) = plan_for(seed, 4);
             let (_, _, b) = plan_for(seed, 4);
             assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn handoff_pairs_are_discovered_symmetrically() {
-        for seed in (0..50).step_by(7) {
-            let (t, _, plan) = plan_for(seed, 4);
-            let forward = plan.handoff_pairs(&t.net);
-            // Reverse scan: walk in-links of every link's source.
-            let mut reverse = Vec::new();
-            for b in t.net.links() {
-                let atom_b = plan.atom_of_link[b.id.index()];
-                for a in t.net.in_links(b.from) {
-                    if plan.atom_of_link[a.id.index()] != atom_b {
-                        reverse.push((a.id, b.id));
-                    }
-                }
-            }
-            reverse.sort_unstable();
-            assert_eq!(forward, reverse);
         }
     }
 
@@ -578,7 +523,6 @@ mod tests {
 
     #[test]
     fn view_extraction_round_trips_across_50_topologies() {
-        let mut scratch = ViewScratch::default();
         for seed in 0..50 {
             let (t, spec, plan) = plan_for(seed, 4);
             // Active atoms = those hosting a flow closure, as the sharded
@@ -589,7 +533,7 @@ mod tests {
             }
             let mut covered = vec![0u32; t.net.link_count()];
             for shard in 0..plan.shards {
-                let v = extract_view(&t.net, &t_imap(&t), &plan, shard, &active, &mut scratch);
+                let v = extract_view(&t.net, &t_imap(&t), &plan, shard, &active);
                 assert_eq!(v.net.link_count(), v.link_to_global.len());
                 assert_eq!(v.net.node_count(), v.node_to_global.len());
                 assert!(v.link_to_global.windows(2).all(|w| w[0] < w[1]));

@@ -288,16 +288,15 @@ impl Simulation {
         p
     }
 
+    /// Control-plane slots executed so far (what `ctrl/ticks` counts when
+    /// a registry is attached).
+    pub(crate) fn ticks(&self) -> u64 {
+        self.ticks
+    }
+
     /// Read access to the network (capacities may change via failures).
     pub fn network(&self) -> &Network {
         &self.net
-    }
-
-    /// A read-only diagnostic view over the running simulation. The engine
-    /// surface proper stays construction + schedule + run; everything
-    /// observational lives on [`SimInspector`].
-    pub fn inspect(&self) -> SimInspector<'_> {
-        SimInspector { sim: self }
     }
 
     /// Attaches a packet-level trace sink (e.g. `Trace::bounded(100_000)`).
@@ -330,19 +329,6 @@ impl Simulation {
         self.trace.take()
     }
 
-    /// Resolves a path into a wire source route, or `None` when a hop's
-    /// receiving interface is gone (node removed mid-run) or the path does
-    /// not fit the 6-hop header — callers skip such routes instead of
-    /// panicking.
-    fn resolve_source_route(&self, p: &empower_model::Path) -> Option<SourceRoute> {
-        let mut hops: Vec<IfaceId> = Vec::with_capacity(p.links().len());
-        for &l in p.links() {
-            let link = self.net.try_link(l)?;
-            hops.push(self.reg.id_of(link.to, link.medium)?);
-        }
-        SourceRoute::new(&hops).ok()
-    }
-
     /// Registers a flow; returns its index. Routes that cannot be resolved
     /// (missing interface, more than 6 hops) are skipped.
     ///
@@ -373,7 +359,7 @@ impl Simulation {
             );
         }
         let resolved: Vec<Option<SourceRoute>> =
-            spec.routes.iter().map(|p| self.resolve_source_route(p)).collect();
+            spec.routes.iter().map(|p| resolve_source_route(&self.net, &self.reg, p)).collect();
         if resolved.iter().any(Option::is_none) {
             self.etel.route_errors.inc();
             let keep: Vec<bool> = resolved.iter().map(Option::is_some).collect();
@@ -514,7 +500,7 @@ impl Simulation {
         let mut source_routes: Vec<SourceRoute> = Vec::with_capacity(routes.len());
         let routes: Vec<empower_model::Path> = routes
             .into_iter()
-            .filter(|p| match self.resolve_source_route(p) {
+            .filter(|p| match resolve_source_route(&self.net, &self.reg, p) {
                 Some(sr) => {
                     source_routes.push(sr);
                     true
@@ -1552,42 +1538,24 @@ impl Simulation {
     }
 }
 
-/// Read-only diagnostic view over a [`Simulation`], obtained via
-/// [`Simulation::inspect`]. Borrows the engine immutably, so nothing
-/// observed here can perturb a run.
-pub struct SimInspector<'a> {
-    sim: &'a Simulation,
-}
-
-impl SimInspector<'_> {
-    /// The worst per-domain airtime demand observed at the last control
-    /// tick, with the link whose domain it is.
-    pub fn worst_domain(&self) -> (f64, LinkId) {
-        let mut worst = (0.0, LinkId(0));
-        for l in 0..self.sim.net.link_count() {
-            let y: f64 = self
-                .sim
-                .imap
-                .domain(LinkId(l as u32))
-                .iter()
-                .map(|&i| self.sim.last_demand[i.index()])
-                .sum();
-            if y > worst.0 {
-                worst = (y, LinkId(l as u32));
-            }
-        }
-        worst
+/// Resolves a path into a wire source route, or `None` when a hop's
+/// receiving interface is gone (node removed mid-run) or the path does
+/// not fit the 6-hop header — callers skip such routes instead of
+/// panicking. Resolution is static (link ids never disappear, failures
+/// zero capacities, and the interface registry is fixed at construction),
+/// which is what lets the sharded engine count a replacement's installed
+/// routes before any shard replays it.
+pub(crate) fn resolve_source_route(
+    net: &Network,
+    reg: &IfaceRegistry,
+    p: &empower_model::Path,
+) -> Option<SourceRoute> {
+    let mut hops: Vec<IfaceId> = Vec::with_capacity(p.links().len());
+    for &l in p.links() {
+        let link = net.try_link(l)?;
+        hops.push(reg.id_of(link.to, link.medium)?);
     }
-
-    /// Last tick's airtime demand of one link.
-    pub fn link_demand(&self, link: LinkId) -> f64 {
-        self.sim.last_demand[link.index()]
-    }
-
-    /// The route prices a flow's controller currently believes.
-    pub fn flow_prices(&self, flow: usize) -> Option<Vec<f64>> {
-        self.sim.flows[flow].controller.as_ref().map(|c| c.believed_prices().to_vec())
-    }
+    SourceRoute::new(&hops).ok()
 }
 
 #[cfg(test)]

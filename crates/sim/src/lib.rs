@@ -36,7 +36,7 @@ pub mod tcp;
 pub mod trace;
 
 pub use config::SimConfig;
-pub use engine::{SimInspector, Simulation};
+pub use engine::Simulation;
 pub use event::{Event, EventQueue, ReferenceEventQueue};
 pub use flow::{FlowSpecSim, TrafficPattern};
 pub use packet::{PacketId, PacketSlab, SimPacket};

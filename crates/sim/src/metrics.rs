@@ -85,7 +85,7 @@ impl EngineCounters {
             mac_grants: c("mac/grants", CounterType::Packets),
             mac_deferrals: c("mac/deferrals", CounterType::Packets),
             mac_penalty_frames: c("mac/penalty_frames", CounterType::Packets),
-            mac_penalty_airtime_us: c("mac/penalty_airtime_us", CounterType::Gauge),
+            mac_penalty_airtime_us: c("mac/penalty_airtime_us", CounterType::Packets),
             drops_overflow: c("queue/drops_overflow", CounterType::Errors),
             drops_dead_link: c("queue/drops_dead_link", CounterType::Errors),
             drops_source: c("source/drops", CounterType::Errors),
@@ -117,5 +117,24 @@ impl EngineCounters {
     /// The ACK-cadence counter for flow `f` (`flow/<f>/acks_sent`).
     pub fn flow_ack_counter(&self, f: usize) -> Counter {
         self.tele.counter(format!("flow/{f}/acks_sent"), CounterType::Packets)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `mac/penalty_airtime_us` is only ever `add`ed, so it must carry a
+    /// monotone flavor: a `--jobs` sweep merging per-run registries sums
+    /// the runs' penalty airtime instead of keeping the last run's.
+    #[test]
+    fn penalty_airtime_sums_across_merged_registries() {
+        let merged = Telemetry::enabled();
+        for us in [3, 5] {
+            let run = EngineCounters::attach(Telemetry::enabled(), &[0]);
+            run.mac_penalty_airtime_us.add(us);
+            merged.merge_snapshot(&run.tele.snapshot());
+        }
+        assert_eq!(merged.snapshot().value("mac/penalty_airtime_us"), Some(8));
     }
 }

@@ -13,12 +13,15 @@
 //!
 //! Three mechanisms make the merge exact rather than approximate:
 //!
-//! * **Deferred command-log replay.** The public API records operations
+//! * **One op log, replayed in place.** The public API records operations
 //!   (`add_flow`, fault schedules, `replace_routes`, `run_until`) into an
 //!   op log; nothing executes until the first observer (`report`,
 //!   `telemetry`, `take_trace`, `perf_stats`). Only then is the full
 //!   coupling closure known — including replacement routes scheduled for
-//!   later — so the partition can be computed once, correctly.
+//!   later — so the partition can be computed once, correctly. One table
+//!   names the atom that owns each op; every worker walks the same log
+//!   once against it, skipping what its shard does not own, and the same
+//!   table says which shards run and which atoms are active.
 //! * **Shard-local views.** Every worker runs on a
 //!   [`ShardView`]: the subgraph of its own
 //!   *active* atoms (those hosting an owned flow or scheduled fault),
@@ -28,15 +31,14 @@
 //!   id, and flows keep their *global* ids for RNG streams, counter
 //!   names and trace lines — so every byte a worker produces already
 //!   speaks global ids, and the merge never has to translate.
-//! * **Index-ordered, canonical merges.** Worker results are merged in
-//!   shard-index order (no completion-order nondeterminism): per-flow
-//!   stats are taken from each flow's owning shard in ascending global
-//!   flow order; counters merge by fixed per-name rules (see
-//!   `ShardedSimulation::merge_counters`); traces merge in canonical
-//!   `(time, rendered line)` order — rendered into one shared buffer,
-//!   not one `String` per event — and are truncated to the configured
-//!   cap only *after* the sort, so the bytes cannot depend on the shard
-//!   count.
+//! * **Index-ordered merges decided by declaration.** Worker results are
+//!   merged in shard-index order (no completion-order nondeterminism):
+//!   per-flow stats are keyed by global flow id; counters fold by their
+//!   declared flavor (see `ShardedSimulation::merge_counters`); traces
+//!   merge in the canonical `(time, rendered line)` order that
+//!   `trace.rs` defines once for both engines, and are truncated to the
+//!   configured cap only *after* the sort, so the bytes cannot depend on
+//!   the shard count.
 //!
 //! The result: `SimReport`s, telemetry manifests and canonical traces
 //! are byte-identical across `--shards` counts, and equal to the
@@ -45,24 +47,23 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 
-use empower_datapath::{IfaceId, IfaceRegistry, SourceRoute};
+use empower_datapath::IfaceRegistry;
 use empower_exec::run_indexed;
-use empower_model::shard::{
-    extract_view, plan_shards, CouplingSpec, ShardPlan, ShardView, ViewScratch,
-};
-use empower_model::{InterferenceMap, LinkId, Network, NodeId, Path};
+use empower_model::shard::{extract_view, plan_shards, CouplingSpec, ShardPlan, ShardView};
+use empower_model::{InterferenceMap, LinkId, Network, NetworkBuilder, NodeId, Path};
 use empower_telemetry::{CounterSnapshot, CounterType, Telemetry};
 
 use crate::config::SimConfig;
-use crate::engine::Simulation;
+use crate::engine::{resolve_source_route, Simulation};
 use crate::flow::FlowSpecSim;
+use crate::metrics::EngineCounters;
 use crate::perf::SimPerfStats;
 use crate::stats::{FlowStats, SimReport};
-use crate::trace::Trace;
+use crate::trace::{for_each_canonical, Trace};
 
-/// One recorded API call, replayed per shard at execution time.
+/// One recorded API call. Ids are global; each worker localizes the ops
+/// it owns against its view as it replays them.
 enum Op {
     AddFlow(FlowSpecSim),
     LinkChange { at: f64, link: LinkId, capacity_mbps: f64 },
@@ -71,20 +72,17 @@ enum Op {
     RunUntil { until: f64 },
 }
 
-/// One op rewritten for a specific worker. Flow references carry their
-/// *global* ids so the worker can seed RNG streams and name counters
-/// exactly as the single-threaded engine does; link/node ids start
-/// global and are localized against the worker's view before replay.
-enum WorkerOp {
-    AddFlow { gid: usize, spec: FlowSpecSim },
-    LinkChange { at: f64, link: LinkId, capacity_mbps: f64 },
-    NodeChange { at: f64, node: NodeId, up: bool },
-    ReplaceRoutes { gid: usize, routes: Vec<Path> },
-    RunUntil { until: f64 },
-}
-
 /// What one shard worker sends back for merging.
-type WorkerOut = (Vec<FlowStats>, CounterSnapshot, Option<Trace>, SimPerfStats);
+struct WorkerOut {
+    /// Stats of the flows this shard owns, keyed by global flow id.
+    flows: Vec<(usize, FlowStats)>,
+    counters: CounterSnapshot,
+    /// Control-plane slots the worker executed. Every worker replays every
+    /// `RunUntil`, so all workers agree on it.
+    ticks: u64,
+    trace: Option<Trace>,
+    perf: SimPerfStats,
+}
 
 /// Merged results of one execution of the op log.
 struct Exec {
@@ -195,7 +193,10 @@ impl ShardedSimulation {
     pub fn replace_routes(&mut self, flow: usize, routes: Vec<Path>) -> usize {
         assert!(flow < self.flow_count, "no such flow");
         assert!(!routes.is_empty(), "a flow needs at least one route");
-        let installed = routes.iter().filter(|p| self.resolves(p)).count();
+        let installed = routes
+            .iter()
+            .filter(|p| resolve_source_route(&self.net, &self.reg, p).is_some())
+            .count();
         self.ops.push(Op::ReplaceRoutes { flow, routes });
         installed
     }
@@ -243,32 +244,13 @@ impl ShardedSimulation {
         self.exec.borrow().as_ref().map(|e| e.shards_used).unwrap_or(0)
     }
 
-    /// The shard plan for the current op log (diagnostics / tests).
-    pub fn plan(&self) -> ShardPlan {
-        let (spec, _) = self.coupling();
-        plan_shards(&self.net, &self.imap, &spec, self.shards)
-    }
-
-    /// Mirror of the engine's route resolution, which is static: link ids
-    /// never disappear (failures zero capacities) and the interface
-    /// registry is fixed at construction.
-    fn resolves(&self, p: &Path) -> bool {
-        let mut hops: Vec<IfaceId> = Vec::with_capacity(p.links().len());
-        for &l in p.links() {
-            let Some(link) = self.net.try_link(l) else { return false };
-            let Some(id) = self.reg.id_of(link.to, link.medium) else { return false };
-            hops.push(id);
-        }
-        SourceRoute::new(&hops).is_ok()
-    }
-
     /// Builds the coupling spec from the op log: every flow's link
     /// closure (all routes, all scheduled replacement routes, and for TCP
     /// flows the receiver's adjacent links — the §6.4 tcp-margin flag
     /// influences every link whose contention domain contains the
     /// receiver, and R1 pulls those in through the adjacent links), plus
-    /// the fault-node list. Also returns the op-aligned fault links.
-    fn coupling(&self) -> (CouplingSpec, Vec<Vec<LinkId>>) {
+    /// the fault-node list.
+    fn coupling(&self) -> CouplingSpec {
         let mut flow_links: Vec<Vec<LinkId>> = Vec::with_capacity(self.flow_count);
         let mut fault_nodes: Vec<NodeId> = Vec::new();
         for op in &self.ops {
@@ -289,8 +271,7 @@ impl ShardedSimulation {
                 _ => {}
             }
         }
-        let per_flow = flow_links.clone();
-        (CouplingSpec { flow_links, fault_nodes }, per_flow)
+        CouplingSpec { flow_links, fault_nodes }
     }
 
     /// Runs the op log if the cached execution is stale.
@@ -304,197 +285,95 @@ impl ShardedSimulation {
     }
 
     fn execute(&self) -> Exec {
-        let (cspec, per_flow_links) = self.coupling();
+        let cspec = self.coupling();
         let plan = plan_shards(&self.net, &self.imap, &cspec, self.shards);
 
-        // Owners: a flow belongs to its closure's (single) atom; a fault
-        // op to its link's / node's atom. R4 makes all links adjacent to
-        // a faulted node one atom, so "first adjacent link" is canonical.
-        let flow_owner: Vec<u32> =
-            per_flow_links.iter().map(|links| plan.shard_of_link(links[0])).collect();
-        let mut next_flow = 0usize;
-        let op_owner: Vec<u32> = self
+        // The owner-atom table: a flow op belongs to its closure's
+        // (single) atom; a fault op to its link's / node's atom (R4 makes
+        // all links adjacent to a faulted node one atom, so "first
+        // adjacent link" is canonical). Time advances, and faults on a
+        // node without links (no observable effect), belong to nobody.
+        let atom_of = |l: LinkId| plan.atom_of_link[l.index()];
+        let mut flow_atom = cspec.flow_links.iter().map(|links| atom_of(links[0]));
+        let op_atom: Vec<Option<u32>> = self
             .ops
             .iter()
             .map(|op| match op {
-                Op::AddFlow(_) => {
-                    let o = flow_owner[next_flow];
-                    next_flow += 1;
-                    o
+                Op::AddFlow(_) => flow_atom.next(),
+                Op::LinkChange { link, .. } => Some(atom_of(*link)),
+                Op::NodeChange { node, .. } => {
+                    let mut adjacent = self.net.out_links(*node).chain(self.net.in_links(*node));
+                    adjacent.next().map(|l| atom_of(l.id))
                 }
-                Op::LinkChange { link, .. } => plan.shard_of_link(*link),
-                Op::NodeChange { node, .. } => self
-                    .net
-                    .out_links(*node)
-                    .chain(self.net.in_links(*node))
-                    .map(|l| plan.shard_of_link(l.id))
-                    .next()
-                    .unwrap_or(0),
-                Op::ReplaceRoutes { flow, .. } => flow_owner[*flow],
-                Op::RunUntil { .. } => 0,
+                Op::ReplaceRoutes { flow, .. } => Some(atom_of(cspec.flow_links[*flow][0])),
+                Op::RunUntil { .. } => None,
             })
             .collect();
 
-        // Shards with neither flows nor fault events would only replay
-        // idle control ticks; skip them (global per-tick counters merge
-        // by max, so the remaining shards carry them).
-        let mut used: BTreeSet<u32> = flow_owner.iter().copied().collect();
-        for (i, op) in self.ops.iter().enumerate() {
-            if matches!(op, Op::LinkChange { .. } | Op::NodeChange { .. }) {
-                used.insert(op_owner[i]);
-            }
+        // Only atoms hosting an owned flow or a scheduled fault do any
+        // observable work — zero demand, zero violations, zero traffic
+        // everywhere else — so views exclude the rest entirely (this is
+        // where the wall-clock win comes from: control ticks and MAC
+        // domain scans run over each shard's local links only), and
+        // shards left without an active atom would only replay idle
+        // control ticks and are skipped.
+        let mut active_atom = vec![false; plan.atom_count as usize];
+        let mut used: BTreeSet<u32> = BTreeSet::new();
+        for &atom in op_atom.iter().flatten() {
+            active_atom[atom as usize] = true;
+            used.insert(plan.shard_of_atom[atom as usize]);
         }
         if used.is_empty() {
             used.insert(0);
         }
         let used: Vec<u32> = used.into_iter().collect();
 
-        // Active atoms: only atoms hosting an owned flow or a scheduled
-        // op do any observable work — zero demand, zero violations, zero
-        // traffic everywhere else — so views exclude the rest entirely.
-        // This is where the wall-clock win comes from: control ticks and
-        // MAC domain scans run over each shard's local links only.
-        let mut active_atom = vec![false; plan.atom_count as usize];
-        for links in &per_flow_links {
-            active_atom[plan.atom_of_link[links[0].index()] as usize] = true;
-        }
-        for op in &self.ops {
-            match op {
-                Op::LinkChange { link, .. } => {
-                    active_atom[plan.atom_of_link[link.index()] as usize] = true;
-                }
-                Op::NodeChange { node, .. } => {
-                    for l in self.net.out_links(*node).chain(self.net.in_links(*node)) {
-                        active_atom[plan.atom_of_link[l.id.index()] as usize] = true;
-                    }
-                }
-                _ => {}
-            }
-        }
-
-        // Rewrite the op log into one replay list per used shard: every
-        // shard sees its own ops (with global flow ids attached) plus all
-        // time advances, in original log order.
-        let mut worker_ops: Vec<Vec<WorkerOp>> = used.iter().map(|_| Vec::new()).collect();
-        let pos_of = |s: u32| used.iter().position(|&u| u == s);
-        let mut next_flow = 0usize;
-        for (i, op) in self.ops.iter().enumerate() {
-            let owned = |worker_ops: &mut Vec<Vec<WorkerOp>>, wop: WorkerOp| {
-                let Some(p) = pos_of(op_owner[i]) else {
-                    unreachable!("owner of an op is always a used shard")
-                };
-                worker_ops[p].push(wop);
-            };
-            match op {
-                Op::AddFlow(spec) => {
-                    let gid = next_flow;
-                    next_flow += 1;
-                    owned(&mut worker_ops, WorkerOp::AddFlow { gid, spec: spec.clone() });
-                }
-                Op::LinkChange { at, link, capacity_mbps } => owned(
-                    &mut worker_ops,
-                    WorkerOp::LinkChange { at: *at, link: *link, capacity_mbps: *capacity_mbps },
-                ),
-                Op::NodeChange { at, node, up } => {
-                    owned(&mut worker_ops, WorkerOp::NodeChange { at: *at, node: *node, up: *up })
-                }
-                Op::ReplaceRoutes { flow, routes } => owned(
-                    &mut worker_ops,
-                    WorkerOp::ReplaceRoutes { gid: *flow, routes: routes.clone() },
-                ),
-                Op::RunUntil { until } => {
-                    for list in worker_ops.iter_mut() {
-                        list.push(WorkerOp::RunUntil { until: *until });
-                    }
-                }
-            }
-        }
-
-        let instrument = self.tele.is_enabled();
-        let trace_on = self.trace_cap.is_some();
         // One job per used shard, at most one thread per core; on a single
         // core the jobs run in shard order on this thread.
         let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let (net, imap, cfg) = (&self.net, &self.imap, &self.cfg);
-        let results: Vec<WorkerOut> = run_indexed(jobs, used.len(), |w| {
-            run_worker(
-                net,
-                imap,
-                &plan,
-                used[w],
-                &active_atom,
-                cfg,
-                &worker_ops[w],
-                instrument,
-                trace_on,
-            )
-        });
+        let replay = Replay {
+            net: &self.net,
+            imap: &self.imap,
+            cfg: &self.cfg,
+            ops: &self.ops,
+            plan: &plan,
+            op_atom: &op_atom,
+            active_atom: &active_atom,
+            instrument: self.tele.is_enabled(),
+            trace_on: self.trace_cap.is_some(),
+        };
+        let mut results: Vec<WorkerOut> = run_indexed(jobs, used.len(), |w| replay.run(used[w]));
 
-        // Per-flow stats: each worker reports exactly its own flows in
-        // ascending global order, so a per-shard cursor walk reassembles
-        // the global order without any placeholder entries.
-        let mut cursor = vec![0usize; results.len()];
-        let mut flows = Vec::with_capacity(self.flow_count);
-        for owner in &flow_owner {
-            let Some(pos) = used.iter().position(|u| u == owner) else {
-                unreachable!("every flow owner is a used shard")
-            };
-            let c = cursor[pos];
-            cursor[pos] += 1;
-            flows.push(results[pos].0[c].clone());
-        }
-
-        if instrument {
+        if replay.instrument {
             self.merge_counters(&results);
         }
 
+        // Equal-time events from independent atoms have no defined order
+        // in a single event loop; the canonical order makes the merged
+        // bytes a function of the event *multiset* only.
         let trace = self.trace_cap.map(|cap| {
-            // Canonical order: (time, rendered line). Equal-time events
-            // from independent atoms have no defined order in a single
-            // event loop; the canonical sort makes the merged bytes a
-            // function of the event *multiset* only. Every line is
-            // rendered into ONE shared buffer and keyed by its byte
-            // range, not into one `String` per event.
-            let mut buf = String::new();
-            let mut keyed: Vec<(u64, u32, u32, u32, u32)> = Vec::new();
-            for (r, (_, _, tr, _)) in results.iter().enumerate() {
-                let Some(tr) = tr else { continue };
-                for (i, e) in tr.events().iter().enumerate() {
-                    let start = buf.len() as u32;
-                    let _ = write!(buf, "{}", e.to_json());
-                    keyed.push((e.time().to_bits(), start, buf.len() as u32, r as u32, i as u32));
-                }
-            }
-            keyed.sort_by(|a, b| {
-                (a.0, &buf[a.1 as usize..a.2 as usize])
-                    .cmp(&(b.0, &buf[b.1 as usize..b.2 as usize]))
-            });
-            let mut out = match cap {
-                Some(c) => Trace::bounded(c),
-                None => Trace::new(),
-            };
-            for &(_, _, _, r, i) in &keyed {
-                let Some(tr) = &results[r as usize].2 else {
-                    unreachable!("keyed events only come from present traces")
-                };
-                out.push(tr.events()[i as usize].clone());
-            }
+            let parts: Vec<&Trace> = results.iter().filter_map(|r| r.trace.as_ref()).collect();
+            let mut out = cap.map_or_else(Trace::new, Trace::bounded);
+            for_each_canonical(&parts, |e, _| out.push(e.clone()));
             out
         });
 
         let mut perf = SimPerfStats::default();
         let mut shard_events = Vec::with_capacity(results.len());
-        for (_, _, _, p) in &results {
-            perf.events_dispatched += p.events_dispatched;
-            perf.domain_probes += p.domain_probes;
-            perf.hot_allocs += p.hot_allocs;
-            perf.slab_grows += p.slab_grows;
-            shard_events.push(p.events_dispatched);
+        let mut flows: Vec<(usize, FlowStats)> = Vec::with_capacity(self.flow_count);
+        for r in &mut results {
+            perf.events_dispatched += r.perf.events_dispatched;
+            perf.domain_probes += r.perf.domain_probes;
+            perf.hot_allocs += r.perf.hot_allocs;
+            perf.slab_grows += r.perf.slab_grows;
+            shard_events.push(r.perf.events_dispatched);
+            flows.append(&mut r.flows);
         }
+        flows.sort_by_key(|&(gid, _)| gid);
 
         Exec {
             ops_done: self.ops.len(),
-            flows,
+            flows: flows.into_iter().map(|(_, stats)| stats).collect(),
             trace,
             perf,
             shard_events,
@@ -504,148 +383,139 @@ impl ShardedSimulation {
 
     /// Folds the per-shard counter snapshots into the attached registry.
     ///
-    /// Workers run on shard-local views, so per-name rules (DESIGN.md
-    /// §13):
-    /// * `ctrl/ticks` — **max**: every worker ticks the full horizon, so
-    ///   the values are equal and must not multiply.
-    /// * `cc/price_updates` — **reconstructed** as merged ticks × the
-    ///   *global* link count: each worker advances it by its local link
-    ///   count per tick, and links outside every view still carry a
-    ///   (trivially converged) price in the serial semantics.
-    /// * `mac/penalty_airtime_us` — **sum**: a gauge by flavor but
-    ///   accumulated (`add`), and only owning shards contribute.
-    /// * other gauges (`link/<g>/queue_hwm`) — **max**, with gauges for
-    ///   links outside every view **zero-filled** so the manifest's name
-    ///   set matches the single-threaded engine's.
-    /// * everything else — **sum**: traffic and flow counters are only
-    ///   advanced by the owning shard, so sums reproduce serial totals.
+    /// The merged registry first gets the single-threaded engine's name
+    /// set — [`EngineCounters::attach`] over *all* global link ids, so
+    /// per-link gauges of links outside every view exist at zero. Worker
+    /// snapshots then fold by **declared flavor** (DESIGN.md §13): gauges
+    /// are levels, and only a link's owning shard ever raises one, so
+    /// they merge by **max**; every other flavor is a monotone count that
+    /// only the owning shard advances, so it merges by **sum**.
+    ///
+    /// The two network-wide control counters are not a fold at all: every
+    /// worker ticks the full horizon over its *local* links, so they are
+    /// written last, over whatever the fold made of them, through the
+    /// engine's own handles from the typed tick count —
+    /// `ctrl/ticks` once, `cc/price_updates` as ticks × the *global*
+    /// link count (links outside every view still carry a trivially
+    /// converged price in the serial semantics).
     ///
     /// Values are written with `set`, making re-merges after op-log
     /// growth idempotent.
     fn merge_counters(&self, results: &[WorkerOut]) {
-        let mut merged: BTreeMap<String, (CounterType, u64)> = BTreeMap::new();
-        for (_, snap, _, _) in results {
-            for (name, flavor, value) in &snap.counters {
-                let slot = merged.entry(name.clone()).or_insert((*flavor, 0));
-                let take_max = name == "ctrl/ticks"
-                    || (*flavor == CounterType::Gauge && name != "mac/penalty_airtime_us");
-                if take_max {
-                    slot.1 = slot.1.max(*value);
-                } else {
-                    slot.1 += *value;
-                }
+        let all_links: Vec<u32> = (0..self.net.link_count() as u32).collect();
+        let engine = EngineCounters::attach(self.tele.clone(), &all_links);
+        let mut merged: BTreeMap<&str, (CounterType, u64)> = BTreeMap::new();
+        for r in results {
+            for (name, flavor, value) in &r.counters.counters {
+                let slot = merged.entry(name).or_insert((*flavor, 0));
+                slot.1 = match flavor {
+                    CounterType::Gauge => slot.1.max(*value),
+                    _ => slot.1 + *value,
+                };
             }
         }
-        let ticks = merged.get("ctrl/ticks").map(|&(_, v)| v).unwrap_or(0);
-        if let Some(slot) = merged.get_mut("cc/price_updates") {
-            slot.1 = ticks * self.net.link_count() as u64;
+        for (name, (flavor, value)) in merged {
+            self.tele.counter(name, flavor).set(value);
         }
-        for g in 0..self.net.link_count() {
-            merged.entry(format!("link/{g}/queue_hwm")).or_insert((CounterType::Gauge, 0));
-        }
-        for (name, (flavor, value)) in &merged {
-            self.tele.counter(name.clone(), *flavor).set(*value);
-        }
+        let ticks = results.iter().map(|r| r.ticks).max().unwrap_or(0);
+        engine.ctrl_ticks.set(ticks);
+        engine.cc_price_updates.set(ticks * all_links.len() as u64);
     }
 }
 
-/// One shard's run: extract the view, localize the replay list, drive a
-/// [`Simulation`] over the subnetwork, and return globally-addressed
-/// results. Runs on an executor thread.
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    net: &Network,
-    imap: &InterferenceMap,
-    plan: &ShardPlan,
-    shard: u32,
-    active_atom: &[bool],
-    cfg: &SimConfig,
-    ops: &[WorkerOp],
+/// Everything a shard worker borrows for one execution of the op log.
+/// Shared across executor threads, hence plain references only.
+struct Replay<'a> {
+    net: &'a Network,
+    imap: &'a InterferenceMap,
+    cfg: &'a SimConfig,
+    ops: &'a [Op],
+    plan: &'a ShardPlan,
+    /// Owner atom of every op, aligned with `ops` (`None` = nobody's).
+    op_atom: &'a [Option<u32>],
+    active_atom: &'a [bool],
     instrument: bool,
     trace_on: bool,
-) -> WorkerOut {
-    let view = extract_view(net, imap, plan, shard, active_atom, &mut ViewScratch::default());
+}
 
-    // Localize the whole replay list up front. Owned flows and faults
-    // always fit the view by construction (their atoms are active and
-    // packed here); the one legitimate miss is a NodeChange on a node
-    // with no links in any active atom, which has no observable effect
-    // and is skipped outright.
-    let mut local: Vec<WorkerOp> = Vec::with_capacity(ops.len());
-    for op in ops {
-        match *op {
-            WorkerOp::AddFlow { gid, ref spec } => {
-                let Some(src) = view.local_node(spec.src) else {
-                    unreachable!("owned flow's source is outside its shard view")
-                };
-                let Some(dst) = view.local_node(spec.dst) else {
-                    unreachable!("owned flow's destination is outside its shard view")
-                };
-                let spec = FlowSpecSim {
-                    src,
-                    dst,
-                    routes: localize_routes(&view, &spec.routes),
-                    open_loop_rates: spec.open_loop_rates.clone(),
-                    ..*spec
-                };
-                local.push(WorkerOp::AddFlow { gid, spec });
-            }
-            WorkerOp::LinkChange { at, link, capacity_mbps } => {
-                let Some(l) = view.local_link(link) else {
-                    unreachable!("owned link fault is outside its shard view")
-                };
-                local.push(WorkerOp::LinkChange { at, link: l, capacity_mbps });
-            }
-            WorkerOp::NodeChange { at, node, up } => {
-                if let Some(n) = view.local_node(node) {
-                    local.push(WorkerOp::NodeChange { at, node: n, up });
+impl Replay<'_> {
+    /// One shard's run: extract the view, drive a [`Simulation`] over the
+    /// subnetwork through the op log — localizing the ops `shard` owns,
+    /// skipping everyone else's, applying every time advance — and return
+    /// globally-addressed results. Runs on an executor thread.
+    fn run(&self, shard: u32) -> WorkerOut {
+        let mut view = extract_view(self.net, self.imap, self.plan, shard, self.active_atom);
+        // The engine takes the subnetwork by value; what stays behind in
+        // `view` are the id maps, which is all localizing an op reads.
+        let vnet = std::mem::replace(&mut view.net, NetworkBuilder::new().build());
+        let vimap = std::mem::replace(&mut view.imap, self.imap.restrict(&[], &[]));
+        let link_gids: Vec<u32> = view.link_to_global.iter().map(|l| l.0).collect();
+        let mut sim = Simulation::with_global_link_ids(vnet, vimap, self.cfg.clone(), link_gids);
+        if self.instrument {
+            sim.attach_telemetry(Telemetry::enabled());
+        }
+        if self.trace_on {
+            sim.attach_trace(Trace::new());
+        }
+
+        // Owned ops always fit the view by construction: their atoms are
+        // active and packed onto this shard. Flows are numbered by their
+        // position among *all* `AddFlow`s, and owned ones arrive in
+        // ascending global id, so the local index of flow `g` is its rank
+        // in `owned`.
+        let mut owned: Vec<usize> = Vec::new();
+        let mut next_gid = 0usize;
+        for (op, atom) in self.ops.iter().zip(self.op_atom) {
+            let mine = atom.is_some_and(|a| self.plan.shard_of_atom[a as usize] == shard);
+            match op {
+                Op::AddFlow(spec) => {
+                    let gid = next_gid;
+                    next_gid += 1;
+                    if !mine {
+                        continue;
+                    }
+                    let (Some(src), Some(dst)) =
+                        (view.local_node(spec.src), view.local_node(spec.dst))
+                    else {
+                        unreachable!("owned flow's endpoints are outside its shard view")
+                    };
+                    let routes = localize_routes(&view, &spec.routes);
+                    owned.push(gid);
+                    let open_loop_rates = spec.open_loop_rates.clone();
+                    let local = FlowSpecSim { src, dst, routes, open_loop_rates, ..*spec };
+                    sim.add_flow_global(local, gid);
                 }
+                Op::LinkChange { at, link, capacity_mbps } if mine => {
+                    let Some(l) = view.local_link(*link) else {
+                        unreachable!("owned link fault is outside its shard view")
+                    };
+                    sim.schedule_link_change(*at, l, *capacity_mbps);
+                }
+                Op::NodeChange { at, node, up } if mine => {
+                    let Some(n) = view.local_node(*node) else {
+                        unreachable!("owned node fault is outside its shard view")
+                    };
+                    sim.schedule_node_change(*at, n, *up);
+                }
+                Op::ReplaceRoutes { flow, routes } if mine => {
+                    let Ok(f) = owned.binary_search(flow) else {
+                        unreachable!("replace_routes owned by a shard that does not own the flow")
+                    };
+                    sim.replace_routes(f, localize_routes(&view, routes));
+                }
+                Op::RunUntil { until } => sim.run_until(*until),
+                _ => {}
             }
-            WorkerOp::ReplaceRoutes { gid, ref routes } => {
-                local.push(WorkerOp::ReplaceRoutes { gid, routes: localize_routes(&view, routes) });
-            }
-            WorkerOp::RunUntil { until } => local.push(WorkerOp::RunUntil { until }),
+        }
+
+        WorkerOut {
+            flows: owned.into_iter().zip(sim.report(0.0).flows).collect(),
+            counters: sim.telemetry().snapshot(),
+            ticks: sim.ticks(),
+            trace: sim.take_trace(),
+            perf: sim.perf_stats(),
         }
     }
-
-    let link_gids: Vec<u32> = view.link_to_global.iter().map(|l| l.0).collect();
-    let ShardView { net: vnet, imap: vimap, .. } = view;
-    let mut sim = Simulation::with_global_link_ids(vnet, vimap, cfg.clone(), link_gids);
-    if instrument {
-        sim.attach_telemetry(Telemetry::enabled());
-    }
-    if trace_on {
-        sim.attach_trace(Trace::new());
-    }
-
-    // Owned flows arrive in ascending global-id order, so the local
-    // index of gid `g` is its rank in this list.
-    let mut owned_gids: Vec<usize> = Vec::new();
-    for op in local {
-        match op {
-            WorkerOp::AddFlow { gid, spec } => {
-                owned_gids.push(gid);
-                sim.add_flow_global(spec, gid);
-            }
-            WorkerOp::LinkChange { at, link, capacity_mbps } => {
-                sim.schedule_link_change(at, link, capacity_mbps);
-            }
-            WorkerOp::NodeChange { at, node, up } => sim.schedule_node_change(at, node, up),
-            WorkerOp::ReplaceRoutes { gid, routes } => {
-                let Ok(f) = owned_gids.binary_search(&gid) else {
-                    unreachable!("replace_routes routed to a shard that does not own the flow")
-                };
-                sim.replace_routes(f, routes);
-            }
-            WorkerOp::RunUntil { until } => sim.run_until(until),
-        }
-    }
-
-    let flows = sim.report(0.0).flows;
-    let snap = sim.telemetry().snapshot();
-    let trace = sim.take_trace();
-    let perf = sim.perf_stats();
-    (flows, snap, trace, perf)
 }
 
 /// Rewrites a set of global-id routes into view-local ids. Every route
@@ -794,6 +664,78 @@ mod tests {
             sharded <= serial + (workers - 1) * 60,
             "sharded dispatched {sharded} events vs serial {serial} (+{workers} workers)"
         );
+    }
+
+    /// Observe → extend → observe: every poll after the first re-executes
+    /// a grown op log (the `ops_done`-stale path), and must agree with an
+    /// engine that was simply paused and resumed.
+    #[test]
+    fn polling_between_time_advances_matches_single_threaded_engine() {
+        let manifest = |tele: &Telemetry| {
+            let mut m = Manifest::new("shard_test");
+            m.attach_counters(tele);
+            m.render()
+        };
+        let (net, imap, specs) = campus_setup();
+        let mut single = Simulation::new(net.clone(), imap.clone(), SimConfig::default());
+        single.attach_telemetry(Telemetry::enabled());
+        let mut sharded: Vec<ShardedSimulation> = [1, 4]
+            .map(|n| {
+                ShardedSimulation::with_shards(net.clone(), imap.clone(), SimConfig::default(), n)
+            })
+            .into();
+        for sim in &mut sharded {
+            sim.attach_telemetry(Telemetry::enabled());
+        }
+        for s in &specs {
+            single.add_flow(s.clone());
+            for sim in &mut sharded {
+                sim.add_flow(s.clone());
+            }
+        }
+        for t in 1..=5 {
+            let t = f64::from(t);
+            single.run_until(t);
+            let want = (format!("{:?}", single.report(t)), manifest(single.telemetry()));
+            for sim in &mut sharded {
+                sim.run_until(t);
+                let got = (format!("{:?}", sim.report(t)), manifest(sim.telemetry()));
+                assert_eq!(want, got, "poll at t={t} diverged");
+            }
+        }
+    }
+
+    /// The merge rule belongs to the flavor, not to a list of names: a
+    /// gauge and a monotone counter the engine has never heard of fold by
+    /// max and by sum.
+    #[test]
+    fn counters_merge_by_declared_flavor() {
+        let worker = |level: u64, count: u64, ticks: u64| {
+            let tele = Telemetry::enabled();
+            tele.counter("plugin/level", CounterType::Gauge).set(level);
+            tele.counter("plugin/count", CounterType::Bytes).add(count);
+            WorkerOut {
+                flows: Vec::new(),
+                counters: tele.snapshot(),
+                ticks,
+                trace: None,
+                perf: SimPerfStats::default(),
+            }
+        };
+        let (net, imap, _) = campus_setup();
+        let links = net.link_count() as u64;
+        let mut sim = ShardedSimulation::with_shards(net, imap, SimConfig::default(), 2);
+        sim.attach_telemetry(Telemetry::enabled());
+        sim.merge_counters(&[worker(7, 3, 11), worker(4, 5, 11)]);
+        let snap = sim.tele.snapshot();
+        assert_eq!(snap.value("plugin/level"), Some(7));
+        assert_eq!(snap.value("plugin/count"), Some(8));
+        assert_eq!(snap.value("ctrl/ticks"), Some(11));
+        assert_eq!(snap.value("cc/price_updates"), Some(11 * links));
+        // The engine's own name set is there too, per-link gauges at zero.
+        let hwm = || snap.counters.iter().filter(|(n, _, _)| n.ends_with("/queue_hwm"));
+        assert_eq!(hwm().count() as u64, links);
+        assert!(hwm().all(|(_, flavor, v)| *flavor == CounterType::Gauge && *v == 0));
     }
 
     #[test]

@@ -59,12 +59,6 @@ impl FlowStats {
         var.sqrt()
     }
 
-    /// Download duration of the `i`-th completed file, seconds (relative to
-    /// flow/file start bookkeeping done by the engine).
-    pub fn completion_count(&self) -> usize {
-        self.completions.len()
-    }
-
     /// Mean end-to-end frame delay, seconds (0 with no samples).
     pub fn mean_delay_secs(&self) -> f64 {
         if self.delay_samples == 0 {

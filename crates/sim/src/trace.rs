@@ -5,6 +5,8 @@
 //! Click implementation produced. Traces serialize to JSON lines for
 //! offline analysis and are the raw material for the time-series figures.
 
+use std::fmt::Write as _;
+
 use empower_model::LinkId;
 use empower_telemetry::Json;
 
@@ -203,21 +205,18 @@ impl Trace {
         out
     }
 
-    /// Serializes to JSON lines in **canonical order**: events stably
-    /// sorted by `(time, rendered line)`. Equal-time events from
-    /// independent interference atoms have no defined relative order in a
-    /// single event loop (it depends on queue insertion history), so the
-    /// sharded engine emits canonical traces and the cross-engine gates
-    /// compare both sides' canonical renderings.
+    /// Serializes to JSON lines in **canonical order**: events sorted by
+    /// `(time, rendered line)`. Equal-time events from independent
+    /// interference atoms have no defined relative order in a single event
+    /// loop (it depends on queue insertion history), so the sharded engine
+    /// emits canonical traces and the cross-engine gates compare both
+    /// sides' canonical renderings.
     pub fn canonical_jsonl(&self) -> String {
-        let mut lines: Vec<(u64, String)> =
-            self.events.iter().map(|e| (e.time().to_bits(), e.to_json().to_string())).collect();
-        lines.sort();
         let mut out = String::new();
-        for (_, l) in lines {
-            out.push_str(&l);
+        for_each_canonical(&[self], |_, line| {
+            out.push_str(line);
             out.push('\n');
-        }
+        });
         out
     }
 
@@ -256,6 +255,30 @@ impl Trace {
     }
 }
 
+/// Visits every event of `parts` in canonical order — sorted by `(time,
+/// rendered line)` — handing `f` the event and its rendered line. This is
+/// the one definition of that order: [`Trace::canonical_jsonl`] and the
+/// sharded engine's trace merge both go through it, which makes the merged
+/// bytes a function of the event *multiset* only, however it was split.
+/// Every line is rendered into one shared buffer and keyed by its byte
+/// range, not into one `String` per event.
+pub(crate) fn for_each_canonical<'a>(parts: &[&'a Trace], mut f: impl FnMut(&'a TraceEvent, &str)) {
+    let mut buf = String::new();
+    let mut keyed: Vec<(u64, u32, u32, &TraceEvent)> = Vec::new();
+    for part in parts {
+        for e in &part.events {
+            let start = buf.len() as u32;
+            let _ = write!(buf, "{}", e.to_json());
+            keyed.push((e.time().to_bits(), start, buf.len() as u32, e));
+        }
+    }
+    let line = |k: &(u64, u32, u32, &TraceEvent)| &buf[k.1 as usize..k.2 as usize];
+    keyed.sort_by(|a, b| (a.0, line(a)).cmp(&(b.0, line(b))));
+    for k in &keyed {
+        f(k.3, line(k));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,6 +305,48 @@ mod tests {
         assert!(t.is_truncated());
         // The FIRST events are kept.
         assert!(matches!(t.events()[0], TraceEvent::Deliver { seq: 0, .. }));
+    }
+
+    /// Canonical order is a function of the event multiset: rendering one
+    /// trace equals merging any two-way split of it.
+    #[test]
+    fn canonical_order_ignores_how_the_trace_was_split() {
+        let mut whole = Trace::new();
+        let (mut a, mut b) = (Trace::new(), Trace::new());
+        for i in 0..40u32 {
+            // Scrambled times with ties (i % 7), distinct lines within a tie.
+            let e = match i % 3 {
+                0 => TraceEvent::TxStart {
+                    t: f64::from(i * 5 % 7),
+                    link: i,
+                    flow: 1,
+                    seq: i,
+                    bits: 8,
+                },
+                1 => TraceEvent::Deliver { t: f64::from(i * 5 % 7), flow: 0, seq: i },
+                _ => TraceEvent::Drop {
+                    t: f64::from(i * 5 % 7),
+                    flow: 2,
+                    seq: i,
+                    where_: DropSite::QueueOverflow,
+                },
+            };
+            whole.push(e.clone());
+            if i * 11 % 5 < 2 { &mut a } else { &mut b }.push(e);
+        }
+        assert!(!a.events().is_empty() && !b.events().is_empty());
+        let mut merged = String::new();
+        for_each_canonical(&[&b, &a], |e, line| {
+            assert_eq!(line, e.to_json().to_string());
+            merged.push_str(line);
+            merged.push('\n');
+        });
+        assert_eq!(whole.canonical_jsonl(), merged);
+        let times: Vec<f64> = merged
+            .lines()
+            .map(|l| TraceEvent::from_json(&Json::parse(l).unwrap()).unwrap().time())
+            .collect();
+        assert!(times.windows(2).all(|w| w[0] <= w[1]), "sorted by time first");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::json::Json;
 /// What a counter's value means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CounterType {
-    /// Monotone count of packets/frames/events.
+    /// Monotone count of packets/frames/events/units.
     Packets,
     /// Monotone count of bytes.
     Bytes,
@@ -119,16 +119,6 @@ impl CounterSnapshot {
             .binary_search_by(|(n, _, _)| n.as_str().cmp(name))
             .ok()
             .map(|i| self.counters[i].2)
-    }
-
-    /// Sum of all counters whose name starts with `prefix` and whose flavor
-    /// is monotone (gauges are excluded from sums).
-    pub fn sum_prefix(&self, prefix: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(n, f, _)| n.starts_with(prefix) && *f != CounterType::Gauge)
-            .map(|(_, _, v)| v)
-            .sum()
     }
 
     /// JSON object `{name: {"type": flavor, "value": v}, ...}` in sorted
