@@ -3,6 +3,8 @@
 #
 #   ./ci.sh          # fmt check + clippy + tier-1 build/test
 #   ./ci.sh quick    # skip the release build, debug tests only
+#   ./ci.sh pairs <base-ref> <workload> [pairs=10]
+#                    # measure a change against a commit (no gates run)
 #
 # Tier-1 (ROADMAP.md): `cargo build --release && cargo test -q` must pass.
 set -eu
@@ -10,6 +12,84 @@ set -eu
 cd "$(dirname "$0")"
 
 say() { printf '\n== %s ==\n' "$1"; }
+
+# The measurement rule as one command (ROADMAP "alternated parent/change
+# pairs"): build the benchmark of <base-ref> and of the working tree, run
+# the workload's timed pass on each, alternately, the side that goes first
+# alternating too, and print every pair's wall_s, each side's median and
+# quartiles, and who won. A gain counts when the change wins at least nine
+# tenths of the pairs and the medians differ by more than the distance
+# between the base's own quartiles. Writes only under target/.
+pairs() {
+    usage="usage: ./ci.sh pairs <base-ref> <workload> [pairs=10]"
+    base_ref="${1:?$usage}"
+    workload="${2:?$usage}"
+    count="${3:-10}"
+    [ "$count" -ge 1 ] 2>/dev/null || { echo "$usage" >&2; exit 2; }
+    root="$PWD/target/pairs"
+    mkdir -p "$root"
+    git worktree remove --force "$root/base" 2>/dev/null || true
+    git worktree add --detach "$root/base" "$base_ref" >/dev/null
+    trap 'git worktree remove --force "$root/base"' EXIT
+    say "pairs: building $base_ref and the working tree"
+    cargo build --release --locked --manifest-path "$root/base/benchmark/Cargo.toml" \
+        --target-dir "$root/base-target"
+    cargo build --release --locked --manifest-path benchmark/Cargo.toml \
+        --target-dir "$root/change-target"
+    # One timed pass from the checkout it was built from; its last output
+    # line is the result object.
+    wall_s() {
+        w="$(cd "$1" && "$root/$2-target/release/benchmark" run \
+            --workload "$workload" --seed 1 --trace 0 \
+            | sed -n '$s/.*"wall_s":{"value":\([0-9.eE+-]*\).*/\1/p')"
+        [ -n "$w" ] || { echo "no wall_s from the $2 side's timed pass" >&2; exit 1; }
+        echo "$w"
+    }
+    say "pairs: $workload, wall_s, $count pairs, base = $base_ref"
+    printf '%-5s %-7s %12s %12s\n' pair first base change
+    i=1
+    : >"$root/walls"
+    while [ "$i" -le "$count" ]; do
+        if [ $((i % 2)) -eq 1 ]; then
+            first=base
+            b="$(wall_s "$root/base" base)"
+            c="$(wall_s "$PWD" change)"
+        else
+            first=change
+            c="$(wall_s "$PWD" change)"
+            b="$(wall_s "$root/base" base)"
+        fi
+        printf '%-5s %-7s %12.4f %12.4f\n' "$i" "$first" "$b" "$c"
+        echo "$b $c" >>"$root/walls"
+        i=$((i + 1))
+    done
+    awk '
+        function at(v, n, p,    x, lo) {
+            x = 1 + (n - 1) * p; lo = int(x)
+            return lo >= n ? v[n] : v[lo] + (x - lo) * (v[lo + 1] - v[lo])
+        }
+        function sorted(v, n,    i, j, t) {
+            for (i = 2; i <= n; i++)
+                for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+        }
+        { n++; b[n] = $1; c[n] = $2
+          if ($2 < $1) won++; else if ($1 < $2) lost++; else ties++ }
+        END {
+            sorted(b, n); sorted(c, n)
+            printf "base    median %.4f  q1 %.4f  q3 %.4f\n", at(b, n, .5), at(b, n, .25), at(b, n, .75)
+            printf "change  median %.4f  q1 %.4f  q3 %.4f\n", at(c, n, .5), at(c, n, .25), at(c, n, .75)
+            printf "change wins %d, base wins %d, ties %d of %d pairs; change/base medians %.3f\n",
+                won, lost, ties, n, at(c, n, .5) / at(b, n, .5)
+            gain = won >= 0.9 * n && at(b, n, .5) - at(c, n, .5) > at(b, n, .75) - at(b, n, .25)
+            print (gain ? "a gain by the rule" : "not a gain by the rule")
+        }' "$root/walls"
+}
+
+if [ "${1:-}" = "pairs" ]; then
+    shift
+    pairs "$@"
+    exit 0
+fi
 
 say "rustfmt (check only)"
 cargo fmt --check

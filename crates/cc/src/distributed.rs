@@ -236,140 +236,277 @@ impl LinkPriceState {
     }
 
     fn index_of(&self, link: LinkId) -> usize {
+        // A network lists a node's egress links in the order they were
+        // added, which is ascending; the scan is for one that does not.
+        let found = match self.egress.binary_search(&link) {
+            Ok(i) => Some(i),
+            Err(_) => self.egress.iter().position(|&e| e == link),
+        };
         // empower-lint: allow(D005) — internal helper; the egress set is
         // fixed at construction and every caller passes a member of it.
-        self.egress.iter().position(|&e| e == link).expect("link is an egress of this node")
+        found.expect("link is an egress of this node")
     }
 }
 
-/// Precomputed index plan over the concatenated broadcast vector.
+/// The network-wide broadcast channel of one run: the concatenated
+/// broadcast vector, the index plan over it, and one control slot of
+/// Eqs. (7)+(8) that costs what carries state.
 ///
-/// The *layout* of the broadcast vector produced by calling
+/// The *layout* of the vector produced by calling
 /// [`LinkPriceState::make_broadcasts_into`] for a fixed slice of states in a
 /// fixed order never changes during a run: it depends only on each node's
 /// egress set and the links' media, neither of which topology dynamics
-/// touch (dead links keep their slot with zero demand). The plan exploits
-/// that to replace the per-slot `(from, medium)` membership scans — an
-/// `O(egress × broadcasts × |domain nodes|)` pass per node — with direct
-/// indexed sums, and to drop the per-slot scratch vector
-/// [`LinkPriceState::update_gammas_with_tcp_margin`] allocates.
+/// touch (dead links keep their slot with zero demand). So the plan keeps
+/// one persistent vector and refreshes entries in place, and it knows, per
+/// egress link, the ascending entries the link overhears (for the per-hop
+/// price of Eq. (9)) and, per entry, the ascending links that overhear it
+/// (for the per-slot update).
 ///
-/// Every floating-point sum iterates in ascending broadcast-vector order,
-/// exactly like the scanning originals, so the planned variants are
-/// **bit-identical** to them (asserted in this module's tests).
+/// Every floating-point sum receives its terms in ascending
+/// broadcast-vector order, exactly like the scanning originals on
+/// [`LinkPriceState`], so the planned variants are **bit-identical** to
+/// them (asserted in this module's tests).
 #[derive(Debug, Clone)]
 pub struct BroadcastPlan {
     /// Per state, per egress link: ascending indices into the broadcast
     /// vector of the `(node, medium)` entries in the link's overhearing set.
     indices: Vec<Vec<Vec<u32>>>,
+    /// Per broadcast entry: the links that overhear it, ascending: the
+    /// transpose of `indices`, same total size.
+    listeners: Vec<Vec<LinkId>>,
     /// Per [`LinkId`] index: the link's position in its owner's egress list.
     egress_pos: Vec<u32>,
-    /// Expected broadcast-vector length (for debug sanity checks).
-    len: usize,
+    /// Per [`LinkId`] index: the entry its owner aggregates it into.
+    entry_of: Vec<u32>,
+    /// Per state: its first entry; one past the last state's at the end.
+    entry_start: Vec<u32>,
+    /// The broadcast vector as of the last refresh.
+    broadcasts: Vec<PriceBroadcast>,
+    /// Per [`LinkId`] index: what the link heard this slot (scratch of
+    /// [`BroadcastPlan::update_gammas_with_tcp_margin`]).
+    heard: Vec<Heard>,
+}
+
+/// The two halves of Eq. (7)'s `y_l` and the §6.4 flag, as one link
+/// accumulates them during a slot.
+#[derive(Debug, Clone, Copy, Default)]
+struct Heard {
+    /// `Σ airtime_demand` over the overheard broadcasts.
+    external: f64,
+    /// `Σ d_j x_j` over the owner's own egress links inside `I_l`.
+    internal: f64,
+    /// An overheard broadcaster receives TCP.
+    tcp: bool,
 }
 
 impl BroadcastPlan {
-    /// Builds the plan for `states`, which must be the exact slice (same
-    /// order) whose broadcasts are later concatenated per slot.
+    /// Builds the plan for `states`, one per node in node order (the slice
+    /// every later call takes); the vector starts as what they broadcast
+    /// now.
+    ///
+    /// # Panics
+    /// Panics if `states[i]` does not belong to node `i`.
     pub fn new(net: &Network, states: &[LinkPriceState]) -> Self {
-        // Reproduce the layout make_broadcasts_into generates: per state,
-        // one entry per distinct egress medium, in first-seen order.
-        let mut layout: Vec<(NodeId, Medium)> = Vec::new();
+        assert!(
+            states.iter().enumerate().all(|(i, s)| s.node.index() == i),
+            "price states must be indexed by node"
+        );
+        // The vector make_broadcasts_into generates: per state, one entry
+        // per distinct egress medium, in first-seen order.
+        let mut broadcasts = Vec::new();
+        let mut entry_start = Vec::with_capacity(states.len() + 1);
         for s in states {
-            let start = layout.len();
-            for &l in &s.egress {
-                let medium = net.link(l).medium;
-                if !layout[start..].iter().any(|&(_, m)| m == medium) {
-                    layout.push((s.node, medium));
+            entry_start.push(broadcasts.len() as u32);
+            s.make_broadcasts_into(net, &mut broadcasts);
+        }
+        entry_start.push(broadcasts.len() as u32);
+        let entry_index = |node: NodeId, medium: Medium| {
+            let start = entry_start[node.index()] as usize;
+            let end = entry_start[node.index() + 1] as usize;
+            (start..end).find(|&e| broadcasts[e].medium == medium)
+        };
+        let mut egress_pos = vec![0u32; net.link_count()];
+        let mut entry_of = vec![0u32; net.link_count()];
+        let mut listeners = vec![Vec::new(); broadcasts.len()];
+        // Links in ascending id order, so every listener list ascends.
+        for lk in net.links() {
+            let s = &states[lk.from.index()];
+            let pos = s.index_of(lk.id);
+            egress_pos[lk.id.index()] = pos as u32;
+            // empower-lint: allow(D005) — the entry was appended two loops
+            // up for exactly this (owner, medium)
+            entry_of[lk.id.index()] = entry_index(lk.from, lk.medium).expect("own entry") as u32;
+            for &(node, medium) in &s.overheard[pos].0 {
+                if let Some(e) = entry_index(node, medium) {
+                    listeners[e].push(lk.id);
                 }
             }
         }
-        let indices = states
-            .iter()
-            .map(|s| {
-                s.overheard
-                    .iter()
-                    .map(|(nodes, _)| {
-                        layout
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, nm)| nodes.contains(nm))
-                            .map(|(i, _)| i as u32)
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut egress_pos = vec![0u32; net.link_count()];
-        for s in states {
-            for (pos, &l) in s.egress.iter().enumerate() {
-                egress_pos[l.index()] = pos as u32;
+        let mut indices: Vec<Vec<Vec<u32>>> =
+            states.iter().map(|s| vec![Vec::new(); s.egress.len()]).collect();
+        // Entries in ascending order, so every row ascends.
+        for (e, heard_by) in listeners.iter().enumerate() {
+            for &l in heard_by {
+                let owner = net.link(l).from.index();
+                indices[owner][egress_pos[l.index()] as usize].push(e as u32);
             }
         }
-        BroadcastPlan { indices, egress_pos, len: layout.len() }
+        BroadcastPlan {
+            indices,
+            listeners,
+            egress_pos,
+            entry_of,
+            entry_start,
+            broadcasts,
+            heard: vec![Heard::default(); net.link_count()],
+        }
     }
 
-    /// Planned, allocation-free equivalent of calling
-    /// [`LinkPriceState::update_gammas_with_tcp_margin`] on every state:
-    /// one slot of Eq. (7)+(8) for the whole network. Returns the total
-    /// airtime-margin violations, like summing the per-state calls.
+    /// One control slot for the whole network: every node in `speakers`
+    /// broadcasts, every link in `priced` combines what it overhears with
+    /// its owner's measurements into `y_l` (Eq. (7)) and updates `γ_l`
+    /// (Eq. (8), with `delta_tcp` in place of `delta` wherever the link's
+    /// owner or an overheard broadcaster receives TCP, §6.4), and the
+    /// speakers broadcast again so the vector carries the updated γ sums
+    /// into the coming slot. Returns the airtime-margin violations
+    /// (`y_l > 1 − δ`) and how many elements the slot visited (link states,
+    /// overhearing entries, egress links behind refreshed broadcasts).
+    ///
+    /// This equals calling [`LinkPriceState::update_gammas_with_tcp_margin`]
+    /// on every state bit for bit, provided the two ascending lists cover
+    /// what carries state, which is the caller's to guarantee:
+    ///
+    /// * `speakers` holds every node that owns a link of `priced` or has
+    ///   its TCP flag set (any other node broadcasts its construction
+    ///   values: zero demand, zero γ, no flag);
+    /// * `priced` holds every link that overhears an entry with nonzero
+    ///   demand, or shares its owner and an interference domain with a
+    ///   link of nonzero demand (any other link has `y_l = 0`, so its γ
+    ///   rests at zero while `max(δ, δ_tcp) < 1`).
+    ///
+    /// Why the bits agree: Eq. (7) is computed by scatter where the
+    /// scanning original gathers. Each nonzero or flagged entry, in
+    /// ascending entry order, is added to the links that overhear it, and
+    /// each link of nonzero demand, in ascending link order, to the links
+    /// of its owner in its domain (domains are symmetric, so the link's
+    /// own `I_l` names them). A link therefore receives exactly the terms
+    /// its gather would have summed, in the same order, minus terms that
+    /// are `+0.0`; and `x + 0.0 == x` bit for bit for every `x` a sum
+    /// started at `+0.0` can reach (it is never `-0.0`).
     pub fn update_gammas_with_tcp_margin(
-        &self,
+        &mut self,
         states: &mut [LinkPriceState],
-        broadcasts: &[PriceBroadcast],
+        speakers: &[NodeId],
+        priced: &[LinkId],
         alpha: f64,
         delta: f64,
         delta_tcp: f64,
-    ) -> usize {
-        debug_assert_eq!(broadcasts.len(), self.len, "broadcast layout changed under the plan");
-        debug_assert_eq!(states.len(), self.indices.len());
-        let mut violations = 0;
-        for (s, rows) in states.iter_mut().zip(&self.indices) {
-            for (i, row) in rows.iter().enumerate() {
-                let mut external = 0.0;
-                let mut tcp = s.tcp_receiver;
-                for &bi in row {
-                    let b = &broadcasts[bi as usize];
-                    external += b.airtime_demand;
-                    tcp |= b.tcp_receiver;
+    ) -> (usize, u64) {
+        debug_assert_eq!(states.len() + 1, self.entry_start.len());
+        let mut visits = self.refresh(states, speakers) + 2 * priced.len() as u64;
+        for &l in priced {
+            self.heard[l.index()] = Heard::default();
+        }
+        for &l in priced {
+            let s = &states[self.owner_of(l)];
+            let i = self.egress_pos[l.index()] as usize;
+            let demand = s.demand[i];
+            if demand.to_bits() != 0 {
+                let own = &s.overheard[i].1;
+                for &j in own {
+                    self.heard[s.egress[j].index()].internal += demand;
                 }
-                let internal: f64 = s.overheard[i].1.iter().map(|&j| s.demand[j]).sum();
-                let yl = external + internal;
-                let d = if tcp { delta_tcp } else { delta };
-                let g = &mut s.gamma[i];
-                *g = (*g + alpha * (yl - (1.0 - d))).max(0.0);
-                if yl > 1.0 - d {
-                    violations += 1;
-                }
+                visits += own.len() as u64;
             }
         }
-        violations
+        for &n in speakers {
+            let (first, end) = (self.entry_start[n.index()], self.entry_start[n.index() + 1]);
+            for e in first as usize..end as usize {
+                let b = self.broadcasts[e];
+                if b.airtime_demand.to_bits() == 0 && !b.tcp_receiver {
+                    continue;
+                }
+                debug_assert!(
+                    b.airtime_demand.to_bits() == 0
+                        || self.listeners[e].iter().all(|l| priced.binary_search(l).is_ok()),
+                    "a link overhearing demand from {:?} is missing from the priced set",
+                    b.from
+                );
+                for &l in &self.listeners[e] {
+                    let h = &mut self.heard[l.index()];
+                    h.external += b.airtime_demand;
+                    h.tcp |= b.tcp_receiver;
+                }
+                visits += self.listeners[e].len() as u64;
+            }
+        }
+        let mut violations = 0;
+        for &l in priced {
+            let s = &mut states[self.owner_of(l)];
+            let h = self.heard[l.index()];
+            let yl = h.external + h.internal;
+            let d = if s.tcp_receiver || h.tcp { delta_tcp } else { delta };
+            let g = &mut s.gamma[self.egress_pos[l.index()] as usize];
+            *g = (*g + alpha * (yl - (1.0 - d))).max(0.0);
+            if yl > 1.0 - d {
+                violations += 1;
+            }
+        }
+        visits += self.refresh(states, speakers);
+        (violations, visits)
+    }
+
+    /// Index of the state (= node) that owns `link`.
+    fn owner_of(&self, link: LinkId) -> usize {
+        self.broadcasts[self.entry_of[link.index()] as usize].from.index()
+    }
+
+    /// Rewrites the entries of `speakers` from their states, with the
+    /// arithmetic of [`LinkPriceState::make_broadcasts_into`]: the first
+    /// egress link of a medium assigns, later ones add, in egress order.
+    /// Returns the egress links visited.
+    fn refresh(&mut self, states: &[LinkPriceState], speakers: &[NodeId]) -> u64 {
+        let mut visits = 0;
+        for &n in speakers {
+            let s = &states[n.index()];
+            // Entries were laid out in first-seen order, so a medium's
+            // first link is the one that maps to the next unwritten entry.
+            let mut unwritten = self.entry_start[n.index()];
+            for (i, &l) in s.egress.iter().enumerate() {
+                let e = self.entry_of[l.index()];
+                let b = &mut self.broadcasts[e as usize];
+                if e == unwritten {
+                    b.airtime_demand = s.demand[i];
+                    b.gamma_sum = s.gamma[i];
+                    b.tcp_receiver = s.tcp_receiver;
+                    unwritten += 1;
+                } else {
+                    b.airtime_demand += s.demand[i];
+                    b.gamma_sum += s.gamma[i];
+                }
+            }
+            visits += s.egress.len() as u64;
+        }
+        visits
     }
 
     /// Planned equivalent of [`LinkPriceState::price_contribution`] for the
-    /// state at `state_index` (the owner of `link`).
+    /// state at `state_index` (the owner of `link`), over the broadcasts of
+    /// the last slot (construction values before the first).
     pub fn price_contribution(
         &self,
         net: &Network,
         states: &[LinkPriceState],
-        broadcasts: &[PriceBroadcast],
         state_index: usize,
         link: LinkId,
     ) -> f64 {
-        // Empty = no slot has broadcast yet (or the scheme never does, e.g.
-        // plain single-path TCP): the scanning original sums to zero there.
-        debug_assert!(
-            broadcasts.len() == self.len || broadcasts.is_empty(),
-            "broadcast layout changed under the plan"
-        );
         let s = &states[state_index];
         debug_assert_eq!(net.link(link).from, s.node, "state is not the owner of the link");
         let i = self.egress_pos[link.index()] as usize;
-        let external: f64 = if broadcasts.is_empty() {
-            0.0
-        } else {
-            self.indices[state_index][i].iter().map(|&bi| broadcasts[bi as usize].gamma_sum).sum()
-        };
+        let external: f64 = self.indices[state_index][i]
+            .iter()
+            .map(|&bi| self.broadcasts[bi as usize].gamma_sum)
+            .sum();
         let internal: f64 = s.overheard[i].1.iter().map(|&j| s.gamma[j]).sum();
         net.link(link).cost() * (external + internal)
     }
@@ -522,50 +659,132 @@ mod tests {
     fn planned_slot_updates_are_bit_identical_to_scanning() {
         use empower_model::topology::testbed22;
         use empower_model::CarrierSense;
-        // The 22-node testbed under carrier-sense interference: large,
-        // irregular overhearing sets — the regime the plan is for.
+        use std::collections::BTreeSet;
+        // The 22-node testbed with carrier sensing cut to the connection
+        // radius: large, irregular overhearing sets, and nodes whose egress
+        // links on one medium do not share one domain, so a link overhears
+        // broadcasts none of whose demand is inside its own `I_l`.
         let net = testbed22(3).net;
-        let imap = CarrierSense::default().build_map(&net);
-        let mut scanning: Vec<LinkPriceState> =
+        let imap = CarrierSense { wifi_sense_range_m: 35.0 }.build_map(&net);
+        let fresh: Vec<LinkPriceState> =
             net.nodes().iter().map(|n| LinkPriceState::new(&net, &imap, n.id)).collect();
-        let mut planned = scanning.clone();
-        let plan = BroadcastPlan::new(&net, &scanning);
-        // Deterministic pseudo-demands, a TCP receiver, and several slots so
-        // gammas accumulate through the nonlinearity.
-        for slot in 0..5u64 {
-            for s in scanning.iter_mut().chain(planned.iter_mut()) {
-                s.set_tcp_receiver(s.node().index() == 4);
-                let egress: Vec<LinkId> = s.egress.clone();
-                for (k, l) in egress.into_iter().enumerate() {
-                    let d = ((slot + 1) * (k as u64 * 7 + l.index() as u64 * 13 + 1) % 97) as f64
-                        / 97.0;
-                    s.set_demand(l, d);
+        let (a, b, c) = (LinkId(7), LinkId(300), LinkId(net.link_count() as u32 - 1));
+        let plan = BroadcastPlan::new(&net, &fresh);
+        let overheard_beyond_its_domain = net.links().iter().any(|lk| {
+            let heard_by = &plan.listeners[plan.entry_of[lk.id.index()] as usize];
+            heard_by.iter().any(|&l| !imap.interferes(lk.id, l))
+        });
+        assert!(overheard_beyond_its_domain, "the per-technology aggregation should be inexact");
+        let elsewhere = net
+            .nodes()
+            .iter()
+            .map(|n| n.id)
+            .find(|&n| [a, b, c].iter().all(|&l| net.link(l).from != n))
+            .unwrap();
+        let few = move |slot: u64, l: LinkId| match l {
+            l if l == a => 0.3 * (slot + 1) as f64,
+            l if l == b => 0.6,
+            l if l == c => 1.4,
+            _ => 0.0,
+        };
+        // (what the case is, demand of link `l` in `slot`, TCP receiver).
+        type Demand = Box<dyn Fn(u64, LinkId) -> f64>;
+        let cases: Vec<(&str, Demand, Option<NodeId>)> = vec![
+            (
+                "every link loaded",
+                Box::new(|slot, l| ((slot + 1) * (l.index() as u64 * 13 + 1) % 97) as f64 / 97.0),
+                Some(NodeId(4)),
+            ),
+            ("3 links loaded", Box::new(few), Some(net.link(a).from)),
+            (
+                "subnormal demands",
+                Box::new(|_, l| match l.index() {
+                    7 => f64::from_bits(2),
+                    300 => f64::from_bits(9),
+                    _ => 0.0,
+                }),
+                None,
+            ),
+            ("no demand at all", Box::new(|_, _| 0.0), None),
+            ("TCP receiver that owns no loaded link", Box::new(few), Some(elsewhere)),
+            ("no demand, one TCP receiver", Box::new(|_, _| 0.0), Some(elsewhere)),
+        ];
+        for (case, demand, tcp_node) in cases {
+            let mut scanning = fresh.clone();
+            let mut planned = fresh.clone();
+            let mut plan = BroadcastPlan::new(&net, &planned);
+            // The least the contract of the planned update asks for.
+            let (mut priced, mut speakers) = (BTreeSet::new(), BTreeSet::new());
+            speakers.extend(tcp_node);
+            // Several slots, so gammas accumulate through the nonlinearity.
+            for slot in 0..5u64 {
+                for s in scanning.iter_mut().chain(planned.iter_mut()) {
+                    s.set_tcp_receiver(Some(s.node()) == tcp_node);
+                    for l in s.egress.clone() {
+                        s.set_demand(l, demand(slot, l));
+                    }
+                }
+                for lk in net.links().iter().filter(|lk| demand(slot, lk.id).to_bits() != 0) {
+                    priced.extend(&plan.listeners[plan.entry_of[lk.id.index()] as usize]);
+                    let same_owner = |l: &&LinkId| net.link(**l).from == lk.from;
+                    priced.extend(imap.domain(lk.id).iter().filter(same_owner));
+                }
+                speakers.extend(priced.iter().map(|&l| net.link(l).from));
+                let priced_now: Vec<LinkId> = priced.iter().copied().collect();
+                let speakers_now: Vec<NodeId> = speakers.iter().copied().collect();
+
+                let mut bcast = Vec::new();
+                for s in &scanning {
+                    s.make_broadcasts_into(&net, &mut bcast);
+                }
+                let mut viol_scan = 0;
+                for s in scanning.iter_mut() {
+                    viol_scan += s.update_gammas_with_tcp_margin(&bcast, 0.02, 0.05, 0.3);
+                }
+                let (viol_plan, _) = plan.update_gammas_with_tcp_margin(
+                    &mut planned,
+                    &speakers_now,
+                    &priced_now,
+                    0.02,
+                    0.05,
+                    0.3,
+                );
+                assert_eq!(viol_scan, viol_plan, "{case}, slot {slot}: violation counts");
+                let bits = |v: &[f64]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+                for (a, b) in scanning.iter().zip(&planned) {
+                    assert_eq!(bits(&a.gamma), bits(&b.gamma), "{case}, slot {slot}: {:?}", a.node);
+                }
+                // The vector the plan carries into the coming slot is the
+                // one the states would broadcast now, and prices every hop
+                // like the scanning original does from it.
+                bcast.clear();
+                for s in &scanning {
+                    s.make_broadcasts_into(&net, &mut bcast);
+                }
+                assert_eq!(plan.broadcasts.len(), bcast.len());
+                for (a, b) in plan.broadcasts.iter().zip(&bcast) {
+                    assert_eq!(
+                        (a.from, a.medium, a.tcp_receiver),
+                        (b.from, b.medium, b.tcp_receiver)
+                    );
+                    assert_eq!(a.airtime_demand.to_bits(), b.airtime_demand.to_bits(), "{case}");
+                    assert_eq!(a.gamma_sum.to_bits(), b.gamma_sum.to_bits(), "{case}");
+                }
+                for lk in net.links() {
+                    let owner = lk.from.index();
+                    let direct = scanning[owner].price_contribution(&net, &bcast, lk.id);
+                    let fast = plan.price_contribution(&net, &planned, owner, lk.id);
+                    assert!(
+                        direct.to_bits() == fast.to_bits(),
+                        "{case}, slot {slot}, {:?}: {direct} vs {fast}",
+                        lk.id
+                    );
                 }
             }
-            let mut bcast = Vec::new();
-            for s in &scanning {
-                s.make_broadcasts_into(&net, &mut bcast);
-            }
-            let mut viol_scan = 0;
-            for s in scanning.iter_mut() {
-                viol_scan += s.update_gammas_with_tcp_margin(&bcast, 0.02, 0.05, 0.3);
-            }
-            let viol_plan =
-                plan.update_gammas_with_tcp_margin(&mut planned, &bcast, 0.02, 0.05, 0.3);
-            assert_eq!(viol_scan, viol_plan, "slot {slot}: violation counts diverged");
-            for (a, b) in scanning.iter().zip(&planned) {
-                assert_eq!(a.gamma, b.gamma, "slot {slot}: gammas diverged at node {:?}", a.node);
-            }
-            // Price contributions from the updated gammas, every link.
-            for l in 0..net.link_count() {
-                let link = LinkId(l as u32);
-                let owner = net.link(link).from.index();
-                let direct = scanning[owner].price_contribution(&net, &bcast, link);
-                let fast = plan.price_contribution(&net, &planned, &bcast, owner, link);
-                assert!(
-                    direct.to_bits() == fast.to_bits(),
-                    "slot {slot} link {l}: {direct} vs {fast}"
-                );
+            match case {
+                "every link loaded" => assert_eq!(priced.len(), net.link_count()),
+                "no demand at all" | "no demand, one TCP receiver" => assert!(priced.is_empty()),
+                _ => assert!(priced.len() < net.link_count(), "{case}: {} priced", priced.len()),
             }
         }
     }

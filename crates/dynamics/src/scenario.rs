@@ -344,6 +344,11 @@ impl Scenario {
         if !positive(self.run.poll_secs) {
             return serr("run.poll_secs", "must be > 0");
         }
+        // Eq. (3) leaves `1 − δ` of every domain's airtime to the flows: a
+        // margin of 1 or more leaves nothing, NaN leaves nonsense.
+        if !(0.0..1.0).contains(&self.run.delta) {
+            return serr("run.delta", "must be in [0, 1)");
+        }
         if !(0.0..=1.0).contains(&self.run.recovery_fraction) {
             return serr("run.recovery_fraction", "must be in [0, 1]");
         }
@@ -695,6 +700,15 @@ mod tests {
             format!("{}both = \"yes\"{}", &toml[..last], &toml[last + "both = true".len()..]);
         let err = Scenario::parse_str(&text).unwrap_err();
         assert_eq!(err.path, "generators[0].both", "{err}");
+        // A margin that leaves Eq. (3) no airtime is rejected where it enters.
+        assert_eq!(toml.matches("delta = 0.0").count(), 1, "{toml}");
+        for margin in ["1.5", "1.0", "-0.1", "nan"] {
+            let text = toml.replace("delta = 0.0", &format!("delta = {margin}"));
+            let err = Scenario::parse_str(&text).unwrap_err();
+            assert_eq!(err.path, "run.delta", "delta = {margin}: {err}");
+        }
+        let text = toml.replace("delta = 0.0", "delta = 0.3");
+        assert_eq!(Scenario::parse_str(&text).unwrap().run.delta, 0.3);
     }
 
     #[test]

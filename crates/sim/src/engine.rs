@@ -11,7 +11,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use empower_cc::{BroadcastPlan, FlowController, LinkPriceState, PriceBroadcast, ProportionalFair};
+use empower_cc::{BroadcastPlan, FlowController, LinkPriceState, ProportionalFair};
 use empower_datapath::{
     AdmitOutcome, CtrlMsg, DatapathConfig, EmpowerHeader, FlowDatapath, IfaceId, IfaceRegistry,
     Outbox, PktHandle, PktPool, PriceStampNode, ReorderEvent, SchedulerConfig, SourceRoute,
@@ -99,6 +99,99 @@ pub(crate) const STREAM_FLOW: u64 = 0x464c_4f57; // "FLOW"
 /// Stream-family tag for per-link RNG streams.
 pub(crate) const STREAM_LINK: u64 = 0x4c49_4e4b; // "LINK"
 
+/// The links and nodes a control tick has to visit, as three grow-only
+/// ascending id lists. Everything outside them is at the state it was
+/// constructed with and a tick would leave it there, so the tick skips it.
+///
+/// * `active`: links ever offered a frame. Only they measure demand, so
+///   only their smoothed demands and penalty demands can be nonzero.
+/// * `priced`: links whose `y_l` (Eq. (7)), and with it `γ_l`, can be
+///   nonzero. A node announces its demand summed per technology (§4.2), so
+///   an active link `a` is overheard wherever any egress link of its owner
+///   on its medium is: `priced` is `⋃ I_e` over those links `e` (which
+///   contains `I_a`, hence every link whose saturation-penalty sum `a`
+///   feeds).
+/// * `speakers`: nodes whose broadcasts can differ from the all-zero ones
+///   they start with: owners of priced links and TCP receivers (§6.4).
+///
+/// The lists never shrink, by measurement: after its last frame a link's
+/// demand EWMA does not decay to zero but settles on the subnormal
+/// 2 × 2⁻¹⁰⁷⁴ (after some 2 600 slots, the penalty EWMA on 9 × 2⁻¹⁰⁷⁴ after
+/// some 14 400), so a link that carried state once carries it for good. The
+/// worst case, every link active, costs what iterating all links costs.
+struct ActiveSets {
+    active: Vec<LinkId>,
+    priced: Vec<LinkId>,
+    speakers: Vec<NodeId>,
+    is_active: Vec<bool>,
+    is_priced: Vec<bool>,
+}
+
+impl ActiveSets {
+    /// Empty sets, or every link and every link-owning node from the start
+    /// when `cfg` makes a tick move a link that carries nothing.
+    fn new(net: &Network, cfg: &SimConfig) -> Self {
+        let mut sets = ActiveSets {
+            active: Vec::new(),
+            priced: Vec::new(),
+            speakers: Vec::new(),
+            is_active: vec![false; net.link_count()],
+            is_priced: vec![false; net.link_count()],
+        };
+        if !Self::idle_links_rest(cfg) {
+            sets.active = net.links().iter().map(|lk| lk.id).collect();
+            sets.priced = sets.active.clone();
+            sets.is_active.fill(true);
+            sets.is_priced.fill(true);
+            let owns_a_link = |n: &NodeId| net.out_links(*n).next().is_some();
+            sets.speakers = net.nodes().iter().map(|n| n.id).filter(owns_a_link).collect();
+        }
+        sets
+    }
+
+    /// Whether one control slot maps a link with no demand of its own and
+    /// none in earshot onto itself: no random draw, demand EWMA zero, γ
+    /// zero, no margin violation. This is a rule on the input, not a
+    /// switch: it fails when `estimation_rel_std > 0` (one draw per link
+    /// per slot) or `max(δ, δ_tcp) ≥ 1` (Eq. (8) raises the γ of an idle
+    /// link), and for inputs as odd as a negative `α`, by evaluating the
+    /// slot's own expressions at zero.
+    fn idle_links_rest(cfg: &SimConfig) -> bool {
+        let demand = cfg.demand_ewma * 0.0 + (1.0 - cfg.demand_ewma) * 0.0;
+        let rests = |d: f64| {
+            let gamma = (0.0 + cfg.cc.alpha * (0.0 - (1.0 - d))).max(0.0);
+            gamma.to_bits() == 0 && 1.0 - d >= 0.0
+        };
+        cfg.estimation_rel_std <= 0.0
+            && demand.to_bits() == 0
+            && rests(cfg.delta)
+            && rests(cfg.tcp_delta.max(cfg.delta))
+    }
+
+    /// Joins `link`, offered its first frame, and what follows from it.
+    fn activate(&mut self, net: &Network, imap: &InterferenceMap, link: LinkId) {
+        self.is_active[link.index()] = true;
+        insert_ascending(&mut self.active, link);
+        let (owner, medium) = (net.link(link).from, net.link(link).medium);
+        for e in net.out_links(owner).filter(|e| e.medium == medium) {
+            for &p in imap.domain(e.id) {
+                if !self.is_priced[p.index()] {
+                    self.is_priced[p.index()] = true;
+                    insert_ascending(&mut self.priced, p);
+                    insert_ascending(&mut self.speakers, net.link(p).from);
+                }
+            }
+        }
+    }
+}
+
+/// Inserts `id` into the ascending `list` unless it is a member already.
+fn insert_ascending<T: Ord>(list: &mut Vec<T>, id: T) {
+    if let Err(at) = list.binary_search(&id) {
+        list.insert(at, id);
+    }
+}
+
 /// The simulator.
 pub struct Simulation {
     net: Network,
@@ -147,6 +240,9 @@ pub struct Simulation {
     /// `Σ_{i ∈ I_l} penalty_demand[i]`, in domain order, so `try_start`
     /// reads one f64 instead of re-summing per frame.
     domain_penalty: Vec<f64>,
+    /// What the control tick iterates: the links and nodes that can carry
+    /// control-plane state (see [`ActiveSets`]).
+    sets: ActiveSets,
     last_start: Vec<f64>,
     /// Bits enqueued per link since the last control tick (demand).
     demand_bits: Vec<f64>,
@@ -162,11 +258,10 @@ pub struct Simulation {
     /// overdrive must trigger it, single-slot quantization spikes must not.
     penalty_demand: Vec<f64>,
     price_states: Vec<LinkPriceState>,
-    /// Precomputed broadcast-vector index plan (fixed for the whole run):
-    /// replaces the per-slot `(node, medium)` membership scans of the
-    /// reference engine with direct indexed sums, bit-identically.
+    /// The run's broadcast vector and the index plan over it: replaces
+    /// the per-slot `(node, medium)` membership scans of the reference
+    /// engine with indexed sums over what carries state, bit-identically.
     bcast_plan: BroadcastPlan,
-    broadcasts: Vec<PriceBroadcast>,
     flows: Vec<FlowRuntime>,
     stats: Vec<FlowStats>,
     ticks: u64,
@@ -189,12 +284,8 @@ pub struct Simulation {
     scratch_reorder: Vec<ReorderEvent>,
     /// Reused TCP-ACK buffer for `deliver_to_reorder`.
     scratch_acks: Vec<u32>,
-    /// Reused per-node TCP-receiver flags for `control_tick`.
-    scratch_tcp_nodes: Vec<bool>,
     /// Reused no-ack price vector for controller steps.
     scratch_prices: Vec<Option<f64>>,
-    /// Reused broadcast buffer for the first `control_tick` collect.
-    scratch_broadcasts: Vec<PriceBroadcast>,
 }
 
 impl Simulation {
@@ -247,9 +338,9 @@ impl Simulation {
             demand_bits: vec![0.0; l],
             last_demand: vec![0.0; l],
             penalty_demand: vec![0.0; l],
+            sets: ActiveSets::new(&net, &cfg),
             price_states,
             bcast_plan,
-            broadcasts: Vec::new(),
             flows: Vec::new(),
             stats: Vec::new(),
             ticks: 0,
@@ -262,9 +353,7 @@ impl Simulation {
             scratch_links: Vec::new(),
             scratch_reorder: Vec::new(),
             scratch_acks: Vec::new(),
-            scratch_tcp_nodes: Vec::new(),
             scratch_prices: Vec::new(),
-            scratch_broadcasts: Vec::new(),
             events: EventQueue::new(),
             now: 0.0,
             net,
@@ -732,7 +821,6 @@ impl Simulation {
         let contribution = self.bcast_plan.price_contribution(
             &self.net,
             &self.price_states,
-            &self.broadcasts,
             src_node.index(),
             first,
         );
@@ -784,6 +872,9 @@ impl Simulation {
         // to push, which is what the prices must react to), so count the
         // frame even when the queue then drops it.
         self.demand_bits[l] += self.slab.get(id).size_bits as f64;
+        if !self.sets.is_active[l] {
+            self.sets.activate(&self.net, &self.imap, link);
+        }
         if !self.net.link(link).is_alive() || self.queues[l].len() >= self.cfg.queue_frames {
             let (flow, seq) = {
                 let pkt = self.slab.get(id);
@@ -978,7 +1069,6 @@ impl Simulation {
         let contribution = self.bcast_plan.price_contribution(
             &self.net,
             &self.price_states,
-            &self.broadcasts,
             node.index(),
             next_link,
         );
@@ -1159,9 +1249,11 @@ impl Simulation {
     fn control_tick(&mut self) {
         let slot = self.cfg.slot_secs;
         // 1. Per-link airtime-demand measurement over the last slot, with
-        //    optional capacity-estimation error.
-        for l in 0..self.net.link_count() {
-            let link = self.net.link(LinkId(l as u32));
+        //    optional capacity-estimation error. Active links only: any
+        //    other link measured nothing, and both EWMAs map zero to zero.
+        for &id in &self.sets.active {
+            let l = id.index();
+            let link = self.net.link(id);
             let demand = if link.is_alive() {
                 self.demand_bits[l] / (link.capacity_mbps * 1e6 * slot)
             } else if self.demand_bits[l] > 0.0 {
@@ -1182,65 +1274,43 @@ impl Simulation {
             };
             let smoothed =
                 self.cfg.demand_ewma * noisy + (1.0 - self.cfg.demand_ewma) * self.last_demand[l];
-            let owner = link.from;
-            self.price_states[owner.index()].set_demand(LinkId(l as u32), smoothed);
+            self.price_states[link.from.index()].set_demand(id, smoothed);
             self.last_demand[l] = smoothed;
             self.penalty_demand[l] = 0.05 * noisy + 0.95 * self.penalty_demand[l];
             self.demand_bits[l] = 0.0;
         }
-        // Per-domain saturation-penalty sums for the coming slot: one pass
-        // here instead of a domain walk on every frame start.
+        let mut visits = self.sets.active.len() as u64;
         if self.cfg.saturation_penalty > 0.0 {
-            for l in 0..self.net.link_count() {
-                let y: f64 = self
-                    .imap
-                    .domain(LinkId(l as u32))
-                    .iter()
-                    .map(|&i| self.penalty_demand[i.index()])
-                    .sum();
-                self.domain_penalty[l] = y;
-            }
+            visits += self.refresh_domain_penalty();
         }
         // 2. TCP piggyback (§6.4): destinations of active TCP flows flag
         //    themselves; the flag rides on their price broadcasts and
         //    tightens the airtime budget across their contention domains.
-        let mut tcp_nodes = std::mem::take(&mut self.scratch_tcp_nodes);
-        tcp_nodes.clear();
-        tcp_nodes.resize(self.net.node_count(), false);
+        //    A node flagged once stays a speaker, so its flag also clears.
+        for &n in &self.sets.speakers {
+            self.price_states[n.index()].set_tcp_receiver(false);
+        }
         for fl in &self.flows {
             if fl.active && fl.spec.pattern.is_tcp() {
-                tcp_nodes[fl.spec.dst.index()] = true;
+                insert_ascending(&mut self.sets.speakers, fl.spec.dst);
+                self.price_states[fl.spec.dst.index()].set_tcp_receiver(true);
             }
         }
-        for s in self.price_states.iter_mut() {
-            s.set_tcp_receiver(tcp_nodes[s.node().index()]);
-        }
-        self.scratch_tcp_nodes = tcp_nodes;
-        // 3. Broadcast, overhear, update duals.
-        let mut bcast = std::mem::take(&mut self.scratch_broadcasts);
-        bcast.clear();
-        for s in &self.price_states {
-            s.make_broadcasts_into(&self.net, &mut bcast);
-        }
-        let alpha = self.cfg.cc.alpha;
+        // 3. Broadcast, overhear, update duals, broadcast the updated γ
+        //    sums for the coming slot.
         let delta = self.cfg.delta;
-        let delta_tcp = self.cfg.tcp_delta.max(delta);
-        let margin_violations = self.bcast_plan.update_gammas_with_tcp_margin(
+        let (margin_violations, plan_visits) = self.bcast_plan.update_gammas_with_tcp_margin(
             &mut self.price_states,
-            &bcast,
-            alpha,
+            &self.sets.speakers,
+            &self.sets.priced,
+            self.cfg.cc.alpha,
             delta,
-            delta_tcp,
+            self.cfg.tcp_delta.max(delta),
         );
-        self.scratch_broadcasts = bcast;
+        self.perf.tick_visits += visits + plan_visits;
         self.etel.ctrl_ticks.inc();
         self.etel.cc_price_updates.add(self.net.link_count() as u64);
         self.etel.cc_margin_violations.add(margin_violations as u64);
-        // 3. Fresh broadcasts carry the updated γ sums for the coming slot.
-        self.broadcasts.clear();
-        for s in &self.price_states {
-            s.make_broadcasts_into(&self.net, &mut self.broadcasts);
-        }
         // 4. ACKs and controller steps.
         for f in 0..self.flows.len() {
             if self.flows[f].controller.is_none() {
@@ -1291,12 +1361,40 @@ impl Simulation {
         self.ticks += 1;
         // The control-tick chain runs to the caller's horizon uncondition-
         // ally (`run_until` stops it). An idle-detection early exit used to
-        // stop the chain once every flow had drained, but the tick count —
-        // and with it γ decay and the rate-series length — then depended on
+        // stop the chain once every flow had drained, but the tick count,
+        // and with it γ decay and the rate-series length, then depended on
         // *global* drain state, which a sharded run (DESIGN.md §13) cannot
-        // reproduce per shard. Idle ticks are cheap; determinism across
-        // shard counts is not.
+        // reproduce per shard. Nor can drained ticks be skipped and
+        // accounted for arithmetically: once a controlled flow has
+        // delivered a frame its ACK fires and counts every slot, and the
+        // EWMAs keep moving for some 1 440 s after the last frame, so no tick
+        // is the identity. What a tick can be is proportional to the links
+        // that ever carried a frame ([`ActiveSets`]), and it is.
         self.events.push(self.now + slot, Event::ControlTick);
+    }
+
+    /// Per-domain saturation-penalty sums for the coming slot: one pass per
+    /// tick instead of a domain walk on every frame start. Scattered from
+    /// the active links, which equals summing over each link's domain bit
+    /// for bit: domains are sorted and symmetric, so link `l` receives
+    /// `penalty_demand[a]` for the active `a ∈ I_l` in the ascending order
+    /// the sum over `I_l` takes them in, and the terms it does not receive
+    /// are `+0.0`, which no partial sum notices. Returns the elements
+    /// visited.
+    fn refresh_domain_penalty(&mut self) -> u64 {
+        let mut visits = self.sets.priced.len() as u64;
+        for &p in &self.sets.priced {
+            self.domain_penalty[p.index()] = 0.0;
+        }
+        for &a in &self.sets.active {
+            let demand = self.penalty_demand[a.index()];
+            let domain = self.imap.domain(a);
+            for &l in domain {
+                self.domain_penalty[l.index()] += demand;
+            }
+            visits += domain.len() as u64;
+        }
+        visits
     }
 
     fn link_change(&mut self, link: LinkId, capacity_mbps: f64) {
@@ -1750,6 +1848,95 @@ mod tests {
         sim.add_flow(FlowSpecSim::saturated(src, dst, routes, 20.0));
         let report = sim.run(20.0);
         assert!(report.flows[0].delivered_bits > 0);
+    }
+}
+
+#[cfg(test)]
+mod active_set_tests {
+    use super::*;
+    use empower_model::topology::testbed22;
+    use empower_model::{CarrierSense, InterferenceModel};
+
+    /// `domain_penalty` as every tick used to compute it: each link sums
+    /// its own domain.
+    fn gathered(sim: &Simulation) -> Vec<u64> {
+        (0..sim.net.link_count())
+            .map(|l| {
+                let y: f64 = sim
+                    .imap
+                    .domain(LinkId(l as u32))
+                    .iter()
+                    .map(|&i| sim.penalty_demand[i.index()])
+                    .sum();
+                y.to_bits()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn scattered_domain_penalty_is_bit_identical_to_the_gather() {
+        let net = testbed22(3).net;
+        let imap = CarrierSense::default().build_map(&net);
+        let last = LinkId(net.link_count() as u32 - 1);
+        let every: Vec<(LinkId, f64)> = net
+            .links()
+            .iter()
+            .map(|lk| (lk.id, ((lk.id.index() * 13 + 1) % 97) as f64 / 97.0))
+            .collect();
+        let cases: [(&str, Vec<(LinkId, f64)>); 4] = [
+            ("every link loaded", every),
+            ("3 links loaded", vec![(LinkId(7), 0.3), (LinkId(300), 0.6), (last, 1.4)]),
+            (
+                "subnormal demands",
+                vec![(LinkId(7), f64::from_bits(2)), (LinkId(300), f64::from_bits(9))],
+            ),
+            ("no demand at all", Vec::new()),
+        ];
+        for (case, demands) in cases {
+            let mut sim = Simulation::new(net.clone(), imap.clone(), SimConfig::default());
+            // Two rounds: links join between ticks, sums are rebuilt.
+            for round in 1..=2 {
+                for &(l, d) in &demands[..demands.len() * round / 2] {
+                    if !sim.sets.is_active[l.index()] {
+                        sim.sets.activate(&sim.net, &sim.imap, l);
+                    }
+                    sim.penalty_demand[l.index()] = d * round as f64;
+                }
+                sim.refresh_domain_penalty();
+                let scattered: Vec<u64> = sim.domain_penalty.iter().map(|y| y.to_bits()).collect();
+                assert_eq!(scattered, gathered(&sim), "{case}, round {round}");
+            }
+            let priced = sim.sets.priced.len();
+            match case {
+                "every link loaded" => assert_eq!(priced, net.link_count()),
+                "no demand at all" => assert_eq!(priced, 0),
+                _ => assert!(0 < priced && priced < net.link_count(), "{case}: {priced} priced"),
+            }
+            assert!(sim.sets.active.is_sorted() && sim.sets.priced.is_sorted(), "{case}");
+            assert!(sim.sets.speakers.is_sorted(), "{case}");
+        }
+    }
+
+    #[test]
+    fn an_input_that_moves_idle_links_makes_every_link_active_from_construction() {
+        let rests = |cfg: SimConfig| ActiveSets::idle_links_rest(&cfg);
+        assert!(rests(SimConfig::default()));
+        assert!(rests(SimConfig { delta: 0.05, ..Default::default() }));
+        assert!(!rests(SimConfig { estimation_rel_std: 0.2, ..Default::default() }));
+        assert!(!rests(SimConfig { delta: 1.5, ..Default::default() }));
+        assert!(!rests(SimConfig { tcp_delta: 1.5, ..Default::default() }));
+        let mut negative_alpha = SimConfig::default();
+        negative_alpha.cc.alpha = -0.02;
+        assert!(!rests(negative_alpha));
+        assert!(!rests(SimConfig { demand_ewma: f64::INFINITY, ..Default::default() }));
+
+        let net = testbed22(3).net;
+        let imap = CarrierSense::default().build_map(&net);
+        let noisy = SimConfig { estimation_rel_std: 0.2, ..Default::default() };
+        let sim = Simulation::new(net.clone(), imap, noisy);
+        assert_eq!(sim.sets.active.len(), net.link_count());
+        assert_eq!(sim.sets.priced.len(), net.link_count());
+        assert_eq!(sim.sets.speakers.len(), net.node_count());
     }
 }
 

@@ -25,4 +25,10 @@ pub struct SimPerfStats {
     pub hot_allocs: u64,
     /// Packet-slab inserts that grew the slab (allocation-class events).
     pub slab_grows: u64,
+    /// Elements the control ticks visited: per-link states read or
+    /// written, interference-domain members, overhearing entries and the
+    /// egress links behind refreshed broadcasts. The optimized engine's
+    /// measure of what a slot costs; the reference engine, which visits
+    /// every link and every domain every slot, leaves it at zero.
+    pub tick_visits: u64,
 }

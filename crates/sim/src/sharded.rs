@@ -26,7 +26,7 @@
 //!   [`ShardView`]: the subgraph of its own
 //!   *active* atoms (those hosting an owned flow or scheduled fault),
 //!   with dense local ids. No full-network clone, no ghost flows, and
-//!   control-plane ticks iterate local links only. The local→global
+//!   per-link engine state sized by local links only. The local→global
 //!   remap is monotone, per-link RNG streams are seeded by *global* link
 //!   id, and flows keep their *global* ids for RNG streams, counter
 //!   names and trace lines — so every byte a worker produces already
@@ -312,11 +312,12 @@ impl ShardedSimulation {
 
         // Only atoms hosting an owned flow or a scheduled fault do any
         // observable work — zero demand, zero violations, zero traffic
-        // everywhere else — so views exclude the rest entirely (this is
-        // where the wall-clock win comes from: control ticks and MAC
-        // domain scans run over each shard's local links only), and
-        // shards left without an active atom would only replay idle
-        // control ticks and are skipped.
+        // everywhere else — so views exclude the rest entirely (engine
+        // construction and MAC domain scans are then sized by each
+        // shard's local links; the control tick is proportional to the
+        // links that carry frames with or without a view), and shards
+        // left without an active atom would only replay idle control
+        // ticks and are skipped.
         let mut active_atom = vec![false; plan.atom_count as usize];
         let mut used: BTreeSet<u32> = BTreeSet::new();
         for &atom in op_atom.iter().flatten() {
@@ -366,6 +367,7 @@ impl ShardedSimulation {
             perf.domain_probes += r.perf.domain_probes;
             perf.hot_allocs += r.perf.hot_allocs;
             perf.slab_grows += r.perf.slab_grows;
+            perf.tick_visits += r.perf.tick_visits;
             shard_events.push(r.perf.events_dispatched);
             flows.append(&mut r.flows);
         }
