@@ -2,7 +2,8 @@
 # Local CI gate. Run from the repo root before sending a change out:
 #
 #   ./ci.sh          # fmt check + clippy + tier-1 build/test
-#   ./ci.sh quick    # skip the release build, debug tests only
+#   ./ci.sh quick    # skip the release build, debug tests only; the
+#                    # frozen benchmark is type-checked, not run
 #   ./ci.sh pairs <base-ref> <workload> [pairs=10]
 #                    # measure a change against a commit (no gates run)
 #
@@ -127,6 +128,10 @@ if [ "${1:-}" = "quick" ]; then
     EMPOWER_EQUIV_TOPOLOGIES=12 EMPOWER_SIM_EQUIV_SCENARIOS=14 \
         EMPOWER_WORKLOAD_SCENARIOS=1 \
         cargo test -q --workspace
+    say "benchmark: frozen package still compiles against the crates"
+    # A PR that deletes or renames a public item learns here, not only in
+    # the full lane, that benchmark/ (which no PR may edit) still builds.
+    cargo check --locked --manifest-path benchmark/Cargo.toml
 else
     say "tier-1: release build"
     # --workspace spelled out on both (it is also the root manifest's

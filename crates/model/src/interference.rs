@@ -209,36 +209,6 @@ impl InterferenceMap {
         }
     }
 
-    /// Projects the map onto a subnetwork keeping only `kept` (ascending
-    /// global link ids), remapping every domain through `local_of`
-    /// (`local_of[g] = local id`, `u32::MAX` = dropped). The caller must keep
-    /// domains closed: every member of a kept link's domain must itself be
-    /// kept — true whenever `kept` is a union of whole interference atoms
-    /// (see [`crate::shard`]). The remap is monotone, so the restricted
-    /// domains stay sorted and per-domain iteration visits the same links in
-    /// the same relative order as the full map.
-    pub fn restrict(&self, kept: &[LinkId], local_of: &[u32]) -> InterferenceMap {
-        let stride = kept.len().div_ceil(WORD_BITS);
-        let mut domains = Vec::with_capacity(kept.len());
-        let mut words = vec![0u64; kept.len() * stride];
-        for (l, &g) in kept.iter().enumerate() {
-            let domain: Vec<LinkId> = self.domains[g.index()]
-                .iter()
-                .map(|m| {
-                    let lm = local_of[m.index()];
-                    debug_assert!(lm != u32::MAX, "domain of {g} leaks outside the kept set");
-                    LinkId(lm)
-                })
-                .collect();
-            let row = &mut words[l * stride..(l + 1) * stride];
-            for m in &domain {
-                row[m.index() / WORD_BITS] |= 1u64 << (m.index() % WORD_BITS);
-            }
-            domains.push(domain);
-        }
-        InterferenceMap { domains, words, stride }
-    }
-
     /// Iterates the link ids whose bits are set in a packed word slice, in
     /// ascending id order.
     pub fn iter_links(words: &[u64]) -> impl Iterator<Item = LinkId> + '_ {

@@ -46,4 +46,4 @@ pub use link::Link;
 pub use medium::Medium;
 pub use node::Node;
 pub use path::{Path, PathIncidence};
-pub use shard::{extract_view, plan_shards, CouplingSpec, ShardPlan, ShardView};
+pub use shard::{plan_shards, CouplingSpec, ShardPlan};

@@ -35,10 +35,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::graph::{Network, NetworkBuilder};
+use crate::graph::Network;
 use crate::ids::{LinkId, NodeId};
 use crate::interference::InterferenceMap;
-use crate::path::Path;
 
 /// Run-time coupling the network graph alone cannot show: which links
 /// each flow can ever touch, and which nodes have scheduled faults.
@@ -65,13 +64,6 @@ pub struct ShardPlan {
     pub shards: u32,
     /// Packing weight of every atom (links + 16 × flows).
     pub atom_weight: Vec<u64>,
-}
-
-impl ShardPlan {
-    /// Shard id of a link.
-    pub fn shard_of_link(&self, l: LinkId) -> u32 {
-        self.shard_of_atom[self.atom_of_link[l.index()] as usize]
-    }
 }
 
 /// Union-find over link indices with path halving.
@@ -196,129 +188,6 @@ pub fn plan_shards(
     }
 
     ShardPlan { atom_of_link, atom_count, shard_of_atom, shards, atom_weight }
-}
-
-/// A shard-local slice of a network: the subgraph induced by the shard's
-/// *active* atoms, with its own dense [`LinkId`]/[`NodeId`] space and a
-/// projected interference map.
-///
-/// Local ids are assigned in ascending global order, so the remap is
-/// monotone: any iteration the engine performs in ascending local order
-/// visits the same links/nodes in the same relative order as the
-/// single-threaded engine does in ascending global order — the property
-/// that keeps every floating-point sum in the control plane bit-identical
-/// after restriction.
-///
-/// [`Link::reverse`] is deliberately left `None` in the view: the two
-/// directions of an Ethernet duplex can land in *different* atoms (R2
-/// groups per sender and Ethernet never interferes), and nothing in the
-/// engine reads the back-pointer.
-///
-/// [`Link::reverse`]: crate::link::Link::reverse
-#[derive(Debug, Clone)]
-pub struct ShardView {
-    /// The shard's subnetwork, dense local ids.
-    pub net: Network,
-    /// The interference map projected onto the subnetwork.
-    pub imap: InterferenceMap,
-    /// Local link id → global link id, strictly ascending.
-    pub link_to_global: Vec<LinkId>,
-    /// Local node id → global node id, strictly ascending.
-    pub node_to_global: Vec<NodeId>,
-}
-
-impl ShardView {
-    /// Local id of a global link, if the view contains it.
-    pub fn local_link(&self, g: LinkId) -> Option<LinkId> {
-        self.link_to_global.binary_search(&g).ok().map(|i| LinkId(i as u32))
-    }
-
-    /// Local id of a global node, if the view contains it.
-    pub fn local_node(&self, g: NodeId) -> Option<NodeId> {
-        self.node_to_global.binary_search(&g).ok().map(|i| NodeId(i as u32))
-    }
-
-    /// Global id of a local link.
-    pub fn global_link(&self, l: LinkId) -> LinkId {
-        self.link_to_global[l.index()]
-    }
-
-    /// Global id of a local node.
-    pub fn global_node(&self, n: NodeId) -> NodeId {
-        self.node_to_global[n.index()]
-    }
-
-    /// Rewrites a global-id path into local ids; `None` if any hop lies
-    /// outside the view. A fully contained path stays valid by
-    /// construction (the remap preserves endpoints), so no re-validation
-    /// is needed.
-    pub fn localize_path(&self, p: &Path) -> Option<Path> {
-        let links: Option<Vec<LinkId>> = p.links().iter().map(|&l| self.local_link(l)).collect();
-        Some(Path::from_links_unchecked(links?))
-    }
-}
-
-/// Extracts `shard`'s view: the subgraph of links whose atom is packed
-/// onto `shard` *and* flagged in `active_atom` (atoms hosting no flow and
-/// no scheduled op contribute nothing to any run — zero demand, zero
-/// violations — so they are simply left out).
-pub fn extract_view(
-    net: &Network,
-    imap: &InterferenceMap,
-    plan: &ShardPlan,
-    shard: u32,
-    active_atom: &[bool],
-) -> ShardView {
-    debug_assert_eq!(plan.atom_of_link.len(), net.link_count());
-    debug_assert_eq!(active_atom.len(), plan.atom_count as usize);
-    // Dense global→local index maps, `u32::MAX` = dropped.
-    let mut local_link = vec![u32::MAX; net.link_count()];
-    let mut local_node = vec![u32::MAX; net.node_count()];
-    let mut kept: Vec<LinkId> = Vec::new();
-
-    for l in net.links() {
-        let atom = plan.atom_of_link[l.id.index()] as usize;
-        if plan.shard_of_atom[atom] == shard && active_atom[atom] {
-            local_link[l.id.index()] = kept.len() as u32;
-            kept.push(l.id);
-        }
-    }
-
-    // Mark endpoint nodes, then number them in ascending global order.
-    for &g in &kept {
-        let l = net.link(g);
-        local_node[l.from.index()] = 0;
-        local_node[l.to.index()] = 0;
-    }
-    let mut node_to_global = Vec::new();
-    for (i, local) in local_node.iter_mut().enumerate() {
-        if *local == 0 {
-            *local = node_to_global.len() as u32;
-            node_to_global.push(NodeId(i as u32));
-        }
-    }
-
-    let mut b = NetworkBuilder::new();
-    for &g in &node_to_global {
-        let n = net.node(g);
-        b.add_labeled_node(n.pos, n.mediums.clone(), n.panel, n.label.clone());
-    }
-    for &g in &kept {
-        let l = net.link(g);
-        b.add_link(
-            NodeId(local_node[l.from.index()]),
-            NodeId(local_node[l.to.index()]),
-            l.medium,
-            l.capacity_mbps,
-        );
-    }
-
-    ShardView {
-        net: b.build(),
-        imap: imap.restrict(&kept, &local_link),
-        link_to_global: kept,
-        node_to_global,
-    }
 }
 
 #[cfg(test)]
@@ -519,85 +388,5 @@ mod tests {
                 assert!(atoms.len() <= 1);
             }
         }
-    }
-
-    #[test]
-    fn view_extraction_round_trips_across_50_topologies() {
-        for seed in 0..50 {
-            let (t, spec, plan) = plan_for(seed, 4);
-            // Active atoms = those hosting a flow closure, as the sharded
-            // simulator marks them.
-            let mut active = vec![false; plan.atom_count as usize];
-            for links in &spec.flow_links {
-                active[plan.atom_of_link[links[0].index()] as usize] = true;
-            }
-            let mut covered = vec![0u32; t.net.link_count()];
-            for shard in 0..plan.shards {
-                let v = extract_view(&t.net, &t_imap(&t), &plan, shard, &active);
-                assert_eq!(v.net.link_count(), v.link_to_global.len());
-                assert_eq!(v.net.node_count(), v.node_to_global.len());
-                assert!(v.link_to_global.windows(2).all(|w| w[0] < w[1]));
-                assert!(v.node_to_global.windows(2).all(|w| w[0] < w[1]));
-                for l in v.net.links() {
-                    let g = v.global_link(l.id);
-                    // No view contains an out-of-atom element...
-                    let atom = plan.atom_of_link[g.index()] as usize;
-                    assert_eq!(plan.shard_of_atom[atom], shard);
-                    assert!(active[atom]);
-                    covered[g.index()] += 1;
-                    // ...and every local link maps back to its global id
-                    // with identical attributes and endpoints.
-                    assert_eq!(v.local_link(g), Some(l.id));
-                    let gl = t.net.link(g);
-                    assert_eq!(l.medium, gl.medium);
-                    assert_eq!(l.capacity_mbps, gl.capacity_mbps);
-                    assert_eq!(v.global_node(l.from), gl.from);
-                    assert_eq!(v.global_node(l.to), gl.to);
-                }
-                for n in 0..v.net.node_count() {
-                    let local = NodeId(n as u32);
-                    let g = v.global_node(local);
-                    assert_eq!(v.local_node(g), Some(local));
-                    // Nodes carry their full interface/panel/label state.
-                    let (a, b) = (v.net.node(local), t.net.node(g));
-                    assert_eq!(a.mediums, b.mediums);
-                    assert_eq!(a.panel, b.panel);
-                    assert_eq!(a.label, b.label);
-                    // Every view node is an endpoint of some view link.
-                    assert!(v.net.links().iter().any(|l| l.from == local || l.to == local));
-                }
-                // The projected interference map is the global map under
-                // the remap, domain by domain, in order.
-                let imap = t_imap(&t);
-                for l in v.net.links() {
-                    let global_domain: Vec<LinkId> = imap
-                        .domain(v.global_link(l.id))
-                        .iter()
-                        .map(|&m| v.local_link(m).unwrap())
-                        .collect();
-                    assert_eq!(v.imap.domain(l.id), &global_domain[..]);
-                }
-                // Every flow owned by this shard localizes and maps back.
-                for links in &spec.flow_links {
-                    if plan.shard_of_link(links[0]) != shard {
-                        continue;
-                    }
-                    let p = Path::from_links_unchecked(links.clone());
-                    let local = v.localize_path(&p).expect("owned flow must fit its view");
-                    let back: Vec<LinkId> =
-                        local.links().iter().map(|&l| v.global_link(l)).collect();
-                    assert_eq!(&back[..], &links[..]);
-                }
-            }
-            // Views are disjoint and exactly cover the active atoms.
-            for l in t.net.links() {
-                let atom = plan.atom_of_link[l.id.index()] as usize;
-                assert_eq!(covered[l.id.index()], u32::from(active[atom]));
-            }
-        }
-    }
-
-    fn t_imap(t: &CampusTopology) -> InterferenceMap {
-        InterferenceMap::build(&t.net, &CarrierSense::default())
     }
 }

@@ -207,13 +207,11 @@ pub struct Simulation {
     /// Per-link random streams (capacity-estimation noise), seeded from
     /// `(cfg.seed, STREAM_LINK, link index)`.
     link_rngs: Vec<StdRng>,
-    /// Global link id per local link — identity for a standalone engine,
-    /// the view remap for a shard worker ([`crate::ShardedSimulation`]).
-    /// Everything observable (trace link fields, counter names, RNG
-    /// stream seeds) uses these, so a view worker's output needs no
+    /// Global flow id per local flow — identity for a standalone engine;
+    /// a shard worker ([`crate::ShardedSimulation`]) registers only the
+    /// flows it owns. Everything observable (trace flow fields, counter
+    /// names, RNG stream seeds) uses these, so a worker's output needs no
     /// post-hoc translation.
-    link_gids: Vec<u32>,
-    /// Global flow id per local flow, same role as `link_gids`.
     flow_gids: Vec<usize>,
     events: EventQueue,
     now: f64,
@@ -291,30 +289,13 @@ pub struct Simulation {
 impl Simulation {
     /// Creates an empty simulation over `net`.
     pub fn new(net: Network, imap: InterferenceMap, cfg: SimConfig) -> Self {
-        let ids = (0..net.link_count() as u32).collect();
-        Self::with_global_link_ids(net, imap, cfg, ids)
-    }
-
-    /// Like [`Simulation::new`] over a shard view: `link_gids[l]` is the
-    /// global id of local link `l`. Per-link RNG streams are seeded by
-    /// global id and traces/counters emit global ids, so a worker running
-    /// on a view reproduces the single-threaded engine's observable
-    /// output for its slice verbatim.
-    pub(crate) fn with_global_link_ids(
-        net: Network,
-        imap: InterferenceMap,
-        cfg: SimConfig,
-        link_gids: Vec<u32>,
-    ) -> Self {
-        debug_assert_eq!(link_gids.len(), net.link_count());
         let reg = IfaceRegistry::for_network(&net);
         let l = net.link_count();
         let price_states: Vec<LinkPriceState> =
             net.nodes().iter().map(|n| LinkPriceState::new(&net, &imap, n.id)).collect();
         let bcast_plan = BroadcastPlan::new(&net, &price_states);
-        let link_rngs = link_gids
-            .iter()
-            .map(|&g| StdRng::seed_from_u64(stream_seed(cfg.seed, STREAM_LINK, g as u64)))
+        let link_rngs = (0..l as u64)
+            .map(|i| StdRng::seed_from_u64(stream_seed(cfg.seed, STREAM_LINK, i)))
             .collect();
         let stride = l.div_ceil(64);
         let mut alive_words = vec![0u64; stride.max(1)];
@@ -361,7 +342,6 @@ impl Simulation {
             cfg,
             flow_rngs: Vec::new(),
             link_rngs,
-            link_gids,
             flow_gids: Vec::new(),
         }
     }
@@ -399,7 +379,7 @@ impl Simulation {
     /// the attach get their per-flow counters retroactively; attach before
     /// [`Simulation::add_flow`] for hygiene.
     pub fn attach_telemetry(&mut self, tele: Telemetry) {
-        self.etel = EngineCounters::attach(tele, &self.link_gids);
+        self.etel = EngineCounters::attach(tele, self.net.link_count());
         for f in 0..self.flows.len() {
             let gid = self.flow_gids[f];
             let routes = self.flows[f].spec.routes.len();
@@ -970,7 +950,7 @@ impl Simulation {
             let pkt = self.slab.get(id);
             tr.push(TraceEvent::TxStart {
                 t: self.now,
-                link: self.link_gids[link.index()],
+                link: link.0,
                 flow: self.flow_gids[pkt.flow],
                 seq: pkt.header.seq,
                 bits: pkt.size_bits,
@@ -994,7 +974,7 @@ impl Simulation {
             let pkt = self.slab.get(id);
             tr.push(TraceEvent::TxEnd {
                 t: self.now,
-                link: self.link_gids[link.index()],
+                link: link.0,
                 flow: self.flow_gids[pkt.flow],
                 seq: pkt.header.seq,
             });
@@ -1401,10 +1381,7 @@ impl Simulation {
         self.etel.tele.event(
             "sim",
             "link_change",
-            &[
-                ("link", self.link_gids[link.index()].into()),
-                ("capacity_mbps", capacity_mbps.into()),
-            ],
+            &[("link", link.0.into()), ("capacity_mbps", capacity_mbps.into())],
         );
         // An explicit capacity change overrides whatever a node crash saved.
         self.crash_saved[link.index()] = None;
@@ -1417,11 +1394,7 @@ impl Simulation {
     /// measurements instead of unwinding at α per slot.
     fn apply_capacity(&mut self, link: LinkId, capacity_mbps: f64) {
         if let Some(tr) = self.trace.as_mut() {
-            tr.push(TraceEvent::LinkChange {
-                t: self.now,
-                link: self.link_gids[link.index()],
-                capacity_mbps,
-            });
+            tr.push(TraceEvent::LinkChange { t: self.now, link: link.0, capacity_mbps });
         }
         let was_alive = self.net.link(link).is_alive();
         self.net.set_capacity(link, capacity_mbps);

@@ -61,25 +61,17 @@ pub(crate) struct EngineCounters {
 }
 
 impl EngineCounters {
-    /// The disabled bundle: all handles are no-ops (names never escape a
-    /// disabled registry, so local indices serve as stand-in ids).
+    /// The disabled bundle: all handles are no-ops.
     pub fn disabled(link_count: usize) -> Self {
-        let ids: Vec<u32> = (0..link_count as u32).collect();
-        Self::build(Telemetry::disabled(), &ids)
+        Self::attach(Telemetry::disabled(), link_count)
     }
 
-    /// Registers every engine counter on `tele`; per-link counters are
-    /// named by the links' *global* ids so a shard view's manifest lines
-    /// up with the single-threaded engine's.
-    pub fn attach(tele: Telemetry, link_gids: &[u32]) -> Self {
-        Self::build(tele, link_gids)
-    }
-
-    fn build(tele: Telemetry, link_gids: &[u32]) -> Self {
+    /// Registers every engine counter on `tele`, with one `queue_hwm`
+    /// gauge per link.
+    pub fn attach(tele: Telemetry, link_count: usize) -> Self {
         let c = |name: &str, flavor: CounterType| tele.counter(name, flavor);
-        let queue_hwm = link_gids
-            .iter()
-            .map(|g| tele.counter(format!("link/{g}/queue_hwm"), CounterType::Gauge))
+        let queue_hwm = (0..link_count)
+            .map(|l| tele.counter(format!("link/{l}/queue_hwm"), CounterType::Gauge))
             .collect();
         EngineCounters {
             mac_grants: c("mac/grants", CounterType::Packets),
@@ -131,7 +123,7 @@ mod tests {
     fn penalty_airtime_sums_across_merged_registries() {
         let merged = Telemetry::enabled();
         for us in [3, 5] {
-            let run = EngineCounters::attach(Telemetry::enabled(), &[0]);
+            let run = EngineCounters::attach(Telemetry::enabled(), 1);
             run.mac_penalty_airtime_us.add(us);
             merged.merge_snapshot(&run.tele.snapshot());
         }

@@ -195,8 +195,7 @@ impl ReferenceSimulation {
 
     /// Attaches a telemetry registry (see [`crate::Simulation::attach_telemetry`]).
     pub fn attach_telemetry(&mut self, tele: Telemetry) {
-        let ids: Vec<u32> = (0..self.net.link_count() as u32).collect();
-        self.etel = EngineCounters::attach(tele, &ids);
+        self.etel = EngineCounters::attach(tele, self.net.link_count());
         for f in 0..self.flows.len() {
             let routes = self.flows[f].spec.routes.len();
             self.flows[f].route_frames = self.etel.flow_route_counters(f, routes);

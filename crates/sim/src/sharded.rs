@@ -19,18 +19,18 @@
 //!   `telemetry`, `take_trace`, `perf_stats`). Only then is the full
 //!   coupling closure known — including replacement routes scheduled for
 //!   later — so the partition can be computed once, correctly. One table
-//!   names the atom that owns each op; every worker walks the same log
+//!   names the shard that owns each op; every worker walks the same log
 //!   once against it, skipping what its shard does not own, and the same
-//!   table says which shards run and which atoms are active.
-//! * **Shard-local views.** Every worker runs on a
-//!   [`ShardView`]: the subgraph of its own
-//!   *active* atoms (those hosting an owned flow or scheduled fault),
-//!   with dense local ids. No full-network clone, no ghost flows, and
-//!   per-link engine state sized by local links only. The local→global
-//!   remap is monotone, per-link RNG streams are seeded by *global* link
-//!   id, and flows keep their *global* ids for RNG streams, counter
-//!   names and trace lines — so every byte a worker produces already
-//!   speaks global ids, and the merge never has to translate.
+//!   table says which shards run.
+//! * **Workers are plain engines.** Every worker is the [`Simulation`]
+//!   everyone else runs, built by [`Simulation::new`] over a clone of the
+//!   whole network, and registers only the flows its shard owns. Link and
+//!   node ids are therefore global by construction; flows keep their
+//!   *global* ids for RNG streams, counter names and trace lines (the one
+//!   identity hook, `add_flow_global`) — so every byte a worker produces
+//!   already speaks global ids, and the merge never has to translate.
+//!   Links of other shards' atoms cost a worker nothing per tick: the
+//!   engine's control plane iterates only links that have carried frames.
 //! * **Index-ordered merges decided by declaration.** Worker results are
 //!   merged in shard-index order (no completion-order nondeterminism):
 //!   per-flow stats are keyed by global flow id; counters fold by their
@@ -38,7 +38,11 @@
 //!   merge in the canonical `(time, rendered line)` order that
 //!   `trace.rs` defines once for both engines, and are truncated to the
 //!   configured cap only *after* the sort, so the bytes cannot depend on
-//!   the shard count.
+//!   the shard count. Workers record into a sink bounded by the same cap
+//!   that keeps the whole of its last timestamp
+//!   (`Trace::bounded_through_ties`): each worker's record is a superset
+//!   of its share of the canonical first `cap`, so the merge sorts
+//!   shards × (cap + ties) events at most, never the whole run.
 //!
 //! The result: `SimReport`s, telemetry manifests and canonical traces
 //! are byte-identical across `--shards` counts, and equal to the
@@ -50,8 +54,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use empower_datapath::IfaceRegistry;
 use empower_exec::run_indexed;
-use empower_model::shard::{extract_view, plan_shards, CouplingSpec, ShardPlan, ShardView};
-use empower_model::{InterferenceMap, LinkId, Network, NetworkBuilder, NodeId, Path};
+use empower_model::shard::{plan_shards, CouplingSpec};
+use empower_model::{InterferenceMap, LinkId, Network, NodeId, Path};
 use empower_telemetry::{CounterSnapshot, CounterType, Telemetry};
 
 use crate::config::SimConfig;
@@ -62,8 +66,7 @@ use crate::perf::SimPerfStats;
 use crate::stats::{FlowStats, SimReport};
 use crate::trace::{for_each_canonical, Trace};
 
-/// One recorded API call. Ids are global; each worker localizes the ops
-/// it owns against its view as it replays them.
+/// One recorded API call. Each worker applies the ops it owns as recorded.
 enum Op {
     AddFlow(FlowSpecSim),
     LinkChange { at: f64, link: LinkId, capacity_mbps: f64 },
@@ -105,8 +108,7 @@ pub struct ShardedSimulation {
     /// The pristine pre-run network. [`ShardedSimulation::network`]
     /// returns this — mid-run capacity mutations live inside the worker
     /// engines (callers needing mutated state inspect reports instead).
-    /// Workers borrow it and extract their views without cloning the
-    /// graph.
+    /// Every worker runs on a clone of it.
     net: Network,
     imap: InterferenceMap,
     reg: IfaceRegistry,
@@ -116,7 +118,8 @@ pub struct ShardedSimulation {
     flow_count: usize,
     tele: Telemetry,
     /// `Some(cap)` once a trace sink is attached (the sink itself is
-    /// re-created canonically at merge time; workers record unbounded).
+    /// re-created canonically at merge time; workers record into
+    /// tie-extending sinks of the same cap).
     trace_cap: Option<Option<usize>>,
     exec: RefCell<Option<Exec>>,
 }
@@ -140,9 +143,10 @@ impl ShardedSimulation {
     }
 
     /// Attaches a packet-level trace sink. Only the sink's cap is used:
-    /// workers record unbounded and the merged trace is truncated to the
-    /// cap *after* the canonical sort (truncating earlier would make the
-    /// kept prefix depend on the shard count).
+    /// the merged trace is truncated to it *after* the canonical sort, and
+    /// each worker records up to the cap plus whatever shares its last
+    /// timestamp (cutting a worker mid-timestamp would make the kept
+    /// prefix depend on the shard count).
     pub fn attach_trace(&mut self, trace: Trace) {
         self.trace_cap = Some(trace.cap());
     }
@@ -284,46 +288,39 @@ impl ShardedSimulation {
         *self.exec.borrow_mut() = Some(exec);
     }
 
-    fn execute(&self) -> Exec {
+    /// Plans the partition and runs one worker per used shard over the op
+    /// log; results come back in shard-index order.
+    fn replay(&self) -> Vec<WorkerOut> {
         let cspec = self.coupling();
         let plan = plan_shards(&self.net, &self.imap, &cspec, self.shards);
 
-        // The owner-atom table: a flow op belongs to its closure's
-        // (single) atom; a fault op to its link's / node's atom (R4 makes
-        // all links adjacent to a faulted node one atom, so "first
-        // adjacent link" is canonical). Time advances, and faults on a
-        // node without links (no observable effect), belong to nobody.
-        let atom_of = |l: LinkId| plan.atom_of_link[l.index()];
-        let mut flow_atom = cspec.flow_links.iter().map(|links| atom_of(links[0]));
-        let op_atom: Vec<Option<u32>> = self
+        // The owner table: a flow op belongs to the shard of its closure's
+        // (single) atom; a fault op to that of its link's / node's atom
+        // (R4 makes all links adjacent to a faulted node one atom, so
+        // "first adjacent link" is canonical). Time advances, and faults
+        // on a node without links (no observable effect), belong to nobody.
+        let shard_of = |l: LinkId| plan.shard_of_atom[plan.atom_of_link[l.index()] as usize];
+        let mut flow_shard = cspec.flow_links.iter().map(|links| shard_of(links[0]));
+        let op_shard: Vec<Option<u32>> = self
             .ops
             .iter()
             .map(|op| match op {
-                Op::AddFlow(_) => flow_atom.next(),
-                Op::LinkChange { link, .. } => Some(atom_of(*link)),
+                Op::AddFlow(_) => flow_shard.next(),
+                Op::LinkChange { link, .. } => Some(shard_of(*link)),
                 Op::NodeChange { node, .. } => {
                     let mut adjacent = self.net.out_links(*node).chain(self.net.in_links(*node));
-                    adjacent.next().map(|l| atom_of(l.id))
+                    adjacent.next().map(|l| shard_of(l.id))
                 }
-                Op::ReplaceRoutes { flow, .. } => Some(atom_of(cspec.flow_links[*flow][0])),
+                Op::ReplaceRoutes { flow, .. } => Some(shard_of(cspec.flow_links[*flow][0])),
                 Op::RunUntil { .. } => None,
             })
             .collect();
 
-        // Only atoms hosting an owned flow or a scheduled fault do any
-        // observable work — zero demand, zero violations, zero traffic
-        // everywhere else — so views exclude the rest entirely (engine
-        // construction and MAC domain scans are then sized by each
-        // shard's local links; the control tick is proportional to the
-        // links that carry frames with or without a view), and shards
-        // left without an active atom would only replay idle control
-        // ticks and are skipped.
-        let mut active_atom = vec![false; plan.atom_count as usize];
-        let mut used: BTreeSet<u32> = BTreeSet::new();
-        for &atom in op_atom.iter().flatten() {
-            active_atom[atom as usize] = true;
-            used.insert(plan.shard_of_atom[atom as usize]);
-        }
+        // Only shards owning a flow or a scheduled fault do any observable
+        // work — zero demand, zero violations, zero traffic everywhere
+        // else — so the rest, which would only replay idle control ticks,
+        // are skipped.
+        let mut used: BTreeSet<u32> = op_shard.iter().flatten().copied().collect();
         if used.is_empty() {
             used.insert(0);
         }
@@ -337,15 +334,16 @@ impl ShardedSimulation {
             imap: &self.imap,
             cfg: &self.cfg,
             ops: &self.ops,
-            plan: &plan,
-            op_atom: &op_atom,
-            active_atom: &active_atom,
+            op_shard: &op_shard,
             instrument: self.tele.is_enabled(),
-            trace_on: self.trace_cap.is_some(),
+            trace_cap: self.trace_cap,
         };
-        let mut results: Vec<WorkerOut> = run_indexed(jobs, used.len(), |w| replay.run(used[w]));
+        run_indexed(jobs, used.len(), |w| replay.run(used[w]))
+    }
 
-        if replay.instrument {
+    fn execute(&self) -> Exec {
+        let mut results = self.replay();
+        if self.tele.is_enabled() {
             self.merge_counters(&results);
         }
 
@@ -385,27 +383,26 @@ impl ShardedSimulation {
 
     /// Folds the per-shard counter snapshots into the attached registry.
     ///
-    /// The merged registry first gets the single-threaded engine's name
-    /// set — [`EngineCounters::attach`] over *all* global link ids, so
-    /// per-link gauges of links outside every view exist at zero. Worker
-    /// snapshots then fold by **declared flavor** (DESIGN.md §13): gauges
-    /// are levels, and only a link's owning shard ever raises one, so
-    /// they merge by **max**; every other flavor is a monotone count that
-    /// only the owning shard advances, so it merges by **sum**.
+    /// Every worker is a whole-network engine, so every snapshot already
+    /// carries the single-threaded engine's name set, per-link gauges of
+    /// idle links at zero. Snapshots fold by **declared flavor**
+    /// (DESIGN.md §13): gauges are levels, and only a link's owning shard
+    /// ever raises one, so they merge by **max**; every other flavor is a
+    /// monotone count that only the owning shard advances, so it merges by
+    /// **sum**.
     ///
     /// The two network-wide control counters are not a fold at all: every
-    /// worker ticks the full horizon over its *local* links, so they are
+    /// worker ticks the full horizon over the whole network, so they are
     /// written last, over whatever the fold made of them, through the
-    /// engine's own handles from the typed tick count —
-    /// `ctrl/ticks` once, `cc/price_updates` as ticks × the *global*
-    /// link count (links outside every view still carry a trivially
-    /// converged price in the serial semantics).
+    /// engine's own handles from the typed tick count — `ctrl/ticks` once,
+    /// `cc/price_updates` as ticks × the link count.
     ///
     /// Values are written with `set`, making re-merges after op-log
     /// growth idempotent.
     fn merge_counters(&self, results: &[WorkerOut]) {
-        let all_links: Vec<u32> = (0..self.net.link_count() as u32).collect();
-        let engine = EngineCounters::attach(self.tele.clone(), &all_links);
+        // Handles for the two overrides only: the per-link names arrive
+        // with the worker snapshots.
+        let engine = EngineCounters::attach(self.tele.clone(), 0);
         let mut merged: BTreeMap<&str, (CounterType, u64)> = BTreeMap::new();
         for r in results {
             for (name, flavor, value) in &r.counters.counters {
@@ -421,7 +418,7 @@ impl ShardedSimulation {
         }
         let ticks = results.iter().map(|r| r.ticks).max().unwrap_or(0);
         engine.ctrl_ticks.set(ticks);
-        engine.cc_price_updates.set(ticks * all_links.len() as u64);
+        engine.cc_price_updates.set(ticks * self.net.link_count() as u64);
     }
 }
 
@@ -432,78 +429,58 @@ struct Replay<'a> {
     imap: &'a InterferenceMap,
     cfg: &'a SimConfig,
     ops: &'a [Op],
-    plan: &'a ShardPlan,
-    /// Owner atom of every op, aligned with `ops` (`None` = nobody's).
-    op_atom: &'a [Option<u32>],
-    active_atom: &'a [bool],
+    /// Owner shard of every op, aligned with `ops` (`None` = nobody's).
+    op_shard: &'a [Option<u32>],
     instrument: bool,
-    trace_on: bool,
+    /// [`ShardedSimulation::trace_cap`].
+    trace_cap: Option<Option<usize>>,
 }
 
 impl Replay<'_> {
-    /// One shard's run: extract the view, drive a [`Simulation`] over the
-    /// subnetwork through the op log — localizing the ops `shard` owns,
-    /// skipping everyone else's, applying every time advance — and return
-    /// globally-addressed results. Runs on an executor thread.
+    /// One shard's run: a plain [`Simulation`] over a clone of the whole
+    /// network, driven through the op log — applying the ops `shard` owns
+    /// as recorded, skipping everyone else's, applying every time advance.
+    /// Runs on an executor thread.
     fn run(&self, shard: u32) -> WorkerOut {
-        let mut view = extract_view(self.net, self.imap, self.plan, shard, self.active_atom);
-        // The engine takes the subnetwork by value; what stays behind in
-        // `view` are the id maps, which is all localizing an op reads.
-        let vnet = std::mem::replace(&mut view.net, NetworkBuilder::new().build());
-        let vimap = std::mem::replace(&mut view.imap, self.imap.restrict(&[], &[]));
-        let link_gids: Vec<u32> = view.link_to_global.iter().map(|l| l.0).collect();
-        let mut sim = Simulation::with_global_link_ids(vnet, vimap, self.cfg.clone(), link_gids);
+        let mut sim = Simulation::new(self.net.clone(), self.imap.clone(), self.cfg.clone());
         if self.instrument {
             sim.attach_telemetry(Telemetry::enabled());
         }
-        if self.trace_on {
-            sim.attach_trace(Trace::new());
+        if let Some(cap) = self.trace_cap {
+            // One past the cap: a worker that drops anything then hands the
+            // merge more than `cap` events, so the merged sink reports
+            // truncation exactly when a single engine's would.
+            let sink = |cap: usize| Trace::bounded_through_ties(cap.saturating_add(1));
+            sim.attach_trace(cap.map_or_else(Trace::new, sink));
         }
 
-        // Owned ops always fit the view by construction: their atoms are
-        // active and packed onto this shard. Flows are numbered by their
-        // position among *all* `AddFlow`s, and owned ones arrive in
-        // ascending global id, so the local index of flow `g` is its rank
-        // in `owned`.
+        // Flows are numbered by their position among *all* `AddFlow`s, and
+        // owned ones arrive in ascending global id, so the worker's index
+        // of flow `g` is its rank in `owned`.
         let mut owned: Vec<usize> = Vec::new();
         let mut next_gid = 0usize;
-        for (op, atom) in self.ops.iter().zip(self.op_atom) {
-            let mine = atom.is_some_and(|a| self.plan.shard_of_atom[a as usize] == shard);
+        for (op, owner) in self.ops.iter().zip(self.op_shard) {
+            let mine = *owner == Some(shard);
             match op {
                 Op::AddFlow(spec) => {
                     let gid = next_gid;
                     next_gid += 1;
-                    if !mine {
-                        continue;
+                    if mine {
+                        owned.push(gid);
+                        sim.add_flow_global(spec.clone(), gid);
                     }
-                    let (Some(src), Some(dst)) =
-                        (view.local_node(spec.src), view.local_node(spec.dst))
-                    else {
-                        unreachable!("owned flow's endpoints are outside its shard view")
-                    };
-                    let routes = localize_routes(&view, &spec.routes);
-                    owned.push(gid);
-                    let open_loop_rates = spec.open_loop_rates.clone();
-                    let local = FlowSpecSim { src, dst, routes, open_loop_rates, ..*spec };
-                    sim.add_flow_global(local, gid);
                 }
                 Op::LinkChange { at, link, capacity_mbps } if mine => {
-                    let Some(l) = view.local_link(*link) else {
-                        unreachable!("owned link fault is outside its shard view")
-                    };
-                    sim.schedule_link_change(*at, l, *capacity_mbps);
+                    sim.schedule_link_change(*at, *link, *capacity_mbps);
                 }
                 Op::NodeChange { at, node, up } if mine => {
-                    let Some(n) = view.local_node(*node) else {
-                        unreachable!("owned node fault is outside its shard view")
-                    };
-                    sim.schedule_node_change(*at, n, *up);
+                    sim.schedule_node_change(*at, *node, *up);
                 }
                 Op::ReplaceRoutes { flow, routes } if mine => {
                     let Ok(f) = owned.binary_search(flow) else {
                         unreachable!("replace_routes owned by a shard that does not own the flow")
                     };
-                    sim.replace_routes(f, localize_routes(&view, routes));
+                    sim.replace_routes(f, routes.clone());
                 }
                 Op::RunUntil { until } => sim.run_until(*until),
                 _ => {}
@@ -520,24 +497,10 @@ impl Replay<'_> {
     }
 }
 
-/// Rewrites a set of global-id routes into view-local ids. Every route
-/// of an owned flow — including scheduled replacements — is inside the
-/// flow's coupling atom, hence inside the view.
-fn localize_routes(view: &ShardView, routes: &[Path]) -> Vec<Path> {
-    routes
-        .iter()
-        .map(|p| {
-            let Some(local) = view.localize_path(p) else {
-                unreachable!("owned flow's route leaves its shard view")
-            };
-            local
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceEvent;
     use empower_model::rng::{SeedableRng, StdRng};
     use empower_model::topology::campus::{campus, CampusConfig};
     use empower_model::{CarrierSense, InterferenceModel};
@@ -634,14 +597,15 @@ mod tests {
         assert_eq!(total, sim.perf_stats().events_dispatched);
     }
 
-    /// The view-based workers do strictly less total work than one
-    /// engine over the full network — the wall-clock side of the PR.
-    /// With views, the whole 4-shard run dispatches barely more events
-    /// than the serial engine (the extra is one control-tick chain per
-    /// additional worker), where the old full-clone workers each
-    /// re-dispatched the full network's control plane.
+    /// The guard against the ghost-flow regression: workers are engines
+    /// over the whole network, yet the 4-shard run dispatches barely more
+    /// events than the serial engine (the extra is one control-tick chain
+    /// per additional worker). That holds because the engine's control
+    /// tick walks its active link sets (PR 16), never the network: a
+    /// worker that re-dispatched the full network's control plane, as the
+    /// first full-clone workers did, would fail it.
     #[test]
-    fn view_workers_do_not_multiply_control_work() {
+    fn workers_do_not_multiply_control_work() {
         let (net, imap, specs) = campus_setup();
         let mut single = Simulation::new(net.clone(), imap.clone(), SimConfig::default());
         for s in &specs {
@@ -666,6 +630,58 @@ mod tests {
             sharded <= serial + (workers - 1) * 60,
             "sharded dispatched {sharded} events vs serial {serial} (+{workers} workers)"
         );
+    }
+
+    /// The truncation argument where it can break: caps that land inside
+    /// a group of equal-time events recorded by different workers, and
+    /// inside the `tx_end` / `deliver` pairs one worker records in the
+    /// opposite of their canonical order. The bounded merge must still be
+    /// the first `cap` lines of the unbounded one at every shard count, and
+    /// no worker may hold more than the cap plus the events sharing its
+    /// last timestamp (what keeps a traced dense run from buffering
+    /// millions of events per worker).
+    #[test]
+    fn bounded_merge_is_the_unbounded_prefix_even_inside_a_tie() {
+        let build = |shards: u32, sink: Trace| {
+            let (net, imap, specs) = campus_setup();
+            let mut sim = ShardedSimulation::with_shards(net, imap, SimConfig::default(), shards);
+            sim.attach_trace(sink);
+            for s in specs {
+                sim.add_flow(s);
+            }
+            sim.run_until(0.5);
+            sim
+        };
+        let time_of = |e: &TraceEvent| e.time().to_bits();
+        let times = |w: &WorkerOut| -> BTreeSet<u64> {
+            w.trace.iter().flat_map(|t| t.events()).map(time_of).collect()
+        };
+        let mut unbounded = build(4, Trace::new());
+        let workers = unbounded.replay();
+        let full = unbounded.take_trace().expect("trace attached");
+        // The merged range of the first timestamp two workers both recorded.
+        let shared = times(&workers[0]).intersection(&times(&workers[1])).next().copied();
+        let first = full.events().iter().position(|e| Some(time_of(e)) == shared);
+        let last = full.events().iter().rposition(|e| Some(time_of(e)) == shared);
+        let (first, last) = first.zip(last).expect("two workers share a timestamp");
+        assert!(first < last);
+
+        // Every cap through that group (strictly inside it from
+        // `first + 1` to `last`) and the same-worker pairs that follow.
+        for cap in 1..last + 8 {
+            for shards in [1, 2, 4, 8] {
+                let mut sim = build(shards, Trace::bounded(cap));
+                for w in sim.replay() {
+                    let events = w.trace.as_ref().map_or(&[][..], |t| t.events());
+                    let last = events.last().map(time_of);
+                    let ties = events.iter().filter(|e| Some(time_of(e)) == last).count();
+                    assert!(events.len() <= cap + ties, "shards={shards} cap={cap}");
+                }
+                let got = sim.take_trace().expect("trace attached");
+                assert!(got.is_truncated());
+                assert_eq!(&full.events()[..cap], got.events(), "shards={shards} cap={cap}");
+            }
+        }
     }
 
     /// Observe → extend → observe: every poll after the first re-executes
@@ -734,10 +750,6 @@ mod tests {
         assert_eq!(snap.value("plugin/count"), Some(8));
         assert_eq!(snap.value("ctrl/ticks"), Some(11));
         assert_eq!(snap.value("cc/price_updates"), Some(11 * links));
-        // The engine's own name set is there too, per-link gauges at zero.
-        let hwm = || snap.counters.iter().filter(|(n, _, _)| n.ends_with("/queue_hwm"));
-        assert_eq!(hwm().count() as u64, links);
-        assert!(hwm().all(|(_, flavor, v)| *flavor == CounterType::Gauge && *v == 0));
     }
 
     #[test]

@@ -155,6 +155,9 @@ pub struct Trace {
     /// recording simply stops (the interesting part of a trace is usually
     /// its beginning, and an explicit cap beats silent memory blow-up).
     cap: Option<usize>,
+    /// Past the cap, keep accepting events that carry the timestamp of the
+    /// last one recorded (see [`Trace::bounded_through_ties`]).
+    through_ties: bool,
     truncated: bool,
 }
 
@@ -169,10 +172,23 @@ impl Trace {
         Trace { cap: Some(cap), ..Default::default() }
     }
 
+    /// The sink of one shard worker: like [`Trace::bounded`], except that
+    /// past the cap it keeps accepting events while they carry the timestamp
+    /// of the last one recorded. An engine records in time order, so what
+    /// this keeps is every event up to and including the time of its
+    /// `cap`-th: a superset of the events this worker contributes to the
+    /// first `cap` of any canonical merge ([`for_each_canonical`] sorts by
+    /// time first), whatever the other workers recorded.
+    pub(crate) fn bounded_through_ties(cap: usize) -> Self {
+        Trace { cap: Some(cap), through_ties: true, ..Default::default() }
+    }
+
     /// Records one event.
     pub fn push(&mut self, event: TraceEvent) {
-        if let Some(cap) = self.cap {
-            if self.events.len() >= cap {
+        if self.cap.is_some_and(|cap| self.events.len() >= cap) {
+            let tie = self.through_ties
+                && self.events.last().is_some_and(|last| last.time() == event.time());
+            if !tie {
                 self.truncated = true;
                 return;
             }
@@ -261,18 +277,20 @@ impl Trace {
 /// sharded engine's trace merge both go through it, which makes the merged
 /// bytes a function of the event *multiset* only, however it was split.
 /// Every line is rendered into one shared buffer and keyed by its byte
-/// range, not into one `String` per event.
+/// range, not into one `String` per event. The ranges are `usize`, so an
+/// unbounded sink is limited by memory and never by a narrower offset
+/// wrapping (4 GiB of rendered lines is about 60 M events).
 pub(crate) fn for_each_canonical<'a>(parts: &[&'a Trace], mut f: impl FnMut(&'a TraceEvent, &str)) {
     let mut buf = String::new();
-    let mut keyed: Vec<(u64, u32, u32, &TraceEvent)> = Vec::new();
+    let mut keyed: Vec<(u64, usize, usize, &TraceEvent)> = Vec::new();
     for part in parts {
         for e in &part.events {
-            let start = buf.len() as u32;
+            let start = buf.len();
             let _ = write!(buf, "{}", e.to_json());
-            keyed.push((e.time().to_bits(), start, buf.len() as u32, e));
+            keyed.push((e.time().to_bits(), start, buf.len(), e));
         }
     }
-    let line = |k: &(u64, u32, u32, &TraceEvent)| &buf[k.1 as usize..k.2 as usize];
+    let line = |k: &(u64, usize, usize, &TraceEvent)| &buf[k.1..k.2];
     keyed.sort_by(|a, b| (a.0, line(a)).cmp(&(b.0, line(b))));
     for k in &keyed {
         f(k.3, line(k));
@@ -305,6 +323,22 @@ mod tests {
         assert!(t.is_truncated());
         // The FIRST events are kept.
         assert!(matches!(t.events()[0], TraceEvent::Deliver { seq: 0, .. }));
+    }
+
+    #[test]
+    fn tie_extending_sink_keeps_the_whole_last_timestamp() {
+        let mut t = Trace::bounded_through_ties(3);
+        for (seq, time) in [0.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0].into_iter().enumerate() {
+            t.push(TraceEvent::Deliver { t: time, flow: 0, seq: seq as u32 });
+        }
+        // The cap lands on the first t = 2.0; its two ties are kept, then
+        // recording stops for good.
+        assert_eq!(t.events().len(), 5);
+        assert!(t.events().iter().all(|e| e.time() <= 2.0));
+        assert!(t.is_truncated());
+        let mut none = Trace::bounded_through_ties(0);
+        none.push(TraceEvent::Deliver { t: 0.0, flow: 0, seq: 0 });
+        assert!(none.events().is_empty() && none.is_truncated());
     }
 
     /// Canonical order is a function of the event multiset: rendering one
