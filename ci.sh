@@ -17,10 +17,13 @@ say() { printf '\n== %s ==\n' "$1"; }
 # The measurement rule as one command (ROADMAP "alternated parent/change
 # pairs"): build the benchmark of <base-ref> and of the working tree, run
 # the workload's timed pass on each, alternately, the side that goes first
-# alternating too, and print every pair's wall_s, each side's median and
-# quartiles, and who won. A gain counts when the change wins at least nine
-# tenths of the pairs and the medians differ by more than the distance
-# between the base's own quartiles. Writes only under target/.
+# alternating too, and print every pair's end-to-end metrics (all of
+# BENCHMARK.json's `end_to_end`, not only wall_s), each side's medians and
+# quartiles, who won on wall_s, and a REGRESSED flag on any metric whose
+# change median is worse than the base median by more than its declared
+# bound. A gain counts when at least 10 pairs ran, the change wins at least
+# nine tenths of them on wall_s and the wall_s medians differ by more than
+# the distance between the base's own quartiles. Writes only under target/.
 pairs() {
     usage="usage: ./ci.sh pairs <base-ref> <workload> [pairs=10]"
     base_ref="${1:?$usage}"
@@ -37,31 +40,51 @@ pairs() {
         --target-dir "$root/base-target"
     cargo build --release --locked --manifest-path benchmark/Cargo.toml \
         --target-dir "$root/change-target"
+    # The end-to-end metrics as "name better bound" lines, straight from
+    # the working tree's BENCHMARK.json. wall_s must come first: the wins
+    # and the gain rule below read column one.
+    tr '{},' '\n\n\n' <BENCHMARK.json | awk -F'"' '
+        $2 == "end_to_end" { on = 1 }
+        $2 == "per_layer" { on = 0 }
+        on && $2 == "name" { name = $4 }
+        on && $2 == "better" { better = $4 }
+        on && $2 == "bound" { sub(/^[: ]*/, "", $3); print name, better, $3 }
+    ' >"$root/metrics"
+    names="$(awk '{ print $1 }' "$root/metrics")"
+    [ "$(echo "$names" | head -n 1)" = wall_s ] \
+        || { echo "BENCHMARK.json: end_to_end must start with wall_s" >&2; exit 1; }
     # One timed pass from the checkout it was built from; its last output
-    # line is the result object.
-    wall_s() {
-        w="$(cd "$1" && "$root/$2-target/release/benchmark" run \
-            --workload "$workload" --seed 1 --trace 0 \
-            | sed -n '$s/.*"wall_s":{"value":\([0-9.eE+-]*\).*/\1/p')"
-        [ -n "$w" ] || { echo "no wall_s from the $2 side's timed pass" >&2; exit 1; }
-        echo "$w"
+    # line is the result object. Prints the metrics' values in $names order.
+    pass() {
+        line="$(cd "$1" && "$root/$2-target/release/benchmark" run \
+            --workload "$workload" --seed 1 --trace 0 | tail -n 1)"
+        for m in $names; do
+            v="$(echo "$line" | sed -n "s/.*\"$m\":{\"value\":\([0-9.eE+-]*\).*/\1/p")"
+            [ -n "$v" ] || { echo "no $m from the $2 side's timed pass" >&2; exit 1; }
+            printf '%s ' "$v"
+        done
     }
-    say "pairs: $workload, wall_s, $count pairs, base = $base_ref"
-    printf '%-5s %-7s %12s %12s\n' pair first base change
+    say "pairs: $workload, $count pairs, base = $base_ref"
+    printf '%-5s %-7s' pair first
+    for m in $names; do printf ' %14s %14s' "$m.base" "$m.change"; done
+    echo
     i=1
-    : >"$root/walls"
+    : >"$root/runs"
     while [ "$i" -le "$count" ]; do
         if [ $((i % 2)) -eq 1 ]; then
             first=base
-            b="$(wall_s "$root/base" base)"
-            c="$(wall_s "$PWD" change)"
+            b="$(pass "$root/base" base)"
+            c="$(pass "$PWD" change)"
         else
             first=change
-            c="$(wall_s "$PWD" change)"
-            b="$(wall_s "$root/base" base)"
+            c="$(pass "$PWD" change)"
+            b="$(pass "$root/base" base)"
         fi
-        printf '%-5s %-7s %12.4f %12.4f\n' "$i" "$first" "$b" "$c"
-        echo "$b $c" >>"$root/walls"
+        # One line per pair: the base's values, then the change's.
+        echo "$b$c" >>"$root/runs"
+        printf '%-5s %-7s' "$i" "$first"
+        echo "$b$c" | awk '{ k = NF / 2; for (j = 1; j <= k; j++) printf " %14.6g %14.6g", $j, $(j + k) }'
+        echo
         i=$((i + 1))
     done
     awk '
@@ -73,17 +96,31 @@ pairs() {
             for (i = 2; i <= n; i++)
                 for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
         }
-        { n++; b[n] = $1; c[n] = $2
-          if ($2 < $1) won++; else if ($1 < $2) lost++; else ties++ }
+        FNR == NR { k++; name[k] = $1; better[k] = $2; bound[k] = $3; next }
+        { n++
+          for (j = 1; j <= k; j++) { b[j, n] = $j; c[j, n] = $(j + k) }
+          if ($(1 + k) < $1) won++; else if ($1 < $(1 + k)) lost++; else ties++ }
         END {
-            sorted(b, n); sorted(c, n)
-            printf "base    median %.4f  q1 %.4f  q3 %.4f\n", at(b, n, .5), at(b, n, .25), at(b, n, .75)
-            printf "change  median %.4f  q1 %.4f  q3 %.4f\n", at(c, n, .5), at(c, n, .25), at(c, n, .75)
-            printf "change wins %d, base wins %d, ties %d of %d pairs; change/base medians %.3f\n",
-                won, lost, ties, n, at(c, n, .5) / at(b, n, .5)
-            gain = won >= 0.9 * n && at(b, n, .5) - at(c, n, .5) > at(b, n, .75) - at(b, n, .25)
-            print (gain ? "a gain by the rule" : "not a gain by the rule")
-        }' "$root/walls"
+            regressed = 0
+            for (j = 1; j <= k; j++) {
+                for (i = 1; i <= n; i++) { bs[i] = b[j, i]; cs[i] = c[j, i] }
+                sorted(bs, n); sorted(cs, n)
+                bm = at(bs, n, .5); cm = at(cs, n, .5)
+                if (j == 1) { wb = bm; wc = cm; wiqr = at(bs, n, .75) - at(bs, n, .25) }
+                # Oriented so that positive is worse.
+                worse = (better[j] == "higher" ? bm - cm : cm - bm)
+                bad = worse > bound[j] * (bm < 0 ? -bm : bm)
+                regressed += bad
+                printf "%-13s base median %.6g  q1 %.6g  q3 %.6g | change median %.6g  q1 %.6g  q3 %.6g | change/base %.3f  bound %g%s\n",
+                    name[j], bm, at(bs, n, .25), at(bs, n, .75), cm, at(cs, n, .25), at(cs, n, .75),
+                    bm == 0 ? 1 : cm / bm, bound[j], bad ? "  REGRESSED" : ""
+            }
+            printf "wall_s: change wins %d, base wins %d, ties %d of %d pairs\n", won, lost, ties, n
+            gain = won >= 0.9 * n && wb - wc > wiqr
+            if (n < 10) print "fewer than 10 pairs: too few to claim a gain"
+            else print (gain ? "a gain by the rule" : "not a gain by the rule")
+            print (regressed ? regressed " metric(s) worse than their bound" : "no metric worse than its bound")
+        }' "$root/metrics" "$root/runs"
 }
 
 if [ "${1:-}" = "pairs" ]; then

@@ -42,12 +42,19 @@ impl From<std::io::Error> for IoError {
 }
 
 /// Frame-level packet I/O: the graph's only window onto the outside world.
+///
+/// Frames cross the boundary as owned buffers so a backend that queues
+/// them (the in-memory loopback) moves buffers instead of copying bytes,
+/// and the steady state allocates nothing on either side.
 pub trait PacketIo {
-    /// Sends one frame.
-    fn send(&mut self, frame: &[u8]) -> Result<(), IoError>;
-    /// Receives one frame into `buf` if one is available *now* (returns
-    /// `Ok(None)` otherwise — backends must not block indefinitely).
-    fn recv(&mut self, buf: &mut [u8]) -> Result<Option<usize>, IoError>;
+    /// Sends the frame held in `frame`. The backend may keep the buffer and
+    /// leave an empty recycled one in its place; a frame the backend loses
+    /// on purpose stays with the caller.
+    fn send(&mut self, frame: &mut Vec<u8>) -> Result<(), IoError>;
+    /// Receives one frame if one is available *now*, replacing `frame`'s
+    /// contents with it and returning `Ok(true)`; `Ok(false)` otherwise,
+    /// with `frame` untouched (backends must not block indefinitely).
+    fn recv(&mut self, frame: &mut Vec<u8>) -> Result<bool, IoError>;
 }
 
 /// Source side of a flow: admits payloads through the token bucket,
@@ -130,7 +137,7 @@ impl<B: PacketIo> SourceEndpoint<B> {
         let end = self.graph.run_from(self.price_stamp, pkt, &mut ctx);
         debug_assert_eq!(end, ChainResult::Egress(pkt));
         self.pool.release(pkt);
-        self.io.send(&self.out.frame)?;
+        self.io.send(&mut self.out.frame)?;
         self.sent += 1;
         Ok(Some(route))
     }
@@ -160,7 +167,6 @@ pub struct DestEndpoint<B: PacketIo> {
     pool: PktPool,
     rng: StdRng,
     out: Outbox,
-    buf: Vec<u8>,
 }
 
 impl<B: PacketIo> DestEndpoint<B> {
@@ -181,7 +187,6 @@ impl<B: PacketIo> DestEndpoint<B> {
             pool: PktPool::new(),
             rng: StdRng::seed_from_u64(0),
             out: Outbox::new(),
-            buf: vec![0u8; 64 * 1024],
         }
     }
 
@@ -189,15 +194,19 @@ impl<B: PacketIo> DestEndpoint<B> {
     /// appending any reorder releases to `events`. Returns whether a frame
     /// was processed.
     pub fn poll(&mut self, now: f64, events: &mut Vec<ReorderEvent>) -> Result<bool, IoError> {
-        let Some(n) = self.io.recv(&mut self.buf)? else {
-            return Ok(false);
-        };
+        // The frame lands straight in the pooled packet's payload buffer.
         let pkt = self.pool.insert_with(|p| {
             p.reset();
             p.created_at = now;
-            p.size_bits = (n * 8) as u64;
         });
-        self.pool.get_mut(pkt).payload.extend_from_slice(&self.buf[..n]);
+        let p = self.pool.get_mut(pkt);
+        match self.io.recv(&mut p.payload) {
+            Ok(true) => p.size_bits = (p.payload.len() * 8) as u64,
+            nothing_or_err => {
+                self.pool.release(pkt);
+                return nothing_or_err;
+            }
+        }
         self.out.clear();
         let mut ctx = GraphCtx {
             now,
@@ -292,5 +301,42 @@ mod tests {
         while dst.poll(now, &mut events).unwrap() {}
         let lost = events.iter().filter(|e| matches!(e, ReorderEvent::Lost(_))).count();
         assert!(lost > 0, "dropped frames must be declared lost");
+    }
+
+    /// A backend whose receive side is down.
+    struct Unplugged;
+
+    impl PacketIo for Unplugged {
+        fn send(&mut self, _frame: &mut Vec<u8>) -> Result<(), IoError> {
+            Ok(())
+        }
+
+        fn recv(&mut self, _frame: &mut Vec<u8>) -> Result<bool, IoError> {
+            Err(IoError("unplugged".into()))
+        }
+    }
+
+    #[test]
+    fn polls_that_receive_nothing_release_their_pool_slot() {
+        let (mut src, mut dst) = endpoints(None);
+        let mut events = Vec::new();
+        for _ in 0..3 {
+            assert!(!dst.poll(0.0, &mut events).unwrap());
+        }
+        assert_eq!(dst.pool.live(), 0, "an empty poll leaks no slot");
+        let mut now = 0.0;
+        for _ in 0..8 {
+            now += 0.005;
+            src.offer(now, &[3u8; 700]).unwrap();
+            src.offer(now, b"short").unwrap();
+        }
+        while dst.poll(now, &mut events).unwrap() {}
+        assert_eq!(events.len(), 16);
+        assert_eq!((dst.pool.live(), dst.pool.grows()), (0, 1), "one slot serves every frame");
+
+        let routes = vec![route(&[1, 2])];
+        let mut down = DestEndpoint::new(Unplugged, &ReorderConfig::for_routes(1), routes, None);
+        assert_eq!(down.poll(0.0, &mut events), Err(IoError("unplugged".into())));
+        assert_eq!(down.pool.live(), 0, "a failed poll leaks no slot");
     }
 }

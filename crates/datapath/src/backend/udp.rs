@@ -4,7 +4,7 @@
 //! payload) in UDP datagrams — one frame per datagram, so the header's
 //! fixed offset survives and datagram boundaries delimit frames for free.
 //! The socket runs with a short read timeout so [`PacketIo::recv`] honors
-//! the trait's poll semantics (`Ok(None)` when nothing is waiting).
+//! the trait's poll semantics (`Ok(false)` when nothing is waiting).
 
 use std::io::ErrorKind;
 use std::net::UdpSocket;
@@ -12,10 +12,17 @@ use std::time::Duration;
 
 use super::{IoError, PacketIo};
 
+/// At least the largest UDP payload, so any datagram fits the receive
+/// scratch whole.
+const MAX_DATAGRAM: usize = 64 * 1024;
+
 /// A [`PacketIo`] over a bound (and logically connected) UDP socket.
 pub struct UdpBackend {
     sock: UdpSocket,
     peer: String,
+    /// Where datagrams land before being copied, at their length, into the
+    /// caller's frame; zeroed once, at bind.
+    scratch: Box<[u8]>,
 }
 
 impl UdpBackend {
@@ -27,7 +34,11 @@ impl UdpBackend {
     pub fn bind(local: &str, peer: &str) -> Result<UdpBackend, IoError> {
         let sock = UdpSocket::bind(local)?;
         sock.set_read_timeout(Some(Self::POLL_TIMEOUT))?;
-        Ok(UdpBackend { sock, peer: peer.to_string() })
+        Ok(UdpBackend {
+            sock,
+            peer: peer.to_string(),
+            scratch: vec![0u8; MAX_DATAGRAM].into_boxed_slice(),
+        })
     }
 
     /// The locally bound address, as a printable string.
@@ -37,7 +48,8 @@ impl UdpBackend {
 }
 
 impl PacketIo for UdpBackend {
-    fn send(&mut self, frame: &[u8]) -> Result<(), IoError> {
+    /// The datagram is copied into the socket; the caller keeps its buffer.
+    fn send(&mut self, frame: &mut Vec<u8>) -> Result<(), IoError> {
         let n = self.sock.send_to(frame, &self.peer)?;
         if n != frame.len() {
             return Err(IoError(format!("short send: {n} of {} bytes", frame.len())));
@@ -45,10 +57,14 @@ impl PacketIo for UdpBackend {
         Ok(())
     }
 
-    fn recv(&mut self, buf: &mut [u8]) -> Result<Option<usize>, IoError> {
-        match self.sock.recv_from(buf) {
-            Ok((n, _from)) => Ok(Some(n)),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => Ok(None),
+    fn recv(&mut self, frame: &mut Vec<u8>) -> Result<bool, IoError> {
+        match self.sock.recv_from(&mut self.scratch) {
+            Ok((n, _from)) => {
+                frame.clear();
+                frame.extend_from_slice(&self.scratch[..n]);
+                Ok(true)
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => Ok(false),
             Err(e) => Err(e.into()),
         }
     }
@@ -58,26 +74,45 @@ impl PacketIo for UdpBackend {
 mod tests {
     use super::*;
 
+    /// A connected pair on ephemeral loopback ports, or `None` where the
+    /// sandbox forbids sockets.
+    fn pair() -> Option<(UdpBackend, UdpBackend)> {
+        let a = UdpBackend::bind("127.0.0.1:0", "127.0.0.1:1").ok()?;
+        let b = UdpBackend::bind("127.0.0.1:0", &a.local_addr().ok()?).ok()?;
+        let a = UdpBackend { peer: b.local_addr().ok()?, ..a };
+        Some((a, b))
+    }
+
+    /// Polls `io` until a datagram lands (it may need a poll cycle).
+    fn recv_within_polls(io: &mut UdpBackend, frame: &mut Vec<u8>) -> bool {
+        (0..20).any(|_| io.recv(frame).unwrap())
+    }
+
     #[test]
     fn datagrams_round_trip_over_loopback() {
-        // Ephemeral ports; skip silently if the sandbox forbids sockets.
-        let Ok(a) = UdpBackend::bind("127.0.0.1:0", "127.0.0.1:1") else {
+        let Some((mut a, mut b)) = pair() else {
             return;
         };
-        let Ok(mut b) = UdpBackend::bind("127.0.0.1:0", &a.local_addr().unwrap()) else {
+        let mut frame = b"hello over udp".to_vec();
+        a.send(&mut frame).unwrap();
+        assert_eq!(frame, b"hello over udp", "the sender keeps its buffer");
+        let mut got = Vec::new();
+        assert!(recv_within_polls(&mut b, &mut got), "datagram never arrived");
+        assert_eq!(got, b"hello over udp");
+    }
+
+    #[test]
+    fn a_short_datagram_after_a_long_one_leaves_no_stale_tail() {
+        let Some((mut a, mut b)) = pair() else {
             return;
         };
-        let mut a = UdpBackend { peer: b.local_addr().unwrap(), sock: a.sock };
-        a.send(b"hello over udp").unwrap();
-        let mut buf = [0u8; 64];
-        // The datagram may need a poll cycle to land.
-        for _ in 0..20 {
-            if let Some(n) = b.recv(&mut buf).unwrap() {
-                assert_eq!(&buf[..n], b"hello over udp");
-                return;
-            }
-        }
-        panic!("datagram never arrived");
+        let mut got = Vec::new();
+        a.send(&mut vec![5u8; 1200]).unwrap();
+        assert!(recv_within_polls(&mut b, &mut got), "long datagram never arrived");
+        assert_eq!(got, [5u8; 1200]);
+        a.send(&mut b"short".to_vec()).unwrap();
+        assert!(recv_within_polls(&mut b, &mut got), "short datagram never arrived");
+        assert_eq!(got, b"short");
     }
 
     #[test]
@@ -85,7 +120,8 @@ mod tests {
         let Ok(mut a) = UdpBackend::bind("127.0.0.1:0", "127.0.0.1:1") else {
             return;
         };
-        let mut buf = [0u8; 16];
-        assert_eq!(a.recv(&mut buf).unwrap(), None);
+        let mut frame = b"untouched".to_vec();
+        assert!(!a.recv(&mut frame).unwrap());
+        assert_eq!(frame, b"untouched");
     }
 }

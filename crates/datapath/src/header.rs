@@ -146,24 +146,31 @@ impl EmpowerHeader {
         v
     }
 
-    /// Parses a header from `buf`.
+    /// Parses a header from `buf`: one bounds check and one copy out of the
+    /// cursor, then every field at its fixed offset.
+    #[inline]
     pub fn decode<B: Buf>(buf: &mut B) -> Result<Self, HeaderError> {
         if buf.remaining() < HEADER_LEN {
             return Err(HeaderError::Truncated { got: buf.remaining() });
         }
+        let mut b = [0u8; HEADER_LEN];
+        buf.copy_to_slice(&mut b);
         let mut hops = [IfaceId::EMPTY; MAX_HOPS];
-        for h in &mut hops {
-            *h = IfaceId(buf.get_u16());
+        // Bit i set: slot i holds a hop.
+        let mut set = 0u32;
+        for (i, h) in hops.iter_mut().enumerate() {
+            *h = IfaceId(u16::from_be_bytes([b[2 * i], b[2 * i + 1]]));
+            set |= u32::from(h.is_set()) << i;
         }
-        let price = buf.get_f32();
-        let seq = buf.get_u32();
-        // Route length = leading non-zero prefix; anything after a gap is
-        // malformed.
-        let len = hops.iter().position(|h| !h.is_set()).unwrap_or(MAX_HOPS);
-        if hops[len..].iter().any(|h| h.is_set()) {
+        let price = f32::from_bits(u32::from_be_bytes([b[12], b[13], b[14], b[15]]));
+        let seq = u32::from_be_bytes([b[16], b[17], b[18], b[19]]);
+        // The route is the leading run of set slots: `set` must be a run of
+        // low bits (adding one carries through all of them); anything set
+        // after a gap is malformed.
+        if set & (set + 1) != 0 {
             return Err(HeaderError::NonContiguousRoute);
         }
-        Ok(EmpowerHeader { route: SourceRoute { hops, len: len as u8 }, price, seq })
+        Ok(EmpowerHeader { route: SourceRoute { hops, len: set.count_ones() as u8 }, price, seq })
     }
 
     /// Adds a forwarding node's price contribution (Eq. (9) summand).

@@ -321,8 +321,10 @@ impl Node for EncapNode {
 
     fn process(&mut self, pkt: PktHandle, ctx: &mut GraphCtx<'_>) -> Disposition {
         let p = ctx.pool.get(pkt);
+        let mut header = [0u8; HEADER_LEN];
+        p.header.encode_into(&mut header);
         ctx.out.frame.clear();
-        p.header.encode(&mut ctx.out.frame);
+        ctx.out.frame.extend_from_slice(&header);
         ctx.out.frame.extend_from_slice(&p.payload);
         Disposition::Next
     }

@@ -94,6 +94,15 @@ impl ReorderBuffer {
         if seq < self.next_seq {
             return; // stale duplicate
         }
+        if seq == self.next_seq {
+            // In order: every pending key is above `next_seq`, so inserting
+            // `seq` would make it the oldest (the capacity rule declares
+            // nothing) and the drain would take it straight back out.
+            out.push(ReorderEvent::Deliver(seq));
+            self.next_seq += 1;
+            self.drain(out);
+            return;
+        }
         self.pending.insert(seq, ());
         if self.pending.len() > self.capacity {
             // Memory bound: force delivery up to the oldest buffered packet
@@ -216,6 +225,107 @@ mod tests {
             b.accept_into(r, s, &mut out);
             assert_eq!(a.accept(r, s), out, "route {r} seq {s}");
         }
+    }
+
+    /// `accept_into` as it was before the in-order fast path: every arrival
+    /// goes into the map and comes back out through the drain.
+    struct InsertThenDrain {
+        next_seq: u32,
+        pending: BTreeMap<u32, ()>,
+        highest_per_route: Vec<Option<u32>>,
+        capacity: usize,
+    }
+
+    impl InsertThenDrain {
+        fn accept_into(&mut self, route: usize, seq: u32, out: &mut Vec<ReorderEvent>) {
+            let hi = &mut self.highest_per_route[route];
+            if hi.is_none_or(|h| seq > h) {
+                *hi = Some(seq);
+            }
+            if seq < self.next_seq {
+                return;
+            }
+            self.pending.insert(seq, ());
+            if self.pending.len() > self.capacity {
+                if let Some(&oldest) = self.pending.keys().next() {
+                    while self.next_seq < oldest {
+                        out.push(Lost(self.next_seq));
+                        self.next_seq += 1;
+                    }
+                }
+            }
+            loop {
+                if self.pending.remove(&self.next_seq).is_some() {
+                    out.push(Deliver(self.next_seq));
+                    self.next_seq += 1;
+                    continue;
+                }
+                let all_passed = !self.highest_per_route.is_empty()
+                    && self
+                        .highest_per_route
+                        .iter()
+                        .all(|h| h.is_some_and(|hi| hi > self.next_seq));
+                if all_passed {
+                    out.push(Lost(self.next_seq));
+                    self.next_seq += 1;
+                    continue;
+                }
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn in_order_fast_path_matches_insert_then_drain() {
+        use empower_model::rng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0x5E0_4DE2);
+        let mut fast_hits = 0;
+        for case in 0..400usize {
+            let capacity = [0, 1, 4, ReorderConfig::for_routes(1).cap()][case % 4];
+            let mut routes = rng.gen_range(1usize..=3);
+            let mut fast = ReorderConfig::for_routes(routes).capacity(capacity).build();
+            let mut slow = InsertThenDrain {
+                next_seq: 0,
+                pending: BTreeMap::new(),
+                highest_per_route: vec![None; routes],
+                capacity,
+            };
+            let rekey_at = rng.gen_range(0usize..300);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            // The source's next sequence number; arrivals straddle it.
+            let mut next = 0u32;
+            for step in 0..300 {
+                if step == rekey_at {
+                    routes = rng.gen_range(1usize..=3);
+                    fast.rekey(routes);
+                    slow.highest_per_route = vec![None; routes];
+                }
+                let seq = match rng.gen_range(0u32..10) {
+                    // A duplicate or a stale straggler.
+                    0 => next.saturating_sub(rng.gen_range(1u32..=8)),
+                    // Frames lost on the way: the source skips ahead.
+                    1 => {
+                        next += rng.gen_range(1u32..=4);
+                        next
+                    }
+                    // Overtaken on a faster route: arrives ahead of its turn.
+                    2 => next + rng.gen_range(1u32..=6),
+                    _ => next,
+                };
+                next = next.max(seq + 1);
+                let route = rng.gen_range(0..routes);
+                fast_hits += usize::from(seq == fast.expected());
+                got.clear();
+                want.clear();
+                fast.accept_into(route, seq, &mut got);
+                slow.accept_into(route, seq, &mut want);
+                let at = format!("case {case} step {step}: route {route} seq {seq}");
+                assert_eq!(got, want, "{at}");
+                assert_eq!(fast.expected(), slow.next_seq, "{at}");
+                assert_eq!(fast.buffered(), slow.pending.len(), "{at}");
+            }
+        }
+        assert!(fast_hits > 10_000, "the fast path was exercised only {fast_hits} times");
     }
 
     #[test]

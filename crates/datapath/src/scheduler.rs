@@ -119,11 +119,13 @@ impl RouteScheduler {
         self.tokens -= need;
         // Weighted route choice ∝ max(x_r, probe floor): proportional to
         // the controller's split, with a trickle on quiet routes to keep
-        // their prices observable.
-        let weights: Vec<f64> = self.rates.iter().map(|&x| x.max(self.probe_floor)).collect();
-        let sum: f64 = weights.iter().sum();
+        // their prices observable. The weights are recomputed on the second
+        // walk rather than collected: same values, same order, no Vec.
+        let floor = self.probe_floor;
+        let sum: f64 = self.rates.iter().map(|&x| x.max(floor)).sum();
         let mut draw = rng.gen::<f64>() * sum;
-        for (i, &w) in weights.iter().enumerate() {
+        for (i, &x) in self.rates.iter().enumerate() {
+            let w = x.max(floor);
             if draw < w {
                 return RouteChoice::Route(i);
             }
@@ -208,6 +210,81 @@ mod tests {
         }
         // Expected share ≈ 0.25 / 20.25 ≈ 1.2 %.
         assert!(probe_hits > 50, "quiet route got {probe_hits} probes");
+    }
+
+    /// `offer` as it was before the draw stopped collecting its weights.
+    fn collect_then_draw<R: Rng + ?Sized>(
+        s: &mut RouteScheduler,
+        rng: &mut R,
+        now: f64,
+        bits: u64,
+    ) -> RouteChoice {
+        let total = s.total_rate();
+        let elapsed = (now - s.last_refill).max(0.0);
+        s.tokens = (s.tokens + total * elapsed).min(s.bucket_depth);
+        s.last_refill = now;
+        let need = bits as f64 / 1e6;
+        if total <= 0.0 || s.tokens < need {
+            return RouteChoice::Drop;
+        }
+        s.tokens -= need;
+        let weights: Vec<f64> = s.rates.iter().map(|&x| x.max(s.probe_floor)).collect();
+        let sum: f64 = weights.iter().sum();
+        let mut draw = rng.gen::<f64>() * sum;
+        for (i, &w) in weights.iter().enumerate() {
+            if draw < w {
+                return RouteChoice::Route(i);
+            }
+            draw -= w;
+        }
+        RouteChoice::Route(s.rates.len() - 1)
+    }
+
+    #[test]
+    fn route_draw_is_bit_identical_to_collect_then_draw() {
+        let mut inputs = StdRng::seed_from_u64(0x0FFE_4D4A);
+        let mut routed = 0usize;
+        for case in 0..300 {
+            let routes = inputs.gen_range(1usize..=6);
+            let floor = match case % 3 {
+                0 => 0.0,
+                1 => 0.25,
+                _ => inputs.gen_range(0.0..5.0),
+            };
+            let cfg = SchedulerConfig::for_routes(routes).probe_floor_mbps(floor);
+            let mut fast = cfg.build();
+            let mut slow = cfg.build();
+            let mut rng_fast = StdRng::seed_from_u64(case);
+            let mut rng_slow = StdRng::seed_from_u64(case);
+            let mut t = 0.0;
+            for step in 0..200 {
+                if step % 50 == 0 {
+                    // Fresh rates, a third of them zero (all zero sometimes).
+                    let rates: Vec<f64> =
+                        (0..routes)
+                            .map(|_| {
+                                if inputs.gen_bool(0.3) {
+                                    0.0
+                                } else {
+                                    inputs.gen_range(0.0..40.0)
+                                }
+                            })
+                            .collect();
+                    fast.apply_rates(&rates);
+                    slow.apply_rates(&rates);
+                }
+                t += inputs.gen_range(0.0..0.002);
+                let bits = inputs.gen_range(800u64..=12_000);
+                let got = fast.offer(&mut rng_fast, t, bits);
+                let want = collect_then_draw(&mut slow, &mut rng_slow, t, bits);
+                let at = format!("case {case} step {step}");
+                assert_eq!(got, want, "{at}");
+                assert_eq!(fast.tokens.to_bits(), slow.tokens.to_bits(), "{at}");
+                assert_eq!(rng_fast, rng_slow, "{at}: both drew the same number of words");
+                routed += usize::from(matches!(got, RouteChoice::Route(_)));
+            }
+        }
+        assert!(routed > 10_000, "only {routed} offers reached the route draw");
     }
 
     #[test]

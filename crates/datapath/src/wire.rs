@@ -37,10 +37,12 @@ pub trait Buf {
 }
 
 impl Buf for &[u8] {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn copy_to_slice(&mut self, dst: &mut [u8]) {
         assert!(self.len() >= dst.len(), "buffer underflow");
         let (head, tail) = self.split_at(dst.len());
