@@ -31,10 +31,15 @@ pairs() {
     count="${3:-10}"
     [ "$count" -ge 1 ] 2>/dev/null || { echo "$usage" >&2; exit 2; }
     root="$PWD/target/pairs"
-    mkdir -p "$root"
-    git worktree remove --force "$root/base" 2>/dev/null || true
-    git worktree add --detach "$root/base" "$base_ref" >/dev/null
-    trap 'git worktree remove --force "$root/base"' EXIT
+    # The base is a plain export of <base-ref>, not a worktree: a leftover
+    # from an earlier or killed run (a traced base pass writes under its
+    # own benchmark/out) is simply replaced, and .git is never touched.
+    git rev-parse --verify --quiet "$base_ref^{commit}" >/dev/null \
+        || { echo "pairs: unknown base ref $base_ref" >&2; exit 2; }
+    rm -rf "$root/base"
+    mkdir -p "$root/base"
+    trap 'rm -rf "$root/base"' EXIT
+    git archive "$base_ref" | tar -x -C "$root/base"
     say "pairs: building $base_ref and the working tree"
     cargo build --release --locked --manifest-path "$root/base/benchmark/Cargo.toml" \
         --target-dir "$root/base-target"
@@ -161,7 +166,7 @@ if [ "${1:-}" = "quick" ]; then
     # engine gate to its first scenario; CI's full mode runs everything.
     # --workspace (also the root manifest's default-members): the member-
     # crate gates run too (sim equivalence corpus and hot-path budgets,
-    # datapath graph tests, bench determinism tests).
+    # datapath stage tests, bench determinism tests).
     EMPOWER_EQUIV_TOPOLOGIES=12 EMPOWER_SIM_EQUIV_SCENARIOS=14 \
         EMPOWER_WORKLOAD_SCENARIOS=1 \
         cargo test -q --workspace
@@ -232,9 +237,9 @@ cmp "$SMOKE_DIR/wa.json" "$SMOKE_DIR/wb.json" \
 if [ "${EMPOWER_SKIP_NET:-}" = "1" ]; then
     say "udp loopback smoke test skipped (EMPOWER_SKIP_NET=1)"
 else
-    say "udp loopback smoke test (forwarding graph over real sockets)"
+    say "udp loopback smoke test (datapath endpoints over real sockets)"
     # Two OS processes forward 64 real EMPoWER frames over 127.0.0.1
-    # through the same graph nodes the simulator drives (DESIGN.md §10).
+    # through the same datapath stages the simulator drives (DESIGN.md §10).
     # Sandboxes without loopback sockets can set EMPOWER_SKIP_NET=1.
     if [ "${1:-}" = "quick" ]; then
         UDP_FWD="cargo run -q -p empower-datapath --example udp_forward --"

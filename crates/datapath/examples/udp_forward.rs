@@ -1,5 +1,5 @@
 //! Loopback demo: two OS processes forward real EMPoWER frames over UDP
-//! through the same forwarding-graph node code the simulator drives.
+//! through the same datapath stages the simulator drives.
 //!
 //! ```text
 //! terminal 1: cargo run -p empower-datapath --example udp_forward -- recv 127.0.0.1:0
@@ -12,13 +12,14 @@
 //! actual address for the sender to target. A fixed port still works —
 //! pass it explicitly, or export `EMPOWER_UDP_PORT` for ci.sh.
 //!
-//! The sender runs `RouteChoice → PriceStamp → Encap` over a
-//! [`UdpBackend`] and stamps a fixed per-route path price (0.25 on route
-//! 0, 0.5 on route 1 — in the simulator this accumulates hop by hop); the
-//! receiver runs `Decap → Reorder` and reports in-order delivery plus the
-//! per-route prices its paced ACK would carry. Time is a synthetic clock
-//! (5 ms per frame): the demo exercises the wire format and the graph,
-//! not wall-clock pacing. Delay equalization is skipped — it needs the
+//! The sender's [`SourceEndpoint`] admits and routes each payload
+//! (route choice), stamps a fixed per-route path price (0.25 on route 0,
+//! 0.5 on route 1 — in the simulator this accumulates hop by hop) and
+//! writes the header ahead of it (encap) into a [`UdpBackend`] datagram;
+//! the receiver's [`DestEndpoint`] parses the header (decap), reorders,
+//! and reports in-order delivery plus the per-route prices its paced ACK
+//! would carry. Time is a synthetic clock (5 ms per frame): the demo
+//! exercises the wire format and the stages, not wall-clock pacing. Delay equalization is skipped — it needs the
 //! one-way delay, which plain UDP frames carry no timestamp for.
 
 use std::io::Write;

@@ -1,27 +1,7 @@
-//! Typed configuration builders for the datapath stages.
-//!
-//! The original API grew a constructor/setter sprawl per stage
-//! (`RouteScheduler::new` / `with_bucket` / `set_probe_floor` /
-//! `reset_routes` / `set_rates`, and friends on `ReorderBuffer` and
-//! `DelayEqualizer`). These builders replace the constructor half of that
-//! sprawl with one value per stage that names every knob; the *runtime*
-//! half (rate vectors, route replacement, probe floors changing mid-flow)
-//! is no longer a pile of `&mut` setters but a typed control-plane message
-//! ([`crate::graph::CtrlMsg`]) drained at graph ticks.
-//!
-//! Migration from the old entry points. The free constructors in the
-//! first three rows have been **removed** (the builders are the only
-//! construction path); the mid-flow setters below them survive as
-//! `#[deprecated]` shims only for the frozen reference engine:
-//!
-//! | old | new |
-//! |---|---|
-//! | `RouteScheduler::new(n)` (removed) | `SchedulerConfig::for_routes(n).build()` |
-//! | `RouteScheduler::with_bucket(n, d)` (removed) | `SchedulerConfig::for_routes(n).bucket_depth_mb(d).build()` |
-//! | `ReorderBuffer::new(n)` / `DelayEqualizer::new(n)` (removed) | `ReorderConfig::for_routes(n).build()` / `DelayEqConfig::for_routes(n).build()` |
-//! | `sched.set_probe_floor(f)` | `SchedulerConfig::…​.probe_floor_mbps(f)`, or `CtrlMsg::SetProbeFloor(f)` mid-flow |
-//! | `sched.set_rates(&x)` | `CtrlMsg::SetRates(x)` posted to the graph |
-//! | `sched.reset_routes(n)` / `reorder.reset_routes(n)` | `CtrlMsg::ReplaceRoutes(routes)` posted to the graph |
+//! Typed configuration builders for the datapath stages: one value per
+//! stage that names every knob, with the paper's defaults. Mid-flow
+//! changes (rate vectors, route replacement) are methods on the stages
+//! themselves ([`crate::FlowSource`], [`crate::FlowSink`]).
 
 use crate::delay_eq::DelayEqualizer;
 use crate::reorder::ReorderBuffer;
@@ -65,7 +45,7 @@ impl SchedulerConfig {
     }
 
     /// Per-route rates to start with (open-loop flows). Controlled flows
-    /// leave this unset and receive rates via `CtrlMsg::SetRates`.
+    /// leave this unset and receive rates via [`RouteScheduler::set_rates`].
     ///
     /// # Panics
     /// Panics at [`SchedulerConfig::build`] time if the length does not
@@ -179,48 +159,6 @@ impl DelayEqConfig {
     }
 }
 
-/// Configuration of a complete per-flow datapath
-/// ([`crate::graph::FlowDatapath`]): one entry per stage, all keyed to the
-/// same route count.
-#[derive(Debug, Clone)]
-pub struct DatapathConfig {
-    /// Source-side admission + route choice.
-    pub scheduler: SchedulerConfig,
-    /// Destination-side reordering.
-    pub reorder: ReorderConfig,
-    /// Optional destination-side delay equalization (TCP flows).
-    pub delay_eq: Option<DelayEqConfig>,
-}
-
-impl DatapathConfig {
-    /// A default datapath over `routes` routes, without delay equalization.
-    pub fn for_routes(routes: usize) -> Self {
-        DatapathConfig {
-            scheduler: SchedulerConfig::for_routes(routes),
-            reorder: ReorderConfig::for_routes(routes),
-            delay_eq: None,
-        }
-    }
-
-    /// Replaces the scheduler stage's configuration.
-    pub fn scheduler(mut self, cfg: SchedulerConfig) -> Self {
-        self.scheduler = cfg;
-        self
-    }
-
-    /// Replaces the reorder stage's configuration.
-    pub fn reorder(mut self, cfg: ReorderConfig) -> Self {
-        self.reorder = cfg;
-        self
-    }
-
-    /// Enables delay equalization with defaults matched to the route count.
-    pub fn with_delay_eq(mut self) -> Self {
-        self.delay_eq = Some(DelayEqConfig::for_routes(self.reorder.routes()));
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,13 +181,5 @@ mod tests {
     #[should_panic]
     fn mismatched_initial_rates_panic() {
         let _ = SchedulerConfig::for_routes(2).initial_rates(&[1.0]).build();
-    }
-
-    #[test]
-    fn datapath_config_composes() {
-        let cfg = DatapathConfig::for_routes(3).with_delay_eq();
-        assert_eq!(cfg.scheduler.routes(), 3);
-        assert_eq!(cfg.reorder.routes(), 3);
-        assert_eq!(cfg.delay_eq.as_ref().map(DelayEqConfig::routes), Some(3));
     }
 }

@@ -24,8 +24,8 @@ pub struct DelayEqualizer {
 }
 
 impl DelayEqualizer {
-    /// Builds an equalizer from its typed configuration (the
-    /// non-deprecated construction path; see [`DelayEqConfig`]).
+    /// Builds an equalizer from its typed configuration (see
+    /// [`DelayEqConfig`]).
     pub(crate) fn from_config(cfg: &DelayEqConfig) -> Self {
         DelayEqualizer {
             ewma: cfg.smoothing(),
@@ -34,9 +34,9 @@ impl DelayEqualizer {
         }
     }
 
-    /// Control-plane handler behind `CtrlMsg::ReplaceRoutes`: fresh
-    /// estimates for a new route set, keeping the tuning knobs.
-    pub(crate) fn rekey(&mut self, route_count: usize) {
+    /// Re-keys for a new route set: fresh estimates, the same tuning
+    /// knobs.
+    pub(crate) fn reset_routes(&mut self, route_count: usize) {
         self.est_delay = vec![None; route_count];
     }
 

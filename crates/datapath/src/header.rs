@@ -45,8 +45,7 @@ pub struct SourceRoute {
 }
 
 impl Default for SourceRoute {
-    /// The empty (zero-hop) route — invalid on the wire, used as the
-    /// pool's reset value.
+    /// The empty (zero-hop) route — invalid on the wire.
     fn default() -> Self {
         SourceRoute { hops: [IfaceId::EMPTY; MAX_HOPS], len: 0 }
     }
@@ -135,15 +134,6 @@ impl EmpowerHeader {
         }
         out[12..16].copy_from_slice(&self.price.to_bits().to_be_bytes());
         out[16..20].copy_from_slice(&self.seq.to_be_bytes());
-    }
-
-    /// Serializes to a fresh vector.
-    #[deprecated(note = "allocates a fresh Vec per packet; use `encode_into` (fixed buffer) or \
-                `encode` (appending sink) instead")]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(HEADER_LEN);
-        self.encode(&mut v);
-        v
     }
 
     /// Parses a header from `buf`: one bounds check and one copy out of the

@@ -19,38 +19,33 @@
 //! declares a packet lost "when it has received packets with sequence number
 //! greater than S on all routes", tracks the latest `q_r` per route, and
 //! acknowledges every 100 ms over the best single path.
-
 //!
-//! Since the forwarding-graph redesign the datapath is assembled from
-//! typed nodes over a pooled packet store (see [`graph`] and [`nodes`]),
-//! configured through builders ([`config`]) and driven by pluggable
-//! packet I/O backends ([`backend`]): the discrete-event simulator and a
-//! real UDP socket run the same stage code.
+//! A flow's per-packet work is two fixed pipelines, each a plain value
+//! ([`stages`]): [`FlowSource`] admits, draws a route and stamps the
+//! header; [`FlowSink`] equalizes delays, reorders and paces the ACKs.
+//! Stages are configured through builders ([`config`]); the simulator's
+//! event loop calls them directly, and the endpoints in [`backend`] wrap
+//! them around pluggable packet I/O (an in-memory pair or a UDP socket).
 
 pub mod ack;
 pub mod backend;
 pub mod config;
 pub mod delay_eq;
-pub mod graph;
 pub mod header;
 pub mod iface_id;
-pub mod nodes;
 pub mod pool;
 pub mod reorder;
 pub mod scheduler;
+pub mod stages;
 pub mod wire;
 
 pub use ack::{Ack, AckCollector, ACK_INTERVAL_SECS};
 pub use backend::{DestEndpoint, IoError, PacketIo, SourceEndpoint};
-pub use config::{DatapathConfig, DelayEqConfig, ReorderConfig, SchedulerConfig};
+pub use config::{DelayEqConfig, ReorderConfig, SchedulerConfig};
 pub use delay_eq::DelayEqualizer;
-pub use graph::{
-    AdmitOutcome, ChainResult, CtrlMsg, Disposition, DropReason, FlowDatapath, FlowGraph, GraphCtx,
-    GraphNode, Node, NodeCounters, Outbox,
-};
 pub use header::{EmpowerHeader, HeaderError, SourceRoute, HEADER_LEN, MAX_HOPS};
 pub use iface_id::{IfaceId, IfaceRegistry};
-pub use nodes::{DecapNode, DelayEqNode, EncapNode, PriceStampNode, ReorderNode, RouteChoiceNode};
-pub use pool::{Handle, Packet, PktHandle, PktPool, Pool};
+pub use pool::{Handle, Pool};
 pub use reorder::{ReorderBuffer, ReorderEvent};
 pub use scheduler::{RouteChoice, RouteScheduler};
+pub use stages::{FlowSink, FlowSource};

@@ -1,17 +1,10 @@
-//! Pooled packet storage shared by the forwarding graph and its drivers.
+//! A free-list slab: the simulator's packet storage.
 //!
-//! The free-list slab pattern proved out in the simulator's hot path
-//! (PR 5): slots are recycled through a LIFO free list, so after warm-up
-//! the steady-state packet churn performs no heap allocation — `insert`
-//! overwrites a freed slot in place and `release` just pushes the index
-//! back. Queues and node pipelines hold 4-byte [`Handle`]s instead of
-//! moving packet-sized structs around.
-//!
-//! [`Pool`] is generic so both the graph's wire packets ([`Packet`]) and
-//! the simulator's frames pool through the same code; `empower-sim`
-//! re-exports its `PacketSlab`/`PacketId` as aliases of `Pool`/[`Handle`].
-
-use crate::header::EmpowerHeader;
+//! Slots are recycled through a LIFO free list, so after warm-up the
+//! steady-state churn performs no heap allocation — `insert` overwrites a
+//! freed slot in place and `release` just pushes the index back. Queues
+//! hold 4-byte [`Handle`]s instead of moving packet-sized structs around;
+//! `empower-sim` re-exports them as `PacketSlab`/`PacketId`.
 
 /// Handle into a [`Pool`]: 4 bytes, `Copy`, index-stable for the life of
 /// the pooled item.
@@ -33,9 +26,8 @@ impl<T> Pool<T> {
         Pool { slots: Vec::new(), free: Vec::new(), hits: 0, grows: 0 }
     }
 
-    /// Stores `item`, reusing a freed slot when one exists. Note that this
-    /// *overwrites* the recycled slot (dropping whatever buffers the old
-    /// value owned); use [`Pool::insert_with`] to recycle in place.
+    /// Stores `item`, reusing a freed slot when one exists (the recycled
+    /// slot is overwritten).
     pub fn insert(&mut self, item: T) -> Handle {
         if let Some(idx) = self.free.pop() {
             self.hits += 1;
@@ -83,62 +75,6 @@ impl<T> Pool<T> {
     }
 }
 
-impl<T: Default> Pool<T> {
-    /// Allocates a slot and initializes it **in place** via `init`: a
-    /// recycled slot is *not* overwritten with a fresh `T` first, so any
-    /// heap buffers the old value owned (e.g. [`Packet::payload`]
-    /// capacity) survive for reuse. `init` is responsible for resetting
-    /// every field it cares about.
-    pub fn insert_with(&mut self, init: impl FnOnce(&mut T)) -> Handle {
-        let h = if let Some(idx) = self.free.pop() {
-            self.hits += 1;
-            Handle(idx)
-        } else {
-            self.grows += 1;
-            let idx = self.slots.len() as u32;
-            self.slots.push(T::default());
-            Handle(idx)
-        };
-        init(&mut self.slots[h.0 as usize]);
-        h
-    }
-}
-
-/// One packet moving through the forwarding graph: the wire header, the
-/// flow-local route index it rides, bookkeeping for delay accounting, and
-/// a payload buffer whose capacity is recycled by the pool.
-#[derive(Debug, Clone, Default)]
-pub struct Packet {
-    /// The 20-byte layer-2.5 wire header.
-    pub header: EmpowerHeader,
-    /// Flow-local route index (assigned by `RouteChoice` at the source,
-    /// recovered by `Decap` at the destination).
-    pub route: usize,
-    /// Emission time at the source, seconds of the driver's clock.
-    pub created_at: f64,
-    /// Frame size on the wire, bits (header + payload).
-    pub size_bits: u64,
-    /// Application payload (post-`Decap`: without the wire header).
-    pub payload: Vec<u8>,
-}
-
-impl Packet {
-    /// Resets every field for slot recycling, keeping the payload buffer's
-    /// capacity. [`Pool::insert_with`] initializers call this first.
-    pub fn reset(&mut self) {
-        self.header = EmpowerHeader::default();
-        self.route = 0;
-        self.created_at = 0.0;
-        self.size_bits = 0;
-        self.payload.clear();
-    }
-}
-
-/// The forwarding graph's packet pool.
-pub type PktPool = Pool<Packet>;
-/// Handle to a packet in a [`PktPool`].
-pub type PktHandle = Handle;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,27 +95,11 @@ mod tests {
     }
 
     #[test]
-    fn insert_with_keeps_payload_capacity() {
-        let mut pool: PktPool = Pool::new();
-        let h = pool.insert_with(|p| {
-            p.reset();
-            p.payload.extend_from_slice(&[0u8; 256]);
-        });
-        let cap = pool.get(h).payload.capacity();
-        assert!(cap >= 256);
-        pool.release(h);
-        let h2 = pool.insert_with(|p| p.reset());
-        assert_eq!(h2, h);
-        assert_eq!(pool.get(h2).payload.len(), 0);
-        assert_eq!(pool.get(h2).payload.capacity(), cap, "buffer capacity survives recycling");
-    }
-
-    #[test]
     fn steady_state_churn_stops_growing() {
-        let mut pool: PktPool = Pool::new();
+        let mut pool: Pool<u32> = Pool::new();
         let mut live = Vec::new();
         for i in 0..10_000u32 {
-            live.push(pool.insert_with(Packet::reset));
+            live.push(pool.insert(i));
             if live.len() > 8 {
                 pool.release(live.remove(0));
             }

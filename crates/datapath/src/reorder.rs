@@ -34,8 +34,8 @@ pub struct ReorderBuffer {
 }
 
 impl ReorderBuffer {
-    /// Builds a buffer from its typed configuration (the non-deprecated
-    /// construction path; see [`ReorderConfig`]).
+    /// Builds a buffer from its typed configuration (see
+    /// [`ReorderConfig`]).
     pub(crate) fn from_config(cfg: &ReorderConfig) -> Self {
         ReorderBuffer {
             next_seq: 0,
@@ -64,14 +64,7 @@ impl ReorderBuffer {
     /// failure, §3.2): the expected sequence number and any buffered
     /// packets survive; the per-route high-water marks restart, so the
     /// loss rule waits until every *new* route has carried traffic.
-    #[deprecated(note = "post `CtrlMsg::ReplaceRoutes` to the graph instead")]
     pub fn reset_routes(&mut self, route_count: usize) {
-        self.rekey(route_count);
-    }
-
-    /// Control-plane handler behind `CtrlMsg::ReplaceRoutes` (see the
-    /// deprecated [`ReorderBuffer::reset_routes`] for semantics).
-    pub(crate) fn rekey(&mut self, route_count: usize) {
         self.highest_per_route = vec![None; route_count];
     }
 
@@ -297,7 +290,7 @@ mod tests {
             for step in 0..300 {
                 if step == rekey_at {
                     routes = rng.gen_range(1usize..=3);
-                    fast.rekey(routes);
+                    fast.reset_routes(routes);
                     slow.highest_per_route = vec![None; routes];
                 }
                 let seq = match rng.gen_range(0u32..10) {

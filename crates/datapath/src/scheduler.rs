@@ -42,8 +42,8 @@ pub struct RouteScheduler {
 }
 
 impl RouteScheduler {
-    /// Builds a scheduler from its typed configuration (the non-deprecated
-    /// construction path; see [`SchedulerConfig`]).
+    /// Builds a scheduler from its typed configuration (see
+    /// [`SchedulerConfig`]).
     pub(crate) fn from_config(cfg: &SchedulerConfig) -> Self {
         assert!(cfg.bucket_depth() > 0.0);
         let mut s = RouteScheduler {
@@ -55,46 +55,24 @@ impl RouteScheduler {
             probe_floor: cfg.probe_floor().max(0.0),
         };
         if let Some(rates) = cfg.rates() {
-            s.apply_rates(rates);
+            s.set_rates(rates);
         }
         s
-    }
-
-    /// Overrides the price-probing floor (Mbps). Zero disables probing.
-    #[deprecated(note = "configure via `SchedulerConfig::probe_floor_mbps`, or post \
-                `CtrlMsg::SetProbeFloor` to the graph mid-flow")]
-    pub fn set_probe_floor(&mut self, floor_mbps: f64) {
-        self.apply_probe_floor(floor_mbps);
     }
 
     /// Re-keys the scheduler for a new route set, zeroing the rates but
     /// preserving the token bucket and — crucially — the wire sequence
     /// counter (the destination's reorder buffer lives across route
     /// recomputations).
-    #[deprecated(note = "post `CtrlMsg::ReplaceRoutes` to the graph instead")]
     pub fn reset_routes(&mut self, route_count: usize) {
-        self.rekey(route_count);
-    }
-
-    /// Updates the per-route rates from the congestion controller.
-    #[deprecated(note = "post `CtrlMsg::SetRates` to the graph instead")]
-    pub fn set_rates(&mut self, rates: &[f64]) {
-        self.apply_rates(rates);
-    }
-
-    /// Control-plane handler behind `CtrlMsg::SetProbeFloor`.
-    pub(crate) fn apply_probe_floor(&mut self, floor_mbps: f64) {
-        self.probe_floor = floor_mbps.max(0.0);
-    }
-
-    /// Control-plane handler behind `CtrlMsg::ReplaceRoutes` (see
-    /// the deprecated [`RouteScheduler::reset_routes`] for semantics).
-    pub(crate) fn rekey(&mut self, route_count: usize) {
         self.rates = vec![0.0; route_count];
     }
 
-    /// Control-plane handler behind `CtrlMsg::SetRates`.
-    pub(crate) fn apply_rates(&mut self, rates: &[f64]) {
+    /// Updates the per-route rates from the congestion controller.
+    ///
+    /// # Panics
+    /// Panics when `rates` and the route set disagree in length.
+    pub fn set_rates(&mut self, rates: &[f64]) {
         assert_eq!(rates.len(), self.rates.len());
         self.rates.copy_from_slice(rates);
     }
@@ -270,8 +248,8 @@ mod tests {
                                 }
                             })
                             .collect();
-                    fast.apply_rates(&rates);
-                    slow.apply_rates(&rates);
+                    fast.set_rates(&rates);
+                    slow.set_rates(&rates);
                 }
                 t += inputs.gen_range(0.0..0.002);
                 let bits = inputs.gen_range(800u64..=12_000);
@@ -290,7 +268,7 @@ mod tests {
     #[test]
     fn rate_updates_take_effect() {
         let mut s = SchedulerConfig::for_routes(2).probe_floor_mbps(0.0).build();
-        s.apply_rates(&[0.0, 5.0]);
+        s.set_rates(&[0.0, 5.0]);
         let mut rng = StdRng::seed_from_u64(4);
         let mut t = 0.0;
         for _ in 0..100 {

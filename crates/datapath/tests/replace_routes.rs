@@ -1,28 +1,25 @@
 #![forbid(unsafe_code)]
-//! Mid-burst route replacement (`CtrlMsg::ReplaceRoutes`, §3.2 route
-//! recomputation): packets admitted on the old route set are still in
-//! flight when the flow re-keys to a smaller one. The reorder stage must
-//! drop the ones referencing retired route indices (`DropReason::Stale`)
-//! *through the graph*, so their pool slots are released — a stranded
-//! handle here is a leak the simulator's allocation-free hot path would
-//! turn into unbounded growth. The whole run is seeded, so the per-node
-//! counter manifest must also be byte-identical across identical runs.
+//! Mid-burst route replacement (§3.2 route recomputation): packets
+//! admitted on the old route set are still in flight when the flow re-keys
+//! to a smaller one. The wire sequence must continue across the re-key,
+//! arrivals on retired route indices must fail the sink's
+//! `route < route_count()` check (the stale-route policy every driver
+//! applies before `accept`), deliveries must stay strictly in order, and
+//! the whole seeded run must repeat exactly.
 
 use std::collections::VecDeque;
 
 use empower_datapath::{
-    ChainResult, CtrlMsg, Disposition, DropReason, FlowGraph, GraphCtx, GraphNode, IfaceId, Outbox,
-    PktPool, PriceStampNode, ReorderConfig, ReorderEvent, ReorderNode, RouteChoiceNode,
-    SchedulerConfig, SourceRoute,
+    EmpowerHeader, FlowSink, FlowSource, IfaceId, ReorderConfig, ReorderEvent, SchedulerConfig,
+    SourceRoute,
 };
 use empower_model::rng::{SeedableRng, StdRng};
-use empower_telemetry::{Manifest, Telemetry};
 
 const FRAME_BITS: u64 = 12_000;
 /// Packets stay "on the wire" for this many admissions before reaching
-/// the destination-side reorder stage.
+/// the destination's sink.
 const IN_FLIGHT: usize = 6;
-/// Admission at which the route set shrinks from two routes to one.
+/// Offer at which the route set shrinks from two routes to one.
 const REKEY_AT: usize = 25;
 const OFFERS: usize = 60;
 
@@ -31,128 +28,100 @@ fn route(ids: &[u16]) -> SourceRoute {
     SourceRoute::new(&hops).unwrap()
 }
 
-/// Outcome of one seeded burst-with-rekey run.
+/// Everything one seeded burst-with-rekey run did.
+#[derive(Debug, PartialEq)]
 struct BurstOutcome {
+    /// (route, seq) of every admitted packet, in admission order.
+    admitted: Vec<(usize, u32)>,
+    /// Index into `admitted` of the first packet admitted after the re-key.
+    first_after_rekey: usize,
+    /// Arrivals whose route index the re-key retired.
+    stale: u64,
     delivered: u64,
-    stale_drops: u64,
-    live_after: usize,
-    manifest: String,
+    events: Vec<ReorderEvent>,
 }
 
-/// Drives `RouteChoice → PriceStamp → … wire … → Reorder` with a fixed
-/// in-flight window, re-keying 2 → 1 routes mid-burst, and returns the
-/// delivery/drop tallies plus the rendered counter manifest.
+/// One packet reaches the destination: the stale-route check, then the
+/// sink.
+fn arrive(sink: &mut FlowSink, out: &mut BurstOutcome, (r, h): (usize, EmpowerHeader)) {
+    if r < sink.route_count() {
+        out.delivered += sink.accept(r, h.seq, f64::from(h.price), &mut out.events);
+    } else {
+        out.stale += 1;
+    }
+}
+
+/// Drives source → wire → sink with a fixed in-flight window, re-keying
+/// 2 → 1 routes mid-burst on both sides.
 fn run_burst(seed: u64) -> BurstOutcome {
-    let tel = Telemetry::enabled();
-    let scope = tel.scope("flow/0");
-    let mut graph = FlowGraph::new();
     let sched = SchedulerConfig::for_routes(2).initial_rates(&[10.0, 10.0]);
-    let rc = graph.push(
-        GraphNode::RouteChoice(RouteChoiceNode::new(&sched, vec![route(&[1, 2]), route(&[3, 4])])),
-        Some(&scope),
-    );
-    let ps = graph.push(GraphNode::PriceStamp(PriceStampNode), Some(&scope));
-    let ro = graph
-        .push(GraphNode::Reorder(ReorderNode::new(&ReorderConfig::for_routes(2))), Some(&scope));
-
-    let mut pool = PktPool::new();
+    let mut source = FlowSource::new(&sched, vec![route(&[1, 2]), route(&[3, 4])]);
+    let mut sink = FlowSink::new(&ReorderConfig::for_routes(2), None);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Outbox::new();
-    let mut in_flight = VecDeque::new();
-    let mut delivered = 0u64;
-    let mut stale_drops = 0u64;
-    let mut t = 0.0;
-
-    let mut deliver = |graph: &mut FlowGraph,
-                       pool: &mut PktPool,
-                       rng: &mut StdRng,
-                       out: &mut Outbox,
-                       now: f64,
-                       pkt| {
-        out.clear();
-        let mut ctx = GraphCtx { now, pool, rng, price_contribution: 0.0, out };
-        match graph.run_from(ro, pkt, &mut ctx) {
-            ChainResult::Consumed => {
-                delivered += ctx
-                    .out
-                    .reorder
-                    .iter()
-                    .filter(|e| matches!(e, ReorderEvent::Deliver(_)))
-                    .count() as u64;
-            }
-            ChainResult::Dropped(DropReason::Stale) => stale_drops += 1,
-            other => panic!("unexpected destination-side outcome: {other:?}"),
-        }
+    let mut in_flight: VecDeque<(usize, EmpowerHeader)> = VecDeque::new();
+    let mut out = BurstOutcome {
+        admitted: Vec::new(),
+        first_after_rekey: 0,
+        stale: 0,
+        delivered: 0,
+        events: Vec::new(),
     };
 
+    let mut t = 0.0;
     for i in 0..OFFERS {
         t += 0.01;
         if i == REKEY_AT {
             // Route recomputation: one surviving route, fresh rates (the
-            // scheduler zeroes them on re-key). Packets already in flight
-            // still carry old route indices.
-            graph.post(CtrlMsg::ReplaceRoutes(vec![route(&[5, 6])]));
-            graph.post(CtrlMsg::SetRates(vec![10.0]));
-            graph.tick();
+            // re-key zeroes them). Packets in flight keep old indices.
+            source.replace_routes(vec![route(&[5, 6])]);
+            sink.replace_routes(1);
+            source.set_rates(&[10.0]);
+            out.first_after_rekey = out.admitted.len();
         }
-        let pkt = pool.insert_with(|p| {
-            p.reset();
-            p.size_bits = FRAME_BITS;
-            p.created_at = t;
-        });
-        out.clear();
-        let mut ctx = GraphCtx {
-            now: t,
-            pool: &mut pool,
-            rng: &mut rng,
-            price_contribution: 0.02,
-            out: &mut out,
-        };
-        // Source side only: `RouteChoice` then `PriceStamp`. The packet is
-        // then "on the wire" until `IN_FLIGHT` later admissions happen.
-        match graph.step(rc, pkt, &mut ctx) {
-            Disposition::Next => {
-                assert_eq!(graph.step(ps, pkt, &mut ctx), Disposition::Next);
-                in_flight.push_back(pkt);
-            }
-            Disposition::Drop(DropReason::NoTokens) => {}
-            other => panic!("unexpected source-side outcome: {other:?}"),
+        if let Some((r, mut h)) = source.admit(&mut rng, t, FRAME_BITS) {
+            h.add_price(0.02);
+            out.admitted.push((r, h.seq));
+            in_flight.push_back((r, h));
         }
         while in_flight.len() > IN_FLIGHT {
             let pkt = in_flight.pop_front().unwrap();
-            deliver(&mut graph, &mut pool, &mut rng, &mut out, t, pkt);
+            arrive(&mut sink, &mut out, pkt);
         }
     }
     // Drain the wire.
     while let Some(pkt) = in_flight.pop_front() {
-        t += 0.01;
-        deliver(&mut graph, &mut pool, &mut rng, &mut out, t, pkt);
+        arrive(&mut sink, &mut out, pkt);
     }
-
-    let mut m = Manifest::new("replace_routes_burst");
-    m.set("seed", seed).attach_counters(&tel);
-    BurstOutcome { delivered, stale_drops, live_after: pool.live(), manifest: m.render() }
+    out
 }
 
 #[test]
-fn rekey_mid_burst_strands_no_pool_handles() {
+fn rekey_mid_burst_continues_the_sequence_in_order() {
     let out = run_burst(0xEB);
-    assert!(out.delivered > 0, "in-order deliveries before and after the re-key");
-    assert!(
-        out.stale_drops > 0,
-        "packets in flight across the re-key reference retired route indices"
-    );
-    assert_eq!(out.live_after, 0, "every pool handle was delivered or released on drop");
+    let k = out.first_after_rekey;
+    assert!(k > 0 && k < out.admitted.len(), "admissions on both sides of the re-key");
+    let seqs: Vec<u32> = out.admitted.iter().map(|&(_, s)| s).collect();
+    assert_eq!(seqs, (0..seqs.len() as u32).collect::<Vec<_>>(), "the wire sequence continues");
+    assert!(out.admitted[k..].iter().all(|&(r, _)| r == 0), "one route after the re-key");
+    assert!(out.stale > 0, "packets in flight across the re-key carry retired route indices");
+
+    // Every release names the next sequence number: deliveries are
+    // strictly in order and each gap is declared lost exactly once.
+    let released: Vec<u32> = out
+        .events
+        .iter()
+        .map(|e| match *e {
+            ReorderEvent::Deliver(s) | ReorderEvent::Lost(s) => s,
+        })
+        .collect();
+    assert_eq!(released, (0..released.len() as u32).collect::<Vec<_>>());
+    let delivered = out.events.iter().filter(|e| matches!(e, ReorderEvent::Deliver(_))).count();
+    assert_eq!(delivered as u64, out.delivered);
+    assert!(out.delivered > out.stale, "in-order deliveries before and after the re-key");
 }
 
 #[test]
 fn rekey_mid_burst_counters_are_stable_across_runs() {
-    let a = run_burst(0xEB);
-    let b = run_burst(0xEB);
-    assert_eq!(a.delivered, b.delivered);
-    assert_eq!(a.stale_drops, b.stale_drops);
-    assert_eq!(
-        a.manifest, b.manifest,
-        "per-node in/out/drop counters must be byte-identical for identical runs"
-    );
+    assert_eq!(run_burst(0xEB), run_burst(0xEB), "a seeded run repeats exactly");
+    assert_ne!(run_burst(0xEB).admitted, run_burst(0xEC).admitted, "the seed drives the draw");
 }

@@ -8,14 +8,18 @@
 //! scratch vector is reused across calls. Results are bit-identical to
 //! [`crate::ReferenceSimulation`] (the retained pre-optimization engine),
 //! enforced by the seeded corpus in `crates/sim/tests/equivalence.rs`.
+//!
+//! Each flow's datapath is two plain values from `empower-datapath`: a
+//! `FlowSource` (admission, route draw, header) called at emission, and a
+//! `FlowSink` (delay equalization, reorder, paced ACKs) called at arrival;
+//! the hops in between add their price to the frame's header.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use empower_cc::{BroadcastPlan, FlowController, LinkPriceState, ProportionalFair};
 use empower_datapath::{
-    AdmitOutcome, CtrlMsg, DatapathConfig, EmpowerHeader, FlowDatapath, IfaceId, IfaceRegistry,
-    Outbox, PktHandle, PktPool, PriceStampNode, ReorderEvent, SchedulerConfig, SourceRoute,
-    HEADER_LEN,
+    DelayEqConfig, EmpowerHeader, FlowSink, FlowSource, IfaceId, IfaceRegistry, ReorderConfig,
+    ReorderEvent, SchedulerConfig, SourceRoute, HEADER_LEN,
 };
 use empower_model::rng::SeedableRng;
 use empower_model::rng::StdRng;
@@ -51,10 +55,11 @@ struct FlowRuntime {
     spec: FlowSpecSim,
     /// First link of each route (the source's egress).
     first_links: Vec<LinkId>,
-    /// The flow's forwarding graph (`RouteChoice → PriceStamp → [DelayEq]
-    /// → Reorder`); the event loop interleaves its stages with MAC and
-    /// propagation events through the typed entry points.
-    dp: FlowDatapath,
+    /// The flow's source stages (admission, route choice, header); the
+    /// event loop interleaves them with MAC and propagation events.
+    source: FlowSource,
+    /// The flow's destination stages (`[DelayEq] → Reorder → ACK`).
+    sink: FlowSink,
     controller: Option<FlowController<ProportionalFair>>,
     active: bool,
     /// Remaining frame goal of the current file (None = not a file flow).
@@ -217,12 +222,6 @@ pub struct Simulation {
     now: f64,
     /// Pooled packet storage; queues and the busy table hold handles.
     slab: PacketSlab,
-    /// Pool backing the flows' forwarding graphs. Source-side packets are
-    /// transient (admitted, stamped, serialized into [`SimPacket`]s,
-    /// released), so after warm-up this pool stops growing too.
-    dp_pool: PktPool,
-    /// Reused per-stage outbox for the forwarding graphs.
-    dp_out: Outbox,
     /// Per-link FIFO queues of slab handles.
     queues: Vec<VecDeque<PacketId>>,
     /// Frame currently on the air per link.
@@ -307,8 +306,6 @@ impl Simulation {
         Simulation {
             reg,
             slab: PacketSlab::new(),
-            dp_pool: PktPool::new(),
-            dp_out: Outbox::new(),
             queues: vec![VecDeque::new(); l],
             busy: vec![None; l],
             busy_words: vec![0u64; stride.max(1)],
@@ -491,21 +488,17 @@ impl Simulation {
             }
         });
         let route_count = spec.routes.len();
-        let mut dp_cfg = DatapathConfig::for_routes(route_count).scheduler(sched_cfg);
-        if spec.delay_equalization {
-            dp_cfg = dp_cfg.with_delay_eq();
-        }
-        // No telemetry scope: the engine keeps its own (manifest-stable)
-        // per-flow counters; per-node graph counters are for standalone
-        // backends.
-        let dp = FlowDatapath::new(&dp_cfg, source_routes, None);
+        let source = FlowSource::new(&sched_cfg, source_routes);
+        let delay_eq = spec.delay_equalization.then(|| DelayEqConfig::for_routes(route_count));
+        let sink = FlowSink::new(&ReorderConfig::for_routes(route_count), delay_eq.as_ref());
         let start = spec.pattern.start_time();
         let stop = spec.pattern.stop_time();
         let idx = self.flows.len();
         self.flows.push(FlowRuntime {
             spec,
             first_links,
-            dp,
+            source,
+            sink,
             controller,
             active: false,
             current_file_frames: None,
@@ -591,11 +584,11 @@ impl Simulation {
         let fl = &mut self.flows[flow];
         fl.first_links = routes.iter().map(|p| p.links()[0]).collect();
         fl.spec.routes = routes;
-        // Re-key every stage of the forwarding graph in one control
-        // message: the scheduler's token bucket and wire sequence counter
-        // survive, the reorder stage keeps its expected sequence, the
-        // ACK collector and delay equalizer restart fresh.
-        fl.dp.post(CtrlMsg::ReplaceRoutes(source_routes));
+        // Re-key both sides: the scheduler's token bucket and wire
+        // sequence counter survive, the reorder stage keeps its expected
+        // sequence, the ACK collector and delay equalizer restart fresh.
+        fl.source.replace_routes(source_routes);
+        fl.sink.replace_routes(n);
         if fl.controller.is_some() {
             fl.controller =
                 Some(FlowController::new(ProportionalFair, self.cfg.cc_config(), caps, max_hops));
@@ -604,9 +597,8 @@ impl Simulation {
             // capacity.
             fl.spec.open_loop_rates =
                 fl.spec.routes.iter().map(|p| p.capacity(&self.net, &self.imap)).collect();
-            fl.dp.post(CtrlMsg::SetRates(fl.spec.open_loop_rates.clone()));
+            fl.source.set_rates(&fl.spec.open_loop_rates);
         }
-        fl.dp.tick();
         let gid = self.flow_gids[flow];
         fl.route_frames = self.etel.flow_route_counters(gid, n);
         self.etel.tele.event("sim", "route_replace", &[("flow", gid.into()), ("routes", n.into())]);
@@ -762,35 +754,27 @@ impl Simulation {
             return; // completion handling re-arms emission
         }
         let bits = self.cfg.frame_bits;
-        let outcome = self.flows[f].dp.admit(
-            &mut self.dp_pool,
-            &mut self.flow_rngs[f],
-            self.now,
-            bits,
-            &mut self.dp_out,
-        );
-        match outcome {
-            AdmitOutcome::Dropped => {
+        match self.flows[f].source.admit(&mut self.flow_rngs[f], self.now, bits) {
+            None => {
                 self.stats[f].dropped_at_source += 1;
                 self.etel.drops_source.inc();
             }
-            AdmitOutcome::Admitted { pkt, route } => {
-                self.send_admitted(f, pkt, route, PacketKind::Data, None);
+            Some((route, header)) => {
+                self.send_admitted(f, header, route, PacketKind::Data, None);
             }
         }
-        let rate = self.flows[f].dp.total_rate().max(1.0);
+        let rate = self.flows[f].source.total_rate().max(1.0);
         let interval = bits as f64 / 1e6 / rate;
         self.schedule_emit(f, interval);
     }
 
-    /// Takes an admitted graph packet through the `PriceStamp` stage,
-    /// serializes it into a [`SimPacket`] and enqueues it on the first link
-    /// of route `r` (the graph pool slot is recycled immediately — on the
-    /// wire the frame lives in the slab).
+    /// Stamps the source's price contribution on an admitted packet's
+    /// header, wraps it in a [`SimPacket`] and enqueues it on the first
+    /// link of route `r`.
     fn send_admitted(
         &mut self,
         f: usize,
-        pkt: PktHandle,
+        mut header: EmpowerHeader,
         r: usize,
         kind: PacketKind,
         tcp_seq: Option<u32>,
@@ -804,16 +788,7 @@ impl Simulation {
             src_node.index(),
             first,
         );
-        self.flows[f].dp.stamp(
-            &mut self.dp_pool,
-            &mut self.flow_rngs[f],
-            self.now,
-            pkt,
-            contribution,
-            &mut self.dp_out,
-        );
-        let header = self.dp_pool.get(pkt).header;
-        self.dp_pool.release(pkt);
+        header.add_price(contribution);
         let wire_seq = header.seq;
         if self.etel.enabled() {
             // Exercise the real 20-byte wire codec on every emitted frame:
@@ -1044,15 +1019,14 @@ impl Simulation {
             self.slab.release(id);
             return;
         };
-        // Forwarding node adds its price contribution (Eq. (9)) — the
-        // same stage logic the graph's `PriceStamp` node runs.
+        // Forwarding node adds its price contribution (Eq. (9)).
         let contribution = self.bcast_plan.price_contribution(
             &self.net,
             &self.price_states,
             node.index(),
             next_link,
         );
-        PriceStampNode::apply(&mut self.slab.get_mut(id).header, contribution);
+        self.slab.get_mut(id).header.add_price(contribution);
         self.enqueue_link(next_link, id);
     }
 
@@ -1071,7 +1045,7 @@ impl Simulation {
             self.etel.route_errors.inc();
             return;
         }
-        let hold = self.flows[f].dp.arrival_hold(route, delay);
+        let hold = self.flows[f].sink.arrival_hold(route, delay);
         if hold > 1e-9 {
             // The f32 price round-trips losslessly through the event.
             self.events.push(
@@ -1118,9 +1092,9 @@ impl Simulation {
         }
         let mut events = std::mem::take(&mut self.scratch_reorder);
         events.clear();
-        // The graph's `Reorder` stage: price observation, the all-routes
-        // loss rule, delivery counting for the paced ACKs.
-        let delivered_now = self.flows[f].dp.accept(route, seq, price, &mut events);
+        // The sink's reorder stage: price observation, the all-routes loss
+        // rule, delivery counting for the paced ACKs.
+        let delivered_now = self.flows[f].sink.accept(route, seq, price, &mut events);
         if !events.is_empty() {
             self.etel.reorder_flushes.inc();
         }
@@ -1296,7 +1270,7 @@ impl Simulation {
             if self.flows[f].controller.is_none() {
                 continue;
             }
-            let ack = self.flows[f].dp.maybe_ack(self.now);
+            let ack = self.flows[f].sink.maybe_ack(self.now);
             if ack.is_some() {
                 self.flows[f].acks_sent.inc();
             }
@@ -1314,10 +1288,7 @@ impl Simulation {
                     controller.on_ack(prices)
                 }
             };
-            // The controller's fresh rate vector is moved into the control
-            // message (no extra allocation) and applied at the tick.
-            self.flows[f].dp.post(CtrlMsg::SetRates(rates.per_route));
-            self.flows[f].dp.tick();
+            self.flows[f].source.set_rates(&rates.per_route);
         }
         // 5. Once per second: sample injected rates.
         let per_sec = (1.0 / slot).round() as u64;
@@ -1526,35 +1497,24 @@ impl Simulation {
         }
         let bits = self.cfg.frame_bits;
         if self.flows[f].spec.use_cc {
-            let outcome = self.flows[f].dp.admit(
-                &mut self.dp_pool,
-                &mut self.flow_rngs[f],
-                self.now,
-                bits,
-                &mut self.dp_out,
-            );
-            match outcome {
-                AdmitOutcome::Dropped => {
-                    // No tokens yet: retry after roughly one frame time at
-                    // the admitted rate; the segment stays queued.
-                }
-                AdmitOutcome::Admitted { pkt, route } => {
-                    if let Some(tcp_seq) = self.flows[f].tcp_backlog.pop_front() {
-                        self.send_admitted(f, pkt, route, PacketKind::TcpData, Some(tcp_seq));
-                    } else {
-                        self.dp_pool.release(pkt);
-                    }
+            // A refusal (no tokens yet) leaves the segment queued, to retry
+            // after roughly one frame time at the admitted rate.
+            if let Some((route, header)) =
+                self.flows[f].source.admit(&mut self.flow_rngs[f], self.now, bits)
+            {
+                if let Some(tcp_seq) = self.flows[f].tcp_backlog.pop_front() {
+                    self.send_admitted(f, header, route, PacketKind::TcpData, Some(tcp_seq));
                 }
             }
         } else {
             // Open loop: pin route 0 without consuming tokens or RNG draws.
             if let Some(tcp_seq) = self.flows[f].tcp_backlog.pop_front() {
-                let pkt = self.flows[f].dp.admit_direct(&mut self.dp_pool, self.now, bits, 0);
-                self.send_admitted(f, pkt, 0, PacketKind::TcpData, Some(tcp_seq));
+                let header = self.flows[f].source.header_on(0);
+                self.send_admitted(f, header, 0, PacketKind::TcpData, Some(tcp_seq));
             }
         }
         if !self.flows[f].tcp_backlog.is_empty() {
-            let rate = self.flows[f].dp.total_rate().max(1.0);
+            let rate = self.flows[f].source.total_rate().max(1.0);
             let interval = bits as f64 / 1e6 / rate;
             self.schedule_emit(f, interval);
         }

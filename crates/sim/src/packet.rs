@@ -1,9 +1,9 @@
 //! Simulated frames.
 //!
-//! Since the forwarding-graph redesign the slab itself lives in
-//! `empower-datapath` ([`Pool`](empower_datapath::Pool)); this module
-//! keeps the simulator's frame type and re-exports the pool under its
-//! historical `PacketSlab`/`PacketId` names.
+//! The slab itself lives in `empower-datapath`
+//! ([`Pool`](empower_datapath::Pool)); this module keeps the simulator's
+//! frame type and re-exports the pool under its historical
+//! `PacketSlab`/`PacketId` names.
 
 use empower_datapath::EmpowerHeader;
 

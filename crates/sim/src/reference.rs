@@ -14,10 +14,9 @@
 //! the rework removed).
 //!
 //! Keep this file semantically frozen — fix bugs in both engines or in
-//! neither. The forwarding-graph redesign deprecated the monolithic
-//! datapath entry points this oracle is built on; the frozen copy keeps
-//! using them on purpose.
-#![allow(deprecated)]
+//! neither. It drives the raw datapath stage structs (`RouteScheduler`,
+//! `ReorderBuffer`, `AckCollector`, `DelayEqualizer`) itself, where the
+//! optimized engine goes through `FlowSource` / `FlowSink`.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -25,7 +24,7 @@ use empower_cc::{FlowController, LinkPriceState, PriceBroadcast, ProportionalFai
 use empower_datapath::{
     AckCollector, DelayEqConfig, DelayEqualizer, EmpowerHeader, IfaceId, IfaceRegistry,
     ReorderBuffer, ReorderConfig, ReorderEvent, RouteChoice, RouteScheduler, SchedulerConfig,
-    SourceRoute,
+    SourceRoute, HEADER_LEN,
 };
 use empower_model::rng::SeedableRng;
 use empower_model::rng::StdRng;
@@ -606,7 +605,8 @@ impl ReferenceSimulation {
             // an encode/decode round-trip failure is a datapath bug the
             // counters must surface (the disabled path skips this).
             self.flows[f].route_frames[r].inc();
-            let bytes = header.to_bytes();
+            let mut bytes = [0u8; HEADER_LEN];
+            header.encode_into(&mut bytes);
             if EmpowerHeader::decode(&mut bytes.as_slice()).is_err() {
                 self.etel.header_decode_errors.inc();
             }

@@ -1,11 +1,10 @@
-//! The PR-5 safety net, doubling since the forwarding-graph redesign as
-//! the graph-vs-monolith equivalence gate: every corpus scenario must
-//! produce **byte-identical** results on the optimized engine (whose
-//! datapath stages now run as `empower-datapath` graph nodes behind
-//! `FlowDatapath`) and on the retained reference engine (the frozen
-//! pre-refactor monolith, still driving `RouteScheduler`/`ReorderBuffer`/
-//! `AckCollector`/`DelayEqualizer` directly) — the full `SimReport` debug
-//! rendering, the packet trace JSONL and the telemetry manifest.
+//! The PR-5 safety net: every corpus scenario must produce
+//! **byte-identical** results on the optimized engine (whose datapath
+//! stages are `empower-datapath`'s `FlowSource` / `FlowSink`) and on the
+//! retained reference engine (the frozen pre-refactor monolith, driving
+//! `RouteScheduler`/`ReorderBuffer`/`AckCollector`/`DelayEqualizer`
+//! directly) — the full `SimReport` debug rendering, the packet trace
+//! JSONL and the telemetry manifest.
 //!
 //! The same sweep holds the optimized engine to its hot-path work budget:
 //! with trace and telemetry detached, both engines must dispatch the same

@@ -145,10 +145,11 @@ impl Telemetry {
         let name = name.into();
         let mut index = inner.index.borrow_mut();
         let mut counters = inner.counters.borrow_mut();
-        let idx = *index.entry(name.clone()).or_insert_with(|| {
+        let next = counters.len();
+        let idx = *index.entry(name.clone()).or_insert(next);
+        if idx == next {
             counters.push(CounterEntry { name, flavor, cell: Rc::new(Cell::new(0)) });
-            counters.len() - 1
-        });
+        }
         Counter { cell: Some(counters[idx].cell.clone()) }
     }
 
