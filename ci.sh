@@ -19,9 +19,12 @@ say() { printf '\n== %s ==\n' "$1"; }
 # the workload's timed pass on each, alternately, the side that goes first
 # alternating too, and print every pair's end-to-end metrics (all of
 # BENCHMARK.json's `end_to_end`, not only wall_s), each side's medians and
-# quartiles, who won on wall_s, and a REGRESSED flag on any metric whose
-# change median is worse than the base median by more than its declared
-# bound. A gain counts when at least 10 pairs ran, the change wins at least
+# quartiles, who won on wall_s, and a flag per metric by the rule of the
+# benchmark's own `compare`. A metric is UNRESOLVED when either side's
+# (q3 - q1) / median exceeds its declared bound and the sides overlap; it
+# is REGRESSED when the change median is worse than the base median by
+# more than the bound and, if a side is that noisy, every change run is
+# worse than every base run. A gain counts when at least 10 pairs ran, the change wins at least
 # nine tenths of them on wall_s and the wall_s medians differ by more than
 # the distance between the base's own quartiles. Writes only under target/.
 pairs() {
@@ -105,26 +108,37 @@ pairs() {
         { n++
           for (j = 1; j <= k; j++) { b[j, n] = $j; c[j, n] = $(j + k) }
           if ($(1 + k) < $1) won++; else if ($1 < $(1 + k)) lost++; else ties++ }
+        function spread(v, n, m) { return m == 0 ? 0 : (at(v, n, .75) - at(v, n, .25)) / (m < 0 ? -m : m) }
         END {
-            regressed = 0
+            regressed = 0; unresolved = 0
             for (j = 1; j <= k; j++) {
                 for (i = 1; i <= n; i++) { bs[i] = b[j, i]; cs[i] = c[j, i] }
                 sorted(bs, n); sorted(cs, n)
                 bm = at(bs, n, .5); cm = at(cs, n, .5)
                 if (j == 1) { wb = bm; wc = cm; wiqr = at(bs, n, .75) - at(bs, n, .25) }
                 # Oriented so that positive is worse.
-                worse = (better[j] == "higher" ? bm - cm : cm - bm)
+                hi = better[j] == "higher"
+                worse = (hi ? bm - cm : cm - bm)
                 bad = worse > bound[j] * (bm < 0 ? -bm : bm)
-                regressed += bad
+                if (spread(bs, n, bm) > bound[j] || spread(cs, n, cm) > bound[j]) {
+                    # Too noisy to judge, unless every change run beats (or
+                    # loses to) every base run.
+                    all_better = hi ? cs[1] > bs[n] : cs[n] < bs[1]
+                    all_worse = hi ? cs[n] < bs[1] : cs[1] > bs[n]
+                    bad = bad && all_worse
+                    unres = !all_better && !bad
+                } else unres = 0
+                regressed += bad; unresolved += unres
                 printf "%-13s base median %.6g  q1 %.6g  q3 %.6g | change median %.6g  q1 %.6g  q3 %.6g | change/base %.3f  bound %g%s\n",
                     name[j], bm, at(bs, n, .25), at(bs, n, .75), cm, at(cs, n, .25), at(cs, n, .75),
-                    bm == 0 ? 1 : cm / bm, bound[j], bad ? "  REGRESSED" : ""
+                    bm == 0 ? 1 : cm / bm, bound[j], bad ? "  REGRESSED" : unres ? "  UNRESOLVED" : ""
             }
             printf "wall_s: change wins %d, base wins %d, ties %d of %d pairs\n", won, lost, ties, n
             gain = won >= 0.9 * n && wb - wc > wiqr
             if (n < 10) print "fewer than 10 pairs: too few to claim a gain"
             else print (gain ? "a gain by the rule" : "not a gain by the rule")
             print (regressed ? regressed " metric(s) worse than their bound" : "no metric worse than its bound")
+            if (unresolved) print unresolved " metric(s) unresolved: a side spreads wider than the bound"
         }' "$root/metrics" "$root/runs"
 }
 

@@ -32,13 +32,6 @@ use empower_model::InterferenceMap;
 use crate::problem::CcProblem;
 use crate::utility::Utility;
 
-/// Which §4 controller to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ControllerKind {
-    SinglePath,
-    Multipath,
-}
-
 /// Controller parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct CcConfig {

@@ -34,7 +34,7 @@ pub mod problem;
 pub mod step_size;
 pub mod utility;
 
-pub use controller::{CcConfig, ControllerKind, MultipathController, SinglePathController};
+pub use controller::{CcConfig, MultipathController, SinglePathController};
 pub use convergence::{slots_to_converge, ConvergenceCriterion};
 pub use distributed::{BroadcastPlan, LinkPriceState, PriceBroadcast, RoutePriceAccumulator};
 pub use flow::{FlowController, FlowRates};

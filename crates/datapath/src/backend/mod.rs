@@ -170,11 +170,6 @@ impl<B: PacketIo> SourceEndpoint<B> {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// The underlying backend.
-    pub fn io_mut(&mut self) -> &mut B {
-        &mut self.io
-    }
 }
 
 /// Destination side of a flow: receives frames, parses them, reorders,
@@ -200,7 +195,7 @@ impl<B: PacketIo> DestEndpoint<B> {
         DestEndpoint {
             io,
             routes,
-            sink: FlowSink::new(cfg, None),
+            sink: FlowSink::new(cfg, false),
             frame: Vec::new(),
             decap: NodeCounters::new(scope, "decap"),
             reorder: NodeCounters::new(scope, "reorder"),
@@ -237,11 +232,6 @@ impl<B: PacketIo> DestEndpoint<B> {
     /// The paced price acknowledgement, when one is due.
     pub fn maybe_ack(&mut self, now: f64) -> Option<Ack> {
         self.sink.maybe_ack(now)
-    }
-
-    /// The underlying backend.
-    pub fn io_mut(&mut self) -> &mut B {
-        &mut self.io
     }
 }
 

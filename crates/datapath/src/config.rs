@@ -3,7 +3,6 @@
 //! changes (rate vectors, route replacement) are methods on the stages
 //! themselves ([`crate::FlowSource`], [`crate::FlowSink`]).
 
-use crate::delay_eq::DelayEqualizer;
 use crate::reorder::ReorderBuffer;
 use crate::scheduler::RouteScheduler;
 
@@ -110,52 +109,6 @@ impl ReorderConfig {
     /// Builds the buffer.
     pub fn build(&self) -> ReorderBuffer {
         ReorderBuffer::from_config(self)
-    }
-}
-
-/// Configuration of the destination-side delay equalizer.
-#[derive(Debug, Clone)]
-pub struct DelayEqConfig {
-    routes: usize,
-    ewma: f64,
-    max_hold_secs: f64,
-}
-
-impl DelayEqConfig {
-    /// An equalizer for `routes` routes with the historical smoothing
-    /// (EWMA 0.1) and hold cap (0.5 s).
-    pub fn for_routes(routes: usize) -> Self {
-        DelayEqConfig { routes, ewma: 0.1, max_hold_secs: 0.5 }
-    }
-
-    /// EWMA smoothing factor for the per-route delay estimates.
-    pub fn ewma(mut self, alpha: f64) -> Self {
-        self.ewma = alpha;
-        self
-    }
-
-    /// Cap on artificially added delay, seconds.
-    pub fn max_hold_secs(mut self, secs: f64) -> Self {
-        self.max_hold_secs = secs;
-        self
-    }
-
-    /// Number of routes this equalizer is keyed for.
-    pub fn routes(&self) -> usize {
-        self.routes
-    }
-
-    pub(crate) fn smoothing(&self) -> f64 {
-        self.ewma
-    }
-
-    pub(crate) fn hold_cap(&self) -> f64 {
-        self.max_hold_secs
-    }
-
-    /// Builds the equalizer.
-    pub fn build(&self) -> DelayEqualizer {
-        DelayEqualizer::from_config(self)
     }
 }
 

@@ -10,32 +10,25 @@
 //! per arriving packet, the artificial hold time that aligns its total
 //! latency with the currently slowest route.
 
-use crate::config::DelayEqConfig;
+/// EWMA smoothing factor for the per-route delay estimates.
+const EWMA: f64 = 0.1;
+/// Cap on artificially added delay, seconds (a straggling route must not
+/// stall the flow indefinitely).
+const MAX_HOLD_SECS: f64 = 0.5;
 
 /// Per-flow destination-side delay equalizer.
 #[derive(Debug, Clone)]
 pub struct DelayEqualizer {
-    /// EWMA smoothing factor for delay estimates.
-    pub ewma: f64,
-    /// Cap on added delay, seconds (a straggling route must not stall the
-    /// flow indefinitely).
-    pub max_hold_secs: f64,
     est_delay: Vec<Option<f64>>,
 }
 
 impl DelayEqualizer {
-    /// Builds an equalizer from its typed configuration (see
-    /// [`DelayEqConfig`]).
-    pub(crate) fn from_config(cfg: &DelayEqConfig) -> Self {
-        DelayEqualizer {
-            ewma: cfg.smoothing(),
-            max_hold_secs: cfg.hold_cap(),
-            est_delay: vec![None; cfg.routes()],
-        }
+    /// An equalizer for `routes` routes, with no estimates yet.
+    pub fn new(routes: usize) -> Self {
+        DelayEqualizer { est_delay: vec![None; routes] }
     }
 
-    /// Re-keys for a new route set: fresh estimates, the same tuning
-    /// knobs.
+    /// Re-keys for a new route set: fresh estimates.
     pub(crate) fn reset_routes(&mut self, route_count: usize) {
         self.est_delay = vec![None; route_count];
     }
@@ -45,11 +38,11 @@ impl DelayEqualizer {
     pub fn on_arrival(&mut self, route: usize, delay_secs: f64) -> f64 {
         let updated = match self.est_delay[route] {
             None => delay_secs,
-            Some(e) => (1.0 - self.ewma) * e + self.ewma * delay_secs,
+            Some(e) => (1.0 - EWMA) * e + EWMA * delay_secs,
         };
         self.est_delay[route] = Some(updated);
         let slowest = self.est_delay.iter().flatten().fold(0.0_f64, |a, &b| a.max(b));
-        (slowest - updated).clamp(0.0, self.max_hold_secs)
+        (slowest - updated).clamp(0.0, MAX_HOLD_SECS)
     }
 
     /// Current delay estimate of a route.
@@ -64,14 +57,14 @@ mod tests {
 
     #[test]
     fn single_route_never_holds() {
-        let mut eq = DelayEqConfig::for_routes(1).build();
+        let mut eq = DelayEqualizer::new(1);
         assert_eq!(eq.on_arrival(0, 0.02), 0.0);
         assert_eq!(eq.on_arrival(0, 0.05), 0.0);
     }
 
     #[test]
     fn fast_route_is_held_to_match_slow_route() {
-        let mut eq = DelayEqConfig::for_routes(2).build();
+        let mut eq = DelayEqualizer::new(2);
         // Prime both estimates.
         eq.on_arrival(0, 0.010); // fast
         eq.on_arrival(1, 0.100); // slow
@@ -83,15 +76,15 @@ mod tests {
 
     #[test]
     fn hold_is_capped() {
-        let mut eq = DelayEqConfig::for_routes(2).build();
+        let mut eq = DelayEqualizer::new(2);
         eq.on_arrival(1, 10.0); // pathological straggler
         let hold = eq.on_arrival(0, 0.01);
-        assert_eq!(hold, eq.max_hold_secs);
+        assert_eq!(hold, MAX_HOLD_SECS);
     }
 
     #[test]
     fn estimates_track_with_ewma() {
-        let mut eq = DelayEqConfig::for_routes(1).build();
+        let mut eq = DelayEqualizer::new(1);
         eq.on_arrival(0, 0.1);
         for _ in 0..200 {
             eq.on_arrival(0, 0.02);
@@ -102,7 +95,7 @@ mod tests {
 
     #[test]
     fn equalized_delays_converge() {
-        let mut eq = DelayEqConfig::for_routes(2).build();
+        let mut eq = DelayEqualizer::new(2);
         let mut total0 = 0.0;
         let mut total1 = 0.0;
         for _ in 0..500 {

@@ -33,7 +33,6 @@ pub mod config;
 pub mod delay_eq;
 pub mod header;
 pub mod iface_id;
-pub mod pool;
 pub mod reorder;
 pub mod scheduler;
 pub mod stages;
@@ -41,11 +40,10 @@ pub mod wire;
 
 pub use ack::{Ack, AckCollector, ACK_INTERVAL_SECS};
 pub use backend::{DestEndpoint, IoError, PacketIo, SourceEndpoint};
-pub use config::{DelayEqConfig, ReorderConfig, SchedulerConfig};
+pub use config::{ReorderConfig, SchedulerConfig};
 pub use delay_eq::DelayEqualizer;
 pub use header::{EmpowerHeader, HeaderError, SourceRoute, HEADER_LEN, MAX_HOPS};
 pub use iface_id::{IfaceId, IfaceRegistry};
-pub use pool::{Handle, Pool};
 pub use reorder::{ReorderBuffer, ReorderEvent};
 pub use scheduler::{RouteChoice, RouteScheduler};
 pub use stages::{FlowSink, FlowSource};

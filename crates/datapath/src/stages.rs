@@ -15,7 +15,7 @@
 use empower_model::rng::Rng;
 
 use crate::ack::{Ack, AckCollector};
-use crate::config::{DelayEqConfig, ReorderConfig, SchedulerConfig};
+use crate::config::{ReorderConfig, SchedulerConfig};
 use crate::delay_eq::DelayEqualizer;
 use crate::header::{EmpowerHeader, SourceRoute};
 use crate::reorder::{ReorderBuffer, ReorderEvent};
@@ -97,11 +97,11 @@ pub struct FlowSink {
 }
 
 impl FlowSink {
-    /// A sink configured by `cfg`, equalizing delays when `delay_eq` is
-    /// given.
-    pub fn new(cfg: &ReorderConfig, delay_eq: Option<&DelayEqConfig>) -> Self {
+    /// A sink configured by `cfg`, equalizing delays over the same routes
+    /// when `delay_equalization` is set.
+    pub fn new(cfg: &ReorderConfig, delay_equalization: bool) -> Self {
         FlowSink {
-            delay_eq: delay_eq.map(DelayEqConfig::build),
+            delay_eq: delay_equalization.then(|| DelayEqualizer::new(cfg.routes())),
             reorder: cfg.build(),
             acks: AckCollector::new(cfg.routes()),
         }
@@ -182,8 +182,7 @@ mod tests {
     }
 
     fn sink(routes: usize, delay_eq: bool) -> FlowSink {
-        let eq = delay_eq.then(|| DelayEqConfig::for_routes(routes));
-        FlowSink::new(&ReorderConfig::for_routes(routes), eq.as_ref())
+        FlowSink::new(&ReorderConfig::for_routes(routes), delay_eq)
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn arrive(sink: &mut FlowSink, out: &mut BurstOutcome, (r, h): (usize, EmpowerHe
 fn run_burst(seed: u64) -> BurstOutcome {
     let sched = SchedulerConfig::for_routes(2).initial_rates(&[10.0, 10.0]);
     let mut source = FlowSource::new(&sched, vec![route(&[1, 2]), route(&[3, 4])]);
-    let mut sink = FlowSink::new(&ReorderConfig::for_routes(2), None);
+    let mut sink = FlowSink::new(&ReorderConfig::for_routes(2), false);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut in_flight: VecDeque<(usize, EmpowerHeader)> = VecDeque::new();
     let mut out = BurstOutcome {

@@ -8,7 +8,7 @@
 //! corpus); this one isolates the datapath crate itself.
 
 use empower_datapath::{
-    AckCollector, DelayEqConfig, FlowSink, FlowSource, IfaceId, ReorderConfig, ReorderEvent,
+    AckCollector, DelayEqualizer, FlowSink, FlowSource, IfaceId, ReorderConfig, ReorderEvent,
     RouteChoice, SchedulerConfig, SourceRoute,
 };
 use empower_model::rng::{SeedableRng, StdRng};
@@ -29,12 +29,11 @@ fn sched_cfg() -> SchedulerConfig {
 #[test]
 fn stages_match_the_raw_stage_structs() {
     let mut source = FlowSource::new(&sched_cfg(), routes());
-    let mut sink =
-        FlowSink::new(&ReorderConfig::for_routes(2), Some(&DelayEqConfig::for_routes(2)));
+    let mut sink = FlowSink::new(&ReorderConfig::for_routes(2), true);
     let mut raw_sched = sched_cfg().build();
     let mut raw_reorder = ReorderConfig::for_routes(2).build();
     let mut raw_acks = AckCollector::new(2);
-    let mut raw_eq = DelayEqConfig::for_routes(2).build();
+    let mut raw_eq = DelayEqualizer::new(2);
 
     // Same seed, same offered load: the full (route, seq) admission
     // stream must match draw for draw.

@@ -100,8 +100,7 @@ impl RouteSet {
 }
 
 /// Deterministic work counters of an exploration-tree search. All counts
-/// are cumulative across the [`Explorer`]'s lifetime (use
-/// [`Explorer::reset_stats`] between measurements) and are byte-for-byte
+/// are cumulative across the [`Explorer`]'s lifetime and are byte-for-byte
 /// reproducible for a given workload — they power the perf-regression gate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
@@ -205,15 +204,9 @@ impl Explorer {
         Self::default()
     }
 
-    /// Cumulative work counters since construction or the last
-    /// [`Explorer::reset_stats`].
+    /// Cumulative work counters since construction.
     pub fn stats(&self) -> SearchStats {
         self.stats
-    }
-
-    /// Zeroes the work counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = SearchStats::default();
     }
 
     /// Runs the exploration tree for `query` and returns the best

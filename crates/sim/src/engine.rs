@@ -1,7 +1,7 @@
 //! The discrete-event engine: MAC, forwarding, control plane, applications.
 //!
 //! This is the optimized, allocation-free-in-steady-state engine: events
-//! live in a timer wheel ([`crate::event::EventQueue`]), MAC contention is
+//! live in a binary heap ([`crate::event::EventQueue`]), MAC contention is
 //! decided by word-level AND of interference-domain bitsets against a busy
 //! bitmask, packets are pooled in a free-list slab ([`PacketSlab`]) and
 //! referenced by 4-byte [`PacketId`] handles, and every per-frame/per-tick
@@ -18,8 +18,8 @@ use std::collections::{BTreeMap, VecDeque};
 
 use empower_cc::{BroadcastPlan, FlowController, LinkPriceState, ProportionalFair};
 use empower_datapath::{
-    DelayEqConfig, EmpowerHeader, FlowSink, FlowSource, IfaceId, IfaceRegistry, ReorderConfig,
-    ReorderEvent, SchedulerConfig, SourceRoute, HEADER_LEN,
+    EmpowerHeader, FlowSink, FlowSource, IfaceId, IfaceRegistry, ReorderConfig, ReorderEvent,
+    SchedulerConfig, SourceRoute, HEADER_LEN,
 };
 use empower_model::rng::SeedableRng;
 use empower_model::rng::StdRng;
@@ -489,8 +489,7 @@ impl Simulation {
         });
         let route_count = spec.routes.len();
         let source = FlowSource::new(&sched_cfg, source_routes);
-        let delay_eq = spec.delay_equalization.then(|| DelayEqConfig::for_routes(route_count));
-        let sink = FlowSink::new(&ReorderConfig::for_routes(route_count), delay_eq.as_ref());
+        let sink = FlowSink::new(&ReorderConfig::for_routes(route_count), spec.delay_equalization);
         let start = spec.pattern.start_time();
         let stop = spec.pattern.stop_time();
         let idx = self.flows.len();

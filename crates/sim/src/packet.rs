@@ -1,23 +1,71 @@
-//! Simulated frames.
-//!
-//! The slab itself lives in `empower-datapath`
-//! ([`Pool`](empower_datapath::Pool)); this module keeps the simulator's
-//! frame type and re-exports the pool under its historical
-//! `PacketSlab`/`PacketId` names.
+//! Simulated frames and the slab that stores them.
 
 use empower_datapath::EmpowerHeader;
 
-/// Handle into a [`PacketSlab`] (an alias of the datapath pool's
-/// [`Handle`](empower_datapath::Handle)): link queues and the
-/// busy-transmitter table hold these 4-byte ids instead of moving
-/// header-sized [`SimPacket`] structs around.
-pub use empower_datapath::Handle as PacketId;
+/// Handle into a [`PacketSlab`]: link queues and the busy-transmitter
+/// table hold these 4-byte ids instead of moving header-sized
+/// [`SimPacket`] structs around.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PacketId(pub u32);
 
 /// Free-list slab pooling [`SimPacket`] storage. Slots are recycled
 /// through a LIFO free list, so after warm-up the steady-state packet
 /// churn performs no heap allocation: `insert` overwrites a freed slot
 /// in place and `release` just pushes the index back.
-pub type PacketSlab = empower_datapath::Pool<SimPacket>;
+#[derive(Debug, Default)]
+pub struct PacketSlab {
+    slots: Vec<SimPacket>,
+    free: Vec<u32>,
+    grows: u64,
+}
+
+impl PacketSlab {
+    /// An empty slab.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Stores `pkt`, reusing a freed slot when one exists (the recycled
+    /// slot is overwritten).
+    pub fn insert(&mut self, pkt: SimPacket) -> PacketId {
+        if let Some(idx) = self.free.pop() {
+            self.slots[idx as usize] = pkt;
+            PacketId(idx)
+        } else {
+            self.grows += 1;
+            self.slots.push(pkt);
+            PacketId(self.slots.len() as u32 - 1)
+        }
+    }
+
+    /// Returns `id`'s slot to the free list. The slot's contents stay in
+    /// place until a later insert reuses them; reading through a released
+    /// id is a logic error the debug assertion catches.
+    pub fn release(&mut self, id: PacketId) {
+        debug_assert!(!self.free.contains(&id.0), "double release of {id:?}");
+        self.free.push(id.0);
+    }
+
+    /// Read access to a live packet.
+    pub fn get(&self, id: PacketId) -> &SimPacket {
+        &self.slots[id.0 as usize]
+    }
+
+    /// Write access to a live packet.
+    pub fn get_mut(&mut self, id: PacketId) -> &mut SimPacket {
+        &mut self.slots[id.0 as usize]
+    }
+
+    /// Inserts that grew the slab (one allocation-class event each).
+    pub fn grows(&self) -> u64 {
+        self.grows
+    }
+
+    /// Packets currently live (inserted and not yet released).
+    pub fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+}
 
 /// What a frame carries, beyond the EMPoWER layer-2.5 header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,9 +136,22 @@ mod tests {
         slab.release(a);
         let c = slab.insert(pkt(3));
         assert_eq!(c, a, "freed slot is reused LIFO");
-        assert_eq!(slab.hits(), 1);
         assert_eq!(slab.get(c).header.seq, 3);
         assert_eq!(slab.get(b).header.seq, 2);
         assert_eq!(slab.live(), 2);
+    }
+
+    #[test]
+    fn steady_state_churn_stops_growing() {
+        let mut slab = PacketSlab::new();
+        let mut live = Vec::new();
+        for i in 0..10_000u32 {
+            live.push(slab.insert(pkt(i)));
+            if live.len() > 8 {
+                slab.release(live.remove(0));
+            }
+        }
+        assert!(slab.grows() <= 9, "steady-state churn must not grow the slab");
+        assert_eq!(slab.live(), 8);
     }
 }

@@ -22,9 +22,9 @@ use std::collections::{BTreeMap, VecDeque};
 
 use empower_cc::{FlowController, LinkPriceState, PriceBroadcast, ProportionalFair};
 use empower_datapath::{
-    AckCollector, DelayEqConfig, DelayEqualizer, EmpowerHeader, IfaceId, IfaceRegistry,
-    ReorderBuffer, ReorderConfig, ReorderEvent, RouteChoice, RouteScheduler, SchedulerConfig,
-    SourceRoute, HEADER_LEN,
+    AckCollector, DelayEqualizer, EmpowerHeader, IfaceId, IfaceRegistry, ReorderBuffer,
+    ReorderConfig, ReorderEvent, RouteChoice, RouteScheduler, SchedulerConfig, SourceRoute,
+    HEADER_LEN,
 };
 use empower_model::rng::SeedableRng;
 use empower_model::rng::StdRng;
@@ -36,7 +36,7 @@ use empower_model::{InterferenceMap, LinkId, Network, NodeId};
 use empower_telemetry::{Counter, Telemetry};
 
 use crate::config::SimConfig;
-use crate::event::{Event, ReferenceEventQueue};
+use crate::event::{Event, EventQueue};
 use crate::flow::{FlowSpecSim, TrafficPattern};
 use crate::metrics::EngineCounters;
 use crate::packet::{PacketKind, SimPacket};
@@ -104,7 +104,7 @@ pub struct ReferenceSimulation {
     flow_rngs: Vec<StdRng>,
     /// Per-link random streams (estimation noise).
     link_rngs: Vec<StdRng>,
-    events: ReferenceEventQueue,
+    events: EventQueue,
     now: f64,
     /// Per-link FIFO queues.
     queues: Vec<VecDeque<SimPacket>>,
@@ -167,7 +167,7 @@ impl ReferenceSimulation {
             trace: None,
             etel: EngineCounters::disabled(l),
             perf: SimPerfStats::default(),
-            events: ReferenceEventQueue::new(),
+            events: EventQueue::new(),
             now: 0.0,
             net,
             imap,
@@ -308,8 +308,7 @@ impl ReferenceSimulation {
             }
         });
         let route_count = spec.routes.len();
-        let delay_eq =
-            spec.delay_equalization.then(|| DelayEqConfig::for_routes(route_count).build());
+        let delay_eq = spec.delay_equalization.then(|| DelayEqualizer::new(route_count));
         let start = spec.pattern.start_time();
         let stop = spec.pattern.stop_time();
         let idx = self.flows.len();
@@ -407,7 +406,7 @@ impl ReferenceSimulation {
         fl.reorder.reset_routes(n);
         fl.acks = AckCollector::new(n);
         if fl.delay_eq.is_some() {
-            fl.delay_eq = Some(DelayEqConfig::for_routes(n).build());
+            fl.delay_eq = Some(DelayEqualizer::new(n));
         }
         fl.route_frames = self.etel.flow_route_counters(flow, n);
         self.etel.tele.event(

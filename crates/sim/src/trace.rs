@@ -236,21 +236,6 @@ impl Trace {
         out
     }
 
-    /// Filters events touching one flow.
-    pub fn for_flow(&self, flow: usize) -> Vec<&TraceEvent> {
-        self.events
-            .iter()
-            .filter(|e| match e {
-                TraceEvent::TxStart { flow: f, .. }
-                | TraceEvent::TxEnd { flow: f, .. }
-                | TraceEvent::Drop { flow: f, .. }
-                | TraceEvent::Deliver { flow: f, .. }
-                | TraceEvent::DeclaredLost { flow: f, .. } => *f == flow,
-                TraceEvent::LinkChange { .. } => false,
-            })
-            .collect()
-    }
-
     /// Airtime actually consumed on `link` over the trace, seconds
     /// (TxStart→TxEnd pairing; unpaired starts are ignored).
     pub fn airtime_on(&self, link: LinkId) -> f64 {
@@ -384,15 +369,13 @@ mod tests {
     }
 
     #[test]
-    fn flow_filter_and_airtime() {
+    fn airtime_sums_each_transmission() {
         let mut t = Trace::new();
         t.push(TraceEvent::TxStart { t: 1.0, link: 2, flow: 0, seq: 0, bits: 10 });
         t.push(TraceEvent::TxEnd { t: 1.25, link: 2, flow: 0, seq: 0 });
         t.push(TraceEvent::TxStart { t: 2.0, link: 2, flow: 1, seq: 0, bits: 10 });
         t.push(TraceEvent::TxEnd { t: 2.5, link: 2, flow: 1, seq: 0 });
         t.push(TraceEvent::LinkChange { t: 3.0, link: 2, capacity_mbps: 0.0 });
-        assert_eq!(t.for_flow(0).len(), 2);
-        assert_eq!(t.for_flow(1).len(), 2);
         assert!((t.airtime_on(LinkId(2)) - 0.75).abs() < 1e-12);
     }
 }
