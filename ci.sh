@@ -196,6 +196,14 @@ else
     cargo build --release --workspace
     say "tier-1: tests"
     cargo test -q --release --workspace
+    say "examples: every example under examples/ runs"
+    # `cargo test` only compiles examples; running each one is what shows
+    # it is still reached. The names come from the glob, so a new example
+    # cannot be skipped. (udp_forward, the datapath crate's example, has
+    # its own smoke test below.)
+    for ex in examples/*.rs; do
+        cargo run -q --release --example "$(basename "$ex" .rs)" >/dev/null
+    done
     say "benchmark: frozen package still builds, runs (smoke) and passes its tests"
     # benchmark/ is a package of its own that compiles against the crates'
     # public items; a crate-API or crate-graph change that breaks it must

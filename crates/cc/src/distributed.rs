@@ -165,21 +165,11 @@ impl LinkPriceState {
     /// broadcasts to get `y_l` for every egress link, then updates γ.
     ///
     /// `broadcasts` is everything this node overheard this slot (broadcasts
-    /// from irrelevant nodes are ignored via the overhearing sets).
-    pub fn update_gammas(
-        &mut self,
-        broadcasts: &[PriceBroadcast],
-        alpha: f64,
-        delta: f64,
-    ) -> usize {
-        self.update_gammas_with_tcp_margin(broadcasts, alpha, delta, delta)
-    }
-
-    /// Like [`LinkPriceState::update_gammas`], applying `delta_tcp` instead
-    /// of `delta` on every egress link whose contention domain contains a
-    /// TCP receiver (this node or an overheard broadcaster) — the §6.4
-    /// coexistence rule ("only the nodes in the contention domain of a TCP
-    /// flow should use this value of δ").
+    /// from irrelevant nodes are ignored via the overhearing sets). The
+    /// margin is `delta_tcp` instead of `delta` on every egress link whose
+    /// contention domain contains a TCP receiver (this node or an overheard
+    /// broadcaster) — the §6.4 coexistence rule ("only the nodes in the
+    /// contention domain of a TCP flow should use this value of δ").
     ///
     /// Returns how many egress links violated their airtime margin this
     /// slot (`y_l > 1 − δ`), for the caller's telemetry.
@@ -512,30 +502,6 @@ impl BroadcastPlan {
     }
 }
 
-/// Accumulates the route price `q_r` hop by hop, as the dedicated header
-/// field does on the wire.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RoutePriceAccumulator {
-    q: f64,
-}
-
-impl RoutePriceAccumulator {
-    /// Fresh accumulator for a new packet.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one hop's contribution (called by each forwarding node).
-    pub fn add_hop(&mut self, contribution: f64) {
-        self.q += contribution;
-    }
-
-    /// The accumulated `q_r` the destination echoes back.
-    pub fn total(&self) -> f64 {
-        self.q
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -568,7 +534,7 @@ mod tests {
             states.iter().flat_map(|s| s.make_broadcasts(net)).collect();
         // 3. Dual updates.
         for s in states.iter_mut() {
-            s.update_gammas(&broadcasts, alpha, 0.0);
+            s.update_gammas_with_tcp_margin(&broadcasts, alpha, 0.0, 0.0);
         }
         // 4. Fresh broadcasts carry the updated γ sums; data packets
         //    forwarded during the slot accumulate prices from these.
@@ -579,13 +545,13 @@ mod tests {
             .routes
             .iter()
             .map(|path| {
-                let mut acc = RoutePriceAccumulator::new();
+                let mut q = 0.0;
                 for &l in path.links() {
                     let owner = net.link(l).from;
                     let state = states.iter().find(|s| s.node() == owner).unwrap();
-                    acc.add_hop(state.price_contribution(net, &broadcasts, l));
+                    q += state.price_contribution(net, &broadcasts, l);
                 }
-                acc.total()
+                q
             })
             .collect()
     }
@@ -790,21 +756,13 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_sums_hops() {
-        let mut acc = RoutePriceAccumulator::new();
-        acc.add_hop(0.1);
-        acc.add_hop(0.25);
-        assert!((acc.total() - 0.35).abs() < 1e-12);
-    }
-
-    #[test]
     fn gamma_stays_zero_below_capacity() {
         let s = fig1_scenario();
         let imap = SharedMedium.build_map(&s.net);
         let mut state = LinkPriceState::new(&s.net, &imap, s.gateway);
         state.set_demand(s.wifi_ab, 0.2);
         let bs = state.make_broadcasts(&s.net);
-        state.update_gammas(&bs, 0.02, 0.0);
+        state.update_gammas_with_tcp_margin(&bs, 0.02, 0.0, 0.0);
         assert_eq!(state.gamma(s.wifi_ab), 0.0);
     }
 
@@ -815,7 +773,7 @@ mod tests {
         let mut state = LinkPriceState::new(&s.net, &imap, s.gateway);
         state.set_demand(s.wifi_ab, 1.5); // 150 % airtime demand
         let bs = state.make_broadcasts(&s.net);
-        state.update_gammas(&bs, 0.02, 0.0);
+        state.update_gammas_with_tcp_margin(&bs, 0.02, 0.0, 0.0);
         assert!((state.gamma(s.wifi_ab) - 0.02 * 0.5).abs() < 1e-12);
     }
 }

@@ -1,8 +1,8 @@
 //! Minimal byte-cursor traits for the wire formats.
 //!
 //! A drop-in, in-tree replacement for the subset of the `bytes` crate the
-//! header and IEEE 1905.1 codecs use: big-endian getters/putters over an
-//! advancing `&[u8]` cursor and an appending `Vec<u8>`.
+//! header codec uses: big-endian getters/putters over an advancing `&[u8]`
+//! cursor and an appending `Vec<u8>`.
 
 /// A readable byte cursor. Getters advance past what they read and panic
 /// on underflow — callers bound reads with [`Buf::remaining`] first.
@@ -12,12 +12,6 @@ pub trait Buf {
 
     /// Copies `dst.len()` bytes out, advancing the cursor.
     fn copy_to_slice(&mut self, dst: &mut [u8]);
-
-    fn get_u8(&mut self) -> u8 {
-        let mut b = [0u8; 1];
-        self.copy_to_slice(&mut b);
-        b[0]
-    }
 
     fn get_u16(&mut self) -> u16 {
         let mut b = [0u8; 2];
@@ -55,10 +49,6 @@ impl Buf for &[u8] {
 pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
 
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
     fn put_u16(&mut self, v: u16) {
         self.put_slice(&v.to_be_bytes());
     }
@@ -85,16 +75,14 @@ mod tests {
     #[test]
     fn round_trips_big_endian() {
         let mut v = Vec::new();
-        v.put_u8(0xab);
         v.put_u16(0x1234);
         v.put_u32(0xdead_beef);
         v.put_f32(1.5);
-        assert_eq!(v.len(), 11);
-        assert_eq!(&v[1..3], &[0x12, 0x34]); // network byte order
+        assert_eq!(v.len(), 10);
+        assert_eq!(&v[0..2], &[0x12, 0x34]); // network byte order
 
         let mut cur: &[u8] = &v;
-        assert_eq!(cur.remaining(), 11);
-        assert_eq!(cur.get_u8(), 0xab);
+        assert_eq!(cur.remaining(), 10);
         assert_eq!(cur.get_u16(), 0x1234);
         assert_eq!(cur.get_u32(), 0xdead_beef);
         assert_eq!(cur.get_f32(), 1.5);

@@ -156,10 +156,13 @@ fn parse_value(s: &str, line: usize) -> Result<Json, TomlError> {
         return err(line, "missing value");
     }
     if let Some(rest) = s.strip_prefix('"') {
-        let Some(inner) = rest.strip_suffix('"') else {
+        let Some(close) = closing_quote(rest) else {
             return err(line, "unterminated string");
         };
-        return unescape(inner, line).map(Json::Str);
+        if !rest[close + 1..].trim().is_empty() {
+            return err(line, "text after string");
+        }
+        return unescape(&rest[..close], line).map(Json::Str);
     }
     if s == "true" {
         return Ok(Json::Bool(true));
@@ -191,6 +194,20 @@ fn parse_value(s: &str, line: usize) -> Result<Json, TomlError> {
         return Ok(Json::UInt(u));
     }
     err(line, format!("cannot parse value {s:?}"))
+}
+
+/// Byte offset of the first unescaped `"` in `s`, the body of a basic
+/// string after its opening quote.
+fn closing_quote(s: &str) -> Option<usize> {
+    let mut escaped = false;
+    for (i, c) in s.char_indices() {
+        match c {
+            '\\' => escaped = !escaped,
+            '"' if !escaped => return Some(i),
+            _ => escaped = false,
+        }
+    }
+    None
 }
 
 /// Splits an inline-array body on commas that are not inside strings or
@@ -407,6 +424,12 @@ kind = "link_up"
         let e = parse("a = 1\na = 2\n").unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.to_string().contains("duplicate"));
+        for doc in ["a = 1\nname = \"a\" \"b\"\n", "a = 1\nx = \"a\"b\"\n"] {
+            let e = parse(doc).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (2, "text after string"), "{doc:?}");
+        }
+        let v = parse(r#"x = "a\"b""#).unwrap();
+        assert_eq!(v.get("x").and_then(Json::as_str), Some("a\"b"));
     }
 
     #[test]

@@ -44,7 +44,6 @@
 //!
 //! ```text
 //! cargo run -p empower-lint                       # lint, exit 1 on findings
-//! cargo run -p empower-lint -- --json             # SARIF-style output
 //! cargo run -p empower-lint -- --sarif out.sarif  # text + artifact file
 //! cargo run -p empower-lint -- --env-table        # registry → markdown
 //! ```

@@ -2,13 +2,12 @@
 //! `empower-lint` — the workspace determinism & invariant gate.
 //!
 //! ```text
-//! empower-lint [--json] [--sarif PATH] [--env-table] [ROOT]
+//! empower-lint [--sarif PATH] [--env-table] [ROOT]
 //! ```
 //!
 //! Lints every workspace `.rs` file under `ROOT` (default: the current
 //! directory, or its nearest ancestor containing `crates/`).
 //!
-//! * `--json` — print the SARIF-style document to stdout instead of text;
 //! * `--sarif PATH` — additionally write the SARIF document to `PATH`
 //!   (the CI artifact), keeping text on stdout;
 //! * `--env-table` — print the `EMPOWER_*` knob registry as the markdown
@@ -22,21 +21,19 @@ use std::process::ExitCode;
 use empower_lint::{lint_workspace, load_registry};
 
 fn main() -> ExitCode {
-    let mut json = false;
     let mut env_table = false;
     let mut sarif_path: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
             "--env-table" => env_table = true,
             "--sarif" => match args.next() {
                 Some(p) => sarif_path = Some(PathBuf::from(p)),
                 None => return usage_error("--sarif needs a path"),
             },
             "--help" | "-h" => {
-                println!("usage: empower-lint [--json] [--sarif PATH] [--env-table] [ROOT]");
+                println!("usage: empower-lint [--sarif PATH] [--env-table] [ROOT]");
                 return ExitCode::SUCCESS;
             }
             other if other.starts_with('-') => {
@@ -67,11 +64,7 @@ fn main() -> ExitCode {
             return io_error(&format!("{}: cannot write SARIF artifact: {e}", path.display()));
         }
     }
-    if json {
-        println!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_text());
-    }
+    print!("{}", report.render_text());
     if report.ok() {
         ExitCode::SUCCESS
     } else {

@@ -1,7 +1,7 @@
 //! Rendering lint results: rustc-style text diagnostics with a per-rule
-//! summary, or a SARIF 2.1.0-style JSON document (`--json` / `--sarif`)
-//! built on the telemetry crate's deterministic [`Json`] value type, which
-//! ci.sh archives as a diagnostic artifact.
+//! summary, or a SARIF 2.1.0-style JSON document (`--sarif`) built on the
+//! telemetry crate's deterministic [`Json`] value type, which ci.sh
+//! archives as a diagnostic artifact.
 
 use empower_telemetry::Json;
 

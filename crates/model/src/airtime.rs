@@ -31,11 +31,6 @@ pub fn lemma1_rmax(costs: &[f64]) -> f64 {
     }
 }
 
-/// Airtime `µ_l = x · d_l` of a link carrying rate `x` (Eq. (1)).
-pub fn airtime_of(net: &Network, link: LinkId, rate: f64) -> f64 {
-    rate * net.link(link).cost()
-}
-
 /// Accumulates per-link traffic from (route, rate) pairs and evaluates the
 /// interference constraint (2)/(3).
 #[derive(Debug, Clone)]

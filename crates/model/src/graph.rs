@@ -78,17 +78,6 @@ impl Network {
         set.into_iter().collect()
     }
 
-    /// Minimum cost `d_l` over the *alive* egress links of `node`, used as
-    /// the non-switching channel-switching cost `w_ns(u) = min_{l∈L(u)} d_l`
-    /// of §3.1. Returns `None` when the node has no alive egress link.
-    ///
-    /// Costs are `capacity⁻¹`-derived and alive links have positive
-    /// capacity, so they are never NaN; `total_cmp` makes the ordering
-    /// total (and panic-free) regardless.
-    pub fn min_egress_cost(&self, node: NodeId) -> Option<f64> {
-        self.out_links(node).filter(|l| l.is_alive()).map(|l| l.cost()).min_by(f64::total_cmp)
-    }
-
     /// Sets the capacity of a link (used by `update(P, G)` and by failure
     /// injection). Capacities are clamped at zero.
     pub fn set_capacity(&mut self, id: LinkId, capacity_mbps: f64) {
@@ -276,21 +265,6 @@ mod tests {
     fn mediums_lists_distinct_technologies() {
         let (net, _, _) = two_node_net();
         assert_eq!(net.mediums(), vec![Medium::WIFI1, Medium::Plc]);
-    }
-
-    #[test]
-    fn min_egress_cost_picks_highest_capacity() {
-        let (net, a, _) = two_node_net();
-        // Fastest egress is the 30 Mbps WiFi link: d = 1/30.
-        assert!((net.min_egress_cost(a).unwrap() - 1.0 / 30.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn min_egress_cost_skips_dead_links() {
-        let (mut net, a, c) = two_node_net();
-        let wifi = net.find_link(a, c, Medium::WIFI1).unwrap().id;
-        net.set_capacity(wifi, 0.0);
-        assert!((net.min_egress_cost(a).unwrap() - 0.1).abs() < 1e-12); // PLC 10 Mbps
     }
 
     #[test]

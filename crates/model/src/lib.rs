@@ -17,12 +17,11 @@
 //! This crate provides those primitives, plus the topology generators used by
 //! the evaluation (§5.1 residential/enterprise, the worked examples of
 //! Figs. 1 and 3, and the 22-node testbed floor of §6) and the capacity
-//! samplers/estimators that stand in for the paper's 802.11n-MCS / HomePlug-
-//! BLE measurements.
+//! samplers that stand in for the paper's 802.11n-MCS / HomePlug-BLE
+//! measurements.
 
 pub mod airtime;
 pub mod capacity;
-pub mod estimate;
 pub mod geometry;
 pub mod graph;
 pub mod ids;
@@ -35,9 +34,8 @@ pub mod rng;
 pub mod shard;
 pub mod topology;
 
-pub use airtime::{airtime_of, lemma1_rmax, AirtimeLedger};
+pub use airtime::{lemma1_rmax, AirtimeLedger};
 pub use capacity::{CapacityModel, PlcCapacityModel, WifiCapacityModel};
-pub use estimate::{CapacityEstimate, CapacityEstimator, EstimationMode};
 pub use geometry::{Point, Rect};
 pub use graph::{Network, NetworkBuilder};
 pub use ids::{LinkId, NodeId, PanelId};

@@ -41,11 +41,6 @@ impl Node {
     pub fn has_plc(&self) -> bool {
         self.mediums.iter().any(|m| m.is_plc())
     }
-
-    /// True if the node is hybrid (at least two distinct mediums).
-    pub fn is_hybrid(&self) -> bool {
-        self.mediums.len() >= 2
-    }
 }
 
 #[cfg(test)]
@@ -68,12 +63,6 @@ mod tests {
         assert!(n.supports(Medium::WIFI1));
         assert!(!n.supports(Medium::WIFI2));
         assert!(n.supports(Medium::Plc));
-    }
-
-    #[test]
-    fn hybrid_requires_two_mediums() {
-        assert!(node(vec![Medium::WIFI1, Medium::Plc]).is_hybrid());
-        assert!(!node(vec![Medium::WIFI1]).is_hybrid());
     }
 
     #[test]

@@ -45,4 +45,4 @@ pub use multipath::{
     MultipathConfig, RouteAllocation, RouteSet, SearchStats,
 };
 pub use query::RouteQuery;
-pub use update::{path_rate, update_multigraph, update_multigraph_logged, UndoLog, UpdateScratch};
+pub use update::{update_multigraph, update_multigraph_logged, UndoLog, UpdateScratch};

@@ -9,12 +9,6 @@
 
 use empower_model::{InterferenceMap, LinkId, Network, Path};
 
-/// `R(P)` on the multigraph `net` (convenience re-export of
-/// [`Path::capacity`] under its §3.2 name).
-pub fn path_rate(net: &Network, imap: &InterferenceMap, path: &Path) -> f64 {
-    path.capacity(net, imap)
-}
-
 /// A stack of capacity deltas recorded by [`update_multigraph_logged`], so
 /// the §3.2 exploration tree can *revert* an `update(P, G)` instead of
 /// cloning the multigraph per candidate. Entries are `(link, capacity before
@@ -169,7 +163,7 @@ mod tests {
         let route1 = Path::new(&g, vec![s.plc_ab, s.wifi_bc]).unwrap();
         update_multigraph(&mut g, &imap, &route1);
         let route2 = Path::new(&g, vec![s.wifi_ab, s.wifi_bc]).unwrap();
-        let x = path_rate(&g, &imap, &route2);
+        let x = route2.capacity(&g, &imap);
         assert!((x - 20.0 / 3.0).abs() < 1e-9, "x = {x}");
     }
 

@@ -343,7 +343,7 @@ impl std::error::Error for JsonError {}
 impl Json {
     /// Parses a JSON document (trailing whitespace allowed, nothing else).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -355,6 +355,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -497,15 +498,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character; `peek` returned `Some`,
-                    // so `rest` is non-empty.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let Some(c) = rest.chars().next() else {
-                        return Err(self.err("unterminated string"));
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next `"` or `\` whole. Both are
+                    // ASCII, so the run ends on a character boundary.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest.iter().position(|&b| b == b'"' || b == b'\\');
+                    let end = self.pos + run.unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -567,9 +566,12 @@ mod tests {
 
     #[test]
     fn escapes_round_trip() {
-        let v = Json::Str("a\"b\\c\nd\te\u{0001}".to_string());
-        let s = v.to_string();
-        assert_eq!(Json::parse(&s).unwrap(), v);
+        for text in ["a\"b\\c\nd\te\u{0001}", "é€😀\"…\\é"] {
+            let v = Json::Str(text.to_string());
+            let s = v.to_string();
+            assert_eq!(Json::parse(&s).unwrap(), v);
+        }
+        assert_eq!(Json::parse(r#""é\n€😀\"x""#).unwrap(), Json::Str("é\n€😀\"x".to_string()));
     }
 
     #[test]
@@ -617,6 +619,8 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("1 2").is_err());
+        let unterminated = Json::parse("\"ab€😀").unwrap_err();
+        assert_eq!((unterminated.offset, unterminated.message), (10, "unterminated string"));
     }
 
     #[test]

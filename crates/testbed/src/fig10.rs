@@ -147,12 +147,6 @@ pub fn run_traced(
     rows
 }
 
-/// Sorts `values` into an empirical CDF (plot against `i / n`).
-pub fn ecdf(mut values: Vec<f64>) -> Vec<f64> {
-    values.sort_by(f64::total_cmp);
-    values
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,11 +167,6 @@ mod tests {
             // Brute force finds something on the hybrid mediums.
             assert!(row.sp_bf > 0.0);
         }
-    }
-
-    #[test]
-    fn ecdf_sorts() {
-        assert_eq!(ecdf(vec![3.0, 1.0, 2.0]), vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
