@@ -151,24 +151,14 @@ fi
 say "rustfmt (check only)"
 cargo fmt --check
 
-say "clippy, warnings are errors"
+say "clippy, warnings are errors (the determinism rules D001-D011 and P001)"
+# clippy.toml, the library crate roots' #![deny] and the workspace lint
+# table state the rules (DESIGN.md §7). A site that is sound anyway carries
+# #[expect(.., reason = "..")], which fails here once nothing fires.
 cargo clippy --workspace --all-targets -- -D warnings
 
 say "rustdoc, warnings are errors"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
-
-say "empower-lint (determinism & concurrency gate)"
-# Domain lints (D001-D011, DESIGN.md §7 and §12): hash containers,
-# wall-clock time, ambient-entropy RNGs, partial_cmp().unwrap(), library
-# panics, missing #![forbid(unsafe_code)], plus the workspace-aware
-# concurrency-determinism rules (mpsc merges, relaxed RMWs, detached
-# spawns, hot-path locks, undeclared EMPOWER_* knobs). A finding is
-# tolerated only by an in-place `allow(Dxxx) — reason` pragma; the
-# SARIF-style report is archived as a CI artifact in both modes.
-ART_DIR="${EMPOWER_CI_ARTIFACT_DIR:-target/ci-artifacts}"
-mkdir -p "$ART_DIR"
-cargo run -q -p empower-lint -- --sarif "$ART_DIR/empower-lint.sarif"
-echo "lint artifact: $ART_DIR/empower-lint.sarif"
 
 if [ "${1:-}" = "quick" ]; then
     say "tests (debug, equivalence corpora trimmed)"

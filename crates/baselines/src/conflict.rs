@@ -146,7 +146,10 @@ pub fn max_weight_independent_set(g: &ConflictGraph, weights: &[f64]) -> (Vec<us
 /// Positive-vertex count above which MWIS switches to greedy scheduling.
 pub const EXACT_MWIS_LIMIT: usize = 36;
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "branch-and-bound recursion: the search state is passed down explicitly"
+)]
 fn branch(
     g: &ConflictGraph,
     weights: &[f64],

@@ -58,7 +58,7 @@ pub fn saturation_goodput(
         }
         // Domain demands and new scalings.
         let mut new_scale = vec![1.0_f64; l_count];
-        #[allow(clippy::needless_range_loop)] // l is also the LinkId
+        #[allow(clippy::needless_range_loop, reason = "l is also the LinkId")]
         for l in 0..l_count {
             let demand: f64 = imap
                 .domain(empower_model::LinkId(l as u32))

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! # empower-baselines
 //!
 //! The comparison schemes of the paper's evaluation (§5.2.2):

@@ -24,7 +24,10 @@ pub fn enumerate_paths(
     out
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "DFS recursion: the search state is passed down explicitly"
+)]
 fn dfs(
     net: &Network,
     at: NodeId,

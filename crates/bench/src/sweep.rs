@@ -199,7 +199,10 @@ pub fn fan_out<T: Send>(
 
 /// Runs the sweep `seed = base_seed + index` for `index ∈ 0..count` through
 /// [`fan_out`] and returns the runs in index order.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "mirrors run_one_traced's parameters plus the fan-out's jobs and telemetry"
+)]
 pub fn run_sweep_parallel(
     class: TopologyClass,
     base_seed: u64,
@@ -260,7 +263,7 @@ pub fn run_fig13_parallel(
 ///
 /// # Errors
 /// The first [`empower_dynamics::ScenarioError`] any scenario produced.
-#[allow(clippy::type_complexity)]
+#[allow(clippy::type_complexity, reason = "the pair of outputs per scenario is spelled once, here")]
 pub fn run_workload_corpus_parallel(
     scenarios: &[empower_workload::WorkloadScenario],
     jobs: usize,

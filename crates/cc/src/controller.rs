@@ -260,7 +260,7 @@ impl<U: Utility> MultipathController<U> {
     }
 
     /// Advances one slot; returns the new rates.
-    #[allow(clippy::needless_range_loop)] // r indexes four parallel arrays
+    #[allow(clippy::needless_range_loop, reason = "r indexes four parallel arrays")]
     pub fn step(&mut self, problem: &CcProblem, imap: &InterferenceMap) -> &[f64] {
         let alpha = self.config.alpha;
         let q = self.prices.step(

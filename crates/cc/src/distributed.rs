@@ -225,6 +225,11 @@ impl LinkPriceState {
         net.link(link).cost() * (external + internal)
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "internal helper; the egress set is fixed at construction and every caller \
+                  passes a member of it"
+    )]
     fn index_of(&self, link: LinkId) -> usize {
         // A network lists a node's egress links in the order they were
         // added, which is ascending; the scan is for one that does not.
@@ -232,8 +237,6 @@ impl LinkPriceState {
             Ok(i) => Some(i),
             Err(_) => self.egress.iter().position(|&e| e == link),
         };
-        // empower-lint: allow(D005) — internal helper; the egress set is
-        // fixed at construction and every caller passes a member of it.
         found.expect("link is an egress of this node")
     }
 }
@@ -323,9 +326,12 @@ impl BroadcastPlan {
             let s = &states[lk.from.index()];
             let pos = s.index_of(lk.id);
             egress_pos[lk.id.index()] = pos as u32;
-            // empower-lint: allow(D005) — the entry was appended two loops
-            // up for exactly this (owner, medium)
-            entry_of[lk.id.index()] = entry_index(lk.from, lk.medium).expect("own entry") as u32;
+            #[expect(
+                clippy::expect_used,
+                reason = "the entry was appended two loops up for exactly this (owner, medium)"
+            )]
+            let own = entry_index(lk.from, lk.medium).expect("own entry");
+            entry_of[lk.id.index()] = own as u32;
             for &(node, medium) in &s.overheard[pos].0 {
                 if let Some(e) = entry_index(node, medium) {
                     listeners[e].push(lk.id);

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! # empower-cc
 //!
 //! The congestion-control algorithms of EMPoWER (§4 of the paper).

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! # empower-core
 //!
 //! The public facade of the EMPoWER reproduction. It ties together the

@@ -86,9 +86,12 @@ impl RouteMonitor {
     /// Panics if a baseline link id does not exist in `net` (a baseline
     /// from a different network) — use [`RouteMonitor::try_check`] to get
     /// an [`EmpowerError::DeadLink`] instead.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking convenience wrapper (see `# Panics` above); `try_check` \
+                  is the fallible form"
+    )]
     pub fn check(&self, net: &Network) -> Option<RecomputeReason> {
-        // empower-lint: allow(D005) — documented panicking convenience
-        // wrapper (see `# Panics` above); `try_check` is the fallible form.
         self.try_check(net).expect("baseline links exist in this network")
     }
 

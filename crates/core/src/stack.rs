@@ -11,7 +11,10 @@ use crate::scheme::Scheme;
 /// computation with a configurable `n`, telemetry attached to the engine
 /// before flows register, and an optional strict mode that turns a
 /// disconnected flow into [`EmpowerError::Disconnected`].
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one crate-private engine behind RunConfig's builder, which holds these fields"
+)]
 pub(crate) fn build_simulation_impl(
     net: &Network,
     imap: &InterferenceMap,

@@ -141,7 +141,7 @@ mod tests {
     fn ids_are_unique_even_under_collisions() {
         // Register a large population to force probe activity.
         let mut reg = IfaceRegistry::default();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for n in 0..5000u32 {
             let id = reg.register(NodeId(n), Medium::WIFI1);
             assert!(seen.insert(id), "duplicate id {id:?}");

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! # empower-datapath
 //!
 //! The layer-2.5 datapath of EMPoWER (§6.1): everything that sits between

@@ -150,10 +150,13 @@ pub fn run_scenario_on(
         .iter()
         .map(|f| (empower_model::NodeId(f.src), empower_model::NodeId(f.dst), pattern(&f.pattern)))
         .collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "the RunConfig built above leaves strict connectivity off, which is \
+                  build_simulation's only error"
+    )]
     let (mut sim, flow_mapping) = config
         .build_simulation(net, imap, &flows, sim_config)
-        // empower-lint: allow(D005) — the RunConfig built above leaves
-        // strict connectivity off, which is build_simulation's only error.
         .expect("strict connectivity is off; build cannot fail");
     injector::schedule(&mut sim, &faults);
 

@@ -86,11 +86,13 @@ pub fn fluid_timeline_on(
         if to <= from {
             continue;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the RunConfig built above leaves strict connectivity off, which is \
+                      evaluate_equilibrium's only error"
+        )]
         let eq = config
             .evaluate_equilibrium(&current, imap, &flows)
-            // empower-lint: allow(D005) — the RunConfig built above leaves
-            // strict connectivity off, which is evaluate_equilibrium's
-            // only error.
             .expect("strict connectivity is off; evaluation cannot fail");
         out.push(FluidSegment {
             from_secs: from,

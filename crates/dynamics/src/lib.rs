@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! Scenario-driven network dynamics and fault injection for the EMPoWER
 //! reproduction.
 //!

@@ -11,6 +11,10 @@
 use empower_core::Scheme;
 use empower_telemetry::Json;
 
+use crate::schema::{
+    arr_of, check_schema_version, join, opt_bool, opt_f64, opt_u32, opt_u64, opt_u8,
+    parse_document, req_f64, req_str, req_u32, req_u64, serr,
+};
 use crate::toml;
 
 /// The scenario schema version this crate reads and writes. Parsing
@@ -38,8 +42,6 @@ impl std::fmt::Display for ScenarioError {
 }
 
 impl std::error::Error for ScenarioError {}
-
-use crate::schema::{arr_of, join, opt_bool, opt_f64, opt_u64, req_f64, req_str, req_u64, serr};
 
 /// Which base topology the scenario runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,16 +235,7 @@ impl Scenario {
     /// Parses a scenario from TOML or JSON (auto-detected: JSON documents
     /// start with `{`).
     pub fn parse_str(text: &str) -> Result<Scenario, ScenarioError> {
-        let doc = if text.trim_start().starts_with('{') {
-            Json::parse(text).map_err(|e| ScenarioError {
-                path: String::new(),
-                message: format!("JSON: {e:?}"),
-            })?
-        } else {
-            toml::parse(text)
-                .map_err(|e| ScenarioError { path: String::new(), message: e.to_string() })?
-        };
-        Scenario::from_json(&doc)
+        Scenario::from_json(&parse_document(text)?)
     }
 
     /// Serializes to TOML (the canonical on-disk form).
@@ -292,13 +285,7 @@ impl Scenario {
     /// Builds a scenario from a JSON tree (as produced by the TOML parser
     /// or [`Json::parse`]).
     pub fn from_json(doc: &Json) -> Result<Scenario, ScenarioError> {
-        let schema = req_u64(doc, "schema", "")?;
-        if schema != SCHEMA_VERSION {
-            return serr(
-                "schema",
-                format!("unsupported schema version {schema} (this build reads {SCHEMA_VERSION})"),
-            );
-        }
+        check_schema_version(doc, SCHEMA_VERSION)?;
         let name = req_str(doc, "name", "")?.to_string();
         let topo = doc
             .get("topology")
@@ -333,17 +320,20 @@ impl Scenario {
         Ok(s)
     }
 
-    /// Structural validation that needs no network: positive horizon,
-    /// non-negative times, sane fractions.
+    /// Structural validation that needs no network: finite positive
+    /// horizon and poll period, non-negative times and capacities, sane
+    /// fractions.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         // Strictly positive and, by the same comparison, not NaN.
         let positive = |x: f64| x.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
-        if !positive(self.run.horizon_secs) {
-            return serr("run.horizon_secs", "must be > 0");
+        // An infinite horizon or poll period never ends the run.
+        if !(positive(self.run.horizon_secs) && self.run.horizon_secs.is_finite()) {
+            return serr("run.horizon_secs", "must be a finite number > 0");
         }
-        if !positive(self.run.poll_secs) {
-            return serr("run.poll_secs", "must be > 0");
+        if !(positive(self.run.poll_secs) && self.run.poll_secs.is_finite()) {
+            return serr("run.poll_secs", "must be a finite number > 0");
         }
+        let capacity = |x: f64| x >= 0.0 && x.is_finite();
         // Eq. (3) leaves `1 − δ` of every domain's airtime to the flows: a
         // margin of 1 or more leaves nothing, NaN leaves nonsense.
         if !(0.0..1.0).contains(&self.run.delta) {
@@ -360,8 +350,14 @@ impl Scenario {
                 return serr(format!("events[{i}].at"), "must be a finite time ≥ 0");
             }
             match &e.what {
-                Perturbation::Capacity { capacity_mbps, .. } if *capacity_mbps < 0.0 => {
-                    return serr(format!("events[{i}].capacity_mbps"), "must be ≥ 0");
+                Perturbation::Capacity { capacity_mbps: c, .. }
+                | Perturbation::LinkUp { capacity_mbps: Some(c), .. }
+                    if !capacity(*c) =>
+                {
+                    return serr(
+                        format!("events[{i}].capacity_mbps"),
+                        "must be a finite number ≥ 0",
+                    );
                 }
                 Perturbation::PlcNoise { factor, duration_secs, .. }
                 | Perturbation::WifiJam { factor, duration_secs, .. } => {
@@ -372,7 +368,10 @@ impl Scenario {
                         return serr(format!("events[{i}].duration_secs"), "must be > 0");
                     }
                 }
-                Perturbation::Drift { over_secs, steps, .. } => {
+                Perturbation::Drift { to_mbps, over_secs, steps, .. } => {
+                    if !capacity(*to_mbps) {
+                        return serr(format!("events[{i}].to_mbps"), "must be a finite number ≥ 0");
+                    }
                     if !positive(*over_secs) {
                         return serr(format!("events[{i}].over_secs"), "must be > 0");
                     }
@@ -436,8 +435,8 @@ fn flow_to_json(f: &FlowSpec) -> Json {
 }
 
 fn flow_from_json(v: &Json, path: String) -> Result<FlowSpec, ScenarioError> {
-    let src = req_u64(v, "src", &path)? as u32;
-    let dst = req_u64(v, "dst", &path)? as u32;
+    let src = req_u32(v, "src", &path)?;
+    let dst = req_u32(v, "dst", &path)?;
     let pattern = match req_str(v, "pattern", &path)? {
         "saturated" => PatternSpec::Saturated {
             start: opt_f64(v, "start", &path)?.unwrap_or(0.0),
@@ -515,34 +514,34 @@ fn event_from_json(v: &Json, path: String) -> Result<TimedPerturbation, Scenario
     let both = opt_bool(v, "both", &path)?.unwrap_or(true);
     let what = match req_str(v, "kind", &path)? {
         "capacity" => Perturbation::Capacity {
-            link: req_u64(v, "link", &path)? as u32,
+            link: req_u32(v, "link", &path)?,
             capacity_mbps: req_f64(v, "capacity_mbps", &path)?,
             both,
         },
-        "link_down" => Perturbation::LinkDown { link: req_u64(v, "link", &path)? as u32, both },
+        "link_down" => Perturbation::LinkDown { link: req_u32(v, "link", &path)?, both },
         "link_up" => Perturbation::LinkUp {
-            link: req_u64(v, "link", &path)? as u32,
+            link: req_u32(v, "link", &path)?,
             capacity_mbps: opt_f64(v, "capacity_mbps", &path)?,
             both,
         },
-        "node_down" => Perturbation::NodeDown { node: req_u64(v, "node", &path)? as u32 },
-        "node_up" => Perturbation::NodeUp { node: req_u64(v, "node", &path)? as u32 },
+        "node_down" => Perturbation::NodeDown { node: req_u32(v, "node", &path)? },
+        "node_up" => Perturbation::NodeUp { node: req_u32(v, "node", &path)? },
         "plc_noise" => Perturbation::PlcNoise {
             factor: req_f64(v, "factor", &path)?,
             duration_secs: req_f64(v, "duration_secs", &path)?,
-            domain_of: opt_u64(v, "domain_of", &path)?.map(|x| x as u32),
+            domain_of: opt_u32(v, "domain_of", &path)?,
         },
         "wifi_jam" => Perturbation::WifiJam {
             factor: req_f64(v, "factor", &path)?,
             duration_secs: req_f64(v, "duration_secs", &path)?,
-            channel: opt_u64(v, "channel", &path)?.map(|x| x as u8),
-            domain_of: opt_u64(v, "domain_of", &path)?.map(|x| x as u32),
+            channel: opt_u8(v, "channel", &path)?,
+            domain_of: opt_u32(v, "domain_of", &path)?,
         },
         "drift" => Perturbation::Drift {
-            link: req_u64(v, "link", &path)? as u32,
+            link: req_u32(v, "link", &path)?,
             to_mbps: req_f64(v, "to_mbps", &path)?,
             over_secs: req_f64(v, "over_secs", &path)?,
-            steps: opt_u64(v, "steps", &path)?.unwrap_or(10) as u32,
+            steps: opt_u32(v, "steps", &path)?.unwrap_or(10),
             both,
         },
         other => return serr(join(&path, "kind"), format!("unknown perturbation {other:?}")),
@@ -592,7 +591,7 @@ fn generator_from_json(v: &Json, path: String) -> Result<GeneratorSpec, Scenario
     let both = opt_bool(v, "both", &path)?.unwrap_or(true);
     match req_str(v, "kind", &path)? {
         "markov_onoff" => Ok(GeneratorSpec::MarkovOnOff {
-            link: req_u64(v, "link", &path)? as u32,
+            link: req_u32(v, "link", &path)?,
             mean_up_secs: req_f64(v, "mean_up_secs", &path)?,
             mean_down_secs: req_f64(v, "mean_down_secs", &path)?,
             from: opt_f64(v, "from", &path)?.unwrap_or(0.0),
@@ -600,7 +599,7 @@ fn generator_from_json(v: &Json, path: String) -> Result<GeneratorSpec, Scenario
             both,
         }),
         "gilbert_elliott" => Ok(GeneratorSpec::GilbertElliott {
-            link: req_u64(v, "link", &path)? as u32,
+            link: req_u32(v, "link", &path)?,
             step_secs: req_f64(v, "step_secs", &path)?,
             p_bad: req_f64(v, "p_bad", &path)?,
             p_good: req_f64(v, "p_good", &path)?,
@@ -709,6 +708,49 @@ mod tests {
         }
         let text = toml.replace("delta = 0.0", "delta = 0.3");
         assert_eq!(Scenario::parse_str(&text).unwrap().run.delta, 0.3);
+        // A value the run cannot use is rejected at its path: an infinite
+        // horizon or poll period never ends the run, an id wider than its
+        // field would address another link, a NaN capacity is no capacity.
+        let rejects = |text: &str, from: &str, to: &str, path: &str| {
+            assert!(text.contains(from), "{from} in {text}");
+            let err = Scenario::parse_str(&text.replacen(from, to, 1)).unwrap_err();
+            assert_eq!(err.path, path, "{from} → {to}: {err}");
+        };
+        for bad in ["inf", "nan", "0.0"] {
+            rejects(
+                &toml,
+                "horizon_secs = 60.0",
+                &format!("horizon_secs = {bad}"),
+                "run.horizon_secs",
+            );
+            rejects(&toml, "poll_secs = 0.5", &format!("poll_secs = {bad}"), "run.poll_secs");
+        }
+        let json = sample().to_json().to_string();
+        rejects(&json, "\"horizon_secs\":60.0", "\"horizon_secs\":1e400", "run.horizon_secs");
+        rejects(&toml, "link = 2", "link = 4294967298", "events[0].link");
+        for bad in ["nan", "inf", "-1.0"] {
+            let to = format!("capacity_mbps = {bad}");
+            rejects(&toml, "capacity_mbps = 1.5", &to, "events[0].capacity_mbps");
+        }
+        let mut s = sample();
+        s.events[1].what = Perturbation::WifiJam {
+            factor: 0.5,
+            duration_secs: 1.0,
+            channel: Some(2),
+            domain_of: None,
+        };
+        rejects(&s.to_toml(), "channel = 2", "channel = 258", "events[1].channel");
+        s.events[1].what =
+            Perturbation::LinkUp { link: 2, capacity_mbps: Some(f64::NAN), both: true };
+        assert_eq!(s.validate().unwrap_err().path, "events[1].capacity_mbps");
+        s.events[1].what = Perturbation::Drift {
+            link: 2,
+            to_mbps: f64::NAN,
+            over_secs: 5.0,
+            steps: 5,
+            both: true,
+        };
+        assert_eq!(s.validate().unwrap_err().path, "events[1].to_mbps");
     }
 
     #[test]

@@ -11,6 +11,18 @@
 use empower_telemetry::Json;
 
 use crate::scenario::ScenarioError;
+use crate::toml;
+
+/// Parses a scenario or workload document: JSON when the text starts with
+/// `{`, TOML otherwise. Syntax errors are document-level (empty path).
+pub fn parse_document(text: &str) -> Result<Json, ScenarioError> {
+    let parsed = if text.trim_start().starts_with('{') {
+        Json::parse(text).map_err(|e| e.to_string())
+    } else {
+        toml::parse(text).map_err(|e| e.to_string())
+    };
+    parsed.map_err(|message| ScenarioError { path: String::new(), message })
+}
 
 /// Shorthand for a failed schema lookup at `path`.
 pub fn serr<T>(path: impl Into<String>, message: impl Into<String>) -> Result<T, ScenarioError> {
@@ -51,6 +63,12 @@ pub fn req_u64(v: &Json, key: &str, path: &str) -> Result<u64, ScenarioError> {
     })
 }
 
+/// Required integer field that must fit in 32 bits (node and link ids,
+/// counts): a larger value is an error, never a silent truncation.
+pub fn req_u32(v: &Json, key: &str, path: &str) -> Result<u32, ScenarioError> {
+    narrow(req_u64(v, key, path)?, key, path)
+}
+
 /// Optional numeric field (present ⇒ must be a number).
 pub fn opt_f64(v: &Json, key: &str, path: &str) -> Result<Option<f64>, ScenarioError> {
     match v.get(key) {
@@ -71,6 +89,23 @@ pub fn opt_u64(v: &Json, key: &str, path: &str) -> Result<Option<u64>, ScenarioE
             message: "not a non-negative integer".into(),
         }),
     }
+}
+
+/// Optional integer field that must fit in 32 bits.
+pub fn opt_u32(v: &Json, key: &str, path: &str) -> Result<Option<u32>, ScenarioError> {
+    opt_u64(v, key, path)?.map(|n| narrow(n, key, path)).transpose()
+}
+
+/// Optional integer field that must fit in 8 bits.
+pub fn opt_u8(v: &Json, key: &str, path: &str) -> Result<Option<u8>, ScenarioError> {
+    opt_u64(v, key, path)?.map(|n| narrow(n, key, path)).transpose()
+}
+
+fn narrow<T: TryFrom<u64>>(n: u64, key: &str, path: &str) -> Result<T, ScenarioError> {
+    T::try_from(n).map_err(|_| ScenarioError {
+        path: join(path, key),
+        message: format!("{n} does not fit in {} bits", 8 * std::mem::size_of::<T>()),
+    })
 }
 
 /// Optional boolean field (present ⇒ must be a boolean).
@@ -163,6 +198,21 @@ mod tests {
         )]);
         let e = arr_of(&doc, "xs", |item, path| req_u64(item, "v", &path)).unwrap_err();
         assert_eq!(e.path, "xs[1].v");
+    }
+
+    #[test]
+    fn documents_are_json_or_toml_and_syntax_errors_read_as_text() {
+        for text in ["{\"schema\": 1}", "schema = 1"] {
+            let doc = parse_document(text).unwrap();
+            assert_eq!(doc.get("schema").and_then(Json::as_u64), Some(1), "{text}");
+        }
+        let e = parse_document("{\"schema\": ").unwrap_err();
+        assert_eq!(
+            (e.path.as_str(), e.message.as_str()),
+            ("", "JSON error at byte 11: expected a value")
+        );
+        let e = parse_document("schema = ").unwrap_err();
+        assert!(e.message.starts_with("TOML line 1: "), "{e}");
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! # empower-exec
 //!
 //! The workspace's one executor: deterministic parallel execution of
@@ -15,10 +16,11 @@
 //! thing scheduling can reorder is *completion*, which the index-ordered
 //! collection erases.
 //!
-//! This crate is the workspace's **sanctioned merge idiom**: rule D007
-//! (unordered cross-thread result collection) names [`run_indexed`] in its
-//! diagnostics, resolved through the lint's workspace index rather than by
-//! filename. Anything that wants to fan work out across threads should go
+//! This crate is the workspace's **sanctioned merge idiom**: the
+//! `clippy.toml` entries for rules D007 and D008 (unordered cross-thread
+//! result collection, scheduling-dependent atomics) name [`run_indexed`] in
+//! their diagnostics, and it is the one item that carries an `#[expect]`
+//! for them. Anything that wants to fan work out across threads should go
 //! through here instead of hand-rolling channels. The threads are scoped:
 //! they borrow the caller's data, are joined before [`run_indexed`]
 //! returns (nothing detached, rule D009), and a panic in any item
@@ -26,7 +28,6 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Why collecting a result slot failed. Both variants indicate a bug in
 /// the executor itself, never data-dependent behaviour.
@@ -51,13 +52,16 @@ impl fmt::Display for SlotError {
 /// in index order. `jobs <= 1` runs serially on the caller's thread
 /// (identical results, no threads). A panic inside `f` propagates to the
 /// caller once every worker has been joined.
-///
-/// empower-lint: sanction(D007, D008) — the sanctioned cross-thread merge
-/// idiom: the Relaxed work cursor only *distributes* indices (no ordering
-/// is ever derived from its return values beyond "each index exactly
-/// once"), and results land in index-addressed slots, so completion order
-/// cannot reach any observable output.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the sanctioned cross-thread merge idiom: the Relaxed work cursor only \
+              *distributes* indices (no ordering is ever derived from its return values \
+              beyond \"each index exactly once\"), and results land in index-addressed slots, \
+              so completion order cannot reach any observable output"
+)]
 pub fn run_indexed<T: Send>(jobs: usize, count: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    use std::sync::Mutex;
     if jobs <= 1 || count <= 1 {
         return (0..count).map(f).collect();
     }

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! # empower-model
 //!
 //! Network-model substrate for the EMPoWER reproduction (Henri et al.,

@@ -107,9 +107,12 @@ impl Path {
     }
 
     /// The destination node.
+    #[expect(
+        clippy::expect_used,
+        reason = "`Path::new` rejects empty link lists (`PathError::Empty`), so `links` is \
+                  always non-empty"
+    )]
     pub fn destination(&self, net: &Network) -> NodeId {
-        // empower-lint: allow(D005) — `Path::new` rejects empty link
-        // lists (`PathError::Empty`), so `links` is always non-empty.
         net.link(*self.links.last().expect("paths are non-empty")).to
     }
 
@@ -159,6 +162,11 @@ impl Path {
     /// Rate limits come from capacities and idle fractions, both finite
     /// and non-negative, so NaN cannot occur; `total_cmp` keeps the
     /// ordering total (and panic-free) regardless.
+    #[expect(
+        clippy::expect_used,
+        reason = "`Path::new` rejects empty link lists (`PathError::Empty`), so `links` is \
+                  always non-empty"
+    )]
     pub fn bottleneck(&self, net: &Network, imap: &InterferenceMap) -> LinkId {
         *self
             .links
@@ -166,8 +174,6 @@ impl Path {
             .min_by(|&&a, &&b| {
                 self.rate_limit_at(net, imap, a).total_cmp(&self.rate_limit_at(net, imap, b))
             })
-            // empower-lint: allow(D005) — `Path::new` rejects empty link
-            // lists (`PathError::Empty`), so `links` is always non-empty.
             .expect("paths are non-empty")
     }
 

@@ -211,8 +211,11 @@ pub fn shortest_path_with_scratch(
     }
     let mediums = net.mediums();
     let k = mediums.len();
-    // empower-lint: allow(D005) — `net.mediums()` enumerates the medium
-    // of every link, and the closure is only queried with link mediums.
+    #[expect(
+        clippy::expect_used,
+        reason = "`net.mediums()` enumerates the medium of every link, and the closure is only \
+                  queried with link mediums"
+    )]
     let medium_idx = |m: Medium| mediums.iter().position(|&x| x == m).expect("known medium");
     // State encoding: ((node * (k+1)) + (1 + ingress medium index)) *
     // (H+1) + hops, with ingress slot 0 for "no ingress yet" (the source).

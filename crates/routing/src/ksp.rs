@@ -265,7 +265,7 @@ mod tests {
         let metric = LinkMetric::ett(&s.net);
         let q = RouteQuery::new(s.source, s.dest);
         let paths = k_shortest_paths(&s.net, &metric, CscMode::Paper, &q, 10);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for o in &paths {
             assert!(seen.insert(o.path.links().to_vec()), "duplicate path");
             // Node-loopless by Path construction.

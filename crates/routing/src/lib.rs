@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! # empower-routing
 //!
 //! The multipath-routing algorithm of EMPoWER (§3 of the paper).

@@ -84,6 +84,10 @@ impl LinkMetric {
     /// # Panics
     /// Panics for any other metric kind — a silent no-op would leave a
     /// stale weight in place, which is worse than failing loudly.
+    #[expect(
+        clippy::panic,
+        reason = "documented caller-contract panic; a silent no-op would corrupt route weights"
+    )]
     pub fn refresh_link(&mut self, net: &Network, link: LinkId) {
         match self.kind {
             MetricKind::Ett => self.weights[link.index()] = net.link(link).cost(),
@@ -91,8 +95,6 @@ impl LinkMetric {
                 self.weights[link.index()] =
                     if net.link(link).is_alive() { 1.0 } else { f64::INFINITY }
             }
-            // empower-lint: allow(D005) — documented caller-contract
-            // panic; a silent no-op would corrupt route weights.
             _ => panic!("refresh_link is only supported for ETT and hop count"),
         }
     }

@@ -242,7 +242,10 @@ impl Explorer {
     /// by the time the search finishes, `best_chain[..best_len]` holds
     /// exactly the final incumbent's DFS path (a later improvement's
     /// ancestors always overwrite any stale slot on their way back up).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the recursion threads the search state explicitly instead of through a struct"
+    )]
     fn explore(
         &mut self,
         g: &mut Network,
@@ -374,7 +377,10 @@ pub fn best_combination_reference_counted(
     (best, stats)
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the frozen reference keeps the original recursion's signature"
+)]
 fn explore_reference(
     g: &Network,
     imap: &InterferenceMap,

@@ -25,6 +25,11 @@ fn parse_corpus_size(raw: &str) -> usize {
     raw.parse().unwrap_or_else(|_| panic!("EMPOWER_EQUIV_TOPOLOGIES={raw} is not a topology count"))
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "EMPOWER_EQUIV_TOPOLOGIES: random-topology count of this property test (quick CI \
+              trims to 12)"
+)]
 fn corpus_size() -> usize {
     std::env::var_os("EMPOWER_EQUIV_TOPOLOGIES")
         .map_or(50, |v| parse_corpus_size(&v.to_string_lossy()))

@@ -46,7 +46,7 @@ fn yen_invariants() {
         }
         let single = shortest_path(&net, &metric, CscMode::Paper, &q).unwrap();
         assert_eq!(paths[0].path.links(), single.path.links(), "seed {seed}");
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for w in paths.windows(2) {
             assert!(w[0].weight <= w[1].weight + 1e-9, "seed {seed}: unsorted");
         }

@@ -272,9 +272,12 @@ pub fn corpus() -> Vec<CorpusScenario> {
 }
 
 /// Builds a corpus route from links that are valid by construction.
+#[expect(
+    clippy::expect_used,
+    reason = "corpus fixtures are static; an invalid route is a bug in this file and must abort \
+              the run loudly"
+)]
 fn path(net: &Network, links: Vec<LinkId>) -> Path {
-    // empower-lint: allow(D005) — corpus fixtures are static; an invalid
-    // route is a bug in this file and must abort the run loudly
     Path::new(net, links).expect("corpus route must be valid")
 }
 
@@ -282,10 +285,10 @@ fn path(net: &Network, links: Vec<LinkId>) -> Path {
 /// (required) plus a 2-hop WiFi relay via `via` when the sampled topology
 /// has both hops.
 fn testbed_routes(net: &Network, src: NodeId, via: NodeId, dst: NodeId) -> Vec<Path> {
+    #[expect(clippy::expect_used, reason = "see `path`: static fixture invariant")]
     let plc = net
         .find_link(src, dst, empower_model::Medium::Plc)
         .map(|l| l.id)
-        // empower-lint: allow(D005) — see `path`: static fixture invariant
         .expect("corpus testbed pair needs a direct PLC link");
     let mut routes = vec![path(net, vec![plc])];
     let hop1 = net.find_link(src, via, empower_model::Medium::WIFI1).map(|l| l.id);

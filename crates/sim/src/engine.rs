@@ -1892,7 +1892,7 @@ mod trace_tests {
         let events = trace.events();
         assert!(!events.is_empty());
         // Conservation: every Deliver seq was first seen in a TxStart.
-        let started: std::collections::HashSet<u32> = events
+        let started: std::collections::BTreeSet<u32> = events
             .iter()
             .filter_map(|e| match e {
                 TraceEvent::TxStart { seq, .. } => Some(*seq),

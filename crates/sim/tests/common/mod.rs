@@ -8,6 +8,11 @@ fn parse_budget(raw: &str) -> usize {
 
 /// How many corpus scenarios to sweep (a prefix); unset = all. An
 /// unparsable value is an error, not a silent full run.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "EMPOWER_SIM_EQUIV_SCENARIOS: prefix of the engine-equivalence corpus to sweep \
+              (quick CI trims to 14)"
+)]
 pub fn scenario_budget() -> usize {
     std::env::var_os("EMPOWER_SIM_EQUIV_SCENARIOS")
         .map_or(usize::MAX, |v| parse_budget(&v.to_string_lossy()))

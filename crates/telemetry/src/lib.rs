@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! # empower-telemetry
 //!
 //! Zero-dependency, deterministic observability for the EMPoWER stack:

@@ -104,11 +104,14 @@ pub fn run_traced(
                 seed: config.seed ^ ((pair_idx as u64) << 8) ^ si as u64,
                 ..Default::default()
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "RunConfig defaults to tolerant connectivity, which is \
+                          build_simulation's only error path"
+            )]
             let (mut sim, mapping) = RunConfig::new(scheme)
                 .telemetry(tele.clone())
                 .build_simulation(net, imap, &flows, sim_cfg)
-                // empower-lint: allow(D005) — RunConfig defaults to tolerant
-                // connectivity, which is build_simulation's only error path.
                 .expect("tolerant mode cannot fail");
             let t = match mapping[0] {
                 None => 0.0,

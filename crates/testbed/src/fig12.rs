@@ -62,6 +62,11 @@ pub fn run_flow_traced(
     let dst = NodeId(dst_no - 1);
     let tcp = TrafficPattern::Tcp { start: 0.0, stop: PHASE_SECS, size_bytes: 0 };
     // Phase 1: plain TCP on the single best path, no controller.
+    #[expect(
+        clippy::expect_used,
+        reason = "RunConfig defaults to tolerant connectivity, which is \
+                  build_simulation's only error path"
+    )]
     let (mut sim1, map1) = RunConfig::new(Scheme::SpWoCc)
         .telemetry(tele.clone())
         .build_simulation(
@@ -70,13 +75,16 @@ pub fn run_flow_traced(
             &[(src, dst, tcp)],
             SimConfig { delta: TCP_DELTA, seed, ..Default::default() },
         )
-        // empower-lint: allow(D005) — RunConfig defaults to tolerant
-        // connectivity, which is build_simulation's only error path.
         .expect("tolerant mode cannot fail");
     let rep1 = sim1.run(PHASE_SECS);
     let phase1_received =
         map1[0].map(|f| rep1.flows[f].throughput_series.clone()).unwrap_or_default();
     // Phase 2: the full stack.
+    #[expect(
+        clippy::expect_used,
+        reason = "RunConfig defaults to tolerant connectivity, which is \
+                  build_simulation's only error path"
+    )]
     let (mut sim2, map2) = RunConfig::new(Scheme::Empower)
         .telemetry(tele.clone())
         .build_simulation(
@@ -85,8 +93,6 @@ pub fn run_flow_traced(
             &[(src, dst, tcp)],
             SimConfig { delta: TCP_DELTA, seed, ..Default::default() },
         )
-        // empower-lint: allow(D005) — RunConfig defaults to tolerant
-        // connectivity, which is build_simulation's only error path.
         .expect("tolerant mode cannot fail");
     let rep2 = sim2.run(PHASE_SECS);
     let (phase2_route_rates, phase2_received) = match map2[0] {

@@ -77,11 +77,14 @@ pub fn run_flows_traced(
                 )];
                 let sim_cfg =
                     SimConfig { delta: TCP_DELTA, seed: config.seed, ..Default::default() };
+                #[expect(
+                    clippy::expect_used,
+                    reason = "RunConfig defaults to tolerant connectivity, which is \
+                              build_simulation's only error path"
+                )]
                 let (mut sim, mapping) = RunConfig::new(scheme)
                     .telemetry(tele.clone())
                     .build_simulation(net, imap, &fl, sim_cfg)
-                    // empower-lint: allow(D005) — RunConfig defaults to tolerant
-                    // connectivity, which is build_simulation's only error path.
                     .expect("tolerant mode cannot fail");
                 if let Some(f) = mapping[0] {
                     let report = sim.run(config.duration);

@@ -96,16 +96,22 @@ pub fn run_traced(seed: u64, tele: &Telemetry) -> Fig9Data {
         (n4, n7, TrafficPattern::SaturatedUdp { start: FLOW47_START, stop: FLOW47_STOP }),
     ];
     let config = SimConfig { seed, ..Default::default() };
+    #[expect(
+        clippy::expect_used,
+        reason = "RunConfig defaults to tolerant connectivity, which is \
+                  build_simulation's only error path"
+    )]
     let (mut sim, mapping) = RunConfig::new(Scheme::Empower)
         .telemetry(tele.clone())
         .build_simulation(&net, &imap, &flows, config)
-        // empower-lint: allow(D005) — RunConfig defaults to tolerant
-        // connectivity, which is build_simulation's only error path.
         .expect("tolerant mode cannot fail");
-    // empower-lint: allow(D005) — the fig. 9 topology is a fixed fixture
-    // in which flow 1→13 is connected by construction.
+    #[expect(
+        clippy::expect_used,
+        reason = "the fig. 9 topology is a fixed fixture in which flow 1→13 is connected by \
+                  construction"
+    )]
     let f1 = mapping[0].expect("flow 1-13 is connected");
-    // empower-lint: allow(D005) — same fixture; flow 4→7 is connected.
+    #[expect(clippy::expect_used, reason = "same fixture; flow 4→7 is connected")]
     let f2 = mapping[1].expect("flow 4-7 is connected");
     let report = sim.run(DURATION);
 

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! # empower-testbed
 //!
 //! The simulated stand-in for the paper's 22-node hybrid testbed (§6) and

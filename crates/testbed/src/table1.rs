@@ -165,11 +165,14 @@ pub fn run_repetition(
     }
     let sim_cfg =
         SimConfig { delta: 0.05, seed: seed ^ ((rep as u64) << 16), ..Default::default() };
+    #[expect(
+        clippy::expect_used,
+        reason = "RunConfig defaults to tolerant connectivity, which is \
+                  build_simulation's only error path"
+    )]
     let (mut sim, mapping) = RunConfig::new(scheme)
         .telemetry(tele.clone())
         .build_simulation(net, imap, &flows, sim_cfg)
-        // empower-lint: allow(D005) — RunConfig defaults to tolerant
-        // connectivity, which is build_simulation's only error path.
         .expect("tolerant mode cannot fail");
     // Generous horizon: 2 GB at a few tens of Mbps finishes well
     // within an hour of simulated time.
@@ -257,8 +260,6 @@ mod tests {
                     &flows,
                     SimConfig { delta: 0.05, seed: 7, ..Default::default() },
                 )
-                // empower-lint: allow(D005) — RunConfig defaults to tolerant
-                // connectivity, which is build_simulation's only error path.
                 .expect("tolerant mode cannot fail");
             let report = sim.run(400.0);
             let f = mapping[0].expect("connected");

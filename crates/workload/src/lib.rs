@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! # empower-workload
 //!
 //! A composable, netbench-style workload DSL for the EMPoWER reproduction:

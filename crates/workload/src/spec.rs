@@ -12,7 +12,8 @@
 //! contract.
 
 use empower_dynamics::schema::{
-    arr_of, check_schema_version, join, opt_f64, opt_str, opt_u64, req_f64, req_str, req_u64, serr,
+    arr_of, check_schema_version, join, opt_f64, opt_str, opt_u32, opt_u64, parse_document,
+    req_f64, req_str, req_u32, req_u64, serr,
 };
 use empower_dynamics::{toml, ScenarioError};
 use empower_telemetry::Json;
@@ -80,10 +81,7 @@ impl WorkloadTopology {
 
 /// Reads an optional positive campus grid dimension.
 fn opt_dim(v: &Json, key: &str, path: &str, default: u32) -> Result<u32, ScenarioError> {
-    let n = match opt_u64(v, key, path)? {
-        None => default,
-        Some(n) => narrow_u32(n, &join(path, key))?,
-    };
+    let n = opt_u32(v, key, path)?.unwrap_or(default);
     if n == 0 {
         return serr(join(path, key), "must be at least 1");
     }
@@ -212,16 +210,7 @@ impl Workload {
     /// Parses a workload from TOML or JSON (auto-detected: JSON documents
     /// start with `{`).
     pub fn parse_str(text: &str) -> Result<Workload, ScenarioError> {
-        let doc = if text.trim_start().starts_with('{') {
-            Json::parse(text).map_err(|e| ScenarioError {
-                path: String::new(),
-                message: format!("JSON: {e:?}"),
-            })?
-        } else {
-            toml::parse(text)
-                .map_err(|e| ScenarioError { path: String::new(), message: e.to_string() })?
-        };
-        Workload::from_json(&doc)
+        Workload::from_json(&parse_document(text)?)
     }
 
     /// Builds a workload from a JSON tree.
@@ -299,12 +288,17 @@ impl Workload {
         }
     }
 
-    /// Structural validation beyond field decoding: positive horizons and
-    /// rates, node numbers within the topology, replication and diurnal
-    /// knobs only where they mean something.
+    /// Structural validation beyond field decoding: a finite positive
+    /// horizon, a finite non-negative noise level, positive rates, node
+    /// numbers within the topology, replication and diurnal knobs only where
+    /// they mean something.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        if not_positive(self.run.horizon_secs) {
-            return serr("run.horizon_secs", "must be positive");
+        // An infinite horizon never ends the run.
+        if not_positive(self.run.horizon_secs) || !self.run.horizon_secs.is_finite() {
+            return serr("run.horizon_secs", "must be a finite number > 0");
+        }
+        if not_non_negative(self.run.noise) || !self.run.noise.is_finite() {
+            return serr("run.noise", "must be a finite number ≥ 0");
         }
         if self.clients.is_empty() {
             return serr("clients", "workload needs at least one client");
@@ -363,7 +357,7 @@ fn validate_client(
             }
         }
         WorkloadTopology::Campus { .. } => {
-            // empower-lint: allow(D005) — campus_node_count is Some by match arm
+            #[expect(clippy::expect_used, reason = "campus_node_count is Some by match arm")]
             let n = topo.campus_node_count().expect("campus topology has a node count");
             for (key, v) in [("src", c.src), ("dst", c.dst)] {
                 if u64::from(v) >= n {
@@ -460,7 +454,7 @@ fn client_from_json(v: &Json, path: String) -> Result<ClientSpec, ScenarioError>
         },
         "closed_loop" => ClientKind::ClosedLoop { stop: opt_f64(v, "stop", &path)? },
         "request_response" => ClientKind::RequestResponse {
-            requests: u32_field(v, "requests", &path)?,
+            requests: req_u32(v, "requests", &path)?,
             response_bytes: req_u64(v, "response_bytes", &path)?,
             think_secs: req_f64(v, "think_secs", &path)?,
         },
@@ -482,16 +476,16 @@ fn client_from_json(v: &Json, path: String) -> Result<ClientSpec, ScenarioError>
             payload_bytes: req_u64(v, "payload_bytes", &path)?,
         },
         "elephant_mice" => ClientKind::ElephantMice {
-            elephants: u32_field(v, "elephants", &path)?,
+            elephants: req_u32(v, "elephants", &path)?,
             elephant_bytes: req_u64(v, "elephant_bytes", &path)?,
-            mice: u32_field(v, "mice", &path)?,
+            mice: req_u32(v, "mice", &path)?,
             mouse_bytes: req_u64(v, "mouse_bytes", &path)?,
             mean_gap_secs: req_f64(v, "mean_gap_secs", &path)?,
         },
         "churn" => ClientKind::Churn {
             base_rate_per_sec: req_f64(v, "base_rate_per_sec", &path)?,
             mean_session_secs: req_f64(v, "mean_session_secs", &path)?,
-            max_sessions: u32_field(v, "max_sessions", &path)?,
+            max_sessions: req_u32(v, "max_sessions", &path)?,
         },
         other => return serr(join(&path, "kind"), format!("unknown client kind {other:?}")),
     };
@@ -507,30 +501,13 @@ fn client_from_json(v: &Json, path: String) -> Result<ClientSpec, ScenarioError>
     };
     Ok(ClientSpec {
         label: opt_str(v, "label", &path)?.map(str::to_string),
-        src: u32_field(v, "src", &path)?,
-        dst: u32_field(v, "dst", &path)?,
-        via: match opt_u64(v, "via", &path)? {
-            None => None,
-            Some(n) => Some(narrow_u32(n, &join(&path, "via"))?),
-        },
-        count: match opt_u64(v, "count", &path)? {
-            None => 1,
-            Some(n) => narrow_u32(n, &join(&path, "count"))?,
-        },
+        src: req_u32(v, "src", &path)?,
+        dst: req_u32(v, "dst", &path)?,
+        via: opt_u32(v, "via", &path)?,
+        count: opt_u32(v, "count", &path)?.unwrap_or(1),
         start: opt_f64(v, "start", &path)?.unwrap_or(0.0),
         kind,
         diurnal,
-    })
-}
-
-fn u32_field(v: &Json, key: &str, path: &str) -> Result<u32, ScenarioError> {
-    narrow_u32(req_u64(v, key, path)?, &join(path, key))
-}
-
-fn narrow_u32(n: u64, path: &str) -> Result<u32, ScenarioError> {
-    u32::try_from(n).map_err(|_| ScenarioError {
-        path: path.to_string(),
-        message: "does not fit in 32 bits".into(),
     })
 }
 
@@ -684,5 +661,16 @@ amplitude = 0.5
             .replace("kind = \"churn\"", "kind = \"closed_loop\"")
             .replace("base_rate_per_sec = 0.2\nmean_session_secs = 4.0\nmax_sessions = 8", "");
         assert!(Workload::parse_str(&bad).unwrap_err().path.contains("diurnal"));
+        // A horizon that never ends the run, or noise that is no standard
+        // deviation.
+        for v in ["inf", "nan", "0.0"] {
+            let bad = SAMPLE.replace("horizon_secs = 30.0", &format!("horizon_secs = {v}"));
+            assert_eq!(Workload::parse_str(&bad).unwrap_err().path, "run.horizon_secs", "{v}");
+        }
+        for v in ["inf", "nan", "-0.1"] {
+            let bad =
+                SAMPLE.replace("horizon_secs = 30.0", &format!("horizon_secs = 30.0\nnoise = {v}"));
+            assert_eq!(Workload::parse_str(&bad).unwrap_err().path, "run.noise", "{v}");
+        }
     }
 }

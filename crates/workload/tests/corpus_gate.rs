@@ -14,6 +14,10 @@ fn parse_scenario_count(raw: &str) -> usize {
         .unwrap_or_else(|_| panic!("EMPOWER_WORKLOAD_SCENARIOS={raw} is not a scenario count"))
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "EMPOWER_WORKLOAD_SCENARIOS: prefix of the workload corpus to sweep (quick CI trims to 1)"
+)]
 fn gated_corpus() -> Vec<WorkloadScenario> {
     let mut c = workload_corpus();
     if let Some(n) = std::env::var_os("EMPOWER_WORKLOAD_SCENARIOS") {

@@ -2,6 +2,6 @@ use std::sync::Mutex;
 use std::sync::RwLock;
 
 pub struct Shared {
-    queue: Mutex<Vec<u32>>,
-    map: RwLock<Vec<u32>>,
+    pub queue: Mutex<Vec<u32>>,
+    pub map: RwLock<Vec<u32>>,
 }

@@ -1,4 +1,4 @@
+#[allow(clippy::unwrap_used)]
 pub fn get(x: Option<u32>) -> u32 {
-    // empower-lint: allow(D005)
     x.unwrap()
 }

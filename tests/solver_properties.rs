@@ -4,9 +4,11 @@
 //! Instances come from a deterministic seed sweep (the in-tree RNG
 //! replaces proptest; the failing case index is in the assertion message).
 
-// Adjacency matrices are walked by (i, j) index pairs with j > i; the
-// iterator forms clippy suggests obscure the symmetry being asserted.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "adjacency matrices are walked by (i, j) index pairs with j > i; the iterator \
+              forms clippy suggests obscure the symmetry being asserted"
+)]
 
 use empower_core::baselines::{
     max_weight_independent_set, maximal_cliques, solve_lp, ConflictGraph,
