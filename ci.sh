@@ -164,10 +164,11 @@ if [ "${1:-}" = "quick" ]; then
     say "tests (debug, equivalence corpora trimmed)"
     # The §3.2 equivalence property test sweeps 50 random topologies by
     # default; 12 keep the quick loop fast while still crossing both
-    # topology classes and the restricted-medium query. The simulator
-    # engine-equivalence corpus is likewise trimmed to its Fig. 1 prefix
+    # topology classes and the restricted-medium query.
+    # EMPOWER_SIM_EQUIV_SCENARIOS trims one gate, the optimized-vs-reference
+    # engine corpus (crates/sim/tests/equivalence.rs), to its Fig. 1 prefix
     # plus the first dynamics scenarios, and the workload replay/cross-
-    # engine gate to its first scenario; CI's full mode runs everything.
+    # engine gate runs its first scenario; CI's full mode runs everything.
     # --workspace (also the root manifest's default-members): the member-
     # crate gates run too (sim equivalence corpus and hot-path budgets,
     # datapath stage tests, bench determinism tests).

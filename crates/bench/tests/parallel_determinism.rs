@@ -147,25 +147,6 @@ fn parallel_workload_corpus_matches_serial_bytes_and_manifest() {
     }
 }
 
-/// Shard-count determinism for the sharded simulator itself (DESIGN.md
-/// §13): the same corpus scenario must render byte-identically for any
-/// `--shards`, composing with the `--jobs` determinism the other gates
-/// cover. The full 23-scenario × 4-shard-count sweep lives in
-/// `crates/sim/tests/shard_equivalence.rs`; this gate keeps the bench
-/// crate honest on the two scenarios its scale curve reports.
-#[test]
-fn sharded_simulation_matches_across_shard_counts() {
-    use empower_sim::corpus::{corpus, run_scenario, ShardedN as Sharded};
-
-    let scenarios = corpus();
-    for name in ["fig1_contending", "testbed_pair_1_4_13"] {
-        let s = scenarios.iter().find(|s| s.name == name).expect("corpus scenario exists");
-        let one = run_scenario::<Sharded<1>>(s);
-        assert_eq!(one, run_scenario::<Sharded<2>>(s), "{name}: shards=2 diverged");
-        assert_eq!(one, run_scenario::<Sharded<4>>(s), "{name}: shards=4 diverged");
-    }
-}
-
 #[test]
 fn parallel_sweep_matches_serial_bytes_and_manifest() {
     let serial_tele = Telemetry::enabled();

@@ -6,14 +6,14 @@
 //! index-addressed work.
 //!
 //! The model: a batch is a list of *work items* addressed by index (the
-//! `(seed, query)` pairs of a sweep, the shards of one sharded-simulator
-//! run). A fixed set of `jobs` scoped threads pulls indices from an atomic
-//! cursor, each item is computed independently, and the results are
-//! collected **in index order** — so every aggregate downstream (merged
-//! reports, JSON dumps, manifests, printed tables) is byte-identical to a
-//! serial run. Determinism holds because (a) each item's computation is
-//! itself deterministic and shares no mutable state, and (b) the only
-//! thing scheduling can reorder is *completion*, which the index-ordered
+//! `(seed, query)` pairs of a sweep, the repetitions of a figure). A fixed
+//! set of `jobs` scoped threads pulls indices from an atomic cursor, each
+//! item is computed independently, and the results are collected **in
+//! index order** — so every aggregate downstream (merged reports, JSON
+//! dumps, manifests, printed tables) is byte-identical to a serial run.
+//! Determinism holds because (a) each item's computation is itself
+//! deterministic and shares no mutable state, and (b) the only thing
+//! scheduling can reorder is *completion*, which the index-ordered
 //! collection erases.
 //!
 //! This crate is the workspace's **sanctioned merge idiom**: the

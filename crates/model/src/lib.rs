@@ -32,7 +32,6 @@ pub mod medium;
 pub mod node;
 pub mod path;
 pub mod rng;
-pub mod shard;
 pub mod topology;
 
 pub use airtime::{lemma1_rmax, AirtimeLedger};
@@ -45,4 +44,3 @@ pub use link::Link;
 pub use medium::Medium;
 pub use node::Node;
 pub use path::{Path, PathIncidence};
-pub use shard::{plan_shards, CouplingSpec, ShardPlan};

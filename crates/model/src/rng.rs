@@ -204,10 +204,10 @@ fn splitmix_finalize(x: u64) -> u64 {
 /// "per-link estimation noise") and `idx` the entity within the family.
 /// Two rounds of the SplitMix64 finalizer decorrelate the inputs, the same
 /// construction the workload compiler uses for `instance_seed`. The point
-/// of per-entity streams (DESIGN.md §13) is *composability*: an entity's
-/// draw sequence depends only on `(master, tag, idx)` and its own draw
-/// count, never on how many draws other entities made — which is what lets
-/// a sharded run reproduce the single-threaded stream exactly.
+/// of per-entity streams is *independence*: an entity's draw sequence
+/// depends only on `(master, tag, idx)` and its own draw count, never on
+/// how many draws other entities made, so changing one flow's traffic
+/// leaves every other flow's draws as they were.
 pub fn stream_seed(master: u64, tag: u64, idx: u64) -> u64 {
     splitmix_finalize(splitmix_finalize(master ^ tag.wrapping_mul(0x9e37_79b9_7f4a_7c15)) ^ idx)
 }

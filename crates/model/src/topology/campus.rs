@@ -25,9 +25,9 @@
 //! * **Ethernet**: risers never interfere with anything
 //!   ([`Medium::may_interfere_with`]), so the backbone adds no coupling.
 //!
-//! The result: one interference atom per floor (plus singleton Ethernet
-//! atoms) — exactly the boundaries the sharded simulator
-//! ([`crate::shard`]) partitions along.
+//! The result: no interference domain, broadcast group or PLC panel
+//! crosses a floor, so a floor's contention is a function of that floor's
+//! traffic alone.
 
 use crate::capacity::{CapacityModel, PlcCapacityModel, WifiCapacityModel};
 use crate::geometry::Point;

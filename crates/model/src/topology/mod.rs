@@ -8,7 +8,7 @@
 //! * [`testbed22`](testbed22::testbed22) — the simulated stand-in for the 22-node office testbed
 //!   of §6 (65×40 m floor).
 //! * [`campus()`] — seeded hierarchical multi-floor/multi-building campuses
-//!   (100/500/1000+ nodes) for the sharded-simulation scale experiments.
+//!   (100/500/1000+ nodes) for the scale workloads.
 
 pub mod campus;
 pub mod examples;

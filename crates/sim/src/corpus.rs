@@ -101,9 +101,9 @@ macro_rules! impl_sim_engine {
 impl_sim_engine!(crate::engine::Simulation);
 impl_sim_engine!(crate::reference::ReferenceSimulation);
 
-/// [`crate::sharded::ShardedSimulation`] pinned to `N` shards at the type
-/// level, so determinism gates can sweep shard counts through the generic
-/// corpus runner.
+/// [`crate::sharded::ShardedSimulation`] with a shard count in its type,
+/// the name the benchmark's `sim.sharded.*` probe runs. Every call goes
+/// to the one engine inside.
 pub struct ShardedN<const N: u32>(pub crate::sharded::ShardedSimulation);
 
 impl<const N: u32> SimEngine for ShardedN<N> {
@@ -111,40 +111,40 @@ impl<const N: u32> SimEngine for ShardedN<N> {
         ShardedN(crate::sharded::ShardedSimulation::with_shards(net, imap, cfg, N))
     }
     fn attach_trace(&mut self, trace: Trace) {
-        self.0.attach_trace(trace)
+        self.0 .0.attach_trace(trace)
     }
     fn attach_telemetry(&mut self, tele: Telemetry) {
-        self.0.attach_telemetry(tele)
+        self.0 .0.attach_telemetry(tele)
     }
     fn telemetry(&self) -> &Telemetry {
-        self.0.telemetry()
+        self.0 .0.telemetry()
     }
     fn take_trace(&mut self) -> Option<Trace> {
-        self.0.take_trace()
+        self.0 .0.take_trace()
     }
     fn add_flow(&mut self, spec: FlowSpecSim) -> usize {
-        self.0.add_flow(spec)
+        self.0 .0.add_flow(spec)
     }
     fn schedule_link_change(&mut self, at: f64, link: LinkId, capacity_mbps: f64) {
-        self.0.schedule_link_change(at, link, capacity_mbps)
+        self.0 .0.schedule_link_change(at, link, capacity_mbps)
     }
     fn schedule_node_change(&mut self, at: f64, node: NodeId, up: bool) {
-        self.0.schedule_node_change(at, node, up)
+        self.0 .0.schedule_node_change(at, node, up)
     }
     fn replace_routes(&mut self, flow: usize, routes: Vec<Path>) -> usize {
-        self.0.replace_routes(flow, routes)
+        self.0 .0.replace_routes(flow, routes)
     }
     fn run_until(&mut self, until: f64) {
-        self.0.run_until(until)
+        self.0 .0.run_until(until)
     }
     fn report(&self, duration: f64) -> SimReport {
-        self.0.report(duration)
+        self.0 .0.report(duration)
     }
     fn network(&self) -> &Network {
-        self.0.network()
+        self.0 .0.network()
     }
     fn perf_stats(&self) -> SimPerfStats {
-        self.0.perf_stats()
+        self.0 .0.perf_stats()
     }
 }
 

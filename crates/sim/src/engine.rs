@@ -206,18 +206,12 @@ pub struct Simulation {
     /// Per-flow random streams (traffic draws: scheduler token choice,
     /// Poisson inter-arrivals). Seeded from `(cfg.seed, STREAM_FLOW, flow
     /// index)` so a flow's draw sequence is independent of every other
-    /// flow's draw count — the property the sharded engine (DESIGN.md §13)
-    /// relies on to reproduce the single-threaded stream exactly.
+    /// flow's draw count: how much one flow sends leaves every other
+    /// flow's draws untouched.
     flow_rngs: Vec<StdRng>,
     /// Per-link random streams (capacity-estimation noise), seeded from
     /// `(cfg.seed, STREAM_LINK, link index)`.
     link_rngs: Vec<StdRng>,
-    /// Global flow id per local flow — identity for a standalone engine;
-    /// a shard worker ([`crate::ShardedSimulation`]) registers only the
-    /// flows it owns. Everything observable (trace flow fields, counter
-    /// names, RNG stream seeds) uses these, so a worker's output needs no
-    /// post-hoc translation.
-    flow_gids: Vec<usize>,
     events: EventQueue,
     now: f64,
     /// Pooled packet storage; queues and the busy table hold handles.
@@ -339,7 +333,6 @@ impl Simulation {
             cfg,
             flow_rngs: Vec::new(),
             link_rngs,
-            flow_gids: Vec::new(),
         }
     }
 
@@ -352,12 +345,6 @@ impl Simulation {
         p.slab_grows = self.slab.grows();
         p.hot_allocs = self.slab.grows();
         p
-    }
-
-    /// Control-plane slots executed so far (what `ctrl/ticks` counts when
-    /// a registry is attached).
-    pub(crate) fn ticks(&self) -> u64 {
-        self.ticks
     }
 
     /// Read access to the network (capacities may change via failures).
@@ -378,10 +365,9 @@ impl Simulation {
     pub fn attach_telemetry(&mut self, tele: Telemetry) {
         self.etel = EngineCounters::attach(tele, self.net.link_count());
         for f in 0..self.flows.len() {
-            let gid = self.flow_gids[f];
             let routes = self.flows[f].spec.routes.len();
-            self.flows[f].route_frames = self.etel.flow_route_counters(gid, routes);
-            self.flows[f].acks_sent = self.etel.flow_ack_counter(gid);
+            self.flows[f].route_frames = self.etel.flow_route_counters(f, routes);
+            self.flows[f].acks_sent = self.etel.flow_ack_counter(f);
         }
     }
 
@@ -401,16 +387,7 @@ impl Simulation {
     /// # Panics
     /// Panics if the spec has no usable routes, or an open-loop flow lacks
     /// rates.
-    pub fn add_flow(&mut self, spec: FlowSpecSim) -> usize {
-        let gid = self.flows.len();
-        self.add_flow_global(spec, gid)
-    }
-
-    /// [`Simulation::add_flow`] with an explicit *global* flow id: a shard
-    /// worker passes the flow's index in the full run so RNG streams,
-    /// per-flow counter names and trace flow fields match the
-    /// single-threaded engine. Returns the local index.
-    pub(crate) fn add_flow_global(&mut self, mut spec: FlowSpecSim, gid: usize) -> usize {
+    pub fn add_flow(&mut self, mut spec: FlowSpecSim) -> usize {
         assert!(!spec.routes.is_empty(), "flow has no routes");
         assert!(
             !self.control_started,
@@ -508,15 +485,14 @@ impl Simulation {
             tcp_backlog: VecDeque::new(),
             emit_pending: false,
             emission_not_before: 0.0,
-            route_frames: self.etel.flow_route_counters(gid, route_count),
-            acks_sent: self.etel.flow_ack_counter(gid),
+            route_frames: self.etel.flow_route_counters(idx, route_count),
+            acks_sent: self.etel.flow_ack_counter(idx),
         });
         self.flow_rngs.push(StdRng::seed_from_u64(stream_seed(
             self.cfg.seed,
             STREAM_FLOW,
-            gid as u64,
+            idx as u64,
         )));
-        self.flow_gids.push(gid);
         self.stats.push(FlowStats { started_at: start, ..Default::default() });
         self.events.push(start, Event::FlowStart { flow: idx as u32 });
         if let Some(stop) = stop {
@@ -573,8 +549,7 @@ impl Simulation {
             })
             .collect();
         if routes.is_empty() {
-            let gid = self.flow_gids[flow];
-            self.etel.tele.event("sim", "route_replace_failed", &[("flow", gid.into())]);
+            self.etel.tele.event("sim", "route_replace_failed", &[("flow", flow.into())]);
             return 0;
         }
         let n = routes.len();
@@ -598,9 +573,12 @@ impl Simulation {
                 fl.spec.routes.iter().map(|p| p.capacity(&self.net, &self.imap)).collect();
             fl.source.set_rates(&fl.spec.open_loop_rates);
         }
-        let gid = self.flow_gids[flow];
-        fl.route_frames = self.etel.flow_route_counters(gid, n);
-        self.etel.tele.event("sim", "route_replace", &[("flow", gid.into()), ("routes", n.into())]);
+        fl.route_frames = self.etel.flow_route_counters(flow, n);
+        self.etel.tele.event(
+            "sim",
+            "route_replace",
+            &[("flow", flow.into()), ("routes", n.into())],
+        );
         // New route columns in the rate series start now, padded with zeros
         // for the elapsed samples.
         let series = &mut self.stats[flow].rate_series;
@@ -675,7 +653,7 @@ impl Simulation {
     fn flow_start(&mut self, f: usize) {
         self.started_flows += 1;
         self.flows[f].active = true;
-        self.etel.tele.event("sim", "flow_start", &[("flow", self.flow_gids[f].into())]);
+        self.etel.tele.event("sim", "flow_start", &[("flow", f.into())]);
         match self.flows[f].spec.pattern {
             TrafficPattern::SaturatedUdp { .. } => self.schedule_emit(f, 0.0),
             TrafficPattern::FileDownload { size_bytes, .. } => {
@@ -710,7 +688,7 @@ impl Simulation {
         }
         self.flows[f].active = false;
         self.stats[f].stopped_at = self.now;
-        self.etel.tele.event("sim", "flow_stop", &[("flow", self.flow_gids[f].into())]);
+        self.etel.tele.event("sim", "flow_stop", &[("flow", f.into())]);
     }
 
     fn begin_file(&mut self, f: usize, size_bytes: u64) {
@@ -843,12 +821,7 @@ impl Simulation {
             }
             if let Some(tr) = self.trace.as_mut() {
                 let site = if alive { DropSite::QueueOverflow } else { DropSite::DeadLink };
-                tr.push(TraceEvent::Drop {
-                    t: self.now,
-                    flow: self.flow_gids[flow],
-                    seq,
-                    where_: site,
-                });
+                tr.push(TraceEvent::Drop { t: self.now, flow, seq, where_: site });
             }
             self.slab.release(id);
             return;
@@ -925,7 +898,7 @@ impl Simulation {
             tr.push(TraceEvent::TxStart {
                 t: self.now,
                 link: link.0,
-                flow: self.flow_gids[pkt.flow],
+                flow: pkt.flow,
                 seq: pkt.header.seq,
                 bits: pkt.size_bits,
             });
@@ -949,7 +922,7 @@ impl Simulation {
             tr.push(TraceEvent::TxEnd {
                 t: self.now,
                 link: link.0,
-                flow: self.flow_gids[pkt.flow],
+                flow: pkt.flow,
                 seq: pkt.header.seq,
             });
         }
@@ -1103,11 +1076,7 @@ impl Simulation {
             match *ev {
                 ReorderEvent::Deliver(s) => {
                     if let Some(tr) = self.trace.as_mut() {
-                        tr.push(TraceEvent::Deliver {
-                            t: self.now,
-                            flow: self.flow_gids[f],
-                            seq: s,
-                        });
+                        tr.push(TraceEvent::Deliver { t: self.now, flow: f, seq: s });
                     }
                     if let Some(tcp) = self.flows[f].tcp.as_mut() {
                         if let Some(ts) = tcp.wire_to_tcp.remove(&s) {
@@ -1117,11 +1086,7 @@ impl Simulation {
                 }
                 ReorderEvent::Lost(s) => {
                     if let Some(tr) = self.trace.as_mut() {
-                        tr.push(TraceEvent::DeclaredLost {
-                            t: self.now,
-                            flow: self.flow_gids[f],
-                            seq: s,
-                        });
+                        tr.push(TraceEvent::DeclaredLost { t: self.now, flow: f, seq: s });
                     }
                     self.stats[f].declared_lost += 1;
                     self.etel.loss_rule_firings.inc();
@@ -1163,11 +1128,7 @@ impl Simulation {
         }
         let took = self.now - self.flows[f].file_began_at;
         self.stats[f].completions.push(took);
-        self.etel.tele.event(
-            "sim",
-            "file_complete",
-            &[("flow", self.flow_gids[f].into()), ("secs", took.into())],
-        );
+        self.etel.tele.event("sim", "file_complete", &[("flow", f.into()), ("secs", took.into())]);
         match self.flows[f].spec.pattern {
             TrafficPattern::PoissonFiles { size_bytes, .. } => {
                 if let Some(ready) = self.flows[f].pending_files.pop_front() {
@@ -1310,16 +1271,14 @@ impl Simulation {
         }
         self.ticks += 1;
         // The control-tick chain runs to the caller's horizon uncondition-
-        // ally (`run_until` stops it). An idle-detection early exit used to
-        // stop the chain once every flow had drained, but the tick count,
-        // and with it γ decay and the rate-series length, then depended on
-        // *global* drain state, which a sharded run (DESIGN.md §13) cannot
-        // reproduce per shard. Nor can drained ticks be skipped and
-        // accounted for arithmetically: once a controlled flow has
-        // delivered a frame its ACK fires and counts every slot, and the
-        // EWMAs keep moving for some 1 440 s after the last frame, so no tick
-        // is the identity. What a tick can be is proportional to the links
-        // that ever carried a frame ([`ActiveSets`]), and it is.
+        // ally (`run_until` stops it): the tick count, and with it γ decay
+        // and the rate-series length, is part of every report. Nor can
+        // drained ticks be skipped and accounted for arithmetically: once a
+        // controlled flow has delivered a frame its ACK fires and counts
+        // every slot, and the EWMAs keep moving for some 1 440 s after the
+        // last frame, so no tick is the identity. What a tick can be is
+        // proportional to the links that ever carried a frame
+        // ([`ActiveSets`]), and it is.
         self.events.push(self.now + slot, Event::ControlTick);
     }
 
@@ -1424,12 +1383,7 @@ impl Simulation {
         self.stats[flow].dropped_in_network += 1;
         self.etel.drops_dead_link.inc();
         if let Some(tr) = self.trace.as_mut() {
-            tr.push(TraceEvent::Drop {
-                t: self.now,
-                flow: self.flow_gids[flow],
-                seq,
-                where_: DropSite::DeadLink,
-            });
+            tr.push(TraceEvent::Drop { t: self.now, flow, seq, where_: DropSite::DeadLink });
         }
         self.slab.release(id);
     }
@@ -1571,11 +1525,8 @@ impl Simulation {
 /// Resolves a path into a wire source route, or `None` when a hop's
 /// receiving interface is gone (node removed mid-run) or the path does
 /// not fit the 6-hop header — callers skip such routes instead of
-/// panicking. Resolution is static (link ids never disappear, failures
-/// zero capacities, and the interface registry is fixed at construction),
-/// which is what lets the sharded engine count a replacement's installed
-/// routes before any shard replays it.
-pub(crate) fn resolve_source_route(
+/// panicking.
+fn resolve_source_route(
     net: &Network,
     reg: &IfaceRegistry,
     p: &empower_model::Path,

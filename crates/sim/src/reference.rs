@@ -1059,8 +1059,7 @@ impl ReferenceSimulation {
         }
         self.ticks += 1;
         // Unconditional re-arm, mirroring the optimized engine: the tick
-        // chain must depend only on the caller's horizon, never on global
-        // drain state, so sharded runs (DESIGN.md §13) tick identically.
+        // chain depends only on the caller's horizon, never on drain state.
         self.events.push(self.now + slot, Event::ControlTick);
     }
 

@@ -5,8 +5,6 @@
 //! Click implementation produced. Traces serialize to JSON lines for
 //! offline analysis and are the raw material for the time-series figures.
 
-use std::fmt::Write as _;
-
 use empower_model::LinkId;
 use empower_telemetry::Json;
 
@@ -55,18 +53,6 @@ impl DropSite {
 }
 
 impl TraceEvent {
-    /// Simulated time of the event.
-    pub fn time(&self) -> f64 {
-        match self {
-            TraceEvent::TxStart { t, .. }
-            | TraceEvent::TxEnd { t, .. }
-            | TraceEvent::Drop { t, .. }
-            | TraceEvent::Deliver { t, .. }
-            | TraceEvent::DeclaredLost { t, .. }
-            | TraceEvent::LinkChange { t, .. } => *t,
-        }
-    }
-
     /// The JSON-line form: an object tagged by `"ev"` with snake_case
     /// variant names (the format the serde-based version produced).
     pub fn to_json(&self) -> Json {
@@ -155,9 +141,6 @@ pub struct Trace {
     /// recording simply stops (the interesting part of a trace is usually
     /// its beginning, and an explicit cap beats silent memory blow-up).
     cap: Option<usize>,
-    /// Past the cap, keep accepting events that carry the timestamp of the
-    /// last one recorded (see [`Trace::bounded_through_ties`]).
-    through_ties: bool,
     truncated: bool,
 }
 
@@ -172,26 +155,11 @@ impl Trace {
         Trace { cap: Some(cap), ..Default::default() }
     }
 
-    /// The sink of one shard worker: like [`Trace::bounded`], except that
-    /// past the cap it keeps accepting events while they carry the timestamp
-    /// of the last one recorded. An engine records in time order, so what
-    /// this keeps is every event up to and including the time of its
-    /// `cap`-th: a superset of the events this worker contributes to the
-    /// first `cap` of any canonical merge ([`for_each_canonical`] sorts by
-    /// time first), whatever the other workers recorded.
-    pub(crate) fn bounded_through_ties(cap: usize) -> Self {
-        Trace { cap: Some(cap), through_ties: true, ..Default::default() }
-    }
-
     /// Records one event.
     pub fn push(&mut self, event: TraceEvent) {
         if self.cap.is_some_and(|cap| self.events.len() >= cap) {
-            let tie = self.through_ties
-                && self.events.last().is_some_and(|last| last.time() == event.time());
-            if !tie {
-                self.truncated = true;
-                return;
-            }
+            self.truncated = true;
+            return;
         }
         self.events.push(event);
     }
@@ -206,11 +174,6 @@ impl Trace {
         self.truncated
     }
 
-    /// The configured cap, if any.
-    pub fn cap(&self) -> Option<usize> {
-        self.cap
-    }
-
     /// Serializes to JSON lines.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
@@ -218,21 +181,6 @@ impl Trace {
             out.push_str(&e.to_json().to_string());
             out.push('\n');
         }
-        out
-    }
-
-    /// Serializes to JSON lines in **canonical order**: events sorted by
-    /// `(time, rendered line)`. Equal-time events from independent
-    /// interference atoms have no defined relative order in a single event
-    /// loop (it depends on queue insertion history), so the sharded engine
-    /// emits canonical traces and the cross-engine gates compare both
-    /// sides' canonical renderings.
-    pub fn canonical_jsonl(&self) -> String {
-        let mut out = String::new();
-        for_each_canonical(&[self], |_, line| {
-            out.push_str(line);
-            out.push('\n');
-        });
         out
     }
 
@@ -253,32 +201,6 @@ impl Trace {
             }
         }
         total
-    }
-}
-
-/// Visits every event of `parts` in canonical order — sorted by `(time,
-/// rendered line)` — handing `f` the event and its rendered line. This is
-/// the one definition of that order: [`Trace::canonical_jsonl`] and the
-/// sharded engine's trace merge both go through it, which makes the merged
-/// bytes a function of the event *multiset* only, however it was split.
-/// Every line is rendered into one shared buffer and keyed by its byte
-/// range, not into one `String` per event. The ranges are `usize`, so an
-/// unbounded sink is limited by memory and never by a narrower offset
-/// wrapping (4 GiB of rendered lines is about 60 M events).
-pub(crate) fn for_each_canonical<'a>(parts: &[&'a Trace], mut f: impl FnMut(&'a TraceEvent, &str)) {
-    let mut buf = String::new();
-    let mut keyed: Vec<(u64, usize, usize, &TraceEvent)> = Vec::new();
-    for part in parts {
-        for e in &part.events {
-            let start = buf.len();
-            let _ = write!(buf, "{}", e.to_json());
-            keyed.push((e.time().to_bits(), start, buf.len(), e));
-        }
-    }
-    let line = |k: &(u64, usize, usize, &TraceEvent)| &buf[k.1..k.2];
-    keyed.sort_by(|a, b| (a.0, line(a)).cmp(&(b.0, line(b))));
-    for k in &keyed {
-        f(k.3, line(k));
     }
 }
 
@@ -308,64 +230,6 @@ mod tests {
         assert!(t.is_truncated());
         // The FIRST events are kept.
         assert!(matches!(t.events()[0], TraceEvent::Deliver { seq: 0, .. }));
-    }
-
-    #[test]
-    fn tie_extending_sink_keeps_the_whole_last_timestamp() {
-        let mut t = Trace::bounded_through_ties(3);
-        for (seq, time) in [0.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0].into_iter().enumerate() {
-            t.push(TraceEvent::Deliver { t: time, flow: 0, seq: seq as u32 });
-        }
-        // The cap lands on the first t = 2.0; its two ties are kept, then
-        // recording stops for good.
-        assert_eq!(t.events().len(), 5);
-        assert!(t.events().iter().all(|e| e.time() <= 2.0));
-        assert!(t.is_truncated());
-        let mut none = Trace::bounded_through_ties(0);
-        none.push(TraceEvent::Deliver { t: 0.0, flow: 0, seq: 0 });
-        assert!(none.events().is_empty() && none.is_truncated());
-    }
-
-    /// Canonical order is a function of the event multiset: rendering one
-    /// trace equals merging any two-way split of it.
-    #[test]
-    fn canonical_order_ignores_how_the_trace_was_split() {
-        let mut whole = Trace::new();
-        let (mut a, mut b) = (Trace::new(), Trace::new());
-        for i in 0..40u32 {
-            // Scrambled times with ties (i % 7), distinct lines within a tie.
-            let e = match i % 3 {
-                0 => TraceEvent::TxStart {
-                    t: f64::from(i * 5 % 7),
-                    link: i,
-                    flow: 1,
-                    seq: i,
-                    bits: 8,
-                },
-                1 => TraceEvent::Deliver { t: f64::from(i * 5 % 7), flow: 0, seq: i },
-                _ => TraceEvent::Drop {
-                    t: f64::from(i * 5 % 7),
-                    flow: 2,
-                    seq: i,
-                    where_: DropSite::QueueOverflow,
-                },
-            };
-            whole.push(e.clone());
-            if i * 11 % 5 < 2 { &mut a } else { &mut b }.push(e);
-        }
-        assert!(!a.events().is_empty() && !b.events().is_empty());
-        let mut merged = String::new();
-        for_each_canonical(&[&b, &a], |e, line| {
-            assert_eq!(line, e.to_json().to_string());
-            merged.push_str(line);
-            merged.push('\n');
-        });
-        assert_eq!(whole.canonical_jsonl(), merged);
-        let times: Vec<f64> = merged
-            .lines()
-            .map(|l| TraceEvent::from_json(&Json::parse(l).unwrap()).unwrap().time())
-            .collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]), "sorted by time first");
     }
 
     #[test]

@@ -16,9 +16,6 @@
 //! Set `EMPOWER_SIM_EQUIV_SCENARIOS=<n>` to trim the corpus for quick local
 //! iterations; CI runs the full set.
 
-mod common;
-
-use common::scenario_budget;
 use empower_model::topology::testbed22;
 use empower_model::{CarrierSense, InterferenceModel, LinkId, Medium, Network, NodeId, Path};
 use empower_sim::corpus::{corpus, run_scenario, run_scenario_plain, CorpusOutput, SimEngine};
@@ -36,6 +33,29 @@ const MIN_ALLOC_RATIO: u64 = 60;
 /// may visit, as a share of what visiting every link and every member of
 /// every interference domain each slot would: 2.6 % measured.
 const MAX_TICK_VISIT_SHARE: f64 = 0.1;
+
+fn parse_budget(raw: &str) -> usize {
+    raw.parse()
+        .unwrap_or_else(|_| panic!("EMPOWER_SIM_EQUIV_SCENARIOS={raw} is not a scenario count"))
+}
+
+/// How many corpus scenarios to sweep (a prefix); unset = all. An
+/// unparsable value is an error, not a silent full run.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "EMPOWER_SIM_EQUIV_SCENARIOS: prefix of the engine-equivalence corpus to sweep \
+              (quick CI trims to 14)"
+)]
+fn scenario_budget() -> usize {
+    std::env::var_os("EMPOWER_SIM_EQUIV_SCENARIOS")
+        .map_or(usize::MAX, |v| parse_budget(&v.to_string_lossy()))
+}
+
+#[test]
+#[should_panic(expected = "EMPOWER_SIM_EQUIV_SCENARIOS=ten is not a scenario count")]
+fn an_unparsable_scenario_budget_is_an_error() {
+    parse_budget("ten");
+}
 
 #[test]
 fn optimized_engine_is_byte_identical_to_reference_on_the_corpus() {

@@ -4,9 +4,8 @@
 //! telemetry floor, a diurnal elephant/mice mix with churn, and a
 //! campus-scale mix on a generated hierarchical topology — pinned the
 //! same way the sim equivalence corpus pins the raw engines: the gate test
-//! (`crates/workload/tests/corpus_gate.rs`) replays each scenario twice,
-//! across both engines, and (for the campus entry) across sharded-engine
-//! shard counts, comparing every rendering byte for byte.
+//! (`crates/workload/tests/corpus_gate.rs`) replays each scenario twice
+//! and across both engines, comparing every rendering byte for byte.
 //! The documents are the runnable examples under `examples/` verbatim
 //! (`include_str!`), so the corpus and the documentation cannot drift.
 

@@ -6,8 +6,10 @@
 //! `EMPOWER_WORKLOAD_SCENARIOS=N` trims the sweep to the first `N`
 //! scenarios (quick CI mode), mirroring `EMPOWER_SIM_EQUIV_SCENARIOS`.
 
-use empower_sim::{ReferenceSimulation, Simulation};
+use empower_sim::{ReferenceSimulation, SimConfig, Simulation};
 use empower_workload::corpus::{run_workload_scenario, workload_corpus, WorkloadScenario};
+use empower_workload::routes::build_topology;
+use empower_workload::{compile, Workload};
 
 fn parse_scenario_count(raw: &str) -> usize {
     raw.parse()
@@ -58,29 +60,32 @@ fn workload_scenarios_agree_across_engines() {
     }
 }
 
-/// The campus scenario runs floors in independent interference atoms, so
-/// the sharded simulator spreads it across workers — every rendering must
-/// still be byte-identical for any shard count (DESIGN.md §13), and the
-/// complete renderings (SLO, report, manifest) must match the
-/// single-threaded engine exactly. (The trace is compared across shard
-/// counts only: the sharded engine emits canonical trace order, and the
-/// bounded trace cap may cut the two engines' orderings differently.)
+/// `ShardedN` is a façade over one engine, kept for the benchmark's
+/// `sim.sharded.*` probe: on the campus scenario it renders every byte the
+/// engine does, trace included, and its per-shard work figures describe
+/// that one engine.
 #[test]
 fn campus_scenario_is_byte_identical_across_shard_counts() {
-    use empower_sim::corpus::ShardedN;
+    use empower_sim::corpus::{ShardedN, SimEngine};
 
     let corpus = workload_corpus();
     let s = corpus.last().expect("corpus is non-empty");
     assert_eq!(s.name, "campus_scale");
     let single = run_workload_scenario::<Simulation>(s).unwrap();
-    let base = run_workload_scenario::<ShardedN<1>>(s).unwrap();
-    assert_eq!(single.slo, base.slo, "shards=1 SLO diverged from single-threaded");
-    assert_eq!(single.report, base.report, "shards=1 report diverged from single-threaded");
-    assert_eq!(single.manifest, base.manifest, "shards=1 manifest diverged from single-threaded");
-    let two = run_workload_scenario::<ShardedN<2>>(s).unwrap();
-    let four = run_workload_scenario::<ShardedN<4>>(s).unwrap();
-    let eight = run_workload_scenario::<ShardedN<8>>(s).unwrap();
-    assert_eq!(base, two, "shards=2 diverged from shards=1");
-    assert_eq!(base, four, "shards=4 diverged from shards=1");
-    assert_eq!(base, eight, "shards=8 diverged from shards=1");
+    assert_eq!(single, run_workload_scenario::<ShardedN<2>>(s).unwrap(), "façade diverged");
+
+    let w = Workload::parse_str(s.toml).unwrap();
+    let (net, imap) = build_topology(&w.topology);
+    let compiled = compile(&w, &net).unwrap();
+    let cfg =
+        SimConfig { seed: w.run.seed, estimation_rel_std: w.run.noise, ..SimConfig::default() };
+    let mut sim = ShardedN::<2>::build(net, imap, cfg);
+    for f in &compiled.flows {
+        sim.add_flow(f.spec.clone());
+    }
+    sim.run_until(w.run.horizon_secs);
+    let events = sim.perf_stats().events_dispatched;
+    assert!(events > 0);
+    assert_eq!(sim.0.shards_used(), 1);
+    assert_eq!(sim.0.shard_events_dispatched(), vec![events]);
 }
