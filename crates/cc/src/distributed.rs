@@ -452,6 +452,17 @@ impl BroadcastPlan {
         (violations, visits)
     }
 
+    /// Whether the last refresh left every entry of `node` at its
+    /// construction value (zero demand, zero γ sum, no TCP flag), so a node
+    /// whose state is at rest may stop being refreshed: the vector already
+    /// holds what a refresh would write.
+    pub fn broadcasts_at_rest(&self, node: NodeId) -> bool {
+        let (first, end) = (self.entry_start[node.index()], self.entry_start[node.index() + 1]);
+        self.broadcasts[first as usize..end as usize].iter().all(|b| {
+            b.airtime_demand.to_bits() == 0 && b.gamma_sum.to_bits() == 0 && !b.tcp_receiver
+        })
+    }
+
     /// Index of the state (= node) that owns `link`.
     fn owner_of(&self, link: LinkId) -> usize {
         self.broadcasts[self.entry_of[link.index()] as usize].from.index()
@@ -514,6 +525,7 @@ mod tests {
     use crate::controller::{CcConfig, MultipathController};
     use crate::problem::CcProblem;
     use crate::utility::ProportionalFair;
+    use empower_model::rng::{Rng, SeedableRng, StdRng};
     use empower_model::topology::fig1_scenario;
     use empower_model::{InterferenceModel, Path, SharedMedium};
 
@@ -759,6 +771,102 @@ mod tests {
                 _ => assert!(priced.len() < net.link_count(), "{case}: {} priced", priced.len()),
             }
         }
+    }
+
+    /// A seeded airtime demand: with probability `p_load` a load up to
+    /// `load`, else `+0.0`, a subnormal, or a point on an EWMA's decay tail
+    /// (a normal between 2⁻¹⁰²² and 2⁻⁵⁹).
+    fn mixed_demand(rng: &mut StdRng, p_load: f64, load: f64) -> f64 {
+        if rng.gen_bool(p_load) {
+            return rng.gen_range(0.0..load);
+        }
+        match rng.gen_range(0..3u32) {
+            0 => 0.0,
+            1 => f64::from_bits(rng.gen_range(1..1u64 << 52)),
+            _ => rng.gen_range(1.0..2.0) * f64::from_bits(rng.gen_range(1..964u64) << 52),
+        }
+    }
+
+    #[test]
+    fn flushing_subnormal_demands_moves_no_gamma_bit() {
+        use empower_model::topology::testbed22;
+        use empower_model::CarrierSense;
+        use std::collections::BTreeSet;
+        // What the engine's control tick relies on when it flushes an EWMA
+        // below f64::MIN_POSITIVE to +0.0: the scanning update on the
+        // unflushed demands (the reference engine) and the planned update
+        // on the flushed ones, over only the links and nodes the flushed
+        // demands reach, give the same γ bits and violation counts.
+        let net = testbed22(3).net;
+        let imap = CarrierSense { wifi_sense_range_m: 35.0 }.build_map(&net);
+        let fresh: Vec<LinkPriceState> =
+            net.nodes().iter().map(|n| LinkPriceState::new(&net, &imap, n.id)).collect();
+        let flush = |d: f64| if d.abs() < f64::MIN_POSITIVE { 0.0 } else { d };
+        // (seed, share of loaded links, largest load, TCP receiver).
+        let cases = [
+            (1, 0.02, 0.6, None),
+            (2, 0.02, 0.6, Some(NodeId(4))),
+            (3, 0.0, 0.0, None),
+            (4, 0.2, 0.3, None),
+        ];
+        let mut violations_seen = 0;
+        for (seed, p_load, load, tcp_node) in cases {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut kept = fresh.clone();
+            let mut flushed = fresh.clone();
+            let mut plan = BroadcastPlan::new(&net, &flushed);
+            let (mut priced, mut speakers) = (BTreeSet::new(), BTreeSet::new());
+            speakers.extend(tcp_node);
+            let mut subnormals = 0;
+            for slot in 0..6 {
+                let demands: Vec<f64> = (0..net.link_count())
+                    .map(|_| if slot < 5 { mixed_demand(&mut rng, p_load, load) } else { 0.0 })
+                    .collect();
+                subnormals += demands.iter().filter(|d| d.is_subnormal()).count();
+                for (k, f) in kept.iter_mut().zip(flushed.iter_mut()) {
+                    k.set_tcp_receiver(Some(k.node()) == tcp_node);
+                    f.set_tcp_receiver(Some(f.node()) == tcp_node);
+                    for l in k.egress.clone() {
+                        k.set_demand(l, demands[l.index()]);
+                        f.set_demand(l, flush(demands[l.index()]));
+                    }
+                }
+                for lk in net.links().iter().filter(|lk| flush(demands[lk.id.index()]) != 0.0) {
+                    priced.extend(&plan.listeners[plan.entry_of[lk.id.index()] as usize]);
+                    let same_owner = |l: &&LinkId| net.link(**l).from == lk.from;
+                    priced.extend(imap.domain(lk.id).iter().filter(same_owner));
+                }
+                speakers.extend(priced.iter().map(|&l| net.link(l).from));
+                let priced_now: Vec<LinkId> = priced.iter().copied().collect();
+                let speakers_now: Vec<NodeId> = speakers.iter().copied().collect();
+
+                let mut bcast = Vec::new();
+                for s in &kept {
+                    s.make_broadcasts_into(&net, &mut bcast);
+                }
+                let mut viol_kept = 0;
+                for s in kept.iter_mut() {
+                    viol_kept += s.update_gammas_with_tcp_margin(&bcast, 0.02, 0.05, 0.3);
+                }
+                let (viol_flushed, _) = plan.update_gammas_with_tcp_margin(
+                    &mut flushed,
+                    &speakers_now,
+                    &priced_now,
+                    0.02,
+                    0.05,
+                    0.3,
+                );
+                let case = format!("seed {seed}, slot {slot}");
+                assert_eq!(viol_kept, viol_flushed, "{case}: violation counts");
+                violations_seen += viol_kept;
+                let bits = |v: &[f64]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+                for (a, b) in kept.iter().zip(&flushed) {
+                    assert_eq!(bits(&a.gamma), bits(&b.gamma), "{case}: {:?}", a.node);
+                }
+            }
+            assert!(subnormals > 1000, "seed {seed}: only {subnormals} subnormal demands");
+        }
+        assert!(violations_seen > 0, "some slot should violate its margin");
     }
 
     #[test]

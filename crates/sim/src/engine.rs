@@ -104,50 +104,77 @@ pub(crate) const STREAM_FLOW: u64 = 0x464c_4f57; // "FLOW"
 /// Stream-family tag for per-link RNG streams.
 pub(crate) const STREAM_LINK: u64 = 0x4c49_4e4b; // "LINK"
 
-/// The links and nodes a control tick has to visit, as three grow-only
-/// ascending id lists. Everything outside them is at the state it was
-/// constructed with and a tick would leave it there, so the tick skips it.
+/// The links and nodes a control tick has to visit, as three ascending id
+/// lists that links join when they are offered a frame and leave once they
+/// are back at rest. Everything outside them is at the state it was
+/// constructed with, or at one a tick cannot tell from it, and a tick would
+/// leave it there, so the tick skips it.
 ///
-/// * `active`: links ever offered a frame. Only they measure demand, so
-///   only their smoothed demands and penalty demands can be nonzero.
+/// * `active`: links whose demand EWMA or penalty EWMA is nonzero, or that
+///   were offered a frame since the last tick. The demand / EWMA pass and
+///   the saturation-penalty scatter run over them alone. A link is
+///   *measuring* while its demand EWMA can be nonzero; only measuring
+///   links put demand on a broadcast.
 /// * `priced`: links whose `y_l` (Eq. (7)), and with it `γ_l`, can be
 ///   nonzero. A node announces its demand summed per technology (§4.2), so
-///   an active link `a` is overheard wherever any egress link of its owner
-///   on its medium is: `priced` is `⋃ I_e` over those links `e` (which
-///   contains `I_a`, hence every link whose saturation-penalty sum `a`
-///   feeds).
+///   a measuring link `a` is overheard wherever any egress link of its
+///   owner on its medium is: the *earshot* of `a` is `⋃ I_e` over those
+///   links `e` (it contains `I_a`, hence every link whose saturation-penalty
+///   sum `a` feeds). `priced` is the earshot of the measuring links plus
+///   every link whose γ is not yet back at `+0.0`.
 /// * `speakers`: nodes whose broadcasts can differ from the all-zero ones
-///   they start with: owners of priced links and TCP receivers (§6.4).
+///   they start with: owners of priced links and TCP receivers (§6.4). A
+///   node leaves only once the last refresh wrote its entries all-zero.
 ///
-/// The lists never shrink, by measurement: after its last frame a link's
-/// demand EWMA does not decay to zero but settles on the subnormal
-/// 2 × 2⁻¹⁰⁷⁴ (after some 2 600 slots, the penalty EWMA on 9 × 2⁻¹⁰⁷⁴ after
-/// some 14 400), so a link that carried state once carries it for good. The
-/// worst case, every link active, costs what iterating all links costs.
+/// Links leave because the control tick flushes an EWMA that has decayed
+/// below `f64::MIN_POSITIVE` to `+0.0` (DESIGN.md "Active-set control
+/// tick" shows why no rendered byte moves): a link stops measuring at a
+/// tick that measures a slot in which it was offered nothing and leaves
+/// its demand EWMA at `+0.0` (some 250 s after its last frame), and leaves
+/// `active` once its penalty EWMA is `+0.0` too (some 1 400 s after it). Under an input that
+/// makes a tick move a link that carries nothing ([`Self::idle_links_rest`])
+/// nothing is flushed and every link is in every list from construction.
 struct ActiveSets {
+    /// What [`Self::idle_links_rest`] says of the run's configuration:
+    /// whether EWMAs are flushed and links leave the lists at all.
+    rests: bool,
     active: Vec<LinkId>,
     priced: Vec<LinkId>,
     speakers: Vec<NodeId>,
     is_active: Vec<bool>,
+    measuring: Vec<bool>,
     is_priced: Vec<bool>,
+    /// Per link: how many measuring links' earshot walks reach it, counted
+    /// with the walks' repetitions (positive iff it is in their earshot).
+    earshot: Vec<u32>,
+    /// Per node: how many of its egress links are priced.
+    priced_owned: Vec<u32>,
+    /// Some priced link has left every earshot and waits for its γ to
+    /// reach `+0.0`.
+    lingering: bool,
 }
 
 impl ActiveSets {
     /// Empty sets, or every link and every link-owning node from the start
     /// when `cfg` makes a tick move a link that carries nothing.
     fn new(net: &Network, cfg: &SimConfig) -> Self {
+        let links = net.link_count();
+        let rests = Self::idle_links_rest(cfg);
         let mut sets = ActiveSets {
+            rests,
             active: Vec::new(),
             priced: Vec::new(),
             speakers: Vec::new(),
-            is_active: vec![false; net.link_count()],
-            is_priced: vec![false; net.link_count()],
+            is_active: vec![!rests; links],
+            measuring: vec![!rests; links],
+            is_priced: vec![!rests; links],
+            earshot: vec![0; links],
+            priced_owned: vec![0; net.node_count()],
+            lingering: false,
         };
-        if !Self::idle_links_rest(cfg) {
+        if !rests {
             sets.active = net.links().iter().map(|lk| lk.id).collect();
             sets.priced = sets.active.clone();
-            sets.is_active.fill(true);
-            sets.is_priced.fill(true);
             let owns_a_link = |n: &NodeId| net.out_links(*n).next().is_some();
             sets.speakers = net.nodes().iter().map(|n| n.id).filter(owns_a_link).collect();
         }
@@ -173,20 +200,91 @@ impl ActiveSets {
             && rests(cfg.tcp_delta.max(cfg.delta))
     }
 
-    /// Joins `link`, offered its first frame, and what follows from it.
+    /// Joins `link`, offered a frame while not measuring, and what follows
+    /// from it: its earshot is priced and the owners of those links speak.
     fn activate(&mut self, net: &Network, imap: &InterferenceMap, link: LinkId) {
-        self.is_active[link.index()] = true;
-        insert_ascending(&mut self.active, link);
-        let (owner, medium) = (net.link(link).from, net.link(link).medium);
-        for e in net.out_links(owner).filter(|e| e.medium == medium) {
-            for &p in imap.domain(e.id) {
-                if !self.is_priced[p.index()] {
-                    self.is_priced[p.index()] = true;
-                    insert_ascending(&mut self.priced, p);
-                    insert_ascending(&mut self.speakers, net.link(p).from);
-                }
-            }
+        if !self.is_active[link.index()] {
+            self.is_active[link.index()] = true;
+            insert_ascending(&mut self.active, link);
         }
+        self.measuring[link.index()] = true;
+        for_earshot(net, imap, link, |p| {
+            self.earshot[p.index()] += 1;
+            if !self.is_priced[p.index()] {
+                self.is_priced[p.index()] = true;
+                insert_ascending(&mut self.priced, p);
+                let owner = net.link(p).from;
+                self.priced_owned[owner.index()] += 1;
+                insert_ascending(&mut self.speakers, owner);
+            }
+        });
+    }
+
+    /// `link`'s demand EWMA is back at `+0.0` and it was offered nothing:
+    /// it stops measuring and leaves the earshot counts. A link the last of
+    /// its earshots leaves stays priced until its γ is `+0.0` too
+    /// ([`Self::prune_priced`]). Returns the elements visited.
+    fn stop_measuring(&mut self, net: &Network, imap: &InterferenceMap, link: LinkId) -> u64 {
+        self.measuring[link.index()] = false;
+        let mut visits = 0;
+        for_earshot(net, imap, link, |p| {
+            self.earshot[p.index()] -= 1;
+            self.lingering |= self.earshot[p.index()] == 0;
+            visits += 1;
+        });
+        visits
+    }
+
+    /// Drops the priced links that no earshot reaches and whose γ is
+    /// `+0.0`: their `y_l` is `+0.0` and Eq. (8) keeps such a γ where it is.
+    /// Returns the elements visited.
+    fn prune_priced(&mut self, net: &Network, states: &[LinkPriceState]) -> u64 {
+        if !self.lingering {
+            return 0;
+        }
+        let visits = self.priced.len() as u64;
+        let mut lingering = false;
+        let (earshot, is_priced, owned) =
+            (&self.earshot, &mut self.is_priced, &mut self.priced_owned);
+        self.priced.retain(|&p| {
+            if earshot[p.index()] > 0 {
+                return true;
+            }
+            let owner = net.link(p).from;
+            if states[owner.index()].gamma(p).to_bits() != 0 {
+                lingering = true;
+                return true;
+            }
+            is_priced[p.index()] = false;
+            owned[owner.index()] -= 1;
+            false
+        });
+        self.lingering = lingering;
+        visits
+    }
+}
+
+/// Calls `f` on every link of `link`'s earshot, `⋃ I_e` over the egress
+/// links `e` of its owner on its medium, repetitions included. The walk
+/// depends on the topology's fixed shape only, so a link leaving repeats
+/// exactly the walk it joined with.
+fn for_earshot(net: &Network, imap: &InterferenceMap, link: LinkId, mut f: impl FnMut(LinkId)) {
+    let (owner, medium) = (net.link(link).from, net.link(link).medium);
+    for e in net.out_links(owner).filter(|e| e.medium == medium) {
+        for &p in imap.domain(e.id) {
+            f(p);
+        }
+    }
+}
+
+/// `x`, or `+0.0` when its magnitude is below the normal range: where the
+/// control tick keeps an EWMA, the decay tail that would otherwise settle
+/// on a subnormal (DESIGN.md "Active-set control tick").
+fn flush_subnormal(x: f64) -> f64 {
+    if x.abs() < f64::MIN_POSITIVE {
+        0.0
+    } else {
+        x
     }
 }
 
@@ -194,6 +292,39 @@ impl ActiveSets {
 fn insert_ascending<T: Ord>(list: &mut Vec<T>, id: T) {
     if let Err(at) = list.binary_search(&id) {
         list.insert(at, id);
+    }
+}
+
+/// Which words of each interference-domain row are non-zero, so a MAC
+/// scan costs the words a domain occupies, not `⌈L/64⌉`: per link, the
+/// ascending indices of the non-zero words of its row, whose masks the
+/// scan reads from the map. A campus domain of about 13 links sits in two
+/// or three of 45 words. The engine owns the index rather than the map,
+/// because the packet-free users of the map have no use for it, and it
+/// holds indices only, because the testbed's rows are fully dense.
+struct OccupiedWords {
+    words: Vec<u32>,
+    /// `words[start[l]..start[l + 1]]` is link `l`'s row.
+    start: Vec<usize>,
+}
+
+impl OccupiedWords {
+    fn new(imap: &InterferenceMap, links: usize) -> Self {
+        let row = |l: usize| imap.domain_words(LinkId(l as u32));
+        let count = (0..links).map(|l| row(l).iter().filter(|&&w| w != 0).count()).sum();
+        let mut words = Vec::with_capacity(count);
+        let mut start = Vec::with_capacity(links + 1);
+        for l in 0..links {
+            start.push(words.len());
+            let occupied = row(l).iter().enumerate().filter(|(_, &w)| w != 0);
+            words.extend(occupied.map(|(i, _)| i as u32));
+        }
+        start.push(words.len());
+        OccupiedWords { words, start }
+    }
+
+    fn row(&self, link: LinkId) -> &[u32] {
+        &self.words[self.start[link.index()]..self.start[link.index() + 1]]
     }
 }
 
@@ -226,6 +357,8 @@ pub struct Simulation {
     backlog_words: Vec<u64>,
     /// Bit `l` set iff link `l` is alive (capacity > 0).
     alive_words: Vec<u64>,
+    /// The domain-row words the MAC scans walk (`can_start`, `tx_end`).
+    mac_words: OccupiedWords,
     /// Per-link saturation-penalty domain sums, recomputed once per
     /// control tick (its inputs only change there): exactly
     /// `Σ_{i ∈ I_l} penalty_demand[i]`, in domain order, so `try_start`
@@ -305,6 +438,7 @@ impl Simulation {
             busy_words: vec![0u64; stride.max(1)],
             backlog_words: vec![0u64; stride.max(1)],
             alive_words,
+            mac_words: OccupiedWords::new(&imap, l),
             domain_penalty: vec![0.0; l],
             last_start: vec![-1.0; l],
             demand_bits: vec![0.0; l],
@@ -804,7 +938,7 @@ impl Simulation {
         // to push, which is what the prices must react to), so count the
         // frame even when the queue then drops it.
         self.demand_bits[l] += self.slab.get(id).size_bits as f64;
-        if !self.sets.is_active[l] {
+        if !self.sets.measuring[l] {
             self.sets.activate(&self.net, &self.imap, link);
         }
         if !self.net.link(link).is_alive() || self.queues[l].len() >= self.cfg.queue_frames {
@@ -837,14 +971,16 @@ impl Simulation {
         if self.busy[l].is_some() || self.queues[l].is_empty() || !self.net.link(link).is_alive() {
             return false;
         }
-        // Word-level domain-occupancy test: one AND per 64 links, early
-        // exit on the first busy hit. One probe per word examined.
-        let words = self.imap.domain_words(link);
+        // Word-level domain-occupancy test over the row's non-zero words:
+        // one AND per occupied word, early exit on the first busy hit. One
+        // probe per word examined.
+        let row = self.imap.domain_words(link);
         let mut probes = 0u64;
         let mut clear = true;
-        for (wi, &d) in words.iter().enumerate() {
+        for &wi in self.mac_words.row(link) {
+            let wi = wi as usize;
             probes += 1;
-            if d & self.busy_words[wi] != 0 {
+            if row[wi] & self.busy_words[wi] != 0 {
                 clear = false;
                 break;
             }
@@ -937,10 +1073,11 @@ impl Simulation {
         let mut cands = std::mem::take(&mut self.scratch_links);
         cands.clear();
         {
-            let words = self.imap.domain_words(link);
-            for (wi, &d) in words.iter().enumerate() {
+            let row = self.imap.domain_words(link);
+            for &wi in self.mac_words.row(link) {
+                let wi = wi as usize;
                 let mut m =
-                    d & self.backlog_words[wi] & self.alive_words[wi] & !self.busy_words[wi];
+                    row[wi] & self.backlog_words[wi] & self.alive_words[wi] & !self.busy_words[wi];
                 while m != 0 {
                     let bit = m.trailing_zeros() as usize;
                     cands.push(LinkId((wi * 64 + bit) as u32));
@@ -1165,7 +1302,14 @@ impl Simulation {
         // 1. Per-link airtime-demand measurement over the last slot, with
         //    optional capacity-estimation error. Active links only: any
         //    other link measured nothing, and both EWMAs map zero to zero.
-        for &id in &self.sets.active {
+        //    Where idle links rest, an EWMA below the normal range is
+        //    flushed to +0.0, and a link offered nothing leaves what its
+        //    zeroed EWMAs no longer feed.
+        let rests = self.sets.rests;
+        let mut visits = self.sets.active.len() as u64;
+        let mut kept = 0;
+        for i in 0..self.sets.active.len() {
+            let id = self.sets.active[i];
             let l = id.index();
             let link = self.net.link(id);
             let demand = if link.is_alive() {
@@ -1186,23 +1330,53 @@ impl Simulation {
             } else {
                 demand
             };
-            let smoothed =
+            let mut smoothed =
                 self.cfg.demand_ewma * noisy + (1.0 - self.cfg.demand_ewma) * self.last_demand[l];
+            let mut penalty = 0.05 * noisy + 0.95 * self.penalty_demand[l];
+            if rests {
+                smoothed = flush_subnormal(smoothed);
+                penalty = flush_subnormal(penalty);
+            }
             self.price_states[link.from.index()].set_demand(id, smoothed);
             self.last_demand[l] = smoothed;
-            self.penalty_demand[l] = 0.05 * noisy + 0.95 * self.penalty_demand[l];
+            self.penalty_demand[l] = penalty;
+            let offered = self.demand_bits[l] != 0.0;
             self.demand_bits[l] = 0.0;
+            if rests && !offered && smoothed.to_bits() == 0 {
+                if self.sets.measuring[l] {
+                    visits += self.sets.stop_measuring(&self.net, &self.imap, id);
+                }
+                if penalty.to_bits() == 0 {
+                    // Out of the scatter: its domain's sums lose their
+                    // last writer, and every term left in them is +0.0.
+                    self.sets.is_active[l] = false;
+                    for &m in self.imap.domain(id) {
+                        self.domain_penalty[m.index()] = 0.0;
+                    }
+                    visits += self.imap.domain(id).len() as u64;
+                    continue;
+                }
+            }
+            self.sets.active[kept] = id;
+            kept += 1;
         }
-        let mut visits = self.sets.active.len() as u64;
+        self.sets.active.truncate(kept);
+        visits += self.sets.prune_priced(&self.net, &self.price_states);
         if self.cfg.saturation_penalty > 0.0 {
             visits += self.refresh_domain_penalty();
         }
         // 2. TCP piggyback (§6.4): destinations of active TCP flows flag
         //    themselves; the flag rides on their price broadcasts and
         //    tightens the airtime budget across their contention domains.
-        //    A node flagged once stays a speaker, so its flag also clears.
+        //    A speaker stays one until the last refresh wrote its entries
+        //    all-zero (so a cleared flag is broadcast once) and it owns no
+        //    priced link.
         for &n in &self.sets.speakers {
             self.price_states[n.index()].set_tcp_receiver(false);
+        }
+        if rests {
+            let (owned, plan) = (&self.sets.priced_owned, &self.bcast_plan);
+            self.sets.speakers.retain(|&n| owned[n.index()] > 0 || !plan.broadcasts_at_rest(n));
         }
         for fl in &self.flows {
             if fl.active && fl.spec.pattern.is_tcp() {
@@ -1275,10 +1449,11 @@ impl Simulation {
         // and the rate-series length, is part of every report. Nor can
         // drained ticks be skipped and accounted for arithmetically: once a
         // controlled flow has delivered a frame its ACK fires and counts
-        // every slot, and the EWMAs keep moving for some 1 440 s after the
-        // last frame, so no tick is the identity. What a tick can be is
-        // proportional to the links that ever carried a frame
-        // ([`ActiveSets`]), and it is.
+        // every slot, so no tick is the identity. What a tick costs is the
+        // links and nodes that still carry control-plane state
+        // ([`ActiveSets`]): once the flushed EWMAs have let every link
+        // rest, a tick is the ACK and controller steps above and nothing
+        // else.
         self.events.push(self.now + slot, Event::ControlTick);
     }
 
@@ -1288,12 +1463,24 @@ impl Simulation {
     /// for bit: domains are sorted and symmetric, so link `l` receives
     /// `penalty_demand[a]` for the active `a ∈ I_l` in the ascending order
     /// the sum over `I_l` takes them in, and the terms it does not receive
-    /// are `+0.0`, which no partial sum notices. Returns the elements
-    /// visited.
+    /// are `+0.0`, which no partial sum notices. The sums restart from the
+    /// priced links (which hold the domain of every measuring link) and
+    /// the domains of the links that only the penalty keeps active; a sum
+    /// no active link feeds was zeroed when its last feeder left. Returns
+    /// the elements visited.
     fn refresh_domain_penalty(&mut self) -> u64 {
         let mut visits = self.sets.priced.len() as u64;
         for &p in &self.sets.priced {
             self.domain_penalty[p.index()] = 0.0;
+        }
+        for &a in &self.sets.active {
+            if !self.sets.measuring[a.index()] {
+                let domain = self.imap.domain(a);
+                for &l in domain {
+                    self.domain_penalty[l.index()] = 0.0;
+                }
+                visits += domain.len() as u64;
+            }
         }
         for &a in &self.sets.active {
             let demand = self.penalty_demand[a.index()];
@@ -1737,8 +1924,9 @@ mod tests {
 #[cfg(test)]
 mod active_set_tests {
     use super::*;
+    use empower_model::rng::Rng;
     use empower_model::topology::testbed22;
-    use empower_model::{CarrierSense, InterferenceModel};
+    use empower_model::{CarrierSense, InterferenceModel, Medium, Path};
 
     /// `domain_penalty` as every tick used to compute it: each link sums
     /// its own domain.
@@ -1820,6 +2008,147 @@ mod active_set_tests {
         assert_eq!(sim.sets.active.len(), net.link_count());
         assert_eq!(sim.sets.priced.len(), net.link_count());
         assert_eq!(sim.sets.speakers.len(), net.node_count());
+    }
+
+    #[test]
+    fn flushing_penalty_ewmas_moves_no_saturation_decision() {
+        // Seeded penalty EWMAs that mix loads, decay tails, subnormals and
+        // zeros. Summed over each domain as the reference engine keeps
+        // them, and scattered from the flushed values as this engine keeps
+        // them, they give the same `y > 1.1` decisions and `y - 1.1` bits,
+        // which are all `try_start` reads of a domain sum.
+        let net = testbed22(3).net;
+        let imap = CarrierSense::default().build_map(&net);
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut penalized = 0;
+        for round in 0..6 {
+            let kept: Vec<f64> = (0..net.link_count())
+                .map(|_| match rng.gen_range(0..64u32) {
+                    0 => rng.gen_range(0.0..0.4),
+                    1..=20 => f64::from_bits(rng.gen_range(1..1u64 << 52)),
+                    21..=40 => {
+                        rng.gen_range(1.0..2.0) * f64::from_bits(rng.gen_range(1..964u64) << 52)
+                    }
+                    _ => 0.0,
+                })
+                .collect();
+            let mut sim = Simulation::new(net.clone(), imap.clone(), SimConfig::default());
+            sim.penalty_demand = kept;
+            let unflushed = gathered(&sim);
+            for l in 0..net.link_count() {
+                let y = flush_subnormal(sim.penalty_demand[l]);
+                sim.penalty_demand[l] = y;
+                if y.to_bits() != 0 {
+                    sim.sets.activate(&sim.net, &sim.imap, LinkId(l as u32));
+                }
+            }
+            sim.refresh_domain_penalty();
+            for (l, &bits) in unflushed.iter().enumerate() {
+                let (y, z) = (f64::from_bits(bits), sim.domain_penalty[l]);
+                assert_eq!(y > 1.1, z > 1.1, "round {round}, link {l}: {y} vs {z}");
+                assert_eq!((y - 1.1).to_bits(), (z - 1.1).to_bits(), "round {round}, link {l}");
+                penalized += usize::from(y > 1.1);
+            }
+        }
+        assert!(penalized > 0 && penalized < 6 * net.link_count(), "{penalized} sums over 1.1");
+    }
+
+    /// The membership rules of [`ActiveSets`], re-derived from the engine's
+    /// state: what carries control-plane state is in the lists, the lists
+    /// ascend, and what a tick skips is at rest.
+    fn assert_sets_hold(sim: &Simulation, at: &str) {
+        let sets = &sim.sets;
+        let ascends = |v: &[LinkId]| v.windows(2).all(|w| w[0] < w[1]);
+        assert!(ascends(&sets.active) && ascends(&sets.priced), "{at}");
+        assert!(sets.speakers.windows(2).all(|w| w[0] < w[1]), "{at}");
+        let mut earshot = vec![0u32; sim.net.link_count()];
+        let mut owned = vec![0u32; sim.net.node_count()];
+        for lk in sim.net.links() {
+            let (id, l) = (lk.id, lk.id.index());
+            assert_eq!(sets.is_active[l], sets.active.binary_search(&id).is_ok(), "{at}: {id:?}");
+            assert_eq!(sets.is_priced[l], sets.priced.binary_search(&id).is_ok(), "{at}: {id:?}");
+            assert!(!sets.measuring[l] || sets.is_active[l], "{at}: {id:?} measures");
+            if sim.last_demand[l].to_bits() != 0 {
+                assert!(sets.measuring[l], "{at}: {id:?} has demand");
+            }
+            if sim.penalty_demand[l].to_bits() != 0 {
+                assert!(sets.is_active[l], "{at}: {id:?} has a penalty demand");
+            }
+            if sim.price_states[lk.from.index()].gamma(id).to_bits() != 0 {
+                assert!(sets.is_priced[l], "{at}: {id:?} has a γ");
+            }
+            if sets.measuring[l] {
+                for_earshot(&sim.net, &sim.imap, id, |p| earshot[p.index()] += 1);
+            }
+            if sets.is_priced[l] {
+                owned[lk.from.index()] += 1;
+                assert!(sets.speakers.binary_search(&lk.from).is_ok(), "{at}: owner of {id:?}");
+            }
+        }
+        assert_eq!(sets.earshot, earshot, "{at}");
+        assert_eq!(sets.priced_owned, owned, "{at}");
+        for (l, &heard) in earshot.iter().enumerate() {
+            assert!(heard == 0 || sets.is_priced[l], "{at}: link {l} is in earshot");
+            let fed = sim.imap.domain(LinkId(l as u32)).iter().any(|a| sets.is_active[a.index()]);
+            assert!(fed || sim.domain_penalty[l].to_bits() == 0, "{at}: stale penalty sum {l}");
+        }
+        for n in sim.net.nodes() {
+            if sets.speakers.binary_search(&n.id).is_err() {
+                assert!(sim.bcast_plan.broadcasts_at_rest(n.id), "{at}: {:?} is silent", n.id);
+            }
+        }
+    }
+
+    #[test]
+    fn a_finished_download_leaves_every_set_and_the_tick_visits_nothing() {
+        // Table 1 Tiny's shape (a 100 kB download on flow 6-13 of the
+        // testbed), run past the flush of the slower EWMA: the demand EWMAs
+        // reach +0.0 some 250 s after the last frame, the penalty EWMAs some
+        // 1 400 s after it. Then all three lists are empty and a tick
+        // visits nothing.
+        let t = testbed22(1);
+        let imap = CarrierSense::default().build_map(&t.net);
+        let hop = |a: u32, b: u32, m: Medium| t.net.find_link(NodeId(a - 1), NodeId(b - 1), m);
+        let path = |links: Vec<Option<&empower_model::Link>>| {
+            Path::new(&t.net, links.into_iter().map(|l| l.expect("hop exists").id).collect())
+                .expect("hops are adjacent")
+        };
+        let routes = vec![
+            path(vec![hop(6, 13, Medium::Plc)]),
+            path(vec![hop(6, 4, Medium::WIFI1), hop(4, 13, Medium::WIFI1)]),
+            path(vec![hop(6, 8, Medium::WIFI2), hop(8, 13, Medium::WIFI2)]),
+        ];
+        let cfg = SimConfig { delta: 0.05, ..SimConfig::default() };
+        let mut sim = Simulation::new(t.net.clone(), imap, cfg);
+        sim.add_flow(FlowSpecSim {
+            pattern: TrafficPattern::FileDownload { start: 0.0, size_bytes: 100_000 },
+            ..FlowSpecSim::saturated(NodeId(5), NodeId(12), routes, 1800.0)
+        });
+        let mut rested_at = None;
+        for step in 1..=36 {
+            let now = step as f64 * 50.0;
+            let before = sim.perf_stats().tick_visits;
+            sim.run_until(now);
+            assert_sets_hold(&sim, &format!("{now} s"));
+            let sets = &sim.sets;
+            if rested_at.is_some() {
+                assert_eq!(sim.perf_stats().tick_visits, before, "a rested tick visited, {now} s");
+            }
+            if sets.active.is_empty() && sets.priced.is_empty() && sets.speakers.is_empty() {
+                rested_at.get_or_insert(now);
+            } else {
+                assert!(rested_at.is_none(), "a link left its rest unprompted, {now} s");
+            }
+            if now == 200.0 {
+                assert!(!sets.priced.is_empty(), "the demand EWMAs still decay at 200 s");
+            }
+            if now == 500.0 {
+                assert!(sets.priced.is_empty() && !sets.active.is_empty(), "penalties at 500 s");
+            }
+        }
+        assert_eq!(sim.report(1800.0).flows[0].completions.len(), 1, "the download completes");
+        let rested_at = rested_at.expect("every link rests before 1 800 s");
+        assert!((1400.0..1800.0).contains(&rested_at), "rested at {rested_at} s");
     }
 }
 

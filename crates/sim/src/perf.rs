@@ -13,8 +13,9 @@ pub struct SimPerfStats {
     /// Events popped from the queue and dispatched by `run_until`.
     pub events_dispatched: u64,
     /// Occupancy tests performed by `can_start`'s interference-domain
-    /// scan: domain *elements* visited in the reference engine, domain
-    /// *words* ANDed in the bitset engine (both early-exit on a busy hit).
+    /// scan: domain *elements* visited in the reference engine, the
+    /// non-zero words of the domain row ANDed in the bitset engine (both
+    /// early-exit on a busy hit).
     pub domain_probes: u64,
     /// Steady-state hot-path heap allocations. The counted allocation
     /// classes are fixed (domain `.to_vec()` clones, per-tick scratch

@@ -10,14 +10,17 @@
 //! with trace and telemetry detached, both engines must dispatch the same
 //! events and the optimized one must stay within the allocation budget
 //! below. A second budget holds the control tick to what is active, and
-//! one scenario local to this file (the corpus stays at 23) makes links
-//! join the tick's active sets late, by every way there is.
+//! two scenarios local to this file (the corpus stays at 23) make links
+//! join the tick's active sets late, by every way there is, and leave them
+//! and come back.
 //!
 //! Set `EMPOWER_SIM_EQUIV_SCENARIOS=<n>` to trim the corpus for quick local
 //! iterations; CI runs the full set.
 
-use empower_model::topology::testbed22;
-use empower_model::{CarrierSense, InterferenceModel, LinkId, Medium, Network, NodeId, Path};
+use empower_model::topology::{fig1_scenario, testbed22};
+use empower_model::{
+    CarrierSense, InterferenceModel, LinkId, Medium, Network, NodeId, Path, SharedMedium,
+};
 use empower_sim::corpus::{corpus, run_scenario, run_scenario_plain, CorpusOutput, SimEngine};
 use empower_sim::{FlowSpecSim, ReferenceSimulation, SimConfig, Simulation, Trace, TrafficPattern};
 use empower_telemetry::{Manifest, Telemetry};
@@ -265,4 +268,88 @@ fn demand_overheard_from_outside_a_links_domain_still_prices_it() {
     assert_eq!(opt.report, reference.report, "SimReport diverged");
     assert_eq!(opt.trace, reference.trace, "packet trace diverged");
     assert_eq!(opt.manifest, reference.manifest, "telemetry manifest diverged");
+}
+
+/// Links that come to rest and wake up again, on the Fig. 1 network over a
+/// horizon past both EWMA flushes (the demand EWMA's some 250 s after a
+/// link's last frame, the penalty EWMA's some 1 400 s after it): a 300 kB
+/// download ends within seconds, a TCP transfer back to the gateway ends
+/// and leaves its receiver quiet, the PLC link dies and revives while only
+/// penalty EWMAs still decay and the WiFi link does so once everything
+/// rests, and at 1 500 s new traffic wakes the rested links, with a gap of
+/// three slots before a second burst. Returns the renderings and the tick
+/// visits of the fully rested stretch before 1 500 s.
+fn rest_and_rejoin<E: SimEngine>(tweak: fn(&mut SimConfig)) -> (CorpusOutput, u64) {
+    let f = fig1_scenario();
+    let imap = SharedMedium.build_map(&f.net);
+    let mut cfg = SimConfig { seed: 5, delta: 0.05, ..SimConfig::default() };
+    tweak(&mut cfg);
+    let down = |links: Vec<LinkId>| Path::new(&f.net, links).expect("hops are adjacent");
+    let routes = || vec![down(vec![f.plc_ab, f.wifi_bc]), down(vec![f.wifi_ab, f.wifi_bc])];
+    let reverse = |l: LinkId| {
+        let lk = f.net.link(l);
+        f.net.find_link(lk.to, lk.from, lk.medium).expect("duplex").id
+    };
+    let back = vec![down(vec![reverse(f.wifi_bc), reverse(f.plc_ab)])];
+    let (plc, wifi) = (f.net.link(f.plc_ab).capacity_mbps, f.net.link(f.wifi_bc).capacity_mbps);
+
+    let mut sim = E::build(f.net.clone(), imap, cfg);
+    sim.attach_telemetry(Telemetry::enabled());
+    sim.attach_trace(Trace::new());
+    sim.add_flow(FlowSpecSim {
+        pattern: TrafficPattern::FileDownload { start: 0.0, size_bytes: 300_000 },
+        ..FlowSpecSim::saturated(f.gateway, f.client, routes(), 1800.0)
+    });
+    sim.add_flow(FlowSpecSim {
+        pattern: TrafficPattern::Tcp { start: 1.0, stop: 20.0, size_bytes: 200_000 },
+        delay_equalization: true,
+        ..FlowSpecSim::saturated(f.client, f.gateway, back, 20.0)
+    });
+    for (start, stop) in [(1500.0, 1520.0), (1520.3, 1530.0)] {
+        sim.add_flow(FlowSpecSim {
+            pattern: TrafficPattern::SaturatedUdp { start, stop },
+            ..FlowSpecSim::saturated(f.gateway, f.client, routes(), stop)
+        });
+    }
+    sim.schedule_link_change(600.0, f.plc_ab, 0.0);
+    sim.schedule_link_change(610.0, f.plc_ab, plc);
+    sim.schedule_link_change(1450.0, f.wifi_bc, 0.0);
+    sim.schedule_link_change(1460.0, f.wifi_bc, wifi);
+    sim.run_until(1430.0);
+    let rested = sim.perf_stats().tick_visits;
+    sim.run_until(1499.0);
+    let rested = sim.perf_stats().tick_visits - rested;
+    sim.run_until(1800.0);
+    let flows = sim.report(1800.0).flows;
+    assert!(flows[0].completions.iter().all(|&t| t < 10.0), "{:?}", flows[0].completions);
+    assert!(flows[1].completions.iter().all(|&t| t < 19.0), "{:?}", flows[1].completions);
+    assert_eq!((flows[0].completions.len(), flows[1].completions.len()), (1, 1));
+    assert!(flows[2].delivered_bits > 0, "the rested links carry the new traffic");
+    assert!(flows[3].delivered_bits > 0, "and the second burst");
+    (rendered(&mut sim, "rest_and_rejoin", 1800.0), rested)
+}
+
+/// A named change to the scenario's configuration, and whether idle links
+/// rest under it.
+type Tweak = (&'static str, fn(&mut SimConfig), bool);
+
+#[test]
+fn links_that_rest_and_wake_up_leave_every_byte_unchanged() {
+    let cases: [Tweak; 3] = [
+        ("default", |_| {}, true),
+        // Every link draws every slot, so nothing rests.
+        ("noise on", |c| c.estimation_rel_std = 0.2, false),
+        // No smoothing: a link stops measuring after one slot without a
+        // frame. Between the bursts, links leave every earshot while their
+        // γ still unwinds, and the second burst reads the γ.
+        ("γ outlives the demand", |c| c.demand_ewma = 1.0, true),
+    ];
+    for (case, tweak, rests) in cases {
+        let (opt, visits) = rest_and_rejoin::<Simulation>(tweak);
+        let (reference, _) = rest_and_rejoin::<ReferenceSimulation>(tweak);
+        assert_eq!(opt.report, reference.report, "{case}: SimReport diverged");
+        assert_eq!(opt.trace, reference.trace, "{case}: packet trace diverged");
+        assert_eq!(opt.manifest, reference.manifest, "{case}: telemetry manifest diverged");
+        assert_eq!(visits == 0, rests, "{case}: {visits} visits while at rest");
+    }
 }
