@@ -4,8 +4,9 @@
 #   ./ci.sh          # fmt check + clippy + tier-1 build/test
 #   ./ci.sh quick    # skip the release build, debug tests only; the
 #                    # frozen benchmark is type-checked, not run
-#   ./ci.sh pairs <base-ref> <workload> [pairs=10]
-#                    # measure a change against a commit (no gates run)
+#   ./ci.sh pairs <base-ref> <workload|all> [pairs=10]
+#                    # measure a change against a commit (no gates run);
+#                    # `all` measures every workload of BENCHMARK.json in turn
 #
 # Tier-1 (ROADMAP.md): `cargo build --release && cargo test -q` must pass.
 set -eu
@@ -26,11 +27,14 @@ say() { printf '\n== %s ==\n' "$1"; }
 # more than the bound and, if a side is that noisy, every change run is
 # worse than every base run. A gain counts when at least 10 pairs ran, the change wins at least
 # nine tenths of them on wall_s and the wall_s medians differ by more than
-# the distance between the base's own quartiles. Writes only under target/.
+# the distance between the base's own quartiles. With `all` for the
+# workload, both sides are built once and every workload BENCHMARK.json
+# names gets its pairs and verdict in turn, so a change that claims one
+# workload is also checked on the others. Writes only under target/.
 pairs() {
-    usage="usage: ./ci.sh pairs <base-ref> <workload> [pairs=10]"
+    usage="usage: ./ci.sh pairs <base-ref> <workload|all> [pairs=10]"
     base_ref="${1:?$usage}"
-    workload="${2:?$usage}"
+    workloads="${2:?$usage}"
     count="${3:-10}"
     [ "$count" -ge 1 ] 2>/dev/null || { echo "$usage" >&2; exit 2; }
     root="$PWD/target/pairs"
@@ -42,7 +46,11 @@ pairs() {
     rm -rf "$root/base"
     mkdir -p "$root/base"
     trap 'rm -rf "$root/base"' EXIT
-    git archive "$base_ref" | tar -x -C "$root/base"
+    # -m: the files get the extraction time, not the commit time. Cargo
+    # decides freshness by mtime, so with commit times an export of an
+    # older commit than the last one built here looked up to date, and the
+    # base side ran the previous base's binary.
+    git archive "$base_ref" | tar -x -m -C "$root/base"
     say "pairs: building $base_ref and the working tree"
     cargo build --release --locked --manifest-path "$root/base/benchmark/Cargo.toml" \
         --target-dir "$root/base-target"
@@ -59,6 +67,13 @@ pairs() {
         on && $2 == "bound" { sub(/^[: ]*/, "", $3); print name, better, $3 }
     ' >"$root/metrics"
     names="$(awk '{ print $1 }' "$root/metrics")"
+    if [ "$workloads" = all ]; then
+        workloads="$(tr '{},' '\n\n\n' <BENCHMARK.json | awk -F'"' '
+            $2 == "workloads" { on = 1 }
+            $2 == "end_to_end" { on = 0 }
+            on && $2 == "name" { print $4 }
+        ')"
+    fi
     [ "$(echo "$names" | head -n 1)" = wall_s ] \
         || { echo "BENCHMARK.json: end_to_end must start with wall_s" >&2; exit 1; }
     # One timed pass from the checkout it was built from; its last output
@@ -72,6 +87,15 @@ pairs() {
             printf '%s ' "$v"
         done
     }
+    for workload in $workloads; do
+        pairs_of "$workload"
+    done
+}
+
+# The alternated pairs and the verdict for one workload; `pairs` sets
+# $root, $names, $count and $base_ref and defines `pass`.
+pairs_of() {
+    workload="$1"
     say "pairs: $workload, $count pairs, base = $base_ref"
     printf '%-5s %-7s' pair first
     for m in $names; do printf ' %14s %14s' "$m.base" "$m.change"; done

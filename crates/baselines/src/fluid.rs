@@ -44,6 +44,7 @@ pub fn saturation_goodput(
     let mut scale = vec![1.0_f64; l_count];
     let mut arrivals = vec![0.0_f64; l_count];
     let mut delivered = vec![0.0_f64; routes.len()];
+    let mut new_scale = vec![1.0_f64; l_count];
 
     for _round in 0..300 {
         // Propagate offered traffic hop by hop under the current scaling.
@@ -57,7 +58,7 @@ pub fn saturation_goodput(
             delivered[r] = rate;
         }
         // Domain demands and new scalings.
-        let mut new_scale = vec![1.0_f64; l_count];
+        new_scale.fill(1.0);
         #[allow(clippy::needless_range_loop, reason = "l is also the LinkId")]
         for l in 0..l_count {
             let demand: f64 = imap

@@ -46,6 +46,10 @@ pub fn maximize_utility<U: Utility>(
     let b = vec![region.budget; region.rows.len()];
     let mut x = vec![0.0; n];
     let mut gap = f64::INFINITY;
+    // The line search's point and its flow totals, reused by all of its
+    // evaluations.
+    let mut xt = vec![0.0; n];
+    let mut xt_flows = Vec::new();
 
     for _ in 0..iters {
         let flow_rates = problem.flow_rates(&x);
@@ -63,16 +67,20 @@ pub fn maximize_utility<U: Utility>(
             break;
         }
         // Exact line search on the concave φ(θ) = U(x + θ (s − x)).
-        let eval = |theta: f64| {
-            let xt: Vec<f64> = x.iter().zip(&s).map(|(xi, si)| xi + theta * (si - xi)).collect();
-            problem.flow_rates(&xt).iter().map(|&f| utility.value(f)).sum::<f64>()
+        let mut eval = |theta: f64| {
+            for ((t, xi), si) in xt.iter_mut().zip(&x).zip(&s) {
+                *t = xi + theta * (si - xi);
+            }
+            problem.flow_rates_into(&xt, &mut xt_flows);
+            xt_flows.iter().map(|&f| utility.value(f)).sum::<f64>()
         };
         let mut lo = 0.0_f64;
         let mut hi = 1.0_f64;
         for _ in 0..60 {
             let m1 = lo + (hi - lo) / 3.0;
             let m2 = hi - (hi - lo) / 3.0;
-            if eval(m1) < eval(m2) {
+            let (u1, u2) = (eval(m1), eval(m2));
+            if u1 < u2 {
                 lo = m1;
             } else {
                 hi = m2;

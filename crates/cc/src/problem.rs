@@ -92,11 +92,18 @@ impl CcProblem {
 
     /// Aggregate flow rates `x_f = Σ_{r∈f} x_r`.
     pub fn flow_rates(&self, x: &[f64]) -> Vec<f64> {
-        let mut rates = vec![0.0; self.flows.len()];
+        let mut rates = Vec::new();
+        self.flow_rates_into(x, &mut rates);
+        rates
+    }
+
+    /// [`CcProblem::flow_rates`] written into `rates`, reusing its buffer.
+    pub fn flow_rates_into(&self, x: &[f64], rates: &mut Vec<f64>) {
+        rates.clear();
+        rates.resize(self.flows.len(), 0.0);
         for (r, &f) in self.flow_of.iter().enumerate() {
             rates[f] += x[r];
         }
-        rates
     }
 
     /// Airtime demand `y_l = Σ_{l'∈I_l} d_{l'} x_{l'}` for every link — the

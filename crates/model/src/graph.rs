@@ -21,6 +21,9 @@ pub struct Network {
     out_adj: Vec<Vec<LinkId>>,
     /// Incoming links per node, in insertion order.
     in_adj: Vec<Vec<LinkId>>,
+    /// The distinct mediums of `links`, ascending. Fixed at build: after
+    /// it only capacities change.
+    mediums: Vec<Medium>,
 }
 
 impl Network {
@@ -73,9 +76,8 @@ impl Network {
     }
 
     /// The distinct mediums present in the network, in a stable order.
-    pub fn mediums(&self) -> Vec<Medium> {
-        let set: BTreeSet<Medium> = self.links.iter().map(|l| l.medium).collect();
-        set.into_iter().collect()
+    pub fn mediums(&self) -> &[Medium] {
+        &self.mediums
     }
 
     /// Sets the capacity of a link (used by `update(P, G)` and by failure
@@ -224,7 +226,9 @@ impl NetworkBuilder {
             out_adj[link.from.index()].push(link.id);
             in_adj[link.to.index()].push(link.id);
         }
-        Network { nodes: self.nodes, links: self.links, out_adj, in_adj }
+        let mediums: BTreeSet<Medium> = self.links.iter().map(|l| l.medium).collect();
+        let mediums = mediums.into_iter().collect();
+        Network { nodes: self.nodes, links: self.links, out_adj, in_adj, mediums }
     }
 }
 
@@ -264,7 +268,7 @@ mod tests {
     #[test]
     fn mediums_lists_distinct_technologies() {
         let (net, _, _) = two_node_net();
-        assert_eq!(net.mediums(), vec![Medium::WIFI1, Medium::Plc]);
+        assert_eq!(net.mediums(), [Medium::WIFI1, Medium::Plc]);
     }
 
     #[test]

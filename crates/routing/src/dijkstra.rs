@@ -15,7 +15,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use empower_model::{LinkId, Medium, Network, Path};
+use empower_model::{LinkId, Medium, Network, NodeId, Path};
 
 use crate::metrics::LinkMetric;
 use crate::query::RouteQuery;
@@ -44,32 +44,38 @@ impl CscMode {
         &self,
         net: &Network,
         query: &RouteQuery,
-        u: empower_model::NodeId,
+        u: NodeId,
         ingress: Medium,
         egress: Medium,
     ) -> f64 {
-        let switches = ingress != egress;
+        if ingress != egress {
+            self.switch_cost()
+        } else {
+            self.stay_cost(net, query, u)
+        }
+    }
+
+    /// `w_ns(u)`: the cost of leaving `u` on the medium it was entered on.
+    fn stay_cost(&self, net: &Network, query: &RouteQuery, u: NodeId) -> f64 {
         match self {
             CscMode::Zero => 0.0,
             CscMode::Paper => {
-                if switches {
+                let w = query.min_permitted_egress_cost(net, u);
+                if w.is_finite() {
+                    w
+                } else {
                     0.0
-                } else {
-                    let w = query.min_permitted_egress_cost(net, u);
-                    if w.is_finite() {
-                        w
-                    } else {
-                        0.0
-                    }
                 }
             }
-            CscMode::Custom { w_ns, w_s } => {
-                if switches {
-                    *w_s
-                } else {
-                    *w_ns
-                }
-            }
+            CscMode::Custom { w_ns, .. } => *w_ns,
+        }
+    }
+
+    /// `w_s`: the cost of leaving on another medium.
+    fn switch_cost(&self) -> f64 {
+        match self {
+            CscMode::Custom { w_s, .. } => *w_s,
+            CscMode::Paper | CscMode::Zero => 0.0,
         }
     }
 }
@@ -160,23 +166,131 @@ pub fn shortest_path_with_budget(
     shortest_path_with_scratch(net, metric, csc, query, initial_ingress, max_hops, &mut scratch)
 }
 
-/// Reusable Dijkstra working memory: the per-state distance and predecessor
-/// tables plus the frontier heap. One instance amortizes the allocations
-/// across the thousands of single-path searches a §3.2 exploration tree (or
-/// a topology sweep) performs; results are identical to the allocating
-/// entry points.
+/// One permitted arc of a [`SearchGraph`].
+#[derive(Debug, Clone, Copy)]
+struct Arc {
+    link: LinkId,
+    to: usize,
+    /// Index of the link's medium in [`Network::mediums`].
+    slot: usize,
+    weight: f64,
+}
+
+/// The graph one query searches, compiled once: every node's permitted
+/// arcs (alive, on an allowed medium, finite weight) in `out_adj` order,
+/// and the channel-switching costs. It depends on the network, the metric,
+/// the CSC mode and the query's medium restriction, and not on its source
+/// or bans, so all of Yen's spur searches share the one compiled for the
+/// first search.
+#[derive(Debug, Default)]
+struct SearchGraph {
+    /// `Network::mediums().len()`.
+    mediums: usize,
+    /// `arcs[first[u]..first[u + 1]]` leave node `u`.
+    first: Vec<usize>,
+    arcs: Vec<Arc>,
+    /// Cost of leaving `u` on the medium it was entered on: `w_ns(u)`.
+    /// `w_ns` ignores Yen's temporary bans (see
+    /// [`RouteQuery::min_permitted_egress_cost`]), so it is a function of
+    /// what the graph is compiled from.
+    stay: Vec<f64>,
+    /// Cost of leaving on another medium: `w_s`.
+    switch: f64,
+    /// Smallest arc weight.
+    min_weight: f64,
+    /// Largest arc weight plus the largest switching cost: a bound on what
+    /// one hop adds to a distance.
+    max_step: f64,
+    /// Every switching cost is `≥ 0`.
+    costs_nonnegative: bool,
+}
+
+impl SearchGraph {
+    fn compile(&mut self, net: &Network, metric: &LinkMetric, csc: CscMode, query: &RouteQuery) {
+        let mediums = net.mediums();
+        self.mediums = mediums.len();
+        self.first.clear();
+        self.arcs.clear();
+        self.stay.clear();
+        self.switch = csc.switch_cost();
+        self.min_weight = f64::INFINITY;
+        let mut max_weight = 0.0f64;
+        let mut max_stay = 0.0f64;
+        self.costs_nonnegative = self.switch >= 0.0;
+        for u in 0..net.node_count() {
+            self.first.push(self.arcs.len());
+            for link in net.out_links(NodeId(u as u32)) {
+                let weight = metric.weight(link.id);
+                let allowed = query
+                    .allowed_mediums
+                    .as_ref()
+                    .is_none_or(|allowed| allowed.contains(&link.medium));
+                if !link.is_alive() || !allowed || !weight.is_finite() {
+                    continue;
+                }
+                self.min_weight = self.min_weight.min(weight);
+                max_weight = max_weight.max(weight);
+                self.arcs.push(Arc {
+                    link: link.id,
+                    to: link.to.index(),
+                    slot: medium_slot(mediums, link.medium),
+                    weight,
+                });
+            }
+            let stay = csc.stay_cost(net, query, NodeId(u as u32));
+            self.costs_nonnegative &= stay >= 0.0;
+            max_stay = max_stay.max(stay);
+            self.stay.push(stay);
+        }
+        self.first.push(self.arcs.len());
+        self.max_step = max_weight + max_stay.max(self.switch);
+    }
+
+    fn arcs(&self, u: usize) -> &[Arc] {
+        &self.arcs[self.first[u]..self.first[u + 1]]
+    }
+
+    /// Whether every relaxation of a search under `max_hops` strictly
+    /// increases the distance it starts from, `(d + w) + c > d`: switching
+    /// costs are non-negative, and the smallest weight is at least one ulp
+    /// of any distance a label can reach (fewer than `max_hops` steps of at
+    /// most `max_step`, so below `2 · max_hops · max_step`). Dominance
+    /// pruning is exact only then (DESIGN.md §8); otherwise the search runs
+    /// without it.
+    fn strictly_increasing(&self, max_hops: usize) -> bool {
+        self.costs_nonnegative
+            && self.min_weight > 0.0
+            && self.min_weight * 2f64.powi(52) > 2.0 * max_hops as f64 * self.max_step
+    }
+}
+
+/// Index of `medium` in `mediums` (a network's distinct mediums).
+fn medium_slot(mediums: &[Medium], medium: Medium) -> usize {
+    #[expect(
+        clippy::expect_used,
+        reason = "`Network::mediums()` lists the medium of every link, and the search only asks \
+                  for link mediums and a spur's ingress, which is a link medium too"
+    )]
+    mediums.iter().position(|&m| m == medium).expect("known medium")
+}
+
+/// Reusable Dijkstra working memory: the compiled graph, the per-state
+/// distance and predecessor tables, the frontier heap and the ban masks.
+/// One instance amortizes the allocations across the thousands of
+/// single-path searches a §3.2 exploration tree (or a topology sweep)
+/// performs; results are identical to the allocating entry points.
 #[derive(Debug, Default)]
 pub struct DijkstraScratch {
+    graph: SearchGraph,
     dist: Vec<f64>,
     pred: Vec<Option<(usize, LinkId)>>,
     heap: BinaryHeap<HeapEntry>,
-    /// Per-node non-switching channel cost `w_ns(u)` for [`CscMode::Paper`],
-    /// precomputed once per search. `w_ns` deliberately ignores Yen's
-    /// temporary bans (see [`RouteQuery::min_permitted_egress_cost`]), so it
-    /// is a function of the graph and the query's medium restriction only —
-    /// caching it replaces an out-degree scan per same-medium edge
-    /// relaxation with an indexed load, bit-identically.
-    w_ns: Vec<f64>,
+    /// Dense masks of the running search's `banned_links` and
+    /// `banned_nodes`; all `false` between searches.
+    banned_link: Vec<bool>,
+    banned_node: Vec<bool>,
+    labels_expanded: u64,
+    labels_dominated: u64,
 }
 
 impl DijkstraScratch {
@@ -185,18 +299,174 @@ impl DijkstraScratch {
         Self::default()
     }
 
-    /// Resets for a state space of `states` entries.
-    fn reset(&mut self, states: usize) {
-        self.dist.clear();
-        self.dist.resize(states, f64::INFINITY);
-        self.pred.clear();
-        self.pred.resize(states, None);
-        self.heap.clear();
+    /// Labels whose arcs were relaxed, over every search this scratch ran.
+    pub fn labels_expanded(&self) -> u64 {
+        self.labels_expanded
+    }
+
+    /// Labels skipped because a fewer-hop label at the same node and
+    /// ingress medium had settled strictly cheaper, over every search.
+    pub fn labels_dominated(&self) -> u64 {
+        self.labels_dominated
+    }
+
+    /// Compiles the graph later [`DijkstraScratch::search`] calls run on.
+    pub(crate) fn compile(
+        &mut self,
+        net: &Network,
+        metric: &LinkMetric,
+        csc: CscMode,
+        query: &RouteQuery,
+    ) {
+        self.graph.compile(net, metric, csc, query);
+    }
+
+    /// One search of the compiled graph for `query`'s source, destination
+    /// and bans (its medium restriction must be the compiled one's).
+    pub(crate) fn search(
+        &mut self,
+        net: &Network,
+        query: &RouteQuery,
+        initial_ingress: Option<Medium>,
+        max_hops: usize,
+    ) -> Option<DijkstraOutcome> {
+        if query.src == query.dst || max_hops == 0 {
+            return None;
+        }
+        self.banned_link.resize(net.link_count(), false);
+        self.banned_node.resize(net.node_count(), false);
+        self.set_bans(query, true);
+        let out = self.run(net, query, initial_ingress, max_hops);
+        self.set_bans(query, false);
+        out
+    }
+
+    fn set_bans(&mut self, query: &RouteQuery, banned: bool) {
+        for l in &query.banned_links {
+            if let Some(b) = self.banned_link.get_mut(l.index()) {
+                *b = banned;
+            }
+        }
+        for n in &query.banned_nodes {
+            if let Some(b) = self.banned_node.get_mut(n.index()) {
+                *b = banned;
+            }
+        }
+    }
+
+    fn run(
+        &mut self,
+        net: &Network,
+        query: &RouteQuery,
+        initial_ingress: Option<Medium>,
+        max_hops: usize,
+    ) -> Option<DijkstraOutcome> {
+        let k = self.graph.mediums;
+        // State encoding: ((node * (k+1)) + (1 + ingress medium index)) *
+        // (H+1) + hops, with ingress slot 0 for "no ingress yet" (the
+        // source). Tracking the hop count keeps the search exact under the
+        // 6-hop header cap (a cheaper 2-hop detour may enable a short
+        // completion where the globally cheapest prefix would overrun the
+        // cap). The heap breaks distance ties on this index, so the
+        // encoding is part of the result.
+        let h = max_hops;
+        let state_of =
+            |node: usize, slot: usize, hops: usize| (node * (k + 1) + slot) * (h + 1) + hops;
+        let states = net.node_count() * (k + 1) * (h + 1);
+        let prune = self.graph.strictly_increasing(h);
+        let DijkstraScratch {
+            graph,
+            dist,
+            pred,
+            heap,
+            banned_link,
+            banned_node,
+            labels_expanded,
+            labels_dominated,
+        } = self;
+        dist.clear();
+        dist.resize(states, f64::INFINITY);
+        pred.clear();
+        pred.resize(states, None);
+        heap.clear();
+
+        let start_slot = initial_ingress.map_or(0, |m| medium_slot(net.mediums(), m) + 1);
+        let start = state_of(query.src.index(), start_slot, 0);
+        dist[start] = 0.0;
+        heap.push(HeapEntry { dist: OrdF64(0.0), state: start });
+
+        while let Some(HeapEntry { dist: OrdF64(d), state }) = heap.pop() {
+            if d > dist[state] {
+                continue; // stale entry
+            }
+            let hops = state % (h + 1);
+            if hops == h {
+                continue; // hop budget exhausted
+            }
+            let node_slot = state / (h + 1);
+            // Dominance: the same node and ingress medium already settled
+            // at fewer hops for strictly less. That label's extensions
+            // reach the same states one or more hops earlier for no more,
+            // so this one's cannot be on the returned path (DESIGN.md §8).
+            // Under strictly increasing relaxations every label cheaper
+            // than `d` has settled, so its distance is final.
+            if prune && dist[node_slot * (h + 1)..state].iter().any(|&e| e < d) {
+                *labels_dominated += 1;
+                continue;
+            }
+            *labels_expanded += 1;
+            let node = node_slot / (k + 1);
+            let ingress = node_slot % (k + 1);
+            let stay = graph.stay[node];
+            for arc in graph.arcs(node) {
+                if banned_link[arc.link.index()] || banned_node[arc.to] {
+                    continue;
+                }
+                let switch_cost = match ingress {
+                    0 => 0.0, // no CSC at the source
+                    i if i == arc.slot + 1 => stay,
+                    _ => graph.switch,
+                };
+                let next = state_of(arc.to, arc.slot + 1, hops + 1);
+                let nd = d + arc.weight + switch_cost;
+                if nd < dist[next] {
+                    dist[next] = nd;
+                    pred[next] = Some((state, arc.link));
+                    heap.push(HeapEntry { dist: OrdF64(nd), state: next });
+                }
+            }
+        }
+
+        // Best terminal state at the destination, over all ingress mediums
+        // and hop counts.
+        let mut best: Option<(usize, f64)> = None;
+        for slot in 1..=k {
+            for hops in 1..=h {
+                let s = state_of(query.dst.index(), slot, hops);
+                if dist[s].is_finite() && best.is_none_or(|(_, bd)| dist[s] < bd) {
+                    best = Some((s, dist[s]));
+                }
+            }
+        }
+        let (mut state, weight) = best?;
+
+        let mut links = Vec::new();
+        while let Some((prev, link)) = pred[state] {
+            links.push(link);
+            state = prev;
+        }
+        links.reverse();
+        // The state space can revisit a node (on another medium, or at
+        // another hop count); the paper's routes are loop-free at node
+        // level, so reject such paths.
+        let path = Path::new(net, links).ok()?;
+        Some(DijkstraOutcome { path, weight })
     }
 }
 
 /// [`shortest_path_with_budget`] running on caller-provided scratch
-/// buffers (allocation-free after warm-up).
+/// buffers (allocation-free after warm-up). Compiles the query's graph on
+/// every call; Yen's algorithm compiles once for all its searches.
 pub fn shortest_path_with_scratch(
     net: &Network,
     metric: &LinkMetric,
@@ -206,113 +476,8 @@ pub fn shortest_path_with_scratch(
     max_hops: usize,
     scratch: &mut DijkstraScratch,
 ) -> Option<DijkstraOutcome> {
-    if query.src == query.dst || max_hops == 0 {
-        return None;
-    }
-    let mediums = net.mediums();
-    let k = mediums.len();
-    #[expect(
-        clippy::expect_used,
-        reason = "`net.mediums()` enumerates the medium of every link, and the closure is only \
-                  queried with link mediums"
-    )]
-    let medium_idx = |m: Medium| mediums.iter().position(|&x| x == m).expect("known medium");
-    // State encoding: ((node * (k+1)) + (1 + ingress medium index)) *
-    // (H+1) + hops, with ingress slot 0 for "no ingress yet" (the source).
-    // Tracking the hop count keeps the search exact under the 6-hop header
-    // cap (a cheaper 2-hop detour may enable a short completion where the
-    // globally cheapest prefix would overrun the cap).
-    let h = max_hops;
-    let states = net.node_count() * (k + 1) * (h + 1);
-    let state_of = |node: usize, ingress: Option<usize>, hops: usize| {
-        (node * (k + 1) + ingress.map_or(0, |m| m + 1)) * (h + 1) + hops
-    };
-    scratch.reset(states);
-    if csc == CscMode::Paper {
-        // Same fold as `min_permitted_egress_cost`, computed once per node
-        // instead of once per same-medium relaxation.
-        scratch.w_ns.clear();
-        scratch.w_ns.extend((0..net.node_count()).map(|n| {
-            let w = query.min_permitted_egress_cost(net, empower_model::NodeId(n as u32));
-            if w.is_finite() {
-                w
-            } else {
-                0.0
-            }
-        }));
-    }
-    let DijkstraScratch { dist, pred, heap, w_ns } = scratch;
-
-    let start = state_of(query.src.index(), initial_ingress.map(&medium_idx), 0);
-    dist[start] = 0.0;
-    heap.push(HeapEntry { dist: OrdF64(0.0), state: start });
-
-    while let Some(HeapEntry { dist: OrdF64(d), state }) = heap.pop() {
-        if d > dist[state] {
-            continue; // stale entry
-        }
-        let hops = state % (h + 1);
-        if hops == h {
-            continue; // hop budget exhausted
-        }
-        let node_medium = state / (h + 1);
-        let node = node_medium / (k + 1);
-        let ingress = match node_medium % (k + 1) {
-            0 => None,
-            i => Some(mediums[i - 1]),
-        };
-        for link in net.out_links(empower_model::NodeId(node as u32)) {
-            if !query.permits(net, link.id) {
-                continue;
-            }
-            let w = metric.weight(link.id);
-            if !w.is_finite() {
-                continue;
-            }
-            let switch_cost = match ingress {
-                // No CSC at the source.
-                None => 0.0,
-                // Paper mode reads the precomputed `w_ns` table (switching
-                // is free, staying costs the node's best egress time).
-                Some(m_in) if csc == CscMode::Paper && m_in == link.medium => w_ns[node],
-                Some(m_in) => {
-                    csc.cost(net, query, empower_model::NodeId(node as u32), m_in, link.medium)
-                }
-            };
-            let next = state_of(link.to.index(), Some(medium_idx(link.medium)), hops + 1);
-            let nd = d + w + switch_cost;
-            if nd < dist[next] {
-                dist[next] = nd;
-                pred[next] = Some((state, link.id));
-                heap.push(HeapEntry { dist: OrdF64(nd), state: next });
-            }
-        }
-    }
-
-    // Best terminal state at the destination, over all ingress mediums and
-    // hop counts.
-    let mut best: Option<(usize, f64)> = None;
-    for m in 0..k {
-        for hops in 1..=h {
-            let s = state_of(query.dst.index(), Some(m), hops);
-            if dist[s].is_finite() && best.is_none_or(|(_, bd)| dist[s] < bd) {
-                best = Some((s, dist[s]));
-            }
-        }
-    }
-    let (mut state, weight) = best?;
-
-    let mut links = Vec::new();
-    while let Some((prev, link)) = pred[state] {
-        links.push(link);
-        state = prev;
-    }
-    links.reverse();
-    // The per-interface state space cannot revisit a (node, medium) pair,
-    // but it can revisit a *node* on different mediums; the paper's routes
-    // are loop-free at node level, so reject such paths defensively.
-    let path = Path::new(net, links).ok()?;
-    Some(DijkstraOutcome { path, weight })
+    scratch.compile(net, metric, csc, query);
+    scratch.search(net, query, initial_ingress, max_hops)
 }
 
 /// Total weight of a link sequence under `metric` and `csc`: `Σ W(l)` plus
@@ -447,5 +612,23 @@ mod tests {
             shortest_path(&s.net, &metric, csc, &RouteQuery::new(s.gateway, s.client)).unwrap();
         let mediums: Vec<Medium> = out.path.links().iter().map(|&l| s.net.link(l).medium).collect();
         assert_eq!(mediums, vec![Medium::WIFI1, Medium::WIFI1]);
+    }
+
+    #[test]
+    fn dominance_is_off_unless_every_relaxation_strictly_increases() {
+        let mut s = fig1_scenario();
+        let q = RouteQuery::new(s.gateway, s.client);
+        let on = |net: &Network, csc: CscMode| {
+            let mut graph = SearchGraph::default();
+            graph.compile(net, &LinkMetric::ett(net), csc, &q);
+            graph.strictly_increasing(MAX_ROUTE_HOPS)
+        };
+        assert!(on(&s.net, CscMode::Paper));
+        // A negative switching cost can lower a distance.
+        assert!(!on(&s.net, CscMode::Custom { w_ns: -0.01, w_s: 0.0 }));
+        // Weights 16 decimal orders apart: d + w can round back to d.
+        s.net.set_capacity(s.plc_ab, 1e-8);
+        s.net.set_capacity(s.wifi_bc, 1e8);
+        assert!(!on(&s.net, CscMode::Paper));
     }
 }

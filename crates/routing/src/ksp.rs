@@ -9,21 +9,19 @@ use std::collections::BTreeSet;
 
 use empower_model::{LinkId, Network, Path};
 
-use crate::dijkstra::{
-    path_weight, shortest_path_with_scratch, CscMode, DijkstraOutcome, DijkstraScratch,
-    MAX_ROUTE_HOPS,
-};
+use crate::dijkstra::{path_weight, CscMode, DijkstraOutcome, DijkstraScratch, MAX_ROUTE_HOPS};
 use crate::metrics::LinkMetric;
 use crate::query::RouteQuery;
 
 /// Reusable working memory for [`k_shortest_paths_into`]: the Dijkstra
-/// scratch, the candidate pool, the duplicate-suppression set, and the
-/// lexicographic index over accepted paths that powers the prefix-range
-/// spur-ban lookup. One workspace amortizes all allocations across the many
-/// KSP invocations an exploration tree performs.
+/// scratch (with the graph compiled once per call), the candidate pool,
+/// the duplicate-suppression set, and the lexicographic index over
+/// accepted paths that powers the prefix-range spur-ban lookup. One
+/// workspace amortizes all allocations across the many KSP invocations an
+/// exploration tree performs.
 #[derive(Debug, Default)]
 pub struct KspWorkspace {
-    dijkstra: DijkstraScratch,
+    pub(crate) dijkstra: DijkstraScratch,
     candidates: Vec<DijkstraOutcome>,
     seen: BTreeSet<Vec<u32>>,
     /// Indices into the accepted list, sorted lexicographically by link
@@ -76,9 +74,10 @@ pub fn k_shortest_paths_into(
     if k == 0 {
         return;
     }
-    let Some(first) =
-        shortest_path_with_scratch(net, metric, csc, query, None, MAX_ROUTE_HOPS, &mut ws.dijkstra)
-    else {
+    // Spur searches change only the source, the ingress and the bans, so
+    // they all run on the graph compiled here.
+    ws.dijkstra.compile(net, metric, csc, query);
+    let Some(first) = ws.dijkstra.search(net, query, None, MAX_ROUTE_HOPS) else {
         return;
     };
     ws.seen.insert(first.path.links().iter().map(|l| l.0).collect());
@@ -136,15 +135,7 @@ pub fn k_shortest_paths_into(
             // The spliced path must respect the header's 6-hop cap, so the
             // spur leg's budget shrinks by the root's length.
             let budget = MAX_ROUTE_HOPS - spur_idx;
-            let spur = shortest_path_with_scratch(
-                net,
-                metric,
-                csc,
-                &spur_query,
-                ingress,
-                budget,
-                &mut ws.dijkstra,
-            );
+            let spur = ws.dijkstra.search(net, &spur_query, ingress, budget);
             for l in added_links.drain(..) {
                 spur_query.banned_links.remove(&l);
             }

@@ -117,6 +117,12 @@ pub struct SearchStats {
     /// Bytes of `Network` clones the undo-log overlay avoided (one clone
     /// per explored candidate under the cloning implementation).
     pub clone_bytes_avoided: u64,
+    /// Dijkstra labels `(node, ingress medium, hops)` whose arcs were
+    /// relaxed, summed over every single-path search.
+    pub labels_expanded: u64,
+    /// Labels skipped because a fewer-hop label at the same node and
+    /// ingress medium had settled strictly cheaper (DESIGN.md §8).
+    pub labels_dominated: u64,
 }
 
 /// Relative slack applied to the branch-and-bound bound before pruning, so
@@ -206,7 +212,11 @@ impl Explorer {
 
     /// Cumulative work counters since construction.
     pub fn stats(&self) -> SearchStats {
-        self.stats
+        SearchStats {
+            labels_expanded: self.ksp.dijkstra.labels_expanded(),
+            labels_dominated: self.ksp.dijkstra.labels_dominated(),
+            ..self.stats
+        }
     }
 
     /// Runs the exploration tree for `query` and returns the best
@@ -352,7 +362,8 @@ pub fn best_combination_reference(
 /// [`best_combination_reference`] also reporting the work it did, for
 /// baseline-vs-optimized comparisons. Only `nodes_expanded`,
 /// `ksp_invocations` and `incumbent_updates` are meaningful for the
-/// reference (it prunes nothing and avoids no clones).
+/// reference (it prunes nothing, avoids no clones and does not count
+/// Dijkstra labels).
 pub fn best_combination_reference_counted(
     net: &Network,
     imap: &InterferenceMap,
