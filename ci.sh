@@ -271,6 +271,27 @@ $EMPOWER workload run examples/workload_enterprise_rr.toml \
 cmp "$SMOKE_DIR/wa.json" "$SMOKE_DIR/wb.json" \
     || { echo "workload manifests differ between identical runs" >&2; exit 1; }
 
+say "figure smoke test (determinism across --jobs)"
+# Every figure the driver's usage message lists, at quick size, once
+# serially and once on two workers: stdout and manifests must be
+# byte-identical. The list comes from the driver, so a new figure is
+# covered without an edit here. Quick mode renders one cheap figure.
+if [ "${1:-}" = "quick" ]; then
+    FIGURES=ablation_routing
+else
+    FIGURES="$($EMPOWER 2>&1 | sed -n 's/^figures: //p')"
+    [ -n "$FIGURES" ] || { echo "empower's usage lists no figures" >&2; exit 1; }
+fi
+for fig in $FIGURES; do
+    for jobs in 1 2; do
+        $EMPOWER figure "$fig" --quick --jobs "$jobs" \
+            --metrics "$SMOKE_DIR/$fig.$jobs.json" >"$SMOKE_DIR/$fig.$jobs.txt"
+    done
+    { cmp "$SMOKE_DIR/$fig.1.txt" "$SMOKE_DIR/$fig.2.txt" \
+        && cmp "$SMOKE_DIR/$fig.1.json" "$SMOKE_DIR/$fig.2.json"; } \
+        || { echo "figure $fig differs between --jobs 1 and --jobs 2" >&2; exit 1; }
+done
+
 if [ "${EMPOWER_SKIP_NET:-}" = "1" ]; then
     say "udp loopback smoke test skipped (EMPOWER_SKIP_NET=1)"
 else

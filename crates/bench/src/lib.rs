@@ -1,29 +1,28 @@
 #![forbid(unsafe_code)]
 //! # empower-bench
 //!
-//! The experiment harness of the reproduction: one binary per table/figure
-//! of the paper's evaluation (see DESIGN.md §4 for the index). Performance
-//! is measured elsewhere: the repo's benchmark lives in `benchmark/`.
-//!
-//! Every binary prints a human-readable table mirroring what the paper
-//! reports and, with `--json <path>`, additionally dumps the raw data for
-//! EXPERIMENTS.md. Binaries accept `--runs N` (sweep size) and `--quick`
-//! (a small smoke-test configuration) so the full reproduction and a fast
-//! sanity pass share the same code.
+//! Every table and figure of the paper's evaluation as a library value
+//! (DESIGN.md §4 has the index). A figure is a function
+//! `(&Opts, &Telemetry) -> rows` whose rows implement [`Figure`]: they
+//! print the paper's table, serialize as the raw data (`--json`) and add
+//! their keys to the run manifest. `empower figure <name>` runs one of
+//! [`FIGURES`]; `tests/paper_claims.rs` asserts on their values.
 
 use empower_telemetry::{Manifest, Telemetry, ToJson};
 
-/// Common CLI options for experiment binaries.
+pub mod ablation;
+pub mod fluid;
+pub mod scenarios;
+pub mod sweep;
+pub mod testbed;
+
+/// The options every figure reads.
 #[derive(Debug, Clone)]
-pub struct BenchArgs {
+pub struct Opts {
     /// Sweep size (seeds / pairs / repetitions), when applicable.
     pub runs: Option<usize>,
     /// Shrink everything for a fast smoke run.
     pub quick: bool,
-    /// Where to dump raw JSON results.
-    pub json: Option<String>,
-    /// Where to write the run manifest (seed, scheme, params, counters).
-    pub metrics: Option<String>,
     /// Base seed.
     pub seed: u64,
     /// Worker threads for the deterministic parallel sweep runner
@@ -31,85 +30,59 @@ pub struct BenchArgs {
     pub jobs: usize,
 }
 
-impl BenchArgs {
-    /// Parses `std::env::args()`.
-    pub fn parse() -> Self {
-        let mut args =
-            BenchArgs { runs: None, quick: false, json: None, metrics: None, seed: 1, jobs: 1 };
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--runs" => {
-                    args.runs = Some(
-                        it.next().and_then(|v| v.parse().ok()).expect("--runs needs an integer"),
-                    )
-                }
-                "--quick" => args.quick = true,
-                "--json" => args.json = Some(it.next().expect("--json needs a path")),
-                "--metrics" => args.metrics = Some(it.next().expect("--metrics needs a path")),
-                "--seed" => {
-                    args.seed =
-                        it.next().and_then(|v| v.parse().ok()).expect("--seed needs an integer")
-                }
-                "--jobs" => {
-                    args.jobs = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--jobs needs a positive integer")
-                }
-                other => panic!(
-                    "unknown argument {other} \
-                     (try --runs N | --quick | --json F | --metrics F | --seed S | --jobs J)"
-                ),
-            }
-        }
-        args
-    }
-
-    /// Picks the sweep size: explicit `--runs` wins, then quick/full
-    /// defaults.
-    pub fn sweep(&self, full: usize, quick: usize) -> usize {
-        self.runs.unwrap_or(if self.quick { quick } else { full })
-    }
-
-    /// A telemetry registry: live when `--metrics` was given (the manifest
-    /// wants counters), disabled otherwise so the hot paths pay one branch.
-    pub fn telemetry(&self) -> Telemetry {
-        if self.metrics.is_some() {
-            Telemetry::enabled()
-        } else {
-            Telemetry::disabled()
-        }
-    }
-
-    /// Starts a run manifest pre-filled with the common provenance fields.
-    pub fn manifest(&self, experiment: &str) -> Manifest {
-        let mut m = Manifest::new(experiment);
-        m.set("seed", self.seed)
-            .set("quick", self.quick)
-            .set("runs_flag", self.runs.map(|r| r as u64));
-        m
-    }
-
-    /// Writes the manifest (with `telemetry`'s counters attached) if
-    /// `--metrics` was given.
-    pub fn maybe_write_manifest(&self, mut manifest: Manifest, telemetry: &Telemetry) {
-        if let Some(path) = &self.metrics {
-            manifest.attach_counters(telemetry);
-            manifest.write(path).expect("write metrics manifest");
-            eprintln!("(run manifest written to {path})");
-        }
-    }
-
-    /// Writes `data` as JSON if `--json` was given.
-    pub fn maybe_dump<T: ToJson>(&self, data: &T) {
-        if let Some(path) = &self.json {
-            let s = data.to_json().to_string_pretty();
-            std::fs::write(path, s).expect("write json results");
-            eprintln!("(raw results written to {path})");
-        }
+impl Default for Opts {
+    fn default() -> Self {
+        Opts { runs: None, quick: false, seed: 1, jobs: 1 }
     }
 }
+
+impl Opts {
+    /// `quick` in a quick run, `full` otherwise.
+    pub fn full_or_quick<T>(&self, full: T, quick: T) -> T {
+        if self.quick {
+            quick
+        } else {
+            full
+        }
+    }
+
+    /// The sweep size: `runs` when given, else the full or quick default.
+    pub fn sweep(&self, full: usize, quick: usize) -> usize {
+        self.runs.unwrap_or(self.full_or_quick(full, quick))
+    }
+}
+
+/// A computed figure: its rows serialize as the raw results (`--json`).
+pub trait Figure: ToJson {
+    /// Prints the table that mirrors the paper's figure and adds the
+    /// figure's own keys to its run manifest.
+    fn render(&self, opts: &Opts, manifest: &mut Manifest);
+}
+
+/// Computes a figure's rows, or says why it could not.
+pub type Compute = fn(&Opts, &Telemetry) -> Result<Box<dyn Figure>, String>;
+
+/// Every figure, table and ablation by name (the run manifest's
+/// `"experiment"`), with the function that computes it.
+pub const FIGURES: [(&str, Compute); 17] = [
+    ("fig4_hybrid_cdf", |o, t| Ok(Box::new(fluid::fig4(o, t)))),
+    ("fig5_worst_flows", |o, t| Ok(Box::new(fluid::fig5(o, t)))),
+    ("fig6_vs_optimal", |o, t| Ok(Box::new(fluid::fig6(o, t)))),
+    ("fig7_utility", |o, t| Ok(Box::new(fluid::fig7(o, t)))),
+    ("convergence_table", |o, t| Ok(Box::new(fluid::convergence(o, t)))),
+    ("fig9_example", |o, t| Ok(Box::new(empower_testbed::fig9::run_traced(o.seed, t)))),
+    ("fig10_testbed_cdf", |o, t| Ok(Box::new(testbed::fig10(o, t)))),
+    ("fig11_flow_bars", |o, t| Ok(Box::new(testbed::fig11(o, t)))),
+    ("table1_downloads", |o, t| Ok(Box::new(testbed::table1(o, t)))),
+    ("fig12_tcp_timeseries", |o, t| Ok(Box::new(testbed::fig12(o, t)))),
+    ("fig13_tcp_bars", |o, t| Ok(Box::new(testbed::fig13(o, t)))),
+    ("fig12_dynamic", |o, t| Ok(Box::new(scenarios::fig12_dynamic(o, t)))),
+    ("fig_workload", |o, t| Ok(Box::new(scenarios::workload(o, t)?))),
+    ("ablation_routing", |o, t| Ok(Box::new(ablation::routing(o, t)))),
+    ("ablation_delta", |o, t| Ok(Box::new(ablation::delta(o, t)))),
+    ("ablation_delay_eq", |o, t| Ok(Box::new(ablation::delay_eq(o, t)))),
+    ("ablation_fairness", |o, t| Ok(Box::new(ablation::fairness(o, t)))),
+];
 
 /// `p`-th percentile (0–100) of unsorted values; 0 on empty input.
 pub fn percentile(values: &[f64], p: f64) -> f64 {
@@ -128,6 +101,13 @@ pub fn mean(values: &[f64]) -> f64 {
         return 0.0;
     }
     values.iter().sum::<f64>() / values.len() as f64
+}
+
+/// Mean of `values[lo..hi]`, with the range clamped to the slice; 0 when
+/// it is empty.
+pub fn mean_over(values: &[f64], lo: usize, hi: usize) -> f64 {
+    let hi = hi.min(values.len());
+    mean(&values[lo.min(hi)..hi])
 }
 
 /// Fraction of values for which `pred` holds.
@@ -169,7 +149,8 @@ mod tests {
     fn mean_and_fraction() {
         let v = vec![1.0, 2.0, 3.0];
         assert!((mean(&v) - 2.0).abs() < 1e-12);
+        assert!((mean_over(&v, 1, 9) - 2.5).abs() < 1e-12);
+        assert_eq!(mean_over(&v, 5, 9), 0.0);
         assert!((fraction(&v, |x| x >= 2.0) - 2.0 / 3.0).abs() < 1e-12);
     }
 }
-pub mod sweep;

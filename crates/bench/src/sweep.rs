@@ -7,12 +7,19 @@
 use empower_baselines::{enumerate_paths, maximize_utility, CapacityRegion, RegionKind};
 use empower_cc::{CcProblem, ProportionalFair, Utility};
 use empower_core::{FluidEval, RunConfig, Scheme};
+use empower_dynamics::{run_scenario, Scenario, ScenarioError, ScenarioOutcome};
 use empower_exec::run_indexed;
-use empower_model::rng::SeedableRng;
-use empower_model::rng::StdRng;
+use empower_model::rng::{SeedableRng, StdRng};
 use empower_model::topology::random::{generate, RandomTopologyConfig, TopologyClass};
-use empower_model::{CarrierSense, InterferenceMap, InterferenceModel, Medium, Network, NodeId};
-use empower_telemetry::{CounterType, Telemetry};
+use empower_model::{
+    CarrierSense, InterferenceMap, InterferenceModel, Medium, Network, NodeId, Path,
+};
+use empower_sim::Simulation;
+use empower_telemetry::{impl_to_json_struct, CounterSnapshot, CounterType, Telemetry};
+use empower_testbed::fig13::{run_flows_traced, Fig13Config, Fig13Row};
+use empower_workload::{WorkloadCorpusOutput, WorkloadOutput, WorkloadScenario};
+
+use crate::Opts;
 
 /// Maximum hop count for the centralized references' route space. Local-
 /// network routes are a few hops (§3.2: observed tree depth ≤ 3; the header
@@ -39,14 +46,8 @@ pub struct SweepRun {
     pub conservative: ReferencePoint,
 }
 
-empower_telemetry::impl_to_json_struct!(ReferencePoint { flow_rates, utility });
-empower_telemetry::impl_to_json_struct!(SweepRun {
-    seed,
-    scheme_rates,
-    scheme_utility,
-    optimal,
-    conservative,
-});
+impl_to_json_struct!(ReferencePoint { flow_rates, utility });
+impl_to_json_struct!(SweepRun { seed, scheme_rates, scheme_utility, optimal, conservative });
 
 /// Draws one topology + flow set for `seed`.
 pub fn make_instance(
@@ -57,47 +58,28 @@ pub fn make_instance(
     let mut rng = StdRng::seed_from_u64(seed);
     let topo = generate(&mut rng, &RandomTopologyConfig::new(class));
     let imap = CarrierSense::default().build_map(&topo.net);
-    let flows: Vec<(NodeId, NodeId)> =
-        (0..flow_count).map(|_| topo.sample_flow(&mut rng)).collect();
+    let flows = (0..flow_count).map(|_| topo.sample_flow(&mut rng)).collect();
     (topo.net, imap, flows)
 }
 
 /// Solves the centralized reference over all ≤-[`OPT_MAX_HOPS`] hybrid
-/// paths.
+/// paths plus `extra_routes[f]` (e.g. the routes the evaluated schemes
+/// actually used — which may be longer than [`OPT_MAX_HOPS`]), so the
+/// "optimal" can never lose to a scheme it is supposed to bound.
 pub fn reference(
     net: &Network,
     imap: &InterferenceMap,
     flows: &[(NodeId, NodeId)],
     kind: RegionKind,
     delta: f64,
-) -> ReferencePoint {
-    reference_with_extra(net, imap, flows, kind, delta, &[])
-}
-
-/// Like [`reference()`] but guaranteeing that `extra_routes[f]` (e.g. the
-/// routes the evaluated schemes actually used — which may be longer than
-/// [`OPT_MAX_HOPS`]) are part of the reference's route space, so the
-/// "optimal" can never lose to a scheme it is supposed to bound.
-pub fn reference_with_extra(
-    net: &Network,
-    imap: &InterferenceMap,
-    flows: &[(NodeId, NodeId)],
-    kind: RegionKind,
-    delta: f64,
-    extra_routes: &[Vec<empower_model::Path>],
+    extra_routes: &[Vec<Path>],
 ) -> ReferencePoint {
     let mediums = [Medium::WIFI1, Medium::Plc];
     let mut flow_routes = Vec::new();
     let mut connected = Vec::new();
     for (f, &(s, d)) in flows.iter().enumerate() {
         let mut paths = enumerate_paths(net, s, d, OPT_MAX_HOPS, Some(&mediums));
-        if let Some(extra) = extra_routes.get(f) {
-            for p in extra {
-                if !paths.contains(p) {
-                    paths.push(p.clone());
-                }
-            }
-        }
+        push_new(&mut paths, extra_routes.get(f).into_iter().flatten().cloned());
         if !paths.is_empty() {
             connected.push(f);
             flow_routes.push(paths);
@@ -112,25 +94,23 @@ pub fn reference_with_extra(
             flow_rates[f] = sol.flow_rates[ci];
         }
     }
-    let pf = ProportionalFair;
-    let utility = flow_rates.iter().map(|&x| pf.value(x)).sum();
+    let utility = flow_rates.iter().map(|&x| ProportionalFair.value(x)).sum();
     ReferencePoint { flow_rates, utility }
 }
 
-/// Evaluates one run under `schemes` plus both references.
-pub fn run_one(
-    class: TopologyClass,
-    seed: u64,
-    flow_count: usize,
-    schemes: &[Scheme],
-    params: &FluidEval,
-) -> SweepRun {
-    run_one_traced(class, seed, flow_count, schemes, params, &Telemetry::disabled())
+/// Appends the paths of `more` that `paths` does not hold yet, in order.
+fn push_new(paths: &mut Vec<Path>, more: impl IntoIterator<Item = Path>) {
+    for p in more {
+        if !paths.contains(&p) {
+            paths.push(p);
+        }
+    }
 }
 
-/// Like [`run_one`], recording per-run counters on `tele`: every
-/// `evaluate_equilibrium` call's counters accumulate, plus a
-/// `sweep/runs` tally so a manifest shows how many runs contributed.
+/// Evaluates one run under `schemes` plus both references, recording
+/// per-run counters on `tele`: every `evaluate_equilibrium` call's counters
+/// accumulate, plus a `sweep/runs` tally so a manifest shows how many runs
+/// contributed.
 pub fn run_one_traced(
     class: TopologyClass,
     seed: u64,
@@ -142,14 +122,13 @@ pub fn run_one_traced(
     let (net, imap, flows) = make_instance(class, seed, flow_count);
     let mut scheme_rates = Vec::with_capacity(schemes.len());
     let mut scheme_utility = Vec::with_capacity(schemes.len());
-    let mut extra: Vec<Vec<empower_model::Path>> = vec![Vec::new(); flows.len()];
+    let mut extra: Vec<Vec<Path>> = vec![Vec::new(); flows.len()];
     for &scheme in schemes {
         for (f, &(s, d)) in flows.iter().enumerate() {
-            for p in scheme.compute_routes(&net, &imap, s, d, params.n_shortest).paths() {
-                if !extra[f].contains(&p) {
-                    extra[f].push(p);
-                }
-            }
+            push_new(
+                &mut extra[f],
+                scheme.compute_routes(&net, &imap, s, d, params.n_shortest).paths(),
+            );
         }
         let out = RunConfig::from_fluid(scheme, params)
             .telemetry(tele.clone())
@@ -159,10 +138,9 @@ pub fn run_one_traced(
         scheme_utility.push(out.utility);
     }
     tele.counter("sweep/runs", CounterType::Packets).inc();
-    let optimal =
-        reference_with_extra(&net, &imap, &flows, RegionKind::Cliques, params.delta, &extra);
+    let optimal = reference(&net, &imap, &flows, RegionKind::Cliques, params.delta, &extra);
     let conservative =
-        reference_with_extra(&net, &imap, &flows, RegionKind::Conservative, params.delta, &extra);
+        reference(&net, &imap, &flows, RegionKind::Conservative, params.delta, &extra);
     SweepRun { seed, scheme_rates, scheme_utility, optimal, conservative }
 }
 
@@ -173,8 +151,7 @@ pub fn run_one_traced(
 ///
 /// `Telemetry` is single-threaded by design (`Rc`-based), so each work item
 /// records on its own registry inside the worker (a disabled one when `tele`
-/// is) and only the `Send`-able [`empower_telemetry::CounterSnapshot`]
-/// crosses threads; snapshots merge into `tele` in index order (monotone
+/// is) and only the `Send`-able [`CounterSnapshot`] crosses threads; snapshots merge into `tele` in index order (monotone
 /// counters add, gauges last-write-win), which reproduces exactly the
 /// registry a serial run would build.
 pub fn fan_out<T: Send>(
@@ -189,32 +166,27 @@ pub fn fan_out<T: Send>(
         let item = f(i, &item_tele);
         (item, item_tele.snapshot())
     });
-    let mut out = Vec::with_capacity(results.len());
-    for (item, snap) in results {
+    let merge = |(item, snap): (T, CounterSnapshot)| {
         tele.merge_snapshot(&snap);
-        out.push(item);
-    }
-    out
+        item
+    };
+    results.into_iter().map(merge).collect()
 }
 
-/// Runs the sweep `seed = base_seed + index` for `index ∈ 0..count` through
-/// [`fan_out`] and returns the runs in index order.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "mirrors run_one_traced's parameters plus the fan-out's jobs and telemetry"
-)]
+/// Runs the sweep `seed = opts.seed + index` for `index ∈ 0..count` under
+/// the default fluid evaluation on `opts.jobs` workers through [`fan_out`]
+/// and returns the runs in index order.
 pub fn run_sweep_parallel(
     class: TopologyClass,
-    base_seed: u64,
     count: usize,
     flow_count: usize,
     schemes: &[Scheme],
-    params: &FluidEval,
-    jobs: usize,
+    opts: &Opts,
     tele: &Telemetry,
 ) -> Vec<SweepRun> {
-    fan_out(jobs, count, tele, |i, item_tele| {
-        run_one_traced(class, base_seed + i as u64, flow_count, schemes, params, item_tele)
+    let params = FluidEval::default();
+    fan_out(opts.jobs, count, tele, |i, item_tele| {
+        run_one_traced(class, opts.seed + i as u64, flow_count, schemes, &params, item_tele)
     })
 }
 
@@ -222,19 +194,19 @@ pub fn run_sweep_parallel(
 /// through [`fan_out`] and returns the outcomes in index order.
 ///
 /// # Errors
-/// The first [`empower_dynamics::ScenarioError`] any seed produced (they
-/// all address the same topology, so one failing means all do).
+/// The first [`ScenarioError`] any seed produced (they all address the
+/// same topology, so one failing means all do).
 pub fn run_dynamics_sweep(
-    scenario: &empower_dynamics::Scenario,
+    scenario: &Scenario,
     base_seed: u64,
     count: usize,
     jobs: usize,
     tele: &Telemetry,
-) -> Result<Vec<empower_dynamics::ScenarioOutcome>, empower_dynamics::ScenarioError> {
+) -> Result<Vec<ScenarioOutcome>, ScenarioError> {
     let run = |i: usize, item_tele: &Telemetry| {
         let mut item = scenario.clone();
         item.run.seed = base_seed + i as u64;
-        empower_dynamics::run_scenario(&item, item_tele)
+        run_scenario(&item, item_tele)
     };
     fan_out(jobs, count, tele, run).into_iter().collect()
 }
@@ -242,17 +214,17 @@ pub fn run_dynamics_sweep(
 /// Runs the Fig. 13 testbed flow list through [`fan_out`] (one work item
 /// per flow — each flow is an independent pair of simulations) and
 /// returns the rows in flow order — byte-identical to
-/// [`empower_testbed::fig13::run_flows_traced`] for any `jobs`.
+/// [`run_flows_traced`] for any `jobs`.
 pub fn run_fig13_parallel(
     net: &Network,
     imap: &InterferenceMap,
-    config: &empower_testbed::fig13::Fig13Config,
+    config: &Fig13Config,
     flows: &[(u32, u32)],
     jobs: usize,
     tele: &Telemetry,
-) -> Vec<empower_testbed::fig13::Fig13Row> {
+) -> Vec<Fig13Row> {
     let run = |i: usize, item_tele: &Telemetry| {
-        empower_testbed::fig13::run_flows_traced(net, imap, config, &flows[i..=i], item_tele)
+        run_flows_traced(net, imap, config, &flows[i..=i], item_tele)
     };
     fan_out(jobs, flows.len(), tele, run).into_iter().flatten().collect()
 }
@@ -262,21 +234,15 @@ pub fn run_fig13_parallel(
 /// byte-comparable renderings, in scenario order.
 ///
 /// # Errors
-/// The first [`empower_dynamics::ScenarioError`] any scenario produced.
-#[allow(clippy::type_complexity, reason = "the pair of outputs per scenario is spelled once, here")]
+/// The first [`ScenarioError`] any scenario produced.
 pub fn run_workload_corpus_parallel(
-    scenarios: &[empower_workload::WorkloadScenario],
+    scenarios: &[WorkloadScenario],
     jobs: usize,
     tele: &Telemetry,
-) -> Result<
-    Vec<(empower_workload::WorkloadOutput, empower_workload::WorkloadCorpusOutput)>,
-    empower_dynamics::ScenarioError,
-> {
+) -> Result<Vec<(WorkloadOutput, WorkloadCorpusOutput)>, ScenarioError> {
     let run = |i: usize, item_tele: &Telemetry| {
-        empower_workload::run_workload_scenario_with::<empower_sim::Simulation>(
-            &scenarios[i],
-            item_tele.clone(),
-        )
+        let item_tele = item_tele.clone();
+        empower_workload::run_workload_scenario_with::<Simulation>(&scenarios[i], item_tele)
     };
     fan_out(jobs, scenarios.len(), tele, run).into_iter().collect()
 }
@@ -288,7 +254,9 @@ mod tests {
     #[test]
     fn one_residential_run_is_consistent() {
         let schemes = [Scheme::Empower, Scheme::Sp, Scheme::SpWifi];
-        let run = run_one(TopologyClass::Residential, 42, 1, &schemes, &FluidEval::default());
+        let params = FluidEval::default();
+        let tele = Telemetry::disabled();
+        let run = run_one_traced(TopologyClass::Residential, 42, 1, &schemes, &params, &tele);
         assert_eq!(run.scheme_rates.len(), 3);
         // EMPoWER never loses to its own single-path restriction.
         assert!(run.scheme_rates[0][0] >= run.scheme_rates[1][0] - 1e-6);
@@ -299,8 +267,9 @@ mod tests {
 
     #[test]
     fn enterprise_reference_is_no_smaller_than_empower() {
+        let (params, tele) = (FluidEval::default(), Telemetry::disabled());
         let run =
-            run_one(TopologyClass::Enterprise, 7, 1, &[Scheme::Empower], &FluidEval::default());
+            run_one_traced(TopologyClass::Enterprise, 7, 1, &[Scheme::Empower], &params, &tele);
         assert!(run.optimal.flow_rates[0] + 1e-6 >= run.scheme_rates[0][0] * 0.99);
     }
 }

@@ -7,7 +7,8 @@
 //! telemetry subsystem exists to rule out.
 
 use empower_bench::sweep::{run_dynamics_sweep, run_fig13_parallel, run_sweep_parallel, SweepRun};
-use empower_core::{FluidEval, Scheme};
+use empower_bench::Opts;
+use empower_core::Scheme;
 use empower_model::topology::random::TopologyClass;
 use empower_model::topology::testbed22;
 use empower_model::{CarrierSense, InterferenceModel};
@@ -24,16 +25,8 @@ fn render(runs: &[SweepRun]) -> String {
 }
 
 fn sweep(jobs: usize, tele: &Telemetry) -> Vec<SweepRun> {
-    run_sweep_parallel(
-        TopologyClass::Residential,
-        SEED,
-        RUNS,
-        1,
-        &SCHEMES,
-        &FluidEval::default(),
-        jobs,
-        tele,
-    )
+    let opts = Opts { seed: SEED, jobs, ..Opts::default() };
+    run_sweep_parallel(TopologyClass::Residential, RUNS, 1, &SCHEMES, &opts, tele)
 }
 
 /// A shortened Fig. 12-style capacity-drop scenario (same shape as

@@ -1,5 +1,5 @@
 //! Run manifests: self-describing provenance records written next to
-//! experiment results (`--metrics <path>` in the bench binaries).
+//! experiment results (`--metrics <path>` on the `empower` CLI).
 //!
 //! A manifest is an insertion-ordered JSON object holding the experiment
 //! name, the run parameters (seed, scheme, sweep size, …) and a counter
@@ -18,7 +18,7 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Starts a manifest for `experiment` (the figure/table binary name).
+    /// Starts a manifest for `experiment` (the figure/table or verb name).
     pub fn new(experiment: &str) -> Manifest {
         Manifest {
             fields: vec![

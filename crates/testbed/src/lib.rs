@@ -15,8 +15,8 @@
 //! * [`fig12`]/[`fig13`] — TCP over the datapath (time series and
 //!   10-flow comparison, δ = 0.3).
 //!
-//! Each runner returns plain data structures; the `empower-bench` binaries
-//! format them into the tables/series the paper prints.
+//! Each runner returns plain data structures; `empower-bench` renders them
+//! into the tables/series the paper prints (`empower figure <name>`).
 
 pub mod brute_force;
 pub mod fig10;

@@ -5,7 +5,7 @@ set -x
 cd "$(dirname "$0")"
 R=results
 mkdir -p "$R"
-run() { name=$1; shift; ./target/release/"$name" "$@" --json "$R/$name.json" > "$R/$name.txt" 2>&1; }
+run() { name=$1; shift; ./target/release/empower figure "$name" "$@" --json "$R/$name.json" > "$R/$name.txt" 2>&1; }
 
 run fig4_hybrid_cdf  --runs ${RUNS_FIG4:-1000}
 run fig5_worst_flows --runs ${RUNS_FIG4:-1000}

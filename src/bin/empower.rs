@@ -6,122 +6,140 @@
 //! empower routes   residential --seed 7 0 3    # EMPoWER's route combination
 //! empower evaluate residential --seed 7 0 3    # all 8 schemes, equilibrium
 //! empower simulate residential --seed 7 0 3    # packet-level run (300 s)
-//! empower topology testbed                     # the simulated 22-node floor
 //! empower scenario run   examples/fig12_drop.toml   # dynamics + faults
 //! empower scenario fluid examples/fig12_drop.toml   # quasi-static timeline
 //! empower workload run   examples/workload_iot_floor.toml  # workload DSL + SLOs
+//! empower figure fig4_hybrid_cdf --quick --json d.json   # a paper figure
 //! ```
 //!
-//! `evaluate`, `simulate` and `scenario run` accept `--metrics <path>`: a
-//! run manifest (seed, parameters, resilience metrics, full counter
-//! snapshot) is written there, byte-identical across same-seed runs.
+//! Every verb but `topology` and `routes` writes a run manifest (seed,
+//! parameters, counters), byte-identical across same-seed runs, to
+//! `--metrics <path>`. A flag the verb does not read is a usage error.
 
+use empower_bench::sweep::make_instance;
+use empower_bench::{Opts, FIGURES};
 use empower_core::{RunConfig, Scheme};
 use empower_dynamics::{fluid_timeline, run_scenario, Scenario};
-use empower_model::rng::{SeedableRng, StdRng};
-use empower_model::topology::random::{generate, RandomTopologyConfig, TopologyClass};
-use empower_model::topology::testbed22;
-use empower_model::{CarrierSense, InterferenceMap, InterferenceModel, Network, NodeId};
+use empower_model::topology::random::TopologyClass;
+use empower_model::{InterferenceMap, Network, NodeId};
 use empower_sim::{SimConfig, TrafficPattern};
 use empower_telemetry::{CounterType, Manifest, Telemetry};
 
 fn usage() -> ! {
+    let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
     eprintln!(
-        "usage: empower <topology|routes|evaluate|simulate> <residential|enterprise|testbed> \
-         [--seed S] [--metrics PATH] [src dst]\n\
+        "usage: empower topology <residential|enterprise|testbed> [--seed S]\n\
+         \x20      empower routes <residential|enterprise|testbed> [--seed S] src dst\n\
+         \x20      empower <evaluate|simulate> <residential|enterprise|testbed> [--seed S] \
+         [--metrics PATH] src dst\n\
          \x20      empower scenario <run|fluid> <scenario.toml|.json> [--metrics PATH]\n\
-         \x20      empower workload run <workload.toml|.json> [--metrics PATH]"
+         \x20      empower workload run <workload.toml|.json> [--metrics PATH]\n\
+         \x20      empower figure <name> [--runs N] [--quick] [--seed S] [--jobs J] \
+         [--json PATH] [--metrics PATH]\n\
+         figures: {}",
+        names.join(" ")
     );
     std::process::exit(2)
 }
 
+/// Reports a bad command line, then the usage.
+fn bad(message: &str) -> ! {
+    eprintln!("empower: {message}");
+    usage()
+}
+
+/// Prints the error and exits 1.
+fn or_exit<T>(result: Result<T, impl std::fmt::Display>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1)
+    })
+}
+
+/// Every flag of every verb; `figure` reads them all.
+const FLAGS: [&str; 6] = ["--runs", "--quick", "--seed", "--jobs", "--json", "--metrics"];
+
+/// The command line: the positional words and the flags.
+#[derive(Default)]
 struct Args {
-    command: String,
-    class: String,
+    positional: Vec<String>,
     seed: u64,
+    runs: Option<usize>,
+    jobs: usize,
+    quick: bool,
+    json: Option<String>,
     metrics: Option<String>,
-    endpoints: Option<(u32, u32)>,
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut positional = Vec::new();
-    let mut seed = 1u64;
-    let mut metrics = None;
-    let mut i = 0;
-    while i < argv.len() {
-        if argv[i] == "--seed" {
-            i += 1;
-            seed = argv.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-        } else if argv[i] == "--metrics" {
-            i += 1;
-            metrics = Some(argv.get(i).cloned().unwrap_or_else(|| usage()));
-        } else {
-            positional.push(argv[i].clone());
+impl Args {
+    /// Parses the words after the verb; a flag outside `reads` (the flags
+    /// `verb` reads) is a usage error.
+    fn parse(verb: &str, reads: &[&str]) -> Args {
+        let mut args = Args { seed: 1, jobs: 1, ..Args::default() };
+        let mut it = std::env::args().skip(2);
+        while let Some(word) = it.next() {
+            if !word.starts_with("--") {
+                args.positional.push(word);
+                continue;
+            }
+            if FLAGS.contains(&word.as_str()) && !reads.contains(&word.as_str()) {
+                bad(&format!("`{verb}` does not read {word}"));
+            }
+            let it = &mut it;
+            match word.as_str() {
+                "--seed" => args.seed = value(it, &word),
+                "--runs" => args.runs = Some(value(it, &word)),
+                "--jobs" => args.jobs = value(it, &word),
+                "--quick" => args.quick = true,
+                "--json" => args.json = Some(value(it, &word)),
+                "--metrics" => args.metrics = Some(value(it, &word)),
+                _ => bad(&format!("unknown flag {word}")),
+            }
         }
-        i += 1;
+        args
     }
-    if positional.len() < 2 {
-        usage();
+
+    /// Positional word `i` after the verb, or usage.
+    fn word(&self, i: usize) -> &str {
+        self.positional.get(i).map_or_else(|| usage(), String::as_str)
     }
-    let endpoints = if positional.len() >= 4 {
-        match (positional[2].parse(), positional[3].parse()) {
-            (Ok(a), Ok(b)) => Some((a, b)),
-            _ => usage(),
+
+    /// Writes `manifest` if `--metrics` was given.
+    fn write_manifest(&self, manifest: &Manifest) {
+        if let Some(path) = &self.metrics {
+            write(path, &manifest.render());
         }
-    } else {
-        None
-    };
-    Args { command: positional[0].clone(), class: positional[1].clone(), seed, metrics, endpoints }
-}
-
-/// Writes the manifest if `--metrics` was given.
-fn maybe_write_manifest(args: &Args, experiment: &str, tele: &Telemetry) {
-    let Some(path) = &args.metrics else { return };
-    let mut m = Manifest::new(experiment);
-    m.set("class", args.class.as_str()).set("seed", args.seed).attach_counters(tele);
-    write_manifest(&m, path);
-}
-
-fn write_manifest(m: &Manifest, path: &str) {
-    if let Err(e) = m.write(path) {
-        eprintln!("cannot write metrics to {path}: {e}");
-        std::process::exit(1);
     }
+}
+
+/// The word after `flag`, parsed as its value.
+fn value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    let word = it.next().filter(|v| !v.starts_with("--"));
+    let word = word.unwrap_or_else(|| bad(&format!("{flag} needs a value")));
+    word.parse().unwrap_or_else(|_| bad(&format!("{flag} does not take {word:?}")))
+}
+
+fn write(path: &str, contents: &str) {
+    or_exit(std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}")));
 }
 
 fn build(class: &str, seed: u64) -> (Network, InterferenceMap) {
-    let net = match class {
-        "residential" => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            generate(&mut rng, &RandomTopologyConfig::new(TopologyClass::Residential)).net
-        }
-        "enterprise" => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            generate(&mut rng, &RandomTopologyConfig::new(TopologyClass::Enterprise)).net
-        }
-        "testbed" => testbed22(seed).net,
+    let class = match class {
+        "residential" => TopologyClass::Residential,
+        "enterprise" => TopologyClass::Enterprise,
+        "testbed" => return empower_bench::testbed::network(seed),
         _ => usage(),
     };
-    let imap = CarrierSense::default().build_map(&net);
+    let (net, imap, _) = make_instance(class, seed, 0);
     (net, imap)
 }
 
+fn read(path: &str) -> String {
+    or_exit(std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}")))
+}
+
 fn load_scenario(path: &str) -> Scenario {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    match Scenario::parse_str(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    or_exit(Scenario::parse_str(&read(path)).map_err(|e| format!("{path}: {e}")))
 }
 
 fn fmt_opt_secs(v: Option<f64>) -> String {
@@ -130,16 +148,10 @@ fn fmt_opt_secs(v: Option<f64>) -> String {
 
 /// `empower scenario run <file>`: packet-level run with fault injection,
 /// route monitoring and resilience metrics.
-fn scenario_run(args: &Args) {
-    let scenario = load_scenario(&args.class);
+fn scenario_run(args: &Args, path: &str) {
+    let scenario = load_scenario(path);
     let tele = Telemetry::enabled();
-    let outcome = match run_scenario(&scenario, &tele) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    };
+    let outcome = or_exit(run_scenario(&scenario, &tele));
     println!(
         "scenario {:?}: {} on {}, {:.0} s horizon",
         scenario.name,
@@ -172,36 +184,26 @@ fn scenario_run(args: &Args) {
         );
     }
     let horizon = scenario.run.horizon_secs;
-    let mean =
-        outcome.aggregate_series.iter().sum::<f64>() / outcome.aggregate_series.len().max(1) as f64;
+    let mean = empower_bench::mean(&outcome.aggregate_series);
     println!("mean aggregate goodput over {horizon:.0} s: {mean:.2} Mbps");
 
-    if let Some(path) = &args.metrics {
-        let mut m = Manifest::new("scenario");
-        m.set("name", scenario.name.as_str())
-            .set("scheme", scenario.run.scheme.label())
-            .set("topology", scenario.topology.kind.label())
-            .set("seed", scenario.run.seed)
-            .set("horizon_secs", horizon)
-            .set("faults", outcome.faults.len() as u64)
-            .set("reroutes", outcome.reroutes.len() as u64)
-            .set("resilience", &outcome.resilience[..])
-            .attach_counters(&tele);
-        write_manifest(&m, path);
-    }
+    let mut m = Manifest::new("scenario");
+    m.set("name", scenario.name.as_str())
+        .set("scheme", scenario.run.scheme.label())
+        .set("topology", scenario.topology.kind.label())
+        .set("seed", scenario.run.seed)
+        .set("horizon_secs", horizon)
+        .set("faults", outcome.faults.len() as u64)
+        .set("reroutes", outcome.reroutes.len() as u64)
+        .set("resilience", &outcome.resilience[..])
+        .attach_counters(&tele);
+    args.write_manifest(&m);
 }
 
 /// `empower scenario fluid <file>`: the quasi-static segment timeline.
-fn scenario_fluid(args: &Args) {
-    let scenario = load_scenario(&args.class);
-    let tele = Telemetry::disabled();
-    let segments = match fluid_timeline(&scenario, &tele) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    };
+fn scenario_fluid(args: &Args, path: &str) {
+    let scenario = load_scenario(path);
+    let segments = or_exit(fluid_timeline(&scenario, &Telemetry::disabled()));
     println!(
         "scenario {:?}: {} fluid segments ({} on {})",
         scenario.name,
@@ -219,41 +221,20 @@ fn scenario_fluid(args: &Args) {
             s.utility
         );
     }
-    if let Some(path) = &args.metrics {
-        let mut m = Manifest::new("scenario-fluid");
-        m.set("name", scenario.name.as_str())
-            .set("scheme", scenario.run.scheme.label())
-            .set("segments", &segments[..]);
-        write_manifest(&m, path);
-    }
+    let mut m = Manifest::new("scenario-fluid");
+    m.set("name", scenario.name.as_str())
+        .set("scheme", scenario.run.scheme.label())
+        .set("segments", &segments[..]);
+    args.write_manifest(&m);
 }
 
 /// `empower workload run <file>`: compiles a workload DSL document into a
 /// deterministic flow program, runs it packet-level and prints the
 /// per-client SLO metrics.
-fn workload_run(args: &Args) {
-    let path = &args.class;
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let w = match empower_workload::Workload::parse_str(&text) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let out = match empower_workload::run_workload(&w) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    };
+fn workload_run(args: &Args, path: &str) {
+    let parsed = empower_workload::Workload::parse_str(&read(path));
+    let w = or_exit(parsed.map_err(|e| format!("{path}: {e}")));
+    let out = or_exit(empower_workload::run_workload(&w));
     println!(
         "workload {:?}: {} client groups, {} flows on {}, {:.0} s horizon, seed {}",
         w.name,
@@ -283,70 +264,73 @@ fn workload_run(args: &Args) {
     if let Some(path) = &args.metrics {
         // The workload manifest already carries configuration, counters
         // and SLO gauges; write it verbatim.
-        if let Err(e) = std::fs::write(path, &out.manifest) {
-            eprintln!("cannot write metrics to {path}: {e}");
-            std::process::exit(1);
-        }
+        write(path, &out.manifest);
     }
 }
 
+/// `empower figure <name>`: computes one paper figure, prints its table
+/// and writes its raw rows (`--json`) and run manifest (`--metrics`).
+fn figure(args: &Args, name: &str) {
+    let Some((name, compute)) = FIGURES.iter().find(|(n, _)| *n == name) else {
+        bad(&format!("no figure named {name}"))
+    };
+    let opts = Opts { runs: args.runs, quick: args.quick, seed: args.seed, jobs: args.jobs };
+    let tele = if args.metrics.is_some() { Telemetry::enabled() } else { Telemetry::disabled() };
+    let fig = or_exit(compute(&opts, &tele));
+    let mut m = Manifest::new(name);
+    m.set("seed", opts.seed).set("quick", opts.quick).set("runs_flag", opts.runs.map(|r| r as u64));
+    fig.render(&opts, &mut m);
+    if let Some(path) = &args.json {
+        write(path, &fig.to_json().to_string_pretty());
+    }
+    args.write_manifest(m.attach_counters(&tele));
+}
+
 fn main() {
-    let args = parse_args();
-    if args.command == "workload" {
-        let argv: Vec<String> = std::env::args().skip(1).filter(|a| !a.starts_with("--")).collect();
-        let (action, file) = match (argv.get(1), argv.get(2)) {
-            (Some(a), Some(f)) => (a.clone(), f.clone()),
-            _ => usage(),
-        };
-        if action != "run" {
-            usage();
-        }
-        workload_run(&Args { class: file, ..args });
-        return;
+    let verb = std::env::args().nth(1).unwrap_or_else(|| usage());
+    let reads: &[&str] = match verb.as_str() {
+        "topology" | "routes" => &["--seed"],
+        "evaluate" | "simulate" => &["--seed", "--metrics"],
+        "scenario" | "workload" => &["--metrics"],
+        "figure" => &FLAGS,
+        _ => usage(),
+    };
+    let args = Args::parse(&verb, reads);
+    match (verb.as_str(), args.word(0)) {
+        ("scenario", "run") => scenario_run(&args, args.word(1)),
+        ("scenario", "fluid") => scenario_fluid(&args, args.word(1)),
+        ("workload", "run") => workload_run(&args, args.word(1)),
+        ("scenario" | "workload", _) => usage(),
+        ("figure", name) => figure(&args, name),
+        (verb, class) => network_verb(&args, verb, class),
     }
-    if args.command == "scenario" {
-        // Here `class` is the sub-action and the first endpoint slot held
-        // the file path; reparse positionally.
-        let argv: Vec<String> = std::env::args().skip(1).filter(|a| !a.starts_with("--")).collect();
-        let (action, file) = match (argv.get(1), argv.get(2)) {
-            (Some(a), Some(f)) => (a.clone(), f.clone()),
-            _ => usage(),
-        };
-        let args = Args { class: file, ..args };
-        match action.as_str() {
-            "run" => scenario_run(&args),
-            "fluid" => scenario_fluid(&args),
-            _ => usage(),
-        }
-        return;
-    }
-    let (net, imap) = build(&args.class, args.seed);
-    match args.command.as_str() {
+}
+
+/// The verbs on one generated network: `topology`, `routes`, `evaluate`
+/// and `simulate`.
+fn network_verb(args: &Args, verb: &str, class: &str) {
+    let (net, imap) = build(class, args.seed);
+    let endpoints = || match (args.word(1).parse(), args.word(2).parse()) {
+        (Ok(a), Ok(b)) => (a, b),
+        _ => usage(),
+    };
+    let tele = if args.metrics.is_some() { Telemetry::enabled() } else { Telemetry::disabled() };
+    match verb {
         "topology" => {
-            println!("{} topology, seed {}", args.class, args.seed);
+            println!("{class} topology, seed {}", args.seed);
             println!("{} nodes, {} directed links", net.node_count(), net.link_count());
             for n in net.nodes() {
                 let mediums: Vec<String> = n.mediums.iter().map(|m| m.label()).collect();
-                println!(
-                    "  {}  ({:>5.1},{:>5.1})  [{}]",
-                    n.id,
-                    n.pos.x,
-                    n.pos.y,
-                    mediums.join("+")
-                );
+                let (id, x, y, mediums) = (n.id, n.pos.x, n.pos.y, mediums.join("+"));
+                println!("  {id}  ({x:>5.1},{y:>5.1})  [{mediums}]");
             }
             for l in net.links().iter().filter(|l| l.from < l.to) {
-                println!(
-                    "  {} <-> {}  {:<6} {:>6.1} Mbps",
-                    l.from,
-                    l.to,
-                    l.medium.label(),
-                    l.capacity_mbps
-                );
+                let (from, to, medium, mbps) = (l.from, l.to, l.medium.label(), l.capacity_mbps);
+                println!("  {from} <-> {to}  {medium:<6} {mbps:>6.1} Mbps");
             }
         }
         "routes" => {
-            let (s, d) = args.endpoints.unwrap_or_else(|| usage());
+            let (s, d) = endpoints();
             let routes = Scheme::Empower.compute_routes(&net, &imap, NodeId(s), NodeId(d), 5);
             if routes.is_empty() {
                 println!("n{s} and n{d} are not connected on PLC/WiFi");
@@ -359,33 +343,23 @@ fn main() {
             println!("total nominal capacity: {:.1} Mbps", routes.total_rate());
         }
         "evaluate" => {
-            let (s, d) = args.endpoints.unwrap_or_else(|| usage());
-            let tele =
-                if args.metrics.is_some() { Telemetry::enabled() } else { Telemetry::disabled() };
+            let (s, d) = endpoints();
             println!("{:<12} {:>10}", "scheme", "Mbps");
-            let mut rates = Vec::new();
             for scheme in Scheme::ALL {
                 let out = RunConfig::new(scheme)
                     .telemetry(tele.clone())
                     .evaluate_equilibrium(&net, &imap, &[(NodeId(s), NodeId(d))])
                     .expect("tolerant mode cannot fail");
-                println!("{:<12} {:>10.2}", scheme.label(), out.flow_rates[0]);
-                rates.push((scheme.label(), out.flow_rates[0]));
+                let (label, rate) = (scheme.label(), out.flow_rates[0]);
+                println!("{label:<12} {rate:>10.2}");
+                // Counters aggregate across the eight schemes; each rate is
+                // a gauge of its own.
+                tele.counter(format!("eval/{label}/mbps_x100"), CounterType::Gauge)
+                    .set((rate * 100.0).round() as u64);
             }
-            if args.metrics.is_some() {
-                // Counters aggregate across the eight schemes; the rates
-                // themselves go in as manifest keys.
-                for (label, rate) in &rates {
-                    tele.counter(format!("eval/{label}/mbps_x100"), CounterType::Gauge)
-                        .set((rate * 100.0).round() as u64);
-                }
-            }
-            maybe_write_manifest(&args, "evaluate", &tele);
         }
         "simulate" => {
-            let (s, d) = args.endpoints.unwrap_or_else(|| usage());
-            let tele =
-                if args.metrics.is_some() { Telemetry::enabled() } else { Telemetry::disabled() };
+            let (s, d) = endpoints();
             let flows =
                 [(NodeId(s), NodeId(d), TrafficPattern::SaturatedUdp { start: 0.0, stop: 300.0 })];
             let (mut sim, mapping) = RunConfig::new(Scheme::Empower)
@@ -408,8 +382,9 @@ fn main() {
                 report.flows[f].delivered_bits / SimConfig::default().frame_bits,
                 report.flows[f].declared_lost,
             );
-            maybe_write_manifest(&args, "simulate", &tele);
         }
         _ => usage(),
     }
+    let mut m = Manifest::new(verb);
+    args.write_manifest(m.set("class", class).set("seed", args.seed).attach_counters(&tele));
 }

@@ -92,6 +92,7 @@ fn scheme_partial_order_holds() {
             &flows,
             empower_core::baselines::RegionKind::Cliques,
             0.0,
+            &[],
         );
         let cons = empower_bench::sweep::reference(
             &net,
@@ -99,6 +100,7 @@ fn scheme_partial_order_holds() {
             &flows,
             empower_core::baselines::RegionKind::Conservative,
             0.0,
+            &[],
         );
         assert!(opt.flow_rates[0] + 1e-6 >= cons.flow_rates[0], "seed {seed}");
     }
