@@ -263,13 +263,17 @@ cmp "$SMOKE_DIR/a.json" "$SMOKE_DIR/b.json" \
     || { echo "scenario manifests differ between identical runs" >&2; exit 1; }
 
 say "workload smoke test (determinism)"
-# Same two-run byte-comparison for the workload DSL's CLI entry point.
-$EMPOWER workload run examples/workload_enterprise_rr.toml \
-    --metrics "$SMOKE_DIR/wa.json" >/dev/null
-$EMPOWER workload run examples/workload_enterprise_rr.toml \
-    --metrics "$SMOKE_DIR/wb.json" >/dev/null
-cmp "$SMOKE_DIR/wa.json" "$SMOKE_DIR/wb.json" \
-    || { echo "workload manifests differ between identical runs" >&2; exit 1; }
+# Same two-run byte-comparison for the workload CLI entry point: a plain
+# client workload, then the two documents with a fault timeline, which
+# run the driver's poll-and-reroute loop (on fig1 and on a campus).
+for doc in workload_enterprise_rr workload_campus_flap fig12_drop; do
+    $EMPOWER workload run "examples/$doc.toml" \
+        --metrics "$SMOKE_DIR/$doc.a.json" >/dev/null
+    $EMPOWER workload run "examples/$doc.toml" \
+        --metrics "$SMOKE_DIR/$doc.b.json" >/dev/null
+    cmp "$SMOKE_DIR/$doc.a.json" "$SMOKE_DIR/$doc.b.json" \
+        || { echo "workload manifests of $doc differ between identical runs" >&2; exit 1; }
+done
 
 say "figure smoke test (determinism across --jobs)"
 # Every figure the driver's usage message lists, at quick size, once

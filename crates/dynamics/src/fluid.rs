@@ -8,7 +8,6 @@
 //! packet-by-packet.
 
 use empower_core::RunConfig;
-use empower_model::{InterferenceMap, Network};
 use empower_telemetry::{impl_to_json_struct, Telemetry};
 
 use crate::driver::build_topology;
@@ -30,8 +29,8 @@ pub struct FluidSegment {
 
 impl_to_json_struct!(FluidSegment { from_secs, to_secs, flow_rates, utility });
 
-/// Cuts the scenario at its fault instants and solves each segment's
-/// equilibrium on the mutated network.
+/// Cuts the document at its fault instants and solves each segment's
+/// equilibrium of its `[[flows]]` on the mutated network.
 ///
 /// # Errors
 /// [`ScenarioError`] for events addressing links or nodes the topology
@@ -41,21 +40,8 @@ pub fn fluid_timeline(
     tele: &Telemetry,
 ) -> Result<Vec<FluidSegment>, ScenarioError> {
     let (net, imap) = build_topology(scenario);
-    fluid_timeline_on(scenario, &net, &imap, tele)
-}
-
-/// [`fluid_timeline`] on an explicit network.
-///
-/// # Errors
-/// See [`fluid_timeline`].
-pub fn fluid_timeline_on(
-    scenario: &Scenario,
-    net: &Network,
-    imap: &InterferenceMap,
-    tele: &Telemetry,
-) -> Result<Vec<FluidSegment>, ScenarioError> {
     scenario.validate()?;
-    let faults = injector::compile(scenario, net, imap)?;
+    let faults = injector::compile(scenario, &net, &imap)?;
     let config =
         RunConfig::new(scenario.run.scheme).delta(scenario.run.delta).telemetry(tele.clone());
     let flows: Vec<_> = scenario
@@ -72,7 +58,7 @@ pub fn fluid_timeline_on(
     cuts.sort_by(f64::total_cmp);
     cuts.dedup();
 
-    let mut current = net.clone();
+    let mut current = net;
     let mut mutator = NetMutator::new(&current);
     let mut applied = 0usize;
     let mut out = Vec::with_capacity(cuts.len().saturating_sub(1));
@@ -92,7 +78,7 @@ pub fn fluid_timeline_on(
                       evaluate_equilibrium's only error"
         )]
         let eq = config
-            .evaluate_equilibrium(&current, imap, &flows)
+            .evaluate_equilibrium(&current, &imap, &flows)
             .expect("strict connectivity is off; evaluation cannot fail");
         out.push(FluidSegment {
             from_secs: from,
@@ -124,7 +110,9 @@ mod tests {
                 poll_secs: 0.5,
                 delta: 0.0,
                 recovery_fraction: 0.9,
+                noise: 0.0,
             },
+            clients: vec![],
             flows: vec![FlowSpec {
                 src: 0,
                 dst: 2,

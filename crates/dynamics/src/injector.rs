@@ -5,12 +5,12 @@
 //! capacities the network had at scenario start, and generators expand
 //! into a deterministic event list (same seed → same events, down to the
 //! byte). The result is medium-agnostic: [`schedule`] pushes the faults
-//! onto the packet engine's virtual clock, while [`NetMutator`] replays
+//! onto a packet engine's virtual clock, while [`NetMutator`] replays
 //! them against a plain [`Network`] for the fluid evaluators.
 
 use empower_model::rng::{exponential, Rng, SeedableRng, StdRng};
 use empower_model::{InterferenceMap, LinkId, Medium, Network, NodeId};
-use empower_sim::Simulation;
+use empower_sim::corpus::SimEngine;
 
 use crate::scenario::{GeneratorSpec, Perturbation, Scenario, ScenarioError, TimedPerturbation};
 
@@ -273,13 +273,13 @@ fn expand_generator(
                     bad = !bad;
                     let what = if bad {
                         // Relative to the *baseline* capacity, so repeated
-                        // visits to the bad state do not compound.
-                        Perturbation::Capacity { link, capacity_mbps: f64::NAN, both }
+                        // visits to the bad state do not compound. The
+                        // baseline is only known at compile time: a
+                        // negative capacity marks "baseline × bad_factor".
+                        Perturbation::Capacity { link, capacity_mbps: -bad_factor, both }
                     } else {
                         Perturbation::LinkUp { link, capacity_mbps: None, both }
                     };
-                    // NAN marks "baseline × bad_factor"; patched below
-                    // because the baseline is only known at compile time.
                     out.push(TimedPerturbation { at: t, what });
                 }
                 t += step_secs;
@@ -290,22 +290,12 @@ fn expand_generator(
                     what: Perturbation::LinkUp { link, capacity_mbps: None, both },
                 });
             }
-            // Resolve the NAN placeholders into a scale factor the compiler
-            // understands: rewrite them as Drift-free absolute capacities is
-            // impossible here (no net), so encode via a dedicated marker.
-            for e in out.iter_mut() {
-                if let Perturbation::Capacity { capacity_mbps, .. } = &mut e.what {
-                    if capacity_mbps.is_nan() {
-                        *capacity_mbps = -bad_factor;
-                    }
-                }
-            }
         }
     }
 }
 
-/// Pushes the compiled faults onto the packet engine's event queue.
-pub fn schedule(sim: &mut Simulation, faults: &[CompiledFault]) {
+/// Pushes the compiled faults onto a packet engine's event queue.
+pub fn schedule<E: SimEngine>(sim: &mut E, faults: &[CompiledFault]) {
     for f in faults {
         match f.action {
             FaultAction::SetCapacity { link, capacity_mbps } => {
@@ -391,7 +381,9 @@ mod tests {
                 poll_secs: 0.5,
                 delta: 0.0,
                 recovery_fraction: 0.9,
+                noise: 0.0,
             },
+            clients: vec![],
             flows: vec![FlowSpec {
                 src: 0,
                 dst: 2,

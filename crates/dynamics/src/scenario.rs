@@ -1,25 +1,26 @@
-//! The declarative scenario model: a versioned, serializable timeline of
-//! network perturbations plus seeded stochastic generators.
+//! The one document: a topology, a run configuration, the traffic — hand-
+//! routed `[[clients]]` populations and scheme-routed `[[flows]]` — and a
+//! timeline of scripted `[[events]]` and seeded `[[generators]]`.
 //!
-//! A scenario is data, not code — it can be hand-written as TOML (or
+//! A document is data, not code — it can be hand-written as TOML (or
 //! JSON), checked into `examples/`, diffed, and replayed bit-identically.
-//! [`crate::injector::compile`] turns it into concrete capacity events on
-//! a given network; [`crate::driver::run_scenario`] executes it against
-//! the packet-level engine and [`crate::fluid::fluid_timeline`] against
-//! the fluid evaluator.
+//! [`crate::lower`] builds its topology and expands its clients into
+//! flows, [`crate::injector::compile`] turns its timeline into concrete
+//! capacity events on a given network, and [`crate::driver`] runs it on
+//! either packet engine ([`crate::fluid::fluid_timeline`] on the fluid
+//! evaluator). See DESIGN.md §6 for the grammar.
 
 use empower_core::Scheme;
 use empower_telemetry::Json;
 
 use crate::schema::{
-    arr_of, check_schema_version, join, opt_bool, opt_f64, opt_u32, opt_u64, opt_u8,
+    arr_of, check_schema_version, join, opt_bool, opt_f64, opt_str, opt_u32, opt_u64, opt_u8,
     parse_document, req_f64, req_str, req_u32, req_u64, serr,
 };
 use crate::toml;
 
-/// The scenario schema version this crate reads and writes. Parsing
-/// rejects files with a different major version instead of misreading
-/// them.
+/// The schema version this crate reads and writes. Parsing rejects files
+/// with a different major version instead of misreading them.
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// A parse/validation error with a dotted path to the offending field.
@@ -43,56 +44,113 @@ impl std::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-/// Which base topology the scenario runs on.
+/// Which base topology the document runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyKind {
-    /// The paper's Fig. 1 three-node gateway/extender/client example.
+    /// The paper's Fig. 1 three-node chain (0 = gateway, 1 = extender,
+    /// 2 = client).
     Fig1,
     /// A random residential-class topology (§5.2).
     Residential,
     /// A random enterprise-class topology (§5.2).
     Enterprise,
-    /// The simulated 22-node testbed floor (§6).
+    /// The sampled 22-node office testbed (§6). Clients name nodes by the
+    /// paper's numbers `1..=22`; flows by raw node index.
     Testbed,
+    /// A generated hierarchical campus (`empower_model::topology::campus`)
+    /// with the given grid. Nodes are raw generation-order indices, which
+    /// are pure arithmetic in the grid: the core is 0; building `b` starts
+    /// at `1 + b·(F·(1+K)+1)` with its aggregation router; floor `f` of
+    /// that building has its router at `agg + 1 + f·(1+K)` followed by its
+    /// `K` clients in order.
+    Campus { buildings: u32, floors_per_building: u32, clients_per_floor: u32 },
 }
 
 impl TopologyKind {
-    /// Stable lowercase label used in scenario files.
+    /// The on-disk label.
     pub fn label(self) -> &'static str {
         match self {
             TopologyKind::Fig1 => "fig1",
             TopologyKind::Residential => "residential",
             TopologyKind::Enterprise => "enterprise",
             TopologyKind::Testbed => "testbed",
+            TopologyKind::Campus { .. } => "campus",
         }
     }
 
-    /// Parses a [`TopologyKind::label`].
-    pub fn from_label(s: &str) -> Option<TopologyKind> {
-        match s {
-            "fig1" => Some(TopologyKind::Fig1),
-            "residential" => Some(TopologyKind::Residential),
-            "enterprise" => Some(TopologyKind::Enterprise),
-            "testbed" => Some(TopologyKind::Testbed),
-            _ => None,
-        }
+    /// Total campus node count (`None` for the other kinds).
+    pub fn campus_node_count(self) -> Option<u64> {
+        let TopologyKind::Campus { buildings, floors_per_building, clients_per_floor } = self
+        else {
+            return None;
+        };
+        let per_building = u64::from(floors_per_building) * (1 + u64::from(clients_per_floor));
+        Some(u64::from(buildings) * (per_building + 1) + 1)
     }
 }
 
-/// `[topology]`: the network the scenario perturbs.
-#[derive(Debug, Clone, PartialEq)]
+/// `[topology]`: the network the document runs on.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopologySpec {
     pub kind: TopologyKind,
-    /// Seed for the random topology classes (ignored by `fig1`).
+    /// Seed of the generated and sampled layouts (ignored by `fig1`).
     pub seed: u64,
 }
 
-/// `[run]`: how the scenario is executed.
-#[derive(Debug, Clone, PartialEq)]
+impl TopologySpec {
+    fn from_table(topo: &Json, path: &str) -> Result<TopologySpec, ScenarioError> {
+        // A campus grid dimension: optional, positive.
+        let dim = |key: &str, default: u32| match opt_u32(topo, key, path)?.unwrap_or(default) {
+            0 => serr(join(path, key), "must be at least 1"),
+            n => Ok(n),
+        };
+        let kind = match req_str(topo, "kind", path)? {
+            "fig1" => TopologyKind::Fig1,
+            "residential" => TopologyKind::Residential,
+            "enterprise" => TopologyKind::Enterprise,
+            "testbed" => TopologyKind::Testbed,
+            "campus" => TopologyKind::Campus {
+                buildings: dim("buildings", 2)?,
+                floors_per_building: dim("floors_per_building", 2)?,
+                clients_per_floor: dim("clients_per_floor", 4)?,
+            },
+            other => {
+                return serr(
+                    join(path, "kind"),
+                    format!(
+                        "unknown topology kind {other:?} \
+                         (fig1|residential|enterprise|testbed|campus)"
+                    ),
+                )
+            }
+        };
+        Ok(TopologySpec { kind, seed: opt_u64(topo, "seed", path)?.unwrap_or(1) })
+    }
+
+    fn to_json(self) -> Json {
+        let mut o = vec![
+            ("kind".to_string(), Json::Str(self.kind.label().into())),
+            ("seed".to_string(), Json::UInt(self.seed)),
+        ];
+        if let TopologyKind::Campus { buildings, floors_per_building, clients_per_floor } =
+            self.kind
+        {
+            o.push(("buildings".into(), Json::UInt(buildings.into())));
+            o.push(("floors_per_building".into(), Json::UInt(floors_per_building.into())));
+            o.push(("clients_per_floor".into(), Json::UInt(clients_per_floor.into())));
+        }
+        Json::Obj(o)
+    }
+}
+
+/// `[run]`: how the document is executed.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunSpec {
-    /// Scheme under test (paper label, e.g. `"EMPoWER"` or `"SP"`).
+    /// Scheme that routes the `[[flows]]` (paper label, default
+    /// `"EMPoWER"`).
     pub scheme: Scheme,
-    /// Engine / generator seed.
+    /// Master seed (default 1): the engine RNG, every client's traffic
+    /// generator and every fault generator derive from it.
     pub seed: u64,
     /// Simulated duration, seconds.
     pub horizon_secs: f64,
@@ -103,9 +161,45 @@ pub struct RunSpec {
     /// Fraction of the pre-fault baseline throughput that counts as
     /// "reconverged" (see `crate::resilience`).
     pub recovery_fraction: f64,
+    /// Capacity-estimation noise (`SimConfig::estimation_rel_std`).
+    pub noise: f64,
 }
 
-/// `[[flows]]`: one traffic source.
+impl RunSpec {
+    fn from_table(run: &Json) -> Result<RunSpec, ScenarioError> {
+        let scheme = match opt_str(run, "scheme", "run")? {
+            None => Scheme::Empower,
+            Some(label) => Scheme::from_label(label).ok_or_else(|| ScenarioError {
+                path: "run.scheme".into(),
+                message: format!("unknown scheme {label:?}"),
+            })?,
+        };
+        Ok(RunSpec {
+            scheme,
+            seed: opt_u64(run, "seed", "run")?.unwrap_or(1),
+            horizon_secs: req_f64(run, "horizon_secs", "run")?,
+            poll_secs: opt_f64(run, "poll_secs", "run")?.unwrap_or(0.5),
+            delta: opt_f64(run, "delta", "run")?.unwrap_or(0.0),
+            recovery_fraction: opt_f64(run, "recovery_fraction", "run")?.unwrap_or(0.9),
+            noise: opt_f64(run, "noise", "run")?.unwrap_or(0.0),
+        })
+    }
+
+    fn to_json(self) -> Json {
+        Json::obj([
+            ("scheme", Json::Str(self.scheme.label().into())),
+            ("seed", Json::UInt(self.seed)),
+            ("horizon_secs", Json::Float(self.horizon_secs)),
+            ("poll_secs", Json::Float(self.poll_secs)),
+            ("delta", Json::Float(self.delta)),
+            ("recovery_fraction", Json::Float(self.recovery_fraction)),
+            ("noise", Json::Float(self.noise)),
+        ])
+    }
+}
+
+/// `[[flows]]`: one traffic source, routed by `run.scheme` and watched by
+/// a route monitor while the timeline unfolds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowSpec {
     pub src: u32,
@@ -113,7 +207,7 @@ pub struct FlowSpec {
     pub pattern: PatternSpec,
 }
 
-/// The traffic pattern of a scenario flow.
+/// The traffic pattern of a `[[flows]]` entry.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PatternSpec {
     /// Backlogged UDP between `start` and `stop`.
@@ -122,6 +216,97 @@ pub enum PatternSpec {
     File { start: f64, size_bytes: u64 },
     /// TCP between `start` and `stop` (`size_bytes = 0` = unbounded).
     Tcp { start: f64, stop: f64, size_bytes: u64 },
+}
+
+/// Optional diurnal modulation of an arrival process: the instantaneous
+/// rate is `base * (1 + amplitude * sin(2π (t - start) / period_secs))`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Diurnal {
+    pub period_secs: f64,
+    /// In `[0, 1]`; 0 disables the modulation.
+    pub amplitude: f64,
+}
+
+/// The traffic primitive a client runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ClientKind {
+    /// Fixed-rate open-loop injection (no congestion control) on the
+    /// first route.
+    OpenLoop { rate_mbps: f64, stop: Option<f64> },
+    /// A saturated congestion-controlled source (the paper's iperf runs).
+    ClosedLoop { stop: Option<f64> },
+    /// A closed-loop request/response exchange: `requests` sequential
+    /// responses of `response_bytes`, the next request issued a seeded
+    /// `Exp(think_secs)` after the previous response finished.
+    RequestResponse { requests: u32, response_bytes: u64, think_secs: f64 },
+    /// A bulk transfer: TCP (delay-equalized) when `tcp`, otherwise a UDP
+    /// file download. `size_bytes = 0` (TCP only) runs to the horizon.
+    Bulk { size_bytes: u64, tcp: bool },
+    /// IoT telemetry: periodic `payload_bytes` readings every
+    /// `period_secs` on average (duty-cycle jitter is exponential), from
+    /// `start` to the horizon.
+    Telemetry { period_secs: f64, payload_bytes: u64 },
+    /// A heavy-tailed mix: `elephants` long TCP transfers plus `mice`
+    /// short downloads arriving with seeded `Exp(mean_gap_secs)` gaps
+    /// (optionally diurnally modulated).
+    ElephantMice {
+        elephants: u32,
+        elephant_bytes: u64,
+        mice: u32,
+        mouse_bytes: u64,
+        mean_gap_secs: f64,
+    },
+    /// Session churn: clients arrive as a (optionally diurnal) Poisson
+    /// process of `base_rate_per_sec`, each running a saturated flow for
+    /// an `Exp(mean_session_secs)` lifetime, capped at `max_sessions`.
+    Churn { base_rate_per_sec: f64, mean_session_secs: f64, max_sessions: u32 },
+}
+
+impl ClientKind {
+    /// The on-disk `kind` label.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ClientKind::OpenLoop { .. } => "open_loop",
+            ClientKind::ClosedLoop { .. } => "closed_loop",
+            ClientKind::RequestResponse { .. } => "request_response",
+            ClientKind::Bulk { .. } => "bulk",
+            ClientKind::Telemetry { .. } => "telemetry",
+            ClientKind::ElephantMice { .. } => "elephant_mice",
+            ClientKind::Churn { .. } => "churn",
+        }
+    }
+
+    /// Whether the `count` replication knob applies to this kind (the
+    /// population kinds size themselves).
+    pub fn replicable(&self) -> bool {
+        !matches!(self, ClientKind::ElephantMice { .. } | ClientKind::Churn { .. })
+    }
+
+    /// Whether `[clients.diurnal]` modulation is meaningful for this kind.
+    pub fn supports_diurnal(&self) -> bool {
+        matches!(self, ClientKind::ElephantMice { .. } | ClientKind::Churn { .. })
+    }
+}
+
+/// `[[clients]]`: a traffic primitive bound to an endpoint pair over
+/// hand-built routes (`crate::lower::routes_for`); no route monitor
+/// watches it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClientSpec {
+    /// Stable label for SLO reporting (defaults to `client<index>`).
+    pub label: Option<String>,
+    /// Source node (Fig. 1 index, testbed paper number or campus index).
+    pub src: u32,
+    /// Destination node.
+    pub dst: u32,
+    /// Optional WiFi relay node for testbed routes.
+    pub via: Option<u32>,
+    /// Parallel instances of this client (replicable kinds only).
+    pub count: u32,
+    /// When the client starts, seconds.
+    pub start: f64,
+    pub kind: ClientKind,
+    pub diurnal: Option<Diurnal>,
 }
 
 /// `[[events]]`: one scripted perturbation at an absolute time.
@@ -220,19 +405,20 @@ impl GeneratorSpec {
     }
 }
 
-/// A complete scenario document.
+/// A complete document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     pub name: String,
     pub topology: TopologySpec,
     pub run: RunSpec,
+    pub clients: Vec<ClientSpec>,
     pub flows: Vec<FlowSpec>,
     pub events: Vec<TimedPerturbation>,
     pub generators: Vec<GeneratorSpec>,
 }
 
 impl Scenario {
-    /// Parses a scenario from TOML or JSON (auto-detected: JSON documents
+    /// Parses a document from TOML or JSON (auto-detected: JSON documents
     /// start with `{`).
     pub fn parse_str(text: &str) -> Result<Scenario, ScenarioError> {
         Scenario::from_json(&parse_document(text)?)
@@ -248,156 +434,149 @@ impl Scenario {
         let mut top: Vec<(String, Json)> = vec![
             ("schema".into(), Json::UInt(SCHEMA_VERSION)),
             ("name".into(), Json::Str(self.name.clone())),
-            (
-                "topology".into(),
-                Json::obj([
-                    ("kind", Json::Str(self.topology.kind.label().into())),
-                    ("seed", Json::UInt(self.topology.seed)),
-                ]),
-            ),
-            (
-                "run".into(),
-                Json::obj([
-                    ("scheme", Json::Str(self.run.scheme.label().into())),
-                    ("seed", Json::UInt(self.run.seed)),
-                    ("horizon_secs", Json::Float(self.run.horizon_secs)),
-                    ("poll_secs", Json::Float(self.run.poll_secs)),
-                    ("delta", Json::Float(self.run.delta)),
-                    ("recovery_fraction", Json::Float(self.run.recovery_fraction)),
-                ]),
-            ),
+            ("topology".into(), self.topology.to_json()),
+            ("run".into(), self.run.to_json()),
         ];
-        if !self.flows.is_empty() {
-            top.push(("flows".into(), Json::Arr(self.flows.iter().map(flow_to_json).collect())));
-        }
-        if !self.events.is_empty() {
-            top.push(("events".into(), Json::Arr(self.events.iter().map(event_to_json).collect())));
-        }
-        if !self.generators.is_empty() {
-            top.push((
-                "generators".into(),
-                Json::Arr(self.generators.iter().map(generator_to_json).collect()),
-            ));
+        let arrays = [
+            ("clients", self.clients.iter().map(client_to_json).collect::<Vec<_>>()),
+            ("flows", self.flows.iter().map(flow_to_json).collect()),
+            ("events", self.events.iter().map(event_to_json).collect()),
+            ("generators", self.generators.iter().map(generator_to_json).collect()),
+        ];
+        for (key, items) in arrays {
+            if !items.is_empty() {
+                top.push((key.into(), Json::Arr(items)));
+            }
         }
         Json::Obj(top)
     }
 
-    /// Builds a scenario from a JSON tree (as produced by the TOML parser
+    /// Builds a document from a JSON tree (as produced by the TOML parser
     /// or [`Json::parse`]).
     pub fn from_json(doc: &Json) -> Result<Scenario, ScenarioError> {
         check_schema_version(doc, SCHEMA_VERSION)?;
-        let name = req_str(doc, "name", "")?.to_string();
-        let topo = doc
-            .get("topology")
-            .ok_or_else(|| ScenarioError { path: "topology".into(), message: "missing".into() })?;
-        let kind_label = req_str(topo, "kind", "topology")?;
-        let kind = TopologyKind::from_label(kind_label).ok_or_else(|| ScenarioError {
-            path: "topology.kind".into(),
-            message: format!("unknown topology {kind_label:?}"),
-        })?;
-        let topology = TopologySpec { kind, seed: opt_u64(topo, "seed", "topology")?.unwrap_or(1) };
-        let run = doc
-            .get("run")
-            .ok_or_else(|| ScenarioError { path: "run".into(), message: "missing".into() })?;
-        let scheme_label = req_str(run, "scheme", "run")?;
-        let scheme = Scheme::from_label(scheme_label).ok_or_else(|| ScenarioError {
-            path: "run.scheme".into(),
-            message: format!("unknown scheme {scheme_label:?}"),
-        })?;
-        let run = RunSpec {
-            scheme,
-            seed: opt_u64(run, "seed", "run")?.unwrap_or(1),
-            horizon_secs: req_f64(run, "horizon_secs", "run")?,
-            poll_secs: opt_f64(run, "poll_secs", "run")?.unwrap_or(0.5),
-            delta: opt_f64(run, "delta", "run")?.unwrap_or(0.0),
-            recovery_fraction: opt_f64(run, "recovery_fraction", "run")?.unwrap_or(0.9),
+        let table = |key: &str| {
+            doc.get(key).ok_or_else(|| ScenarioError {
+                path: key.into(),
+                message: format!("missing [{key}] table"),
+            })
         };
-        let flows = arr_of(doc, "flows", flow_from_json)?;
-        let events = arr_of(doc, "events", event_from_json)?;
-        let generators = arr_of(doc, "generators", generator_from_json)?;
-        let s = Scenario { name, topology, run, flows, events, generators };
+        let s = Scenario {
+            name: req_str(doc, "name", "")?.to_string(),
+            topology: TopologySpec::from_table(table("topology")?, "topology")?,
+            run: RunSpec::from_table(table("run")?)?,
+            clients: arr_of(doc, "clients", client_from_json)?,
+            flows: arr_of(doc, "flows", flow_from_json)?,
+            events: arr_of(doc, "events", event_from_json)?,
+            generators: arr_of(doc, "generators", generator_from_json)?,
+        };
         s.validate()?;
         Ok(s)
     }
 
-    /// Structural validation that needs no network: finite positive
-    /// horizon and poll period, non-negative times and capacities, sane
-    /// fractions.
+    /// The resolved SLO label of client `i`.
+    pub fn client_label(&self, i: usize) -> String {
+        match &self.clients[i].label {
+            Some(l) => l.clone(),
+            None => format!("client{i}"),
+        }
+    }
+
+    /// Structural validation that needs no network: a finite positive
+    /// horizon and poll period, sane fractions, traffic that starts at a
+    /// finite time ≥ 0 and stops no earlier, positive rates and sizes,
+    /// client endpoints within the topology, non-negative times and
+    /// capacities on the timeline.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        // Strictly positive and, by the same comparison, not NaN.
-        let positive = |x: f64| x.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
+        let r = &self.run;
         // An infinite horizon or poll period never ends the run.
-        if !(positive(self.run.horizon_secs) && self.run.horizon_secs.is_finite()) {
+        if !positive(r.horizon_secs) {
             return serr("run.horizon_secs", "must be a finite number > 0");
         }
-        if !(positive(self.run.poll_secs) && self.run.poll_secs.is_finite()) {
+        if !positive(r.poll_secs) {
             return serr("run.poll_secs", "must be a finite number > 0");
         }
-        let capacity = |x: f64| x >= 0.0 && x.is_finite();
         // Eq. (3) leaves `1 − δ` of every domain's airtime to the flows: a
         // margin of 1 or more leaves nothing, NaN leaves nonsense.
-        if !(0.0..1.0).contains(&self.run.delta) {
+        if !(0.0..1.0).contains(&r.delta) {
             return serr("run.delta", "must be in [0, 1)");
         }
-        if !(0.0..=1.0).contains(&self.run.recovery_fraction) {
+        if !(0.0..=1.0).contains(&r.recovery_fraction) {
             return serr("run.recovery_fraction", "must be in [0, 1]");
         }
-        if self.flows.is_empty() {
-            return serr("flows", "a scenario needs at least one flow");
+        if !non_negative(r.noise) {
+            return serr("run.noise", "must be a finite number ≥ 0");
+        }
+        if self.clients.is_empty() && self.flows.is_empty() {
+            return serr("flows", "a document needs at least one [[flows]] or [[clients]] entry");
+        }
+        for (i, c) in self.clients.iter().enumerate() {
+            validate_client(c, self.topology.kind, &format!("clients[{i}]"))?;
+        }
+        for (i, f) in self.flows.iter().enumerate() {
+            let path = format!("flows[{i}]");
+            match f.pattern {
+                PatternSpec::Saturated { start, stop } | PatternSpec::Tcp { start, stop, .. } => {
+                    window(&path, start, Some(stop))?;
+                }
+                PatternSpec::File { size_bytes: 0, .. } => {
+                    return serr(join(&path, "size_bytes"), "UDP file transfers need a size > 0");
+                }
+                PatternSpec::File { start, .. } => window(&path, start, None)?,
+            }
         }
         for (i, e) in self.events.iter().enumerate() {
-            if !(e.at >= 0.0 && e.at.is_finite()) {
-                return serr(format!("events[{i}].at"), "must be a finite time ≥ 0");
+            let p = |key: &str| format!("events[{i}].{key}");
+            if !non_negative(e.at) {
+                return serr(p("at"), "must be a finite time ≥ 0");
             }
             match &e.what {
                 Perturbation::Capacity { capacity_mbps: c, .. }
                 | Perturbation::LinkUp { capacity_mbps: Some(c), .. }
-                    if !capacity(*c) =>
+                    if !non_negative(*c) =>
                 {
-                    return serr(
-                        format!("events[{i}].capacity_mbps"),
-                        "must be a finite number ≥ 0",
-                    );
+                    return serr(p("capacity_mbps"), "must be a finite number ≥ 0");
                 }
                 Perturbation::PlcNoise { factor, duration_secs, .. }
                 | Perturbation::WifiJam { factor, duration_secs, .. } => {
                     if !(0.0..=1.0).contains(factor) {
-                        return serr(format!("events[{i}].factor"), "must be in [0, 1]");
+                        return serr(p("factor"), "must be in [0, 1]");
                     }
                     if !positive(*duration_secs) {
-                        return serr(format!("events[{i}].duration_secs"), "must be > 0");
+                        return serr(p("duration_secs"), "must be > 0");
                     }
                 }
                 Perturbation::Drift { to_mbps, over_secs, steps, .. } => {
-                    if !capacity(*to_mbps) {
-                        return serr(format!("events[{i}].to_mbps"), "must be a finite number ≥ 0");
+                    if !non_negative(*to_mbps) {
+                        return serr(p("to_mbps"), "must be a finite number ≥ 0");
                     }
                     if !positive(*over_secs) {
-                        return serr(format!("events[{i}].over_secs"), "must be > 0");
+                        return serr(p("over_secs"), "must be > 0");
                     }
                     if *steps == 0 {
-                        return serr(format!("events[{i}].steps"), "must be ≥ 1");
+                        return serr(p("steps"), "must be ≥ 1");
                     }
                 }
                 _ => {}
             }
         }
         for (i, g) in self.generators.iter().enumerate() {
+            let path = format!("generators[{i}]");
             match g {
                 GeneratorSpec::MarkovOnOff { mean_up_secs, mean_down_secs, .. } => {
                     if !positive(*mean_up_secs) || !positive(*mean_down_secs) {
-                        return serr(format!("generators[{i}]"), "mean times must be > 0");
+                        return serr(path, "mean times must be > 0");
                     }
                 }
                 GeneratorSpec::GilbertElliott { step_secs, p_bad, p_good, bad_factor, .. } => {
                     if !positive(*step_secs) {
-                        return serr(format!("generators[{i}].step_secs"), "must be > 0");
+                        return serr(join(&path, "step_secs"), "must be > 0");
                     }
                     if !(0.0..=1.0).contains(p_bad) || !(0.0..=1.0).contains(p_good) {
-                        return serr(format!("generators[{i}]"), "probabilities must be in [0, 1]");
+                        return serr(path, "probabilities must be in [0, 1]");
                     }
                     if !(0.0..=1.0).contains(bad_factor) {
-                        return serr(format!("generators[{i}].bad_factor"), "must be in [0, 1]");
+                        return serr(join(&path, "bad_factor"), "must be in [0, 1]");
                     }
                 }
             }
@@ -406,31 +585,142 @@ impl Scenario {
     }
 }
 
+/// Strictly positive and finite; NaN fails.
+fn positive(x: f64) -> bool {
+    x > 0.0 && x.is_finite()
+}
+
+/// Finite and ≥ 0; NaN fails.
+fn non_negative(x: f64) -> bool {
+    x >= 0.0 && x.is_finite()
+}
+
+/// A traffic window: `start` finite and ≥ 0, `stop` (when given) finite
+/// and no earlier than `start`.
+fn window(path: &str, start: f64, stop: Option<f64>) -> Result<(), ScenarioError> {
+    if !non_negative(start) {
+        return serr(join(path, "start"), "must be a finite time ≥ 0");
+    }
+    match stop {
+        Some(stop) if !(stop >= start && stop.is_finite()) => {
+            serr(join(path, "stop"), "must be a finite time no earlier than start")
+        }
+        _ => Ok(()),
+    }
+}
+
+fn validate_client(c: &ClientSpec, topo: TopologyKind, path: &str) -> Result<(), ScenarioError> {
+    let at = |key: &str| join(path, key);
+    match topo {
+        TopologyKind::Fig1 if !matches!((c.src, c.dst), (0, 2) | (0, 1) | (1, 2)) => {
+            return serr(
+                at("src"),
+                format!(
+                    "fig1 supports the downstream pairs 0→2, 0→1, 1→2 (got {}→{})",
+                    c.src, c.dst
+                ),
+            );
+        }
+        TopologyKind::Residential | TopologyKind::Enterprise => {
+            return serr(
+                path,
+                format!(
+                    "client routes exist for fig1, testbed and campus only, not {}; \
+                     use [[flows]]",
+                    topo.label()
+                ),
+            );
+        }
+        TopologyKind::Testbed => {
+            for (key, n) in [("src", Some(c.src)), ("dst", Some(c.dst)), ("via", c.via)] {
+                if n.is_some_and(|n| !(1..=22).contains(&n)) {
+                    return serr(at(key), "testbed nodes are 1..=22");
+                }
+            }
+        }
+        _ => {}
+    }
+    if let Some(n) = topo.campus_node_count() {
+        for (key, v) in [("src", c.src), ("dst", c.dst)] {
+            if u64::from(v) >= n {
+                return serr(at(key), format!("campus nodes are 0..{n}"));
+            }
+        }
+    }
+    if c.src == c.dst {
+        return serr(at("dst"), "src and dst must differ");
+    }
+    if c.via.is_some() && topo != TopologyKind::Testbed {
+        return serr(at("via"), "via relays apply to the testbed only");
+    }
+    if c.count == 0 {
+        return serr(at("count"), "must be at least 1");
+    }
+    if c.count > 1 && !c.kind.replicable() {
+        return serr(at("count"), "population kinds size themselves; count must be 1");
+    }
+    let stop = match c.kind {
+        ClientKind::OpenLoop { stop, .. } | ClientKind::ClosedLoop { stop } => stop,
+        _ => None,
+    };
+    window(path, c.start, stop)?;
+    if let Some(d) = c.diurnal {
+        if !c.kind.supports_diurnal() {
+            return serr(
+                at("diurnal"),
+                "diurnal modulation applies to elephant_mice and churn clients",
+            );
+        }
+        if !positive(d.period_secs) {
+            return serr(at("diurnal.period_secs"), "must be positive");
+        }
+        if !(0.0..=1.0).contains(&d.amplitude) {
+            return serr(at("diurnal.amplitude"), "must be in [0, 1]");
+        }
+    }
+    let bad = match c.kind {
+        ClientKind::OpenLoop { rate_mbps, .. } if !positive(rate_mbps) => Some("rate_mbps"),
+        ClientKind::RequestResponse { requests: 0, .. } => Some("requests"),
+        ClientKind::RequestResponse { response_bytes: 0, .. } => Some("response_bytes"),
+        ClientKind::RequestResponse { think_secs: t, .. } if !positive(t) => Some("think_secs"),
+        ClientKind::Bulk { size_bytes: 0, tcp: false } => Some("size_bytes"),
+        ClientKind::Telemetry { period_secs: p, .. } if !positive(p) => Some("period_secs"),
+        ClientKind::Telemetry { payload_bytes: 0, .. } => Some("payload_bytes"),
+        ClientKind::ElephantMice { mice: 1.., mouse_bytes: 0, .. } => Some("mouse_bytes"),
+        ClientKind::ElephantMice { mice: 1.., mean_gap_secs: g, .. } if !positive(g) => {
+            Some("mean_gap_secs")
+        }
+        ClientKind::Churn { base_rate_per_sec: r, .. } if !positive(r) => Some("base_rate_per_sec"),
+        ClientKind::Churn { mean_session_secs: m, .. } if !positive(m) => Some("mean_session_secs"),
+        ClientKind::Churn { max_sessions: 0, .. } => Some("max_sessions"),
+        _ => None,
+    };
+    match bad {
+        Some(key) => serr(at(key), "must be positive"),
+        None => Ok(()),
+    }
+}
+
 // ---------------------------------------------------------------------
 // Per-item codecs
 // ---------------------------------------------------------------------
 
 fn flow_to_json(f: &FlowSpec) -> Json {
-    let mut pairs: Vec<(String, Json)> =
-        vec![("src".into(), Json::UInt(f.src as u64)), ("dst".into(), Json::UInt(f.dst as u64))];
-    match &f.pattern {
-        PatternSpec::Saturated { start, stop } => {
-            pairs.push(("pattern".into(), Json::Str("saturated".into())));
-            pairs.push(("start".into(), Json::Float(*start)));
-            pairs.push(("stop".into(), Json::Float(*stop)));
-        }
-        PatternSpec::File { start, size_bytes } => {
-            pairs.push(("pattern".into(), Json::Str("file".into())));
-            pairs.push(("start".into(), Json::Float(*start)));
-            pairs.push(("size_bytes".into(), Json::UInt(*size_bytes)));
-        }
+    let (pattern, start, stop, size) = match f.pattern {
+        PatternSpec::Saturated { start, stop } => ("saturated", start, Some(stop), None),
+        PatternSpec::File { start, size_bytes } => ("file", start, None, Some(size_bytes)),
         PatternSpec::Tcp { start, stop, size_bytes } => {
-            pairs.push(("pattern".into(), Json::Str("tcp".into())));
-            pairs.push(("start".into(), Json::Float(*start)));
-            pairs.push(("stop".into(), Json::Float(*stop)));
-            pairs.push(("size_bytes".into(), Json::UInt(*size_bytes)));
+            ("tcp", start, Some(stop), Some(size_bytes))
         }
-    }
+    };
+    let mut pairs: Vec<(String, Json)> = vec![
+        ("src".into(), Json::UInt(f.src.into())),
+        ("dst".into(), Json::UInt(f.dst.into())),
+        ("pattern".into(), Json::Str(pattern.into())),
+        ("start".into(), Json::Float(start)),
+    ];
+    pairs.extend(stop.map(|s| ("stop".into(), Json::Float(s))));
+    pairs.extend(size.map(|b| ("size_bytes".into(), Json::UInt(b))));
     Json::Obj(pairs)
 }
 
@@ -612,6 +902,140 @@ fn generator_from_json(v: &Json, path: String) -> Result<GeneratorSpec, Scenario
     }
 }
 
+fn client_from_json(v: &Json, path: String) -> Result<ClientSpec, ScenarioError> {
+    let kind = match req_str(v, "kind", &path)? {
+        "open_loop" => ClientKind::OpenLoop {
+            rate_mbps: req_f64(v, "rate_mbps", &path)?,
+            stop: opt_f64(v, "stop", &path)?,
+        },
+        "closed_loop" => ClientKind::ClosedLoop { stop: opt_f64(v, "stop", &path)? },
+        "request_response" => ClientKind::RequestResponse {
+            requests: req_u32(v, "requests", &path)?,
+            response_bytes: req_u64(v, "response_bytes", &path)?,
+            think_secs: req_f64(v, "think_secs", &path)?,
+        },
+        "bulk" => ClientKind::Bulk {
+            size_bytes: req_u64(v, "size_bytes", &path)?,
+            tcp: match opt_str(v, "transport", &path)? {
+                None | Some("tcp") => true,
+                Some("udp") => false,
+                Some(other) => {
+                    return serr(
+                        join(&path, "transport"),
+                        format!("unknown transport {other:?} (tcp|udp)"),
+                    )
+                }
+            },
+        },
+        "telemetry" => ClientKind::Telemetry {
+            period_secs: req_f64(v, "period_secs", &path)?,
+            payload_bytes: req_u64(v, "payload_bytes", &path)?,
+        },
+        "elephant_mice" => ClientKind::ElephantMice {
+            elephants: req_u32(v, "elephants", &path)?,
+            elephant_bytes: req_u64(v, "elephant_bytes", &path)?,
+            mice: req_u32(v, "mice", &path)?,
+            mouse_bytes: req_u64(v, "mouse_bytes", &path)?,
+            mean_gap_secs: req_f64(v, "mean_gap_secs", &path)?,
+        },
+        "churn" => ClientKind::Churn {
+            base_rate_per_sec: req_f64(v, "base_rate_per_sec", &path)?,
+            mean_session_secs: req_f64(v, "mean_session_secs", &path)?,
+            max_sessions: req_u32(v, "max_sessions", &path)?,
+        },
+        other => return serr(join(&path, "kind"), format!("unknown client kind {other:?}")),
+    };
+    let diurnal = match v.get("diurnal") {
+        None => None,
+        Some(d) => {
+            let p = join(&path, "diurnal");
+            Some(Diurnal {
+                period_secs: req_f64(d, "period_secs", &p)?,
+                amplitude: req_f64(d, "amplitude", &p)?,
+            })
+        }
+    };
+    Ok(ClientSpec {
+        label: opt_str(v, "label", &path)?.map(str::to_string),
+        src: req_u32(v, "src", &path)?,
+        dst: req_u32(v, "dst", &path)?,
+        via: opt_u32(v, "via", &path)?,
+        count: opt_u32(v, "count", &path)?.unwrap_or(1),
+        start: opt_f64(v, "start", &path)?.unwrap_or(0.0),
+        kind,
+        diurnal,
+    })
+}
+
+fn client_to_json(c: &ClientSpec) -> Json {
+    let mut o: Vec<(String, Json)> = Vec::new();
+    if let Some(l) = &c.label {
+        o.push(("label".into(), Json::Str(l.clone())));
+    }
+    o.push(("kind".into(), Json::Str(c.kind.label().into())));
+    o.push(("src".into(), Json::UInt(c.src.into())));
+    o.push(("dst".into(), Json::UInt(c.dst.into())));
+    if let Some(via) = c.via {
+        o.push(("via".into(), Json::UInt(via.into())));
+    }
+    o.push(("count".into(), Json::UInt(c.count.into())));
+    o.push(("start".into(), Json::Float(c.start)));
+    match c.kind {
+        ClientKind::OpenLoop { rate_mbps, stop } => {
+            o.push(("rate_mbps".into(), Json::Float(rate_mbps)));
+            if let Some(s) = stop {
+                o.push(("stop".into(), Json::Float(s)));
+            }
+        }
+        ClientKind::ClosedLoop { stop } => {
+            if let Some(s) = stop {
+                o.push(("stop".into(), Json::Float(s)));
+            }
+        }
+        ClientKind::RequestResponse { requests, response_bytes, think_secs } => {
+            o.push(("requests".into(), Json::UInt(requests.into())));
+            o.push(("response_bytes".into(), Json::UInt(response_bytes)));
+            o.push(("think_secs".into(), Json::Float(think_secs)));
+        }
+        ClientKind::Bulk { size_bytes, tcp } => {
+            o.push(("size_bytes".into(), Json::UInt(size_bytes)));
+            o.push(("transport".into(), Json::Str(if tcp { "tcp" } else { "udp" }.into())));
+        }
+        ClientKind::Telemetry { period_secs, payload_bytes } => {
+            o.push(("period_secs".into(), Json::Float(period_secs)));
+            o.push(("payload_bytes".into(), Json::UInt(payload_bytes)));
+        }
+        ClientKind::ElephantMice {
+            elephants,
+            elephant_bytes,
+            mice,
+            mouse_bytes,
+            mean_gap_secs,
+        } => {
+            o.push(("elephants".into(), Json::UInt(elephants.into())));
+            o.push(("elephant_bytes".into(), Json::UInt(elephant_bytes)));
+            o.push(("mice".into(), Json::UInt(mice.into())));
+            o.push(("mouse_bytes".into(), Json::UInt(mouse_bytes)));
+            o.push(("mean_gap_secs".into(), Json::Float(mean_gap_secs)));
+        }
+        ClientKind::Churn { base_rate_per_sec, mean_session_secs, max_sessions } => {
+            o.push(("base_rate_per_sec".into(), Json::Float(base_rate_per_sec)));
+            o.push(("mean_session_secs".into(), Json::Float(mean_session_secs)));
+            o.push(("max_sessions".into(), Json::UInt(max_sessions.into())));
+        }
+    }
+    if let Some(d) = c.diurnal {
+        o.push((
+            "diurnal".into(),
+            Json::obj([
+                ("period_secs", Json::Float(d.period_secs)),
+                ("amplitude", Json::Float(d.amplitude)),
+            ]),
+        ));
+    }
+    Json::Obj(o)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -627,7 +1051,9 @@ mod tests {
                 poll_secs: 0.5,
                 delta: 0.0,
                 recovery_fraction: 0.9,
+                noise: 0.0,
             },
+            clients: vec![],
             flows: vec![FlowSpec {
                 src: 0,
                 dst: 2,
@@ -732,6 +1158,17 @@ mod tests {
             let to = format!("capacity_mbps = {bad}");
             rejects(&toml, "capacity_mbps = 1.5", &to, "events[0].capacity_mbps");
         }
+        // A flow's traffic window starts at a finite time ≥ 0 and stops no
+        // earlier; a file transfer has a size.
+        for bad in ["nan", "-5.0"] {
+            rejects(&toml, "start = 0.0", &format!("start = {bad}"), "flows[0].start");
+        }
+        rejects(&toml, "stop = 60.0", "stop = nan", "flows[0].stop");
+        rejects(&toml, "start = 0.0\nstop = 60.0", "start = 5.0\nstop = 1.0", "flows[0].stop");
+        let mut s = sample();
+        s.flows[0].pattern = PatternSpec::File { start: 0.0, size_bytes: 0 };
+        let err = Scenario::parse_str(&s.to_toml()).unwrap_err();
+        assert_eq!(err.path, "flows[0].size_bytes", "{err}");
         let mut s = sample();
         s.events[1].what = Perturbation::WifiJam {
             factor: 0.5,
@@ -762,5 +1199,57 @@ mod tests {
         s.events[0].what =
             Perturbation::PlcNoise { factor: 2.0, duration_secs: 5.0, domain_of: None };
         assert!(s.validate().is_err());
+    }
+
+    /// What the one grammar reads differently from the two it replaced:
+    /// each input here was rejected, ignored or impossible before.
+    #[test]
+    fn one_grammar_reads_clients_flows_and_timeline_together() {
+        let doc = |topology: &str, run: &str, rest: &str| {
+            format!("schema = 1\nname = \"d\"\n\n[topology]\n{topology}\n\n[run]\n{run}\n{rest}")
+        };
+        let flow = "[[flows]]\nsrc = 2\ndst = 3\npattern = \"saturated\"\nstop = 5.0\n";
+        let client = "[[clients]]\nkind = \"closed_loop\"\nsrc = 0\ndst = 2\n";
+        // `run.scheme` defaults to EMPoWER and `run.seed` to 1.
+        let s = Scenario::parse_str(&doc("kind = \"fig1\"", "horizon_secs = 5.0", client)).unwrap();
+        assert_eq!((s.run.scheme, s.run.seed), (Scheme::Empower, 1));
+        // Flows on a campus, clients and flows in one document, a timeline
+        // next to clients: all parse, and survive the round trip.
+        let campus = "kind = \"campus\"\nbuildings = 1\nfloors_per_building = 1";
+        let both = format!(
+            "{flow}\n[[clients]]\nkind = \"open_loop\"\nsrc = 2\ndst = 4\nrate_mbps = 1.0\n\
+             \n[[events]]\nat = 1.0\nkind = \"node_down\"\nnode = 2\n"
+        );
+        let s = Scenario::parse_str(&doc(campus, "horizon_secs = 5.0\nnoise = 0.1", &both));
+        let s = s.unwrap();
+        assert_eq!((s.flows.len(), s.clients.len(), s.events.len()), (1, 1, 1));
+        assert_eq!(Scenario::parse_str(&s.to_toml()).unwrap(), s);
+        // Flows run on every kind, the random classes included.
+        let on_enterprise = doc("kind = \"enterprise\"", "horizon_secs = 5.0", flow);
+        assert_eq!(Scenario::parse_str(&on_enterprise).unwrap().flows.len(), 1);
+        // Clients have hand-built routes on fig1, testbed and campus only.
+        for kind in ["residential", "enterprise"] {
+            let text = doc(&format!("kind = \"{kind}\""), "horizon_secs = 5.0", client);
+            assert_eq!(Scenario::parse_str(&text).unwrap_err().path, "clients[0]", "{kind}");
+        }
+        // A document with no traffic at all is rejected.
+        let e = Scenario::parse_str(&doc("kind = \"fig1\"", "horizon_secs = 5.0", "")).unwrap_err();
+        assert_eq!(e.path, "flows");
+        // Keys one of the two old documents ignored are read and checked.
+        let rejects = |run: &str, rest: &str, path: &str| {
+            let text = doc("kind = \"fig1\"", &format!("horizon_secs = 5.0\n{run}"), rest);
+            assert_eq!(Scenario::parse_str(&text).unwrap_err().path, path, "{run} {rest}");
+        };
+        rejects("delta = 2.0", client, "run.delta");
+        rejects(
+            "noise = -1.0",
+            "[[flows]]\nsrc = 0\ndst = 2\npattern = \"saturated\"\nstop = 5.0\n",
+            "run.noise",
+        );
+        rejects(
+            "",
+            &format!("{client}\n[[events]]\nat = -1.0\nkind = \"node_up\"\nnode = 1\n"),
+            "events[0].at",
+        );
     }
 }

@@ -1,12 +1,7 @@
-//! Shared helpers for versioned TOML/JSON scenario schemas.
-//!
-//! The dynamics scenario codec ([`crate::scenario`]) and the workload DSL
-//! (`empower-workload`) follow the same conventions: a `schema` version
-//! field checked on parse, dotted field paths in every error, required/
-//! optional typed field accessors, and arrays of tables decoded
-//! element-wise with indexed paths (`clients[2].rate_mbps`). This module
-//! is those conventions as code, so sibling schemas stay consistent
-//! instead of re-implementing field plumbing.
+//! The field plumbing of the document codec ([`crate::scenario`]): a
+//! `schema` version field checked on parse, dotted field paths in every
+//! error, required/optional typed field accessors, and arrays of tables
+//! decoded element-wise with indexed paths (`clients[2].rate_mbps`).
 
 use empower_telemetry::Json;
 
@@ -47,12 +42,10 @@ pub fn req_str<'a>(v: &'a Json, key: &str, path: &str) -> Result<&'a str, Scenar
     })
 }
 
-/// Required numeric field.
+/// Required numeric field; see [`opt_f64`].
 pub fn req_f64(v: &Json, key: &str, path: &str) -> Result<f64, ScenarioError> {
-    v.get(key).and_then(Json::as_f64).ok_or_else(|| ScenarioError {
-        path: join(path, key),
-        message: "missing or not a number".into(),
-    })
+    opt_f64(v, key, path)?
+        .ok_or_else(|| ScenarioError { path: join(path, key), message: "missing".into() })
 }
 
 /// Required non-negative integer field.
@@ -69,14 +62,14 @@ pub fn req_u32(v: &Json, key: &str, path: &str) -> Result<u32, ScenarioError> {
     narrow(req_u64(v, key, path)?, key, path)
 }
 
-/// Optional numeric field (present ⇒ must be a number).
+/// Optional numeric field (present ⇒ must be a finite number: every
+/// number a document holds is a finite quantity, and an infinite rate or
+/// NaN time would hang or silently empty the run).
 pub fn opt_f64(v: &Json, key: &str, path: &str) -> Result<Option<f64>, ScenarioError> {
-    match v.get(key) {
+    match v.get(key).map(Json::as_f64) {
         None => Ok(None),
-        Some(x) => x
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| ScenarioError { path: join(path, key), message: "not a number".into() }),
+        Some(Some(x)) if x.is_finite() => Ok(Some(x)),
+        Some(_) => serr(join(path, key), "not a finite number"),
     }
 }
 
@@ -182,6 +175,9 @@ mod tests {
         let doc = Json::obj([("rate", Json::Str("fast".into()))]);
         assert_eq!(opt_f64(&doc, "absent", "").unwrap(), None);
         assert!(opt_f64(&doc, "rate", "clients[0]").is_err());
+        let doc = Json::obj([("rate", Json::Float(f64::INFINITY))]);
+        assert_eq!(opt_f64(&doc, "rate", "c").unwrap_err().message, "not a finite number");
+        let doc = Json::obj([("rate", Json::Str("fast".into()))]);
         assert_eq!(opt_str(&doc, "rate", "").unwrap(), Some("fast"));
         assert_eq!(opt_bool(&doc, "absent", "").unwrap(), None);
         let e = opt_bool(&doc, "rate", "events[2]").unwrap_err();

@@ -1,270 +1,17 @@
-//! Compiling a parsed [`Workload`] into a deterministic flow program.
-//!
-//! Each client expands into one or more [`FlowSpecSim`]s built on the
-//! simulator's existing traffic patterns, so both engines — optimized and
-//! frozen reference — run workload scenarios unmodified and the corpus
-//! gate can compare them byte for byte:
-//!
-//! * `open_loop` → `SaturatedUdp` without congestion control on the first
-//!   route, at the configured rate;
-//! * `closed_loop` → a saturated congestion-controlled multipath flow;
-//! * `request_response` → `PoissonFiles`: sequential responses whose
-//!   seeded exponential gaps are the client's think times (closed-loop
-//!   semantics — the next request waits for the previous response);
-//! * `bulk` → `Tcp` with delay equalization, or a UDP `FileDownload`;
-//! * `telemetry` → a `PoissonFiles` chain of small readings with mean gap
-//!   equal to the reporting period (duty-cycle jitter);
-//! * `elephant_mice` → long `Tcp` elephants plus mice `FileDownload`s at
-//!   seeded (optionally diurnal) exponential arrival times;
-//! * `churn` → sessions arriving by a thinned Poisson process, each a
-//!   saturated flow living for a seeded exponential lifetime.
-//!
-//! Every random draw comes from a per-client, per-instance generator
-//! derived from `run.seed` by a SplitMix64-style mix, so adding or
-//! reordering clients never perturbs another client's stream and replays
-//! are byte-identical.
+//! Compiling a workload's clients into a deterministic flow program
+//! ([`empower_dynamics::lower`], where the per-kind expansion is
+//! documented).
 
-use empower_dynamics::ScenarioError;
-use empower_model::rng::{exponential, Rng, SeedableRng, StdRng};
-use empower_model::Network;
-use empower_sim::{FlowSpecSim, TrafficPattern};
-
-use crate::routes::{endpoints, routes_for};
-use crate::spec::{ClientKind, Diurnal, Workload};
-
-/// One simulator flow with its workload provenance.
-#[derive(Debug, Clone)]
-pub struct CompiledFlow {
-    /// Index of the originating `[[clients]]` entry.
-    pub client: usize,
-    /// The flow handed to the engine (flow index = position in
-    /// [`CompiledWorkload::flows`]).
-    pub spec: FlowSpecSim,
-}
-
-/// A workload lowered to concrete simulator flows.
-#[derive(Debug, Clone)]
-pub struct CompiledWorkload {
-    /// Resolved SLO label per client group.
-    pub labels: Vec<String>,
-    /// All flows, in deterministic registration order.
-    pub flows: Vec<CompiledFlow>,
-}
-
-/// Derives the seed of one client instance's traffic generator.
-///
-/// SplitMix64-style finalizer over (run seed, client index, instance
-/// index): distinct inputs land in uncorrelated streams, and a client's
-/// stream depends only on its own position — editing one `[[clients]]`
-/// entry never reshuffles another's randomness.
-pub fn instance_seed(run_seed: u64, client: u64, instance: u64) -> u64 {
-    let mut z = run_seed
-        .wrapping_add(client.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(instance.wrapping_add(1).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The diurnal rate multiplier at time `t` (1 without modulation).
-fn diurnal_factor(d: Option<Diurnal>, start: f64, t: f64) -> f64 {
-    match d {
-        None => 1.0,
-        Some(d) => 1.0 + d.amplitude * (std::f64::consts::TAU * (t - start) / d.period_secs).sin(),
-    }
-}
-
-/// Seeded arrival times in `[start, horizon)` for a Poisson process of
-/// `base_rate` events/sec, optionally diurnally modulated (by thinning
-/// against the peak rate), truncated at `max` events.
-fn poisson_arrivals(
-    rng: &mut StdRng,
-    start: f64,
-    horizon: f64,
-    base_rate: f64,
-    diurnal: Option<Diurnal>,
-    max: usize,
-) -> Vec<f64> {
-    let peak = base_rate * (1.0 + diurnal.map_or(0.0, |d| d.amplitude));
-    let mut out = Vec::new();
-    let mut t = start;
-    while out.len() < max {
-        t += exponential(rng, 1.0 / peak);
-        if t >= horizon {
-            break;
-        }
-        // Thinning: a candidate at t survives with probability rate(t)/peak.
-        let accept = rng.gen::<f64>() * peak < base_rate * diurnal_factor(diurnal, start, t);
-        if accept {
-            out.push(t);
-        }
-    }
-    out
-}
-
-/// Expands every client of `w` into simulator flows against `net`.
-///
-/// Flows whose start time falls at or beyond the horizon are dropped —
-/// they could never carry traffic — so the flow list is exactly the set
-/// the engine will run.
-pub fn compile(w: &Workload, net: &Network) -> Result<CompiledWorkload, ScenarioError> {
-    let horizon = w.run.horizon_secs;
-    let mut flows = Vec::new();
-    for (ci, c) in w.clients.iter().enumerate() {
-        let path = format!("clients[{ci}]");
-        let routes = routes_for(net, &w.topology, c.src, c.dst, c.via, &path)?;
-        let (src, dst) = endpoints(&w.topology, c.src, c.dst);
-        let base = FlowSpecSim::saturated(src, dst, routes, horizon);
-        let mut push = |spec: FlowSpecSim| {
-            if spec.pattern.start_time() < horizon {
-                flows.push(CompiledFlow { client: ci, spec });
-            }
-        };
-        match c.kind {
-            ClientKind::OpenLoop { rate_mbps, stop } => {
-                for _ in 0..c.count {
-                    push(FlowSpecSim {
-                        routes: vec![base.routes[0].clone()],
-                        use_cc: false,
-                        open_loop_rates: vec![rate_mbps],
-                        pattern: TrafficPattern::SaturatedUdp {
-                            start: c.start,
-                            stop: stop.unwrap_or(horizon).min(horizon),
-                        },
-                        ..base.clone()
-                    });
-                }
-            }
-            ClientKind::ClosedLoop { stop } => {
-                for _ in 0..c.count {
-                    push(FlowSpecSim {
-                        pattern: TrafficPattern::SaturatedUdp {
-                            start: c.start,
-                            stop: stop.unwrap_or(horizon).min(horizon),
-                        },
-                        ..base.clone()
-                    });
-                }
-            }
-            ClientKind::RequestResponse { requests, response_bytes, think_secs } => {
-                for _ in 0..c.count {
-                    push(FlowSpecSim {
-                        pattern: TrafficPattern::PoissonFiles {
-                            start: c.start,
-                            count: requests,
-                            size_bytes: response_bytes,
-                            mean_gap_secs: think_secs,
-                        },
-                        ..base.clone()
-                    });
-                }
-            }
-            ClientKind::Bulk { size_bytes, tcp } => {
-                for _ in 0..c.count {
-                    push(if tcp {
-                        FlowSpecSim {
-                            pattern: TrafficPattern::Tcp {
-                                start: c.start,
-                                stop: horizon,
-                                size_bytes,
-                            },
-                            delay_equalization: true,
-                            ..base.clone()
-                        }
-                    } else {
-                        FlowSpecSim {
-                            pattern: TrafficPattern::FileDownload { start: c.start, size_bytes },
-                            ..base.clone()
-                        }
-                    });
-                }
-            }
-            ClientKind::Telemetry { period_secs, payload_bytes } => {
-                // Enough readings to span the horizon; the run ends before
-                // any excess ticks fire.
-                let span = (horizon - c.start).max(0.0);
-                let ticks = (span / period_secs).ceil().max(1.0) as u32;
-                for _ in 0..c.count {
-                    push(FlowSpecSim {
-                        pattern: TrafficPattern::PoissonFiles {
-                            start: c.start,
-                            count: ticks,
-                            size_bytes: payload_bytes,
-                            mean_gap_secs: period_secs,
-                        },
-                        ..base.clone()
-                    });
-                }
-            }
-            ClientKind::ElephantMice {
-                elephants,
-                elephant_bytes,
-                mice,
-                mouse_bytes,
-                mean_gap_secs,
-            } => {
-                for _ in 0..elephants {
-                    push(FlowSpecSim {
-                        pattern: TrafficPattern::Tcp {
-                            start: c.start,
-                            stop: horizon,
-                            size_bytes: elephant_bytes,
-                        },
-                        delay_equalization: true,
-                        ..base.clone()
-                    });
-                }
-                let mut rng = StdRng::seed_from_u64(instance_seed(w.run.seed, ci as u64, 0));
-                let arrivals = poisson_arrivals(
-                    &mut rng,
-                    c.start,
-                    horizon,
-                    1.0 / mean_gap_secs,
-                    c.diurnal,
-                    mice as usize,
-                );
-                for at in arrivals {
-                    push(FlowSpecSim {
-                        pattern: TrafficPattern::FileDownload {
-                            start: at,
-                            size_bytes: mouse_bytes,
-                        },
-                        ..base.clone()
-                    });
-                }
-            }
-            ClientKind::Churn { base_rate_per_sec, mean_session_secs, max_sessions } => {
-                let mut rng = StdRng::seed_from_u64(instance_seed(w.run.seed, ci as u64, 0));
-                let arrivals = poisson_arrivals(
-                    &mut rng,
-                    c.start,
-                    horizon,
-                    base_rate_per_sec,
-                    c.diurnal,
-                    max_sessions as usize,
-                );
-                for at in arrivals {
-                    let life = exponential(&mut rng, mean_session_secs);
-                    push(FlowSpecSim {
-                        pattern: TrafficPattern::SaturatedUdp {
-                            start: at,
-                            stop: (at + life).min(horizon),
-                        },
-                        ..base.clone()
-                    });
-                }
-            }
-        }
-    }
-    let labels = (0..w.clients.len()).map(|i| w.client_label(i)).collect();
-    Ok(CompiledWorkload { labels, flows })
-}
+pub use empower_dynamics::lower::{compile, instance_seed, CompiledFlow, CompiledWorkload};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::routes::build_topology;
-    use crate::spec::Workload;
+    use crate::spec::{Diurnal, Workload};
+    use empower_dynamics::lower::poisson_arrivals;
+    use empower_model::rng::{SeedableRng, StdRng};
+    use empower_sim::TrafficPattern;
 
     fn sample(extra: &str) -> Workload {
         let text = format!(

@@ -1,9 +1,11 @@
 //! The seeded workload scenario corpus.
 //!
-//! Four reference workloads — an enterprise request/response mix, an IoT
-//! telemetry floor, a diurnal elephant/mice mix with churn, and a
-//! campus-scale mix on a generated hierarchical topology — pinned the
-//! same way the sim equivalence corpus pins the raw engines: the gate test
+//! Six reference documents — an enterprise request/response mix, an IoT
+//! telemetry floor, a diurnal elephant/mice mix with churn, a campus-scale
+//! mix on a generated hierarchical topology, the Fig. 12 capacity drop
+//! under the poll-and-reroute loop, and a campus under link flapping and a
+//! router crash — pinned the same way the sim equivalence corpus pins the
+//! raw engines: the gate test
 //! (`crates/workload/tests/corpus_gate.rs`) replays each scenario twice
 //! and across both engines, comparing every rendering byte for byte.
 //! The documents are the runnable examples under `examples/` verbatim
@@ -38,7 +40,8 @@ pub struct WorkloadCorpusOutput {
     pub manifest: String,
 }
 
-/// The fixed workload corpus. Order is stable — tests index into it.
+/// The fixed workload corpus. Order is stable — tests index into it, and
+/// quick CI runs a prefix — so entries are only ever appended.
 pub fn workload_corpus() -> Vec<WorkloadScenario> {
     vec![
         WorkloadScenario {
@@ -56,6 +59,14 @@ pub fn workload_corpus() -> Vec<WorkloadScenario> {
         WorkloadScenario {
             name: "campus_scale",
             toml: include_str!("../../../examples/workload_campus.toml"),
+        },
+        WorkloadScenario {
+            name: "fig12 capacity drop",
+            toml: include_str!("../../../examples/fig12_drop.toml"),
+        },
+        WorkloadScenario {
+            name: "campus_flap",
+            toml: include_str!("../../../examples/workload_campus_flap.toml"),
         },
     ]
 }
@@ -100,7 +111,7 @@ mod tests {
         for s in workload_corpus() {
             let w = Workload::parse_str(s.toml).unwrap_or_else(|e| panic!("{}: {e}", s.name));
             assert_eq!(w.name, s.name, "document name matches corpus entry");
-            assert!(!w.clients.is_empty());
+            assert!(!w.clients.is_empty() || !w.flows.is_empty());
         }
     }
 

@@ -1,12 +1,12 @@
-//! Driving a compiled workload through a simulation engine.
+//! Running a workload: the one driver ([`drive`]) with a bounded packet
+//! trace, then the SLO table and the run manifest.
 
-use empower_dynamics::ScenarioError;
+use empower_dynamics::{drive, ScenarioError};
 use empower_sim::corpus::SimEngine;
-use empower_sim::{SimConfig, SimReport, Simulation, Trace};
+use empower_sim::{SimReport, Simulation, Trace};
 use empower_telemetry::{Manifest, Telemetry};
 
-use crate::compile::{compile, CompiledWorkload};
-use crate::routes::build_topology;
+use crate::compile::CompiledWorkload;
 use crate::slo::WorkloadSlo;
 use crate::spec::Workload;
 
@@ -29,10 +29,10 @@ pub struct WorkloadOutput {
 /// Runs `w` through engine `E` with a fresh live telemetry registry and a
 /// bounded trace attached.
 ///
-/// All flows — churn arrivals included — are compiled and registered
-/// before the control plane starts, so the engine sees one deterministic
-/// event program; replaying the same document yields byte-identical
-/// report, trace and manifest renderings.
+/// All client flows — churn arrivals included — are compiled and
+/// registered before the control plane starts, so the engine sees one
+/// deterministic event program; replaying the same document yields
+/// byte-identical report, trace and manifest renderings.
 pub fn run_workload_on<E: SimEngine>(w: &Workload) -> Result<WorkloadOutput, ScenarioError> {
     run_workload_with::<E>(w, Telemetry::enabled())
 }
@@ -44,25 +44,10 @@ pub fn run_workload_with<E: SimEngine>(
     w: &Workload,
     tele: Telemetry,
 ) -> Result<WorkloadOutput, ScenarioError> {
-    w.validate()?;
-    let (net, imap) = build_topology(&w.topology);
-    let compiled = compile(w, &net)?;
-    if compiled.flows.is_empty() {
-        return Err(ScenarioError {
-            path: "clients".into(),
-            message: "workload compiled to zero runnable flows".into(),
-        });
-    }
-    let cfg =
-        SimConfig { seed: w.run.seed, estimation_rel_std: w.run.noise, ..SimConfig::default() };
-    let mut sim = E::build(net, imap, cfg);
-    sim.attach_telemetry(tele);
-    sim.attach_trace(Trace::bounded(50_000));
-    for f in &compiled.flows {
-        sim.add_flow(f.spec.clone());
-    }
-    sim.run_until(w.run.horizon_secs);
-    let report = sim.report(w.run.horizon_secs);
+    let (net, imap) = w.topology.build();
+    let (mut sim, compiled, outcome) =
+        drive::<E>(w, net, imap, &tele, Some(Trace::bounded(50_000)))?;
+    let report = outcome.report;
     let slo = WorkloadSlo::compute(&w.name, &compiled, &report);
     slo.emit(sim.telemetry());
     let mut m = Manifest::new("workload");

@@ -2,21 +2,22 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! # empower-workload
 //!
-//! A composable, netbench-style workload DSL for the EMPoWER reproduction:
-//! versioned TOML/JSON documents ([`spec`]) describing clients — open- and
-//! closed-loop sources, request/response exchanges, bulk transfers, IoT
-//! telemetry, elephant/mice mixes, diurnal load curves and session churn —
-//! that compile ([`compile()`]) into deterministic seeded flow programs for
-//! the packet simulator and run ([`driver`]) on either engine through the
-//! [`empower_sim::corpus::SimEngine`] surface.
+//! Workload runs with SLO metrics for the EMPoWER reproduction. A workload
+//! is a document of the one grammar ([`empower_dynamics::scenario`]):
+//! clients — open- and closed-loop sources, request/response exchanges,
+//! bulk transfers, IoT telemetry, elephant/mice mixes, diurnal load curves
+//! and session churn — and optionally scheme-routed flows and a fault
+//! timeline. [`empower_dynamics::driver::drive`] runs it on either engine
+//! through the [`empower_sim::corpus::SimEngine`] surface; this crate adds
+//! the bounded packet trace, the run manifest and the per-group SLO table
+//! ([`slo`]: p50/p95/p99 flow completion times, goodput, Jain fairness).
 //!
-//! Determinism is the contract (DESIGN.md §11): every stochastic choice
-//! draws from a per-client generator derived from `run.seed`, so a
-//! workload file replays **byte-identically** — report, packet trace,
-//! telemetry manifest and the SLO metrics ([`slo`]: p50/p95/p99 flow
-//! completion times, goodput, Jain fairness) distilled from it. A seeded
-//! scenario corpus ([`corpus`]) pins three reference workloads across both
-//! engines, the same way the sim equivalence corpus pins the raw engines.
+//! Determinism is the contract (DESIGN.md §6): every stochastic choice
+//! draws from a generator derived from `run.seed`, so a document replays
+//! **byte-identically** — report, packet trace, telemetry manifest and the
+//! SLO metrics distilled from them. A seeded corpus ([`corpus`]) pins the
+//! reference documents across both engines, the same way the sim
+//! equivalence corpus pins the raw engines.
 //!
 //! ```
 //! use empower_workload::{run_workload, Workload};
@@ -56,7 +57,4 @@ pub use corpus::{
 };
 pub use driver::{run_workload, run_workload_on, run_workload_with, WorkloadOutput};
 pub use slo::{jain_milli, ClientSlo, WorkloadSlo};
-pub use spec::{
-    ClientKind, ClientSpec, Diurnal, TopologySpec, Workload, WorkloadRun, WorkloadTopology,
-    WORKLOAD_SCHEMA_VERSION,
-};
+pub use spec::{ClientKind, ClientSpec, Diurnal, Workload, WorkloadTopology};

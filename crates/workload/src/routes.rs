@@ -1,159 +1,20 @@
-//! Topology construction and route building for workload clients.
-//!
-//! The workload DSL names endpoints abstractly (Fig. 1 node indices or
-//! testbed paper numbers); this module turns a pair into the concrete
-//! multipath route set the EMPoWER stack would install — the same sets the
-//! sim equivalence corpus uses, so workload runs exercise exactly the
-//! routes the rest of the reproduction is validated on.
+//! The workload's topology: [`TopologySpec::build`] under the name the
+//! workload API has always had. Client routes are built by
+//! [`empower_dynamics::lower::routes_for`].
 
-use empower_dynamics::schema::serr;
-use empower_dynamics::ScenarioError;
-use empower_model::rng::{SeedableRng, StdRng};
-use empower_model::topology::campus::{campus, CampusConfig};
-use empower_model::topology::{fig1_scenario, testbed22};
-use empower_model::{
-    CarrierSense, InterferenceMap, InterferenceModel, Medium, Network, NodeId, Path, SharedMedium,
-};
-
-use crate::spec::{TopologySpec, WorkloadTopology};
+use empower_dynamics::TopologySpec;
+use empower_model::{InterferenceMap, Network};
 
 /// Builds the workload's network and interference map.
 pub fn build_topology(t: &TopologySpec) -> (Network, InterferenceMap) {
-    match t.kind {
-        WorkloadTopology::Fig1 => {
-            let f = fig1_scenario();
-            let imap = SharedMedium.build_map(&f.net);
-            (f.net, imap)
-        }
-        WorkloadTopology::Testbed => {
-            let t = testbed22(t.seed);
-            let imap = CarrierSense::default().build_map(&t.net);
-            (t.net, imap)
-        }
-        WorkloadTopology::Campus { buildings, floors_per_building, clients_per_floor } => {
-            let mut rng = StdRng::seed_from_u64(t.seed);
-            let c = campus(
-                &mut rng,
-                &CampusConfig::new(buildings, floors_per_building, clients_per_floor),
-            );
-            let imap = CarrierSense::default().build_map(&c.net);
-            (c.net, imap)
-        }
-    }
-}
-
-/// The simulator endpoints of a workload pair.
-pub fn endpoints(topo: &TopologySpec, src: u32, dst: u32) -> (NodeId, NodeId) {
-    match topo.kind {
-        WorkloadTopology::Fig1 | WorkloadTopology::Campus { .. } => (NodeId(src), NodeId(dst)),
-        WorkloadTopology::Testbed => {
-            let t = testbed22(topo.seed);
-            (t.node(src), t.node(dst))
-        }
-    }
-}
-
-/// The multipath route set for a workload pair, in scheduler order.
-///
-/// Fig. 1 supports the paper's downstream pairs: gateway→client uses both
-/// hybrid routes, gateway→extender its two single hops, extender→client
-/// the WiFi hop. Testbed pairs use the direct PLC link (which the sampled
-/// layout must contain) plus a 2-hop WiFi relay through `via` when both
-/// hops exist. Campus pairs must be directly attached (a floor router and
-/// one of its clients); every direct link becomes a single-hop route, so
-/// hybrid clients get WiFi+PLC multipath automatically.
-pub fn routes_for(
-    net: &Network,
-    topo: &TopologySpec,
-    src: u32,
-    dst: u32,
-    via: Option<u32>,
-    path: &str,
-) -> Result<Vec<Path>, ScenarioError> {
-    match topo.kind {
-        WorkloadTopology::Fig1 => {
-            let f = fig1_scenario();
-            let links: Vec<Vec<_>> = match (src, dst) {
-                (0, 2) => vec![vec![f.plc_ab, f.wifi_bc], vec![f.wifi_ab, f.wifi_bc]],
-                (0, 1) => vec![vec![f.plc_ab], vec![f.wifi_ab]],
-                (1, 2) => vec![vec![f.wifi_bc]],
-                _ => return serr(path, format!("unsupported fig1 pair {src}→{dst}")),
-            };
-            links
-                .into_iter()
-                .map(|l| {
-                    Path::new(net, l).map_err(|e| ScenarioError {
-                        path: path.to_string(),
-                        message: format!("invalid fig1 route: {e:?}"),
-                    })
-                })
-                .collect()
-        }
-        WorkloadTopology::Testbed => {
-            let t = testbed22(topo.seed);
-            let (s, d) = (t.node(src), t.node(dst));
-            let plc = match net.find_link(s, d, Medium::Plc) {
-                Some(l) => l.id,
-                None => {
-                    return serr(
-                        path,
-                        format!(
-                            "testbed seed {} has no direct PLC link {src}→{dst}; \
-                             pick an adjacent pair",
-                            topo.seed
-                        ),
-                    )
-                }
-            };
-            let mut routes = vec![mk_path(net, vec![plc], path)?];
-            if let Some(via) = via {
-                let v = t.node(via);
-                let hop1 = net.find_link(s, v, Medium::WIFI1).map(|l| l.id);
-                let hop2 = net.find_link(v, d, Medium::WIFI1).map(|l| l.id);
-                match (hop1, hop2) {
-                    (Some(a), Some(b)) => routes.push(mk_path(net, vec![a, b], path)?),
-                    _ => {
-                        return serr(
-                            path,
-                            format!("testbed relay {src}→{via}→{dst} is missing a WiFi hop"),
-                        )
-                    }
-                }
-            }
-            Ok(routes)
-        }
-        WorkloadTopology::Campus { .. } => {
-            let links: Vec<_> =
-                net.out_links(NodeId(src)).filter(|l| l.to == NodeId(dst)).map(|l| l.id).collect();
-            if links.is_empty() {
-                return serr(
-                    path,
-                    format!(
-                        "campus pair {src}→{dst} shares no direct link; \
-                         pairs must be a floor router and one of its clients"
-                    ),
-                );
-            }
-            links.into_iter().map(|l| mk_path(net, vec![l], path)).collect()
-        }
-    }
-}
-
-fn mk_path(
-    net: &Network,
-    links: Vec<empower_model::LinkId>,
-    path: &str,
-) -> Result<Path, ScenarioError> {
-    Path::new(net, links).map_err(|e| ScenarioError {
-        path: path.to_string(),
-        message: format!("invalid route: {e:?}"),
-    })
+    t.build()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::TopologySpec;
+    use crate::spec::WorkloadTopology;
+    use empower_dynamics::lower::routes_for;
 
     #[test]
     fn fig1_pairs_build_expected_route_counts() {

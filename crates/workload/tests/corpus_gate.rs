@@ -2,6 +2,8 @@
 //! **byte-identically** — across repeated runs of the optimized engine and
 //! across the optimized/frozen-reference engine pair — in all four
 //! renderings (SLO report, flow report, packet trace, telemetry manifest).
+//! The two entries with a fault timeline put the driver's poll-and-reroute
+//! loop on both engines.
 //!
 //! `EMPOWER_WORKLOAD_SCENARIOS=N` trims the sweep to the first `N`
 //! scenarios (quick CI mode), mirroring `EMPOWER_SIM_EQUIV_SCENARIOS`.
@@ -69,8 +71,7 @@ fn campus_scenario_is_byte_identical_across_shard_counts() {
     use empower_sim::corpus::{ShardedN, SimEngine};
 
     let corpus = workload_corpus();
-    let s = corpus.last().expect("corpus is non-empty");
-    assert_eq!(s.name, "campus_scale");
+    let s = corpus.iter().find(|s| s.name == "campus_scale").expect("the campus entry");
     let single = run_workload_scenario::<Simulation>(s).unwrap();
     assert_eq!(single, run_workload_scenario::<ShardedN<2>>(s).unwrap(), "façade diverged");
 

@@ -232,13 +232,12 @@ fn scenario_fluid(args: &Args, path: &str) {
 /// deterministic flow program, runs it packet-level and prints the
 /// per-client SLO metrics.
 fn workload_run(args: &Args, path: &str) {
-    let parsed = empower_workload::Workload::parse_str(&read(path));
-    let w = or_exit(parsed.map_err(|e| format!("{path}: {e}")));
+    let w = load_scenario(path);
     let out = or_exit(empower_workload::run_workload(&w));
     println!(
         "workload {:?}: {} client groups, {} flows on {}, {:.0} s horizon, seed {}",
         w.name,
-        w.clients.len(),
+        out.slo.clients.len(),
         out.compiled.flows.len(),
         w.topology.kind.label(),
         w.run.horizon_secs,

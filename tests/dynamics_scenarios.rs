@@ -22,7 +22,9 @@ fn churny_scenario(seed: u64) -> Scenario {
             poll_secs: 0.5,
             delta: 0.0,
             recovery_fraction: 0.9,
+            noise: 0.0,
         },
+        clients: vec![],
         flows: vec![FlowSpec {
             src: 0,
             dst: 2,
@@ -101,7 +103,9 @@ fn link_down_forces_a_reroute_and_goodput_recovers() {
             poll_secs: 0.5,
             delta: 0.0,
             recovery_fraction: 0.9,
+            noise: 0.0,
         },
+        clients: vec![],
         flows: vec![FlowSpec {
             src: 0,
             dst: 2,
@@ -161,7 +165,9 @@ fn node_crash_disconnects_and_recovery_reconnects() {
             poll_secs: 0.5,
             delta: 0.0,
             recovery_fraction: 0.5,
+            noise: 0.0,
         },
+        clients: vec![],
         flows: vec![FlowSpec {
             src: 0,
             dst: 2,
