@@ -19,7 +19,9 @@ say() { printf '\n== %s ==\n' "$1"; }
 # pairs"): build the benchmark of <base-ref> and of the working tree, run
 # the workload's timed pass on each, alternately, the side that goes first
 # alternating too, and print every pair's end-to-end metrics (all of
-# BENCHMARK.json's `end_to_end`, not only wall_s), each side's medians and
+# BENCHMARK.json's `end_to_end`, not only wall_s) and the digest of its
+# renderings (`DIGEST DIFFERS` where base and change disagree, so a
+# byte-identical claim is checked by the run that measures it), each side's medians and
 # quartiles, who won on wall_s, and a flag per metric by the rule of the
 # benchmark's own `compare`. A metric is UNRESOLVED when either side's
 # (q3 - q1) / median exceeds its declared bound and the sides overlap; it
@@ -77,10 +79,15 @@ pairs() {
     [ "$(echo "$names" | head -n 1)" = wall_s ] \
         || { echo "BENCHMARK.json: end_to_end must start with wall_s" >&2; exit 1; }
     # One timed pass from the checkout it was built from; its last output
-    # line is the result object. Prints the metrics' values in $names order.
+    # line is the result object. Prints the metrics' values in $names order
+    # and leaves the digest of the pass's renderings, read from its summary
+    # line, in $root/digest.<side>.
     pass() {
-        line="$(cd "$1" && "$root/$2-target/release/benchmark" run \
-            --workload "$workload" --seed 1 --trace 0 | tail -n 1)"
+        out="$(cd "$1" && "$root/$2-target/release/benchmark" run \
+            --workload "$workload" --seed 1 --trace 0)"
+        line="$(echo "$out" | tail -n 1)"
+        echo "$out" | sed -n 's/.*(timed pass):.* digest \([0-9a-f]*\)$/\1/p' >"$root/digest.$2"
+        [ -s "$root/digest.$2" ] || { echo "no digest from the $2 side's timed pass" >&2; exit 1; }
         for m in $names; do
             v="$(echo "$line" | sed -n "s/.*\"$m\":{\"value\":\([0-9.eE+-]*\).*/\1/p")"
             [ -n "$v" ] || { echo "no $m from the $2 side's timed pass" >&2; exit 1; }
@@ -101,6 +108,7 @@ pairs_of() {
     for m in $names; do printf ' %14s %14s' "$m.base" "$m.change"; done
     echo
     i=1
+    differs=0
     : >"$root/runs"
     while [ "$i" -le "$count" ]; do
         if [ $((i % 2)) -eq 1 ]; then
@@ -116,6 +124,14 @@ pairs_of() {
         echo "$b$c" >>"$root/runs"
         printf '%-5s %-7s' "$i" "$first"
         echo "$b$c" | awk '{ k = NF / 2; for (j = 1; j <= k; j++) printf " %14.6g %14.6g", $j, $(j + k) }'
+        # A byte-identical change must render what the base renders.
+        if cmp -s "$root/digest.base" "$root/digest.change"; then
+            printf '  digest %s' "$(cat "$root/digest.change")"
+        else
+            printf '  DIGEST DIFFERS: base %s, change %s' \
+                "$(cat "$root/digest.base")" "$(cat "$root/digest.change")"
+            differs=$((differs + 1))
+        fi
         echo
         i=$((i + 1))
     done
@@ -164,6 +180,11 @@ pairs_of() {
             print (regressed ? regressed " metric(s) worse than their bound" : "no metric worse than its bound")
             if (unresolved) print unresolved " metric(s) unresolved: a side spreads wider than the bound"
         }' "$root/metrics" "$root/runs"
+    if [ "$differs" -gt 0 ]; then
+        echo "DIGEST DIFFERS on $differs of $count pairs: the sides render different bytes"
+    else
+        echo "digests equal on all $count pairs"
+    fi
 }
 
 if [ "${1:-}" = "pairs" ]; then

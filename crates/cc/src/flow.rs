@@ -25,13 +25,6 @@ pub struct FlowController<U: Utility> {
     q: Vec<f64>,
 }
 
-/// A summary of one controller update.
-#[derive(Debug, Clone)]
-pub struct FlowRates {
-    pub per_route: Vec<f64>,
-    pub total: f64,
-}
-
 impl<U: Utility> FlowController<U> {
     /// Creates the controller for a flow whose routes have standalone
     /// capacities `route_caps` (used to clamp iterates) and whose longest
@@ -65,8 +58,9 @@ impl<U: Utility> FlowController<U> {
     }
 
     /// One slot: consume the latest prices (`None` = no update for that
-    /// route, keep the previous value) and advance the proximal iteration.
-    pub fn on_ack(&mut self, route_prices: &[Option<f64>]) -> FlowRates {
+    /// route, keep the previous value) and advance the proximal iteration
+    /// in place; read the new rates with [`FlowController::rates`].
+    pub fn on_ack(&mut self, route_prices: &[Option<f64>]) {
         assert_eq!(route_prices.len(), self.x.len());
         for (q, p) in self.q.iter_mut().zip(route_prices) {
             if let Some(p) = p {
@@ -87,7 +81,6 @@ impl<U: Utility> FlowController<U> {
         }
         let total: f64 = self.x.iter().sum();
         self.alpha.observe(total);
-        FlowRates { per_route: self.x.clone(), total }
     }
 }
 
@@ -100,8 +93,8 @@ mod tests {
     fn rates_start_at_zero_and_ramp() {
         let mut c = FlowController::new(ProportionalFair, CcConfig::default(), vec![10.0, 10.0], 2);
         assert_eq!(c.total_rate(), 0.0);
-        let r = c.on_ack(&[Some(0.0), Some(0.0)]);
-        assert!(r.total > 0.0);
+        c.on_ack(&[Some(0.0), Some(0.0)]);
+        assert!(c.total_rate() > 0.0);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod utility;
 pub use controller::{CcConfig, MultipathController, SinglePathController};
 pub use convergence::{slots_to_converge, ConvergenceCriterion};
 pub use distributed::{BroadcastPlan, LinkPriceState, PriceBroadcast};
-pub use flow::{FlowController, FlowRates};
+pub use flow::FlowController;
 pub use problem::{CcProblem, FlowSpec, RouteRef};
 pub use step_size::AdaptiveAlpha;
 pub use utility::{AlphaFair, Linear, ProportionalFair, Utility};

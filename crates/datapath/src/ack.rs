@@ -56,9 +56,11 @@ impl AckCollector {
         self.delivered_packets
     }
 
-    /// Produces an ACK if the pacing interval has elapsed. Prices are kept
-    /// (not cleared): the controller always acts on the freshest known `q_r`.
-    pub fn maybe_ack(&mut self, now: f64) -> Option<Ack> {
+    /// Sends the paced ACK if one is due at `now` and lends its per-route
+    /// prices, without building an [`Ack`]: the control tick reads them
+    /// in place. Prices are kept (not cleared): the controller always acts
+    /// on the freshest known `q_r`.
+    pub fn ack_due(&mut self, now: f64) -> Option<&[Option<f64>]> {
         if now - self.last_ack_at < ACK_INTERVAL_SECS {
             return None;
         }
@@ -66,9 +68,16 @@ impl AckCollector {
             return None; // nothing to report yet
         }
         self.last_ack_at = now;
-        Some(Ack {
-            route_prices: self.latest_price.clone(),
-            delivered_packets: self.delivered_packets,
+        Some(&self.latest_price)
+    }
+
+    /// Produces an ACK if the pacing interval has elapsed; the owned form
+    /// of [`AckCollector::ack_due`].
+    pub fn maybe_ack(&mut self, now: f64) -> Option<Ack> {
+        let delivered_packets = self.delivered_packets;
+        self.ack_due(now).map(|prices| Ack {
+            route_prices: prices.to_vec(),
+            delivered_packets,
             sent_at: now,
         })
     }
@@ -96,6 +105,18 @@ mod tests {
         c.observe_price(1, 0.2);
         let ack = c.maybe_ack(0.0).unwrap();
         assert_eq!(ack.route_prices, vec![Some(0.7), Some(0.2)]);
+    }
+
+    #[test]
+    fn ack_due_lends_what_maybe_ack_sends() {
+        let (mut lent, mut owned) = (AckCollector::new(2), AckCollector::new(2));
+        for c in [&mut lent, &mut owned] {
+            c.observe_price(1, 0.3);
+        }
+        for now in [0.0, 0.05, 0.1, 0.3] {
+            let ack = owned.maybe_ack(now);
+            assert_eq!(lent.ack_due(now), ack.as_ref().map(|a| &a.route_prices[..]), "at {now}");
+        }
     }
 
     #[test]

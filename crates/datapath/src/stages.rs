@@ -147,6 +147,12 @@ impl FlowSink {
         self.acks.maybe_ack(now)
     }
 
+    /// The due ACK's per-route prices, lent instead of copied; see
+    /// [`AckCollector::ack_due`].
+    pub fn ack_due(&mut self, now: f64) -> Option<&[Option<f64>]> {
+        self.acks.ack_due(now)
+    }
+
     /// Re-keys for a new set of `route_count` routes: the expected
     /// sequence number and buffered packets survive, the per-route
     /// high-water marks and delay estimates restart, and so does the ACK

@@ -18,8 +18,9 @@
 //!   deployments.
 
 use crate::graph::Network;
-use crate::ids::LinkId;
+use crate::ids::{LinkId, PanelId};
 use crate::link::Link;
+use crate::medium::Medium;
 
 /// Decides whether two links interfere.
 pub trait InterferenceModel {
@@ -81,6 +82,73 @@ impl InterferenceModel for CarrierSense {
             ends_b.iter().any(|&v| u == v || net.node_distance(u, v) <= self.wifi_sense_range_m)
         })
     }
+
+    /// The map [`InterferenceMap::build`] gives, from candidate pairs only.
+    /// Links of different mediums, different PLC panels, PLC links without
+    /// a panel and Ethernet links never interfere, so each (medium, panel)
+    /// group is tested on its own: PLC groups pairwise, WiFi groups by a
+    /// sweep along x that stops once the next link's smallest x is beyond
+    /// this link's largest x plus the sensing range and `SWEEP_SLACK`
+    /// (DESIGN.md §3, "Carrier-sense map by sweep", has why that stop is
+    /// exact). Every candidate pair still goes through
+    /// [`CarrierSense::interferes`].
+    fn build_map(&self, net: &Network) -> InterferenceMap {
+        let range = self.wifi_sense_range_m;
+        // The exactness argument needs `range²` to be a normal number.
+        if !(1e-100..=1e100).contains(&range) {
+            return InterferenceMap::build(net, self);
+        }
+        let mut cands: Vec<Candidate> = net
+            .links()
+            .iter()
+            .filter_map(|l| {
+                let group = match l.medium {
+                    Medium::Plc => (l.medium, Some(net.node(l.from).panel?)),
+                    m if m.is_shared() => (m, None),
+                    _ => return None,
+                };
+                let (lo, hi) = match (net.node(l.from).pos.x, net.node(l.to).pos.x) {
+                    // A NaN coordinate could be anywhere: never stop early.
+                    (xa, xb) if xa.is_nan() || xb.is_nan() => (f64::NEG_INFINITY, f64::INFINITY),
+                    (xa, xb) => (xa.min(xb), xa.max(xb)),
+                };
+                Some(Candidate { group, lo, hi, link: l })
+            })
+            .collect();
+        cands.sort_unstable_by(|a, b| a.group.cmp(&b.group).then(a.lo.total_cmp(&b.lo)));
+        let mut rel = Relation::new(net.link_count());
+        for group in cands.chunk_by(|a, b| a.group == b.group) {
+            let sweep = group[0].group.0.is_wifi();
+            for (i, a) in group.iter().enumerate() {
+                let limit = a.hi + range + SWEEP_SLACK * (a.hi.abs() + range);
+                for b in &group[i + 1..] {
+                    if sweep && b.lo > limit {
+                        break;
+                    }
+                    if self.interferes(net, a.link, b.link) {
+                        rel.set(a.link.id, b.link.id);
+                    }
+                }
+            }
+        }
+        rel.into_map()
+    }
+}
+
+/// The relative slack of the carrier-sense sweep's stop: 16 machine
+/// epsilons of `|hi| + range`, which covers the rounding of the stop's own
+/// sum and of `Point::distance` with room to spare. Without it, a pair
+/// whose exact gap is a hair above the range, but whose distance computes
+/// to exactly the range, would be cut off though it interferes.
+const SWEEP_SLACK: f64 = 16.0 * f64::EPSILON;
+
+/// A shared-medium link as the carrier-sense sweep sees it: its group
+/// (medium, and the transmitter's panel for PLC) and its x extent.
+struct Candidate<'a> {
+    group: (Medium, Option<PanelId>),
+    lo: f64,
+    hi: f64,
+    link: &'a Link,
 }
 
 /// Every pair of links on the same shared medium interferes (single collision
@@ -115,37 +183,69 @@ pub struct InterferenceMap {
     stride: usize,
 }
 
+/// The interference relation under construction, as the map's packed
+/// rows: reflexive from the start (even for Ethernet), symmetric by
+/// [`Relation::set`].
+struct Relation {
+    words: Vec<u64>,
+    stride: usize,
+}
+
+impl Relation {
+    fn new(link_count: usize) -> Self {
+        let stride = link_count.div_ceil(WORD_BITS);
+        let mut rel = Relation { words: vec![0; link_count * stride], stride };
+        for l in 0..link_count {
+            rel.set_bit(l, l);
+        }
+        rel
+    }
+
+    fn set_bit(&mut self, row: usize, col: usize) {
+        self.words[row * self.stride + col / WORD_BITS] |= 1u64 << (col % WORD_BITS);
+    }
+
+    /// Records that `a` and `b` interfere.
+    fn set(&mut self, a: LinkId, b: LinkId) {
+        self.set_bit(a.index(), b.index());
+        self.set_bit(b.index(), a.index());
+    }
+
+    /// The map, each domain read off its row in ascending id order.
+    fn into_map(self) -> InterferenceMap {
+        let Relation { words, stride } = self;
+        let domains = words
+            .chunks_exact(stride.max(1))
+            .map(|row| {
+                let mut d = Vec::with_capacity(row.iter().map(|w| w.count_ones() as usize).sum());
+                d.extend(InterferenceMap::iter_links(row));
+                d
+            })
+            .collect();
+        InterferenceMap { domains, words, stride }
+    }
+}
+
 impl InterferenceMap {
-    /// Builds the map by evaluating `model` on every link pair. O(L²) with
-    /// tiny constants; local networks have at most a few hundred links.
+    /// Builds the map by evaluating `model` on every link pair: O(L²).
+    /// [`CarrierSense`] overrides [`InterferenceModel::build_map`] with a
+    /// build that tests only candidate pairs; this one stays the
+    /// reference it is tested against.
     pub fn build<M: InterferenceModel + ?Sized>(net: &Network, model: &M) -> Self {
         let links = net.links();
-        let mut domains = vec![Vec::new(); links.len()];
+        let mut rel = Relation::new(links.len());
         for a in links {
-            domains[a.id.index()].push(a.id); // reflexive, even for Ethernet
             for b in links.iter().skip(a.id.index() + 1) {
                 if model.interferes(net, a, b) {
                     debug_assert!(
                         model.interferes(net, b, a),
                         "interference model must be symmetric"
                     );
-                    domains[a.id.index()].push(b.id);
-                    domains[b.id.index()].push(a.id);
+                    rel.set(a.id, b.id);
                 }
             }
         }
-        let stride = links.len().div_ceil(WORD_BITS);
-        let mut words = vec![0u64; links.len() * stride];
-        for d in &mut domains {
-            d.sort_unstable();
-        }
-        for (l, d) in domains.iter().enumerate() {
-            let row = &mut words[l * stride..(l + 1) * stride];
-            for m in d {
-                row[m.index() / WORD_BITS] |= 1u64 << (m.index() % WORD_BITS);
-            }
-        }
-        InterferenceMap { domains, words, stride }
+        rel.into_map()
     }
 
     /// The interference domain `I_l` of `link` (sorted, contains `link`).

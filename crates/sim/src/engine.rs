@@ -408,8 +408,9 @@ pub struct Simulation {
     scratch_reorder: Vec<ReorderEvent>,
     /// Reused TCP-ACK buffer for `deliver_to_reorder`.
     scratch_acks: Vec<u32>,
-    /// Reused no-ack price vector for controller steps.
-    scratch_prices: Vec<Option<f64>>,
+    /// All-`None` prices for a controller step without an ACK; grown to
+    /// the widest flow, never written otherwise.
+    no_prices: Vec<Option<f64>>,
 }
 
 impl Simulation {
@@ -459,7 +460,7 @@ impl Simulation {
             scratch_links: Vec::new(),
             scratch_reorder: Vec::new(),
             scratch_acks: Vec::new(),
-            scratch_prices: Vec::new(),
+            no_prices: Vec::new(),
             events: EventQueue::new(),
             now: 0.0,
             net,
@@ -1400,29 +1401,24 @@ impl Simulation {
         self.etel.cc_price_updates.add(self.net.link_count() as u64);
         self.etel.cc_margin_violations.add(margin_violations as u64);
         // 4. ACKs and controller steps.
-        for f in 0..self.flows.len() {
-            if self.flows[f].controller.is_none() {
-                continue;
-            }
-            let ack = self.flows[f].sink.maybe_ack(self.now);
-            if ack.is_some() {
-                self.flows[f].acks_sent.inc();
-            }
-            let rates = match ack {
-                Some(a) => {
-                    let Some(controller) = self.flows[f].controller.as_mut() else { continue };
-                    controller.on_ack(&a.route_prices)
+        //    The due ACK lends its prices and the controller steps in
+        //    place: nothing here allocates.
+        for fl in &mut self.flows {
+            let Some(controller) = fl.controller.as_mut() else { continue };
+            match fl.sink.ack_due(self.now) {
+                Some(prices) => {
+                    fl.acks_sent.inc();
+                    controller.on_ack(prices);
                 }
                 None => {
-                    let routes = self.flows[f].spec.routes.len();
-                    self.scratch_prices.clear();
-                    self.scratch_prices.resize(routes, None);
-                    let prices = &self.scratch_prices;
-                    let Some(controller) = self.flows[f].controller.as_mut() else { continue };
-                    controller.on_ack(prices)
+                    let routes = fl.spec.routes.len();
+                    if self.no_prices.len() < routes {
+                        self.no_prices.resize(routes, None);
+                    }
+                    controller.on_ack(&self.no_prices[..routes]);
                 }
-            };
-            self.flows[f].source.set_rates(&rates.per_route);
+            }
+            fl.source.set_rates(controller.rates());
         }
         // 5. Once per second: sample injected rates.
         let per_sec = (1.0 / slot).round() as u64;

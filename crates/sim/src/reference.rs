@@ -1035,9 +1035,10 @@ impl ReferenceSimulation {
                     vec![None; self.flows[f].spec.routes.len()]
                 }
             };
-            let Some(controller) = self.flows[f].controller.as_mut() else { continue };
-            let rates = controller.on_ack(&prices);
-            self.flows[f].scheduler.set_rates(&rates.per_route);
+            let fl = &mut self.flows[f];
+            let Some(controller) = fl.controller.as_mut() else { continue };
+            controller.on_ack(&prices);
+            fl.scheduler.set_rates(controller.rates());
         }
         // 5. Once per second: sample injected rates.
         let per_sec = (1.0 / slot).round() as u64;

@@ -5,7 +5,10 @@
 //! Click implementation produced. Traces serialize to JSON lines for
 //! offline analysis and are the raw material for the time-series figures.
 
+use std::fmt::Write as _;
+
 use empower_model::LinkId;
+use empower_telemetry::json::write_f64;
 use empower_telemetry::Json;
 
 /// One traced event.
@@ -53,51 +56,46 @@ impl DropSite {
 }
 
 impl TraceEvent {
-    /// The JSON-line form: an object tagged by `"ev"` with snake_case
-    /// variant names (the format the serde-based version produced).
-    pub fn to_json(&self) -> Json {
-        match self {
-            TraceEvent::TxStart { t, link, flow, seq, bits } => Json::obj([
-                ("ev", Json::from("tx_start")),
-                ("t", Json::Float(*t)),
-                ("link", Json::from(*link)),
-                ("flow", Json::from(*flow)),
-                ("seq", Json::from(*seq)),
-                ("bits", Json::from(*bits)),
-            ]),
-            TraceEvent::TxEnd { t, link, flow, seq } => Json::obj([
-                ("ev", Json::from("tx_end")),
-                ("t", Json::Float(*t)),
-                ("link", Json::from(*link)),
-                ("flow", Json::from(*flow)),
-                ("seq", Json::from(*seq)),
-            ]),
-            TraceEvent::Drop { t, flow, seq, where_ } => Json::obj([
-                ("ev", Json::from("drop")),
-                ("t", Json::Float(*t)),
-                ("flow", Json::from(*flow)),
-                ("seq", Json::from(*seq)),
-                ("where_", Json::from(where_.label())),
-            ]),
-            TraceEvent::Deliver { t, flow, seq } => Json::obj([
-                ("ev", Json::from("deliver")),
-                ("t", Json::Float(*t)),
-                ("flow", Json::from(*flow)),
-                ("seq", Json::from(*seq)),
-            ]),
-            TraceEvent::DeclaredLost { t, flow, seq } => Json::obj([
-                ("ev", Json::from("declared_lost")),
-                ("t", Json::Float(*t)),
-                ("flow", Json::from(*flow)),
-                ("seq", Json::from(*seq)),
-            ]),
-            TraceEvent::LinkChange { t, link, capacity_mbps } => Json::obj([
-                ("ev", Json::from("link_change")),
-                ("t", Json::Float(*t)),
-                ("link", Json::from(*link)),
-                ("capacity_mbps", Json::Float(*capacity_mbps)),
-            ]),
+    /// Appends the JSON-line form, without the newline: an object tagged
+    /// by `"ev"` with snake_case variant names (the format the serde-based
+    /// version produced), written straight into `out` with no tree between.
+    /// Keys come in declaration order; floats follow
+    /// [`empower_telemetry::json::write_f64`], the rule every [`Json`]
+    /// rendering uses.
+    pub fn write_json(&self, out: &mut String) {
+        let (ev, t) = match *self {
+            TraceEvent::TxStart { t, .. } => ("tx_start", t),
+            TraceEvent::TxEnd { t, .. } => ("tx_end", t),
+            TraceEvent::Drop { t, .. } => ("drop", t),
+            TraceEvent::Deliver { t, .. } => ("deliver", t),
+            TraceEvent::DeclaredLost { t, .. } => ("declared_lost", t),
+            TraceEvent::LinkChange { t, .. } => ("link_change", t),
+        };
+        out.push_str("{\"ev\":\"");
+        out.push_str(ev);
+        out.push_str("\",\"t\":");
+        write_f64(out, t);
+        let _ = match *self {
+            TraceEvent::TxStart { link, flow, seq, bits, .. } => {
+                write!(out, r#","link":{link},"flow":{flow},"seq":{seq},"bits":{bits}"#)
+            }
+            TraceEvent::TxEnd { link, flow, seq, .. } => {
+                write!(out, r#","link":{link},"flow":{flow},"seq":{seq}"#)
+            }
+            TraceEvent::Drop { flow, seq, where_, .. } => {
+                write!(out, r#","flow":{flow},"seq":{seq},"where_":"{}""#, where_.label())
+            }
+            TraceEvent::Deliver { flow, seq, .. } | TraceEvent::DeclaredLost { flow, seq, .. } => {
+                write!(out, r#","flow":{flow},"seq":{seq}"#)
+            }
+            TraceEvent::LinkChange { link, .. } => {
+                write!(out, r#","link":{link},"capacity_mbps":"#)
+            }
+        };
+        if let TraceEvent::LinkChange { capacity_mbps, .. } = *self {
+            write_f64(out, capacity_mbps);
         }
+        out.push('}');
     }
 
     /// Parses one JSON-line object back into an event.
@@ -174,11 +172,12 @@ impl Trace {
         self.truncated
     }
 
-    /// Serializes to JSON lines.
+    /// Serializes to JSON lines, every record written into one `String`.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        // About 70 bytes a record; the reservation only saves regrowth.
+        let mut out = String::with_capacity(self.events.len() * 72);
         for e in &self.events {
-            out.push_str(&e.to_json().to_string());
+            e.write_json(&mut out);
             out.push('\n');
         }
         out
@@ -218,6 +217,103 @@ mod tests {
         assert_eq!(lines.len(), 2);
         let back = TraceEvent::from_json(&Json::parse(lines[0]).unwrap()).unwrap();
         assert_eq!(back, t.events()[0]);
+    }
+
+    /// The tree form the writer replaced: each record as a [`Json`]
+    /// object, rendered by `Json`'s own writer.
+    fn tree(e: &TraceEvent) -> Json {
+        match e {
+            TraceEvent::TxStart { t, link, flow, seq, bits } => Json::obj([
+                ("ev", Json::from("tx_start")),
+                ("t", Json::Float(*t)),
+                ("link", Json::from(*link)),
+                ("flow", Json::from(*flow)),
+                ("seq", Json::from(*seq)),
+                ("bits", Json::from(*bits)),
+            ]),
+            TraceEvent::TxEnd { t, link, flow, seq } => Json::obj([
+                ("ev", Json::from("tx_end")),
+                ("t", Json::Float(*t)),
+                ("link", Json::from(*link)),
+                ("flow", Json::from(*flow)),
+                ("seq", Json::from(*seq)),
+            ]),
+            TraceEvent::Drop { t, flow, seq, where_ } => Json::obj([
+                ("ev", Json::from("drop")),
+                ("t", Json::Float(*t)),
+                ("flow", Json::from(*flow)),
+                ("seq", Json::from(*seq)),
+                ("where_", Json::from(where_.label())),
+            ]),
+            TraceEvent::Deliver { t, flow, seq } => Json::obj([
+                ("ev", Json::from("deliver")),
+                ("t", Json::Float(*t)),
+                ("flow", Json::from(*flow)),
+                ("seq", Json::from(*seq)),
+            ]),
+            TraceEvent::DeclaredLost { t, flow, seq } => Json::obj([
+                ("ev", Json::from("declared_lost")),
+                ("t", Json::Float(*t)),
+                ("flow", Json::from(*flow)),
+                ("seq", Json::from(*seq)),
+            ]),
+            TraceEvent::LinkChange { t, link, capacity_mbps } => Json::obj([
+                ("ev", Json::from("link_change")),
+                ("t", Json::Float(*t)),
+                ("link", Json::from(*link)),
+                ("capacity_mbps", Json::Float(*capacity_mbps)),
+            ]),
+        }
+    }
+
+    #[test]
+    fn the_writer_renders_what_the_json_tree_rendered() {
+        let below_1e15 = f64::from_bits(1e15f64.to_bits() - 1);
+        let floats = [
+            0.0,
+            -0.0,
+            3.0,
+            -42.0,
+            0.1,
+            1e15,
+            below_1e15,
+            below_1e15.trunc(),
+            1e16,
+            1e-9,
+            f64::MIN_POSITIVE / 4.0, // subnormal
+            f64::MAX,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for &x in &floats {
+            let events = [
+                TraceEvent::TxStart {
+                    t: x,
+                    link: u32::MAX,
+                    flow: usize::MAX,
+                    seq: 7,
+                    bits: u64::MAX,
+                },
+                TraceEvent::TxEnd { t: x, link: 0, flow: 1, seq: u32::MAX },
+                TraceEvent::Drop { t: x, flow: 2, seq: 3, where_: DropSite::SourceAdmission },
+                TraceEvent::Drop { t: x, flow: 2, seq: 3, where_: DropSite::QueueOverflow },
+                TraceEvent::Drop { t: x, flow: 2, seq: 3, where_: DropSite::DeadLink },
+                TraceEvent::Deliver { t: x, flow: 4, seq: 5 },
+                TraceEvent::DeclaredLost { t: x, flow: 6, seq: 0 },
+                TraceEvent::LinkChange { t: 1.5, link: 9, capacity_mbps: x },
+                TraceEvent::LinkChange { t: x, link: 9, capacity_mbps: 0.0 },
+            ];
+            for e in &events {
+                let mut line = String::new();
+                e.write_json(&mut line);
+                assert_eq!(line, tree(e).to_string(), "{e:?}");
+            }
+            let mut trace = Trace::new();
+            events.iter().for_each(|e| trace.push(e.clone()));
+            let want: String = events.iter().map(|e| format!("{}\n", tree(e))).collect();
+            assert_eq!(trace.to_jsonl(), want);
+        }
     }
 
     #[test]

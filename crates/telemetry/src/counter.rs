@@ -5,9 +5,10 @@
 //! one add, and a disabled registry costs exactly one branch.
 
 use std::cell::Cell;
+use std::fmt::Write as _;
 use std::rc::Rc;
 
-use crate::json::Json;
+use crate::json::{push_indent, write_escaped, Json};
 
 /// What a counter's value means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -93,10 +94,10 @@ impl Counter {
     }
 }
 
-/// One registered counter, as stored by the registry.
+/// One registered counter, as stored by the registry (its name is the
+/// registry index's key).
 #[derive(Debug, Clone)]
 pub(crate) struct CounterEntry {
-    pub name: String,
     pub flavor: CounterType,
     pub cell: Rc<Cell<u64>>,
 }
@@ -119,6 +120,33 @@ impl CounterSnapshot {
             .binary_search_by(|(n, _, _)| n.as_str().cmp(name))
             .ok()
             .map(|i| self.counters[i].2)
+    }
+
+    /// Writes [`CounterSnapshot::to_json`]'s pretty form at `indent`
+    /// straight into `out`, with no tree between.
+    pub(crate) fn write_pretty(&self, out: &mut String, indent: usize) {
+        if self.counters.is_empty() {
+            out.push_str("{}");
+            return;
+        }
+        out.push_str("{\n");
+        for (i, (name, flavor, value)) in self.counters.iter().enumerate() {
+            if i > 0 {
+                out.push_str(",\n");
+            }
+            push_indent(out, indent + 1);
+            write_escaped(out, name);
+            out.push_str(": {\n");
+            push_indent(out, indent + 2);
+            let _ = writeln!(out, "\"type\": \"{}\",", flavor.label());
+            push_indent(out, indent + 2);
+            let _ = writeln!(out, "\"value\": {value}");
+            push_indent(out, indent + 1);
+            out.push('}');
+        }
+        out.push('\n');
+        push_indent(out, indent);
+        out.push('}');
     }
 
     /// JSON object `{name: {"type": flavor, "value": v}, ...}` in sorted

@@ -123,7 +123,7 @@ impl Json {
         }
     }
 
-    fn write_pretty(&self, out: &mut String, indent: usize) {
+    pub(crate) fn write_pretty(&self, out: &mut String, indent: usize) {
         match self {
             Json::Arr(items) if !items.is_empty() => {
                 out.push_str("[\n");
@@ -167,29 +167,31 @@ impl std::fmt::Display for Json {
     }
 }
 
-fn push_indent(out: &mut String, indent: usize) {
+pub(crate) fn push_indent(out: &mut String, indent: usize) {
     for _ in 0..indent {
         out.push_str("  ");
     }
 }
 
-/// Deterministic float formatting: Rust's shortest round-trip `Display`,
-/// with non-finite values mapped to `null` (JSON has no NaN/Inf).
-fn write_f64(out: &mut String, f: f64) {
+/// The one float rule of every JSON this workspace writes: Rust's
+/// shortest round-trip `Display`, except that an integral value below
+/// 1e15 in magnitude keeps one fractional digit ("3.0", not "3"; "-0.0"
+/// for negative zero), so a float field never reads as an integer.
+/// Non-finite values become `null` (JSON has no NaN/Inf).
+///
+/// Writers that render straight into a `String` instead of building a
+/// [`Json`] tree call this, so both paths give the same bytes.
+pub fn write_f64(out: &mut String, f: f64) {
     if !f.is_finite() {
         out.push_str("null");
     } else if f == f.trunc() && f.abs() < 1e15 {
-        // Keep integral floats recognizable as numbers with a fraction
-        // ("3.0", not "3"), matching what most emitters produce and making
-        // the variant survive a parse round-trip... except that JSON parsers
-        // cannot distinguish; we simply emit the shortest form.
         let _ = write!(out, "{f:.1}");
     } else {
         let _ = write!(out, "{f}");
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -24,8 +24,8 @@
 //!
 //! All timestamps come from the **virtual clock** (`set_now`), which the
 //! owning component advances from simulated time — never from the OS.
-//! Counter snapshots sort by name; JSON objects keep insertion order; float
-//! formatting is Rust's shortest round-trip form. Consequently two runs
+//! Counter snapshots sort by name; JSON objects keep insertion order; every
+//! float goes through one rule ([`json::write_f64`]). Consequently two runs
 //! with the same seed produce byte-identical snapshots, traces and
 //! manifests (DESIGN.md §3.4 extends to observability).
 //!
@@ -143,13 +143,12 @@ impl Telemetry {
         let Some(inner) = &self.inner else {
             return Counter::noop();
         };
-        let name = name.into();
         let mut index = inner.index.borrow_mut();
         let mut counters = inner.counters.borrow_mut();
         let next = counters.len();
-        let idx = *index.entry(name.clone()).or_insert(next);
+        let idx = *index.entry(name.into()).or_insert(next);
         if idx == next {
-            counters.push(CounterEntry { name, flavor, cell: Rc::new(Cell::new(0)) });
+            counters.push(CounterEntry { flavor, cell: Rc::new(Cell::new(0)) });
         }
         Counter { cell: Some(counters[idx].cell.clone()) }
     }
@@ -180,25 +179,32 @@ impl Telemetry {
         Ok(())
     }
 
-    /// Flushes the JSON-lines sink, if any.
-    pub fn flush(&self) {
-        if let Some(inner) = &self.inner {
-            inner.trace.borrow_mut().flush();
+    /// Flushes the JSON-lines sink, if any. A failed write leaves the file
+    /// truncated, so the first write or flush error since
+    /// [`Telemetry::stream_trace_to`] is returned, by this flush and every
+    /// later one.
+    pub fn flush(&self) -> std::io::Result<()> {
+        match &self.inner {
+            Some(inner) => inner.trace.borrow_mut().flush(),
+            None => Ok(()),
         }
     }
 
-    /// A sorted snapshot of every counter.
+    /// A sorted snapshot of every counter. The name index is a `BTreeMap`,
+    /// so walking it yields the counters already in name order.
     pub fn snapshot(&self) -> CounterSnapshot {
-        let mut counters: Vec<(String, CounterType, u64)> = match &self.inner {
+        let counters = match &self.inner {
             None => Vec::new(),
-            Some(inner) => inner
-                .counters
-                .borrow()
-                .iter()
-                .map(|e| (e.name.clone(), e.flavor, e.cell.get()))
-                .collect(),
+            Some(inner) => {
+                let entries = inner.counters.borrow();
+                inner
+                    .index
+                    .borrow()
+                    .iter()
+                    .map(|(name, &i)| (name.clone(), entries[i].flavor, entries[i].cell.get()))
+                    .collect()
+            }
         };
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
         CounterSnapshot { counters }
     }
 
@@ -448,6 +454,24 @@ mod tests {
         let snap = main.snapshot();
         assert_eq!(snap.value("sweep/runs"), Some(6));
         assert_eq!(snap.value("fig4/coincide"), Some(9));
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_full_disk_fails_the_flush_and_keeps_failing_it() {
+        let tele = Telemetry::enabled();
+        tele.stream_trace_to("/dev/full").unwrap();
+        tele.event("s", "e", &[]);
+        let err = tele.flush().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
+        // Writes past the buffer fail inside `event`; the error waits for
+        // the next flush, and the stream stays failed after it.
+        for i in 0..10_000u32 {
+            tele.event("s", "e", &[("i", i.into())]);
+        }
+        assert_eq!(tele.flush().unwrap_err().kind(), std::io::ErrorKind::StorageFull);
+        assert!(tele.flush().is_err());
+        assert_eq!(tele.trace_records().len(), 10_001, "the ring records regardless");
     }
 
     #[test]

@@ -41,22 +41,28 @@ pub struct TraceBuffer {
     cap: usize,
     evicted: u64,
     sink: Option<std::io::BufWriter<std::fs::File>>,
+    /// The sink's first write or flush error: once one write failed the
+    /// file is truncated, and every later flush reports it.
+    sink_error: Option<std::io::Error>,
 }
 
 pub(crate) const DEFAULT_RING_CAP: usize = 65_536;
 
 impl TraceBuffer {
     pub(crate) fn new(cap: usize) -> Self {
-        TraceBuffer { ring: std::collections::VecDeque::new(), cap, evicted: 0, sink: None }
+        TraceBuffer { cap, ..TraceBuffer::default() }
     }
 
     pub(crate) fn attach_sink(&mut self, file: std::fs::File) {
         self.sink = Some(std::io::BufWriter::new(file));
+        self.sink_error = None;
     }
 
     pub(crate) fn push(&mut self, rec: TraceRecord) {
         if let Some(sink) = self.sink.as_mut() {
-            let _ = writeln!(sink, "{}", rec.to_json());
+            if let Err(e) = writeln!(sink, "{}", rec.to_json()) {
+                self.sink_error.get_or_insert(e);
+            }
         }
         if self.ring.len() == self.cap {
             self.ring.pop_front();
@@ -65,9 +71,17 @@ impl TraceBuffer {
         self.ring.push_back(rec);
     }
 
-    pub(crate) fn flush(&mut self) {
+    /// Flushes the sink; `Err` carries the sink's first error, whether
+    /// this flush or an earlier write hit it.
+    pub(crate) fn flush(&mut self) -> std::io::Result<()> {
         if let Some(sink) = self.sink.as_mut() {
-            let _ = sink.flush();
+            if let Err(e) = sink.flush() {
+                self.sink_error.get_or_insert(e);
+            }
+        }
+        match &self.sink_error {
+            None => Ok(()),
+            Some(e) => Err(std::io::Error::new(e.kind(), e.to_string())),
         }
     }
 

@@ -105,7 +105,7 @@ fn streamed_trace_file_matches_the_in_memory_ring() {
         .build_simulation(&s.net, &imap, &flows, SimConfig::default())
         .unwrap();
     sim.run(10.0);
-    tele.flush();
+    tele.flush().unwrap();
     let streamed = std::fs::read_to_string(path_s).unwrap();
     assert_eq!(tele.trace_evicted(), 0, "ring did not wrap in this short run");
     assert_eq!(streamed, tele.trace_jsonl());
