@@ -232,6 +232,11 @@ else
     cargo build --release --workspace
     say "tier-1: tests"
     cargo test -q --release --workspace
+    say "routing equivalence on a deeper corpus"
+    # The exhaustive reference rebuilds the link metric at every tree node,
+    # while the explorer restores saved weights on backtrack, so four
+    # times the default corpus is where a wrongly restored weight shows.
+    EMPOWER_EQUIV_TOPOLOGIES=200 cargo test -q --release -p empower-routing --test equivalence
     say "examples: every example under examples/ runs"
     # `cargo test` only compiles examples; running each one is what shows
     # it is still reached. The names come from the glob, so a new example

@@ -16,7 +16,7 @@
 //! topologies; the result is exact for feasible loads (no scaling happens)
 //! and a standard approximation under overload.
 
-use empower_model::{InterferenceMap, Network, Path};
+use empower_model::{InterferenceMap, LinkId, Network, Path};
 
 /// Outcome of a saturation computation.
 #[derive(Debug, Clone)]
@@ -40,15 +40,26 @@ pub fn saturation_goodput(
     assert_eq!(routes.len(), offered.len());
     let l_count = net.link_count();
     let costs: Vec<f64> = net.links().iter().map(|l| l.cost()).collect();
+    // Only route links carry traffic, and a link's demand sums the domain
+    // of every carrier it belongs to (domains are symmetric), so the links
+    // a round must visit are the carriers' domains: `touched`.
+    let mut carriers: Vec<LinkId> = routes.iter().flat_map(|p| p.links().iter().copied()).collect();
+    carriers.sort_unstable();
+    carriers.dedup();
+    let mut words = Vec::new();
+    imap.union_domains_into(&carriers, &mut words);
+    let touched: Vec<usize> = InterferenceMap::iter_links(&words).map(|l| l.index()).collect();
     // Service scaling per link, starts optimistic.
     let mut scale = vec![1.0_f64; l_count];
     let mut arrivals = vec![0.0_f64; l_count];
     let mut delivered = vec![0.0_f64; routes.len()];
-    let mut new_scale = vec![1.0_f64; l_count];
+    let mut demand = vec![0.0_f64; l_count];
 
     for _round in 0..300 {
         // Propagate offered traffic hop by hop under the current scaling.
-        arrivals.iter_mut().for_each(|a| *a = 0.0);
+        for &c in &carriers {
+            arrivals[c.index()] = 0.0;
+        }
         for (r, path) in routes.iter().enumerate() {
             let mut rate = offered[r];
             for &l in path.links() {
@@ -57,32 +68,32 @@ pub fn saturation_goodput(
             }
             delivered[r] = rate;
         }
-        // Domain demands and new scalings.
-        new_scale.fill(1.0);
-        #[allow(clippy::needless_range_loop, reason = "l is also the LinkId")]
-        for l in 0..l_count {
-            let demand: f64 = imap
-                .domain(empower_model::LinkId(l as u32))
-                .iter()
-                .map(|&i| {
-                    let c = costs[i.index()];
-                    if c.is_finite() {
-                        arrivals[i.index()] * c
-                    } else if arrivals[i.index()] > 0.0 {
-                        f64::INFINITY
-                    } else {
-                        0.0
-                    }
-                })
-                .sum();
-            if demand > 1.0 {
-                new_scale[l] = 1.0 / demand;
+        // Domain demands, scattered from the carriers in ascending id
+        // order: each link receives its nonzero terms in the order a sum
+        // over its own (sorted) domain would add them, and the terms that
+        // sum would add besides are `+0.0` (DESIGN.md §8).
+        for &l in &touched {
+            demand[l] = 0.0;
+        }
+        for &c in &carriers {
+            let (a, cost) = (arrivals[c.index()], costs[c.index()]);
+            let term = if cost.is_finite() {
+                a * cost
+            } else if a > 0.0 {
+                f64::INFINITY
+            } else {
+                0.0
+            };
+            for &l in imap.domain(c) {
+                demand[l.index()] += term;
             }
         }
-        // Damping for stability.
+        // New scalings, damped for stability. An untouched link's demand is
+        // zero, so its scale stays exactly 1 and it moves nothing.
         let mut moved = 0.0_f64;
-        for l in 0..l_count {
-            let next = 0.5 * scale[l] + 0.5 * new_scale[l];
+        for &l in &touched {
+            let target = if demand[l] > 1.0 { 1.0 / demand[l] } else { 1.0 };
+            let next = 0.5 * scale[l] + 0.5 * target;
             moved = moved.max((next - scale[l]).abs());
             scale[l] = next;
         }
@@ -92,7 +103,7 @@ pub fn saturation_goodput(
     }
     let max_domain_airtime = (0..l_count)
         .map(|l| {
-            imap.domain(empower_model::LinkId(l as u32))
+            imap.domain(LinkId(l as u32))
                 .iter()
                 .map(|&i| {
                     let c = costs[i.index()];

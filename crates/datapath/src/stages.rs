@@ -141,6 +141,12 @@ impl FlowSink {
         delivered
     }
 
+    /// The reorder stage's next expected sequence number; see
+    /// [`ReorderBuffer::expected`].
+    pub fn expected(&self) -> u32 {
+        self.reorder.expected()
+    }
+
     /// The paced price acknowledgement, when one is due; see
     /// [`AckCollector::maybe_ack`].
     pub fn maybe_ack(&mut self, now: f64) -> Option<Ack> {

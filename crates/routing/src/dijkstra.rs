@@ -255,8 +255,9 @@ impl SearchGraph {
     /// costs are non-negative, and the smallest weight is at least one ulp
     /// of any distance a label can reach (fewer than `max_hops` steps of at
     /// most `max_step`, so below `2 · max_hops · max_step`). Dominance
-    /// pruning is exact only then (DESIGN.md §8); otherwise the search runs
-    /// without it.
+    /// pruning and the stop at the first destination label are exact only
+    /// then (DESIGN.md §8); otherwise the search runs without them, until
+    /// its heap is empty.
     fn strictly_increasing(&self, max_hops: usize) -> bool {
         self.costs_nonnegative
             && self.min_weight > 0.0
@@ -399,11 +400,19 @@ impl DijkstraScratch {
             if d > dist[state] {
                 continue; // stale entry
             }
+            let node_slot = state / (h + 1);
+            // Under strictly increasing relaxations the first destination
+            // label settled holds the least distance any terminal can reach,
+            // and every terminal at that distance already holds it and its
+            // final predecessor, so the scan below picks what an exhaustive
+            // search would (DESIGN.md §8, step 5).
+            if prune && node_slot / (k + 1) == query.dst.index() {
+                break;
+            }
             let hops = state % (h + 1);
             if hops == h {
                 continue; // hop budget exhausted
             }
-            let node_slot = state / (h + 1);
             // Dominance: the same node and ingress medium already settled
             // at fewer hops for strictly less. That label's extensions
             // reach the same states one or more hops earlier for no more,

@@ -98,6 +98,12 @@ impl LinkMetric {
             _ => panic!("refresh_link is only supported for ETT and hop count"),
         }
     }
+
+    /// Puts back a weight [`LinkMetric::weight`] read before a capacity
+    /// change the caller has since undone.
+    pub(crate) fn restore_weight(&mut self, link: LinkId, weight: f64) {
+        self.weights[link.index()] = weight;
+    }
 }
 
 #[cfg(test)]

@@ -190,6 +190,9 @@ fn remaining_total_bound(net: &Network, query: &RouteQuery, remaining_depth: usi
 pub struct Explorer {
     ksp: KspWorkspace,
     undo: UndoLog,
+    /// The metric weight of every link the undo log holds, pushed in log
+    /// order before its refresh and popped back on revert.
+    saved_weights: Vec<f64>,
     scratch: UpdateScratch,
     /// Per-depth candidate buffers (recycled between sibling subtrees).
     levels: Vec<Vec<DijkstraOutcome>>,
@@ -229,6 +232,7 @@ impl Explorer {
         config: &MultipathConfig,
     ) -> RouteSet {
         self.undo.clear();
+        self.saved_weights.clear();
         self.best_len = 0;
         // The single clone of the whole search; every candidate edge is an
         // apply/revert on this one working copy.
@@ -317,6 +321,7 @@ impl Explorer {
                 continue;
             }
             for &(l, _) in self.undo.entries_since(mark) {
+                self.saved_weights.push(metric.weight(l));
                 metric.refresh_link(g, l);
             }
             if self.explore(g, metric, imap, query, config, depth + 1, total + rate, best_total) {
@@ -327,7 +332,17 @@ impl Explorer {
                 self.best_chain[depth] =
                     Some(RouteAllocation { path: cand.path.clone(), nominal_rate: rate });
             }
-            self.undo.revert_with(g, mark, |net, l| metric.refresh_link(net, l));
+            // The ETT weight is a function of the capacity the log restores,
+            // so the weight saved on apply is the one a refresh would compute.
+            self.undo.revert_with(g, mark, |net, l| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "every log entry past `mark` had its weight pushed on apply"
+                )]
+                let w = self.saved_weights.pop().expect("a saved weight per log entry");
+                debug_assert_eq!(w.to_bits(), net.link(l).cost().to_bits(), "restored weight");
+                metric.restore_weight(l, w);
+            });
         }
         self.levels[depth] = candidates;
         improved

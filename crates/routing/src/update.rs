@@ -119,9 +119,17 @@ pub fn update_multigraph_logged(
     // *pre-update* capacities, hence the stage-then-write split.
     imap.union_domains_into(path.links(), &mut scratch.affected);
     scratch.scaled.clear();
+    // `r(l, P)` depends on `l` only through its incidence mask, so it is
+    // computed once per distinct mask below 64: every mask of a route of at
+    // most `MAX_ROUTE_HOPS` = 6 hops.
+    let mut memo = [None; 64];
     for l in InterferenceMap::iter_links(&scratch.affected) {
         let mask = imap.incidence_mask(l, path.links());
-        let r = path.residual_idle_fraction_masked(net, mask, rate);
+        let residual = || path.residual_idle_fraction_masked(net, mask, rate);
+        let r = match memo.get_mut(mask as usize) {
+            Some(slot) => *slot.get_or_insert_with(residual),
+            None => residual(),
+        };
         scratch.scaled.push((l, (net.link(l).capacity_mbps * r).max(0.0)));
     }
     for &(l, cap) in &scratch.scaled {

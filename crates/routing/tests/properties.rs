@@ -4,10 +4,10 @@
 
 use empower_model::rng::{Rng, SeedableRng, StdRng};
 use empower_model::topology::random::{generate, RandomTopologyConfig, TopologyClass};
-use empower_model::{CarrierSense, InterferenceModel, Medium};
+use empower_model::{CarrierSense, InterferenceMap, InterferenceModel, LinkId, Medium};
 use empower_routing::{
-    best_combination, k_shortest_paths, path_weight, shortest_path, CscMode, LinkMetric,
-    MultipathConfig, RouteQuery, MAX_ROUTE_HOPS,
+    best_combination, k_shortest_paths, path_weight, shortest_path, update_multigraph_logged,
+    CscMode, LinkMetric, MultipathConfig, RouteQuery, UndoLog, UpdateScratch, MAX_ROUTE_HOPS,
 };
 
 const CASES: u64 = 24;
@@ -100,4 +100,50 @@ fn more_mediums_never_hurt() {
         let rw = best_combination(&net, &imap, &wifi, &config).total_rate();
         assert!(rh >= rw - 1e-9, "seed {seed}: hybrid {rh} < wifi-only {rw}");
     }
+}
+
+/// `update(P, G)` computes `r(l, P)` once per distinct incidence mask.
+/// Every capacity it writes must equal, bit for bit, the affected link's
+/// old capacity scaled by the per-link residual, and it must write exactly
+/// the union of the path's interference domains.
+#[test]
+fn update_writes_the_per_link_residual() {
+    let mut hops_seen = [false; MAX_ROUTE_HOPS + 1];
+    for seed in seeds(0xB004) {
+        let (net, src, dst) = instance(seed);
+        let imap = CarrierSense::default().build_map(&net);
+        let metric = LinkMetric::ett(&net);
+        let q = RouteQuery::new(src, dst);
+        let mut undo = UndoLog::new();
+        let mut scratch = UpdateScratch::default();
+        for o in k_shortest_paths(&net, &metric, CscMode::Paper, &q, 24) {
+            let path = o.path;
+            hops_seen[path.hop_count()] = true;
+            let rate = path.capacity(&net, &imap);
+            let mut g = net.clone();
+            undo.clear();
+            let got = update_multigraph_logged(&mut g, &imap, &path, &mut undo, &mut scratch);
+            assert_eq!(got.to_bits(), rate.to_bits(), "seed {seed}: R(P)");
+            let mut affected: Vec<LinkId> = Vec::new();
+            if rate > 0.0 {
+                let mut words = Vec::new();
+                imap.union_domains_into(path.links(), &mut words);
+                affected.extend(InterferenceMap::iter_links(&words));
+            }
+            let written: Vec<LinkId> = undo.entries_since(0).iter().map(|&(l, _)| l).collect();
+            assert_eq!(written, affected, "seed {seed}: the links written");
+            for &(l, before) in undo.entries_since(0) {
+                let mask = imap.incidence_mask(l, path.links());
+                let r = path.residual_idle_fraction_masked(&net, mask, rate);
+                let want = (before * r).max(0.0);
+                assert_eq!(
+                    g.link(l).capacity_mbps.to_bits(),
+                    want.to_bits(),
+                    "seed {seed}: link {l} on a {}-hop path",
+                    path.hop_count()
+                );
+            }
+        }
+    }
+    assert!(hops_seen[1..].iter().all(|&s| s), "paths of every length 1-6: {hops_seen:?}");
 }

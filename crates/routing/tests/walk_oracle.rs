@@ -292,3 +292,36 @@ fn a_cheaper_label_with_more_hops_does_not_dominate() {
     let out = shortest_path_with_budget(&net, &metric, CscMode::Paper, &q, None, 2).unwrap();
     assert_eq!(out.path.links(), [ab, bd]);
 }
+
+/// A negative switching cost lets a relaxation lower a distance, so the
+/// search must neither prune nor stop at its first destination label.
+#[test]
+fn negative_csc_search_returns_a_cheapest_walk() {
+    let dominated = sweep(CscMode::Custom { w_ns: 0.02, w_s: -0.05 }, 0xD4_0000);
+    assert_eq!(dominated, 0, "dominance ran where a relaxation can lower a distance");
+}
+
+/// s → t directly on WiFi settles t first, at 0.1. The detour s → m → t
+/// switches from PLC to WiFi at m, and the switching cost of −0.3 brings
+/// it to 0.15 + 0.1 − 0.3 = −0.05, so the search must run past that first
+/// destination label.
+#[test]
+fn the_first_destination_label_is_not_final_when_a_cost_is_negative() {
+    let both = vec![Medium::WIFI1, Medium::Plc];
+    let mut b = NetworkBuilder::new();
+    let s = b.add_node(Point::new(0.0, 0.0), both.clone(), None);
+    let m = b.add_node(Point::new(1.0, 1.0), both.clone(), None);
+    let t = b.add_node(Point::new(2.0, 0.0), both, None);
+    b.add_link(s, t, Medium::WIFI1, 10.0);
+    let sm = b.add_link(s, m, Medium::Plc, 20.0 / 3.0);
+    let mt = b.add_link(m, t, Medium::WIFI1, 10.0);
+    let net = b.build();
+    let metric = LinkMetric::ett(&net);
+    let csc = CscMode::Custom { w_ns: 0.0, w_s: -0.3 };
+    let q = RouteQuery::new(s, t);
+    let mut scratch = DijkstraScratch::new();
+    check("hand-built", &net, &metric, csc, &q, None, 6, &mut scratch);
+    let out = shortest_path_with_budget(&net, &metric, csc, &q, None, 6).unwrap();
+    assert_eq!(out.path.links(), [sm, mt]);
+    assert!((out.weight + 0.05).abs() < 1e-12, "weight {}", out.weight);
+}

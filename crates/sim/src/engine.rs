@@ -1228,6 +1228,11 @@ impl Simulation {
                     }
                     self.stats[f].declared_lost += 1;
                     self.etel.loss_rule_firings.inc();
+                    // The reorder stage never delivers a sequence number it
+                    // declared lost, so its TCP segment is forgotten here.
+                    if let Some(tcp) = self.flows[f].tcp.as_mut() {
+                        tcp.wire_to_tcp.remove(&s);
+                    }
                 }
             }
         }
@@ -1862,6 +1867,28 @@ mod tests {
         assert!(t > 8.0, "TCP throughput {t}");
         // TCP over two routes beats the best single route (10 Mbps)...
         assert!(t > 10.0, "multipath TCP gain: {t}");
+    }
+
+    #[test]
+    fn a_lossy_tcp_run_forgets_the_segments_it_declared_lost() {
+        // Open-loop TCP on the two-hop WiFi route: the window outgrows the
+        // queues, frames overflow, and the reorder stage declares them lost.
+        let (mut sim, routes) = fig1_sim();
+        let src = routes[1].source(sim.network());
+        let dst = routes[1].destination(sim.network());
+        sim.add_flow(FlowSpecSim {
+            use_cc: false,
+            open_loop_rates: vec![30.0],
+            pattern: TrafficPattern::Tcp { start: 0.0, stop: 40.0, size_bytes: 0 },
+            ..FlowSpecSim::saturated(src, dst, vec![routes[1].clone()], 40.0)
+        });
+        let report = sim.run(40.0);
+        assert!(report.flows[0].declared_lost > 0, "the run lost nothing");
+        let flow = &sim.flows[0];
+        let expected = flow.sink.expected();
+        let tcp = flow.tcp.as_ref().unwrap();
+        let stale: Vec<u32> = tcp.wire_to_tcp.range(..expected).map(|(&s, _)| s).collect();
+        assert!(stale.is_empty(), "{} entries below {expected}: {stale:?}", stale.len());
     }
 
     #[test]

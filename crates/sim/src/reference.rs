@@ -884,6 +884,11 @@ impl ReferenceSimulation {
                     }
                     self.stats[f].declared_lost += 1;
                     self.etel.loss_rule_firings.inc();
+                    // The reorder stage never delivers a sequence number it
+                    // declared lost, so its TCP segment is forgotten here.
+                    if let Some(tcp) = self.flows[f].tcp.as_mut() {
+                        tcp.wire_to_tcp.remove(&s);
+                    }
                 }
             }
         }
@@ -1257,5 +1262,35 @@ impl ReferenceSimulation {
             }
             self.tcp_pump(f);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use empower_model::topology::fig1_scenario;
+    use empower_model::{InterferenceModel, Path, SharedMedium};
+
+    #[test]
+    fn a_lossy_tcp_run_forgets_the_segments_it_declared_lost() {
+        // Open-loop TCP on the two-hop WiFi route: the window outgrows the
+        // queues, frames overflow, and the reorder stage declares them lost.
+        let s = fig1_scenario();
+        let imap = SharedMedium.build_map(&s.net);
+        let route = Path::new(&s.net, vec![s.wifi_ab, s.wifi_bc]).unwrap();
+        let mut sim = ReferenceSimulation::new(s.net, imap, SimConfig::default());
+        sim.add_flow(FlowSpecSim {
+            use_cc: false,
+            open_loop_rates: vec![30.0],
+            pattern: TrafficPattern::Tcp { start: 0.0, stop: 40.0, size_bytes: 0 },
+            ..FlowSpecSim::saturated(s.gateway, s.client, vec![route], 40.0)
+        });
+        let report = sim.run(40.0);
+        assert!(report.flows[0].declared_lost > 0, "the run lost nothing");
+        let flow = &sim.flows[0];
+        let expected = flow.reorder.expected();
+        let tcp = flow.tcp.as_ref().unwrap();
+        let stale: Vec<u32> = tcp.wire_to_tcp.range(..expected).map(|(&s, _)| s).collect();
+        assert!(stale.is_empty(), "{} entries below {expected}: {stale:?}", stale.len());
     }
 }
