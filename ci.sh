@@ -7,6 +7,11 @@
 #   ./ci.sh pairs <base-ref> <workload|all> [pairs=10]
 #                    # measure a change against a commit (no gates run);
 #                    # `all` measures every workload of BENCHMARK.json in turn
+#   ./ci.sh identical <base-ref>
+#                    # byte-identity of a refactor: every figure at --quick
+#                    # and every examples/*.toml under `scenario run` and
+#                    # `workload run`, stdout and manifest, against <base-ref>;
+#                    # names each file that differs and exits 1 if any does
 #
 # Tier-1 (ROADMAP.md): `cargo build --release && cargo test -q` must pass.
 set -eu
@@ -187,9 +192,80 @@ pairs_of() {
     fi
 }
 
+# The byte-identity proof of a refactor as one command: build `empower`
+# from a `git archive` export of <base-ref> and from the working tree, each
+# into its own target directory under target/identical/, render every
+# figure the driver lists at --quick and every examples/*.toml of the
+# working tree under both `scenario run` and `workload run`, each with
+# --metrics, on both builds, and compare stdout and manifest file by file.
+# A run that fails records its exit status in its stdout file, so a run
+# that fails on one side only differs too. Names every file that differs
+# and exits 1 if any does. Writes only under target/.
+identical() {
+    usage="usage: ./ci.sh identical <base-ref>"
+    base_ref="${1:?$usage}"
+    root="$PWD/target/identical"
+    git rev-parse --verify --quiet "$base_ref^{commit}" >/dev/null \
+        || { echo "identical: unknown base ref $base_ref" >&2; exit 2; }
+    rm -rf "$root/base" "$root/out"
+    mkdir -p "$root/base" "$root/out/base" "$root/out/change"
+    trap 'rm -rf "$root/base"' EXIT
+    # -m for the same reason as in `pairs`: cargo decides freshness by mtime.
+    git archive "$base_ref" | tar -x -m -C "$root/base"
+    say "identical: building empower from $base_ref and from the working tree"
+    cargo build --release --locked --bin empower --manifest-path "$root/base/Cargo.toml" \
+        --target-dir "$root/base-target"
+    cargo build --release --locked --bin empower --target-dir "$root/change-target"
+    # render <out-prefix> <binary> <args...>: stdout to .out, manifest to .json.
+    render() {
+        prefix="$1"
+        shift
+        "$@" --metrics "$prefix.json" >"$prefix.out" 2>"$prefix.err" \
+            || echo "exit status $?" >>"$prefix.out"
+    }
+    for side in base change; do
+        bin="$root/$side-target/release/empower"
+        out="$root/out/$side"
+        say "identical: rendering on the $side build"
+        figures="$("$bin" 2>&1 | sed -n 's/^figures: //p')"
+        [ -n "$figures" ] || { echo "the $side build's usage lists no figures" >&2; exit 1; }
+        for fig in $figures; do
+            render "$out/figure.$fig" "$bin" figure "$fig" --quick
+        done
+        for doc in examples/*.toml; do
+            name="$(basename "$doc" .toml)"
+            for verb in scenario workload; do
+                render "$out/$verb.$name" "$bin" "$verb" run "$doc"
+            done
+        done
+    done
+    say "identical: $base_ref against the working tree"
+    files="$( (cd "$root/out/base" && ls; cd "$root/out/change" && ls) | grep -v '\.err$' | sort -u)"
+    same=0
+    differ=0
+    for f in $files; do
+        if cmp -s "$root/out/base/$f" "$root/out/change/$f"; then
+            same=$((same + 1))
+        else
+            echo "DIFFERS: $f"
+            differ=$((differ + 1))
+        fi
+    done
+    if [ "$differ" -gt 0 ]; then
+        echo "$differ of $((same + differ)) files differ (outputs kept in $root/out)"
+        exit 1
+    fi
+    echo "all $same files identical"
+}
+
 if [ "${1:-}" = "pairs" ]; then
     shift
     pairs "$@"
+    exit 0
+fi
+if [ "${1:-}" = "identical" ]; then
+    shift
+    identical "$@"
     exit 0
 fi
 

@@ -204,8 +204,7 @@ mod tests {
             );
             let out = bp.run(&s.net, &ProportionalFair, 4000);
             let traj: Vec<f64> = out.trajectory.iter().map(|t| t[0]).collect();
-            empower_cc::slots_to_converge(&traj, empower_cc::ConvergenceCriterion::default())
-                .unwrap_or(usize::MAX)
+            empower_cc::slots_to_converge(&traj).unwrap_or(usize::MAX)
         };
         let fast = run(50.0);
         let slow = run(1000.0);

@@ -4,8 +4,8 @@
 //! comparison. The paper's numbers for each are in EXPERIMENTS.md.
 
 use empower_baselines::{Backpressure, BackpressureConfig};
-use empower_cc::{slots_to_converge, CcConfig, ConvergenceCriterion, ProportionalFair};
-use empower_core::{FluidEval, RunConfig, Scheme};
+use empower_cc::{slots_to_converge, ProportionalFair};
+use empower_core::{RunConfig, Scheme};
 use empower_model::topology::random::TopologyClass;
 use empower_telemetry::{impl_to_json_struct, CounterType, Json, Manifest, Telemetry, ToJson};
 
@@ -280,9 +280,9 @@ pub fn convergence(opts: &Opts, tele: &Telemetry) -> Vec<Convergence> {
             // measurement noise or feedback delay, so the controller can run
             // the full rate-proportional boost (the packet simulator's
             // conservative cap exists to tame its noisy, delayed price loop).
-            let cc = CcConfig { boost_cap: 64.0, ..Default::default() };
-            let params = FluidEval { slots: 4000, cc, ..Default::default() };
-            let out = RunConfig::from_fluid(Scheme::Empower, &params)
+            let out = RunConfig::new(Scheme::Empower)
+                .slots(4000)
+                .boost_cap(64.0)
                 .telemetry(tele.clone())
                 .evaluate_fluid(&net, &imap, &flows)
                 .expect("tolerant mode cannot fail");
@@ -296,7 +296,7 @@ pub fn convergence(opts: &Opts, tele: &Telemetry) -> Vec<Convergence> {
             let mut scheme = Backpressure::new(&net, &imap, flows, BackpressureConfig::default());
             let result = scheme.run(&net, &ProportionalFair, budget);
             let traj: Vec<f64> = result.trajectory.iter().map(|t| t[0]).collect();
-            let slots = slots_to_converge(&traj, ConvergenceCriterion::default()).unwrap_or(budget);
+            let slots = slots_to_converge(&traj).unwrap_or(budget);
             bp.push(slots as f64);
         }
         Convergence { class: format!("{class:?}"), empower_slots: emp, backpressure_slots: bp }

@@ -6,7 +6,7 @@
 
 use empower_baselines::{enumerate_paths, maximize_utility, CapacityRegion, RegionKind};
 use empower_cc::{CcProblem, ProportionalFair, Utility};
-use empower_core::{FluidEval, RunConfig, Scheme};
+use empower_core::{RunConfig, Scheme, N_SHORTEST};
 use empower_dynamics::{run_scenario, Scenario, ScenarioError, ScenarioOutcome};
 use empower_exec::run_indexed;
 use empower_model::rng::{SeedableRng, StdRng};
@@ -116,7 +116,6 @@ pub fn run_one_traced(
     seed: u64,
     flow_count: usize,
     schemes: &[Scheme],
-    params: &FluidEval,
     tele: &Telemetry,
 ) -> SweepRun {
     let (net, imap, flows) = make_instance(class, seed, flow_count);
@@ -125,12 +124,9 @@ pub fn run_one_traced(
     let mut extra: Vec<Vec<Path>> = vec![Vec::new(); flows.len()];
     for &scheme in schemes {
         for (f, &(s, d)) in flows.iter().enumerate() {
-            push_new(
-                &mut extra[f],
-                scheme.compute_routes(&net, &imap, s, d, params.n_shortest).paths(),
-            );
+            push_new(&mut extra[f], scheme.compute_routes(&net, &imap, s, d, N_SHORTEST).paths());
         }
-        let out = RunConfig::from_fluid(scheme, params)
+        let out = RunConfig::new(scheme)
             .telemetry(tele.clone())
             .evaluate_equilibrium(&net, &imap, &flows)
             .expect("tolerant mode cannot fail");
@@ -138,9 +134,8 @@ pub fn run_one_traced(
         scheme_utility.push(out.utility);
     }
     tele.counter("sweep/runs", CounterType::Packets).inc();
-    let optimal = reference(&net, &imap, &flows, RegionKind::Cliques, params.delta, &extra);
-    let conservative =
-        reference(&net, &imap, &flows, RegionKind::Conservative, params.delta, &extra);
+    let optimal = reference(&net, &imap, &flows, RegionKind::Cliques, 0.0, &extra);
+    let conservative = reference(&net, &imap, &flows, RegionKind::Conservative, 0.0, &extra);
     SweepRun { seed, scheme_rates, scheme_utility, optimal, conservative }
 }
 
@@ -184,9 +179,8 @@ pub fn run_sweep_parallel(
     opts: &Opts,
     tele: &Telemetry,
 ) -> Vec<SweepRun> {
-    let params = FluidEval::default();
     fan_out(opts.jobs, count, tele, |i, item_tele| {
-        run_one_traced(class, opts.seed + i as u64, flow_count, schemes, &params, item_tele)
+        run_one_traced(class, opts.seed + i as u64, flow_count, schemes, item_tele)
     })
 }
 
@@ -254,9 +248,8 @@ mod tests {
     #[test]
     fn one_residential_run_is_consistent() {
         let schemes = [Scheme::Empower, Scheme::Sp, Scheme::SpWifi];
-        let params = FluidEval::default();
         let tele = Telemetry::disabled();
-        let run = run_one_traced(TopologyClass::Residential, 42, 1, &schemes, &params, &tele);
+        let run = run_one_traced(TopologyClass::Residential, 42, 1, &schemes, &tele);
         assert_eq!(run.scheme_rates.len(), 3);
         // EMPoWER never loses to its own single-path restriction.
         assert!(run.scheme_rates[0][0] >= run.scheme_rates[1][0] - 1e-6);
@@ -267,9 +260,8 @@ mod tests {
 
     #[test]
     fn enterprise_reference_is_no_smaller_than_empower() {
-        let (params, tele) = (FluidEval::default(), Telemetry::disabled());
-        let run =
-            run_one_traced(TopologyClass::Enterprise, 7, 1, &[Scheme::Empower], &params, &tele);
+        let tele = Telemetry::disabled();
+        let run = run_one_traced(TopologyClass::Enterprise, 7, 1, &[Scheme::Empower], &tele);
         assert!(run.optimal.flow_rates[0] + 1e-6 >= run.scheme_rates[0][0] * 0.99);
     }
 }

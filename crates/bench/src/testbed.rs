@@ -69,7 +69,6 @@ fn fig10_config(opts: &Opts) -> Fig10Config {
         pairs: opts.sweep(50, 6),
         duration: opts.full_or_quick(300.0, 120.0),
         seed: opts.seed,
-        ..Default::default()
     }
 }
 
@@ -144,7 +143,7 @@ fn flow_subset<'a>(opts: &Opts, flows: &'a [(u32, u32)]) -> &'a [(u32, u32)] {
 /// per second) for ten selected flows under EMPoWER, MP-mWiFi and SP.
 pub fn fig11(opts: &Opts, tele: &Telemetry) -> Vec<Fig11Row> {
     let (net, imap) = network(opts.seed);
-    let config = Fig11Config { duration: duration(opts), seed: opts.seed, ..Default::default() };
+    let config = Fig11Config { duration: duration(opts), seed: opts.seed };
     let flows = flow_subset(opts, &empower_testbed::fig11::FLOWS);
     empower_testbed::fig11::run_flows_traced(&net, &imap, &config, flows, tele)
 }

@@ -1,5 +1,5 @@
-//! The slotted congestion controllers of §4.2 (single path) and §4.3
-//! (multipath, proximal optimization).
+//! The slotted congestion controller of §4.3 (multipath, proximal
+//! optimization). On a flow with one route it is §4.2's single-path case.
 //!
 //! Per slot `t` (one acknowledgement interval), with step size `α`:
 //!
@@ -9,13 +9,7 @@
 //! q_r[t]   = Σ_{l∈r} d_l Σ_{i∈I_l} γ_i[t]                             (9)
 //! ```
 //!
-//! then the rate update — single path:
-//!
-//! ```text
-//! x_r[t+1] = U'⁻¹_r (q_r[t])                                          (10)
-//! ```
-//!
-//! or multipath (proximal, §4.3):
+//! then the proximal rate update of §4.3:
 //!
 //! ```text
 //! x_r[t+1] = (1−α) x_r[t] + α [ x̄_r[t] + U'_f(Σ_{h∈f} x_h[t]) − q_r[t] ]⁺
@@ -23,21 +17,29 @@
 //! ```
 //!
 //! Iterates are clamped to each route's standalone capacity `R(P)` — a
-//! source cannot usefully inject more than its path can ever carry — which
-//! bounds the transient of the single-path controller whose Eq. (10) jumps
-//! to `U'⁻¹(0) = ∞` while prices are still zero.
+//! source cannot usefully inject more than its path can ever carry.
 
 use empower_model::InterferenceMap;
 
 use crate::problem::CcProblem;
+use crate::step_size::AdaptiveAlpha;
 use crate::utility::Utility;
 
-/// Controller parameters.
+/// Unit-conversion gain on the multipath drive term `U' − q`.
+///
+/// The paper's `α = 0.02` yields ~90-slot convergence in its
+/// implementation, which implies its rate iterates move on a coarser unit
+/// scale than 1 Mbps (its brute-force sweeps step in 0.25 MB/s). Scaling
+/// the drive term by the gain changes *only* the transient speed: the fixed
+/// point still satisfies `U'_f = q_r` exactly. The value is calibrated
+/// (together with the default [`CcConfig::boost_cap`]) so typical flows
+/// converge in the order of 10² slots, matching §5.2.2.
+pub const GAIN: f64 = 25.0;
+
+/// Controller parameters. The step size is the paper's fixed
+/// [`AdaptiveAlpha::BASE_ALPHA`] and the drive gain is [`GAIN`].
 #[derive(Debug, Clone, Copy)]
 pub struct CcConfig {
-    /// Fixed step size `α` (the paper uses 0.02 as the base; see
-    /// [`crate::step_size::AdaptiveAlpha`] for the §6.1 heuristic).
-    pub alpha: f64,
     /// Constraint margin `δ ∈ [0, 1]` of Eq. (3).
     pub delta: f64,
     /// Cap on the rate-proportional gain boost `min(1 + x_f, boost_cap)`.
@@ -45,30 +47,23 @@ pub struct CcConfig {
     /// The boost cancels the 1/(1+x) decay of the proportional-fair
     /// derivative so ramps stay fast at high rates, but it also multiplies
     /// the loop gain; with delayed/noisy prices (the packet simulator, real
-    /// hardware) large boosts oscillate. The fluid controller tolerates the
-    /// default; the simulator uses a smaller cap.
+    /// hardware) large boosts oscillate. The packet simulator uses the
+    /// default of 8; only the noise-free fluid loop of the §5.2.2
+    /// convergence figure raises it, to 64.
     pub boost_cap: f64,
-    /// Unit-conversion gain on the multipath drive term `U' − q`.
-    ///
-    /// The paper's `α = 0.02` yields ~90-slot convergence in its
-    /// implementation, which implies its rate iterates move on a coarser
-    /// unit scale than 1 Mbps (its brute-force sweeps step in 0.25 MB/s).
-    /// Scaling the drive term by `gain` changes *only* the transient speed:
-    /// the fixed point still satisfies `U'_f = q_r` exactly. The default is
-    /// calibrated (together with `boost_cap`) so typical flows converge in the order of 10² slots,
-    /// matching §5.2.2.
-    pub gain: f64,
 }
 
 impl Default for CcConfig {
     fn default() -> Self {
-        CcConfig { alpha: 0.02, delta: 0.0, gain: 25.0, boost_cap: 8.0 }
+        CcConfig { delta: 0.0, boost_cap: 8.0 }
     }
 }
 
-/// Shared dual-price machinery: Eqs. (7)–(9).
+/// The multipath proximal controller (§4.3).
 #[derive(Debug, Clone)]
-struct PriceState {
+pub struct MultipathController<U: Utility> {
+    config: CcConfig,
+    utility: U,
     /// Dual variables `γ_l`.
     gamma: Vec<f64>,
     /// Cumulative γ updates performed (links × slots).
@@ -76,29 +71,64 @@ struct PriceState {
     /// Cumulative count of (link, slot) pairs whose airtime demand exceeded
     /// the constraint margin, i.e. `y_l > 1 − δ` (Eq. (8) pushing γ up).
     violations: u64,
+    x: Vec<f64>,
+    /// Proximal auxiliary variable `x̄`.
+    x_bar: Vec<f64>,
+    /// Measured non-EMPoWER traffic per link, Mbps (§4.3).
+    external: Option<Vec<f64>>,
 }
 
-impl PriceState {
-    fn new(link_count: usize) -> Self {
-        PriceState { gamma: vec![0.0; link_count], updates: 0, violations: 0 }
+impl<U: Utility> MultipathController<U> {
+    /// Creates the controller with rates starting at zero.
+    pub fn new(problem: &CcProblem, utility: U, config: CcConfig) -> Self {
+        MultipathController {
+            config,
+            utility,
+            gamma: vec![0.0; problem.link_costs.len()],
+            updates: 0,
+            violations: 0,
+            x: vec![0.0; problem.route_count()],
+            x_bar: vec![0.0; problem.route_count()],
+            external: None,
+        }
     }
 
-    /// One price slot: computes `y_l` from current rates, updates `γ`, and
-    /// returns the route prices `q_r`. `external` carries measured traffic
-    /// from non-EMPoWER nodes per link (§4.3): it enters the airtime demand
-    /// like any other traffic, so the controller converges to the optimal
-    /// allocation *under that load* without affecting it.
-    fn step(
-        &mut self,
-        problem: &CcProblem,
-        imap: &InterferenceMap,
-        x: &[f64],
-        external: Option<&[f64]>,
-        alpha: f64,
-        delta: f64,
-    ) -> Vec<f64> {
-        let mut link_rates = problem.link_rates(x);
-        if let Some(ext) = external {
+    /// Sets the measured external (non-EMPoWER) traffic per link, Mbps
+    /// (§4.3). The controller then converges to the utility optimum of the
+    /// *residual* capacity region, leaving the external load untouched.
+    pub fn set_external(&mut self, rates: Vec<f64>) {
+        self.external = Some(rates);
+    }
+
+    /// Current route rates (Mbps).
+    pub fn rates(&self) -> &[f64] {
+        &self.x
+    }
+
+    /// Current dual prices `γ_l`.
+    pub fn prices(&self) -> &[f64] {
+        &self.gamma
+    }
+
+    /// Cumulative γ updates performed so far (links × slots).
+    pub fn price_updates(&self) -> u64 {
+        self.updates
+    }
+
+    /// Cumulative (link, slot) pairs where `y_l > 1 − δ`.
+    pub fn margin_violations(&self) -> u64 {
+        self.violations
+    }
+
+    /// One price slot, Eqs. (7)–(9): computes `y_l` from the current
+    /// rates, updates `γ`, and returns the route prices `q_r`. The external
+    /// traffic (§4.3) enters the airtime demand like any other traffic, so
+    /// the controller converges to the optimal allocation *under that load*
+    /// without affecting it.
+    fn route_prices(&mut self, problem: &CcProblem, imap: &InterferenceMap) -> Vec<f64> {
+        let (alpha, delta) = (AdaptiveAlpha::BASE_ALPHA, self.config.delta);
+        let mut link_rates = problem.link_rates(&self.x);
+        if let Some(ext) = &self.external {
             for (r, e) in link_rates.iter_mut().zip(ext) {
                 *r += e;
             }
@@ -131,146 +161,12 @@ impl PriceState {
             })
             .collect()
     }
-}
-
-/// The single-path controller (§4.2). Valid when every flow has exactly one
-/// route; enforced at construction.
-#[derive(Debug, Clone)]
-pub struct SinglePathController<U: Utility> {
-    config: CcConfig,
-    utility: U,
-    prices: PriceState,
-    x: Vec<f64>,
-    /// Measured non-EMPoWER traffic per link, Mbps (§4.3).
-    external: Option<Vec<f64>>,
-}
-
-impl<U: Utility> SinglePathController<U> {
-    /// Creates the controller with rates starting at zero.
-    ///
-    /// # Panics
-    /// Panics if some flow has more than one route.
-    pub fn new(problem: &CcProblem, utility: U, config: CcConfig) -> Self {
-        assert!(
-            problem.flows.iter().all(|f| f.routes.len() == 1),
-            "single-path controller requires exactly one route per flow"
-        );
-        SinglePathController {
-            config,
-            utility,
-            prices: PriceState::new(problem.link_costs.len()),
-            x: vec![0.0; problem.route_count()],
-            external: None,
-        }
-    }
-
-    /// Sets the measured external (non-EMPoWER) traffic per link, Mbps.
-    pub fn set_external(&mut self, rates: Vec<f64>) {
-        self.external = Some(rates);
-    }
-
-    /// Current route rates (Mbps).
-    pub fn rates(&self) -> &[f64] {
-        &self.x
-    }
-
-    /// Current dual prices `γ_l`.
-    pub fn prices(&self) -> &[f64] {
-        &self.prices.gamma
-    }
-
-    /// Cumulative γ updates performed so far (links × slots).
-    pub fn price_updates(&self) -> u64 {
-        self.prices.updates
-    }
-
-    /// Cumulative (link, slot) pairs where `y_l > 1 − δ`.
-    pub fn margin_violations(&self) -> u64 {
-        self.prices.violations
-    }
-
-    /// Advances one slot; returns the new rates.
-    pub fn step(&mut self, problem: &CcProblem, imap: &InterferenceMap) -> &[f64] {
-        let q = self.prices.step(
-            problem,
-            imap,
-            &self.x,
-            self.external.as_deref(),
-            self.config.alpha,
-            self.config.delta,
-        );
-        for (r, qr) in q.into_iter().enumerate() {
-            self.x[r] = self.utility.deriv_inv(qr).min(problem.route_caps[r]);
-        }
-        &self.x
-    }
-}
-
-/// The multipath proximal controller (§4.3).
-#[derive(Debug, Clone)]
-pub struct MultipathController<U: Utility> {
-    config: CcConfig,
-    utility: U,
-    prices: PriceState,
-    x: Vec<f64>,
-    /// Proximal auxiliary variable `x̄`.
-    x_bar: Vec<f64>,
-    /// Measured non-EMPoWER traffic per link, Mbps (§4.3).
-    external: Option<Vec<f64>>,
-}
-
-impl<U: Utility> MultipathController<U> {
-    /// Creates the controller with rates starting at zero.
-    pub fn new(problem: &CcProblem, utility: U, config: CcConfig) -> Self {
-        MultipathController {
-            config,
-            utility,
-            prices: PriceState::new(problem.link_costs.len()),
-            x: vec![0.0; problem.route_count()],
-            x_bar: vec![0.0; problem.route_count()],
-            external: None,
-        }
-    }
-
-    /// Sets the measured external (non-EMPoWER) traffic per link, Mbps
-    /// (§4.3). The controller then converges to the utility optimum of the
-    /// *residual* capacity region, leaving the external load untouched.
-    pub fn set_external(&mut self, rates: Vec<f64>) {
-        self.external = Some(rates);
-    }
-
-    /// Current route rates (Mbps).
-    pub fn rates(&self) -> &[f64] {
-        &self.x
-    }
-
-    /// Current dual prices `γ_l`.
-    pub fn prices(&self) -> &[f64] {
-        &self.prices.gamma
-    }
-
-    /// Cumulative γ updates performed so far (links × slots).
-    pub fn price_updates(&self) -> u64 {
-        self.prices.updates
-    }
-
-    /// Cumulative (link, slot) pairs where `y_l > 1 − δ`.
-    pub fn margin_violations(&self) -> u64 {
-        self.prices.violations
-    }
 
     /// Advances one slot; returns the new rates.
     #[allow(clippy::needless_range_loop, reason = "r indexes four parallel arrays")]
     pub fn step(&mut self, problem: &CcProblem, imap: &InterferenceMap) -> &[f64] {
-        let alpha = self.config.alpha;
-        let q = self.prices.step(
-            problem,
-            imap,
-            &self.x,
-            self.external.as_deref(),
-            alpha,
-            self.config.delta,
-        );
+        let alpha = AdaptiveAlpha::BASE_ALPHA;
+        let q = self.route_prices(problem, imap);
         let flow_rates = problem.flow_rates(&self.x);
         for r in 0..problem.route_count() {
             let f = problem.flow_of[r];
@@ -280,7 +176,7 @@ impl<U: Utility> MultipathController<U> {
             // constant without moving the fixed point (which still requires
             // U' = q exactly).
             let boost = (1.0 + flow_rates[f]).min(self.config.boost_cap);
-            let drive = self.config.gain * boost * (self.utility.deriv(flow_rates[f]) - q[r]);
+            let drive = GAIN * boost * (self.utility.deriv(flow_rates[f]) - q[r]);
             let inner = (self.x_bar[r] + drive).max(0.0);
             let new_x =
                 ((1.0 - alpha) * self.x[r] + alpha * inner).min(problem.route_caps[r]).max(0.0);
@@ -357,23 +253,17 @@ mod tests {
 
     #[test]
     fn single_path_matches_kelly_optimum_on_one_route() {
-        // One flow on the hybrid route alone: optimum is x = R(P) = 10.
+        // One flow on the hybrid route alone: optimum is x = R(P) = 10. On a
+        // one-route flow the §4.3 controller is §4.2's single-path case.
         let s = fig1_scenario();
         let imap = SharedMedium.build_map(&s.net);
         let route1 = Path::new(&s.net, vec![s.plc_ab, s.wifi_bc]).unwrap();
         let p = CcProblem::new(&s.net, &imap, vec![vec![route1]]);
-        let mut c = SinglePathController::new(&p, ProportionalFair, CcConfig::default());
+        let mut c = MultipathController::new(&p, ProportionalFair, CcConfig::default());
         for _ in 0..5000 {
             c.step(&p, &imap);
         }
         assert!((c.rates()[0] - 10.0).abs() < 0.3, "x = {}", c.rates()[0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one route per flow")]
-    fn single_path_controller_rejects_multiroute_flows() {
-        let (p, _) = fig1_problem();
-        SinglePathController::new(&p, ProportionalFair, CcConfig::default());
     }
 
     #[test]

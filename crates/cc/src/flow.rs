@@ -6,7 +6,7 @@
 //! lives in [`crate::distributed::LinkPriceState`] on every node; this type
 //! is deliberately ignorant of the network — it sees only prices.
 
-use crate::controller::CcConfig;
+use crate::controller::{CcConfig, GAIN};
 use crate::step_size::AdaptiveAlpha;
 use crate::utility::Utility;
 
@@ -73,7 +73,7 @@ impl<U: Utility> FlowController<U> {
         // Rate-proportional gain boost; see MultipathController::step.
         let boost = (1.0 + total).min(self.config.boost_cap);
         for r in 0..self.x.len() {
-            let drive = self.config.gain * boost * (u_prime - self.q[r]);
+            let drive = GAIN * boost * (u_prime - self.q[r]);
             let inner = (self.x_bar[r] + drive).max(0.0);
             let nx = ((1.0 - alpha) * self.x[r] + alpha * inner).min(self.caps[r]).max(0.0);
             self.x_bar[r] = (1.0 - alpha) * self.x_bar[r] + alpha * self.x[r];

@@ -13,16 +13,14 @@
 //! Σ_{l'∈I_l} d_{l'} Σ_{r: l'∈r} x_r ≤ 1 − δ     ∀ l ∈ L .     (2)/(3)
 //! ```
 //!
-//! Two controllers are provided:
+//! [`MultipathController`] is the proximal-optimization controller of §4.3
+//! (Eq. (11)), which handles flows with several routes despite the
+//! objective not being strictly concave in `x`. A flow with one route is
+//! §4.2's single-path case: the same prices, Eqs. (7)–(9), and the same
+//! optimum.
 //!
-//! * [`SinglePathController`] — the dual controller of Eqs. (7)–(10), exact
-//!   when every flow uses one route;
-//! * [`MultipathController`] — the proximal-optimization variant of §4.3
-//!   (Eq. (11)), which handles flows with several routes despite the
-//!   objective not being strictly concave in `x`.
-//!
-//! Both are expressed as *slotted* updates — one step per acknowledgement
-//! interval (100 ms in the implementation) — and both use only quantities a
+//! It is expressed as a *slotted* update — one step per acknowledgement
+//! interval (100 ms in the implementation) — and uses only quantities a
 //! node can measure or overhear locally: per-link airtime demands, dual
 //! prices `γ_l` broadcast per technology, and route prices `q_r` accumulated
 //! in the layer-2.5 packet header and echoed by the destination.
@@ -35,8 +33,8 @@ pub mod problem;
 pub mod step_size;
 pub mod utility;
 
-pub use controller::{CcConfig, MultipathController, SinglePathController};
-pub use convergence::{slots_to_converge, ConvergenceCriterion};
+pub use controller::{CcConfig, MultipathController, GAIN};
+pub use convergence::slots_to_converge;
 pub use distributed::{BroadcastPlan, LinkPriceState, PriceBroadcast};
 pub use flow::FlowController;
 pub use problem::{CcProblem, FlowSpec, RouteRef};

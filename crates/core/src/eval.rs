@@ -9,33 +9,12 @@
 //! airtime — the mistake congestion control exists to fix).
 
 use empower_baselines::saturation_goodput;
-use empower_cc::{
-    slots_to_converge, CcConfig, CcProblem, ConvergenceCriterion, MultipathController,
-    ProportionalFair, Utility,
-};
-use empower_model::{InterferenceMap, Network, NodeId};
-use empower_telemetry::{CounterType, Telemetry};
+use empower_cc::{slots_to_converge, CcProblem, MultipathController, ProportionalFair, Utility};
+use empower_model::{InterferenceMap, Network, NodeId, Path};
+use empower_routing::RouteSet;
+use empower_telemetry::CounterType;
 
-use crate::scheme::Scheme;
-
-/// Evaluation parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct FluidEval {
-    /// Controller slots to run (100 ms each in wall-clock terms).
-    pub slots: usize,
-    /// `n-shortest` parameter for route computation.
-    pub n_shortest: usize,
-    /// Constraint margin δ.
-    pub delta: f64,
-    /// Controller configuration (α, gain).
-    pub cc: CcConfig,
-}
-
-impl Default for FluidEval {
-    fn default() -> Self {
-        FluidEval { slots: 3000, n_shortest: 5, delta: 0.0, cc: CcConfig::default() }
-    }
-}
+use crate::run::{RunConfig, N_SHORTEST};
 
 /// Outcome of a fluid evaluation.
 #[derive(Debug, Clone)]
@@ -54,51 +33,78 @@ pub struct FluidEvalResult {
     pub route_counts: Vec<usize>,
 }
 
-/// Registers the per-flow route gauges and the flow-count summary.
-fn record_route_counts(tele: &Telemetry, route_counts: &[usize], connected: usize) {
-    if !tele.is_enabled() {
-        return;
+/// The flows' route sets under the run's scheme and the indices of the
+/// connected flows (disconnected flows keep rate 0), with the per-flow route
+/// gauges and the flow-count summary registered on the run's telemetry.
+fn route_flows(
+    net: &Network,
+    imap: &InterferenceMap,
+    flows: &[(NodeId, NodeId)],
+    run: &RunConfig,
+) -> (Vec<RouteSet>, Vec<usize>) {
+    let route_sets: Vec<RouteSet> = flows
+        .iter()
+        .map(|&(s, d)| run.scheme.compute_routes(net, imap, s, d, N_SHORTEST))
+        .collect();
+    let connected: Vec<usize> = (0..flows.len()).filter(|&f| !route_sets[f].is_empty()).collect();
+    let tele = &run.telemetry;
+    if tele.is_enabled() {
+        tele.counter("eval/flows", CounterType::Gauge).set(route_sets.len() as u64);
+        tele.counter("eval/connected_flows", CounterType::Gauge).set(connected.len() as u64);
+        for (f, routes) in route_sets.iter().enumerate() {
+            tele.counter(format!("flow/{f}/routes"), CounterType::Gauge).set(routes.len() as u64);
+        }
     }
-    tele.counter("eval/flows", CounterType::Gauge).set(route_counts.len() as u64);
-    tele.counter("eval/connected_flows", CounterType::Gauge).set(connected as u64);
-    for (f, &n) in route_counts.iter().enumerate() {
-        tele.counter(format!("flow/{f}/routes"), CounterType::Gauge).set(n as u64);
-    }
+    (route_sets, connected)
+}
+
+/// The connected flows' routes as a controller problem.
+fn problem(
+    net: &Network,
+    imap: &InterferenceMap,
+    route_sets: &[RouteSet],
+    connected: &[usize],
+) -> CcProblem {
+    let flow_routes: Vec<Vec<Path>> = connected.iter().map(|&f| route_sets[f].paths()).collect();
+    CcProblem::new(net, imap, flow_routes)
+}
+
+/// Assembles the result both evaluations return.
+fn assemble(
+    flow_rates: Vec<f64>,
+    trajectories: Vec<Vec<f64>>,
+    convergence_slots: Vec<Option<usize>>,
+    route_sets: &[RouteSet],
+) -> FluidEvalResult {
+    let pf = ProportionalFair;
+    let utility = flow_rates.iter().map(|&x| pf.value(x)).sum();
+    let route_counts = route_sets.iter().map(|r| r.len()).collect();
+    FluidEvalResult { flow_rates, utility, trajectories, convergence_slots, route_counts }
 }
 
 /// The engine behind [`crate::RunConfig::evaluate_fluid`]: instruments the
-/// run on `tele` (per-flow route gauges, controller price/violation totals,
-/// convergence slots) with the virtual clock following the slot index.
+/// run on its telemetry (per-flow route gauges, controller price/violation
+/// totals, convergence slots) with the virtual clock following the slot
+/// index.
 pub(crate) fn evaluate_fluid_impl(
     net: &Network,
     imap: &InterferenceMap,
     flows: &[(NodeId, NodeId)],
-    scheme: Scheme,
-    params: &FluidEval,
-    tele: &Telemetry,
+    run: &RunConfig,
 ) -> FluidEvalResult {
-    // Route computation per flow; disconnected flows keep rate 0.
-    let route_sets: Vec<_> = flows
-        .iter()
-        .map(|&(s, d)| scheme.compute_routes(net, imap, s, d, params.n_shortest))
-        .collect();
-    let route_counts: Vec<usize> = route_sets.iter().map(|r| r.len()).collect();
-    let connected: Vec<usize> = (0..flows.len()).filter(|&f| !route_sets[f].is_empty()).collect();
-    record_route_counts(tele, &route_counts, connected.len());
-
+    let (route_sets, connected) = route_flows(net, imap, flows, run);
+    let tele = &run.telemetry;
     let mut flow_rates = vec![0.0; flows.len()];
     let mut trajectories = vec![Vec::new(); flows.len()];
     let mut convergence = vec![None; flows.len()];
 
     if !connected.is_empty() {
-        if scheme.uses_cc() {
-            let flow_routes: Vec<Vec<empower_model::Path>> =
-                connected.iter().map(|&f| route_sets[f].paths()).collect();
-            let problem = CcProblem::new(net, imap, flow_routes);
-            let config = CcConfig { delta: params.delta, ..params.cc };
-            let mut controller = MultipathController::new(&problem, ProportionalFair, config);
-            let traj = controller.run_trajectory(&problem, imap, params.slots);
-            tele.set_now(params.slots as f64);
+        if run.scheme.uses_cc() {
+            let problem = problem(net, imap, &route_sets, &connected);
+            let mut controller =
+                MultipathController::new(&problem, ProportionalFair, run.cc_config());
+            let traj = controller.run_trajectory(&problem, imap, run.slots);
+            tele.set_now(run.slots as f64);
             tele.counter("cc/price_updates", CounterType::Packets).add(controller.price_updates());
             tele.counter("cc/margin_violations", CounterType::Errors)
                 .add(controller.margin_violations());
@@ -106,8 +112,7 @@ pub(crate) fn evaluate_fluid_impl(
             for (ci, &f) in connected.iter().enumerate() {
                 flow_rates[f] = finals[ci];
                 trajectories[f] = traj.iter().map(|slot| slot[ci]).collect();
-                convergence[f] =
-                    slots_to_converge(&trajectories[f], ConvergenceCriterion::default());
+                convergence[f] = slots_to_converge(&trajectories[f]);
                 if let Some(slots) = convergence[f] {
                     tele.counter(format!("flow/{f}/convergence_slots"), CounterType::Gauge)
                         .set(slots as u64);
@@ -131,15 +136,7 @@ pub(crate) fn evaluate_fluid_impl(
             }
         }
     }
-    let pf = ProportionalFair;
-    let utility = flow_rates.iter().map(|&x| pf.value(x)).sum();
-    FluidEvalResult {
-        flow_rates,
-        utility,
-        trajectories,
-        convergence_slots: convergence,
-        route_counts,
-    }
+    assemble(flow_rates, trajectories, convergence, &route_sets)
 }
 
 /// Computes the *equilibrium* of a scheme directly: the §4 controller
@@ -155,51 +152,33 @@ pub(crate) fn evaluate_equilibrium_impl(
     net: &Network,
     imap: &InterferenceMap,
     flows: &[(NodeId, NodeId)],
-    scheme: Scheme,
-    params: &FluidEval,
-    tele: &Telemetry,
+    run: &RunConfig,
 ) -> FluidEvalResult {
-    if !scheme.uses_cc() {
-        return evaluate_fluid_impl(net, imap, flows, scheme, params, tele);
+    if !run.scheme.uses_cc() {
+        return evaluate_fluid_impl(net, imap, flows, run);
     }
-    let route_sets: Vec<_> = flows
-        .iter()
-        .map(|&(s, d)| scheme.compute_routes(net, imap, s, d, params.n_shortest))
-        .collect();
-    let route_counts: Vec<usize> = route_sets.iter().map(|r| r.len()).collect();
-    let connected: Vec<usize> = (0..flows.len()).filter(|&f| !route_sets[f].is_empty()).collect();
-    record_route_counts(tele, &route_counts, connected.len());
+    let (route_sets, connected) = route_flows(net, imap, flows, run);
     let mut flow_rates = vec![0.0; flows.len()];
     if !connected.is_empty() {
-        let flow_routes: Vec<Vec<empower_model::Path>> =
-            connected.iter().map(|&f| route_sets[f].paths()).collect();
-        let problem = CcProblem::new(net, imap, flow_routes);
+        let problem = problem(net, imap, &route_sets, &connected);
         let region = empower_baselines::CapacityRegion::build(
             &problem,
             imap,
             empower_baselines::RegionKind::Conservative,
-            params.delta,
+            run.delta,
         );
         let sol = empower_baselines::maximize_utility(&problem, &region, &ProportionalFair, 300);
         for (ci, &f) in connected.iter().enumerate() {
             flow_rates[f] = sol.flow_rates[ci];
         }
     }
-    let pf = ProportionalFair;
-    let utility = flow_rates.iter().map(|&x| pf.value(x)).sum();
-    FluidEvalResult {
-        flow_rates,
-        utility,
-        trajectories: vec![Vec::new(); flows.len()],
-        convergence_slots: vec![None; flows.len()],
-        route_counts,
-    }
+    assemble(flow_rates, vec![Vec::new(); flows.len()], vec![None; flows.len()], &route_sets)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RunConfig;
+    use crate::Scheme;
     use empower_model::rng::SeedableRng;
     use empower_model::rng::StdRng;
     use empower_model::topology::{fig1_scenario, residential};

@@ -9,8 +9,9 @@
 //!   SP-WiFi, MP-WiFi, MP-mWiFi, MP-w/o-CC, SP-w/o-CC, MP-2bp) as a single
 //!   configuration switch that selects mediums, routing flavour,
 //!   channel-switching cost and congestion control;
-//! * [`RunConfig`] — the typed run builder: scheme, `n`-shortest, δ,
-//!   controller gains and an optional [`telemetry::Telemetry`] registry,
+//! * [`RunConfig`] — the typed run builder: scheme, δ, the fluid
+//!   controller's slots and boost cap and an optional
+//!   [`telemetry::Telemetry`] registry,
 //!   with `Result`-typed entry points ([`EmpowerError`]) for route
 //!   computation, fluid/equilibrium evaluation (§5, Figs. 4–7),
 //!   packet-level simulation (§6) and route monitoring (§3.2);
@@ -38,9 +39,9 @@ pub mod run;
 pub mod scheme;
 pub mod stack;
 
-pub use eval::{FluidEval, FluidEvalResult};
+pub use eval::FluidEvalResult;
 pub use monitor::{RecomputeReason, RouteMonitor};
-pub use run::{EmpowerError, RunConfig};
+pub use run::{EmpowerError, RunConfig, N_SHORTEST};
 pub use scheme::Scheme;
 
 /// Re-export: the network-model substrate.

@@ -1,8 +1,8 @@
 //! The typed run facade: [`RunConfig`] + [`EmpowerError`].
 //!
-//! A [`RunConfig`] bundles everything a scheme evaluation needs — the
-//! [`Scheme`], the `n`-shortest route parameter, the constraint margin δ,
-//! the controller configuration and an optional [`Telemetry`] registry —
+//! A [`RunConfig`] bundles everything a scheme evaluation varies — the
+//! [`Scheme`], the constraint margin δ, the fluid controller's slots and
+//! boost cap and an optional [`Telemetry`] registry —
 //! and exposes `Result`-typed entry points for route computation, fluid /
 //! equilibrium evaluation, packet-level simulation and route monitoring.
 //!
@@ -24,7 +24,7 @@ use empower_routing::RouteSet;
 use empower_sim::{SimConfig, Simulation, TrafficPattern};
 use empower_telemetry::Telemetry;
 
-use crate::eval::{evaluate_equilibrium_impl, evaluate_fluid_impl, FluidEval, FluidEvalResult};
+use crate::eval::{evaluate_equilibrium_impl, evaluate_fluid_impl, FluidEvalResult};
 use crate::monitor::RouteMonitor;
 use crate::scheme::Scheme;
 use crate::stack::build_simulation_impl;
@@ -64,53 +64,38 @@ impl std::fmt::Display for EmpowerError {
 
 impl std::error::Error for EmpowerError {}
 
-/// A typed, buildable run configuration (supersedes the loose
-/// `(scheme, FluidEval)` pairs of the v0 API).
+/// `n` of `n-shortest(G)` (§3.2): every route computation of a run keeps
+/// the five shortest paths of each multigraph.
+pub const N_SHORTEST: usize = 5;
+
+/// A typed, buildable run configuration.
 ///
 /// Construction is infallible; the evaluation methods return
 /// [`EmpowerError`] where the old API panicked or silently zeroed.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
-    scheme: Scheme,
-    n_shortest: usize,
-    delta: f64,
-    slots: usize,
-    cc: CcConfig,
-    telemetry: Telemetry,
-    strict_connectivity: bool,
+    pub(crate) scheme: Scheme,
+    pub(crate) delta: f64,
+    pub(crate) slots: usize,
+    boost_cap: f64,
+    pub(crate) telemetry: Telemetry,
+    pub(crate) strict_connectivity: bool,
 }
 
 impl RunConfig {
-    /// A run of `scheme` with the paper defaults: `n = 5` shortest routes,
-    /// δ = 0, 3000 controller slots, default controller gains, telemetry
-    /// disabled, disconnected flows tolerated (rate 0 / skipped).
+    /// A run of `scheme` with the paper defaults: δ = 0, 3000 controller
+    /// slots, the default controller boost cap, telemetry disabled,
+    /// disconnected flows tolerated (rate 0 / skipped). Routes are the
+    /// [`N_SHORTEST`] combination of §3.2.
     pub fn new(scheme: Scheme) -> RunConfig {
-        let d = FluidEval::default();
         RunConfig {
             scheme,
-            n_shortest: d.n_shortest,
-            delta: d.delta,
-            slots: d.slots,
-            cc: d.cc,
+            delta: 0.0,
+            slots: 3000,
+            boost_cap: CcConfig::default().boost_cap,
             telemetry: Telemetry::disabled(),
             strict_connectivity: false,
         }
-    }
-
-    /// Builds a config from a legacy [`FluidEval`] parameter struct —
-    /// the migration path for v0 call sites that already carry one.
-    pub fn from_fluid(scheme: Scheme, params: &FluidEval) -> RunConfig {
-        RunConfig::new(scheme)
-            .n_shortest(params.n_shortest)
-            .delta(params.delta)
-            .slots(params.slots)
-            .cc(params.cc)
-    }
-
-    /// Sets the `n`-shortest route parameter (§3.2).
-    pub fn n_shortest(mut self, n: usize) -> RunConfig {
-        self.n_shortest = n;
-        self
     }
 
     /// Sets the constraint margin δ (§4.3).
@@ -125,10 +110,10 @@ impl RunConfig {
         self
     }
 
-    /// Sets the controller configuration (α, gain, boost cap). The margin
-    /// δ set via [`RunConfig::delta`] wins over `cc.delta`.
-    pub fn cc(mut self, cc: CcConfig) -> RunConfig {
-        self.cc = cc;
+    /// Sets the fluid controller's cap on its rate-proportional gain boost
+    /// ([`CcConfig::boost_cap`]).
+    pub fn boost_cap(mut self, cap: f64) -> RunConfig {
+        self.boost_cap = cap;
         self
     }
 
@@ -151,14 +136,9 @@ impl RunConfig {
         self.scheme
     }
 
-    /// The `n`-shortest parameter.
-    pub fn n(&self) -> usize {
-        self.n_shortest
-    }
-
-    /// The legacy parameter struct this config corresponds to.
-    pub fn fluid_params(&self) -> FluidEval {
-        FluidEval { slots: self.slots, n_shortest: self.n_shortest, delta: self.delta, cc: self.cc }
+    /// The fluid controller's configuration: this run's δ and boost cap.
+    pub(crate) fn cc_config(&self) -> CcConfig {
+        CcConfig { delta: self.delta, boost_cap: self.boost_cap }
     }
 
     /// Computes the scheme's route set for one flow.
@@ -173,7 +153,7 @@ impl RunConfig {
         src: NodeId,
         dst: NodeId,
     ) -> Result<RouteSet, EmpowerError> {
-        let routes = self.scheme.compute_routes(net, imap, src, dst, self.n_shortest);
+        let routes = self.scheme.compute_routes(net, imap, src, dst, N_SHORTEST);
         if routes.is_empty() {
             return Err(EmpowerError::Disconnected { flow: 0, src, dst });
         }
@@ -193,14 +173,7 @@ impl RunConfig {
         imap: &InterferenceMap,
         flows: &[(NodeId, NodeId)],
     ) -> Result<FluidEvalResult, EmpowerError> {
-        let out = evaluate_fluid_impl(
-            net,
-            imap,
-            flows,
-            self.scheme,
-            &self.fluid_params(),
-            &self.telemetry,
-        );
+        let out = evaluate_fluid_impl(net, imap, flows, self);
         self.check_connectivity(flows, &out)?;
         Ok(out)
     }
@@ -216,14 +189,7 @@ impl RunConfig {
         imap: &InterferenceMap,
         flows: &[(NodeId, NodeId)],
     ) -> Result<FluidEvalResult, EmpowerError> {
-        let out = evaluate_equilibrium_impl(
-            net,
-            imap,
-            flows,
-            self.scheme,
-            &self.fluid_params(),
-            &self.telemetry,
-        );
+        let out = evaluate_equilibrium_impl(net, imap, flows, self);
         self.check_connectivity(flows, &out)?;
         Ok(out)
     }
@@ -260,21 +226,12 @@ impl RunConfig {
         flows: &[(NodeId, NodeId, TrafficPattern)],
         config: SimConfig,
     ) -> Result<(Simulation, Vec<Option<usize>>), EmpowerError> {
-        build_simulation_impl(
-            net,
-            imap,
-            flows,
-            self.scheme,
-            config,
-            self.n_shortest,
-            &self.telemetry,
-            self.strict_connectivity,
-        )
+        build_simulation_impl(net, imap, flows, config, self)
     }
 
     /// Starts a [`RouteMonitor`] for one flow's routes, carrying this
-    /// config's `n`-shortest parameter and telemetry (recomputations are
-    /// counted by [`crate::RecomputeReason`]).
+    /// config's scheme and telemetry (recomputations are counted by
+    /// [`crate::RecomputeReason`]).
     pub fn monitor(
         &self,
         net: &Network,
@@ -282,15 +239,7 @@ impl RunConfig {
         dst: NodeId,
         routes: &RouteSet,
     ) -> RouteMonitor {
-        RouteMonitor::with_config(
-            net,
-            self.scheme,
-            src,
-            dst,
-            routes,
-            self.n_shortest,
-            self.telemetry.clone(),
-        )
+        RouteMonitor::start(net, self.scheme, src, dst, routes, self.telemetry.clone())
     }
 }
 
@@ -308,15 +257,9 @@ mod tests {
         let s = fig1_scenario();
         let imap = SharedMedium.build_map(&s.net);
         let flows = [(s.gateway, s.client)];
-        let new = RunConfig::new(Scheme::Empower).evaluate_fluid(&s.net, &imap, &flows).unwrap();
-        let old = crate::eval::evaluate_fluid_impl(
-            &s.net,
-            &imap,
-            &flows,
-            Scheme::Empower,
-            &FluidEval::default(),
-            &Telemetry::disabled(),
-        );
+        let run = RunConfig::new(Scheme::Empower);
+        let new = run.evaluate_fluid(&s.net, &imap, &flows).unwrap();
+        let old = crate::eval::evaluate_fluid_impl(&s.net, &imap, &flows, &run);
         assert_eq!(new.flow_rates, old.flow_rates);
         assert_eq!(new.utility, old.utility);
     }
@@ -367,21 +310,6 @@ mod tests {
         assert!(snap.value("cc/price_updates").unwrap() > 0);
         assert!(snap.value("eval/flows") == Some(1));
         assert!(snap.value("flow/0/convergence_slots").is_some());
-    }
-
-    #[test]
-    fn n_shortest_is_respected_end_to_end() {
-        let s = fig1_scenario();
-        let imap = SharedMedium.build_map(&s.net);
-        let one = RunConfig::new(Scheme::Empower).n_shortest(1);
-        let five = RunConfig::new(Scheme::Empower);
-        let r1 = one.routes(&s.net, &imap, s.gateway, s.client).unwrap();
-        let r5 = five.routes(&s.net, &imap, s.gateway, s.client).unwrap();
-        assert!(r1.len() <= r5.len());
-        assert_eq!(one.n(), 1);
-        // The monitor built from the config recomputes with the same n.
-        let mut m1 = one.monitor(&s.net, s.gateway, s.client, &r1);
-        assert_eq!(m1.recompute(&s.net, &imap).len(), r1.len());
     }
 
     #[test]

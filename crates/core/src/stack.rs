@@ -2,36 +2,28 @@
 
 use empower_model::{InterferenceMap, Network, NodeId};
 use empower_sim::{FlowSpecSim, SimConfig, Simulation, TrafficPattern};
-use empower_telemetry::Telemetry;
 
-use crate::run::EmpowerError;
-use crate::scheme::Scheme;
+use crate::run::{EmpowerError, RunConfig, N_SHORTEST};
 
 /// The engine behind [`crate::RunConfig::build_simulation`]: route
-/// computation with a configurable `n`, telemetry attached to the engine
+/// computation with [`N_SHORTEST`], telemetry attached to the engine
 /// before flows register, and an optional strict mode that turns a
 /// disconnected flow into [`EmpowerError::Disconnected`].
-#[allow(
-    clippy::too_many_arguments,
-    reason = "one crate-private engine behind RunConfig's builder, which holds these fields"
-)]
 pub(crate) fn build_simulation_impl(
     net: &Network,
     imap: &InterferenceMap,
     flows: &[(NodeId, NodeId, TrafficPattern)],
-    scheme: Scheme,
     config: SimConfig,
-    n_shortest: usize,
-    tele: &Telemetry,
-    strict: bool,
+    run: &RunConfig,
 ) -> Result<(Simulation, Vec<Option<usize>>), EmpowerError> {
+    let scheme = run.scheme;
     let mut sim = Simulation::new(net.clone(), imap.clone(), config);
-    sim.attach_telemetry(tele.clone());
+    sim.attach_telemetry(run.telemetry.clone());
     let mut mapping = Vec::with_capacity(flows.len());
     for (f, &(src, dst, pattern)) in flows.iter().enumerate() {
-        let routes = scheme.compute_routes(net, imap, src, dst, n_shortest);
+        let routes = scheme.compute_routes(net, imap, src, dst, N_SHORTEST);
         if routes.is_empty() {
-            if strict {
+            if run.strict_connectivity {
                 return Err(EmpowerError::Disconnected { flow: f, src, dst });
             }
             mapping.push(None);
@@ -61,9 +53,10 @@ pub(crate) fn build_simulation_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RunConfig;
+    use crate::Scheme;
     use empower_model::topology::fig1_scenario;
     use empower_model::{InterferenceModel, SharedMedium};
+    use empower_telemetry::Telemetry;
 
     #[test]
     fn packet_sim_matches_fluid_eval_on_fig1() {

@@ -1,5 +1,5 @@
 //! Typed configuration builders for the datapath stages: one value per
-//! stage that names every knob, with the paper's defaults. Mid-flow
+//! stage that names what a caller varies, with the paper's defaults. Mid-flow
 //! changes (rate vectors, route replacement) are methods on the stages
 //! themselves ([`crate::FlowSource`], [`crate::FlowSink`]).
 
@@ -12,34 +12,20 @@ use crate::scheduler::RouteScheduler;
 pub struct SchedulerConfig {
     routes: usize,
     bucket_depth_mb: f64,
-    probe_floor_mbps: f64,
     initial_rates: Option<Vec<f64>>,
 }
 
 impl SchedulerConfig {
-    /// A scheduler over `routes` routes with the historical defaults: a
-    /// 0.05 Mb bucket (~4 × 12 kbit frames) and a 0.25 Mbps probe floor.
+    /// A scheduler over `routes` routes with the historical default of a
+    /// 0.05 Mb bucket (~4 × 12 kbit frames).
     pub fn for_routes(routes: usize) -> Self {
-        SchedulerConfig {
-            routes,
-            bucket_depth_mb: 0.05,
-            probe_floor_mbps: 0.25,
-            initial_rates: None,
-        }
+        SchedulerConfig { routes, bucket_depth_mb: 0.05, initial_rates: None }
     }
 
     /// Token-bucket depth in megabits (burst tolerance). Must hold at
     /// least one frame or everything is dropped.
     pub fn bucket_depth_mb(mut self, depth: f64) -> Self {
         self.bucket_depth_mb = depth;
-        self
-    }
-
-    /// Price-probing floor in Mbps: a route's *selection weight* never
-    /// drops below this so its price stays observable. Zero disables
-    /// probing.
-    pub fn probe_floor_mbps(mut self, floor: f64) -> Self {
-        self.probe_floor_mbps = floor.max(0.0);
         self
     }
 
@@ -61,10 +47,6 @@ impl SchedulerConfig {
 
     pub(crate) fn bucket_depth(&self) -> f64 {
         self.bucket_depth_mb
-    }
-
-    pub(crate) fn probe_floor(&self) -> f64 {
-        self.probe_floor_mbps
     }
 
     pub(crate) fn rates(&self) -> Option<&[f64]> {
@@ -120,7 +102,7 @@ mod tests {
     fn scheduler_defaults_match_the_historical_constructor() {
         let s = SchedulerConfig::for_routes(2).build();
         assert_eq!(s.total_rate(), 0.0);
-        // Depth/floor are private; behavioural checks live in scheduler.rs.
+        // The depth is private; behavioural checks live in scheduler.rs.
         assert_eq!(SchedulerConfig::for_routes(2).routes(), 2);
     }
 

@@ -1,7 +1,5 @@
 //! The fixed 20-byte EMPoWER header (§6.1).
 
-use crate::wire::{Buf, BufMut};
-
 use crate::iface_id::IfaceId;
 
 /// Total header length on the wire, bytes.
@@ -116,18 +114,9 @@ impl EmpowerHeader {
         EmpowerHeader { route, price: 0.0, seq }
     }
 
-    /// Serializes into `buf` (exactly [`HEADER_LEN`] bytes).
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        for i in 0..MAX_HOPS {
-            buf.put_u16(self.route.hops[i].0);
-        }
-        buf.put_f32(self.price);
-        buf.put_u32(self.seq);
-    }
-
-    /// Serializes into a caller-provided fixed buffer — the hot-path
-    /// encoder: no allocation, no cursor bookkeeping, the type system
-    /// guarantees the length.
+    /// Serializes into a caller-provided fixed buffer, in network
+    /// (big-endian) byte order: no allocation, no cursor bookkeeping, the
+    /// type system guarantees the length.
     pub fn encode_into(&self, out: &mut [u8; HEADER_LEN]) {
         for i in 0..MAX_HOPS {
             out[2 * i..2 * i + 2].copy_from_slice(&self.route.hops[i].0.to_be_bytes());
@@ -136,15 +125,14 @@ impl EmpowerHeader {
         out[16..20].copy_from_slice(&self.seq.to_be_bytes());
     }
 
-    /// Parses a header from `buf`: one bounds check and one copy out of the
-    /// cursor, then every field at its fixed offset.
+    /// Parses a header from the front of `buf` and advances `buf` past it:
+    /// one bounds check, then every field at its fixed offset.
     #[inline]
-    pub fn decode<B: Buf>(buf: &mut B) -> Result<Self, HeaderError> {
-        if buf.remaining() < HEADER_LEN {
-            return Err(HeaderError::Truncated { got: buf.remaining() });
-        }
-        let mut b = [0u8; HEADER_LEN];
-        buf.copy_to_slice(&mut b);
+    pub fn decode(buf: &mut &[u8]) -> Result<Self, HeaderError> {
+        let Some((b, rest)) = buf.split_first_chunk::<HEADER_LEN>() else {
+            return Err(HeaderError::Truncated { got: buf.len() });
+        };
+        *buf = rest;
         let mut hops = [IfaceId::EMPTY; MAX_HOPS];
         // Bit i set: slot i holds a hop.
         let mut set = 0u32;
@@ -183,10 +171,9 @@ mod tests {
         let h = EmpowerHeader::new(route(&[10, 20, 30]), 42);
         let mut fixed = [0u8; HEADER_LEN];
         h.encode_into(&mut fixed);
-        let mut appended = Vec::new();
-        h.encode(&mut appended);
-        assert_eq!(appended.len(), HEADER_LEN);
-        assert_eq!(appended.as_slice(), &fixed, "both encoders produce the same bytes");
+        let mut cursor = &fixed[..];
+        assert_eq!(EmpowerHeader::decode(&mut cursor), Ok(h));
+        assert!(cursor.is_empty(), "decoding consumes all 20 bytes");
     }
 
     #[test]

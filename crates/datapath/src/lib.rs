@@ -37,7 +37,6 @@ pub mod iface_id;
 pub mod reorder;
 pub mod scheduler;
 pub mod stages;
-pub mod wire;
 
 pub use ack::{Ack, AckCollector, ACK_INTERVAL_SECS};
 pub use backend::{DestEndpoint, IoError, PacketIo, SourceEndpoint};
@@ -46,5 +45,5 @@ pub use delay_eq::DelayEqualizer;
 pub use header::{EmpowerHeader, HeaderError, SourceRoute, HEADER_LEN, MAX_HOPS};
 pub use iface_id::{IfaceId, IfaceRegistry};
 pub use reorder::{ReorderBuffer, ReorderEvent};
-pub use scheduler::{RouteChoice, RouteScheduler};
+pub use scheduler::{RouteChoice, RouteScheduler, PROBE_FLOOR_MBPS};
 pub use stages::{FlowSink, FlowSource};

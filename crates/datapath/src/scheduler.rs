@@ -20,6 +20,13 @@ pub enum RouteChoice {
     Drop,
 }
 
+/// Price-probing floor, Mbps: a route's *selection weight* never drops
+/// below this, so every route keeps carrying a trickle of packets and its
+/// price `q_r` stays observable. Without it, a route whose rate the
+/// controller drove to zero could never learn that its price has since
+/// dropped (no packets → no fresh `q_r` in ACKs → deadlock).
+pub const PROBE_FLOOR_MBPS: f64 = 0.25;
+
 /// Weighted route picker + token-bucket admission for one flow.
 #[derive(Debug, Clone)]
 pub struct RouteScheduler {
@@ -33,12 +40,6 @@ pub struct RouteScheduler {
     last_refill: f64,
     /// Next sequence number to stamp.
     next_seq: u32,
-    /// Price-probing floor, Mbps: a route's *selection weight* never drops
-    /// below this, so every route keeps carrying a trickle of packets and
-    /// its price `q_r` stays observable. Without it, a route whose rate the
-    /// controller drove to zero could never learn that its price has since
-    /// dropped (no packets → no fresh `q_r` in ACKs → deadlock).
-    probe_floor: f64,
 }
 
 impl RouteScheduler {
@@ -52,7 +53,6 @@ impl RouteScheduler {
             bucket_depth: cfg.bucket_depth(),
             last_refill: 0.0,
             next_seq: 0,
-            probe_floor: cfg.probe_floor().max(0.0),
         };
         if let Some(rates) = cfg.rates() {
             s.set_rates(rates);
@@ -99,7 +99,7 @@ impl RouteScheduler {
         // the controller's split, with a trickle on quiet routes to keep
         // their prices observable. The weights are recomputed on the second
         // walk rather than collected: same values, same order, no Vec.
-        let floor = self.probe_floor;
+        let floor = PROBE_FLOOR_MBPS;
         let sum: f64 = self.rates.iter().map(|&x| x.max(floor)).sum();
         let mut draw = rng.gen::<f64>() * sum;
         for (i, &x) in self.rates.iter().enumerate() {
@@ -206,7 +206,7 @@ mod tests {
             return RouteChoice::Drop;
         }
         s.tokens -= need;
-        let weights: Vec<f64> = s.rates.iter().map(|&x| x.max(s.probe_floor)).collect();
+        let weights: Vec<f64> = s.rates.iter().map(|&x| x.max(PROBE_FLOOR_MBPS)).collect();
         let sum: f64 = weights.iter().sum();
         let mut draw = rng.gen::<f64>() * sum;
         for (i, &w) in weights.iter().enumerate() {
@@ -224,12 +224,7 @@ mod tests {
         let mut routed = 0usize;
         for case in 0..300 {
             let routes = inputs.gen_range(1usize..=6);
-            let floor = match case % 3 {
-                0 => 0.0,
-                1 => 0.25,
-                _ => inputs.gen_range(0.0..5.0),
-            };
-            let cfg = SchedulerConfig::for_routes(routes).probe_floor_mbps(floor);
+            let cfg = SchedulerConfig::for_routes(routes);
             let mut fast = cfg.build();
             let mut slow = cfg.build();
             let mut rng_fast = StdRng::seed_from_u64(case);
@@ -267,15 +262,23 @@ mod tests {
 
     #[test]
     fn rate_updates_take_effect() {
-        let mut s = SchedulerConfig::for_routes(2).probe_floor_mbps(0.0).build();
-        s.set_rates(&[0.0, 5.0]);
+        // Each rate vector sends all but the probe trickle (0.25 of 5.25
+        // Mbps, under 5 %) to the route that has the rate.
+        let mut s = SchedulerConfig::for_routes(2).build();
         let mut rng = StdRng::seed_from_u64(4);
         let mut t = 0.0;
-        for _ in 0..100 {
-            t += 0.01;
-            if let RouteChoice::Route(r) = s.offer(&mut rng, t, 12000) {
-                assert_eq!(r, 1, "only route 1 has rate");
+        for (rates, busy) in [([0.0, 5.0], 1), ([5.0, 0.0], 0)] {
+            s.set_rates(&rates);
+            let mut hits = [0usize; 2];
+            for _ in 0..1000 {
+                t += 0.01;
+                if let RouteChoice::Route(r) = s.offer(&mut rng, t, 12000) {
+                    hits[r] += 1;
+                }
             }
+            let routed = hits[0] + hits[1];
+            assert!(routed > 900, "only {routed} offers admitted");
+            assert!(hits[busy] * 10 > routed * 9, "route {busy} got {hits:?} of the draws");
         }
     }
 }

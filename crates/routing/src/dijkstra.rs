@@ -135,35 +135,8 @@ pub fn shortest_path(
     csc: CscMode,
     query: &RouteQuery,
 ) -> Option<DijkstraOutcome> {
-    shortest_path_with_ingress(net, metric, csc, query, None)
-}
-
-/// Like [`shortest_path`] but starting as if the source had just been
-/// reached over `ingress` — so the channel-switching cost at the source is
-/// charged correctly. Used by Yen's algorithm for spur computations.
-pub fn shortest_path_with_ingress(
-    net: &Network,
-    metric: &LinkMetric,
-    csc: CscMode,
-    query: &RouteQuery,
-    initial_ingress: Option<Medium>,
-) -> Option<DijkstraOutcome> {
-    shortest_path_with_budget(net, metric, csc, query, initial_ingress, MAX_ROUTE_HOPS)
-}
-
-/// Like [`shortest_path_with_ingress`] with an explicit hop budget — Yen's
-/// spur searches must run under `MAX_ROUTE_HOPS − root length` for the
-/// spliced paths to enumerate in true weight order.
-pub fn shortest_path_with_budget(
-    net: &Network,
-    metric: &LinkMetric,
-    csc: CscMode,
-    query: &RouteQuery,
-    initial_ingress: Option<Medium>,
-    max_hops: usize,
-) -> Option<DijkstraOutcome> {
     let mut scratch = DijkstraScratch::new();
-    shortest_path_with_scratch(net, metric, csc, query, initial_ingress, max_hops, &mut scratch)
+    shortest_path_with_scratch(net, metric, csc, query, None, MAX_ROUTE_HOPS, &mut scratch)
 }
 
 /// One permitted arc of a [`SearchGraph`].
@@ -473,9 +446,13 @@ impl DijkstraScratch {
     }
 }
 
-/// [`shortest_path_with_budget`] running on caller-provided scratch
-/// buffers (allocation-free after warm-up). Compiles the query's graph on
-/// every call; Yen's algorithm compiles once for all its searches.
+/// [`shortest_path`] starting as if the source had just been reached over
+/// `initial_ingress` — so the channel-switching cost at the source is
+/// charged correctly — under an explicit hop budget (Yen's spur searches
+/// run under `MAX_ROUTE_HOPS − root length` for the spliced paths to
+/// enumerate in true weight order), on caller-provided scratch buffers
+/// (allocation-free after warm-up). Compiles the query's graph on every
+/// call; Yen's algorithm compiles once for all its searches.
 pub fn shortest_path_with_scratch(
     net: &Network,
     metric: &LinkMetric,

@@ -37,6 +37,10 @@ use crate::metrics::LinkMetric;
 use crate::query::RouteQuery;
 use crate::update::{update_multigraph, update_multigraph_logged, UndoLog, UpdateScratch};
 
+/// Additional routes whose marginal rate is at most this (Mbps) are
+/// ignored; keeps numerically-dead branches out of the combination.
+pub const MIN_ROUTE_RATE: f64 = 1e-6;
+
 /// Parameters of the multipath route computation.
 #[derive(Debug, Clone)]
 pub struct MultipathConfig {
@@ -46,14 +50,11 @@ pub struct MultipathConfig {
     pub max_depth: usize,
     /// Channel-switching-cost policy for the underlying single-path steps.
     pub csc: CscMode,
-    /// Ignore additional routes whose marginal rate is below this threshold
-    /// (Mbps); keeps numerically-dead branches out of the combination.
-    pub min_route_rate: f64,
 }
 
 impl Default for MultipathConfig {
     fn default() -> Self {
-        MultipathConfig { n_shortest: 5, max_depth: 16, csc: CscMode::Paper, min_route_rate: 1e-6 }
+        MultipathConfig { n_shortest: 5, max_depth: 16, csc: CscMode::Paper }
     }
 }
 
@@ -313,7 +314,7 @@ impl Explorer {
             let mark = self.undo.mark();
             let rate =
                 update_multigraph_logged(g, imap, &cand.path, &mut self.undo, &mut self.scratch);
-            if rate <= config.min_route_rate {
+            if rate <= MIN_ROUTE_RATE {
                 // Empty path: no spare capacity on this branch. The metric
                 // was not refreshed after the update, so a plain capacity
                 // revert restores full consistency.
@@ -436,7 +437,7 @@ fn explore_reference(
     for outcome in candidates {
         let mut child = g.clone();
         let rate = update_multigraph(&mut child, imap, &outcome.path);
-        if rate <= config.min_route_rate {
+        if rate <= MIN_ROUTE_RATE {
             continue; // empty path: no spare capacity on this branch
         }
         chain.push(RouteAllocation { path: outcome.path, nominal_rate: rate });

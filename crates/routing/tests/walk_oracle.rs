@@ -7,8 +7,8 @@
 
 use empower_model::rng::{Rng, SeedableRng, StdRng};
 use empower_model::{LinkId, Medium, Network, NetworkBuilder, NodeId, Point};
-use empower_routing::dijkstra::{shortest_path_with_budget, shortest_path_with_scratch};
-use empower_routing::{CscMode, DijkstraScratch, LinkMetric, RouteQuery};
+use empower_routing::dijkstra::shortest_path_with_scratch;
+use empower_routing::{CscMode, DijkstraOutcome, DijkstraScratch, LinkMetric, RouteQuery};
 
 /// Random instances per CSC mode.
 const CASES: u64 = 200;
@@ -149,6 +149,18 @@ fn is_simple(net: &Network, links: &[LinkId]) -> bool {
     mark(net.link(first).from) && links.iter().all(|&l| mark(net.link(l).to))
 }
 
+/// One search on a scratch of its own.
+fn fresh(
+    net: &Network,
+    metric: &LinkMetric,
+    csc: CscMode,
+    q: &RouteQuery,
+    ingress: Option<Medium>,
+    budget: usize,
+) -> Option<DijkstraOutcome> {
+    shortest_path_with_scratch(net, metric, csc, q, ingress, budget, &mut DijkstraScratch::new())
+}
+
 /// Checks one search against the enumeration; `case` names it on failure.
 #[allow(clippy::too_many_arguments, reason = "one search's inputs plus the scratch it reuses")]
 fn check(
@@ -162,7 +174,7 @@ fn check(
     scratch: &mut DijkstraScratch,
 ) {
     let got = shortest_path_with_scratch(net, metric, csc, q, ingress, budget, scratch);
-    let fresh = shortest_path_with_budget(net, metric, csc, q, ingress, budget);
+    let fresh = fresh(net, metric, csc, q, ingress, budget);
     assert_eq!(
         got.as_ref().map(|o| (o.path.links().to_vec(), o.weight.to_bits())),
         fresh.as_ref().map(|o| (o.path.links().to_vec(), o.weight.to_bits())),
@@ -254,7 +266,7 @@ fn a_dominated_label_is_skipped_and_the_answer_stands() {
     let mut scratch = DijkstraScratch::new();
     check("hand-built", &net, &metric, CscMode::Paper, &q, None, 6, &mut scratch);
     assert!(scratch.labels_dominated() >= 1, "(b, WiFi, 2) was expanded");
-    let out = shortest_path_with_budget(&net, &metric, CscMode::Paper, &q, None, 6).unwrap();
+    let out = fresh(&net, &metric, CscMode::Paper, &q, None, 6).unwrap();
     assert_eq!(out.path.links(), [ab, bd]);
 }
 
@@ -289,7 +301,7 @@ fn a_cheaper_label_with_more_hops_does_not_dominate() {
             &mut scratch,
         );
     }
-    let out = shortest_path_with_budget(&net, &metric, CscMode::Paper, &q, None, 2).unwrap();
+    let out = fresh(&net, &metric, CscMode::Paper, &q, None, 2).unwrap();
     assert_eq!(out.path.links(), [ab, bd]);
 }
 
@@ -321,7 +333,7 @@ fn the_first_destination_label_is_not_final_when_a_cost_is_negative() {
     let q = RouteQuery::new(s, t);
     let mut scratch = DijkstraScratch::new();
     check("hand-built", &net, &metric, csc, &q, None, 6, &mut scratch);
-    let out = shortest_path_with_budget(&net, &metric, csc, &q, None, 6).unwrap();
+    let out = fresh(&net, &metric, csc, &q, None, 6).unwrap();
     assert_eq!(out.path.links(), [sm, mt]);
     assert!((out.weight + 0.05).abs() < 1e-12, "weight {}", out.weight);
 }

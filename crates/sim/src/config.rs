@@ -1,16 +1,29 @@
-//! Simulation parameters.
+//! Simulation parameters: the fixed ones as constants, the ones a run
+//! varies in [`SimConfig`].
 
-/// Global knobs of a simulation run.
+/// Frame size on the wire, bits: 12 000 B, an aggregated burst (see the
+/// crate docs).
+pub const FRAME_BITS: u64 = 96_000;
+
+/// Per-link queue capacity, frames (drop-tail beyond).
+pub const QUEUE_FRAMES: usize = 100;
+
+/// CSMA saturation rolloff: when a link's interference domain is
+/// persistently oversubscribed (slow-smoothed airtime demand `y > 1.1`),
+/// every transmission in it takes `1 + SATURATION_PENALTY · (y − 1.1)`
+/// times longer — the airtime real CSMA/CA wastes on collisions and
+/// back-off beyond saturation. Congestion-controlled flows keep
+/// `y ≤ 1 − δ` and never pay this; the w/o-CC schemes that over-drive
+/// shared mediums do (this is what makes open-loop injection genuinely
+/// costly, as on the paper's hardware testbed).
+pub const SATURATION_PENALTY: f64 = 0.8;
+
+/// What a simulation run varies.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Control slot (ACK / price-broadcast interval), seconds. 0.1 s in the
     /// paper's implementation.
     pub slot_secs: f64,
-    /// Frame size on the wire, bits. Defaults to 12 000 B (96 000 bits) —
-    /// an aggregated burst; see the crate docs.
-    pub frame_bits: u64,
-    /// Per-link queue capacity, frames (drop-tail beyond).
-    pub queue_frames: usize,
     /// Congestion-control constraint margin `δ` (Eq. (3)).
     pub delta: f64,
     /// The TCP-coexistence margin (§6.4): every link whose contention
@@ -20,8 +33,6 @@ pub struct SimConfig {
     /// exactly where the paper says it should — "only the nodes in the
     /// contention domain of a TCP flow".
     pub tcp_delta: f64,
-    /// Step-size/gain configuration forwarded to the flow controllers.
-    pub cc: empower_cc::CcConfig,
     /// Relative std-dev of the multiplicative error applied to the link
     /// costs the *control plane* sees (capacity mis-estimation, §6.1).
     /// 0 = perfect traffic-based estimation.
@@ -31,15 +42,6 @@ pub struct SimConfig {
     /// γ update's positive-part recursion from rectifying the noise into a
     /// persistent price bias.
     pub demand_ewma: f64,
-    /// CSMA saturation rolloff: when a link's interference domain is
-    /// oversubscribed (airtime demand `y > 1`), every transmission in it
-    /// takes `1 + saturation_penalty · (y − 1)` times longer — the airtime
-    /// real CSMA/CA wastes on collisions and back-off beyond saturation.
-    /// Congestion-controlled flows keep `y ≤ 1 − δ` and never pay this;
-    /// the w/o-CC schemes that over-drive shared mediums do (this is what
-    /// makes open-loop injection genuinely costly, as on the paper's
-    /// hardware testbed).
-    pub saturation_penalty: f64,
     /// Master seed for all randomized decisions (route sampling, estimation
     /// noise, workload arrivals).
     pub seed: u64,
@@ -47,27 +49,14 @@ pub struct SimConfig {
 
 impl Default for SimConfig {
     fn default() -> Self {
-        let slot_secs = 0.1;
         SimConfig {
-            slot_secs,
-            frame_bits: 96_000,
-            queue_frames: 100,
+            slot_secs: 0.1,
             delta: 0.0,
             tcp_delta: 0.3,
-            cc: empower_cc::CcConfig::default(),
             estimation_rel_std: 0.0,
             demand_ewma: 0.25,
-            saturation_penalty: 0.8,
             seed: 1,
         }
-    }
-}
-
-impl SimConfig {
-    /// Applies the margin to the embedded controller config (kept in one
-    /// place so `delta` cannot diverge between admission and pricing).
-    pub fn cc_config(&self) -> empower_cc::CcConfig {
-        empower_cc::CcConfig { delta: self.delta, ..self.cc }
     }
 }
 
@@ -79,14 +68,6 @@ mod tests {
     fn defaults_match_the_paper() {
         let c = SimConfig::default();
         assert_eq!(c.slot_secs, 0.1);
-        assert_eq!(c.cc.alpha, 0.02);
         assert_eq!(c.delta, 0.0);
-    }
-
-    #[test]
-    fn cc_config_carries_the_margin() {
-        let c = SimConfig { delta: 0.3, ..Default::default() };
-        assert_eq!(c.cc_config().delta, 0.3);
-        assert_eq!(c.cc_config().alpha, c.cc.alpha);
     }
 }

@@ -16,7 +16,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use empower_cc::{BroadcastPlan, FlowController, LinkPriceState, ProportionalFair};
+use empower_cc::{
+    AdaptiveAlpha, BroadcastPlan, CcConfig, FlowController, LinkPriceState, ProportionalFair,
+};
 use empower_datapath::{
     EmpowerHeader, FlowSink, FlowSource, IfaceId, IfaceRegistry, ReorderConfig, ReorderEvent,
     SchedulerConfig, SourceRoute, HEADER_LEN,
@@ -28,7 +30,7 @@ use empower_model::{InterferenceMap, LinkId, Network, NodeId};
 
 use empower_telemetry::{Counter, Telemetry};
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, FRAME_BITS, QUEUE_FRAMES, SATURATION_PENALTY};
 use crate::event::{Event, EventQueue};
 use crate::flow::{FlowSpecSim, TrafficPattern};
 use crate::metrics::EngineCounters;
@@ -186,12 +188,12 @@ impl ActiveSets {
     /// zero, no margin violation. This is a rule on the input, not a
     /// switch: it fails when `estimation_rel_std > 0` (one draw per link
     /// per slot) or `max(δ, δ_tcp) ≥ 1` (Eq. (8) raises the γ of an idle
-    /// link), and for inputs as odd as a negative `α`, by evaluating the
-    /// slot's own expressions at zero.
+    /// link), and for inputs as odd as a non-finite EWMA factor, by
+    /// evaluating the slot's own expressions at zero.
     fn idle_links_rest(cfg: &SimConfig) -> bool {
         let demand = cfg.demand_ewma * 0.0 + (1.0 - cfg.demand_ewma) * 0.0;
         let rests = |d: f64| {
-            let gamma = (0.0 + cfg.cc.alpha * (0.0 - (1.0 - d))).max(0.0);
+            let gamma = (0.0 + AdaptiveAlpha::BASE_ALPHA * (0.0 - (1.0 - d))).max(0.0);
             gamma.to_bits() == 0 && 1.0 - d >= 0.0
         };
         cfg.estimation_rel_std <= 0.0
@@ -560,12 +562,12 @@ impl Simulation {
         assert!(!spec.routes.is_empty(), "no route of the flow could be resolved");
         let first_links: Vec<LinkId> = spec.routes.iter().map(|p| p.links()[0]).collect();
         let mut sched_cfg = SchedulerConfig::for_routes(spec.routes.len())
-            .bucket_depth_mb(4.0 * self.cfg.frame_bits as f64 / 1e6);
+            .bucket_depth_mb(4.0 * FRAME_BITS as f64 / 1e6);
         let controller = if spec.use_cc {
             let caps: Vec<f64> =
                 spec.routes.iter().map(|p| p.capacity(&self.net, &self.imap)).collect();
             let max_hops = spec.routes.iter().map(|p| p.hop_count()).max().unwrap_or(1);
-            Some(FlowController::new(ProportionalFair, self.cfg.cc_config(), caps, max_hops))
+            Some(FlowController::new(ProportionalFair, CcConfig::default(), caps, max_hops))
         } else {
             if !spec.use_cc {
                 sched_cfg = sched_cfg.initial_rates(&spec.open_loop_rates);
@@ -575,9 +577,7 @@ impl Simulation {
         let tcp = spec.pattern.is_tcp().then(|| {
             let total = match spec.pattern {
                 TrafficPattern::Tcp { size_bytes: 0, .. } => None,
-                TrafficPattern::Tcp { size_bytes, .. } => {
-                    Some(size_bytes * 8 / self.cfg.frame_bits + 1)
-                }
+                TrafficPattern::Tcp { size_bytes, .. } => Some(size_bytes * 8 / FRAME_BITS + 1),
                 _ => unreachable!(),
             };
             // ACK path: the reverse of route 0, small frames, lightly
@@ -700,7 +700,7 @@ impl Simulation {
         fl.sink.replace_routes(n);
         if fl.controller.is_some() {
             fl.controller =
-                Some(FlowController::new(ProportionalFair, self.cfg.cc_config(), caps, max_hops));
+                Some(FlowController::new(ProportionalFair, CcConfig::default(), caps, max_hops));
         } else {
             // Open-loop flows keep driving each new route at its standalone
             // capacity.
@@ -827,7 +827,7 @@ impl Simulation {
     }
 
     fn begin_file(&mut self, f: usize, size_bytes: u64) {
-        let frames = (size_bytes * 8).div_ceil(self.cfg.frame_bits);
+        let frames = (size_bytes * 8).div_ceil(FRAME_BITS);
         let fl = &mut self.flows[f];
         fl.current_file_frames = Some(frames);
         fl.file_frames_delivered = 0;
@@ -865,7 +865,7 @@ impl Simulation {
         {
             return; // completion handling re-arms emission
         }
-        let bits = self.cfg.frame_bits;
+        let bits = FRAME_BITS;
         match self.flows[f].source.admit(&mut self.flow_rngs[f], self.now, bits) {
             None => {
                 self.stats[f].dropped_at_source += 1;
@@ -918,7 +918,7 @@ impl Simulation {
         }
         let pkt = SimPacket {
             header,
-            size_bits: self.cfg.frame_bits,
+            size_bits: FRAME_BITS,
             flow: f,
             route: r,
             created_at: self.now,
@@ -942,7 +942,7 @@ impl Simulation {
         if !self.sets.measuring[l] {
             self.sets.activate(&self.net, &self.imap, link);
         }
-        if !self.net.link(link).is_alive() || self.queues[l].len() >= self.cfg.queue_frames {
+        if !self.net.link(link).is_alive() || self.queues[l].len() >= QUEUE_FRAMES {
             let (flow, seq) = {
                 let pkt = self.slab.get(id);
                 (pkt.flow, pkt.header.seq)
@@ -1013,22 +1013,19 @@ impl Simulation {
         self.etel.mac_grants.inc();
         let size_bits = self.slab.get(id).size_bits;
         let mut duration = self.net.link(link).tx_time_secs(size_bits);
-        if self.cfg.saturation_penalty > 0.0 {
-            // CSMA saturation rolloff (see SimConfig::saturation_penalty):
-            // collisions and back-off waste airtime once the domain's
-            // offered load exceeds what it can carry. The domain sum is
-            // precomputed per control tick (`domain_penalty`) — its inputs
-            // only change there.
-            let y: f64 = self.domain_penalty[l];
-            // Tolerance band: a controlled flow rides y ≈ 1 − δ (exactly
-            // 1.0 when δ = 0) with measurement jitter; only *persistent*
-            // overdrive pays (the penalty demand is slow-smoothed).
-            if y > 1.1 {
-                let base = duration;
-                duration *= 1.0 + self.cfg.saturation_penalty * (y - 1.1);
-                self.etel.mac_penalty_frames.inc();
-                self.etel.mac_penalty_airtime_us.add(((duration - base) * 1e6) as u64);
-            }
+        // CSMA saturation rolloff (see SATURATION_PENALTY): collisions and
+        // back-off waste airtime once the domain's offered load exceeds
+        // what it can carry. The domain sum is precomputed per control tick
+        // (`domain_penalty`) — its inputs only change there.
+        let y: f64 = self.domain_penalty[l];
+        // Tolerance band: a controlled flow rides y ≈ 1 − δ (exactly 1.0
+        // when δ = 0) with measurement jitter; only *persistent* overdrive
+        // pays (the penalty demand is slow-smoothed).
+        if y > 1.1 {
+            let base = duration;
+            duration *= 1.0 + SATURATION_PENALTY * (y - 1.1);
+            self.etel.mac_penalty_frames.inc();
+            self.etel.mac_penalty_airtime_us.add(((duration - base) * 1e6) as u64);
         }
         if let Some(tr) = self.trace.as_mut() {
             let pkt = self.slab.get(id);
@@ -1238,7 +1235,7 @@ impl Simulation {
         }
         if delivered_now > 0 {
             self.etel.reorder_delivered.add(delivered_now);
-            let bits = delivered_now * self.cfg.frame_bits;
+            let bits = delivered_now * FRAME_BITS;
             self.stats[f].delivered_bits += bits;
             let bucket = self.now as usize;
             let series = &mut self.stats[f].throughput_series;
@@ -1279,7 +1276,7 @@ impl Simulation {
                     // Sequential downloads: the next file begins when it is
                     // both ready and the previous one is done. In-flight
                     // frames of the old file carry over.
-                    let frames = (size_bytes * 8).div_ceil(self.cfg.frame_bits);
+                    let frames = (size_bytes * 8).div_ceil(FRAME_BITS);
                     let excess = self.flows[f].file_frames_delivered - goal;
                     let fl = &mut self.flows[f];
                     fl.current_file_frames = Some(frames);
@@ -1368,9 +1365,7 @@ impl Simulation {
         }
         self.sets.active.truncate(kept);
         visits += self.sets.prune_priced(&self.net, &self.price_states);
-        if self.cfg.saturation_penalty > 0.0 {
-            visits += self.refresh_domain_penalty();
-        }
+        visits += self.refresh_domain_penalty();
         // 2. TCP piggyback (§6.4): destinations of active TCP flows flag
         //    themselves; the flag rides on their price broadcasts and
         //    tightens the airtime budget across their contention domains.
@@ -1397,7 +1392,7 @@ impl Simulation {
             &mut self.price_states,
             &self.sets.speakers,
             &self.sets.priced,
-            self.cfg.cc.alpha,
+            AdaptiveAlpha::BASE_ALPHA,
             delta,
             self.cfg.tcp_delta.max(delta),
         );
@@ -1636,7 +1631,7 @@ impl Simulation {
         if self.flows[f].tcp_backlog.is_empty() || !self.flows[f].active {
             return;
         }
-        let bits = self.cfg.frame_bits;
+        let bits = FRAME_BITS;
         if self.flows[f].spec.use_cc {
             // A refusal (no tokens yet) leaves the segment queued, to retry
             // after roughly one frame time at the admitted rate.
@@ -2019,9 +2014,6 @@ mod active_set_tests {
         assert!(!rests(SimConfig { estimation_rel_std: 0.2, ..Default::default() }));
         assert!(!rests(SimConfig { delta: 1.5, ..Default::default() }));
         assert!(!rests(SimConfig { tcp_delta: 1.5, ..Default::default() }));
-        let mut negative_alpha = SimConfig::default();
-        negative_alpha.cc.alpha = -0.02;
-        assert!(!rests(negative_alpha));
         assert!(!rests(SimConfig { demand_ewma: f64::INFINITY, ..Default::default() }));
 
         let net = testbed22(3).net;
@@ -2209,7 +2201,7 @@ mod trace_tests {
                 delivered += 1;
             }
         }
-        let frames = report.flows[0].delivered_bits / SimConfig::default().frame_bits;
+        let frames = report.flows[0].delivered_bits / FRAME_BITS;
         assert_eq!(delivered, frames, "trace deliveries match stats");
     }
 

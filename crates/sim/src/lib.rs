@@ -36,7 +36,7 @@ pub mod stats;
 pub mod tcp;
 pub mod trace;
 
-pub use config::SimConfig;
+pub use config::{SimConfig, FRAME_BITS, QUEUE_FRAMES, SATURATION_PENALTY};
 pub use engine::Simulation;
 pub use event::{Event, EventQueue};
 pub use flow::{FlowSpecSim, TrafficPattern};

@@ -20,7 +20,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use empower_cc::{FlowController, LinkPriceState, PriceBroadcast, ProportionalFair};
+use empower_cc::{
+    AdaptiveAlpha, CcConfig, FlowController, LinkPriceState, PriceBroadcast, ProportionalFair,
+};
 use empower_datapath::{
     AckCollector, DelayEqualizer, EmpowerHeader, IfaceId, IfaceRegistry, ReorderBuffer,
     ReorderConfig, ReorderEvent, RouteChoice, RouteScheduler, SchedulerConfig, SourceRoute,
@@ -35,7 +37,7 @@ use empower_model::{InterferenceMap, LinkId, Network, NodeId};
 
 use empower_telemetry::{Counter, Telemetry};
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, FRAME_BITS, QUEUE_FRAMES, SATURATION_PENALTY};
 use crate::event::{Event, EventQueue};
 use crate::flow::{FlowSpecSim, TrafficPattern};
 use crate::metrics::EngineCounters;
@@ -269,13 +271,13 @@ impl ReferenceSimulation {
         assert!(!spec.routes.is_empty(), "no route of the flow could be resolved");
         let first_links: Vec<LinkId> = spec.routes.iter().map(|p| p.links()[0]).collect();
         let mut scheduler = SchedulerConfig::for_routes(spec.routes.len())
-            .bucket_depth_mb(4.0 * self.cfg.frame_bits as f64 / 1e6)
+            .bucket_depth_mb(4.0 * FRAME_BITS as f64 / 1e6)
             .build();
         let controller = if spec.use_cc {
             let caps: Vec<f64> =
                 spec.routes.iter().map(|p| p.capacity(&self.net, &self.imap)).collect();
             let max_hops = spec.routes.iter().map(|p| p.hop_count()).max().unwrap_or(1);
-            Some(FlowController::new(ProportionalFair, self.cfg.cc_config(), caps, max_hops))
+            Some(FlowController::new(ProportionalFair, CcConfig::default(), caps, max_hops))
         } else {
             scheduler.set_rates(&spec.open_loop_rates);
             None
@@ -283,9 +285,7 @@ impl ReferenceSimulation {
         let tcp = spec.pattern.is_tcp().then(|| {
             let total = match spec.pattern {
                 TrafficPattern::Tcp { size_bytes: 0, .. } => None,
-                TrafficPattern::Tcp { size_bytes, .. } => {
-                    Some(size_bytes * 8 / self.cfg.frame_bits + 1)
-                }
+                TrafficPattern::Tcp { size_bytes, .. } => Some(size_bytes * 8 / FRAME_BITS + 1),
                 _ => unreachable!(),
             };
             // ACK path: the reverse of route 0, small frames, lightly
@@ -395,7 +395,7 @@ impl ReferenceSimulation {
         fl.scheduler.reset_routes(n);
         if fl.controller.is_some() {
             fl.controller =
-                Some(FlowController::new(ProportionalFair, self.cfg.cc_config(), caps, max_hops));
+                Some(FlowController::new(ProportionalFair, CcConfig::default(), caps, max_hops));
         } else {
             // Open-loop flows keep driving each new route at its standalone
             // capacity.
@@ -524,7 +524,7 @@ impl ReferenceSimulation {
     }
 
     fn begin_file(&mut self, f: usize, size_bytes: u64) {
-        let frames = (size_bytes * 8).div_ceil(self.cfg.frame_bits);
+        let frames = (size_bytes * 8).div_ceil(FRAME_BITS);
         let fl = &mut self.flows[f];
         fl.current_file_frames = Some(frames);
         fl.file_frames_delivered = 0;
@@ -562,7 +562,7 @@ impl ReferenceSimulation {
         {
             return; // completion handling re-arms emission
         }
-        let bits = self.cfg.frame_bits;
+        let bits = FRAME_BITS;
         let choice = self.flows[f].scheduler.offer(&mut self.flow_rngs[f], self.now, bits);
         match choice {
             RouteChoice::Drop => {
@@ -615,7 +615,7 @@ impl ReferenceSimulation {
         }
         let pkt = SimPacket {
             header,
-            size_bits: self.cfg.frame_bits,
+            size_bits: FRAME_BITS,
             flow: f,
             route: r,
             created_at: self.now,
@@ -635,7 +635,7 @@ impl ReferenceSimulation {
         // to push, which is what the prices must react to), so count the
         // frame even when the queue then drops it.
         self.demand_bits[l] += pkt.size_bits as f64;
-        if !self.net.link(link).is_alive() || self.queues[l].len() >= self.cfg.queue_frames {
+        if !self.net.link(link).is_alive() || self.queues[l].len() >= QUEUE_FRAMES {
             self.stats[pkt.flow].dropped_in_network += 1;
             let alive = self.net.link(link).is_alive();
             if alive {
@@ -699,8 +699,8 @@ impl ReferenceSimulation {
         let Some(pkt) = self.queues[l].pop_front() else { return };
         self.etel.mac_grants.inc();
         let mut duration = self.net.link(link).tx_time_secs(pkt.size_bits);
-        if self.cfg.saturation_penalty > 0.0 {
-            // CSMA saturation rolloff (see SimConfig::saturation_penalty):
+        if SATURATION_PENALTY > 0.0 {
+            // CSMA saturation rolloff (see SATURATION_PENALTY):
             // collisions and back-off waste airtime once the domain's
             // offered load exceeds what it can carry.
             let y: f64 =
@@ -710,7 +710,7 @@ impl ReferenceSimulation {
             // overdrive pays (the penalty demand is slow-smoothed).
             if y > 1.1 {
                 let base = duration;
-                duration *= 1.0 + self.cfg.saturation_penalty * (y - 1.1);
+                duration *= 1.0 + SATURATION_PENALTY * (y - 1.1);
                 self.etel.mac_penalty_frames.inc();
                 self.etel.mac_penalty_airtime_us.add(((duration - base) * 1e6) as u64);
             }
@@ -894,7 +894,7 @@ impl ReferenceSimulation {
         }
         if delivered_now > 0 {
             self.etel.reorder_delivered.add(delivered_now);
-            let bits = delivered_now * self.cfg.frame_bits;
+            let bits = delivered_now * FRAME_BITS;
             self.stats[f].delivered_bits += bits;
             let bucket = self.now as usize;
             let series = &mut self.stats[f].throughput_series;
@@ -936,7 +936,7 @@ impl ReferenceSimulation {
                     // Sequential downloads: the next file begins when it is
                     // both ready and the previous one is done. In-flight
                     // frames of the old file carry over.
-                    let frames = (size_bytes * 8).div_ceil(self.cfg.frame_bits);
+                    let frames = (size_bytes * 8).div_ceil(FRAME_BITS);
                     let excess = self.flows[f].file_frames_delivered - goal;
                     let fl = &mut self.flows[f];
                     fl.current_file_frames = Some(frames);
@@ -1009,7 +1009,7 @@ impl ReferenceSimulation {
         self.perf.hot_allocs += 1; // the broadcast collect
         let broadcasts: Vec<PriceBroadcast> =
             self.price_states.iter().flat_map(|s| s.make_broadcasts(&self.net)).collect();
-        let alpha = self.cfg.cc.alpha;
+        let alpha = AdaptiveAlpha::BASE_ALPHA;
         let delta = self.cfg.delta;
         let delta_tcp = self.cfg.tcp_delta.max(delta);
         let mut margin_violations = 0usize;
@@ -1191,7 +1191,7 @@ impl ReferenceSimulation {
         if self.flows[f].tcp_backlog.is_empty() || !self.flows[f].active {
             return;
         }
-        let bits = self.cfg.frame_bits;
+        let bits = FRAME_BITS;
         let choice = if self.flows[f].spec.use_cc {
             self.flows[f].scheduler.offer(&mut self.flow_rngs[f], self.now, bits)
         } else {

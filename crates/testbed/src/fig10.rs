@@ -15,6 +15,7 @@ use empower_sim::{SimConfig, TrafficPattern};
 use empower_telemetry::Telemetry;
 
 use crate::brute_force::brute_force_single_path;
+use crate::TESTBED_DELTA;
 
 /// Schemes measured with the packet simulator (brute-force baselines are
 /// handled separately).
@@ -29,14 +30,12 @@ pub struct Fig10Config {
     /// Simulated seconds per run (the paper uses 1000 s; final throughput
     /// is the last-10 s average, converged well before this).
     pub duration: f64,
-    /// Constraint margin (0.05 in §6.3).
-    pub delta: f64,
     pub seed: u64,
 }
 
 impl Default for Fig10Config {
     fn default() -> Self {
-        Fig10Config { pairs: 50, duration: 300.0, delta: 0.05, seed: 1 }
+        Fig10Config { pairs: 50, duration: 300.0, seed: 1 }
     }
 }
 
@@ -74,12 +73,8 @@ empower_telemetry::impl_to_json_struct!(Fig10Row {
     empower_routes,
 });
 
-/// Runs the sweep on `net` (normally the 22-node testbed's network).
-pub fn run(net: &Network, imap: &InterferenceMap, config: &Fig10Config) -> Vec<Fig10Row> {
-    run_traced(net, imap, config, &Telemetry::disabled())
-}
-
-/// Like [`run`], with engine counters recorded on `tele`.
+/// Runs the sweep on `net` (normally the 22-node testbed's network), with
+/// engine counters recorded on `tele`.
 pub fn run_traced(
     net: &Network,
     imap: &InterferenceMap,
@@ -102,7 +97,7 @@ pub fn run_traced(
             let flows =
                 [(src, dst, TrafficPattern::SaturatedUdp { start: 0.0, stop: config.duration })];
             let sim_cfg = SimConfig {
-                delta: config.delta,
+                delta: TESTBED_DELTA,
                 seed: config.seed ^ ((pair_idx as u64) << 8) ^ si as u64,
                 ..Default::default()
             };
@@ -163,7 +158,7 @@ mod tests {
         let t = testbed22(1);
         let imap = CarrierSense::default().build_map(&t.net);
         let config = Fig10Config { pairs: 2, duration: 120.0, ..Default::default() };
-        let rows = run(&t.net, &imap, &config);
+        let rows = run_traced(&t.net, &imap, &config, &Telemetry::disabled());
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert_eq!(row.throughput.len(), SIM_SCHEMES.len());
@@ -181,8 +176,8 @@ mod tests {
         let t = testbed22(1);
         let imap = CarrierSense::default().build_map(&t.net);
         let config = Fig10Config { pairs: 1, duration: 60.0, ..Default::default() };
-        let a = run(&t.net, &imap, &config);
-        let b = run(&t.net, &imap, &config);
+        let a = run_traced(&t.net, &imap, &config, &Telemetry::disabled());
+        let b = run_traced(&t.net, &imap, &config, &Telemetry::disabled());
         assert_eq!(a[0].throughput, b[0].throughput);
         assert_eq!((a[0].src, a[0].dst), (b[0].src, b[0].dst));
     }

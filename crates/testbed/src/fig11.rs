@@ -10,6 +10,8 @@ use empower_model::{InterferenceMap, Network, NodeId};
 use empower_sim::{SimConfig, TrafficPattern};
 use empower_telemetry::Telemetry;
 
+use crate::TESTBED_DELTA;
+
 /// The flows of Fig. 11, in the paper's (1-based) numbering.
 pub const FLOWS: [(u32, u32); 10] =
     [(4, 19), (1, 11), (17, 1), (19, 3), (9, 4), (11, 5), (13, 21), (11, 15), (20, 19), (7, 6)];
@@ -41,32 +43,18 @@ empower_telemetry::impl_to_json_struct!(Fig11Row { src, dst, cells });
 pub struct Fig11Config {
     /// Simulated seconds per run; statistics use the last 100 s.
     pub duration: f64,
-    pub delta: f64,
     pub seed: u64,
 }
 
 impl Default for Fig11Config {
     fn default() -> Self {
-        Fig11Config { duration: 300.0, delta: 0.05, seed: 1 }
+        Fig11Config { duration: 300.0, seed: 1 }
     }
 }
 
-/// Runs the ten isolated flows under the three schemes.
-pub fn run(net: &Network, imap: &InterferenceMap, config: &Fig11Config) -> Vec<Fig11Row> {
-    run_flows(net, imap, config, &FLOWS)
-}
-
-/// Runs an explicit flow list (used by tests and ablations).
-pub fn run_flows(
-    net: &Network,
-    imap: &InterferenceMap,
-    config: &Fig11Config,
-    flows: &[(u32, u32)],
-) -> Vec<Fig11Row> {
-    run_flows_traced(net, imap, config, flows, &Telemetry::disabled())
-}
-
-/// Like [`run_flows`], with engine counters recorded on `tele`.
+/// Runs each flow of an explicit list (use [`FLOWS`] for the paper's
+/// figure) in isolation under the three schemes, with engine counters
+/// recorded on `tele`.
 pub fn run_flows_traced(
     net: &Network,
     imap: &InterferenceMap,
@@ -88,7 +76,7 @@ pub fn run_flows_traced(
                         TrafficPattern::SaturatedUdp { start: 0.0, stop: config.duration },
                     )];
                     let sim_cfg =
-                        SimConfig { delta: config.delta, seed: config.seed, ..Default::default() };
+                        SimConfig { delta: TESTBED_DELTA, seed: config.seed, ..Default::default() };
                     #[expect(
                         clippy::expect_used,
                         reason = "RunConfig defaults to tolerant connectivity, which is \
@@ -127,26 +115,13 @@ mod tests {
     fn one_flow_produces_three_cells() {
         let t = testbed22(1);
         let imap = CarrierSense::default().build_map(&t.net);
-        // Shrink to one flow for test speed by running the full harness on
-        // a short horizon and checking the first row only.
+        // One flow on a short horizon, for test speed.
         let config = Fig11Config { duration: 60.0, ..Default::default() };
-        let rows = run_subset(&t.net, &imap, &config, 1);
+        let rows = run_flows_traced(&t.net, &imap, &config, &FLOWS[..1], &Telemetry::disabled());
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].cells.len(), 3);
         assert!(rows[0].cells[0].mean_mbps > 0.0);
         assert!(rows[0].cells[0].std_mbps >= 0.0);
-    }
-
-    /// Test-only helper: first `n` flows.
-    fn run_subset(
-        net: &Network,
-        imap: &InterferenceMap,
-        config: &Fig11Config,
-        n: usize,
-    ) -> Vec<Fig11Row> {
-        let mut rows = run_flows(net, imap, config, &FLOWS[..n]);
-        rows.truncate(n);
-        rows
     }
 
     #[test]

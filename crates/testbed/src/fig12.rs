@@ -33,23 +33,8 @@ empower_telemetry::impl_to_json_struct!(Fig12Data {
     phase2_received,
 });
 
-/// Runs both phases for the paper's flow 9 → 13.
-pub fn run(net: &Network, imap: &InterferenceMap, seed: u64) -> Fig12Data {
-    run_flow(net, imap, seed, 9, 13)
-}
-
-/// Runs both phases for an arbitrary flow (1-based node numbers).
-pub fn run_flow(
-    net: &Network,
-    imap: &InterferenceMap,
-    seed: u64,
-    src_no: u32,
-    dst_no: u32,
-) -> Fig12Data {
-    run_flow_traced(net, imap, seed, src_no, dst_no, &Telemetry::disabled())
-}
-
-/// Like [`run_flow`], with engine counters recorded on `tele`.
+/// Runs both phases for a flow given by 1-based node numbers (9 → 13 for
+/// the paper's figure), with engine counters recorded on `tele`.
 pub fn run_flow_traced(
     net: &Network,
     imap: &InterferenceMap,
@@ -127,7 +112,7 @@ mod tests {
         // See EXPERIMENTS.md for the full discussion of this deviation.
         let t = testbed22(1);
         let imap = CarrierSense::default().build_map(&t.net);
-        let data = run_flow(&t.net, &imap, 3, 9, 13);
+        let data = run_flow_traced(&t.net, &imap, 3, 9, 13, &Telemetry::disabled());
         let p1 = mean_tail(&data.phase1_received);
         let p2 = mean_tail(&data.phase2_received);
         assert!(p1 > 0.0, "phase 1 TCP moves data");
@@ -143,7 +128,7 @@ mod tests {
         // sent by our congestion controller".
         let t = testbed22(1);
         let imap = CarrierSense::default().build_map(&t.net);
-        let data = run(&t.net, &imap, 3);
+        let data = run_flow_traced(&t.net, &imap, 3, 9, 13, &Telemetry::disabled());
         let admitted: f64 = data.phase2_route_rates.iter().map(|r| mean_tail(r)).sum();
         let received = mean_tail(&data.phase2_received);
         assert!(received > 0.6 * admitted, "received {received:.1} vs admitted {admitted:.1}");

@@ -46,17 +46,8 @@ impl Default for Fig13Config {
     }
 }
 
-/// Runs an explicit flow list (use [`FLOWS`] for the paper's figure).
-pub fn run_flows(
-    net: &Network,
-    imap: &InterferenceMap,
-    config: &Fig13Config,
-    flows: &[(u32, u32)],
-) -> Vec<Fig13Row> {
-    run_flows_traced(net, imap, config, flows, &Telemetry::disabled())
-}
-
-/// Like [`run_flows`], with engine counters recorded on `tele`.
+/// Runs an explicit flow list (use [`FLOWS`] for the paper's figure), with
+/// engine counters recorded on `tele`.
 pub fn run_flows_traced(
     net: &Network,
     imap: &InterferenceMap,
@@ -106,11 +97,6 @@ pub fn run_flows_traced(
         .collect()
 }
 
-/// Runs the paper's ten flows.
-pub fn run(net: &Network, imap: &InterferenceMap, config: &Fig13Config) -> Vec<Fig13Row> {
-    run_flows(net, imap, config, &FLOWS)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,7 +108,7 @@ mod tests {
         let t = testbed22(1);
         let imap = CarrierSense::default().build_map(&t.net);
         let config = Fig13Config { duration: 200.0, ..Default::default() };
-        let rows = run_flows(&t.net, &imap, &config, &FLOWS[..1]);
+        let rows = run_flows_traced(&t.net, &imap, &config, &FLOWS[..1], &Telemetry::disabled());
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         assert!(r.empower_mean > 0.0 && r.sp_wo_cc_mean > 0.0, "{r:?}");

@@ -82,12 +82,7 @@ pub fn fig9_network() -> (Network, [NodeId; 4]) {
 }
 
 /// Runs the experiment (several simulated thousand seconds; a couple of
-/// seconds of wall clock).
-pub fn run(seed: u64) -> Fig9Data {
-    run_traced(seed, &Telemetry::disabled())
-}
-
-/// Like [`run`], with engine counters recorded on `tele`.
+/// seconds of wall clock), with engine counters recorded on `tele`.
 pub fn run_traced(seed: u64, tele: &Telemetry) -> Fig9Data {
     let (net, [n1, n4, n7, n13]) = fig9_network();
     let imap = SharedMedium.build_map(&net);
@@ -159,7 +154,7 @@ mod tests {
 
     #[test]
     fn multipath_beats_best_single_path_in_phase_one() {
-        let data = run(1);
+        let data = run_traced(1, &Telemetry::disabled());
         let phase1 = mean(&data.received[600..1900]);
         assert!(
             phase1 > data.best_single_path * 1.3,
@@ -170,7 +165,7 @@ mod tests {
 
     #[test]
     fn flow_1_13_vacates_wifi_under_contention() {
-        let data = run(1);
+        let data = run_traced(1, &Telemetry::disabled());
         // Phase 2 (2200–3900 s): Route 1 (WiFi) rate collapses, Route 2
         // carries (almost) everything.
         let r1_phase2 = mean(&data.route1_rate[2200..3900]);
@@ -184,7 +179,7 @@ mod tests {
 
     #[test]
     fn situation_reverts_after_contention_stops() {
-        let data = run(1);
+        let data = run_traced(1, &Telemetry::disabled());
         let phase1 = mean(&data.received[600..1900]);
         let phase3 = mean(&data.received[4200..4990]);
         assert!((phase1 - phase3).abs() < 0.15 * phase1, "{phase1} vs {phase3}");

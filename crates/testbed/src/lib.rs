@@ -27,3 +27,7 @@ pub mod fig9;
 pub mod table1;
 
 pub use brute_force::brute_force_single_path;
+
+/// The constraint margin δ of the §6.3 testbed runs (Fig. 10, Fig. 11 and
+/// Table 1).
+pub const TESTBED_DELTA: f64 = 0.05;

@@ -12,6 +12,8 @@ use empower_model::{InterferenceMap, Network, NodeId};
 use empower_sim::{SimConfig, TrafficPattern};
 use empower_telemetry::Telemetry;
 
+use crate::TESTBED_DELTA;
+
 /// Which Table 1 row to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Experiment {
@@ -94,40 +96,6 @@ empower_telemetry::impl_to_json_struct!(Table1Row {
     conc_flow_wo_cc,
 });
 
-/// Runs one experiment with `repetitions` per scheme.
-pub fn run_experiment(
-    net: &Network,
-    imap: &InterferenceMap,
-    experiment: Experiment,
-    repetitions: usize,
-    seed: u64,
-) -> Table1Row {
-    run_experiment_traced(net, imap, experiment, repetitions, seed, &Telemetry::disabled())
-}
-
-/// Like [`run_experiment`], with engine counters recorded on `tele`.
-pub fn run_experiment_traced(
-    net: &Network,
-    imap: &InterferenceMap,
-    experiment: Experiment,
-    repetitions: usize,
-    seed: u64,
-    tele: &Telemetry,
-) -> Table1Row {
-    let mut results: Vec<(Vec<f64>, Vec<f64>)> = Vec::new(); // per scheme: (main, conc-total)
-    for scheme in SCHEMES {
-        let mut main_durations = Vec::new();
-        let mut conc_durations = Vec::new();
-        for rep in 0..repetitions {
-            let (main, conc) = run_repetition(net, imap, experiment, scheme, rep, seed, tele);
-            main_durations.extend(main);
-            conc_durations.extend(conc);
-        }
-        results.push((main_durations, conc_durations));
-    }
-    row_from_samples(experiment, &results[0], &results[1])
-}
-
 /// The two schemes of Table 1, in row order (EMPoWER first).
 pub const SCHEMES: [Scheme; 2] = [Scheme::Empower, Scheme::MpWoCc];
 
@@ -164,7 +132,7 @@ pub fn run_repetition(
         ));
     }
     let sim_cfg =
-        SimConfig { delta: 0.05, seed: seed ^ ((rep as u64) << 16), ..Default::default() };
+        SimConfig { delta: TESTBED_DELTA, seed: seed ^ ((rep as u64) << 16), ..Default::default() };
     #[expect(
         clippy::expect_used,
         reason = "RunConfig defaults to tolerant connectivity, which is \
@@ -193,9 +161,8 @@ pub fn run_repetition(
 }
 
 /// Assembles a [`Table1Row`] from per-scheme sample lists (each a
-/// `(main durations, concurrent-flow totals)` pair, EMPoWER first) —
-/// the aggregation half of [`run_experiment_traced`], usable directly by a
-/// parallel runner that collected the samples itself.
+/// `(main durations, concurrent-flow totals)` pair, EMPoWER first), the
+/// samples being what [`run_repetition`] returned for each repetition.
 pub fn row_from_samples(
     experiment: Experiment,
     empower: &(Vec<f64>, Vec<f64>),
@@ -216,11 +183,35 @@ mod tests {
     use empower_model::topology::testbed22;
     use empower_model::{CarrierSense, InterferenceModel};
 
+    /// One experiment with `repetitions` per scheme, run serially.
+    fn experiment(
+        net: &Network,
+        imap: &InterferenceMap,
+        experiment: Experiment,
+        repetitions: usize,
+        seed: u64,
+    ) -> Table1Row {
+        let tele = Telemetry::disabled();
+        let samples: Vec<(Vec<f64>, Vec<f64>)> = SCHEMES
+            .iter()
+            .map(|&scheme| {
+                let (mut main, mut conc) = (Vec::new(), Vec::new());
+                for rep in 0..repetitions {
+                    let (m, c) = run_repetition(net, imap, experiment, scheme, rep, seed, &tele);
+                    main.extend(m);
+                    conc.extend(c);
+                }
+                (main, conc)
+            })
+            .collect();
+        row_from_samples(experiment, &samples[0], &samples[1])
+    }
+
     #[test]
     fn short_download_finishes_under_both_schemes() {
         let t = testbed22(1);
         let imap = CarrierSense::default().build_map(&t.net);
-        let row = run_experiment(&t.net, &imap, Experiment::Short, 2, 7);
+        let row = experiment(&t.net, &imap, Experiment::Short, 2, 7);
         assert_eq!(row.empower.samples, 2);
         assert_eq!(row.mp_wo_cc.samples, 2);
         assert!(row.empower.mean_secs > 0.0 && row.mp_wo_cc.mean_secs > 0.0);
@@ -258,7 +249,7 @@ mod tests {
                     &t.net,
                     &imap,
                     &flows,
-                    SimConfig { delta: 0.05, seed: 7, ..Default::default() },
+                    SimConfig { delta: TESTBED_DELTA, seed: 7, ..Default::default() },
                 )
                 .expect("tolerant mode cannot fail");
             let report = sim.run(400.0);
@@ -278,7 +269,7 @@ mod tests {
     fn tiny_download_is_subsecond_scale() {
         let t = testbed22(1);
         let imap = CarrierSense::default().build_map(&t.net);
-        let row = run_experiment(&t.net, &imap, Experiment::Tiny, 3, 7);
+        let row = experiment(&t.net, &imap, Experiment::Tiny, 3, 7);
         assert!(row.empower.mean_secs < 5.0, "{}", row.empower.mean_secs);
     }
 

@@ -22,7 +22,7 @@ use empower_core::{RunConfig, Scheme};
 use empower_dynamics::{fluid_timeline, run_scenario, Scenario};
 use empower_model::topology::random::TopologyClass;
 use empower_model::{InterferenceMap, Network, NodeId};
-use empower_sim::{SimConfig, TrafficPattern};
+use empower_sim::{SimConfig, TrafficPattern, FRAME_BITS};
 use empower_telemetry::{CounterType, Manifest, Telemetry};
 
 fn usage() -> ! {
@@ -378,7 +378,7 @@ fn network_verb(args: &Args, verb: &str, class: &str) {
             println!(
                 "300 s packet-level run: {:.1} Mbps final ({} frames delivered, {} lost)",
                 report.final_throughput(f, 10),
-                report.flows[f].delivered_bits / SimConfig::default().frame_bits,
+                report.flows[f].delivered_bits / FRAME_BITS,
                 report.flows[f].declared_lost,
             );
         }

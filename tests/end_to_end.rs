@@ -4,7 +4,7 @@
 use empower_core::model::topology::{fig1_scenario, testbed22};
 use empower_core::model::{CarrierSense, InterferenceModel, SharedMedium};
 use empower_core::sim::{SimConfig, TrafficPattern};
-use empower_core::{FluidEval, RunConfig, Scheme};
+use empower_core::{RunConfig, Scheme};
 
 #[test]
 fn three_evaluation_layers_agree_on_fig1() {
@@ -33,8 +33,7 @@ fn packet_sim_tracks_equilibrium_on_the_testbed() {
     let t = testbed22(1);
     let imap = CarrierSense::default().build_map(&t.net);
     let flows = [(t.node(2), t.node(11))];
-    let run =
-        RunConfig::from_fluid(Scheme::Empower, &FluidEval { delta: 0.05, ..Default::default() });
+    let run = RunConfig::new(Scheme::Empower).delta(0.05);
     let eq = run.evaluate_equilibrium(&t.net, &imap, &flows).unwrap();
     let sim_flows =
         [(t.node(2), t.node(11), TrafficPattern::SaturatedUdp { start: 0.0, stop: 300.0 })];
@@ -106,19 +105,19 @@ fn route_recomputation_rescues_a_single_path_flow() {
     // PLC→WiFi route; the PLC link dies; the RouteMonitor notices, the
     // routes are recomputed (~50 ms in the paper), the simulator swaps
     // them in, and traffic resumes on the all-WiFi route.
-    use empower_core::monitor::{RecomputeReason, RouteMonitor};
+    use empower_core::RecomputeReason;
     let s = fig1_scenario();
     let imap = SharedMedium.build_map(&s.net);
-    let routes = Scheme::Sp.compute_routes(&s.net, &imap, s.gateway, s.client, 5);
+    let run = RunConfig::new(Scheme::Sp);
+    let routes = run.routes(&s.net, &imap, s.gateway, s.client).unwrap();
     // Both gateway→client routes have capacity 10; whichever SP picked,
     // kill its first link so the flow must be re-routed.
     let victim = routes.routes[0].path.links()[0];
-    let mut monitor = RouteMonitor::new(&s.net, Scheme::Sp, s.gateway, s.client, &routes);
+    let mut monitor = run.monitor(&s.net, s.gateway, s.client, &routes);
 
     let flows = [(s.gateway, s.client, TrafficPattern::SaturatedUdp { start: 0.0, stop: 400.0 })];
-    let (mut sim, mapping) = RunConfig::new(Scheme::Sp)
-        .build_simulation(&s.net, &imap, &flows, SimConfig::default())
-        .unwrap();
+    let (mut sim, mapping) =
+        run.build_simulation(&s.net, &imap, &flows, SimConfig::default()).unwrap();
     let f = mapping[0].unwrap();
     let rev = s.net.link(victim).reverse.unwrap();
     sim.schedule_link_change(120.0, victim, 0.0);
@@ -126,9 +125,9 @@ fn route_recomputation_rescues_a_single_path_flow() {
 
     // Phase 1: healthy.
     sim.run_until(120.5);
-    assert_eq!(monitor.check(sim.network()), Some(RecomputeReason::LinkFailure));
-    let new_routes = monitor.recompute(sim.network(), &imap);
-    assert!(!new_routes.is_empty());
+    let reason = monitor.try_check(sim.network()).unwrap();
+    assert_eq!(reason, Some(RecomputeReason::LinkFailure));
+    let new_routes = monitor.recompute_after(sim.network(), &imap, reason.unwrap()).unwrap();
     assert!(!new_routes.routes[0].path.uses_link(victim));
     sim.replace_routes(f, new_routes.paths());
 
@@ -141,4 +140,45 @@ fn route_recomputation_rescues_a_single_path_flow() {
     assert!(before > 8.5, "healthy phase {before}");
     assert!(after > 8.0, "recovered phase {after} (WiFi route capacity 10)");
     let _ = during_gap; // transition dip is expected and unasserted
+}
+
+/// FNV-1a (64-bit) over the bit patterns of a sequence of `f64`s.
+fn fnv1a_bits(acc: u64, values: &[f64]) -> u64 {
+    values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(acc, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Folds one fluid run's final rates and every trajectory slot into `acc`.
+fn fold_fluid_run(acc: u64, out: &empower_core::eval::FluidEvalResult) -> u64 {
+    let acc = fnv1a_bits(acc, &out.flow_rates);
+    out.trajectories.iter().fold(acc, |h, t| fnv1a_bits(h, t))
+}
+
+#[test]
+fn fluid_controller_bits_are_pinned() {
+    // The §4.3 controller on the fluid model has no twin to be compared
+    // against, so its output is pinned bit for bit: Fig. 1 at δ = 0 and
+    // δ = 0.05, then three residential draws at the §5.2.2 figure's
+    // settings (4 000 slots, boost cap 64).
+    use empower_bench::sweep::make_instance;
+    use empower_core::model::topology::random::TopologyClass;
+    let s = fig1_scenario();
+    let imap = SharedMedium.build_map(&s.net);
+    let flows = [(s.gateway, s.client)];
+    let mut acc = 0xcbf2_9ce4_8422_2325;
+    for delta in [0.0, 0.05] {
+        let out = RunConfig::new(Scheme::Empower)
+            .delta(delta)
+            .evaluate_fluid(&s.net, &imap, &flows)
+            .unwrap();
+        acc = fold_fluid_run(acc, &out);
+    }
+    for seed in 1..=3 {
+        let (net, imap, flows) = make_instance(TopologyClass::Residential, seed, 1);
+        let run = RunConfig::new(Scheme::Empower).slots(4000).boost_cap(64.0);
+        acc = fold_fluid_run(acc, &run.evaluate_fluid(&net, &imap, &flows).unwrap());
+    }
+    assert_eq!(acc, 0x98ec_7f72_83b4_211d, "fluid controller bits moved: {acc:#018x}");
 }

@@ -8,7 +8,7 @@ use empower_core::model::topology::{fig1_scenario, testbed22};
 use empower_core::model::{CarrierSense, InterferenceModel, SharedMedium};
 use empower_core::sim::{SimConfig, TrafficPattern};
 use empower_core::telemetry::{Manifest, Telemetry};
-use empower_core::{FluidEval, RunConfig, Scheme};
+use empower_core::{RunConfig, Scheme};
 use empower_model::topology::random::TopologyClass;
 
 /// Renders everything observable about a registry into one string.
@@ -21,12 +21,11 @@ fn observe(tele: &Telemetry, experiment: &str) -> String {
 #[test]
 fn fluid_sweep_telemetry_is_byte_identical_across_same_seed_runs() {
     let schemes = [Scheme::Empower, Scheme::Sp, Scheme::SpWifi];
-    let params = FluidEval::default();
     let observed: Vec<String> = (0..2)
         .map(|_| {
             let tele = Telemetry::enabled();
             for seed in [11u64, 12, 13] {
-                run_one_traced(TopologyClass::Residential, seed, 1, &schemes, &params, &tele);
+                run_one_traced(TopologyClass::Residential, seed, 1, &schemes, &tele);
             }
             observe(&tele, "fluid_sweep")
         })
