@@ -313,6 +313,11 @@ else
     # while the explorer restores saved weights on backtrack, so four
     # times the default corpus is where a wrongly restored weight shows.
     EMPOWER_EQUIV_TOPOLOGIES=200 cargo test -q --release -p empower-routing --test equivalence
+    say "centralized optimum: every solve certified and accurate on the 160 draws"
+    # Tier-1 runs 18 of the draws; the full set (40 seeds x residential/
+    # enterprise x 1/3 flows against a 1e-13-certified reference) is the
+    # ignored test, about a second in release.
+    cargo test -q --release --test centralized_optimum -- --ignored
     say "examples: every example under examples/ runs"
     # `cargo test` only compiles examples; running each one is what shows
     # it is still reached. The names come from the glob, so a new example

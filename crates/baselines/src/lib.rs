@@ -20,7 +20,7 @@
 //!   congestion collapse on over-driven multihop paths;
 //! * supporting machinery: conflict graphs, Bron–Kerbosch maximal cliques,
 //!   exact branch-and-bound MWIS, path enumeration, a dense-simplex LP
-//!   solver and Frank–Wolfe for concave utility maximization.
+//!   solver and pairwise Frank–Wolfe for concave utility maximization.
 
 pub mod backpressure;
 pub mod conflict;
@@ -33,7 +33,7 @@ pub mod simplex;
 pub use backpressure::{Backpressure, BackpressureConfig, BackpressureResult};
 pub use conflict::{max_weight_independent_set, maximal_cliques, ConflictGraph};
 pub use fluid::{saturation_goodput, FluidOutcome};
-pub use num::{maximize_utility, NumSolution};
+pub use num::{maximize_utility, reference_optimum, NumSolution, GAP_TOL, MAX_ITERATIONS};
 pub use path_enum::enumerate_paths;
 pub use region::{CapacityRegion, RegionKind};
 pub use simplex::{solve_lp, LpOutcome};

@@ -42,10 +42,14 @@ pub fn solve_lp(c: &[f64], a: &[Vec<f64>], b: &[f64]) -> Option<LpOutcome> {
         t[i][n + i] = 1.0;
         t[i][cols - 1] = b[i];
     }
-    // Objective row: minimize -cᵀx.
+    // Objective row: minimize -cᵀx, with `c` scaled to a largest entry of
+    // 1 so that the reduced-cost tolerance is relative: a positive multiple
+    // of `c` (a gradient of 10⁻¹², say) has the same optimal vertex.
+    let c_max = c.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+    let c_scale = if c_max > 0.0 { c_max } else { 1.0 };
     let mut obj = vec![0.0; cols];
     for j in 0..n {
-        obj[j] = -c[j];
+        obj[j] = -c[j] / c_scale;
     }
     let mut basis: Vec<usize> = (n..n + m).collect();
 
@@ -181,6 +185,20 @@ mod tests {
         assert!((out.x[0] - 10.0).abs() < 1e-9);
         assert!((out.x[1] - 20.0 / 3.0).abs() < 1e-9);
         assert!((out.objective - 50.0 / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn scaling_the_objective_keeps_the_vertex() {
+        // The Fig. 1 LP with weights (1, 2): the vertex (10, 20/3). At a scale
+        // of 10⁻¹² every reduced cost is below an absolute 1e-9 tolerance,
+        // so an unscaled simplex would stop at the origin.
+        let (a, b) = (vec![vec![0.1, 0.0], vec![1.0 / 30.0, 0.1]], [1.0, 1.0]);
+        let unit = solve_lp(&[1.0, 2.0], &a, &b).unwrap();
+        let tiny = solve_lp(&[1e-12, 2e-12], &a, &b).unwrap();
+        assert_eq!(unit.x, tiny.x);
+        assert!((tiny.x[0] - 10.0).abs() < 1e-9, "{:?}", tiny.x);
+        assert!((tiny.x[1] - 20.0 / 3.0).abs() < 1e-9, "{:?}", tiny.x);
+        assert!((tiny.objective - 70e-12 / 3.0).abs() < 1e-20);
     }
 
     #[test]

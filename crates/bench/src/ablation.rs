@@ -12,10 +12,10 @@ use empower_routing::{
     best_combination, shortest_path, CscMode, LinkMetric, MetricKind, MultipathConfig, RouteQuery,
 };
 use empower_sim::{FlowSpecSim, FlowStats, SimConfig, Simulation, TrafficPattern};
-use empower_telemetry::{impl_to_json_struct, CounterType, Manifest, Telemetry};
+use empower_telemetry::{impl_to_json_struct, CounterType, Json, Manifest, Telemetry, ToJson};
 use empower_testbed::fig9::fig9_network;
 
-use crate::sweep::make_instance;
+use crate::sweep::{make_instance, SolverWork};
 use crate::{mean, Figure, Opts};
 
 /// The routing ablation's results: mean combination capacity per
@@ -256,6 +256,19 @@ pub struct FairnessRow {
 
 impl_to_json_struct!(FairnessRow { alpha, total_mbps, min_flow_mbps, jain_index });
 
+/// The fairness ablation: one row per α, and the work of the centralized
+/// solves behind them (for the manifest).
+pub struct Fairness {
+    pub rows: Vec<FairnessRow>,
+    pub solver: SolverWork,
+}
+
+impl ToJson for Fairness {
+    fn to_json(&self) -> Json {
+        self.rows.to_json()
+    }
+}
+
 fn jain(xs: &[f64]) -> f64 {
     let s: f64 = xs.iter().sum();
     let q: f64 = xs.iter().map(|x| x * x).sum();
@@ -270,8 +283,9 @@ fn jain(xs: &[f64]) -> f64 {
 /// competing flows of a residential topology, from near throughput
 /// maximization (α → 0) through the paper's `log(1 + x)` (α = 1) towards
 /// max-min fairness.
-pub fn fairness(opts: &Opts, tele: &Telemetry) -> Vec<FairnessRow> {
-    Vec::from([0.25f64, 0.5, 1.0, 2.0, 4.0, 8.0].map(|alpha| {
+pub fn fairness(opts: &Opts, tele: &Telemetry) -> Fairness {
+    let mut solver = SolverWork::default();
+    let rows = Vec::from([0.25f64, 0.5, 1.0, 2.0, 4.0, 8.0].map(|alpha| {
         let mut totals = Vec::new();
         let mut mins = Vec::new();
         let mut jains = Vec::new();
@@ -290,11 +304,13 @@ pub fn fairness(opts: &Opts, tele: &Telemetry) -> Vec<FairnessRow> {
             tele.counter("ablation/instances", CounterType::Packets).inc();
             let problem = CcProblem::new(&net, &imap, flow_routes);
             let region = CapacityRegion::build(&problem, &imap, RegionKind::Conservative, 0.0);
-            let rates = if (alpha - 1.0).abs() < 1e-9 {
-                maximize_utility(&problem, &region, &ProportionalFair, 300).flow_rates
+            let sol = if (alpha - 1.0).abs() < 1e-9 {
+                maximize_utility(&problem, &region, &ProportionalFair)
             } else {
-                maximize_utility(&problem, &region, &AlphaFair::new(alpha), 300).flow_rates
+                maximize_utility(&problem, &region, &AlphaFair::new(alpha))
             };
+            solver = solver.max(SolverWork::of(&sol));
+            let rates = sol.flow_rates;
             totals.push(rates.iter().sum());
             mins.push(rates.iter().cloned().fold(f64::INFINITY, f64::min));
             jains.push(jain(&rates));
@@ -305,14 +321,15 @@ pub fn fairness(opts: &Opts, tele: &Telemetry) -> Vec<FairnessRow> {
             min_flow_mbps: mean(&mins),
             jain_index: mean(&jains),
         }
-    }))
+    }));
+    Fairness { rows, solver }
 }
 
-impl Figure for Vec<FairnessRow> {
+impl Figure for Fairness {
     fn render(&self, opts: &Opts, m: &mut Manifest) {
         println!("== Ablation: α-fair utility family (3 flows, residential) ==");
         println!("{:>8} {:>12} {:>12} {:>12}", "α", "total Mbps", "min flow", "Jain index");
-        for r in self {
+        for r in &self.rows {
             println!(
                 "{:>8.2} {:>12.1} {:>12.1} {:>12.3}",
                 r.alpha, r.total_mbps, r.min_flow_mbps, r.jain_index
@@ -321,5 +338,6 @@ impl Figure for Vec<FairnessRow> {
         println!("\n(total throughput falls and the worst flow + Jain index rise with α —");
         println!(" the §4 fairness knob; the paper's log(1+x) is the α = 1 row.)");
         m.set("runs", opts.sweep(60, 10) as u64);
+        self.solver.record(m);
     }
 }

@@ -9,7 +9,7 @@ use empower_core::{RunConfig, Scheme};
 use empower_model::topology::random::TopologyClass;
 use empower_telemetry::{impl_to_json_struct, CounterType, Json, Manifest, Telemetry, ToJson};
 
-use crate::sweep::{make_instance, run_sweep_parallel, SweepRun};
+use crate::sweep::{make_instance, run_sweep_parallel, SolverWork, SweepRun};
 use crate::{cdf_line, fraction, mean, Figure, Opts};
 
 const CLASSES: [TopologyClass; 2] = [TopologyClass::Residential, TopologyClass::Enterprise];
@@ -180,30 +180,37 @@ impl Ratios {
 /// Sweeps both classes with `flows` flows per run under EMPoWER, MP-2bp,
 /// MP-w/o-CC and SP, and divides `value(run)`, `[optimal, conservative
 /// opt, schemes…]`, by its first entry on the runs where that is positive.
+/// Also returns the work of every run's two centralized solves.
 fn ratio_sweep(
     opts: &Opts,
     tele: &Telemetry,
     count: usize,
     flows: usize,
     value: fn(&SweepRun) -> Vec<f64>,
-) -> Vec<Ratios> {
+) -> (Vec<Ratios>, SolverWork) {
     let schemes = [Scheme::Empower, Scheme::Mp2bp, Scheme::MpWoCc, Scheme::Sp];
-    let classes = CLASSES.iter().map(|&class| {
+    let mut solver = SolverWork::default();
+    let mut classes = Vec::with_capacity(CLASSES.len());
+    for class in CLASSES {
         let runs = run_sweep_parallel(class, count, flows, &schemes, opts, tele);
+        for r in &runs {
+            solver = solver.max(r.optimal.solver).max(r.conservative.solver);
+        }
         let values = runs.iter().map(value).filter(|v| v[0] > 1e-9);
         let ratios = values.map(|v| v[1..].iter().map(|x| x / v[0]).collect()).collect();
-        Ratios { class: format!("{class:?}"), ratios }
-    });
-    classes.collect()
+        classes.push(Ratios { class: format!("{class:?}"), ratios });
+    }
+    (classes, solver)
 }
 
 /// Fig. 6: CDF of `T_X / T_optimal`, one saturated flow per run.
 pub fn fig6(opts: &Opts, tele: &Telemetry) -> Vec<Ratios> {
-    ratio_sweep(opts, tele, opts.sweep(500, 25), 1, |r| {
+    let (classes, _) = ratio_sweep(opts, tele, opts.sweep(500, 25), 1, |r| {
         let mut v = vec![r.optimal.flow_rates[0], r.conservative.flow_rates[0]];
         v.extend(r.scheme_rates.iter().map(|x| x[0]));
         v
-    })
+    });
+    classes
 }
 
 /// Fig. 6's table; Fig. 7's rows are the [`Fig7`] newtype.
@@ -224,36 +231,42 @@ impl Figure for Vec<Ratios> {
 }
 
 /// Fig. 7's rows: the ratios are of utility, so the JSON names them
-/// `utility_ratios`.
-pub struct Fig7(pub Vec<Ratios>);
+/// `utility_ratios`. The work of the centralized solves behind them goes
+/// to the manifest.
+pub struct Fig7 {
+    pub classes: Vec<Ratios>,
+    pub solver: SolverWork,
+}
 
 impl ToJson for Fig7 {
     fn to_json(&self) -> Json {
         let class = |c: &Ratios| {
             Json::obj([("class", c.class.to_json()), ("utility_ratios", c.ratios.to_json())])
         };
-        Json::arr(self.0.iter().map(class))
+        Json::arr(self.classes.iter().map(class))
     }
 }
 
 /// Fig. 7: CDF of `U_X / U_optimal` with three competing saturated flows
 /// between random pairs, `U_X = Σ_f log(1 + x_f)`.
 pub fn fig7(opts: &Opts, tele: &Telemetry) -> Fig7 {
-    Fig7(ratio_sweep(opts, tele, opts.sweep(500, 20), 3, |r| {
+    let (classes, solver) = ratio_sweep(opts, tele, opts.sweep(500, 20), 3, |r| {
         let mut v = vec![r.optimal.utility, r.conservative.utility];
         v.extend(&r.scheme_utility);
         v
-    }))
+    });
+    Fig7 { classes, solver }
 }
 
 impl Figure for Fig7 {
     fn render(&self, opts: &Opts, m: &mut Manifest) {
         let runs = opts.sweep(500, 20);
-        for c in &self.0 {
+        for c in &self.classes {
             c.print_cdfs("Fig. 7 — U_X / U_optimal, 3 flows", runs);
             println!();
         }
         m.set("runs", runs as u64).set("flows", 3u64);
+        self.solver.record(m);
     }
 }
 

@@ -4,7 +4,9 @@
 //! or more random flows, evaluated under every scheme plus the centralized
 //! `optimal` / `conservative opt` references.
 
-use empower_baselines::{enumerate_paths, maximize_utility, CapacityRegion, RegionKind};
+use empower_baselines::{
+    enumerate_paths, maximize_utility, CapacityRegion, NumSolution, RegionKind,
+};
 use empower_cc::{CcProblem, ProportionalFair, Utility};
 use empower_core::{RunConfig, Scheme, N_SHORTEST};
 use empower_dynamics::{run_scenario, Scenario, ScenarioError, ScenarioOutcome};
@@ -15,7 +17,7 @@ use empower_model::{
     CarrierSense, InterferenceMap, InterferenceModel, Medium, Network, NodeId, Path,
 };
 use empower_sim::Simulation;
-use empower_telemetry::{impl_to_json_struct, CounterSnapshot, CounterType, Telemetry};
+use empower_telemetry::{impl_to_json_struct, CounterSnapshot, CounterType, Manifest, Telemetry};
 use empower_testbed::fig13::{run_flows_traced, Fig13Config, Fig13Row};
 use empower_workload::{WorkloadCorpusOutput, WorkloadOutput, WorkloadScenario};
 
@@ -32,6 +34,39 @@ pub const OPT_MAX_HOPS: usize = 3;
 pub struct ReferencePoint {
     pub flow_rates: Vec<f64>,
     pub utility: f64,
+    /// The solve's work (none when no flow is connected).
+    pub solver: SolverWork,
+}
+
+/// The work of one or more centralized solves: the most LP oracle calls
+/// and the largest certified relative gap
+/// ([`empower_baselines::NumSolution::gap`]) among them.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SolverWork {
+    pub max_iterations: usize,
+    pub max_gap: f64,
+}
+
+impl SolverWork {
+    /// The work of one solve.
+    pub fn of(sol: &NumSolution) -> SolverWork {
+        SolverWork { max_iterations: sol.iterations, max_gap: sol.gap }
+    }
+
+    /// The work of both sets of solves.
+    pub fn max(self, other: SolverWork) -> SolverWork {
+        SolverWork {
+            max_iterations: self.max_iterations.max(other.max_iterations),
+            max_gap: self.max_gap.max(other.max_gap),
+        }
+    }
+
+    /// Adds `solver_max_iterations` and `solver_max_gap` to a figure's
+    /// manifest.
+    pub fn record(&self, m: &mut Manifest) {
+        m.set("solver_max_iterations", self.max_iterations as u64)
+            .set("solver_max_gap", self.max_gap);
+    }
 }
 
 /// Everything measured on one run.
@@ -86,16 +121,18 @@ pub fn reference(
         }
     }
     let mut flow_rates = vec![0.0; flows.len()];
+    let mut solver = SolverWork::default();
     if !connected.is_empty() {
         let problem = CcProblem::new(net, imap, flow_routes);
         let region = CapacityRegion::build(&problem, imap, kind, delta);
-        let sol = maximize_utility(&problem, &region, &ProportionalFair, 200);
+        let sol = maximize_utility(&problem, &region, &ProportionalFair);
         for (ci, &f) in connected.iter().enumerate() {
             flow_rates[f] = sol.flow_rates[ci];
         }
+        solver = SolverWork::of(&sol);
     }
     let utility = flow_rates.iter().map(|&x| ProportionalFair.value(x)).sum();
-    ReferencePoint { flow_rates, utility }
+    ReferencePoint { flow_rates, utility, solver }
 }
 
 /// Appends the paths of `more` that `paths` does not hold yet, in order.

@@ -143,9 +143,11 @@ pub(crate) fn evaluate_fluid_impl(
 /// provably converges to the maximizer of `Σ U_f` over constraint (2)
 /// restricted to the scheme's routes, so for steady-state statistics
 /// (Figs. 4–7) we can solve that program with Frank–Wolfe instead of
-/// iterating thousands of controller slots per topology. w/o-CC schemes are
-/// evaluated with the saturation model exactly as in
-/// [`crate::RunConfig::evaluate_fluid`].
+/// iterating thousands of controller slots per topology. The solver's work
+/// goes on the run's telemetry: `eval/solver_iterations` (LP oracle calls)
+/// and `eval/solver_uncertified` (solves that stopped on the iteration cap
+/// rather than on their gap). w/o-CC schemes are evaluated with the
+/// saturation model exactly as in [`crate::RunConfig::evaluate_fluid`].
 ///
 /// The engine behind [`crate::RunConfig::evaluate_equilibrium`].
 pub(crate) fn evaluate_equilibrium_impl(
@@ -167,7 +169,11 @@ pub(crate) fn evaluate_equilibrium_impl(
             empower_baselines::RegionKind::Conservative,
             run.delta,
         );
-        let sol = empower_baselines::maximize_utility(&problem, &region, &ProportionalFair, 300);
+        let sol = empower_baselines::maximize_utility(&problem, &region, &ProportionalFair);
+        let tele = &run.telemetry;
+        tele.counter("eval/solver_iterations", CounterType::Packets).add(sol.iterations as u64);
+        tele.counter("eval/solver_uncertified", CounterType::Errors)
+            .add(u64::from(!sol.certified()));
         for (ci, &f) in connected.iter().enumerate() {
             flow_rates[f] = sol.flow_rates[ci];
         }

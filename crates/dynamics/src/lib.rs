@@ -80,6 +80,7 @@ pub use lower::{CompiledFlow, CompiledWorkload};
 pub use resilience::{episode_metrics, episode_times, FaultMetrics};
 pub use scenario::{
     ClientKind, ClientSpec, Diurnal, FlowSpec, GeneratorSpec, PatternSpec, Perturbation, RunSpec,
-    Scenario, ScenarioError, TimedPerturbation, TopologyKind, TopologySpec, SCHEMA_VERSION,
+    Scenario, ScenarioError, TimedPerturbation, TopologyKind, TopologySpec, MAX_EXPANSION,
+    SCHEMA_VERSION,
 };
 pub use toml::{to_toml_string, TomlError};

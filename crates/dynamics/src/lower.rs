@@ -144,8 +144,11 @@ pub fn poisson_arrivals(
 ///
 /// Flows whose start time falls at or beyond the horizon are dropped —
 /// they could never carry traffic — so the flow list is exactly the set
-/// the engine will run.
+/// the engine will run. A document that expands past
+/// [`crate::scenario::MAX_EXPANSION`] is an error before anything is
+/// allocated.
 pub fn compile(w: &Scenario, net: &Network) -> Result<CompiledWorkload, ScenarioError> {
+    w.check_expansion()?;
     let horizon = w.run.horizon_secs;
     let mut flows = Vec::new();
     for (ci, c) in w.clients.iter().enumerate() {

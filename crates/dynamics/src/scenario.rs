@@ -23,6 +23,14 @@ use crate::toml;
 /// with a different major version instead of misreading them.
 pub const SCHEMA_VERSION: u64 = 1;
 
+/// The most simulator flows plus chained files one document may expand
+/// into. [`crate::lower::compile`] allocates per flow, and per file of a
+/// `request_response` or `telemetry` chain (the chain pre-draws each file's
+/// ready time), so a finite but tiny value — `period_secs = 1e-300`, a
+/// `requests`, `mice` or `count` in the billions — would ask for gigabytes.
+/// The bound is checked before anything is allocated.
+pub const MAX_EXPANSION: u64 = 100_000;
+
 /// A parse/validation error with a dotted path to the offending field.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScenarioError {
@@ -513,6 +521,7 @@ impl Scenario {
         for (i, c) in self.clients.iter().enumerate() {
             validate_client(c, self.topology.kind, &format!("clients[{i}]"))?;
         }
+        self.check_expansion()?;
         for (i, f) in self.flows.iter().enumerate() {
             let path = format!("flows[{i}]");
             match f.pattern {
@@ -579,6 +588,45 @@ impl Scenario {
                         return serr(join(&path, "bad_factor"), "must be in [0, 1]");
                     }
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// Holds the flows and chained files the document expands into to
+    /// [`MAX_EXPANSION`], counted in `f64` so that no product saturates.
+    /// The error names the client that crosses the bound and the key that
+    /// sizes it.
+    pub(crate) fn check_expansion(&self) -> Result<(), ScenarioError> {
+        let mut total = self.flows.len() as f64;
+        for (i, c) in self.clients.iter().enumerate() {
+            let (per_instance, key) = match c.kind {
+                ClientKind::OpenLoop { .. }
+                | ClientKind::ClosedLoop { .. }
+                | ClientKind::Bulk { .. } => (1.0, "count"),
+                ClientKind::RequestResponse { requests, .. } => (f64::from(requests), "requests"),
+                ClientKind::Telemetry { period_secs, .. } => {
+                    let span = (self.run.horizon_secs - c.start).max(0.0);
+                    ((span / period_secs).ceil().max(1.0), "period_secs")
+                }
+                ClientKind::ElephantMice { elephants, mice, .. } => {
+                    let key = if mice >= elephants { "mice" } else { "elephants" };
+                    (f64::from(elephants) + f64::from(mice), key)
+                }
+                ClientKind::Churn { max_sessions, .. } => (f64::from(max_sessions), "max_sessions"),
+            };
+            let count = f64::from(c.count);
+            let key = if count > per_instance { "count" } else { key };
+            total += count * per_instance;
+            // A NaN period makes the total NaN, which fails too.
+            if total.is_nan() || total > MAX_EXPANSION as f64 {
+                return serr(
+                    format!("clients[{i}].{key}"),
+                    format!(
+                        "the document expands to {total:.3e} flows and chained files by this \
+                         client; at most {MAX_EXPANSION} are allowed"
+                    ),
+                );
             }
         }
         Ok(())
@@ -1104,6 +1152,72 @@ mod tests {
         text = text.replace("schema = 1", "schema = 99");
         let err = Scenario::parse_str(&text).unwrap_err();
         assert!(err.to_string().contains("schema"), "{err}");
+    }
+
+    #[test]
+    fn expansion_is_bounded_before_anything_is_allocated() {
+        use empower_model::topology::fig1_scenario;
+        let client = |kind, count| ClientSpec {
+            label: None,
+            src: 0,
+            dst: 2,
+            via: None,
+            count,
+            start: 0.0,
+            kind,
+            diurnal: None,
+        };
+        let with = |c: ClientSpec| Scenario { clients: vec![c], ..sample() };
+        let huge = u32::MAX;
+        // Each client is valid on its own terms; each expands past the
+        // bound. Neither check runs a simulation or compiles a flow.
+        let over = [
+            (ClientKind::Telemetry { period_secs: 1e-300, payload_bytes: 100 }, 1, "period_secs"),
+            (
+                ClientKind::RequestResponse { requests: huge, response_bytes: 1, think_secs: 1.0 },
+                1,
+                "requests",
+            ),
+            (
+                ClientKind::ElephantMice {
+                    elephants: 1,
+                    elephant_bytes: 1,
+                    mice: huge,
+                    mouse_bytes: 1,
+                    mean_gap_secs: 1e-300,
+                },
+                1,
+                "mice",
+            ),
+            (
+                ClientKind::Churn {
+                    base_rate_per_sec: 1.0,
+                    mean_session_secs: 1.0,
+                    max_sessions: huge,
+                },
+                1,
+                "max_sessions",
+            ),
+            (ClientKind::ClosedLoop { stop: None }, huge, "count"),
+            (
+                ClientKind::RequestResponse { requests: 2, response_bytes: 1, think_secs: 1.0 },
+                huge,
+                "count",
+            ),
+        ];
+        let net = fig1_scenario().net;
+        for (kind, count, key) in over {
+            let doc = with(client(kind, count));
+            let path = format!("clients[0].{key}");
+            assert_eq!(doc.validate().unwrap_err().path, path, "{kind:?}");
+            assert_eq!(crate::lower::compile(&doc, &net).unwrap_err().path, path, "{kind:?}");
+        }
+        // The sample's one [[flows]] entry plus MAX_EXPANSION − 1 replicas
+        // is exactly the bound.
+        let count = u32::try_from(MAX_EXPANSION - 1).unwrap();
+        assert!(with(client(ClientKind::ClosedLoop { stop: None }, count)).validate().is_ok());
+        let err = with(client(ClientKind::ClosedLoop { stop: None }, count + 1)).validate();
+        assert_eq!(err.unwrap_err().path, "clients[0].count");
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! Table 1 and Fig. 10 are not gated either: the testbed's fidelity to the
 //! paper is still open (ROADMAP.md).
 
+use empower_bench::ablation::fairness;
 use empower_bench::fluid::{fig4, fig6};
 use empower_bench::{mean, Opts};
 use empower_telemetry::Telemetry;
@@ -53,5 +54,25 @@ fn fig6_empower_tracks_the_optimum() {
         assert!(within >= cons, "{}: within 10 % of conservative on {within:.3}", c.class);
         let [emp, mp2bp, sp] = [1, 2, 4].map(|j| mean(&c.col(j)));
         assert!(emp > mp2bp && mp2bp > sp, "{}: mean ratios {emp} {mp2bp} {sp}", c.class);
+    }
+}
+
+/// §4's fairness knob: as α grows, the worst flow and Jain's index never
+/// fall (the α-fair family runs from throughput towards max-min fairness).
+#[test]
+fn fairness_rises_with_alpha() {
+    let fig = fairness(&quick(), &Telemetry::disabled());
+    for w in fig.rows.windows(2) {
+        let (lo, hi) = (&w[0], &w[1]);
+        assert!(
+            hi.min_flow_mbps >= lo.min_flow_mbps && hi.jain_index >= lo.jain_index,
+            "α {} → {}: worst flow {:.2} → {:.2}, Jain {:.4} → {:.4}",
+            lo.alpha,
+            hi.alpha,
+            lo.min_flow_mbps,
+            hi.min_flow_mbps,
+            lo.jain_index,
+            hi.jain_index
+        );
     }
 }
