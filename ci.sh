@@ -9,8 +9,9 @@
 #                    # `all` measures every workload of BENCHMARK.json in turn
 #   ./ci.sh identical <base-ref>
 #                    # byte-identity of a refactor: every figure at --quick
-#                    # and every examples/*.toml under `scenario run` and
-#                    # `workload run`, stdout and manifest, against <base-ref>;
+#                    # (stdout, manifest and --json rows) and every
+#                    # examples/*.toml under `scenario run` and `workload run`
+#                    # (stdout and manifest), against <base-ref>;
 #                    # names each file that differs and exits 1 if any does
 #
 # Tier-1 (ROADMAP.md): `cargo build --release && cargo test -q` must pass.
@@ -195,9 +196,10 @@ pairs_of() {
 # The byte-identity proof of a refactor as one command: build `empower`
 # from a `git archive` export of <base-ref> and from the working tree, each
 # into its own target directory under target/identical/, render every
-# figure the driver lists at --quick and every examples/*.toml of the
-# working tree under both `scenario run` and `workload run`, each with
-# --metrics, on both builds, and compare stdout and manifest file by file.
+# figure the driver lists at --quick, with --json, and every examples/*.toml
+# of the working tree under both `scenario run` and `workload run`, each
+# with --metrics, on both builds, and compare stdout, manifest and figure
+# rows file by file.
 # A run that fails records its exit status in its stdout file, so a run
 # that fails on one side only differs too. Names every file that differs
 # and exits 1 if any does. Writes only under target/.
@@ -217,6 +219,7 @@ identical() {
         --target-dir "$root/base-target"
     cargo build --release --locked --bin empower --target-dir "$root/change-target"
     # render <out-prefix> <binary> <args...>: stdout to .out, manifest to .json.
+    # A figure also writes its rows to .rows.json.
     render() {
         prefix="$1"
         shift
@@ -230,7 +233,7 @@ identical() {
         figures="$("$bin" 2>&1 | sed -n 's/^figures: //p')"
         [ -n "$figures" ] || { echo "the $side build's usage lists no figures" >&2; exit 1; }
         for fig in $figures; do
-            render "$out/figure.$fig" "$bin" figure "$fig" --quick
+            render "$out/figure.$fig" "$bin" figure "$fig" --quick --json "$out/figure.$fig.rows.json"
         done
         for doc in examples/*.toml; do
             name="$(basename "$doc" .toml)"

@@ -241,19 +241,25 @@ impl LinkPriceState {
     }
 }
 
-/// The network-wide broadcast channel of one run: the concatenated
-/// broadcast vector, the index plan over it, and one control slot of
-/// Eqs. (7)+(8) that costs what carries state.
+/// The network-wide broadcast channel of one run: every node's price
+/// state, the concatenated broadcast vector, the index plan over it, and
+/// one control slot of Eqs. (7)+(8) that costs what changed.
 ///
 /// The *layout* of the vector produced by calling
 /// [`LinkPriceState::make_broadcasts_into`] for a fixed slice of states in a
 /// fixed order never changes during a run: it depends only on each node's
 /// egress set and the links' media, neither of which topology dynamics
 /// touch (dead links keep their slot with zero demand). So the plan keeps
-/// one persistent vector and refreshes entries in place, and it knows, per
+/// one persistent vector and rewrites entries in place, and it knows, per
 /// egress link, the ascending entries the link overhears (for the per-hop
 /// price of Eq. (9)) and, per entry, the ascending links that overhear it
 /// (for the per-slot update).
+///
+/// The plan owns the states, and every write of a demand, a γ or a TCP flag
+/// goes through it. A write that changes bits marks the entry it feeds
+/// (all of a node's entries, for its flag), and a refresh rewrites the
+/// marked entries alone, so after each refresh the vector is what
+/// [`LinkPriceState::make_broadcasts_into`] over every state would give.
 ///
 /// Every floating-point sum receives its terms in ascending
 /// broadcast-vector order, exactly like the scanning originals on
@@ -261,6 +267,8 @@ impl LinkPriceState {
 /// them (asserted in this module's tests).
 #[derive(Debug, Clone)]
 pub struct BroadcastPlan {
+    /// One price state per node, in node order.
+    states: Vec<LinkPriceState>,
     /// Per state, per egress link: ascending indices into the broadcast
     /// vector of the `(node, medium)` entries in the link's overhearing set.
     indices: Vec<Vec<Vec<u32>>>,
@@ -273,8 +281,23 @@ pub struct BroadcastPlan {
     entry_of: Vec<u32>,
     /// Per state: its first entry; one past the last state's at the end.
     entry_start: Vec<u32>,
+    /// Per entry `e`, `members[member_start[e]..member_start[e + 1]]`: the
+    /// egress positions of the links it aggregates, in egress order.
+    members: Vec<u32>,
+    member_start: Vec<u32>,
     /// The broadcast vector as of the last refresh.
     broadcasts: Vec<PriceBroadcast>,
+    /// The entries a write changed since the last refresh, each once.
+    dirty: Vec<u32>,
+    is_dirty: Vec<bool>,
+    /// How many links have a γ whose bits are not `+0.0`.
+    gammas_set: usize,
+    /// Per [`LinkId`] index: the epoch of the last per-hop price read and
+    /// the `Σ γ` it computed.
+    price_memo: Vec<(u64, f64)>,
+    /// Moves whenever an input of a per-hop price may have changed: at
+    /// every slot and at every reset γ.
+    epoch: u64,
     /// Per [`LinkId`] index: what the link heard this slot (scratch of
     /// [`BroadcastPlan::update_gammas_with_tcp_margin`]).
     heard: Vec<Heard>,
@@ -293,13 +316,12 @@ struct Heard {
 }
 
 impl BroadcastPlan {
-    /// Builds the plan for `states`, one per node in node order (the slice
-    /// every later call takes); the vector starts as what they broadcast
-    /// now.
+    /// Builds the plan over `states`, one per node in node order; the
+    /// vector starts as what they broadcast now.
     ///
     /// # Panics
     /// Panics if `states[i]` does not belong to node `i`.
-    pub fn new(net: &Network, states: &[LinkPriceState]) -> Self {
+    pub fn new(net: &Network, states: Vec<LinkPriceState>) -> Self {
         assert!(
             states.iter().enumerate().all(|(i, s)| s.node.index() == i),
             "price states must be indexed by node"
@@ -308,7 +330,7 @@ impl BroadcastPlan {
         // per distinct egress medium, in first-seen order.
         let mut broadcasts = Vec::new();
         let mut entry_start = Vec::with_capacity(states.len() + 1);
-        for s in states {
+        for s in &states {
             entry_start.push(broadcasts.len() as u32);
             s.make_broadcasts_into(net, &mut broadcasts);
         }
@@ -347,26 +369,111 @@ impl BroadcastPlan {
                 indices[owner][egress_pos[l.index()] as usize].push(e as u32);
             }
         }
+        // Entries ascend with their states, so sorting each state's
+        // (entry, egress position) pairs lays the members out entry by
+        // entry, each in egress order.
+        let mut members = Vec::with_capacity(net.link_count());
+        let mut member_start = Vec::with_capacity(broadcasts.len() + 1);
+        for s in &states {
+            let mut own: Vec<(u32, u32)> =
+                s.egress.iter().enumerate().map(|(i, l)| (entry_of[l.index()], i as u32)).collect();
+            own.sort_unstable();
+            for (k, &(e, i)) in own.iter().enumerate() {
+                if k == 0 || own[k - 1].0 != e {
+                    member_start.push(members.len() as u32);
+                }
+                members.push(i);
+            }
+        }
+        member_start.push(members.len() as u32);
+        let entries = broadcasts.len();
+        let gammas_set = states.iter().flat_map(|s| &s.gamma).filter(|g| g.to_bits() != 0).count();
         BroadcastPlan {
+            states,
             indices,
             listeners,
             egress_pos,
             entry_of,
             entry_start,
+            members,
+            member_start,
             broadcasts,
+            dirty: Vec::new(),
+            is_dirty: vec![false; entries],
+            gammas_set,
+            price_memo: vec![(u64::MAX, 0.0); net.link_count()],
+            epoch: 0,
             heard: vec![Heard::default(); net.link_count()],
         }
     }
 
-    /// One control slot for the whole network: every node in `speakers`
-    /// broadcasts, every link in `priced` combines what it overhears with
-    /// its owner's measurements into `y_l` (Eq. (7)) and updates `γ_l`
-    /// (Eq. (8), with `delta_tcp` in place of `delta` wherever the link's
-    /// owner or an overheard broadcaster receives TCP, §6.4), and the
-    /// speakers broadcast again so the vector carries the updated γ sums
-    /// into the coming slot. Returns the airtime-margin violations
-    /// (`y_l > 1 − δ`) and how many elements the slot visited (link states,
-    /// overhearing entries, egress links behind refreshed broadcasts).
+    /// The γ of `link`.
+    pub fn gamma(&self, link: LinkId) -> f64 {
+        self.states[self.owner_of(link)].gamma[self.egress_pos[link.index()] as usize]
+    }
+
+    /// [`LinkPriceState::set_demand`] on the owner of `link`.
+    pub fn set_demand(&mut self, link: LinkId, airtime_demand: f64) {
+        let (owner, i) = (self.owner_of(link), self.egress_pos[link.index()] as usize);
+        let demand = &mut self.states[owner].demand[i];
+        if demand.to_bits() != airtime_demand.to_bits() {
+            *demand = airtime_demand;
+            self.mark(self.entry_of[link.index()]);
+        }
+    }
+
+    /// [`LinkPriceState::set_tcp_receiver`] on `node`.
+    pub fn set_tcp_receiver(&mut self, node: NodeId, receiving: bool) {
+        let state = &mut self.states[node.index()];
+        if state.tcp_receiver != receiving {
+            state.tcp_receiver = receiving;
+            for e in self.entry_start[node.index()]..self.entry_start[node.index() + 1] {
+                self.mark(e);
+            }
+        }
+    }
+
+    /// [`LinkPriceState::reset_gamma`] on the owner of `link`. The owner's
+    /// per-hop prices read its own γ at once, and overhearing nodes read it
+    /// from the next slot's broadcasts.
+    pub fn reset_gamma(&mut self, link: LinkId) {
+        let (owner, i) = (self.owner_of(link), self.egress_pos[link.index()] as usize);
+        let gamma = &mut self.states[owner].gamma[i];
+        if gamma.to_bits() != 0 {
+            *gamma = 0.0;
+            self.gammas_set -= 1;
+            self.epoch += 1;
+            self.mark(self.entry_of[link.index()]);
+        }
+    }
+
+    /// Whether Eqs. (7)–(8) this slot would leave every γ at `+0.0` and
+    /// count no violation, given `airtime_total`, a float sum in any order
+    /// of `|d_l|` over every link whose demand is not `+0.0`: no γ is set,
+    /// and `airtime_total · (1 + 10⁻⁹) ≤ 1 − max(δ, δ_tcp)`.
+    ///
+    /// Then every `y_l ≤ 1 − δ_l`, whichever margin δ_l a TCP flag gives
+    /// the link. `y_l` sums a subset of the same demands, and the rounding
+    /// of either sum moves it by at most `n·u` of the exact `Σ |d_l|` (`n`
+    /// links, `u = 2⁻⁵³`), far below 10⁻⁹ for any network that fits in
+    /// memory. So `γ + α(y_l − (1 − δ_l))` is at most `+0.0` for `α ≥ 0`,
+    /// Eq. (8) clamps it to `+0.0`, and no margin is violated (DESIGN.md
+    /// "Planned control-plane updates").
+    pub fn prices_rest(&self, airtime_total: f64, delta: f64, delta_tcp: f64) -> bool {
+        self.gammas_set == 0 && airtime_total * (1.0 + 1e-9) <= 1.0 - delta.max(delta_tcp)
+    }
+
+    /// One control slot for the whole network: the vector is refreshed with
+    /// the slot's demands and flags; unless [`Self::prices_rest`] holds,
+    /// every link in `priced` combines what it overhears with its owner's
+    /// measurements into `y_l` (Eq. (7)) and updates `γ_l` (Eq. (8), with
+    /// `delta_tcp` in place of `delta` wherever the link's owner or an
+    /// overheard broadcaster receives TCP, §6.4), and the vector is
+    /// refreshed again so it carries the updated γ sums into the coming
+    /// slot. `airtime_total` is as [`Self::prices_rest`] takes it. Returns
+    /// the airtime-margin violations (`y_l > 1 − δ`) and how many elements
+    /// the slot visited (link states, overhearing entries, egress links
+    /// behind rewritten broadcasts).
     ///
     /// This equals calling [`LinkPriceState::update_gammas_with_tcp_margin`]
     /// on every state bit for bit, provided the two ascending lists cover
@@ -377,8 +484,8 @@ impl BroadcastPlan {
     ///   values: zero demand, zero γ, no flag);
     /// * `priced` holds every link that overhears an entry with nonzero
     ///   demand, or shares its owner and an interference domain with a
-    ///   link of nonzero demand (any other link has `y_l = 0`, so its γ
-    ///   rests at zero while `max(δ, δ_tcp) < 1`).
+    ///   link of nonzero demand, or has a nonzero γ (any other link has
+    ///   `y_l = 0`, so its γ rests at zero while `max(δ, δ_tcp) < 1`).
     ///
     /// Why the bits agree: Eq. (7) is computed by scatter where the
     /// scanning original gathers. Each nonzero or flagged entry, in
@@ -391,20 +498,24 @@ impl BroadcastPlan {
     /// started at `+0.0` can reach (it is never `-0.0`).
     pub fn update_gammas_with_tcp_margin(
         &mut self,
-        states: &mut [LinkPriceState],
         speakers: &[NodeId],
         priced: &[LinkId],
+        airtime_total: f64,
         alpha: f64,
         delta: f64,
         delta_tcp: f64,
     ) -> (usize, u64) {
-        debug_assert_eq!(states.len() + 1, self.entry_start.len());
-        let mut visits = self.refresh(states, speakers) + 2 * priced.len() as u64;
+        self.epoch += 1;
+        let mut visits = self.refresh();
+        if self.prices_rest(airtime_total, delta, delta_tcp) {
+            return (0, visits);
+        }
+        visits += 2 * priced.len() as u64;
         for &l in priced {
             self.heard[l.index()] = Heard::default();
         }
         for &l in priced {
-            let s = &states[self.owner_of(l)];
+            let s = &self.states[self.owner_of(l)];
             let i = self.egress_pos[l.index()] as usize;
             let demand = s.demand[i];
             if demand.to_bits() != 0 {
@@ -438,17 +549,26 @@ impl BroadcastPlan {
         }
         let mut violations = 0;
         for &l in priced {
-            let s = &mut states[self.owner_of(l)];
+            let (owner, i) = (self.owner_of(l), self.egress_pos[l.index()] as usize);
             let h = self.heard[l.index()];
             let yl = h.external + h.internal;
-            let d = if s.tcp_receiver || h.tcp { delta_tcp } else { delta };
-            let g = &mut s.gamma[self.egress_pos[l.index()] as usize];
-            *g = (*g + alpha * (yl - (1.0 - d))).max(0.0);
+            let d = if self.states[owner].tcp_receiver || h.tcp { delta_tcp } else { delta };
+            let old = self.states[owner].gamma[i];
+            let new = (old + alpha * (yl - (1.0 - d))).max(0.0);
+            if new.to_bits() != old.to_bits() {
+                self.states[owner].gamma[i] = new;
+                if old.to_bits() == 0 {
+                    self.gammas_set += 1;
+                } else if new.to_bits() == 0 {
+                    self.gammas_set -= 1;
+                }
+                self.mark(self.entry_of[l.index()]);
+            }
             if yl > 1.0 - d {
                 violations += 1;
             }
         }
-        visits += self.refresh(states, speakers);
+        visits += self.refresh();
         (violations, visits)
     }
 
@@ -468,54 +588,66 @@ impl BroadcastPlan {
         self.broadcasts[self.entry_of[link.index()] as usize].from.index()
     }
 
-    /// Rewrites the entries of `speakers` from their states, with the
-    /// arithmetic of [`LinkPriceState::make_broadcasts_into`]: the first
-    /// egress link of a medium assigns, later ones add, in egress order.
-    /// Returns the egress links visited.
-    fn refresh(&mut self, states: &[LinkPriceState], speakers: &[NodeId]) -> u64 {
-        let mut visits = 0;
-        for &n in speakers {
-            let s = &states[n.index()];
-            // Entries were laid out in first-seen order, so a medium's
-            // first link is the one that maps to the next unwritten entry.
-            let mut unwritten = self.entry_start[n.index()];
-            for (i, &l) in s.egress.iter().enumerate() {
-                let e = self.entry_of[l.index()];
-                let b = &mut self.broadcasts[e as usize];
-                if e == unwritten {
-                    b.airtime_demand = s.demand[i];
-                    b.gamma_sum = s.gamma[i];
-                    b.tcp_receiver = s.tcp_receiver;
-                    unwritten += 1;
-                } else {
-                    b.airtime_demand += s.demand[i];
-                    b.gamma_sum += s.gamma[i];
-                }
-            }
-            visits += s.egress.len() as u64;
+    /// Queues entry `e` for the next refresh.
+    fn mark(&mut self, e: u32) {
+        if !self.is_dirty[e as usize] {
+            self.is_dirty[e as usize] = true;
+            self.dirty.push(e);
         }
+    }
+
+    /// Rewrites the marked entries from their states, with the arithmetic
+    /// of [`LinkPriceState::make_broadcasts_into`]: over the entry's links
+    /// in egress order, the first assigns and later ones add. Returns the
+    /// egress links visited.
+    fn refresh(&mut self) -> u64 {
+        let mut visits = 0;
+        for &e in &self.dirty {
+            let e = e as usize;
+            self.is_dirty[e] = false;
+            let members =
+                &self.members[self.member_start[e] as usize..self.member_start[e + 1] as usize];
+            let b = &mut self.broadcasts[e];
+            let s = &self.states[b.from.index()];
+            let Some((&first, rest)) = members.split_first() else { continue };
+            b.airtime_demand = s.demand[first as usize];
+            b.gamma_sum = s.gamma[first as usize];
+            b.tcp_receiver = s.tcp_receiver;
+            for &i in rest {
+                b.airtime_demand += s.demand[i as usize];
+                b.gamma_sum += s.gamma[i as usize];
+            }
+            visits += members.len() as u64;
+        }
+        self.dirty.clear();
         visits
     }
 
-    /// Planned equivalent of [`LinkPriceState::price_contribution`] for the
-    /// state at `state_index` (the owner of `link`), over the broadcasts of
-    /// the last slot (construction values before the first).
-    pub fn price_contribution(
-        &self,
-        net: &Network,
-        states: &[LinkPriceState],
-        state_index: usize,
-        link: LinkId,
-    ) -> f64 {
-        let s = &states[state_index];
-        debug_assert_eq!(net.link(link).from, s.node, "state is not the owner of the link");
-        let i = self.egress_pos[link.index()] as usize;
-        let external: f64 = self.indices[state_index][i]
-            .iter()
-            .map(|&bi| self.broadcasts[bi as usize].gamma_sum)
-            .sum();
-        let internal: f64 = s.overheard[i].1.iter().map(|&j| s.gamma[j]).sum();
-        net.link(link).cost() * (external + internal)
+    /// Planned equivalent of [`LinkPriceState::price_contribution`] for
+    /// `link`, over the broadcasts of the last slot (construction values
+    /// before the first). The `Σ γ` it multiplies by the link's cost is
+    /// computed on the first read of a slot and kept until the slot ends or
+    /// a γ is reset; the cost is read every time, since a capacity may
+    /// change within a slot.
+    pub fn price_contribution(&mut self, net: &Network, link: LinkId) -> f64 {
+        let l = link.index();
+        let (at, kept) = self.price_memo[l];
+        let gammas = if at == self.epoch {
+            kept
+        } else {
+            let owner = self.owner_of(link);
+            let s = &self.states[owner];
+            let i = self.egress_pos[l] as usize;
+            let external: f64 = self.indices[owner][i]
+                .iter()
+                .map(|&bi| self.broadcasts[bi as usize].gamma_sum)
+                .sum();
+            let internal: f64 = s.overheard[i].1.iter().map(|&j| s.gamma[j]).sum();
+            let gammas = external + internal;
+            self.price_memo[l] = (self.epoch, gammas);
+            gammas
+        };
+        net.link(link).cost() * gammas
     }
 }
 
@@ -528,6 +660,7 @@ mod tests {
     use empower_model::rng::{Rng, SeedableRng, StdRng};
     use empower_model::topology::fig1_scenario;
     use empower_model::{InterferenceModel, Path, SharedMedium};
+    use std::collections::BTreeSet;
 
     /// Runs the distributed machinery one slot for all nodes and returns the
     /// per-route q_r, mirroring what the packet datapath would compute.
@@ -639,21 +772,123 @@ mod tests {
         assert!((wifi.airtime_demand - 0.5).abs() < 1e-12);
     }
 
-    #[test]
-    fn planned_slot_updates_are_bit_identical_to_scanning() {
+    const ALPHA: f64 = 0.02;
+    const DELTA: f64 = 0.05;
+    const DELTA_TCP: f64 = 0.3;
+
+    /// The vector [`LinkPriceState::make_broadcasts_into`] gives over every
+    /// state.
+    fn gather(net: &Network, states: &[LinkPriceState]) -> Vec<PriceBroadcast> {
+        let mut out = Vec::new();
+        for s in states {
+            s.make_broadcasts_into(net, &mut out);
+        }
+        out
+    }
+
+    fn assert_same_vector(a: &[PriceBroadcast], b: &[PriceBroadcast], at: &str) {
+        assert_eq!(a.len(), b.len(), "{at}");
+        for (a, b) in a.iter().zip(b) {
+            assert_eq!(
+                (a.from, a.medium, a.tcp_receiver),
+                (b.from, b.medium, b.tcp_receiver),
+                "{at}"
+            );
+            assert_eq!(
+                a.airtime_demand.to_bits(),
+                b.airtime_demand.to_bits(),
+                "{at}: {:?}",
+                a.from
+            );
+            assert_eq!(a.gamma_sum.to_bits(), b.gamma_sum.to_bits(), "{at}: {:?}", a.from);
+        }
+    }
+
+    fn gamma_bits(states: &[LinkPriceState]) -> Vec<u64> {
+        states.iter().flat_map(|s| s.gamma.iter().map(|g| g.to_bits())).collect()
+    }
+
+    /// `Σ |d_l|` over every link, as [`BroadcastPlan::prices_rest`] takes it.
+    fn airtime_total(states: &[LinkPriceState]) -> f64 {
+        states.iter().flat_map(|s| &s.demand).map(|d| d.abs()).sum()
+    }
+
+    /// The least `priced` and `speakers` lists the planned update's
+    /// contract asks for, read off the plan's states.
+    fn least_lists(
+        net: &Network,
+        imap: &InterferenceMap,
+        plan: &BroadcastPlan,
+    ) -> (Vec<LinkId>, Vec<NodeId>) {
+        let mut priced = BTreeSet::new();
+        for lk in net.links() {
+            let (s, i) = (&plan.states[lk.from.index()], plan.egress_pos[lk.id.index()] as usize);
+            if s.demand[i].to_bits() != 0 {
+                priced.extend(&plan.listeners[plan.entry_of[lk.id.index()] as usize]);
+                priced.extend(imap.domain(lk.id).iter().filter(|l| net.link(**l).from == lk.from));
+            }
+            if s.gamma[i].to_bits() != 0 {
+                priced.insert(lk.id);
+            }
+        }
+        let mut speakers: BTreeSet<NodeId> = priced.iter().map(|&l| net.link(l).from).collect();
+        speakers.extend(plan.states.iter().filter(|s| s.tcp_receiver).map(|s| s.node));
+        (priced.into_iter().collect(), speakers.into_iter().collect())
+    }
+
+    /// One slot on both twins: the scanning update of every state over a
+    /// full gather, and the planned one over the least lists. Asserts
+    /// equal violation counts and γ bits, that the plan's vector is the
+    /// full gather of the states after the slot, and that every per-hop
+    /// price agrees. Returns whether the plan skipped Eqs. (7)–(8), the
+    /// lists it was given, and the gather the prices read.
+    fn slot_on_both(
+        net: &Network,
+        imap: &InterferenceMap,
+        scanning: &mut [LinkPriceState],
+        plan: &mut BroadcastPlan,
+        at: &str,
+    ) -> (bool, Vec<LinkId>, Vec<NodeId>, Vec<PriceBroadcast>) {
+        let (priced, speakers) = least_lists(net, imap, plan);
+        let total = airtime_total(&plan.states);
+        let skipped = plan.prices_rest(total, DELTA, DELTA_TCP);
+        let bcast = gather(net, scanning);
+        let mut viol_scan = 0;
+        for s in scanning.iter_mut() {
+            viol_scan += s.update_gammas_with_tcp_margin(&bcast, ALPHA, DELTA, DELTA_TCP);
+        }
+        let (viol_plan, _) =
+            plan.update_gammas_with_tcp_margin(&speakers, &priced, total, ALPHA, DELTA, DELTA_TCP);
+        assert_eq!(viol_scan, viol_plan, "{at}: violation counts");
+        assert_eq!(gamma_bits(scanning), gamma_bits(&plan.states), "{at}: γ bits");
+        let bcast = gather(net, scanning);
+        assert_same_vector(&plan.broadcasts, &bcast, at);
+        for lk in net.links() {
+            let direct = scanning[lk.from.index()].price_contribution(net, &bcast, lk.id);
+            let fast = plan.price_contribution(net, lk.id);
+            assert!(direct.to_bits() == fast.to_bits(), "{at}, {:?}: {direct} vs {fast}", lk.id);
+        }
+        (skipped, priced, speakers, bcast)
+    }
+
+    /// The 22-node testbed with carrier sensing cut to the connection
+    /// radius: large, irregular overhearing sets, and nodes whose egress
+    /// links on one medium do not share one domain, so a link overhears
+    /// broadcasts none of whose demand is inside its own `I_l`.
+    fn partial_testbed() -> (Network, InterferenceMap, Vec<LinkPriceState>) {
         use empower_model::topology::testbed22;
         use empower_model::CarrierSense;
-        use std::collections::BTreeSet;
-        // The 22-node testbed with carrier sensing cut to the connection
-        // radius: large, irregular overhearing sets, and nodes whose egress
-        // links on one medium do not share one domain, so a link overhears
-        // broadcasts none of whose demand is inside its own `I_l`.
         let net = testbed22(3).net;
         let imap = CarrierSense { wifi_sense_range_m: 35.0 }.build_map(&net);
-        let fresh: Vec<LinkPriceState> =
-            net.nodes().iter().map(|n| LinkPriceState::new(&net, &imap, n.id)).collect();
+        let fresh = net.nodes().iter().map(|n| LinkPriceState::new(&net, &imap, n.id)).collect();
+        (net, imap, fresh)
+    }
+
+    #[test]
+    fn planned_slot_updates_are_bit_identical_to_scanning() {
+        let (net, imap, fresh) = partial_testbed();
         let (a, b, c) = (LinkId(7), LinkId(300), LinkId(net.link_count() as u32 - 1));
-        let plan = BroadcastPlan::new(&net, &fresh);
+        let plan = BroadcastPlan::new(&net, fresh.clone());
         let overheard_beyond_its_domain = net.links().iter().any(|lk| {
             let heard_by = &plan.listeners[plan.entry_of[lk.id.index()] as usize];
             heard_by.iter().any(|&l| !imap.interferes(lk.id, l))
@@ -695,75 +930,25 @@ mod tests {
         ];
         for (case, demand, tcp_node) in cases {
             let mut scanning = fresh.clone();
-            let mut planned = fresh.clone();
-            let mut plan = BroadcastPlan::new(&net, &planned);
-            // The least the contract of the planned update asks for.
-            let (mut priced, mut speakers) = (BTreeSet::new(), BTreeSet::new());
-            speakers.extend(tcp_node);
+            let mut plan = BroadcastPlan::new(&net, fresh.clone());
+            let mut priced = BTreeSet::new();
             // Several slots, so gammas accumulate through the nonlinearity.
             for slot in 0..5u64 {
-                for s in scanning.iter_mut().chain(planned.iter_mut()) {
+                for s in scanning.iter_mut() {
                     s.set_tcp_receiver(Some(s.node()) == tcp_node);
+                    plan.set_tcp_receiver(s.node(), Some(s.node()) == tcp_node);
                     for l in s.egress.clone() {
                         s.set_demand(l, demand(slot, l));
+                        plan.set_demand(l, demand(slot, l));
                     }
                 }
-                for lk in net.links().iter().filter(|lk| demand(slot, lk.id).to_bits() != 0) {
-                    priced.extend(&plan.listeners[plan.entry_of[lk.id.index()] as usize]);
-                    let same_owner = |l: &&LinkId| net.link(**l).from == lk.from;
-                    priced.extend(imap.domain(lk.id).iter().filter(same_owner));
-                }
-                speakers.extend(priced.iter().map(|&l| net.link(l).from));
-                let priced_now: Vec<LinkId> = priced.iter().copied().collect();
-                let speakers_now: Vec<NodeId> = speakers.iter().copied().collect();
-
-                let mut bcast = Vec::new();
-                for s in &scanning {
-                    s.make_broadcasts_into(&net, &mut bcast);
-                }
-                let mut viol_scan = 0;
-                for s in scanning.iter_mut() {
-                    viol_scan += s.update_gammas_with_tcp_margin(&bcast, 0.02, 0.05, 0.3);
-                }
-                let (viol_plan, _) = plan.update_gammas_with_tcp_margin(
-                    &mut planned,
-                    &speakers_now,
-                    &priced_now,
-                    0.02,
-                    0.05,
-                    0.3,
-                );
-                assert_eq!(viol_scan, viol_plan, "{case}, slot {slot}: violation counts");
-                let bits = |v: &[f64]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
-                for (a, b) in scanning.iter().zip(&planned) {
-                    assert_eq!(bits(&a.gamma), bits(&b.gamma), "{case}, slot {slot}: {:?}", a.node);
-                }
-                // The vector the plan carries into the coming slot is the
-                // one the states would broadcast now, and prices every hop
-                // like the scanning original does from it.
-                bcast.clear();
-                for s in &scanning {
-                    s.make_broadcasts_into(&net, &mut bcast);
-                }
-                assert_eq!(plan.broadcasts.len(), bcast.len());
-                for (a, b) in plan.broadcasts.iter().zip(&bcast) {
-                    assert_eq!(
-                        (a.from, a.medium, a.tcp_receiver),
-                        (b.from, b.medium, b.tcp_receiver)
-                    );
-                    assert_eq!(a.airtime_demand.to_bits(), b.airtime_demand.to_bits(), "{case}");
-                    assert_eq!(a.gamma_sum.to_bits(), b.gamma_sum.to_bits(), "{case}");
-                }
-                for lk in net.links() {
-                    let owner = lk.from.index();
-                    let direct = scanning[owner].price_contribution(&net, &bcast, lk.id);
-                    let fast = plan.price_contribution(&net, &planned, owner, lk.id);
-                    assert!(
-                        direct.to_bits() == fast.to_bits(),
-                        "{case}, slot {slot}, {:?}: {direct} vs {fast}",
-                        lk.id
-                    );
-                }
+                let at = format!("{case}, slot {slot}");
+                let (skipped, priced_now, _, _) =
+                    slot_on_both(&net, &imap, &mut scanning, &mut plan, &at);
+                let rests =
+                    ["no demand at all", "subnormal demands", "no demand, one TCP receiver"];
+                assert_eq!(skipped, rests.contains(&case), "{at}");
+                priced.extend(priced_now);
             }
             match case {
                 "every link loaded" => assert_eq!(priced.len(), net.link_count()),
@@ -771,6 +956,132 @@ mod tests {
                 _ => assert!(priced.len() < net.link_count(), "{case}: {} priced", priced.len()),
             }
         }
+        random_write_sequences();
+    }
+
+    /// Random sequences of demand, TCP-flag and γ-reset writes: loaded
+    /// slots in which flags come and go, then quiet ones in which the
+    /// demands fall to subnormals and to zero, links stop measuring and
+    /// flags clear, so nodes leave the speakers and rejoin them, and slots
+    /// that cannot move a price are skipped. After every slot the plan
+    /// matches the scanning twin (`slot_on_both`). After every reset, the
+    /// reset link's owner prices its hops like the twin does, and the reset
+    /// marked its entry exactly when it moved the γ; after a slot's resets
+    /// a refresh writes the full gather.
+    fn random_write_sequences() {
+        let (net, imap, fresh) = partial_testbed();
+        let flagged: Vec<NodeId> = (0..4).map(NodeId).collect();
+        // One link stays loaded, lightly, through the first quiet slots;
+        // in the last ones a TCP flag is all that is left.
+        let quiet_link = LinkId(7);
+        let (mut skips, mut full_slots, mut moved, mut unmoved) = (0, 0, 0, 0);
+        let mut rejoined = 0;
+        for seed in 1..=2 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut scanning = fresh.clone();
+            let mut plan = BroadcastPlan::new(&net, fresh.clone());
+            let mut left: BTreeSet<NodeId> = BTreeSet::new();
+            let mut speakers_before: Vec<NodeId> = Vec::new();
+            for slot in 0..20 {
+                let quiet = slot % 10 >= 4;
+                for lk in net.links() {
+                    let before = plan.states[lk.from.index()].demand
+                        [plan.egress_pos[lk.id.index()] as usize];
+                    let subnormal = f64::from_bits(rng.gen_range(1..1u64 << 52));
+                    let d = match rng.gen_range(0..100u32) {
+                        // Quiet slots: every link but one falls silent
+                        // through a subnormal.
+                        _ if quiet && slot % 10 < 7 && lk.id == quiet_link => {
+                            rng.gen_range(0.0..1e-4)
+                        }
+                        _ if quiet => {
+                            if before.abs() < f64::MIN_POSITIVE {
+                                0.0
+                            } else {
+                                subnormal
+                            }
+                        }
+                        0..=1 => rng.gen_range(0.0..0.3),
+                        2 => subnormal,
+                        3 => {
+                            rng.gen_range(1.0..2.0) * f64::from_bits(rng.gen_range(1..964u64) << 52)
+                        }
+                        4..=11 => 0.0,
+                        _ if before.abs() < f64::MIN_POSITIVE => 0.0,
+                        _ if rng.gen_bool(0.5) => before * 0.75,
+                        _ => before,
+                    };
+                    scanning[lk.from.index()].set_demand(lk.id, d);
+                    plan.set_demand(lk.id, d);
+                }
+                for &n in &flagged {
+                    let flag = match quiet {
+                        false if rng.gen_bool(0.2) => !plan.states[n.index()].tcp_receiver,
+                        false => plan.states[n.index()].tcp_receiver,
+                        true => slot % 10 >= 8 && n == flagged[slot / 10],
+                    };
+                    scanning[n.index()].set_tcp_receiver(flag);
+                    plan.set_tcp_receiver(n, flag);
+                }
+                let at = format!("seed {seed}, slot {slot}");
+                let (skipped, _, speakers, bcast) =
+                    slot_on_both(&net, &imap, &mut scanning, &mut plan, &at);
+                if skipped {
+                    skips += 1;
+                } else {
+                    full_slots += 1;
+                }
+                left.extend(speakers_before.iter().filter(|n| speakers.binary_search(n).is_err()));
+                rejoined += speakers.iter().filter(|n| left.contains(*n)).count();
+                speakers_before = speakers;
+                // Resets: a few links at random, most with γ at +0.0, half
+                // the links with a γ in every other slot, and every one
+                // once the slots are quiet, so that prices can rest.
+                let mut resets: Vec<LinkId> =
+                    (0..3).map(|_| LinkId(rng.gen_range(0..net.link_count() as u32))).collect();
+                if slot % 2 == 1 || slot % 10 == 5 {
+                    let share = if slot % 10 == 5 { 1.0 } else { 0.5 };
+                    resets.extend(
+                        net.links()
+                            .iter()
+                            .map(|lk| lk.id)
+                            .filter(|&l| plan.gamma(l).to_bits() != 0 && rng.gen_bool(share)),
+                    );
+                }
+                for l in resets {
+                    let owner = net.link(l).from;
+                    let entry = plan.entry_of[l.index()] as usize;
+                    let (was_dirty, queued) = (plan.is_dirty[entry], plan.dirty.len());
+                    let moves = plan.gamma(l).to_bits() != 0;
+                    scanning[owner.index()].reset_gamma(l);
+                    plan.reset_gamma(l);
+                    let at = format!("{at}, reset {l:?}");
+                    if moves {
+                        moved += 1;
+                        assert!(plan.is_dirty[entry], "{at}: a moved γ marks its entry");
+                    } else {
+                        unmoved += 1;
+                        assert_eq!(plan.is_dirty[entry], was_dirty, "{at}");
+                        assert_eq!(plan.dirty.len(), queued, "{at}: an unmoved γ marks nothing");
+                    }
+                    assert_same_vector(&plan.broadcasts, &bcast, &at);
+                    for &e in &scanning[owner.index()].egress {
+                        let direct = scanning[owner.index()].price_contribution(&net, &bcast, e);
+                        let fast = plan.price_contribution(&net, e);
+                        assert!(
+                            direct.to_bits() == fast.to_bits(),
+                            "{at}, {e:?}: {direct} vs {fast}"
+                        );
+                    }
+                }
+                let mut refreshed = plan.clone();
+                refreshed.refresh();
+                assert_same_vector(&refreshed.broadcasts, &gather(&net, &scanning), &at);
+            }
+        }
+        assert!(skips > 0 && full_slots > 0, "{skips} skipped, {full_slots} full slots");
+        assert!(moved > 0 && unmoved > 0, "{moved} resets moved a γ, {unmoved} did not");
+        assert!(rejoined > 0, "no speaker left and rejoined");
     }
 
     /// A seeded airtime demand: with probability `p_load` a load up to
@@ -789,18 +1100,12 @@ mod tests {
 
     #[test]
     fn flushing_subnormal_demands_moves_no_gamma_bit() {
-        use empower_model::topology::testbed22;
-        use empower_model::CarrierSense;
-        use std::collections::BTreeSet;
         // What the engine's control tick relies on when it flushes an EWMA
         // below f64::MIN_POSITIVE to +0.0: the scanning update on the
         // unflushed demands (the reference engine) and the planned update
         // on the flushed ones, over only the links and nodes the flushed
         // demands reach, give the same γ bits and violation counts.
-        let net = testbed22(3).net;
-        let imap = CarrierSense { wifi_sense_range_m: 35.0 }.build_map(&net);
-        let fresh: Vec<LinkPriceState> =
-            net.nodes().iter().map(|n| LinkPriceState::new(&net, &imap, n.id)).collect();
+        let (net, imap, fresh) = partial_testbed();
         let flush = |d: f64| if d.abs() < f64::MIN_POSITIVE { 0.0 } else { d };
         // (seed, share of loaded links, largest load, TCP receiver).
         let cases = [
@@ -813,60 +1118,124 @@ mod tests {
         for (seed, p_load, load, tcp_node) in cases {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut kept = fresh.clone();
-            let mut flushed = fresh.clone();
-            let mut plan = BroadcastPlan::new(&net, &flushed);
-            let (mut priced, mut speakers) = (BTreeSet::new(), BTreeSet::new());
-            speakers.extend(tcp_node);
+            let mut plan = BroadcastPlan::new(&net, fresh.clone());
             let mut subnormals = 0;
             for slot in 0..6 {
                 let demands: Vec<f64> = (0..net.link_count())
                     .map(|_| if slot < 5 { mixed_demand(&mut rng, p_load, load) } else { 0.0 })
                     .collect();
                 subnormals += demands.iter().filter(|d| d.is_subnormal()).count();
-                for (k, f) in kept.iter_mut().zip(flushed.iter_mut()) {
+                for k in kept.iter_mut() {
                     k.set_tcp_receiver(Some(k.node()) == tcp_node);
-                    f.set_tcp_receiver(Some(f.node()) == tcp_node);
+                    plan.set_tcp_receiver(k.node(), Some(k.node()) == tcp_node);
                     for l in k.egress.clone() {
                         k.set_demand(l, demands[l.index()]);
-                        f.set_demand(l, flush(demands[l.index()]));
+                        plan.set_demand(l, flush(demands[l.index()]));
                     }
                 }
-                for lk in net.links().iter().filter(|lk| flush(demands[lk.id.index()]) != 0.0) {
-                    priced.extend(&plan.listeners[plan.entry_of[lk.id.index()] as usize]);
-                    let same_owner = |l: &&LinkId| net.link(**l).from == lk.from;
-                    priced.extend(imap.domain(lk.id).iter().filter(same_owner));
-                }
-                speakers.extend(priced.iter().map(|&l| net.link(l).from));
-                let priced_now: Vec<LinkId> = priced.iter().copied().collect();
-                let speakers_now: Vec<NodeId> = speakers.iter().copied().collect();
+                let (priced, speakers) = least_lists(&net, &imap, &plan);
+                let total = airtime_total(&plan.states);
 
-                let mut bcast = Vec::new();
-                for s in &kept {
-                    s.make_broadcasts_into(&net, &mut bcast);
-                }
+                let bcast = gather(&net, &kept);
                 let mut viol_kept = 0;
                 for s in kept.iter_mut() {
-                    viol_kept += s.update_gammas_with_tcp_margin(&bcast, 0.02, 0.05, 0.3);
+                    viol_kept += s.update_gammas_with_tcp_margin(&bcast, ALPHA, DELTA, DELTA_TCP);
                 }
                 let (viol_flushed, _) = plan.update_gammas_with_tcp_margin(
-                    &mut flushed,
-                    &speakers_now,
-                    &priced_now,
-                    0.02,
-                    0.05,
-                    0.3,
+                    &speakers, &priced, total, ALPHA, DELTA, DELTA_TCP,
                 );
                 let case = format!("seed {seed}, slot {slot}");
                 assert_eq!(viol_kept, viol_flushed, "{case}: violation counts");
                 violations_seen += viol_kept;
-                let bits = |v: &[f64]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
-                for (a, b) in kept.iter().zip(&flushed) {
-                    assert_eq!(bits(&a.gamma), bits(&b.gamma), "{case}: {:?}", a.node);
-                }
+                assert_eq!(gamma_bits(&kept), gamma_bits(&plan.states), "{case}");
             }
             assert!(subnormals > 1000, "seed {seed}: only {subnormals} subnormal demands");
         }
         assert!(violations_seen > 0, "some slot should violate its margin");
+    }
+
+    #[test]
+    fn the_skip_rule_skips_only_slots_that_move_no_price() {
+        // On three networks, demands whose total sits just inside and just
+        // outside the rule's threshold, spread over the links of one medium
+        // so that some `y_l` comes close to the total, with and without a
+        // γ left by an overloaded slot and a TCP flag. Whenever the rule
+        // skips, the full update of every state leaves every γ bit where
+        // it is and counts no violation.
+        use empower_model::topology::{enterprise, residential, testbed22};
+        use empower_model::CarrierSense;
+        let mut rng = StdRng::seed_from_u64(17);
+        let nets = [
+            ("testbed22", testbed22(1).net),
+            ("enterprise", enterprise(&mut rng).net),
+            ("residential", residential(&mut rng).net),
+        ];
+        // (δ, δ_tcp): a TCP margin above δ, and one at δ, where the rule's
+        // threshold is the margin every link applies.
+        let margins = [(0.05, 0.3), (0.05, 0.05), (0.0, 0.0)];
+        let (mut skipped, mut refused) = (0, 0);
+        for (name, net) in nets {
+            let imap = CarrierSense::default().build_map(&net);
+            let fresh: Vec<LinkPriceState> =
+                net.nodes().iter().map(|n| LinkPriceState::new(&net, &imap, n.id)).collect();
+            for draw in 0..60 {
+                let (delta, delta_tcp) = margins[draw % margins.len()];
+                let mut plan = BroadcastPlan::new(&net, fresh.clone());
+                let medium = net.links()[rng.gen_range(0..net.link_count())].medium;
+                let on_medium: Vec<LinkId> =
+                    net.links().iter().filter(|lk| lk.medium == medium).map(|lk| lk.id).collect();
+                let set = |plan: &mut BroadcastPlan, rng: &mut StdRng, target: f64| {
+                    let mut raw: Vec<(LinkId, f64)> = Vec::new();
+                    for &l in &on_medium {
+                        if rng.gen_bool(0.3) {
+                            raw.push((l, rng.gen_range(0.01..1.0)));
+                        }
+                    }
+                    let sum: f64 = raw.iter().map(|(_, d)| d).sum();
+                    for lk in net.links() {
+                        plan.set_demand(lk.id, 0.0);
+                    }
+                    for (l, d) in raw {
+                        plan.set_demand(l, d * target / sum);
+                    }
+                };
+                if draw % 4 == 1 {
+                    // An overloaded slot leaves some γ above zero.
+                    set(&mut plan, &mut rng, 3.0);
+                    let (priced, speakers) = least_lists(&net, &imap, &plan);
+                    let total = airtime_total(&plan.states);
+                    plan.update_gammas_with_tcp_margin(
+                        &speakers, &priced, total, ALPHA, delta, delta_tcp,
+                    );
+                    assert!(plan.gammas_set > 0, "{name}, draw {draw}: a γ is set");
+                }
+                if draw % 5 == 3 {
+                    plan.set_tcp_receiver(net.link(on_medium[0]).to, true);
+                }
+                // Just inside or just outside, by a few parts in 10⁹ or by
+                // the last bits.
+                let threshold = 1.0 - delta_tcp.max(delta);
+                let nudge = [-4e-9, -2e-9, -1.0000001e-9, -1e-12, 0.0, 1e-12, 1e-9][draw % 7];
+                set(&mut plan, &mut rng, threshold * (1.0 + nudge));
+                let total = airtime_total(&plan.states);
+                if !plan.prices_rest(total, delta, delta_tcp) {
+                    refused += 1;
+                    continue;
+                }
+                skipped += 1;
+                let mut states = plan.states.clone();
+                let before = gamma_bits(&states);
+                let bcast = gather(&net, &states);
+                let mut violations = 0;
+                for s in states.iter_mut() {
+                    violations += s.update_gammas_with_tcp_margin(&bcast, ALPHA, delta, delta_tcp);
+                }
+                let at = format!("{name}, draw {draw}, total {total}");
+                assert_eq!(gamma_bits(&states), before, "{at}: a skipped slot moves a γ");
+                assert_eq!(violations, 0, "{at}: a skipped slot violates a margin");
+            }
+        }
+        assert!(skipped > 20 && refused > 20, "{skipped} skipped, {refused} refused");
     }
 
     #[test]

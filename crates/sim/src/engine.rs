@@ -113,8 +113,9 @@ pub(crate) const STREAM_LINK: u64 = 0x4c49_4e4b; // "LINK"
 /// leave it there, so the tick skips it.
 ///
 /// * `active`: links whose demand EWMA or penalty EWMA is nonzero, or that
-///   were offered a frame since the last tick. The demand / EWMA pass and
-///   the saturation-penalty scatter run over them alone. A link is
+///   were offered a frame since the last tick. The demand / EWMA pass runs
+///   over them alone, and a saturation-penalty sum walks them when they
+///   are fewer than the domain's members. A link is
 ///   *measuring* while its demand EWMA can be nonzero; only measuring
 ///   links put demand on a broadcast.
 /// * `priced`: links whose `y_l` (Eq. (7)), and with it `γ_l`, can be
@@ -240,7 +241,7 @@ impl ActiveSets {
     /// Drops the priced links that no earshot reaches and whose γ is
     /// `+0.0`: their `y_l` is `+0.0` and Eq. (8) keeps such a γ where it is.
     /// Returns the elements visited.
-    fn prune_priced(&mut self, net: &Network, states: &[LinkPriceState]) -> u64 {
+    fn prune_priced(&mut self, net: &Network, plan: &BroadcastPlan) -> u64 {
         if !self.lingering {
             return 0;
         }
@@ -253,7 +254,7 @@ impl ActiveSets {
                 return true;
             }
             let owner = net.link(p).from;
-            if states[owner.index()].gamma(p).to_bits() != 0 {
+            if plan.gamma(p).to_bits() != 0 {
                 lingering = true;
                 return true;
             }
@@ -361,11 +362,9 @@ pub struct Simulation {
     alive_words: Vec<u64>,
     /// The domain-row words the MAC scans walk (`can_start`, `tx_end`).
     mac_words: OccupiedWords,
-    /// Per-link saturation-penalty domain sums, recomputed once per
-    /// control tick (its inputs only change there): exactly
-    /// `Σ_{i ∈ I_l} penalty_demand[i]`, in domain order, so `try_start`
-    /// reads one f64 instead of re-summing per frame.
-    domain_penalty: Vec<f64>,
+    /// Per link: the tick count at which its saturation-penalty domain sum
+    /// was last gathered, and the sum (see [`Simulation::domain_penalty`]).
+    penalty_sums: Vec<(u64, f64)>,
     /// What the control tick iterates: the links and nodes that can carry
     /// control-plane state (see [`ActiveSets`]).
     sets: ActiveSets,
@@ -383,10 +382,10 @@ pub struct Simulation {
     /// Slow-EWMA demand driving the saturation penalty: persistent
     /// overdrive must trigger it, single-slot quantization spikes must not.
     penalty_demand: Vec<f64>,
-    price_states: Vec<LinkPriceState>,
-    /// The run's broadcast vector and the index plan over it: replaces
-    /// the per-slot `(node, medium)` membership scans of the reference
-    /// engine with indexed sums over what carries state, bit-identically.
+    /// Every node's price state, the run's broadcast vector and the index
+    /// plan over it: replaces the per-slot `(node, medium)` membership
+    /// scans of the reference engine with indexed sums over what changed
+    /// and what carries state, bit-identically.
     bcast_plan: BroadcastPlan,
     flows: Vec<FlowRuntime>,
     stats: Vec<FlowStats>,
@@ -422,7 +421,7 @@ impl Simulation {
         let l = net.link_count();
         let price_states: Vec<LinkPriceState> =
             net.nodes().iter().map(|n| LinkPriceState::new(&net, &imap, n.id)).collect();
-        let bcast_plan = BroadcastPlan::new(&net, &price_states);
+        let bcast_plan = BroadcastPlan::new(&net, price_states);
         let link_rngs = (0..l as u64)
             .map(|i| StdRng::seed_from_u64(stream_seed(cfg.seed, STREAM_LINK, i)))
             .collect();
@@ -442,13 +441,12 @@ impl Simulation {
             backlog_words: vec![0u64; stride.max(1)],
             alive_words,
             mac_words: OccupiedWords::new(&imap, l),
-            domain_penalty: vec![0.0; l],
+            penalty_sums: vec![(u64::MAX, 0.0); l],
             last_start: vec![-1.0; l],
             demand_bits: vec![0.0; l],
             last_demand: vec![0.0; l],
             penalty_demand: vec![0.0; l],
             sets: ActiveSets::new(&net, &cfg),
-            price_states,
             bcast_plan,
             flows: Vec::new(),
             stats: Vec::new(),
@@ -893,13 +891,7 @@ impl Simulation {
     ) {
         let first = self.flows[f].first_links[r];
         // The source adds its own price contribution for the first hop.
-        let src_node = self.flows[f].spec.src;
-        let contribution = self.bcast_plan.price_contribution(
-            &self.net,
-            &self.price_states,
-            src_node.index(),
-            first,
-        );
+        let contribution = self.bcast_plan.price_contribution(&self.net, first);
         header.add_price(contribution);
         let wire_seq = header.seq;
         if self.etel.enabled() {
@@ -1015,9 +1007,8 @@ impl Simulation {
         let mut duration = self.net.link(link).tx_time_secs(size_bits);
         // CSMA saturation rolloff (see SATURATION_PENALTY): collisions and
         // back-off waste airtime once the domain's offered load exceeds
-        // what it can carry. The domain sum is precomputed per control tick
-        // (`domain_penalty`) — its inputs only change there.
-        let y: f64 = self.domain_penalty[l];
+        // what it can carry.
+        let y = self.domain_penalty(link);
         // Tolerance band: a controlled flow rides y ≈ 1 − δ (exactly 1.0
         // when δ = 0) with measurement jitter; only *persistent* overdrive
         // pays (the penalty demand is slow-smoothed).
@@ -1127,12 +1118,7 @@ impl Simulation {
             return;
         };
         // Forwarding node adds its price contribution (Eq. (9)).
-        let contribution = self.bcast_plan.price_contribution(
-            &self.net,
-            &self.price_states,
-            node.index(),
-            next_link,
-        );
+        let contribution = self.bcast_plan.price_contribution(&self.net, next_link);
         self.slab.get_mut(id).header.add_price(contribution);
         self.enqueue_link(next_link, id);
     }
@@ -1307,9 +1293,11 @@ impl Simulation {
         //    other link measured nothing, and both EWMAs map zero to zero.
         //    Where idle links rest, an EWMA below the normal range is
         //    flushed to +0.0, and a link offered nothing leaves what its
-        //    zeroed EWMAs no longer feed.
+        //    zeroed EWMAs no longer feed. The network's total airtime
+        //    demand decides whether step 3 can move a price at all.
         let rests = self.sets.rests;
         let mut visits = self.sets.active.len() as u64;
+        let mut airtime_total = 0.0;
         let mut kept = 0;
         for i in 0..self.sets.active.len() {
             let id = self.sets.active[i];
@@ -1340,7 +1328,8 @@ impl Simulation {
                 smoothed = flush_subnormal(smoothed);
                 penalty = flush_subnormal(penalty);
             }
-            self.price_states[link.from.index()].set_demand(id, smoothed);
+            self.bcast_plan.set_demand(id, smoothed);
+            airtime_total += smoothed.abs();
             self.last_demand[l] = smoothed;
             self.penalty_demand[l] = penalty;
             let offered = self.demand_bits[l] != 0.0;
@@ -1350,13 +1339,7 @@ impl Simulation {
                     visits += self.sets.stop_measuring(&self.net, &self.imap, id);
                 }
                 if penalty.to_bits() == 0 {
-                    // Out of the scatter: its domain's sums lose their
-                    // last writer, and every term left in them is +0.0.
                     self.sets.is_active[l] = false;
-                    for &m in self.imap.domain(id) {
-                        self.domain_penalty[m.index()] = 0.0;
-                    }
-                    visits += self.imap.domain(id).len() as u64;
                     continue;
                 }
             }
@@ -1364,8 +1347,7 @@ impl Simulation {
             kept += 1;
         }
         self.sets.active.truncate(kept);
-        visits += self.sets.prune_priced(&self.net, &self.price_states);
-        visits += self.refresh_domain_penalty();
+        visits += self.sets.prune_priced(&self.net, &self.bcast_plan);
         // 2. TCP piggyback (§6.4): destinations of active TCP flows flag
         //    themselves; the flag rides on their price broadcasts and
         //    tightens the airtime budget across their contention domains.
@@ -1373,7 +1355,7 @@ impl Simulation {
         //    all-zero (so a cleared flag is broadcast once) and it owns no
         //    priced link.
         for &n in &self.sets.speakers {
-            self.price_states[n.index()].set_tcp_receiver(false);
+            self.bcast_plan.set_tcp_receiver(n, false);
         }
         if rests {
             let (owned, plan) = (&self.sets.priced_owned, &self.bcast_plan);
@@ -1382,16 +1364,17 @@ impl Simulation {
         for fl in &self.flows {
             if fl.active && fl.spec.pattern.is_tcp() {
                 insert_ascending(&mut self.sets.speakers, fl.spec.dst);
-                self.price_states[fl.spec.dst.index()].set_tcp_receiver(true);
+                self.bcast_plan.set_tcp_receiver(fl.spec.dst, true);
             }
         }
         // 3. Broadcast, overhear, update duals, broadcast the updated γ
-        //    sums for the coming slot.
+        //    sums for the coming slot; a slot that cannot move a price
+        //    only broadcasts.
         let delta = self.cfg.delta;
         let (margin_violations, plan_visits) = self.bcast_plan.update_gammas_with_tcp_margin(
-            &mut self.price_states,
             &self.sets.speakers,
             &self.sets.priced,
+            airtime_total,
             AdaptiveAlpha::BASE_ALPHA,
             delta,
             self.cfg.tcp_delta.max(delta),
@@ -1453,40 +1436,35 @@ impl Simulation {
         self.events.push(self.now + slot, Event::ControlTick);
     }
 
-    /// Per-domain saturation-penalty sums for the coming slot: one pass per
-    /// tick instead of a domain walk on every frame start. Scattered from
-    /// the active links, which equals summing over each link's domain bit
-    /// for bit: domains are sorted and symmetric, so link `l` receives
-    /// `penalty_demand[a]` for the active `a ∈ I_l` in the ascending order
-    /// the sum over `I_l` takes them in, and the terms it does not receive
-    /// are `+0.0`, which no partial sum notices. The sums restart from the
-    /// priced links (which hold the domain of every measuring link) and
-    /// the domains of the links that only the penalty keeps active; a sum
-    /// no active link feeds was zeroed when its last feeder left. Returns
-    /// the elements visited.
-    fn refresh_domain_penalty(&mut self) -> u64 {
-        let mut visits = self.sets.priced.len() as u64;
-        for &p in &self.sets.priced {
-            self.domain_penalty[p.index()] = 0.0;
+    /// The saturation-penalty sum of `link`'s domain,
+    /// `Σ penalty_demand[a]` over `a ∈ I_l ∩ active` in ascending order,
+    /// gathered on the first read of a slot and kept for the rest of it
+    /// (its terms only change at a tick). Either list gives the terms in
+    /// that order, so the shorter is walked: a link outside `active` has a
+    /// penalty EWMA of `+0.0`, which no partial sum notices: the sum starts
+    /// from an explicit `+0.0`, not from `f64::sum`'s `-0.0`, so it is
+    /// never `-0.0`, and `x + 0.0 == x` for every other `x`.
+    fn domain_penalty(&mut self, link: LinkId) -> f64 {
+        let l = link.index();
+        let (at, kept) = self.penalty_sums[l];
+        if at == self.ticks {
+            return kept;
         }
-        for &a in &self.sets.active {
-            if !self.sets.measuring[a.index()] {
-                let domain = self.imap.domain(a);
-                for &l in domain {
-                    self.domain_penalty[l.index()] = 0.0;
+        let domain = self.imap.domain(link);
+        let mut y = 0.0;
+        if domain.len() <= self.sets.active.len() {
+            for &a in domain {
+                y += self.penalty_demand[a.index()];
+            }
+        } else {
+            for &a in &self.sets.active {
+                if self.imap.interferes(link, a) {
+                    y += self.penalty_demand[a.index()];
                 }
-                visits += domain.len() as u64;
             }
         }
-        for &a in &self.sets.active {
-            let demand = self.penalty_demand[a.index()];
-            let domain = self.imap.domain(a);
-            for &l in domain {
-                self.domain_penalty[l.index()] += demand;
-            }
-            visits += domain.len() as u64;
-        }
-        visits
+        self.penalty_sums[l] = (self.ticks, y);
+        y
     }
 
     fn link_change(&mut self, link: LinkId, capacity_mbps: f64) {
@@ -1546,8 +1524,7 @@ impl Simulation {
             if !was_alive {
                 // Topology change: the γ this link's owner learned while it
                 // was dead (demand-starved or drain-priced) is stale.
-                let owner = self.net.link(link).from;
-                self.price_states[owner.index()].reset_gamma(link);
+                self.bcast_plan.reset_gamma(link);
             }
             self.try_start(link);
         }
@@ -1946,8 +1923,8 @@ mod active_set_tests {
     use empower_model::topology::testbed22;
     use empower_model::{CarrierSense, InterferenceModel, Medium, Path};
 
-    /// `domain_penalty` as every tick used to compute it: each link sums
-    /// its own domain.
+    /// Every link's saturation-penalty sum as the reference engine reads
+    /// it on every frame start: the sum over its whole domain.
     fn gathered(sim: &Simulation) -> Vec<u64> {
         (0..sim.net.link_count())
             .map(|l| {
@@ -1962,8 +1939,13 @@ mod active_set_tests {
             .collect()
     }
 
+    /// Every link's saturation-penalty sum as `try_start` reads it.
+    fn read(sim: &mut Simulation) -> Vec<u64> {
+        (0..sim.net.link_count()).map(|l| sim.domain_penalty(LinkId(l as u32)).to_bits()).collect()
+    }
+
     #[test]
-    fn scattered_domain_penalty_is_bit_identical_to_the_gather() {
+    fn the_slot_penalty_sum_is_bit_identical_to_the_domain_sum() {
         let net = testbed22(3).net;
         let imap = CarrierSense::default().build_map(&net);
         let last = LinkId(net.link_count() as u32 - 1);
@@ -1981,19 +1963,27 @@ mod active_set_tests {
             ),
             ("no demand at all", Vec::new()),
         ];
+        // (reads that walked the domain, reads that walked the active list).
+        let mut walks = (0, 0);
         for (case, demands) in cases {
             let mut sim = Simulation::new(net.clone(), imap.clone(), SimConfig::default());
-            // Two rounds: links join between ticks, sums are rebuilt.
+            // Two slots: links join between ticks, sums are gathered anew.
             for round in 1..=2 {
+                let before = read(&mut sim);
                 for &(l, d) in &demands[..demands.len() * round / 2] {
                     if !sim.sets.is_active[l.index()] {
                         sim.sets.activate(&sim.net, &sim.imap, l);
                     }
                     sim.penalty_demand[l.index()] = d * round as f64;
                 }
-                sim.refresh_domain_penalty();
-                let scattered: Vec<u64> = sim.domain_penalty.iter().map(|y| y.to_bits()).collect();
-                assert_eq!(scattered, gathered(&sim), "{case}, round {round}");
+                assert_eq!(read(&mut sim), before, "{case}, round {round}: kept within a slot");
+                sim.ticks += 1;
+                for lk in sim.net.links() {
+                    let shorter = sim.imap.domain(lk.id).len() <= sim.sets.active.len();
+                    walks.0 += usize::from(shorter);
+                    walks.1 += usize::from(!shorter);
+                }
+                assert_eq!(read(&mut sim), gathered(&sim), "{case}, round {round}");
             }
             let priced = sim.sets.priced.len();
             match case {
@@ -2004,6 +1994,7 @@ mod active_set_tests {
             assert!(sim.sets.active.is_sorted() && sim.sets.priced.is_sorted(), "{case}");
             assert!(sim.sets.speakers.is_sorted(), "{case}");
         }
+        assert!(walks.0 > 0 && walks.1 > 0, "both walks are taken: {walks:?}");
     }
 
     #[test]
@@ -2028,8 +2019,8 @@ mod active_set_tests {
     #[test]
     fn flushing_penalty_ewmas_moves_no_saturation_decision() {
         // Seeded penalty EWMAs that mix loads, decay tails, subnormals and
-        // zeros. Summed over each domain as the reference engine keeps
-        // them, and scattered from the flushed values as this engine keeps
+        // zeros. Summed over each domain as the reference engine reads
+        // them, and gathered from the flushed values as this engine reads
         // them, they give the same `y > 1.1` decisions and `y - 1.1` bits,
         // which are all `try_start` reads of a domain sum.
         let net = testbed22(3).net;
@@ -2057,9 +2048,8 @@ mod active_set_tests {
                     sim.sets.activate(&sim.net, &sim.imap, LinkId(l as u32));
                 }
             }
-            sim.refresh_domain_penalty();
             for (l, &bits) in unflushed.iter().enumerate() {
-                let (y, z) = (f64::from_bits(bits), sim.domain_penalty[l]);
+                let (y, z) = (f64::from_bits(bits), sim.domain_penalty(LinkId(l as u32)));
                 assert_eq!(y > 1.1, z > 1.1, "round {round}, link {l}: {y} vs {z}");
                 assert_eq!((y - 1.1).to_bits(), (z - 1.1).to_bits(), "round {round}, link {l}");
                 penalized += usize::from(y > 1.1);
@@ -2089,7 +2079,7 @@ mod active_set_tests {
             if sim.penalty_demand[l].to_bits() != 0 {
                 assert!(sets.is_active[l], "{at}: {id:?} has a penalty demand");
             }
-            if sim.price_states[lk.from.index()].gamma(id).to_bits() != 0 {
+            if sim.bcast_plan.gamma(id).to_bits() != 0 {
                 assert!(sets.is_priced[l], "{at}: {id:?} has a γ");
             }
             if sets.measuring[l] {
@@ -2104,8 +2094,6 @@ mod active_set_tests {
         assert_eq!(sets.priced_owned, owned, "{at}");
         for (l, &heard) in earshot.iter().enumerate() {
             assert!(heard == 0 || sets.is_priced[l], "{at}: link {l} is in earshot");
-            let fed = sim.imap.domain(LinkId(l as u32)).iter().any(|a| sets.is_active[a.index()]);
-            assert!(fed || sim.domain_penalty[l].to_bits() == 0, "{at}: stale penalty sum {l}");
         }
         for n in sim.net.nodes() {
             if sets.speakers.binary_search(&n.id).is_err() {
