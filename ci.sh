@@ -13,6 +13,10 @@
 #                    # examples/*.toml under `scenario run` and `workload run`
 #                    # (stdout and manifest), against <base-ref>;
 #                    # names each file that differs and exits 1 if any does
+#   ./ci.sh lines [<base-ref>]
+#                    # Rust lines without blanks and comments, per crate and
+#                    # in total, non-test code and test code apart; with a
+#                    # ref, the same for it beside the working tree's
 #
 # Tier-1 (ROADMAP.md): `cargo build --release && cargo test -q` must pass.
 set -eu
@@ -261,6 +265,95 @@ identical() {
     echo "all $same files identical"
 }
 
+# Per-file counts of one tree, as "crate code test" lines: every *.rs file
+# of a workspace member (a directory under crates/, or the root package's
+# src/, tests/ and examples/), without blank lines and lines that are only
+# a comment. Test code is a file under a tests/ directory and every item
+# behind #[cfg(test)], which rustfmt closes with a brace at the
+# attribute's indentation.
+count_lines() {
+    (cd "$1" && find crates src tests examples -name '*.rs' 2>/dev/null | LC_ALL=C sort \
+        | xargs awk '
+            FNR == 1 {
+                if (NR > 1) print crate, code, test
+                split(FILENAME, part, "/")
+                crate = part[1] == "crates" ? part[2] : "(root)"
+                in_tests = FILENAME ~ /(^|\/)tests\//
+                code = 0; test = 0; region = 0; pending = 0
+            }
+            {
+                text = $0
+                sub(/^[ \t]+/, "", text)
+                indent = substr($0, 1, length($0) - length(text))
+                is_test = in_tests || region
+                if (!region && text ~ /^#\[cfg\(test\)\]/) {
+                    is_test = 1; pending = 1; closing = indent "}"
+                } else if (pending) {
+                    is_test = 1
+                    if (text !~ /^#\[/) { pending = 0; region = text !~ /;$/ }
+                } else if (region && $0 == closing) {
+                    region = 0
+                }
+                if (text == "" || text ~ /^\/\//) next
+                if (is_test) test++; else code++
+            }
+            END { print crate, code, test }')
+}
+
+# The line counts of the working tree, and with <base-ref> those of a
+# `git archive` export of it beside them and the difference. Writes only
+# under target/.
+lines() {
+    root="$PWD/target/lines"
+    rm -rf "$root"
+    mkdir -p "$root/base"
+    count_lines "$PWD" >"$root/change"
+    : >"$root/base.counts"
+    if [ -n "${1:-}" ]; then
+        git rev-parse --verify --quiet "$1^{commit}" >/dev/null \
+            || { echo "lines: unknown base ref $1" >&2; exit 2; }
+        git archive "$1" | tar -x -C "$root/base"
+        count_lines "$root/base" >"$root/base.counts"
+    fi
+    awk -v base="${1:-}" '
+        FNR == NR { code[$1] += $2; test[$1] += $3; seen[$1] = 1; next }
+        { bcode[$1] += $2; btest[$1] += $3; seen[$1] = 1 }
+        END {
+            for (c in seen) {
+                printf "%-12s %7d %7d", c, code[c], test[c]
+                if (base != "") {
+                    printf " %7d %7d %+7d %+7d", bcode[c], btest[c], code[c] - bcode[c],
+                        test[c] - btest[c]
+                }
+                printf "\n"
+            }
+        }' "$root/change" "$root/base.counts" | LC_ALL=C sort >"$root/table"
+    if [ -n "${1:-}" ]; then
+        printf '%-12s %15s %15s %15s\n' "" "working tree" "$1" difference
+        printf '%-12s %7s %7s %7s %7s %7s %7s\n' crate code test code test code test
+    else
+        printf '%-12s %7s %7s\n' crate code test
+    fi
+    cat "$root/table"
+    awk -v base="${1:-}" '
+        { for (i = 2; i <= NF; i++) sum[i] += $i }
+        $1 != "(root)" && $2 + $3 > 0 { crates++ }
+        $1 != "(root)" && $4 + $5 > 0 { bcrates++ }
+        END {
+            printf "%-12s %7d %7d", "total", sum[2], sum[3]
+            if (base != "") printf " %7d %7d %+7d %+7d", sum[4], sum[5], sum[6], sum[7]
+            printf "\n%d crates under crates/", crates
+            if (base != "") printf " (%d at %s)", bcrates, base
+            printf ", and the root package\n"
+        }' "$root/table"
+    rm -rf "$root/base"
+}
+
+if [ "${1:-}" = "lines" ]; then
+    shift
+    lines "$@"
+    exit 0
+fi
 if [ "${1:-}" = "pairs" ]; then
     shift
     pairs "$@"
@@ -349,8 +442,9 @@ if [ "${EMPOWER_MIRI:-}" = "1" ]; then
     # Requires a nightly toolchain with the miri component; skipped (with
     # a notice) when absent so the lane can be enabled fleet-wide.
     if cargo miri --version >/dev/null 2>&1; then
-        say "miri: empower-exec (EMPOWER_MIRI=1)"
-        cargo miri test -p empower-exec
+        say "miri: the sweep executor (EMPOWER_MIRI=1)"
+        cargo miri test -p empower-bench --lib -- sweep::tests::results_come_back \
+            sweep::tests::more_jobs sweep::tests::a_panicking sweep::tests::slot_errors
     else
         say "miri lane requested but the miri toolchain is absent — skipped"
     fi

@@ -26,7 +26,7 @@ pub struct Opts {
     /// Base seed.
     pub seed: u64,
     /// Worker threads for the deterministic parallel sweep runner
-    /// (`empower_exec::run_indexed`); 1 = serial.
+    /// ([`sweep::fan_out`]); 1 = serial.
     pub jobs: usize,
 }
 

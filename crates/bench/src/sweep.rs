@@ -10,7 +10,6 @@ use empower_baselines::{
 use empower_cc::{CcProblem, ProportionalFair, Utility};
 use empower_core::{RunConfig, Scheme, N_SHORTEST};
 use empower_dynamics::{run_scenario, Scenario, ScenarioError, ScenarioOutcome};
-use empower_exec::run_indexed;
 use empower_model::rng::{SeedableRng, StdRng};
 use empower_model::topology::random::{generate, RandomTopologyConfig, TopologyClass};
 use empower_model::{
@@ -22,6 +21,8 @@ use empower_testbed::fig13::{run_flows_traced, Fig13Config, Fig13Row};
 use empower_workload::{WorkloadCorpusOutput, WorkloadOutput, WorkloadScenario};
 
 use crate::Opts;
+use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Maximum hop count for the centralized references' route space. Local-
 /// network routes are a few hops (§3.2: observed tree depth ≤ 3; the header
@@ -176,10 +177,14 @@ pub fn run_one_traced(
     SweepRun { seed, scheme_rates, scheme_utility, optimal, conservative }
 }
 
-/// The one parallel-sweep idiom: computes `f(i, &item_tele)` for
-/// `i ∈ 0..count` on `jobs` worker threads (see [`run_indexed`]) and
-/// returns the results in index order — byte-identical to a serial loop
-/// for any `jobs`.
+/// The one parallel-sweep idiom, and the workspace's one executor:
+/// computes `f(i, &item_tele)` for `i ∈ 0..count` on `jobs` scoped worker
+/// threads and returns the results in index order — byte-identical to a
+/// serial loop for any `jobs`. Each item is computed independently, and
+/// the only thing scheduling can reorder is completion, which the
+/// index-ordered collection erases. The `clippy.toml` entries for rules
+/// D007 and D010 name this function in their diagnostics: anything that
+/// fans work out across threads goes through here (DESIGN.md §12).
 ///
 /// `Telemetry` is single-threaded by design (`Rc`-based), so each work item
 /// records on its own registry inside the worker (a disabled one when `tele`
@@ -203,6 +208,79 @@ pub fn fan_out<T: Send>(
         item
     };
     results.into_iter().map(merge).collect()
+}
+
+/// Why collecting a result slot failed. Both variants indicate a bug in
+/// the executor itself, never data-dependent behaviour.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SlotError {
+    /// A worker panicked while holding slot `index`'s lock.
+    Poisoned(usize),
+    /// No worker ever stored a result for `index` (cursor logic bug).
+    Unfilled(usize),
+}
+
+impl fmt::Display for SlotError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SlotError::Poisoned(i) => write!(f, "result slot {i} poisoned by a worker panic"),
+            SlotError::Unfilled(i) => write!(f, "result slot {i} was never filled by any worker"),
+        }
+    }
+}
+
+/// The body of [`fan_out`]: `f(0..count)` on `jobs` worker threads, the
+/// results in index order. `jobs <= 1` runs serially on the caller's
+/// thread (identical results, no threads). The threads are scoped: they
+/// borrow the caller's data and are joined before this returns (nothing
+/// detached, rule D009), and a panic inside `f` propagates to the caller
+/// once every worker has been joined.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the sanctioned cross-thread merge idiom: the Relaxed work cursor only \
+              *distributes* indices (no ordering is ever derived from its return values \
+              beyond \"each index exactly once\"), and results land in index-addressed slots, \
+              so completion order cannot reach any observable output"
+)]
+fn run_indexed<T: Send>(jobs: usize, count: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    use std::sync::Mutex;
+    if jobs <= 1 || count <= 1 {
+        return (0..count).map(f).collect();
+    }
+    let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
+    let cursor = AtomicUsize::new(0);
+    let workers = jobs.min(count);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= count {
+                    break;
+                }
+                let value = f(i);
+                if let Ok(mut slot) = slots[i].lock() {
+                    *slot = Some(value);
+                }
+            });
+        }
+    });
+    let collected: Result<Vec<T>, SlotError> = slots
+        .into_iter()
+        .enumerate()
+        .map(|(i, slot)| match slot.into_inner() {
+            Err(_) => Err(SlotError::Poisoned(i)),
+            Ok(None) => Err(SlotError::Unfilled(i)),
+            Ok(Some(value)) => Ok(value),
+        })
+        .collect();
+    match collected {
+        Ok(values) => values,
+        // `thread::scope` re-raises worker panics before collection
+        // begins, and the cursor hands out every index below `count`
+        // exactly once.
+        Err(fault) => unreachable!("run_indexed: {fault}"),
+    }
 }
 
 /// Runs the sweep `seed = opts.seed + index` for `index ∈ 0..count` under
@@ -281,6 +359,44 @@ pub fn run_workload_corpus_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn results_come_back_in_index_order() {
+        let serial = run_indexed(1, 100, |i| i * i);
+        let parallel = run_indexed(4, 100, |i| i * i);
+        assert_eq!(serial, parallel);
+        assert_eq!(parallel[7], 49);
+    }
+
+    #[test]
+    fn more_jobs_than_items_is_fine() {
+        assert_eq!(run_indexed(16, 3, |i| i), vec![0, 1, 2]);
+        assert_eq!(run_indexed(16, 0, |i| i), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn a_panicking_item_resurfaces_on_the_caller() {
+        for jobs in [1, 2] {
+            let caught = std::panic::catch_unwind(|| {
+                run_indexed(jobs, 4, |i| {
+                    assert!(i != 2, "item 2 fails");
+                    i
+                })
+            });
+            assert!(caught.is_err(), "jobs={jobs}: the panic was swallowed");
+        }
+        // Nothing outlives the failed batch: the next one runs normally.
+        assert_eq!(run_indexed(2, 3, |i| i + 7), vec![7, 8, 9]);
+    }
+
+    #[test]
+    fn slot_errors_name_the_failing_index() {
+        assert_eq!(SlotError::Poisoned(3).to_string(), "result slot 3 poisoned by a worker panic");
+        assert_eq!(
+            SlotError::Unfilled(7).to_string(),
+            "result slot 7 was never filled by any worker"
+        );
+    }
 
     #[test]
     fn one_residential_run_is_consistent() {

@@ -260,6 +260,9 @@ impl LinkPriceState {
 /// (all of a node's entries, for its flag), and a refresh rewrites the
 /// marked entries alone, so after each refresh the vector is what
 /// [`LinkPriceState::make_broadcasts_into`] over every state would give.
+/// From the same writes it keeps what a slot visits: the live entries
+/// (nonzero demand or a TCP flag), the links of nonzero demand, and the
+/// links whose γ the last slot left nonzero.
 ///
 /// Every floating-point sum receives its terms in ascending
 /// broadcast-vector order, exactly like the scanning originals on
@@ -290,21 +293,36 @@ pub struct BroadcastPlan {
     /// The entries a write changed since the last refresh, each once.
     dirty: Vec<u32>,
     is_dirty: Vec<bool>,
+    /// The entries of the vector whose demand bits are not `+0.0` or whose
+    /// TCP flag is set, ascending: what a slot scatters.
+    live: Vec<u32>,
+    /// The links whose demand bits are not `+0.0`, ascending.
+    loaded: Vec<LinkId>,
+    /// The nodes whose TCP flag is set, ascending, and a spare list for
+    /// [`BroadcastPlan::set_tcp_receivers`] to build the next one in.
+    receivers: Vec<NodeId>,
+    next_receivers: Vec<NodeId>,
     /// How many links have a γ whose bits are not `+0.0`.
     gammas_set: usize,
+    /// The links the last slot left with a γ that is not `+0.0` (a reset
+    /// since may have zeroed some): the next slot prices them.
+    carried: Vec<LinkId>,
+    /// The links the last slot priced (scratch of
+    /// [`BroadcastPlan::update_gammas_with_tcp_margin`]).
+    priced: Vec<LinkId>,
     /// Per [`LinkId`] index: the epoch of the last per-hop price read and
     /// the `Σ γ` it computed.
     price_memo: Vec<(u64, f64)>,
     /// Moves whenever an input of a per-hop price may have changed: at
     /// every slot and at every reset γ.
     epoch: u64,
-    /// Per [`LinkId`] index: what the link heard this slot (scratch of
-    /// [`BroadcastPlan::update_gammas_with_tcp_margin`]).
+    /// Per [`LinkId`] index: what the link heard in the slot it was last
+    /// heard in.
     heard: Vec<Heard>,
 }
 
 /// The two halves of Eq. (7)'s `y_l` and the §6.4 flag, as one link
-/// accumulates them during a slot.
+/// accumulates them during a slot, stamped with the slot.
 #[derive(Debug, Clone, Copy, Default)]
 struct Heard {
     /// `Σ airtime_demand` over the overheard broadcasts.
@@ -313,6 +331,41 @@ struct Heard {
     internal: f64,
     /// An overheard broadcaster receives TCP.
     tcp: bool,
+    /// The epoch of the slot these sums belong to.
+    heard_at: u64,
+    /// The epoch of the last slot that priced the link.
+    priced_at: u64,
+}
+
+impl Heard {
+    /// The sums of slot `slot`, started afresh if they are of an older one.
+    fn at(&mut self, slot: u64) -> &mut Heard {
+        if self.heard_at != slot {
+            *self = Heard { heard_at: slot, priced_at: self.priced_at, ..Heard::default() };
+        }
+        self
+    }
+
+    /// Adds `l` to `priced` the first time slot `slot` prices it.
+    fn price(&mut self, slot: u64, l: LinkId, priced: &mut Vec<LinkId>) {
+        if self.priced_at != slot {
+            self.priced_at = slot;
+            priced.push(l);
+        }
+    }
+}
+
+/// Whether a broadcast is one a slot scatters: nonzero demand or a flag.
+fn is_live(b: &PriceBroadcast) -> bool {
+    b.airtime_demand.to_bits() != 0 || b.tcp_receiver
+}
+
+/// Removes `id` from the ascending `list` if it is a member, else inserts it.
+fn toggle<T: Ord>(list: &mut Vec<T>, id: T) {
+    match list.binary_search(&id) {
+        Ok(at) => drop(list.remove(at)),
+        Err(at) => list.insert(at, id),
+    }
 }
 
 impl BroadcastPlan {
@@ -343,11 +396,18 @@ impl BroadcastPlan {
         let mut egress_pos = vec![0u32; net.link_count()];
         let mut entry_of = vec![0u32; net.link_count()];
         let mut listeners = vec![Vec::new(); broadcasts.len()];
+        let (mut loaded, mut carried) = (Vec::new(), Vec::new());
         // Links in ascending id order, so every listener list ascends.
         for lk in net.links() {
             let s = &states[lk.from.index()];
             let pos = s.index_of(lk.id);
             egress_pos[lk.id.index()] = pos as u32;
+            if s.demand[pos].to_bits() != 0 {
+                loaded.push(lk.id);
+            }
+            if s.gamma[pos].to_bits() != 0 {
+                carried.push(lk.id);
+            }
             #[expect(
                 clippy::expect_used,
                 reason = "the entry was appended two loops up for exactly this (owner, medium)"
@@ -387,8 +447,16 @@ impl BroadcastPlan {
         }
         member_start.push(members.len() as u32);
         let entries = broadcasts.len();
-        let gammas_set = states.iter().flat_map(|s| &s.gamma).filter(|g| g.to_bits() != 0).count();
+        let live = (0..entries as u32).filter(|&e| is_live(&broadcasts[e as usize])).collect();
+        let receivers = states.iter().filter(|s| s.tcp_receiver).map(|s| s.node).collect();
         BroadcastPlan {
+            loaded,
+            gammas_set: carried.len(),
+            carried,
+            live,
+            receivers,
+            next_receivers: Vec::new(),
+            priced: Vec::new(),
             states,
             indices,
             listeners,
@@ -400,7 +468,6 @@ impl BroadcastPlan {
             broadcasts,
             dirty: Vec::new(),
             is_dirty: vec![false; entries],
-            gammas_set,
             price_memo: vec![(u64::MAX, 0.0); net.link_count()],
             epoch: 0,
             heard: vec![Heard::default(); net.link_count()],
@@ -412,18 +479,48 @@ impl BroadcastPlan {
         self.states[self.owner_of(link)].gamma[self.egress_pos[link.index()] as usize]
     }
 
+    /// The airtime demand last written for `link`.
+    pub fn demand(&self, link: LinkId) -> f64 {
+        self.states[self.owner_of(link)].demand[self.egress_pos[link.index()] as usize]
+    }
+
     /// [`LinkPriceState::set_demand`] on the owner of `link`.
     pub fn set_demand(&mut self, link: LinkId, airtime_demand: f64) {
         let (owner, i) = (self.owner_of(link), self.egress_pos[link.index()] as usize);
         let demand = &mut self.states[owner].demand[i];
         if demand.to_bits() != airtime_demand.to_bits() {
+            let was_loaded = demand.to_bits() != 0;
             *demand = airtime_demand;
+            if was_loaded != (airtime_demand.to_bits() != 0) {
+                toggle(&mut self.loaded, link);
+            }
             self.mark(self.entry_of[link.index()]);
         }
     }
 
-    /// [`LinkPriceState::set_tcp_receiver`] on `node`.
-    pub fn set_tcp_receiver(&mut self, node: NodeId, receiving: bool) {
+    /// [`LinkPriceState::set_tcp_receiver`] on every node: set on
+    /// `receivers`, cleared on every other. Only a flag that flips marks
+    /// its node's entries.
+    pub fn set_tcp_receivers(&mut self, receivers: impl IntoIterator<Item = NodeId>) {
+        let mut next = std::mem::take(&mut self.next_receivers);
+        next.clear();
+        next.extend(receivers);
+        next.sort_unstable();
+        next.dedup();
+        let last = std::mem::replace(&mut self.receivers, next);
+        for &n in &last {
+            if self.receivers.binary_search(&n).is_err() {
+                self.set_tcp_receiver(n, false);
+            }
+        }
+        for i in 0..self.receivers.len() {
+            self.set_tcp_receiver(self.receivers[i], true);
+        }
+        self.next_receivers = last;
+    }
+
+    /// Sets `node`'s flag, marking its entries if it flips.
+    fn set_tcp_receiver(&mut self, node: NodeId, receiving: bool) {
         let state = &mut self.states[node.index()];
         if state.tcp_receiver != receiving {
             state.tcp_receiver = receiving;
@@ -463,43 +560,51 @@ impl BroadcastPlan {
         self.gammas_set == 0 && airtime_total * (1.0 + 1e-9) <= 1.0 - delta.max(delta_tcp)
     }
 
+    /// Whether Eq. (8) maps a link that hears nothing (`y_l = +0.0`) and
+    /// whose γ is `+0.0` onto itself under either margin, with no
+    /// violation. It evaluates the slot's own expressions, so it is exact:
+    /// it fails when `max(δ, δ_tcp) > 1`, and for a margin or `α` as odd as
+    /// NaN. When it fails, a slot prices every link.
+    pub fn idle_prices_rest(alpha: f64, delta: f64, delta_tcp: f64) -> bool {
+        let rests = |d: f64| {
+            let gamma = (0.0 + alpha * (0.0 - (1.0 - d))).max(0.0);
+            gamma.to_bits() == 0 && 1.0 - d >= 0.0
+        };
+        rests(delta) && rests(delta_tcp)
+    }
+
     /// One control slot for the whole network: the vector is refreshed with
     /// the slot's demands and flags; unless [`Self::prices_rest`] holds,
-    /// every link in `priced` combines what it overhears with its owner's
+    /// every priced link combines what it overhears with its owner's
     /// measurements into `y_l` (Eq. (7)) and updates `γ_l` (Eq. (8), with
     /// `delta_tcp` in place of `delta` wherever the link's owner or an
     /// overheard broadcaster receives TCP, §6.4), and the vector is
     /// refreshed again so it carries the updated γ sums into the coming
     /// slot. `airtime_total` is as [`Self::prices_rest`] takes it. Returns
     /// the airtime-margin violations (`y_l > 1 − δ`) and how many elements
-    /// the slot visited (link states, overhearing entries, egress links
+    /// the slot visited (links priced, overhearing entries, egress links
     /// behind rewritten broadcasts).
     ///
+    /// A slot prices the links its scatter reaches from live entries of
+    /// nonzero demand and from each link of nonzero demand, and the links
+    /// the slot before left with a nonzero γ; every link when
+    /// [`Self::idle_prices_rest`] fails. Any other link has `y_l = +0.0`
+    /// and γ at `+0.0`, which Eq. (8) keeps, with no violation. A flag
+    /// alone, on an entry of zero demand, reaches its listeners' margins
+    /// but prices none of them.
+    ///
     /// This equals calling [`LinkPriceState::update_gammas_with_tcp_margin`]
-    /// on every state bit for bit, provided the two ascending lists cover
-    /// what carries state, which is the caller's to guarantee:
-    ///
-    /// * `speakers` holds every node that owns a link of `priced` or has
-    ///   its TCP flag set (any other node broadcasts its construction
-    ///   values: zero demand, zero γ, no flag);
-    /// * `priced` holds every link that overhears an entry with nonzero
-    ///   demand, or shares its owner and an interference domain with a
-    ///   link of nonzero demand, or has a nonzero γ (any other link has
-    ///   `y_l = 0`, so its γ rests at zero while `max(δ, δ_tcp) < 1`).
-    ///
-    /// Why the bits agree: Eq. (7) is computed by scatter where the
-    /// scanning original gathers. Each nonzero or flagged entry, in
-    /// ascending entry order, is added to the links that overhear it, and
-    /// each link of nonzero demand, in ascending link order, to the links
-    /// of its owner in its domain (domains are symmetric, so the link's
-    /// own `I_l` names them). A link therefore receives exactly the terms
-    /// its gather would have summed, in the same order, minus terms that
-    /// are `+0.0`; and `x + 0.0 == x` bit for bit for every `x` a sum
-    /// started at `+0.0` can reach (it is never `-0.0`).
+    /// on every state bit for bit. Eq. (7) is computed by scatter where the
+    /// scanning original gathers. Each live entry, in ascending entry
+    /// order, is added to the links that overhear it, and each link of
+    /// nonzero demand, in ascending link order, to the links of its owner
+    /// in its domain (domains are symmetric, so the link's own `I_l` names
+    /// them). A link therefore receives exactly the terms its gather would
+    /// have summed, in the same order, minus terms that are `+0.0`; and
+    /// `x + 0.0 == x` bit for bit for every `x` a sum started at `+0.0` can
+    /// reach (it is never `-0.0`).
     pub fn update_gammas_with_tcp_margin(
         &mut self,
-        speakers: &[NodeId],
-        priced: &[LinkId],
         airtime_total: f64,
         alpha: f64,
         delta: f64,
@@ -510,47 +615,49 @@ impl BroadcastPlan {
         if self.prices_rest(airtime_total, delta, delta_tcp) {
             return (0, visits);
         }
-        visits += 2 * priced.len() as u64;
-        for &l in priced {
-            self.heard[l.index()] = Heard::default();
-        }
-        for &l in priced {
+        let slot = self.epoch;
+        let mut priced = std::mem::take(&mut self.priced);
+        priced.clear();
+        for &l in &self.loaded {
             let s = &self.states[self.owner_of(l)];
             let i = self.egress_pos[l.index()] as usize;
-            let demand = s.demand[i];
-            if demand.to_bits() != 0 {
-                let own = &s.overheard[i].1;
-                for &j in own {
-                    self.heard[s.egress[j].index()].internal += demand;
-                }
-                visits += own.len() as u64;
+            let own = &s.overheard[i].1;
+            for &j in own {
+                let to = s.egress[j];
+                let h = self.heard[to.index()].at(slot);
+                h.internal += s.demand[i];
+                h.price(slot, to, &mut priced);
             }
+            visits += own.len() as u64;
         }
-        for &n in speakers {
-            let (first, end) = (self.entry_start[n.index()], self.entry_start[n.index() + 1]);
-            for e in first as usize..end as usize {
-                let b = self.broadcasts[e];
-                if b.airtime_demand.to_bits() == 0 && !b.tcp_receiver {
-                    continue;
+        for &e in &self.live {
+            let b = self.broadcasts[e as usize];
+            let loud = b.airtime_demand.to_bits() != 0;
+            for &l in &self.listeners[e as usize] {
+                let h = self.heard[l.index()].at(slot);
+                h.external += b.airtime_demand;
+                h.tcp |= b.tcp_receiver;
+                if loud {
+                    h.price(slot, l, &mut priced);
                 }
-                debug_assert!(
-                    b.airtime_demand.to_bits() == 0
-                        || self.listeners[e].iter().all(|l| priced.binary_search(l).is_ok()),
-                    "a link overhearing demand from {:?} is missing from the priced set",
-                    b.from
-                );
-                for &l in &self.listeners[e] {
-                    let h = &mut self.heard[l.index()];
-                    h.external += b.airtime_demand;
-                    h.tcp |= b.tcp_receiver;
-                }
-                visits += self.listeners[e].len() as u64;
             }
+            visits += self.listeners[e as usize].len() as u64;
         }
+        if Self::idle_prices_rest(alpha, delta, delta_tcp) {
+            for &l in &self.carried {
+                self.heard[l.index()].price(slot, l, &mut priced);
+            }
+        } else {
+            priced.clear();
+            priced.extend((0..self.heard.len() as u32).map(LinkId));
+        }
+        visits += priced.len() as u64;
+        self.carried.clear();
         let mut violations = 0;
-        for &l in priced {
+        for &l in &priced {
             let (owner, i) = (self.owner_of(l), self.egress_pos[l.index()] as usize);
             let h = self.heard[l.index()];
+            let h = if h.heard_at == slot { h } else { Heard::default() };
             let yl = h.external + h.internal;
             let d = if self.states[owner].tcp_receiver || h.tcp { delta_tcp } else { delta };
             let old = self.states[owner].gamma[i];
@@ -564,23 +671,16 @@ impl BroadcastPlan {
                 }
                 self.mark(self.entry_of[l.index()]);
             }
+            if new.to_bits() != 0 {
+                self.carried.push(l);
+            }
             if yl > 1.0 - d {
                 violations += 1;
             }
         }
+        self.priced = priced;
         visits += self.refresh();
         (violations, visits)
-    }
-
-    /// Whether the last refresh left every entry of `node` at its
-    /// construction value (zero demand, zero γ sum, no TCP flag), so a node
-    /// whose state is at rest may stop being refreshed: the vector already
-    /// holds what a refresh would write.
-    pub fn broadcasts_at_rest(&self, node: NodeId) -> bool {
-        let (first, end) = (self.entry_start[node.index()], self.entry_start[node.index() + 1]);
-        self.broadcasts[first as usize..end as usize].iter().all(|b| {
-            b.airtime_demand.to_bits() == 0 && b.gamma_sum.to_bits() == 0 && !b.tcp_receiver
-        })
     }
 
     /// Index of the state (= node) that owns `link`.
@@ -598,7 +698,8 @@ impl BroadcastPlan {
 
     /// Rewrites the marked entries from their states, with the arithmetic
     /// of [`LinkPriceState::make_broadcasts_into`]: over the entry's links
-    /// in egress order, the first assigns and later ones add. Returns the
+    /// in egress order, the first assigns and later ones add; an entry that
+    /// turns live or quiet joins or leaves the live list. Returns the
     /// egress links visited.
     fn refresh(&mut self) -> u64 {
         let mut visits = 0;
@@ -610,12 +711,16 @@ impl BroadcastPlan {
             let b = &mut self.broadcasts[e];
             let s = &self.states[b.from.index()];
             let Some((&first, rest)) = members.split_first() else { continue };
+            let was_live = is_live(b);
             b.airtime_demand = s.demand[first as usize];
             b.gamma_sum = s.gamma[first as usize];
             b.tcp_receiver = s.tcp_receiver;
             for &i in rest {
                 b.airtime_demand += s.demand[i as usize];
                 b.gamma_sum += s.gamma[i as usize];
+            }
+            if was_live != is_live(b) {
+                toggle(&mut self.live, e as u32);
             }
             visits += members.len() as u64;
         }
@@ -813,13 +918,15 @@ mod tests {
         states.iter().flat_map(|s| &s.demand).map(|d| d.abs()).sum()
     }
 
-    /// The least `priced` and `speakers` lists the planned update's
-    /// contract asks for, read off the plan's states.
+    /// The least lists a planned slot must visit, read off the plan's
+    /// states without its indices of what is live: the links whose `y_l`
+    /// or γ can be nonzero, and the entries the coming refresh leaves with
+    /// nonzero demand or a TCP flag.
     fn least_lists(
         net: &Network,
         imap: &InterferenceMap,
         plan: &BroadcastPlan,
-    ) -> (Vec<LinkId>, Vec<NodeId>) {
+    ) -> (Vec<LinkId>, Vec<u32>) {
         let mut priced = BTreeSet::new();
         for lk in net.links() {
             let (s, i) = (&plan.states[lk.from.index()], plan.egress_pos[lk.id.index()] as usize);
@@ -831,25 +938,26 @@ mod tests {
                 priced.insert(lk.id);
             }
         }
-        let mut speakers: BTreeSet<NodeId> = priced.iter().map(|&l| net.link(l).from).collect();
-        speakers.extend(plan.states.iter().filter(|s| s.tcp_receiver).map(|s| s.node));
-        (priced.into_iter().collect(), speakers.into_iter().collect())
+        let live = gather(net, &plan.states).into_iter().enumerate().filter(|(_, b)| is_live(b));
+        (priced.into_iter().collect(), live.map(|(e, _)| e as u32).collect())
     }
 
     /// One slot on both twins: the scanning update of every state over a
-    /// full gather, and the planned one over the least lists. Asserts
-    /// equal violation counts and γ bits, that the plan's vector is the
-    /// full gather of the states after the slot, and that every per-hop
-    /// price agrees. Returns whether the plan skipped Eqs. (7)–(8), the
-    /// lists it was given, and the gather the prices read.
+    /// full gather, and the planned one. Asserts equal violation counts and
+    /// γ bits, that the plan scattered the live entries and priced a
+    /// superset of the least lists (each link once), that the plan's
+    /// vector is the full gather of the states after the slot, and that
+    /// every per-hop price agrees. Returns whether the plan skipped
+    /// Eqs. (7)–(8), the least priced links, and the gather the prices
+    /// read.
     fn slot_on_both(
         net: &Network,
         imap: &InterferenceMap,
         scanning: &mut [LinkPriceState],
         plan: &mut BroadcastPlan,
         at: &str,
-    ) -> (bool, Vec<LinkId>, Vec<NodeId>, Vec<PriceBroadcast>) {
-        let (priced, speakers) = least_lists(net, imap, plan);
+    ) -> (bool, Vec<LinkId>, Vec<PriceBroadcast>) {
+        let (least, live) = least_lists(net, imap, plan);
         let total = airtime_total(&plan.states);
         let skipped = plan.prices_rest(total, DELTA, DELTA_TCP);
         let bcast = gather(net, scanning);
@@ -857,9 +965,17 @@ mod tests {
         for s in scanning.iter_mut() {
             viol_scan += s.update_gammas_with_tcp_margin(&bcast, ALPHA, DELTA, DELTA_TCP);
         }
-        let (viol_plan, _) =
-            plan.update_gammas_with_tcp_margin(&speakers, &priced, total, ALPHA, DELTA, DELTA_TCP);
+        let (viol_plan, _) = plan.update_gammas_with_tcp_margin(total, ALPHA, DELTA, DELTA_TCP);
         assert_eq!(viol_scan, viol_plan, "{at}: violation counts");
+        assert_eq!(plan.live, live, "{at}: live entries");
+        let loaded = net.links().iter().map(|lk| lk.id).filter(|&l| plan.demand(l).to_bits() != 0);
+        assert_eq!(plan.loaded, loaded.collect::<Vec<_>>(), "{at}: loaded links");
+        if !skipped {
+            let priced: BTreeSet<LinkId> = plan.priced.iter().copied().collect();
+            assert_eq!(priced.len(), plan.priced.len(), "{at}: a link priced twice");
+            let missed: Vec<&LinkId> = least.iter().filter(|l| !priced.contains(l)).collect();
+            assert!(missed.is_empty(), "{at}: the plan left {missed:?} unpriced");
+        }
         assert_eq!(gamma_bits(scanning), gamma_bits(&plan.states), "{at}: γ bits");
         let bcast = gather(net, scanning);
         assert_same_vector(&plan.broadcasts, &bcast, at);
@@ -868,7 +984,7 @@ mod tests {
             let fast = plan.price_contribution(net, lk.id);
             assert!(direct.to_bits() == fast.to_bits(), "{at}, {:?}: {direct} vs {fast}", lk.id);
         }
-        (skipped, priced, speakers, bcast)
+        (skipped, least, bcast)
     }
 
     /// The 22-node testbed with carrier sensing cut to the connection
@@ -915,6 +1031,9 @@ mod tests {
                 Some(NodeId(4)),
             ),
             ("3 links loaded", Box::new(few), Some(net.link(a).from)),
+            // A node overhears only other nodes, so the one loaded link is
+            // priced by its owner's own demand alone.
+            ("one link overloaded", Box::new(move |_, l| if l == c { 1.4 } else { 0.0 }), None),
             (
                 "subnormal demands",
                 Box::new(|_, l| match l.index() {
@@ -934,16 +1053,16 @@ mod tests {
             let mut priced = BTreeSet::new();
             // Several slots, so gammas accumulate through the nonlinearity.
             for slot in 0..5u64 {
+                plan.set_tcp_receivers(tcp_node);
                 for s in scanning.iter_mut() {
                     s.set_tcp_receiver(Some(s.node()) == tcp_node);
-                    plan.set_tcp_receiver(s.node(), Some(s.node()) == tcp_node);
                     for l in s.egress.clone() {
                         s.set_demand(l, demand(slot, l));
                         plan.set_demand(l, demand(slot, l));
                     }
                 }
                 let at = format!("{case}, slot {slot}");
-                let (skipped, priced_now, _, _) =
+                let (skipped, priced_now, _) =
                     slot_on_both(&net, &imap, &mut scanning, &mut plan, &at);
                 let rests =
                     ["no demand at all", "subnormal demands", "no demand, one TCP receiver"];
@@ -962,7 +1081,7 @@ mod tests {
     /// Random sequences of demand, TCP-flag and γ-reset writes: loaded
     /// slots in which flags come and go, then quiet ones in which the
     /// demands fall to subnormals and to zero, links stop measuring and
-    /// flags clear, so nodes leave the speakers and rejoin them, and slots
+    /// flags clear, so entries leave the live list and rejoin it, and slots
     /// that cannot move a price are skipped. After every slot the plan
     /// matches the scanning twin (`slot_on_both`). After every reset, the
     /// reset link's owner prices its hops like the twin does, and the reset
@@ -980,8 +1099,8 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut scanning = fresh.clone();
             let mut plan = BroadcastPlan::new(&net, fresh.clone());
-            let mut left: BTreeSet<NodeId> = BTreeSet::new();
-            let mut speakers_before: Vec<NodeId> = Vec::new();
+            let mut left: BTreeSet<u32> = BTreeSet::new();
+            let mut live_before: Vec<u32> = Vec::new();
             for slot in 0..20 {
                 let quiet = slot % 10 >= 4;
                 for lk in net.links() {
@@ -1014,6 +1133,7 @@ mod tests {
                     scanning[lk.from.index()].set_demand(lk.id, d);
                     plan.set_demand(lk.id, d);
                 }
+                let mut receivers = Vec::new();
                 for &n in &flagged {
                     let flag = match quiet {
                         false if rng.gen_bool(0.2) => !plan.states[n.index()].tcp_receiver,
@@ -1021,19 +1141,21 @@ mod tests {
                         true => slot % 10 >= 8 && n == flagged[slot / 10],
                     };
                     scanning[n.index()].set_tcp_receiver(flag);
-                    plan.set_tcp_receiver(n, flag);
+                    if flag {
+                        receivers.push(n);
+                    }
                 }
+                plan.set_tcp_receivers(receivers);
                 let at = format!("seed {seed}, slot {slot}");
-                let (skipped, _, speakers, bcast) =
-                    slot_on_both(&net, &imap, &mut scanning, &mut plan, &at);
+                let (skipped, _, bcast) = slot_on_both(&net, &imap, &mut scanning, &mut plan, &at);
                 if skipped {
                     skips += 1;
                 } else {
                     full_slots += 1;
                 }
-                left.extend(speakers_before.iter().filter(|n| speakers.binary_search(n).is_err()));
-                rejoined += speakers.iter().filter(|n| left.contains(*n)).count();
-                speakers_before = speakers;
+                left.extend(live_before.iter().filter(|e| plan.live.binary_search(e).is_err()));
+                rejoined += plan.live.iter().filter(|e| left.contains(*e)).count();
+                live_before = plan.live.clone();
                 // Resets: a few links at random, most with γ at +0.0, half
                 // the links with a γ in every other slot, and every one
                 // once the slots are quiet, so that prices can rest.
@@ -1081,7 +1203,7 @@ mod tests {
         }
         assert!(skips > 0 && full_slots > 0, "{skips} skipped, {full_slots} full slots");
         assert!(moved > 0 && unmoved > 0, "{moved} resets moved a γ, {unmoved} did not");
-        assert!(rejoined > 0, "no speaker left and rejoined");
+        assert!(rejoined > 0, "no entry left the live list and rejoined");
     }
 
     /// A seeded airtime demand: with probability `p_load` a load up to
@@ -1103,9 +1225,9 @@ mod tests {
         // What the engine's control tick relies on when it flushes an EWMA
         // below f64::MIN_POSITIVE to +0.0: the scanning update on the
         // unflushed demands (the reference engine) and the planned update
-        // on the flushed ones, over only the links and nodes the flushed
-        // demands reach, give the same γ bits and violation counts.
-        let (net, imap, fresh) = partial_testbed();
+        // on the flushed ones, over only the links the flushed demands
+        // reach, give the same γ bits and violation counts.
+        let (net, _, fresh) = partial_testbed();
         let flush = |d: f64| if d.abs() < f64::MIN_POSITIVE { 0.0 } else { d };
         // (seed, share of loaded links, largest load, TCP receiver).
         let cases = [
@@ -1125,15 +1247,14 @@ mod tests {
                     .map(|_| if slot < 5 { mixed_demand(&mut rng, p_load, load) } else { 0.0 })
                     .collect();
                 subnormals += demands.iter().filter(|d| d.is_subnormal()).count();
+                plan.set_tcp_receivers(tcp_node);
                 for k in kept.iter_mut() {
                     k.set_tcp_receiver(Some(k.node()) == tcp_node);
-                    plan.set_tcp_receiver(k.node(), Some(k.node()) == tcp_node);
                     for l in k.egress.clone() {
                         k.set_demand(l, demands[l.index()]);
                         plan.set_demand(l, flush(demands[l.index()]));
                     }
                 }
-                let (priced, speakers) = least_lists(&net, &imap, &plan);
                 let total = airtime_total(&plan.states);
 
                 let bcast = gather(&net, &kept);
@@ -1141,9 +1262,8 @@ mod tests {
                 for s in kept.iter_mut() {
                     viol_kept += s.update_gammas_with_tcp_margin(&bcast, ALPHA, DELTA, DELTA_TCP);
                 }
-                let (viol_flushed, _) = plan.update_gammas_with_tcp_margin(
-                    &speakers, &priced, total, ALPHA, DELTA, DELTA_TCP,
-                );
+                let (viol_flushed, _) =
+                    plan.update_gammas_with_tcp_margin(total, ALPHA, DELTA, DELTA_TCP);
                 let case = format!("seed {seed}, slot {slot}");
                 assert_eq!(viol_kept, viol_flushed, "{case}: violation counts");
                 violations_seen += viol_kept;
@@ -1202,15 +1322,14 @@ mod tests {
                 if draw % 4 == 1 {
                     // An overloaded slot leaves some γ above zero.
                     set(&mut plan, &mut rng, 3.0);
-                    let (priced, speakers) = least_lists(&net, &imap, &plan);
+                    let (least, _) = least_lists(&net, &imap, &plan);
                     let total = airtime_total(&plan.states);
-                    plan.update_gammas_with_tcp_margin(
-                        &speakers, &priced, total, ALPHA, delta, delta_tcp,
-                    );
+                    plan.update_gammas_with_tcp_margin(total, ALPHA, delta, delta_tcp);
+                    assert!(least.iter().all(|l| plan.priced.contains(l)), "{name}, draw {draw}");
                     assert!(plan.gammas_set > 0, "{name}, draw {draw}: a γ is set");
                 }
                 if draw % 5 == 3 {
-                    plan.set_tcp_receiver(net.link(on_medium[0]).to, true);
+                    plan.set_tcp_receivers([net.link(on_medium[0]).to]);
                 }
                 // Just inside or just outside, by a few parts in 10⁹ or by
                 // the last bits.
@@ -1236,6 +1355,32 @@ mod tests {
             }
         }
         assert!(skipped > 20 && refused > 20, "{skipped} skipped, {refused} refused");
+    }
+
+    #[test]
+    fn a_tcp_flag_marks_its_entries_only_when_it_flips() {
+        let (net, _, fresh) = partial_testbed();
+        let mut plan = BroadcastPlan::new(&net, fresh);
+        let (a, b) = (NodeId(4), NodeId(9));
+        let entries = |n: NodeId| plan.entry_start[n.index()]..plan.entry_start[n.index() + 1];
+        let (of_a, of_b) = (entries(a), entries(b));
+        let marked = |plan: &mut BroadcastPlan, receivers: &[NodeId]| {
+            plan.set_tcp_receivers(receivers.iter().copied());
+            let mut dirty = plan.dirty.clone();
+            dirty.sort_unstable();
+            plan.update_gammas_with_tcp_margin(0.0, ALPHA, DELTA, DELTA_TCP);
+            assert!(plan.dirty.is_empty(), "a slot refreshes what it marked");
+            dirty
+        };
+        assert_eq!(marked(&mut plan, &[a]), of_a.clone().collect::<Vec<_>>(), "a is flagged");
+        assert!(marked(&mut plan, &[a]).is_empty(), "flagged in two slots in a row");
+        assert!(marked(&mut plan, &[a, a]).is_empty(), "named twice");
+        let both: Vec<u32> = of_a.clone().chain(of_b.clone()).collect();
+        assert_eq!(marked(&mut plan, &[b]), both, "a clears and b is flagged");
+        assert_eq!(plan.receivers, vec![b]);
+        assert_eq!(plan.live, of_b.clone().collect::<Vec<_>>(), "a flag alone is live");
+        assert_eq!(marked(&mut plan, &[]), of_b.collect::<Vec<_>>(), "b clears");
+        assert!(plan.live.is_empty() && plan.receivers.is_empty());
     }
 
     #[test]

@@ -106,176 +106,62 @@ pub(crate) const STREAM_FLOW: u64 = 0x464c_4f57; // "FLOW"
 /// Stream-family tag for per-link RNG streams.
 pub(crate) const STREAM_LINK: u64 = 0x4c49_4e4b; // "LINK"
 
-/// The links and nodes a control tick has to visit, as three ascending id
-/// lists that links join when they are offered a frame and leave once they
-/// are back at rest. Everything outside them is at the state it was
-/// constructed with, or at one a tick cannot tell from it, and a tick would
-/// leave it there, so the tick skips it.
-///
-/// * `active`: links whose demand EWMA or penalty EWMA is nonzero, or that
-///   were offered a frame since the last tick. The demand / EWMA pass runs
-///   over them alone, and a saturation-penalty sum walks them when they
-///   are fewer than the domain's members. A link is
-///   *measuring* while its demand EWMA can be nonzero; only measuring
-///   links put demand on a broadcast.
-/// * `priced`: links whose `y_l` (Eq. (7)), and with it `γ_l`, can be
-///   nonzero. A node announces its demand summed per technology (§4.2), so
-///   a measuring link `a` is overheard wherever any egress link of its
-///   owner on its medium is: the *earshot* of `a` is `⋃ I_e` over those
-///   links `e` (it contains `I_a`, hence every link whose saturation-penalty
-///   sum `a` feeds). `priced` is the earshot of the measuring links plus
-///   every link whose γ is not yet back at `+0.0`.
-/// * `speakers`: nodes whose broadcasts can differ from the all-zero ones
-///   they start with: owners of priced links and TCP receivers (§6.4). A
-///   node leaves only once the last refresh wrote its entries all-zero.
+/// The links a control tick measures, as an ascending id list that links
+/// join when they are offered a frame and leave once they are back at rest:
+/// `active` holds the links whose demand EWMA or penalty EWMA is nonzero,
+/// or that were offered a frame since the last tick. The demand / EWMA pass
+/// runs over them alone, and a saturation-penalty sum walks them when they
+/// are fewer than the domain's members. Any other link measures nothing
+/// and both EWMAs map zero to zero, so the tick skips it. What the slot
+/// then prices and scatters, the broadcast plan works out from the demands
+/// and flags the tick writes through it.
 ///
 /// Links leave because the control tick flushes an EWMA that has decayed
 /// below `f64::MIN_POSITIVE` to `+0.0` (DESIGN.md "Active-set control
-/// tick" shows why no rendered byte moves): a link stops measuring at a
-/// tick that measures a slot in which it was offered nothing and leaves
-/// its demand EWMA at `+0.0` (some 250 s after its last frame), and leaves
-/// `active` once its penalty EWMA is `+0.0` too (some 1 400 s after it). Under an input that
+/// tick" shows why no rendered byte moves): a link leaves at a tick that
+/// measures a slot in which it was offered nothing and leaves both EWMAs
+/// at `+0.0` (some 1 400 s after its last frame). Under an input that
 /// makes a tick move a link that carries nothing ([`Self::idle_links_rest`])
-/// nothing is flushed and every link is in every list from construction.
+/// nothing is flushed and every link is active from construction.
 struct ActiveSets {
     /// What [`Self::idle_links_rest`] says of the run's configuration:
-    /// whether EWMAs are flushed and links leave the lists at all.
+    /// whether EWMAs are flushed and links leave the list at all.
     rests: bool,
     active: Vec<LinkId>,
-    priced: Vec<LinkId>,
-    speakers: Vec<NodeId>,
     is_active: Vec<bool>,
-    measuring: Vec<bool>,
-    is_priced: Vec<bool>,
-    /// Per link: how many measuring links' earshot walks reach it, counted
-    /// with the walks' repetitions (positive iff it is in their earshot).
-    earshot: Vec<u32>,
-    /// Per node: how many of its egress links are priced.
-    priced_owned: Vec<u32>,
-    /// Some priced link has left every earshot and waits for its γ to
-    /// reach `+0.0`.
-    lingering: bool,
 }
 
 impl ActiveSets {
-    /// Empty sets, or every link and every link-owning node from the start
-    /// when `cfg` makes a tick move a link that carries nothing.
+    /// An empty list, or every link from the start when `cfg` makes a tick
+    /// move a link that carries nothing.
     fn new(net: &Network, cfg: &SimConfig) -> Self {
-        let links = net.link_count();
         let rests = Self::idle_links_rest(cfg);
-        let mut sets = ActiveSets {
-            rests,
-            active: Vec::new(),
-            priced: Vec::new(),
-            speakers: Vec::new(),
-            is_active: vec![!rests; links],
-            measuring: vec![!rests; links],
-            is_priced: vec![!rests; links],
-            earshot: vec![0; links],
-            priced_owned: vec![0; net.node_count()],
-            lingering: false,
-        };
-        if !rests {
-            sets.active = net.links().iter().map(|lk| lk.id).collect();
-            sets.priced = sets.active.clone();
-            let owns_a_link = |n: &NodeId| net.out_links(*n).next().is_some();
-            sets.speakers = net.nodes().iter().map(|n| n.id).filter(owns_a_link).collect();
-        }
-        sets
+        let active = if rests { Vec::new() } else { net.links().iter().map(|lk| lk.id).collect() };
+        ActiveSets { rests, active, is_active: vec![!rests; net.link_count()] }
     }
 
     /// Whether one control slot maps a link with no demand of its own and
-    /// none in earshot onto itself: no random draw, demand EWMA zero, γ
+    /// none overheard onto itself: no random draw, demand EWMA zero, γ
     /// zero, no margin violation. This is a rule on the input, not a
     /// switch: it fails when `estimation_rel_std > 0` (one draw per link
-    /// per slot) or `max(δ, δ_tcp) ≥ 1` (Eq. (8) raises the γ of an idle
-    /// link), and for inputs as odd as a non-finite EWMA factor, by
-    /// evaluating the slot's own expressions at zero.
+    /// per slot) or `max(δ, δ_tcp) > 1` (Eq. (8) raises the γ of an idle
+    /// link, [`BroadcastPlan::idle_prices_rest`]), and for inputs as odd as
+    /// a non-finite EWMA factor, by evaluating the slot's own expressions
+    /// at zero.
     fn idle_links_rest(cfg: &SimConfig) -> bool {
         let demand = cfg.demand_ewma * 0.0 + (1.0 - cfg.demand_ewma) * 0.0;
-        let rests = |d: f64| {
-            let gamma = (0.0 + AdaptiveAlpha::BASE_ALPHA * (0.0 - (1.0 - d))).max(0.0);
-            gamma.to_bits() == 0 && 1.0 - d >= 0.0
-        };
+        let delta_tcp = cfg.tcp_delta.max(cfg.delta);
         cfg.estimation_rel_std <= 0.0
             && demand.to_bits() == 0
-            && rests(cfg.delta)
-            && rests(cfg.tcp_delta.max(cfg.delta))
+            && BroadcastPlan::idle_prices_rest(AdaptiveAlpha::BASE_ALPHA, cfg.delta, delta_tcp)
     }
 
-    /// Joins `link`, offered a frame while not measuring, and what follows
-    /// from it: its earshot is priced and the owners of those links speak.
-    fn activate(&mut self, net: &Network, imap: &InterferenceMap, link: LinkId) {
+    /// Joins `link`, offered a frame while not active.
+    fn activate(&mut self, link: LinkId) {
         if !self.is_active[link.index()] {
             self.is_active[link.index()] = true;
-            insert_ascending(&mut self.active, link);
-        }
-        self.measuring[link.index()] = true;
-        for_earshot(net, imap, link, |p| {
-            self.earshot[p.index()] += 1;
-            if !self.is_priced[p.index()] {
-                self.is_priced[p.index()] = true;
-                insert_ascending(&mut self.priced, p);
-                let owner = net.link(p).from;
-                self.priced_owned[owner.index()] += 1;
-                insert_ascending(&mut self.speakers, owner);
-            }
-        });
-    }
-
-    /// `link`'s demand EWMA is back at `+0.0` and it was offered nothing:
-    /// it stops measuring and leaves the earshot counts. A link the last of
-    /// its earshots leaves stays priced until its γ is `+0.0` too
-    /// ([`Self::prune_priced`]). Returns the elements visited.
-    fn stop_measuring(&mut self, net: &Network, imap: &InterferenceMap, link: LinkId) -> u64 {
-        self.measuring[link.index()] = false;
-        let mut visits = 0;
-        for_earshot(net, imap, link, |p| {
-            self.earshot[p.index()] -= 1;
-            self.lingering |= self.earshot[p.index()] == 0;
-            visits += 1;
-        });
-        visits
-    }
-
-    /// Drops the priced links that no earshot reaches and whose γ is
-    /// `+0.0`: their `y_l` is `+0.0` and Eq. (8) keeps such a γ where it is.
-    /// Returns the elements visited.
-    fn prune_priced(&mut self, net: &Network, plan: &BroadcastPlan) -> u64 {
-        if !self.lingering {
-            return 0;
-        }
-        let visits = self.priced.len() as u64;
-        let mut lingering = false;
-        let (earshot, is_priced, owned) =
-            (&self.earshot, &mut self.is_priced, &mut self.priced_owned);
-        self.priced.retain(|&p| {
-            if earshot[p.index()] > 0 {
-                return true;
-            }
-            let owner = net.link(p).from;
-            if plan.gamma(p).to_bits() != 0 {
-                lingering = true;
-                return true;
-            }
-            is_priced[p.index()] = false;
-            owned[owner.index()] -= 1;
-            false
-        });
-        self.lingering = lingering;
-        visits
-    }
-}
-
-/// Calls `f` on every link of `link`'s earshot, `⋃ I_e` over the egress
-/// links `e` of its owner on its medium, repetitions included. The walk
-/// depends on the topology's fixed shape only, so a link leaving repeats
-/// exactly the walk it joined with.
-fn for_earshot(net: &Network, imap: &InterferenceMap, link: LinkId, mut f: impl FnMut(LinkId)) {
-    let (owner, medium) = (net.link(link).from, net.link(link).medium);
-    for e in net.out_links(owner).filter(|e| e.medium == medium) {
-        for &p in imap.domain(e.id) {
-            f(p);
+            let at = self.active.partition_point(|&a| a < link);
+            self.active.insert(at, link);
         }
     }
 }
@@ -288,13 +174,6 @@ fn flush_subnormal(x: f64) -> f64 {
         0.0
     } else {
         x
-    }
-}
-
-/// Inserts `id` into the ascending `list` unless it is a member already.
-fn insert_ascending<T: Ord>(list: &mut Vec<T>, id: T) {
-    if let Err(at) = list.binary_search(&id) {
-        list.insert(at, id);
     }
 }
 
@@ -365,27 +244,26 @@ pub struct Simulation {
     /// Per link: the tick count at which its saturation-penalty domain sum
     /// was last gathered, and the sum (see [`Simulation::domain_penalty`]).
     penalty_sums: Vec<(u64, f64)>,
-    /// What the control tick iterates: the links and nodes that can carry
-    /// control-plane state (see [`ActiveSets`]).
+    /// What the control tick measures: the links that can carry a demand
+    /// (see [`ActiveSets`]).
     sets: ActiveSets,
     last_start: Vec<f64>,
     /// Bits enqueued per link since the last control tick (demand).
     demand_bits: Vec<f64>,
-    /// EWMA-smoothed per-link airtime demand. Raw per-slot demand is
-    /// quantized to whole frames and therefore noisy (σ ≈ 0.1–0.2 of a
-    /// domain's budget at 12 kB frames); feeding it raw into the γ update's
-    /// positive-part recursion turns γ into a reflected random walk whose
-    /// mean grows with the noise, strangling the rates. Smoothing over a
-    /// few slots removes the bias at the cost of ~half a second of control
-    /// lag — exactly what a real driver's airtime statistics do.
-    last_demand: Vec<f64>,
     /// Slow-EWMA demand driving the saturation penalty: persistent
     /// overdrive must trigger it, single-slot quantization spikes must not.
     penalty_demand: Vec<f64>,
     /// Every node's price state, the run's broadcast vector and the index
     /// plan over it: replaces the per-slot `(node, medium)` membership
     /// scans of the reference engine with indexed sums over what changed
-    /// and what carries state, bit-identically.
+    /// and what carries state, bit-identically. It holds each link's
+    /// EWMA-smoothed airtime demand: raw per-slot demand is quantized to
+    /// whole frames and therefore noisy (σ ≈ 0.1–0.2 of a domain's budget
+    /// at 12 kB frames); feeding it raw into the γ update's positive-part
+    /// recursion turns γ into a reflected random walk whose mean grows with
+    /// the noise, strangling the rates. Smoothing over a few slots removes
+    /// the bias at the cost of ~half a second of control lag — exactly what
+    /// a real driver's airtime statistics do.
     bcast_plan: BroadcastPlan,
     flows: Vec<FlowRuntime>,
     stats: Vec<FlowStats>,
@@ -444,7 +322,6 @@ impl Simulation {
             penalty_sums: vec![(u64::MAX, 0.0); l],
             last_start: vec![-1.0; l],
             demand_bits: vec![0.0; l],
-            last_demand: vec![0.0; l],
             penalty_demand: vec![0.0; l],
             sets: ActiveSets::new(&net, &cfg),
             bcast_plan,
@@ -931,9 +808,7 @@ impl Simulation {
         // to push, which is what the prices must react to), so count the
         // frame even when the queue then drops it.
         self.demand_bits[l] += self.slab.get(id).size_bits as f64;
-        if !self.sets.measuring[l] {
-            self.sets.activate(&self.net, &self.imap, link);
-        }
+        self.sets.activate(link);
         if !self.net.link(link).is_alive() || self.queues[l].len() >= QUEUE_FRAMES {
             let (flow, seq) = {
                 let pkt = self.slab.get(id);
@@ -1292,11 +1167,11 @@ impl Simulation {
         //    optional capacity-estimation error. Active links only: any
         //    other link measured nothing, and both EWMAs map zero to zero.
         //    Where idle links rest, an EWMA below the normal range is
-        //    flushed to +0.0, and a link offered nothing leaves what its
-        //    zeroed EWMAs no longer feed. The network's total airtime
-        //    demand decides whether step 3 can move a price at all.
+        //    flushed to +0.0, and a link offered nothing whose EWMAs are
+        //    both zero leaves. The network's total airtime demand decides
+        //    whether step 3 can move a price at all.
         let rests = self.sets.rests;
-        let mut visits = self.sets.active.len() as u64;
+        let visits = self.sets.active.len() as u64;
         let mut airtime_total = 0.0;
         let mut kept = 0;
         for i in 0..self.sets.active.len() {
@@ -1321,8 +1196,8 @@ impl Simulation {
             } else {
                 demand
             };
-            let mut smoothed =
-                self.cfg.demand_ewma * noisy + (1.0 - self.cfg.demand_ewma) * self.last_demand[l];
+            let mut smoothed = self.cfg.demand_ewma * noisy
+                + (1.0 - self.cfg.demand_ewma) * self.bcast_plan.demand(id);
             let mut penalty = 0.05 * noisy + 0.95 * self.penalty_demand[l];
             if rests {
                 smoothed = flush_subnormal(smoothed);
@@ -1330,50 +1205,28 @@ impl Simulation {
             }
             self.bcast_plan.set_demand(id, smoothed);
             airtime_total += smoothed.abs();
-            self.last_demand[l] = smoothed;
             self.penalty_demand[l] = penalty;
             let offered = self.demand_bits[l] != 0.0;
             self.demand_bits[l] = 0.0;
-            if rests && !offered && smoothed.to_bits() == 0 {
-                if self.sets.measuring[l] {
-                    visits += self.sets.stop_measuring(&self.net, &self.imap, id);
-                }
-                if penalty.to_bits() == 0 {
-                    self.sets.is_active[l] = false;
-                    continue;
-                }
+            if rests && !offered && smoothed.to_bits() == 0 && penalty.to_bits() == 0 {
+                self.sets.is_active[l] = false;
+                continue;
             }
             self.sets.active[kept] = id;
             kept += 1;
         }
         self.sets.active.truncate(kept);
-        visits += self.sets.prune_priced(&self.net, &self.bcast_plan);
         // 2. TCP piggyback (§6.4): destinations of active TCP flows flag
         //    themselves; the flag rides on their price broadcasts and
         //    tightens the airtime budget across their contention domains.
-        //    A speaker stays one until the last refresh wrote its entries
-        //    all-zero (so a cleared flag is broadcast once) and it owns no
-        //    priced link.
-        for &n in &self.sets.speakers {
-            self.bcast_plan.set_tcp_receiver(n, false);
-        }
-        if rests {
-            let (owned, plan) = (&self.sets.priced_owned, &self.bcast_plan);
-            self.sets.speakers.retain(|&n| owned[n.index()] > 0 || !plan.broadcasts_at_rest(n));
-        }
-        for fl in &self.flows {
-            if fl.active && fl.spec.pattern.is_tcp() {
-                insert_ascending(&mut self.sets.speakers, fl.spec.dst);
-                self.bcast_plan.set_tcp_receiver(fl.spec.dst, true);
-            }
-        }
+        //    Only a flag that flips is written.
+        let receivers = self.flows.iter().filter(|fl| fl.active && fl.spec.pattern.is_tcp());
+        self.bcast_plan.set_tcp_receivers(receivers.map(|fl| fl.spec.dst));
         // 3. Broadcast, overhear, update duals, broadcast the updated γ
         //    sums for the coming slot; a slot that cannot move a price
         //    only broadcasts.
         let delta = self.cfg.delta;
         let (margin_violations, plan_visits) = self.bcast_plan.update_gammas_with_tcp_margin(
-            &self.sets.speakers,
-            &self.sets.priced,
             airtime_total,
             AdaptiveAlpha::BASE_ALPHA,
             delta,
@@ -1429,8 +1282,8 @@ impl Simulation {
         // drained ticks be skipped and accounted for arithmetically: once a
         // controlled flow has delivered a frame its ACK fires and counts
         // every slot, so no tick is the identity. What a tick costs is the
-        // links and nodes that still carry control-plane state
-        // ([`ActiveSets`]): once the flushed EWMAs have let every link
+        // links that still carry control-plane state ([`ActiveSets`] and
+        // the broadcast plan): once the flushed EWMAs have let every link
         // rest, a tick is the ACK and controller steps above and nothing
         // else.
         self.events.push(self.now + slot, Event::ControlTick);
@@ -1971,9 +1824,7 @@ mod active_set_tests {
             for round in 1..=2 {
                 let before = read(&mut sim);
                 for &(l, d) in &demands[..demands.len() * round / 2] {
-                    if !sim.sets.is_active[l.index()] {
-                        sim.sets.activate(&sim.net, &sim.imap, l);
-                    }
+                    sim.sets.activate(l);
                     sim.penalty_demand[l.index()] = d * round as f64;
                 }
                 assert_eq!(read(&mut sim), before, "{case}, round {round}: kept within a slot");
@@ -1985,14 +1836,13 @@ mod active_set_tests {
                 }
                 assert_eq!(read(&mut sim), gathered(&sim), "{case}, round {round}");
             }
-            let priced = sim.sets.priced.len();
+            let active = sim.sets.active.len();
             match case {
-                "every link loaded" => assert_eq!(priced, net.link_count()),
-                "no demand at all" => assert_eq!(priced, 0),
-                _ => assert!(0 < priced && priced < net.link_count(), "{case}: {priced} priced"),
+                "every link loaded" => assert_eq!(active, net.link_count()),
+                "no demand at all" => assert_eq!(active, 0),
+                _ => assert!(0 < active && active < net.link_count(), "{case}: {active} active"),
             }
-            assert!(sim.sets.active.is_sorted() && sim.sets.priced.is_sorted(), "{case}");
-            assert!(sim.sets.speakers.is_sorted(), "{case}");
+            assert!(sim.sets.active.is_sorted(), "{case}");
         }
         assert!(walks.0 > 0 && walks.1 > 0, "both walks are taken: {walks:?}");
     }
@@ -2005,6 +1855,9 @@ mod active_set_tests {
         assert!(!rests(SimConfig { estimation_rel_std: 0.2, ..Default::default() }));
         assert!(!rests(SimConfig { delta: 1.5, ..Default::default() }));
         assert!(!rests(SimConfig { tcp_delta: 1.5, ..Default::default() }));
+        // A margin of exactly 1 is the boundary: an idle γ stays at +0.0.
+        assert!(rests(SimConfig { delta: 1.0, ..Default::default() }));
+        assert!(rests(SimConfig { tcp_delta: 1.0, ..Default::default() }));
         assert!(!rests(SimConfig { demand_ewma: f64::INFINITY, ..Default::default() }));
 
         let net = testbed22(3).net;
@@ -2012,8 +1865,7 @@ mod active_set_tests {
         let noisy = SimConfig { estimation_rel_std: 0.2, ..Default::default() };
         let sim = Simulation::new(net.clone(), imap, noisy);
         assert_eq!(sim.sets.active.len(), net.link_count());
-        assert_eq!(sim.sets.priced.len(), net.link_count());
-        assert_eq!(sim.sets.speakers.len(), net.node_count());
+        assert!(sim.sets.is_active.iter().all(|&a| a));
     }
 
     #[test]
@@ -2045,7 +1897,7 @@ mod active_set_tests {
                 let y = flush_subnormal(sim.penalty_demand[l]);
                 sim.penalty_demand[l] = y;
                 if y.to_bits() != 0 {
-                    sim.sets.activate(&sim.net, &sim.imap, LinkId(l as u32));
+                    sim.sets.activate(LinkId(l as u32));
                 }
             }
             for (l, &bits) in unflushed.iter().enumerate() {
@@ -2058,46 +1910,20 @@ mod active_set_tests {
         assert!(penalized > 0 && penalized < 6 * net.link_count(), "{penalized} sums over 1.1");
     }
 
-    /// The membership rules of [`ActiveSets`], re-derived from the engine's
-    /// state: what carries control-plane state is in the lists, the lists
-    /// ascend, and what a tick skips is at rest.
+    /// The membership rule of [`ActiveSets`], re-derived from the engine's
+    /// state: every link with a nonzero EWMA is in the list, and the list
+    /// ascends.
     fn assert_sets_hold(sim: &Simulation, at: &str) {
         let sets = &sim.sets;
-        let ascends = |v: &[LinkId]| v.windows(2).all(|w| w[0] < w[1]);
-        assert!(ascends(&sets.active) && ascends(&sets.priced), "{at}");
-        assert!(sets.speakers.windows(2).all(|w| w[0] < w[1]), "{at}");
-        let mut earshot = vec![0u32; sim.net.link_count()];
-        let mut owned = vec![0u32; sim.net.node_count()];
+        assert!(sets.active.windows(2).all(|w| w[0] < w[1]), "{at}");
         for lk in sim.net.links() {
             let (id, l) = (lk.id, lk.id.index());
             assert_eq!(sets.is_active[l], sets.active.binary_search(&id).is_ok(), "{at}: {id:?}");
-            assert_eq!(sets.is_priced[l], sets.priced.binary_search(&id).is_ok(), "{at}: {id:?}");
-            assert!(!sets.measuring[l] || sets.is_active[l], "{at}: {id:?} measures");
-            if sim.last_demand[l].to_bits() != 0 {
-                assert!(sets.measuring[l], "{at}: {id:?} has demand");
+            if sim.bcast_plan.demand(id).to_bits() != 0 {
+                assert!(sets.is_active[l], "{at}: {id:?} has demand");
             }
             if sim.penalty_demand[l].to_bits() != 0 {
                 assert!(sets.is_active[l], "{at}: {id:?} has a penalty demand");
-            }
-            if sim.bcast_plan.gamma(id).to_bits() != 0 {
-                assert!(sets.is_priced[l], "{at}: {id:?} has a γ");
-            }
-            if sets.measuring[l] {
-                for_earshot(&sim.net, &sim.imap, id, |p| earshot[p.index()] += 1);
-            }
-            if sets.is_priced[l] {
-                owned[lk.from.index()] += 1;
-                assert!(sets.speakers.binary_search(&lk.from).is_ok(), "{at}: owner of {id:?}");
-            }
-        }
-        assert_eq!(sets.earshot, earshot, "{at}");
-        assert_eq!(sets.priced_owned, owned, "{at}");
-        for (l, &heard) in earshot.iter().enumerate() {
-            assert!(heard == 0 || sets.is_priced[l], "{at}: link {l} is in earshot");
-        }
-        for n in sim.net.nodes() {
-            if sets.speakers.binary_search(&n.id).is_err() {
-                assert!(sim.bcast_plan.broadcasts_at_rest(n.id), "{at}: {:?} is silent", n.id);
             }
         }
     }
@@ -2107,8 +1933,8 @@ mod active_set_tests {
         // Table 1 Tiny's shape (a 100 kB download on flow 6-13 of the
         // testbed), run past the flush of the slower EWMA: the demand EWMAs
         // reach +0.0 some 250 s after the last frame, the penalty EWMAs some
-        // 1 400 s after it. Then all three lists are empty and a tick
-        // visits nothing.
+        // 1 400 s after it. Then the active list is empty and a tick visits
+        // nothing.
         let t = testbed22(1);
         let imap = CarrierSense::default().build_map(&t.net);
         let hop = |a: u32, b: u32, m: Medium| t.net.find_link(NodeId(a - 1), NodeId(b - 1), m);
@@ -2133,20 +1959,21 @@ mod active_set_tests {
             let before = sim.perf_stats().tick_visits;
             sim.run_until(now);
             assert_sets_hold(&sim, &format!("{now} s"));
-            let sets = &sim.sets;
             if rested_at.is_some() {
                 assert_eq!(sim.perf_stats().tick_visits, before, "a rested tick visited, {now} s");
             }
-            if sets.active.is_empty() && sets.priced.is_empty() && sets.speakers.is_empty() {
+            if sim.sets.active.is_empty() {
                 rested_at.get_or_insert(now);
             } else {
                 assert!(rested_at.is_none(), "a link left its rest unprompted, {now} s");
             }
+            let demands = sim.net.links().iter().filter(|lk| sim.bcast_plan.demand(lk.id) != 0.0);
+            let demanding = demands.count();
             if now == 200.0 {
-                assert!(!sets.priced.is_empty(), "the demand EWMAs still decay at 200 s");
+                assert!(demanding > 0, "the demand EWMAs still decay at 200 s");
             }
             if now == 500.0 {
-                assert!(sets.priced.is_empty() && !sets.active.is_empty(), "penalties at 500 s");
+                assert!(demanding == 0 && !sim.sets.active.is_empty(), "penalties at 500 s");
             }
         }
         assert_eq!(sim.report(1800.0).flows[0].completions.len(), 1, "the download completes");

@@ -211,8 +211,11 @@ fn rendered<E: SimEngine>(sim: &mut E, name: &str, duration: f64) -> CorpusOutpu
 
 #[test]
 fn links_that_join_the_active_sets_late_leave_every_byte_unchanged() {
-    // Noise and a margin of 1 are the two inputs under which a tick moves
-    // a link that carries nothing, so every link is active from the start.
+    // Noise makes a tick move a link that carries nothing (one draw per
+    // link per slot), so every link is active from the start. A margin of
+    // exactly 1 is the boundary: Eq. (8) still leaves an idle γ at +0.0
+    // and counts no violation, so links rest; only `max(δ, δ_tcp) > 1`
+    // moves them (`idle_prices_that_move`).
     for (noise, delta) in [(0.0, 0.05), (0.2, 0.05), (0.0, 1.0), (0.2, 1.0)] {
         let opt = late_joiners::<Simulation>(noise, delta);
         let reference = late_joiners::<ReferenceSimulation>(noise, delta);
@@ -222,6 +225,40 @@ fn links_that_join_the_active_sets_late_leave_every_byte_unchanged() {
         assert_eq!(opt.trace, reference.trace, "{case}: packet trace diverged");
         assert_eq!(opt.manifest, reference.manifest, "{case}: telemetry manifest diverged");
     }
+}
+
+/// A TCP margin above one, `max(δ, δ_tcp) > 1`: Eq. (8) then raises the γ
+/// of every link that overhears a TCP receiver's flag, idle or not, and
+/// counts a violation on it every slot, so no link rests and the EWMAs are
+/// never flushed. A TCP transfer runs from 1 s to 15 s beside a saturated
+/// UDP flow, and the run goes on to 25 s while the γ unwind.
+fn idle_prices_that_move<E: SimEngine>() -> CorpusOutput {
+    let t = testbed22(1);
+    let imap = CarrierSense::default().build_map(&t.net);
+    let cfg = SimConfig { seed: 7, delta: 0.05, tcp_delta: 1.2, ..SimConfig::default() };
+    let udp = vec![route(&t.net, &[1, 13], Medium::Plc), route(&t.net, &[1, 4, 13], Medium::WIFI1)];
+    let tcp = vec![route(&t.net, &[5, 9], Medium::Plc)];
+    let mut sim = E::build(t.net.clone(), imap, cfg);
+    sim.attach_telemetry(Telemetry::enabled());
+    sim.attach_trace(Trace::new());
+    sim.add_flow(FlowSpecSim::saturated(node(1), node(13), udp, 25.0));
+    sim.add_flow(FlowSpecSim {
+        pattern: TrafficPattern::Tcp { start: 1.0, stop: 15.0, size_bytes: 0 },
+        delay_equalization: true,
+        ..FlowSpecSim::saturated(node(5), node(9), tcp, 15.0)
+    });
+    sim.run_until(25.0);
+    rendered(&mut sim, "idle_prices_that_move", 25.0)
+}
+
+#[test]
+fn idle_links_whose_prices_move_leave_every_byte_unchanged() {
+    let opt = idle_prices_that_move::<Simulation>();
+    let reference = idle_prices_that_move::<ReferenceSimulation>();
+    assert!(opt.trace.lines().count() > 5_000, "the run carries traffic");
+    assert_eq!(opt.report, reference.report, "SimReport diverged");
+    assert_eq!(opt.trace, reference.trace, "packet trace diverged");
+    assert_eq!(opt.manifest, reference.manifest, "telemetry manifest diverged");
 }
 
 /// §4.2 aggregates a node's demand per technology, so under partial
