@@ -17,6 +17,8 @@
 #                    # Rust lines without blanks and comments, per crate and
 #                    # in total, non-test code and test code apart; with a
 #                    # ref, the same for it beside the working tree's
+#   ./ci.sh mutants  # every mutants/*.patch applies to an export of the
+#                    # working tree and fails the test it names
 #
 # Tier-1 (ROADMAP.md): `cargo build --release && cargo test -q` must pass.
 set -eu
@@ -349,6 +351,76 @@ lines() {
     rm -rf "$root/base"
 }
 
+# Mutation proofs, the idea of cargo-mutants (https://mutants.rs) without
+# the tool: each mutants/NNN-name.patch plants one bug, and its preamble
+# names the test that must catch it, in a line
+#   Fails: <package> <test target, or lib for unit tests> <test name>
+# and optionally a line `Expect: <text>` that the failing test must print.
+# The working tree's files (those git tracks or would track, the content
+# `git archive` ships once committed) are exported under target/mutants/.
+# There each named test must pass first; then for each patch, in name
+# order, the runner asserts that the patch applies, that the mutant
+# builds, and that the named test fails (with the expected text), and
+# reverts the patch. A mutant that survives is a test that no longer
+# guards what it was written for. Tests build in release, as the full
+# lane runs them, so a `debug_assert!` does not catch a mutant in the
+# named test's place. Writes only under target/.
+mutants() {
+    root="$PWD/target/mutants"
+    tree="$root/tree"
+    rm -rf "$tree"
+    mkdir -p "$tree"
+    git ls-files --cached --others --exclude-standard \
+        | while IFS= read -r f; do [ -e "$f" ] && printf '%s\n' "$f"; done \
+        | tar -c -T - | tar -x -m -C "$tree"
+    # named_test <patch> [--no-run]: build, and unless --no-run run, the
+    # test the patch names, alone; the output goes to $root/out.
+    named_test() {
+        patch_file="$1"
+        shift
+        set -- $(sed -n 's/^Fails: //p' "$patch_file") "$@"
+        [ "$#" -ge 3 ] || { echo "$patch_file names no test (Fails: <package> <target> <test>)" >&2; exit 1; }
+        if [ "$2" = lib ]; then target=--lib; else target="--test $2"; fi
+        # shellcheck disable=SC2086
+        cargo test -q --release --manifest-path "$tree/Cargo.toml" --target-dir "$root/target" \
+            -p "$1" $target ${4:-} -- --exact "$3" >"$root/out" 2>&1
+    }
+    patches="$(ls mutants/*.patch)"
+    say "mutants: the named tests pass on the working tree"
+    for p in $patches; do
+        named_test "$p" || { echo "$p: its named test fails unmutated" >&2; cat "$root/out" >&2; exit 1; }
+        grep -q '^running 1 test' "$root/out" \
+            || { echo "$p: its named test does not exist" >&2; cat "$root/out" >&2; exit 1; }
+    done
+    caught=0
+    for p in $patches; do
+        name="$(sed -n 's/^Fails: //p' "$p")"
+        expect="$(sed -n 's/^Expect: //p' "$p")"
+        say "mutants: $p must fail $name"
+        patch -d "$tree" -p1 --batch --dry-run -s <"$p" >/dev/null \
+            || { echo "$p no longer applies" >&2; exit 1; }
+        patch -d "$tree" -p1 --batch -s <"$p"
+        named_test "$p" --no-run \
+            || { echo "$p does not build (a mutant must compile):" >&2; cat "$root/out" >&2; exit 1; }
+        if named_test "$p"; then
+            echo "$p SURVIVED: $name passes with the mutant" >&2
+            exit 1
+        fi
+        if [ -n "$expect" ] && ! grep -qF "$expect" "$root/out"; then
+            echo "$p fails $name, but without printing: $expect" >&2
+            cat "$root/out" >&2
+            exit 1
+        fi
+        patch -d "$tree" -p1 --batch -R -s <"$p"
+        caught=$((caught + 1))
+    done
+    echo "all $caught mutants caught"
+}
+
+if [ "${1:-}" = "mutants" ]; then
+    mutants
+    exit 0
+fi
 if [ "${1:-}" = "lines" ]; then
     shift
     lines "$@"
@@ -434,6 +506,8 @@ else
     # The package's own unit tests (the tables in BENCHMARK.json and its
     # README repeat the code's, replay = entry point, ...).
     cargo test -q --locked --manifest-path benchmark/Cargo.toml
+    say "mutants: every checked-in mutant fails the test it names"
+    mutants
 fi
 
 if [ "${EMPOWER_MIRI:-}" = "1" ]; then

@@ -42,8 +42,8 @@ pub use dijkstra::{
 pub use ksp::{k_shortest_paths, k_shortest_paths_into, KspWorkspace};
 pub use metrics::{LinkMetric, MetricKind};
 pub use multipath::{
-    best_combination, best_combination_reference, best_combination_reference_counted, Explorer,
-    MultipathConfig, RouteAllocation, RouteSet, SearchStats,
+    best_combination, best_combination_reference, best_combination_reference_counted, CliqueBound,
+    Explorer, MultipathConfig, RouteAllocation, RouteSet, SearchStats,
 };
 pub use query::RouteQuery;
 pub use update::{update_multigraph, update_multigraph_logged, UndoLog, UpdateScratch};

@@ -109,34 +109,78 @@ pub fn update_multigraph_logged(
     undo: &mut UndoLog,
     scratch: &mut UpdateScratch,
 ) -> f64 {
-    let inc = path.incidence(imap);
-    let rate = path.capacity_with(net, &inc);
-    if rate <= 0.0 {
-        return 0.0;
+    let rate = route_rate(net, imap, path);
+    if rate > 0.0 {
+        apply_update(net, imap, path, rate, undo, scratch);
     }
+    rate
+}
+
+/// `R(P)` as `update(P, G)` assumes it, `0.0` for a path with no capacity.
+pub(crate) fn route_rate(net: &Network, imap: &InterferenceMap, path: &Path) -> f64 {
+    let rate = path.capacity_with(net, &path.incidence(imap));
+    if rate <= 0.0 {
+        0.0
+    } else {
+        rate
+    }
+}
+
+/// The writes of [`update_multigraph_logged`] for a path whose positive
+/// rate [`route_rate`] already gave.
+pub(crate) fn apply_update(
+    net: &mut Network,
+    imap: &InterferenceMap,
+    path: &Path,
+    rate: f64,
+    undo: &mut UndoLog,
+    scratch: &mut UpdateScratch,
+) {
     // Union of the interference domains of the path's links, as a packed
     // bitset; the scaling factors r(l, P) must all be computed on the
     // *pre-update* capacities, hence the stage-then-write split.
     imap.union_domains_into(path.links(), &mut scratch.affected);
     scratch.scaled.clear();
-    // `r(l, P)` depends on `l` only through its incidence mask, so it is
-    // computed once per distinct mask below 64: every mask of a route of at
-    // most `MAX_ROUTE_HOPS` = 6 hops.
-    let mut memo = [None; 64];
+    let mut memo: ResidualMemo = [None; 64];
     for l in InterferenceMap::iter_links(&scratch.affected) {
-        let mask = imap.incidence_mask(l, path.links());
-        let residual = || path.residual_idle_fraction_masked(net, mask, rate);
-        let r = match memo.get_mut(mask as usize) {
-            Some(slot) => *slot.get_or_insert_with(residual),
-            None => residual(),
-        };
-        scratch.scaled.push((l, (net.link(l).capacity_mbps * r).max(0.0)));
+        scratch.scaled.push((l, updated_capacity(net, imap, path, rate, l, &mut memo)));
     }
     for &(l, cap) in &scratch.scaled {
         undo.entries.push((l, net.link(l).capacity_mbps));
         net.set_capacity(l, cap);
     }
-    rate
+}
+
+/// `r(l, P)` per incidence mask, for one path, rate and multigraph.
+/// `r(l, P)` depends on `l` only through its incidence mask, so it is
+/// computed once per distinct mask below 64: every mask of a route of at
+/// most `MAX_ROUTE_HOPS` = 6 hops.
+pub(crate) type ResidualMemo = [Option<f64>; 64];
+
+/// The capacity `update(P, G)` at `rate` leaves on `link`: `c_l · r(l, P)`
+/// clamped at zero, and `c_l` itself when `I_l ∩ P` is empty (the update
+/// writes only the union of the path's domains). [`apply_update`] writes
+/// this value and the §3.2 search's bound reads it before the update, so
+/// the two agree bit for bit.
+pub(crate) fn updated_capacity(
+    net: &Network,
+    imap: &InterferenceMap,
+    path: &Path,
+    rate: f64,
+    link: LinkId,
+    memo: &mut ResidualMemo,
+) -> f64 {
+    let capacity = net.link(link).capacity_mbps;
+    let mask = imap.incidence_mask(link, path.links());
+    if mask == 0 {
+        return capacity;
+    }
+    let residual = || path.residual_idle_fraction_masked(net, mask, rate);
+    let r = match memo.get_mut(mask as usize) {
+        Some(slot) => *slot.get_or_insert_with(residual),
+        None => residual(),
+    };
+    (capacity * r).max(0.0)
 }
 
 #[cfg(test)]
