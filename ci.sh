@@ -4,9 +4,11 @@
 #   ./ci.sh          # fmt check + clippy + tier-1 build/test
 #   ./ci.sh quick    # skip the release build, debug tests only; the
 #                    # frozen benchmark is type-checked, not run
-#   ./ci.sh pairs <base-ref> <workload|all> [pairs=10]
+#   ./ci.sh pairs <base-ref> <workload|all> [pairs=10] [metric=wall_s]
 #                    # measure a change against a commit (no gates run);
-#                    # `all` measures every workload of BENCHMARK.json in turn
+#                    # `all` measures every workload of BENCHMARK.json in turn;
+#                    # wins and the gain rule are read on <metric>, one of
+#                    # BENCHMARK.json's end-to-end metrics
 #   ./ci.sh identical <base-ref>
 #                    # byte-identity of a refactor: every figure at --quick
 #                    # (stdout, manifest and --json rows) and every
@@ -34,22 +36,25 @@ say() { printf '\n== %s ==\n' "$1"; }
 # BENCHMARK.json's `end_to_end`, not only wall_s) and the digest of its
 # renderings (`DIGEST DIFFERS` where base and change disagree, so a
 # byte-identical claim is checked by the run that measures it), each side's medians and
-# quartiles, who won on wall_s, and a flag per metric by the rule of the
+# quartiles, who won on the claimed metric (wall_s unless a fourth
+# argument names another end-to-end metric), and a flag per metric by the rule of the
 # benchmark's own `compare`. A metric is UNRESOLVED when either side's
 # (q3 - q1) / median exceeds its declared bound and the sides overlap; it
 # is REGRESSED when the change median is worse than the base median by
 # more than the bound and, if a side is that noisy, every change run is
 # worse than every base run. A gain counts when at least 10 pairs ran, the change wins at least
-# nine tenths of them on wall_s and the wall_s medians differ by more than
-# the distance between the base's own quartiles. With `all` for the
+# nine tenths of them on the claimed metric and its medians differ, in the
+# metric's better direction, by more than the distance between the base's
+# own quartiles. With `all` for the
 # workload, both sides are built once and every workload BENCHMARK.json
 # names gets its pairs and verdict in turn, so a change that claims one
 # workload is also checked on the others. Writes only under target/.
 pairs() {
-    usage="usage: ./ci.sh pairs <base-ref> <workload|all> [pairs=10]"
+    usage="usage: ./ci.sh pairs <base-ref> <workload|all> [pairs=10] [metric=wall_s]"
     base_ref="${1:?$usage}"
     workloads="${2:?$usage}"
     count="${3:-10}"
+    claimed="${4:-wall_s}"
     [ "$count" -ge 1 ] 2>/dev/null || { echo "$usage" >&2; exit 2; }
     root="$PWD/target/pairs"
     # The base is a plain export of <base-ref>, not a worktree: a leftover
@@ -71,8 +76,7 @@ pairs() {
     cargo build --release --locked --manifest-path benchmark/Cargo.toml \
         --target-dir "$root/change-target"
     # The end-to-end metrics as "name better bound" lines, straight from
-    # the working tree's BENCHMARK.json. wall_s must come first: the wins
-    # and the gain rule below read column one.
+    # the working tree's BENCHMARK.json.
     tr '{},' '\n\n\n' <BENCHMARK.json | awk -F'"' '
         $2 == "end_to_end" { on = 1 }
         $2 == "per_layer" { on = 0 }
@@ -88,8 +92,8 @@ pairs() {
             on && $2 == "name" { print $4 }
         ')"
     fi
-    [ "$(echo "$names" | head -n 1)" = wall_s ] \
-        || { echo "BENCHMARK.json: end_to_end must start with wall_s" >&2; exit 1; }
+    echo "$names" | grep -qx "$claimed" \
+        || { echo "pairs: $claimed is not an end-to-end metric of BENCHMARK.json" >&2; exit 2; }
     # One timed pass from the checkout it was built from; its last output
     # line is the result object. Prints the metrics' values in $names order
     # and leaves the digest of the pass's renderings, read from its summary
@@ -112,7 +116,7 @@ pairs() {
 }
 
 # The alternated pairs and the verdict for one workload; `pairs` sets
-# $root, $names, $count and $base_ref and defines `pass`.
+# $root, $names, $count, $claimed and $base_ref and defines `pass`.
 pairs_of() {
     workload="$1"
     say "pairs: $workload, $count pairs, base = $base_ref"
@@ -147,7 +151,7 @@ pairs_of() {
         echo
         i=$((i + 1))
     done
-    awk '
+    awk -v claimed="$claimed" '
         function at(v, n, p,    x, lo) {
             x = 1 + (n - 1) * p; lo = int(x)
             return lo >= n ? v[n] : v[lo] + (x - lo) * (v[lo + 1] - v[lo])
@@ -156,10 +160,12 @@ pairs_of() {
             for (i = 2; i <= n; i++)
                 for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
         }
-        FNR == NR { k++; name[k] = $1; better[k] = $2; bound[k] = $3; next }
+        FNR == NR { k++; name[k] = $1; better[k] = $2; bound[k] = $3; if ($1 == claimed) g = k; next }
+        # Wins on the claimed metric, column g of each side.
         { n++
           for (j = 1; j <= k; j++) { b[j, n] = $j; c[j, n] = $(j + k) }
-          if ($(1 + k) < $1) won++; else if ($1 < $(1 + k)) lost++; else ties++ }
+          d = better[g] == "higher" ? $(g + k) - $g : $g - $(g + k)
+          if (d > 0) won++; else if (d < 0) lost++; else ties++ }
         function spread(v, n, m) { return m == 0 ? 0 : (at(v, n, .75) - at(v, n, .25)) / (m < 0 ? -m : m) }
         END {
             regressed = 0; unresolved = 0
@@ -167,7 +173,7 @@ pairs_of() {
                 for (i = 1; i <= n; i++) { bs[i] = b[j, i]; cs[i] = c[j, i] }
                 sorted(bs, n); sorted(cs, n)
                 bm = at(bs, n, .5); cm = at(cs, n, .5)
-                if (j == 1) { wb = bm; wc = cm; wiqr = at(bs, n, .75) - at(bs, n, .25) }
+                if (j == g) { wb = bm; wc = cm; wiqr = at(bs, n, .75) - at(bs, n, .25) }
                 # Oriented so that positive is worse.
                 hi = better[j] == "higher"
                 worse = (hi ? bm - cm : cm - bm)
@@ -185,8 +191,8 @@ pairs_of() {
                     name[j], bm, at(bs, n, .25), at(bs, n, .75), cm, at(cs, n, .25), at(cs, n, .75),
                     bm == 0 ? 1 : cm / bm, bound[j], bad ? "  REGRESSED" : unres ? "  UNRESOLVED" : ""
             }
-            printf "wall_s: change wins %d, base wins %d, ties %d of %d pairs\n", won, lost, ties, n
-            gain = won >= 0.9 * n && wb - wc > wiqr
+            printf "%s: change wins %d, base wins %d, ties %d of %d pairs\n", claimed, won, lost, ties, n
+            gain = won >= 0.9 * n && (better[g] == "higher" ? wc - wb : wb - wc) > wiqr
             if (n < 10) print "fewer than 10 pairs: too few to claim a gain"
             else print (gain ? "a gain by the rule" : "not a gain by the rule")
             print (regressed ? regressed " metric(s) worse than their bound" : "no metric worse than its bound")

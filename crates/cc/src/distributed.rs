@@ -62,30 +62,83 @@ pub struct LinkPriceState {
 /// this node's own egress indexes inside the link's domain.
 type OverhearSet = (Vec<(NodeId, Medium)>, Vec<usize>);
 
-impl LinkPriceState {
-    /// Builds the state for `node`, deriving the overhearing sets from the
-    /// interference map.
-    pub fn new(net: &Network, imap: &InterferenceMap, node: NodeId) -> Self {
+/// The dense index of the `(node, medium)` pair `node · M + m`, where `m`
+/// is the medium's rank in [`Network::mediums`] and `M` their number.
+fn pair_index(net: &Network, node: NodeId, medium: Medium) -> usize {
+    // Every link's medium is listed, so the search always hits.
+    let (Ok(m) | Err(m)) = net.mediums().binary_search(&medium);
+    node.index() * net.mediums().len() + m
+}
+
+/// What the price states of one network are built from, laid out once:
+/// per link its position in its owner's egress list and its `(owner,
+/// medium)` pair, and per pair the stamp of the last link whose `I_l`
+/// took it. Each `I_l` is then walked at most once, in time linear in its
+/// size.
+struct Overhearing {
+    /// Per [`LinkId`] index: the link's position in its owner's egress list.
+    egress_pos: Vec<u32>,
+    /// Per [`LinkId`] index: the [`pair_index`] of its owner and medium.
+    pair_of: Vec<u32>,
+    /// Per pair: the stamp of the last link whose overhearing set took it.
+    taken_by: Vec<u32>,
+    /// Renewed for every link walked, so no pair is taken twice in one set.
+    stamp: u32,
+}
+
+impl Overhearing {
+    fn new(net: &Network) -> Self {
+        let mut egress_pos = vec![0; net.link_count()];
+        for n in net.nodes() {
+            for (pos, lk) in net.out_links(n.id).enumerate() {
+                egress_pos[lk.id.index()] = pos as u32;
+            }
+        }
+        let pair_of = net.links().iter().map(|lk| pair_index(net, lk.from, lk.medium) as u32);
+        Overhearing {
+            egress_pos,
+            pair_of: pair_of.collect(),
+            taken_by: vec![0; net.node_count() * net.mediums().len()],
+            stamp: 0,
+        }
+    }
+
+    /// The state of `node`. Per egress link `l`, one pass over `I_l` sorts
+    /// each member into the node's own egress positions (a member whose
+    /// pair is one of the node's) or, the first time its pair is met, the
+    /// overheard pairs, both in domain order. Both sets depend on `I_l` and
+    /// the node alone, so a link whose domain equals one already walked
+    /// for this node (its egress links inside one clique) takes that
+    /// link's sets.
+    fn state(&mut self, net: &Network, imap: &InterferenceMap, node: NodeId) -> LinkPriceState {
+        let media = net.mediums().len() as u32;
+        let first_own = node.index() as u32 * media;
         let egress: Vec<LinkId> = net.out_links(node).map(|l| l.id).collect();
-        let overheard = egress
-            .iter()
-            .map(|&l| {
-                let mut nodes: Vec<(NodeId, Medium)> = Vec::new();
-                let mut own = Vec::new();
-                for &i in imap.domain(l) {
-                    let owner = net.link(i).from;
-                    let medium = net.link(i).medium;
-                    if owner == node {
-                        if let Some(pos) = egress.iter().position(|&e| e == i) {
-                            own.push(pos);
-                        }
-                    } else if !nodes.contains(&(owner, medium)) {
-                        nodes.push((owner, medium));
-                    }
+        let mut overheard: Vec<OverhearSet> = Vec::with_capacity(egress.len());
+        // The egress positions whose domain was walked, each distinct.
+        let mut walked: Vec<usize> = Vec::new();
+        for &l in &egress {
+            let domain = imap.domain(l);
+            if let Some(&j) = walked.iter().find(|&&j| imap.domain(egress[j]) == domain) {
+                overheard.push(overheard[j].clone());
+                continue;
+            }
+            walked.push(overheard.len());
+            self.stamp += 1;
+            let mut nodes: Vec<(NodeId, Medium)> = Vec::new();
+            let mut own = Vec::new();
+            for &i in domain {
+                let pair = self.pair_of[i.index()];
+                if pair.wrapping_sub(first_own) < media {
+                    own.push(self.egress_pos[i.index()] as usize);
+                } else if self.taken_by[pair as usize] != self.stamp {
+                    self.taken_by[pair as usize] = self.stamp;
+                    let lk = net.link(i);
+                    nodes.push((lk.from, lk.medium));
                 }
-                (nodes, own)
-            })
-            .collect();
+            }
+            overheard.push((nodes, own));
+        }
         LinkPriceState {
             node,
             tcp_receiver: false,
@@ -94,6 +147,23 @@ impl LinkPriceState {
             egress,
             overheard,
         }
+    }
+}
+
+impl LinkPriceState {
+    /// Builds the state for `node`, deriving the overhearing sets from the
+    /// interference map. To build every node's, [`LinkPriceState::for_network`]
+    /// lays the network out once instead of once per node.
+    pub fn new(net: &Network, imap: &InterferenceMap, node: NodeId) -> Self {
+        Overhearing::new(net).state(net, imap, node)
+    }
+
+    /// [`LinkPriceState::new`] for every node, in node order: what
+    /// [`BroadcastPlan::new`] takes. It walks each `I_l` at most once, so
+    /// it costs `O(Σ |I_l|)` plus the size of the network.
+    pub fn for_network(net: &Network, imap: &InterferenceMap) -> Vec<Self> {
+        let mut layout = Overhearing::new(net);
+        net.nodes().iter().map(|n| layout.state(net, imap, n.id)).collect()
     }
 
     /// Marks whether this node currently receives TCP traffic (§6.4). The
@@ -388,14 +458,16 @@ impl BroadcastPlan {
             s.make_broadcasts_into(net, &mut broadcasts);
         }
         entry_start.push(broadcasts.len() as u32);
-        let entry_index = |node: NodeId, medium: Medium| {
-            let start = entry_start[node.index()] as usize;
-            let end = entry_start[node.index() + 1] as usize;
-            (start..end).find(|&e| broadcasts[e].medium == medium)
-        };
+        // Per (node, medium) pair (`pair_index`): its entry, if it has one.
+        let mut entry_at = vec![None; net.node_count() * net.mediums().len()];
+        for (e, b) in broadcasts.iter().enumerate() {
+            entry_at[pair_index(net, b.from, b.medium)] = Some(e as u32);
+        }
         let mut egress_pos = vec![0u32; net.link_count()];
         let mut entry_of = vec![0u32; net.link_count()];
         let mut listeners = vec![Vec::new(); broadcasts.len()];
+        let mut indices: Vec<Vec<Vec<u32>>> =
+            states.iter().map(|s| vec![Vec::new(); s.egress.len()]).collect();
         let (mut loaded, mut carried) = (Vec::new(), Vec::new());
         // Links in ascending id order, so every listener list ascends.
         for lk in net.links() {
@@ -412,22 +484,19 @@ impl BroadcastPlan {
                 clippy::expect_used,
                 reason = "the entry was appended two loops up for exactly this (owner, medium)"
             )]
-            let own = entry_index(lk.from, lk.medium).expect("own entry");
-            entry_of[lk.id.index()] = own as u32;
+            let own = entry_at[pair_index(net, lk.from, lk.medium)].expect("own entry");
+            entry_of[lk.id.index()] = own;
+            let mut row = Vec::with_capacity(s.overheard[pos].0.len());
             for &(node, medium) in &s.overheard[pos].0 {
-                if let Some(e) = entry_index(node, medium) {
-                    listeners[e].push(lk.id);
+                if let Some(e) = entry_at[pair_index(net, node, medium)] {
+                    listeners[e as usize].push(lk.id);
+                    row.push(e);
                 }
             }
-        }
-        let mut indices: Vec<Vec<Vec<u32>>> =
-            states.iter().map(|s| vec![Vec::new(); s.egress.len()]).collect();
-        // Entries in ascending order, so every row ascends.
-        for (e, heard_by) in listeners.iter().enumerate() {
-            for &l in heard_by {
-                let owner = net.link(l).from.index();
-                indices[owner][egress_pos[l.index()] as usize].push(e as u32);
-            }
+            // Entries number pairs in node order, not in overhearing
+            // order, and the per-hop price sums a row in ascending order.
+            row.sort_unstable();
+            indices[lk.from.index()][pos] = row;
         }
         // Entries ascend with their states, so sorting each state's
         // (entry, egress position) pairs lays the members out entry by
@@ -998,6 +1067,195 @@ mod tests {
         let imap = CarrierSense { wifi_sense_range_m: 35.0 }.build_map(&net);
         let fresh = net.nodes().iter().map(|n| LinkPriceState::new(&net, &imap, n.id)).collect();
         (net, imap, fresh)
+    }
+
+    /// [`LinkPriceState::new`] as first written, the oracle of the
+    /// single-pass construction: per member of `I_l`, a `contains` scan of
+    /// the pairs taken so far and a `position` scan of the egress list.
+    fn quadratic_state(net: &Network, imap: &InterferenceMap, node: NodeId) -> LinkPriceState {
+        let egress: Vec<LinkId> = net.out_links(node).map(|l| l.id).collect();
+        let overheard = egress
+            .iter()
+            .map(|&l| {
+                let mut nodes: Vec<(NodeId, Medium)> = Vec::new();
+                let mut own = Vec::new();
+                for &i in imap.domain(l) {
+                    let owner = net.link(i).from;
+                    let medium = net.link(i).medium;
+                    if owner == node {
+                        if let Some(pos) = egress.iter().position(|&e| e == i) {
+                            own.push(pos);
+                        }
+                    } else if !nodes.contains(&(owner, medium)) {
+                        nodes.push((owner, medium));
+                    }
+                }
+                (nodes, own)
+            })
+            .collect();
+        LinkPriceState {
+            node,
+            tcp_receiver: false,
+            gamma: vec![0.0; egress.len()],
+            demand: vec![0.0; egress.len()],
+            egress,
+            overheard,
+        }
+    }
+
+    /// [`BroadcastPlan::new`] as first written, its oracle: a search of the
+    /// node's entries per `(node, medium)` pair, and the per-link rows as
+    /// the transpose of the listener lists.
+    fn scanned_plan(net: &Network, states: Vec<LinkPriceState>) -> BroadcastPlan {
+        let mut broadcasts = Vec::new();
+        let mut entry_start = Vec::with_capacity(states.len() + 1);
+        for s in &states {
+            entry_start.push(broadcasts.len() as u32);
+            s.make_broadcasts_into(net, &mut broadcasts);
+        }
+        entry_start.push(broadcasts.len() as u32);
+        let entry_index = |node: NodeId, medium: Medium| {
+            let start = entry_start[node.index()] as usize;
+            let end = entry_start[node.index() + 1] as usize;
+            (start..end).find(|&e| broadcasts[e].medium == medium)
+        };
+        let mut egress_pos = vec![0u32; net.link_count()];
+        let mut entry_of = vec![0u32; net.link_count()];
+        let mut listeners = vec![Vec::new(); broadcasts.len()];
+        let (mut loaded, mut carried) = (Vec::new(), Vec::new());
+        for lk in net.links() {
+            let s = &states[lk.from.index()];
+            let pos = s.index_of(lk.id);
+            egress_pos[lk.id.index()] = pos as u32;
+            if s.demand[pos].to_bits() != 0 {
+                loaded.push(lk.id);
+            }
+            if s.gamma[pos].to_bits() != 0 {
+                carried.push(lk.id);
+            }
+            entry_of[lk.id.index()] = entry_index(lk.from, lk.medium).unwrap() as u32;
+            for &(node, medium) in &s.overheard[pos].0 {
+                if let Some(e) = entry_index(node, medium) {
+                    listeners[e].push(lk.id);
+                }
+            }
+        }
+        let mut indices: Vec<Vec<Vec<u32>>> =
+            states.iter().map(|s| vec![Vec::new(); s.egress.len()]).collect();
+        for (e, heard_by) in listeners.iter().enumerate() {
+            for &l in heard_by {
+                let owner = net.link(l).from.index();
+                indices[owner][egress_pos[l.index()] as usize].push(e as u32);
+            }
+        }
+        let mut members = Vec::with_capacity(net.link_count());
+        let mut member_start = Vec::with_capacity(broadcasts.len() + 1);
+        for s in &states {
+            let mut own: Vec<(u32, u32)> =
+                s.egress.iter().enumerate().map(|(i, l)| (entry_of[l.index()], i as u32)).collect();
+            own.sort_unstable();
+            for (k, &(e, i)) in own.iter().enumerate() {
+                if k == 0 || own[k - 1].0 != e {
+                    member_start.push(members.len() as u32);
+                }
+                members.push(i);
+            }
+        }
+        member_start.push(members.len() as u32);
+        let entries = broadcasts.len();
+        let live = (0..entries as u32).filter(|&e| is_live(&broadcasts[e as usize])).collect();
+        let receivers = states.iter().filter(|s| s.tcp_receiver).map(|s| s.node).collect();
+        BroadcastPlan {
+            loaded,
+            gammas_set: carried.len(),
+            carried,
+            live,
+            receivers,
+            next_receivers: Vec::new(),
+            priced: Vec::new(),
+            states,
+            indices,
+            listeners,
+            egress_pos,
+            entry_of,
+            entry_start,
+            members,
+            member_start,
+            broadcasts,
+            dirty: Vec::new(),
+            is_dirty: vec![false; entries],
+            price_memo: vec![(u64::MAX, 0.0); net.link_count()],
+            epoch: 0,
+            heard: vec![Heard::default(); net.link_count()],
+        }
+    }
+
+    /// The networks the construction is checked on: the paper's testbed
+    /// (three cliques), the partial testbed (no cliques), an enterprise
+    /// draw, a small campus (many small cliques and Ethernet) and Fig. 1.
+    fn construction_cases() -> Vec<(&'static str, Network, InterferenceMap)> {
+        use empower_model::topology::{campus, enterprise, testbed22, CampusConfig};
+        use empower_model::CarrierSense;
+        let sensed = |net: Network| {
+            let imap = CarrierSense::default().build_map(&net);
+            (net, imap)
+        };
+        let (testbed, testbed_map) = sensed(testbed22(1).net);
+        let (partial, partial_map, _) = partial_testbed();
+        let (office, office_map) = sensed(enterprise(&mut StdRng::seed_from_u64(3)).net);
+        let grid = CampusConfig::new(2, 3, 4);
+        let (campus, campus_map) = sensed(campus(&mut StdRng::seed_from_u64(1), &grid).net);
+        let fig1 = fig1_scenario().net;
+        let fig1_map = SharedMedium.build_map(&fig1);
+        vec![
+            ("testbed22(1)", testbed, testbed_map),
+            ("partial testbed", partial, partial_map),
+            ("enterprise", office, office_map),
+            ("campus 2x3x4", campus, campus_map),
+            ("fig1", fig1, fig1_map),
+        ]
+    }
+
+    fn assert_same_states(a: &[LinkPriceState], b: &[LinkPriceState], at: &str) {
+        assert_eq!(a.len(), b.len(), "{at}");
+        for (a, b) in a.iter().zip(b) {
+            let node = a.node;
+            assert_eq!((a.node, &a.egress, a.tcp_receiver), (b.node, &b.egress, b.tcp_receiver));
+            assert_eq!(a.overheard, b.overheard, "{at}: the sets of node {node:?}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!((bits(&a.gamma), bits(&a.demand)), (bits(&b.gamma), bits(&b.demand)));
+        }
+    }
+
+    #[test]
+    fn single_pass_overhearing_sets_equal_the_quadratic_construction() {
+        for (at, net, imap) in construction_cases() {
+            let quadratic: Vec<LinkPriceState> =
+                net.nodes().iter().map(|n| quadratic_state(&net, &imap, n.id)).collect();
+            assert_same_states(&LinkPriceState::for_network(&net, &imap), &quadratic, at);
+            let one_by_one: Vec<LinkPriceState> =
+                net.nodes().iter().map(|n| LinkPriceState::new(&net, &imap, n.id)).collect();
+            assert_same_states(&one_by_one, &quadratic, at);
+        }
+    }
+
+    #[test]
+    fn the_plan_equals_the_one_built_by_scans() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for (at, net, imap) in construction_cases() {
+            let mut states = LinkPriceState::for_network(&net, &imap);
+            // Construction from a run's states too: some links loaded, some
+            // priced, some nodes receiving TCP.
+            for s in &mut states[1..] {
+                s.tcp_receiver = rng.gen_bool(0.2);
+                for i in 0..s.egress.len() {
+                    s.demand[i] = mixed_demand(&mut rng, 0.3, 0.2);
+                    s.gamma[i] = if rng.gen_bool(0.3) { rng.gen_range(0.0..0.5) } else { 0.0 };
+                }
+            }
+            let planned = format!("{:?}", BroadcastPlan::new(&net, states.clone()));
+            assert_eq!(planned, format!("{:?}", scanned_plan(&net, states)), "{at}");
+        }
     }
 
     #[test]

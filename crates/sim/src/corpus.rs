@@ -324,7 +324,7 @@ pub fn run_scenario_plain<E: SimEngine>(s: &CorpusScenario) -> (String, SimPerfS
 }
 
 /// Constructs the engine, its topology and its flow set for `s`.
-fn setup<E: SimEngine>(s: &CorpusScenario, instrumented: bool) -> E {
+pub(crate) fn setup<E: SimEngine>(s: &CorpusScenario, instrumented: bool) -> E {
     let cfg = SimConfig { seed: s.cfg_seed, estimation_rel_std: s.noise, ..SimConfig::default() };
     let mut sim = match s.kind {
         Kind::TestbedPair { .. } | Kind::TestbedTcp { .. } | Kind::TestbedNodeFlap { .. } => {
@@ -462,7 +462,7 @@ fn add_flows<E: SimEngine>(sim: &mut E, s: &CorpusScenario) {
 
 /// Advances the engine to the scenario's end, pausing for mid-run route
 /// recomputation where the scenario calls for it.
-fn drive<E: SimEngine>(sim: &mut E, s: &CorpusScenario) {
+pub(crate) fn drive<E: SimEngine>(sim: &mut E, s: &CorpusScenario) {
     if let Kind::Reroute { replace_at, .. } = s.kind {
         sim.run_until(replace_at);
         let f = fig1_scenario();

@@ -12,7 +12,10 @@
 //! Each flow's datapath is two plain values from `empower-datapath`: a
 //! `FlowSource` (admission, route draw, header) called at emission, and a
 //! `FlowSink` (delay equalization, reorder, paced ACKs) called at arrival;
-//! the hops in between add their price to the frame's header.
+//! the hops in between add their price to the frame's header. Each route is
+//! resolved to its link sequence once, when it is installed, and a frame
+//! carries a cursor into that walk instead of re-reading its source route
+//! at every hop.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -55,8 +58,9 @@ fn clear_bit(words: &mut [u64], i: usize) {
 /// One flow's live state inside the engine.
 struct FlowRuntime {
     spec: FlowSpecSim,
-    /// First link of each route (the source's egress).
-    first_links: Vec<LinkId>,
+    /// Per route: the link its frames start on (the source's egress) and
+    /// the position of their first arrival in the engine's hop table.
+    first_hops: Vec<(LinkId, u32)>,
     /// The flow's source stages (admission, route choice, header); the
     /// event loop interleaves them with MAC and propagation events.
     source: FlowSource,
@@ -210,11 +214,75 @@ impl OccupiedWords {
     }
 }
 
+/// What [`Simulation::receive`] does with a frame that arrives at one step
+/// of its route's walk.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Hop {
+    /// The frame is at its destination.
+    Arrive,
+    /// The frame goes on over `link`, and its next arrival is the step at
+    /// table position `next`.
+    Forward { link: LinkId, next: u32 },
+    /// A lookup of the walk failed: the frame is dropped as a route error.
+    Unroutable,
+}
+
+/// Appends to `table` the walk of a route whose frames start on `first`
+/// and carry `route`, one [`Hop`] per arrival, and returns the position of
+/// the first. Each arrival is resolved by the lookups the reference engine
+/// makes per hop, in its order: the arrival link's receiving interface
+/// (`id_of`), the destination check, the source route's next interface
+/// (`next_hop_after`), its node and medium (`iface_of`) and the first link
+/// to them (`find_link`), so parallel same-medium links resolve as they
+/// always did. The walk ends at the destination, at a failed lookup, or at
+/// a link it has already arrived over, whose step it points back to (only
+/// a route that names an interface twice does that).
+fn resolve_hops(
+    net: &Network,
+    reg: &IfaceRegistry,
+    first: LinkId,
+    route: &SourceRoute,
+    table: &mut Vec<Hop>,
+) -> u32 {
+    let start = table.len();
+    let mut arrivals = vec![first];
+    while let Some(&link) = arrivals.get(table.len() - start) {
+        let lk = net.link(link);
+        let hop = match reg.id_of(lk.to, lk.medium) {
+            None => Hop::Unroutable,
+            Some(arrived) if route.is_destination(arrived) => Hop::Arrive,
+            Some(arrived) => {
+                let next = route
+                    .next_hop_after(arrived)
+                    .and_then(|iface| reg.iface_of(iface))
+                    .and_then(|(node, medium)| net.find_link(lk.to, node, medium));
+                match next {
+                    None => Hop::Unroutable,
+                    Some(next) => {
+                        let at = arrivals.iter().position(|&l| l == next.id).unwrap_or_else(|| {
+                            arrivals.push(next.id);
+                            arrivals.len() - 1
+                        });
+                        Hop::Forward { link: next.id, next: (start + at) as u32 }
+                    }
+                }
+            }
+        };
+        table.push(hop);
+    }
+    start as u32
+}
+
 /// The simulator.
 pub struct Simulation {
     net: Network,
     imap: InterferenceMap,
     reg: IfaceRegistry,
+    /// The walk of every route ever installed ([`resolve_hops`]), which a
+    /// frame follows by the cursor it carries ([`SimPacket::hop`]).
+    /// Routes are only appended, so the cursors of frames still in flight
+    /// on a replaced route stay valid.
+    hops: Vec<Hop>,
     cfg: SimConfig,
     /// Per-flow random streams (traffic draws: scheduler token choice,
     /// Poisson inter-arrivals). Seeded from `(cfg.seed, STREAM_FLOW, flow
@@ -297,9 +365,7 @@ impl Simulation {
     pub fn new(net: Network, imap: InterferenceMap, cfg: SimConfig) -> Self {
         let reg = IfaceRegistry::for_network(&net);
         let l = net.link_count();
-        let price_states: Vec<LinkPriceState> =
-            net.nodes().iter().map(|n| LinkPriceState::new(&net, &imap, n.id)).collect();
-        let bcast_plan = BroadcastPlan::new(&net, price_states);
+        let bcast_plan = BroadcastPlan::new(&net, LinkPriceState::for_network(&net, &imap));
         let link_rngs = (0..l as u64)
             .map(|i| StdRng::seed_from_u64(stream_seed(cfg.seed, STREAM_LINK, i)))
             .collect();
@@ -312,6 +378,7 @@ impl Simulation {
         }
         Simulation {
             reg,
+            hops: Vec::new(),
             slab: PacketSlab::new(),
             queues: vec![VecDeque::new(); l],
             busy: vec![None; l],
@@ -435,7 +502,7 @@ impl Simulation {
         }
         let source_routes: Vec<SourceRoute> = resolved.into_iter().flatten().collect();
         assert!(!spec.routes.is_empty(), "no route of the flow could be resolved");
-        let first_links: Vec<LinkId> = spec.routes.iter().map(|p| p.links()[0]).collect();
+        let first_hops = self.install(&spec.routes, &source_routes);
         let mut sched_cfg = SchedulerConfig::for_routes(spec.routes.len())
             .bucket_depth_mb(4.0 * FRAME_BITS as f64 / 1e6);
         let controller = if spec.use_cc {
@@ -482,7 +549,7 @@ impl Simulation {
         let idx = self.flows.len();
         self.flows.push(FlowRuntime {
             spec,
-            first_links,
+            first_hops,
             source,
             sink,
             controller,
@@ -565,8 +632,9 @@ impl Simulation {
         let n = routes.len();
         let caps: Vec<f64> = routes.iter().map(|p| p.capacity(&self.net, &self.imap)).collect();
         let max_hops = routes.iter().map(|p| p.hop_count()).max().unwrap_or(1);
+        let first_hops = self.install(&routes, &source_routes);
         let fl = &mut self.flows[flow];
-        fl.first_links = routes.iter().map(|p| p.links()[0]).collect();
+        fl.first_hops = first_hops;
         fl.spec.routes = routes;
         // Re-key both sides: the scheduler's token bucket and wire
         // sequence counter survive, the reorder stage keeps its expected
@@ -597,6 +665,21 @@ impl Simulation {
             series.resize_with(n, || vec![0.0; len]);
         }
         n
+    }
+
+    /// Appends the walks of `routes`, whose wire routes are `source_routes`,
+    /// to the hop table; returns per route its first link and first step.
+    fn install(
+        &mut self,
+        routes: &[empower_model::Path],
+        source_routes: &[SourceRoute],
+    ) -> Vec<(LinkId, u32)> {
+        let hops = &mut self.hops;
+        let walk = |(p, sr): (&empower_model::Path, &SourceRoute)| {
+            let first = p.links()[0];
+            (first, resolve_hops(&self.net, &self.reg, first, sr, hops))
+        };
+        routes.iter().zip(source_routes).map(walk).collect()
     }
 
     /// Runs until `duration` seconds of simulated time and returns the
@@ -766,7 +849,7 @@ impl Simulation {
         kind: PacketKind,
         tcp_seq: Option<u32>,
     ) {
-        let first = self.flows[f].first_links[r];
+        let (first, hop) = self.flows[f].first_hops[r];
         // The source adds its own price contribution for the first hop.
         let contribution = self.bcast_plan.price_contribution(&self.net, first);
         header.add_price(contribution);
@@ -792,6 +875,7 @@ impl Simulation {
             route: r,
             created_at: self.now,
             kind,
+            hop,
         };
         self.stats[f].sent_frames += 1;
         let id = self.slab.insert(pkt);
@@ -926,7 +1010,7 @@ impl Simulation {
                 seq: pkt.header.seq,
             });
         }
-        self.receive(link, id);
+        self.receive(id);
         // Give the freed medium to the longest-waiting backlogged contender
         // (round-robin-fair CSMA without collisions), then everyone else
         // that still fits. Candidates are pre-filtered to the *eligible*
@@ -958,44 +1042,24 @@ impl Simulation {
         self.scratch_links = cands;
     }
 
-    fn receive(&mut self, link: LinkId, id: PacketId) {
-        let node = self.net.link(link).to;
-        let medium = self.net.link(link).medium;
-        let flow = self.slab.get(id).flow;
-        let Some(arrived_iface) = self.reg.id_of(node, medium) else {
-            // The receiving interface vanished (node removal mid-run).
-            self.stats[flow].dropped_in_network += 1;
-            self.etel.route_errors.inc();
-            self.slab.release(id);
-            return;
-        };
-        if self.slab.get(id).header.route.is_destination(arrived_iface) {
-            self.arrive_at_destination(id);
-            return;
+    /// Takes the step of its route's walk that the frame's cursor names.
+    fn receive(&mut self, id: PacketId) {
+        match self.hops[self.slab.get(id).hop as usize] {
+            Hop::Arrive => self.arrive_at_destination(id),
+            Hop::Forward { link, next } => {
+                // Forwarding node adds its price contribution (Eq. (9)).
+                let contribution = self.bcast_plan.price_contribution(&self.net, link);
+                let pkt = self.slab.get_mut(id);
+                pkt.header.add_price(contribution);
+                pkt.hop = next;
+                self.enqueue_link(link, id);
+            }
+            Hop::Unroutable => {
+                self.stats[self.slab.get(id).flow].dropped_in_network += 1;
+                self.etel.route_errors.inc();
+                self.slab.release(id);
+            }
         }
-        let Some(next_iface) = self.slab.get(id).header.route.next_hop_after(arrived_iface) else {
-            // Mis-routed (e.g. stale route after failure): drop.
-            self.stats[flow].dropped_in_network += 1;
-            self.etel.route_errors.inc();
-            self.slab.release(id);
-            return;
-        };
-        let Some((nnode, nmedium)) = self.reg.iface_of(next_iface) else {
-            self.stats[flow].dropped_in_network += 1;
-            self.etel.route_errors.inc();
-            self.slab.release(id);
-            return;
-        };
-        let Some(next_link) = self.net.find_link(node, nnode, nmedium).map(|l| l.id) else {
-            self.stats[flow].dropped_in_network += 1;
-            self.etel.route_errors.inc();
-            self.slab.release(id);
-            return;
-        };
-        // Forwarding node adds its price contribution (Eq. (9)).
-        let contribution = self.bcast_plan.price_contribution(&self.net, next_link);
-        self.slab.get_mut(id).header.add_price(contribution);
-        self.enqueue_link(next_link, id);
     }
 
     fn arrive_at_destination(&mut self, id: PacketId) {
@@ -1557,6 +1621,126 @@ mod tests {
     use super::*;
     use empower_model::topology::fig1_scenario;
     use empower_model::{InterferenceModel, Path, SharedMedium};
+
+    /// The links the reference engine's per-hop walk (`id_of` →
+    /// `next_hop_after` → `iface_of` → `find_link`) forwards a frame of
+    /// `route` on after its first link `first`, and whether the frame
+    /// arrives (`false`: a lookup fails). Loops on a route that names an
+    /// interface twice.
+    fn walked(sim: &Simulation, first: LinkId, route: &SourceRoute) -> (Vec<LinkId>, bool) {
+        let (mut link, mut links) = (first, Vec::new());
+        loop {
+            let lk = sim.net.link(link);
+            let Some(arrived) = sim.reg.id_of(lk.to, lk.medium) else { return (links, false) };
+            if route.is_destination(arrived) {
+                return (links, true);
+            }
+            let Some(next) = route.next_hop_after(arrived) else { return (links, false) };
+            let Some((node, medium)) = sim.reg.iface_of(next) else { return (links, false) };
+            let Some(next) = sim.net.find_link(lk.to, node, medium) else { return (links, false) };
+            link = next.id;
+            links.push(link);
+        }
+    }
+
+    /// What the hop table forwards a frame on from step `hop`, read like
+    /// [`walked`].
+    fn stored(sim: &Simulation, mut hop: u32) -> (Vec<LinkId>, bool) {
+        let mut links = Vec::new();
+        loop {
+            match sim.hops[hop as usize] {
+                Hop::Arrive => return (links, true),
+                Hop::Unroutable => return (links, false),
+                Hop::Forward { link, next } => {
+                    links.push(link);
+                    hop = next;
+                }
+            }
+        }
+    }
+
+    /// Every installed route of every flow: its first link is the path's,
+    /// and the table holds the per-hop walk.
+    fn assert_every_route_walks_as_stored(sim: &Simulation, at: &str) {
+        for (f, fl) in sim.flows.iter().enumerate() {
+            assert_eq!(fl.first_hops.len(), fl.spec.routes.len(), "{at}: flow {f}");
+            for (r, (p, &(first, hop))) in fl.spec.routes.iter().zip(&fl.first_hops).enumerate() {
+                let route = resolve_source_route(&sim.net, &sim.reg, p).unwrap();
+                assert_eq!(first, p.links()[0], "{at}: flow {f}, route {r}");
+                let walk = walked(sim, first, &route);
+                assert_eq!(stored(sim, hop), walk, "{at}: flow {f}, route {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn stored_hops_are_the_per_hop_walk_of_every_corpus_route() {
+        use crate::corpus::{corpus, drive, setup, Kind};
+        for s in corpus() {
+            let mut sim: Simulation = setup(&s, false);
+            assert_every_route_walks_as_stored(&sim, s.name);
+            if matches!(s.kind, Kind::Reroute { .. }) {
+                let before = sim.hops.clone();
+                drive(&mut sim, &s);
+                let at = format!("{} after replace_routes", s.name);
+                assert_every_route_walks_as_stored(&sim, &at);
+                // Frames still in flight on the old routes keep their steps.
+                assert!(sim.hops.len() > before.len(), "{at}: nothing installed");
+                assert_eq!(sim.hops[..before.len()], before[..], "{at}");
+            }
+        }
+    }
+
+    /// a → b → c over WiFi with two parallel b → c links, and c → d.
+    fn parallel_and_gap() -> (Network, [LinkId; 4]) {
+        use empower_model::{Medium, NetworkBuilder, Point};
+        let mut b = NetworkBuilder::new();
+        let n: Vec<NodeId> = (0..4)
+            .map(|i| b.add_node(Point::new(10.0 * i as f64, 0.0), vec![Medium::WIFI1], None))
+            .collect();
+        let ab = b.add_link(n[0], n[1], Medium::WIFI1, 20.0);
+        let bc = b.add_link(n[1], n[2], Medium::WIFI1, 20.0);
+        let bc2 = b.add_link(n[1], n[2], Medium::WIFI1, 30.0);
+        let cd = b.add_link(n[2], n[3], Medium::WIFI1, 20.0);
+        (b.build(), [ab, bc, bc2, cd])
+    }
+
+    fn parallel_and_gap_run<E: crate::corpus::SimEngine>() -> (E, String) {
+        let (net, [ab, _, bc2, cd]) = parallel_and_gap();
+        let imap = SharedMedium.build_map(&net);
+        let mut sim = E::build(net.clone(), imap, SimConfig::default());
+        let open_loop = |src: u32, dst: u32, links: Vec<LinkId>| FlowSpecSim {
+            src: NodeId(src),
+            dst: NodeId(dst),
+            routes: vec![Path::from_links_unchecked(links)],
+            use_cc: false,
+            open_loop_rates: vec![5.0],
+            pattern: TrafficPattern::SaturatedUdp { start: 0.0, stop: 5.0 },
+            delay_equalization: false,
+        };
+        // The second parallel link, and a route with a gap at c.
+        sim.add_flow(open_loop(0, 2, vec![ab, bc2]));
+        sim.add_flow(open_loop(0, 3, vec![ab, cd]));
+        sim.run_until(5.0);
+        let report = format!("{:?}", sim.report(5.0));
+        (sim, report)
+    }
+
+    #[test]
+    fn a_parallel_link_and_a_gap_resolve_as_the_per_hop_walk_does() {
+        let (sim, report) = parallel_and_gap_run::<Simulation>();
+        let (_, reference) = parallel_and_gap_run::<crate::ReferenceSimulation>();
+        assert_eq!(report, reference);
+        assert_every_route_walks_as_stored(&sim, "parallel and gap");
+        let (_, [_, bc, _, _]) = parallel_and_gap();
+        // The walk takes the first b → c link, as the reference does, and
+        // the gap is a route error at b.
+        assert_eq!(stored(&sim, sim.flows[0].first_hops[0].1), (vec![bc], true));
+        assert_eq!(stored(&sim, sim.flows[1].first_hops[0].1), (vec![], false));
+        let stats = sim.report(5.0).flows;
+        assert!(stats[0].delivered_bits > 0 && stats[0].dropped_in_network == 0);
+        assert!(stats[1].delivered_bits == 0 && stats[1].dropped_in_network > 0);
+    }
 
     fn fig1_sim() -> (Simulation, Vec<Path>) {
         let s = fig1_scenario();

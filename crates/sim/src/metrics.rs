@@ -70,9 +70,15 @@ impl EngineCounters {
     /// gauge per link.
     pub fn attach(tele: Telemetry, link_count: usize) -> Self {
         let c = |name: &str, flavor: CounterType| tele.counter(name, flavor);
-        let queue_hwm = (0..link_count)
-            .map(|l| tele.counter(format!("link/{l}/queue_hwm"), CounterType::Gauge))
-            .collect();
+        // A disabled registry hands out no-ops whatever the name, so the
+        // per-link names are formatted only for a live one.
+        let queue_hwm = if tele.is_enabled() {
+            (0..link_count)
+                .map(|l| tele.counter(format!("link/{l}/queue_hwm"), CounterType::Gauge))
+                .collect()
+        } else {
+            vec![Counter::noop(); link_count]
+        };
         EngineCounters {
             mac_grants: c("mac/grants", CounterType::Packets),
             mac_deferrals: c("mac/deferrals", CounterType::Packets),

@@ -91,6 +91,11 @@ pub struct SimPacket {
     /// Emission time at the source, seconds.
     pub created_at: f64,
     pub kind: PacketKind,
+    /// The engine's cursor into its table of resolved route walks: the
+    /// step this frame takes when it next arrives. [`crate::Simulation`]
+    /// sets it at emission and moves it per hop; the reference engine
+    /// walks the header per hop instead and leaves it at 0.
+    pub hop: u32,
 }
 
 #[cfg(test)]
@@ -108,6 +113,7 @@ mod tests {
             route: 1,
             created_at: 0.5,
             kind: PacketKind::Data,
+            hop: 0,
         };
         assert_eq!(p.header.seq, 7);
         assert_eq!(p.header.route.len(), 2);
@@ -123,6 +129,7 @@ mod tests {
             route: 0,
             created_at: 0.0,
             kind: PacketKind::Data,
+            hop: 0,
         }
     }
 

@@ -620,6 +620,7 @@ impl ReferenceSimulation {
             route: r,
             created_at: self.now,
             kind,
+            hop: 0,
         };
         self.stats[f].sent_frames += 1;
         self.enqueue_link(first, pkt);

@@ -154,7 +154,11 @@ impl TcpSender {
             let newly = ack - self.highest_acked;
             self.highest_acked = ack;
             self.dup_acks = 0;
-            self.in_flight.retain(|&s, _| s >= ack);
+            // The flight is ordered by sequence: what the ACK covers is a
+            // prefix of it.
+            while let Some(acked) = self.in_flight.first_entry().filter(|e| *e.key() < ack) {
+                acked.remove();
+            }
             self.retx.retain(|&s| s >= ack);
             // RTT sample (Karn: only from a never-retransmitted probe).
             if let Some((pseq, ptime)) = self.probe {
@@ -416,6 +420,43 @@ mod tests {
         }
         assert!(s.done());
         assert_eq!(r.delivered(), 20);
+    }
+
+    #[test]
+    fn a_new_ack_trims_the_flight_as_retain_would() {
+        use empower_model::rng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut checked = 0;
+        for _ in 0..40 {
+            let mut s = TcpSender::new(TcpConfig::default(), Some(400));
+            let mut r = TcpReceiver::new();
+            let mut now = 0.0;
+            let loss = rng.gen_range(0.0..0.3);
+            while !s.done() && now < 200.0 {
+                let mut sent = drain_sends(&mut s, now);
+                // Deliver in a shuffled order, losing some segments.
+                for i in (1..sent.len()).rev() {
+                    sent.swap(i, rng.gen_range(0..=i));
+                }
+                now += 0.05;
+                for seq in sent {
+                    if rng.gen::<f64>() < loss {
+                        continue;
+                    }
+                    let ack = r.on_segment(seq);
+                    let (before, acked) = (s.in_flight.clone(), s.highest_acked);
+                    s.on_ack(ack, now);
+                    if ack > acked {
+                        let mut model = before;
+                        model.retain(|&k, _| k >= ack);
+                        assert_eq!(s.in_flight, model, "ACK {ack} after {acked}");
+                        checked += 1;
+                    }
+                }
+                s.on_rto_check(now);
+            }
+        }
+        assert!(checked > 1000, "only {checked} new ACKs checked");
     }
 
     #[test]
